@@ -11,15 +11,13 @@ from .clocks import (CLOCK_PRESETS, ClockParameters, ExtremumReport,
                      extremum_analysis, preset_parameters, read_clock,
                      sample_noise)
 from .delay import (HopComponent, PathBlocked, PathDelayBreakdown,
-                    propagation_delay, router_path_delay, total_path_delay,
-                    transmission_delay)
+                    propagation_delay, total_path_delay, transmission_delay)
 from .dotexport import export_graph
 from .engine import Engine, Event, Message, SimConfig
 from .gnss import GNSS_PRESETS, GnssPreset, gnss_preset, sample_gnss_jitter
 from .metrics import metrics_report
 from .netview import NetworkView
-from .routing import (NoRoute, Route, RouteQuery, edge_weight_ps,
-                      round_trip_routes, shortest_path)
+from .routing import NoRoute, Route, RouteQuery, edge_weight_ps, shortest_path
 from .scenario import (Scenario, ScenarioError, SyncScheduleEntry,
                        WorkloadEntry, build_engine, load_scenario,
                        parse_scenario, run_scenario, scenario_to_dict,

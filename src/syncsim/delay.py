@@ -48,18 +48,6 @@ class PathDelayBreakdown:
         return self.router_ps + self.transmission_ps + self.propagation_ps
 
     @property
-    def router_total(self) -> float:
-        return ps_to_seconds(self.router_ps)
-
-    @property
-    def transmission_total(self) -> float:
-        return ps_to_seconds(self.transmission_ps)
-
-    @property
-    def propagation_total(self) -> float:
-        return ps_to_seconds(self.propagation_ps)
-
-    @property
     def total(self) -> float:
         return ps_to_seconds(self.total_ps)
 
@@ -80,42 +68,6 @@ def propagation_delay(distance_m: float, speed_m_per_s: float) -> float:
     if speed_m_per_s <= 0:
         raise ValueError("propagation speed must be > 0")
     return distance_m / speed_m_per_s
-
-
-def path_transmission_delay(view: NetworkView, path: list[str], size_bits: int) -> float:
-    """Sum of per-hop transmission delays over a node walk, in seconds."""
-    return sum(
-        transmission_delay(size_bits, _link(view, a, b).bandwidth_bps)
-        for a, b in zip(path, path[1:])
-    )
-
-def path_propagation_delay(view: NetworkView, path: list[str]) -> float:
-    """Sum of per-hop propagation delays over a node walk, in seconds."""
-    total = 0.0
-    for a, b in zip(path, path[1:]):
-        link = _link(view, a, b)
-        total += propagation_delay(link.distance_m, view.speed_of(link.medium))
-    return total
-
-
-def router_path_delay(view: NetworkView, path: list[str], t: float,
-                      message_id: str = "") -> float:
-    """Total processing delay of the routers on the path, in seconds.
-
-    Routers are charged once per traversal (the source endpoint is not
-    charged).  Any inactive router on the path raises PathBlocked.
-    """
-    t_ps = seconds_to_ps(t)
-    total_ps = 0
-    for node_id in path[1:]:
-        node = view.node(node_id)
-        if not node.is_router:
-            continue
-        if not view.router_active(node_id, t_ps):
-            raise PathBlocked(node_id)
-        delay_s, _ = view.router_delay_at(node_id, t_ps)
-        total_ps += seconds_to_ps(delay_s)
-    return ps_to_seconds(total_ps)
 
 
 def _link(view: NetworkView, a: str, b: str):

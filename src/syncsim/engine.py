@@ -12,7 +12,7 @@ sync logic as timeouts.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable
 
@@ -21,11 +21,7 @@ from .netview import NetworkView
 from .routing import NoRoute, Route, RouteQuery, shortest_path
 from .timebase import ps_to_seconds, seconds_to_ps
 from .topology import NetworkGraph
-
-EVENT_KINDS = ("message_send", "hop_arrival", "delivery", "timeout",
-               "sync_step", "attack_edge")
-
-MESSAGE_STATUSES = ("pending", "in_flight", "delivered", "dropped", "blocked")
+from .trace import RECORD_KINDS
 
 
 @dataclass(frozen=True)
@@ -57,11 +53,10 @@ class Message:
     send_ps: int
     purpose: str = "data"
     timestamp_ps: int | None = None
-    status: str = "pending"
+    status: str = "pending"  # then in_flight, delivered, dropped or blocked
     route: Route | None = None
     delivery_ps: int | None = None
     on_delivery: Callable[["Message"], None] | None = None
-    annotations: list = field(default_factory=list)
 
 
 class SchedulingError(Exception):
@@ -104,7 +99,7 @@ class Engine:
         if time_ps < self.now_ps:
             raise SchedulingError(
                 f"cannot schedule {kind} at {time_ps} ps; engine is at {self.now_ps} ps")
-        if kind not in EVENT_KINDS:
+        if kind not in RECORD_KINDS:
             raise ValueError(f"unknown event kind: {kind!r}")
         event = Event(time_ps, next(self._seq), kind, payload or {}, action)
         heappush(self._queue, (event.time_ps, event.seq, event))
@@ -151,11 +146,6 @@ class Engine:
             self.records.append(record)
         self.now_ps = t_end_ps
         return self.records[emitted_from:]
-
-    def drain(self, horizon: float) -> list[dict]:
-        """Run past the nominal end so in-flight work settles by `horizon`."""
-        self.run_until_ps(seconds_to_ps(horizon))
-        return self.records
 
     # -- messaging ----------------------------------------------------------
 

@@ -9,6 +9,7 @@ GPS and Galileo 30 ns, BeiDou 50 ns, GLONASS 40 ns.
 from dataclasses import dataclass
 
 from . import randstream
+from .clocks import CLOCK_PRESETS
 
 
 @dataclass(frozen=True)
@@ -21,11 +22,10 @@ class GnssPreset:
             raise ValueError("jitter bound must be >= 0")
 
 
+# the bounds are those of the same-named clock presets
 GNSS_PRESETS: dict[str, GnssPreset] = {
-    "gps": GnssPreset("gps", 30.0),
-    "beidou": GnssPreset("beidou", 50.0),
-    "galileo": GnssPreset("galileo", 30.0),
-    "glonass": GnssPreset("glonass", 40.0),
+    name: GnssPreset(name, CLOCK_PRESETS[name].jitter_bound_ns)
+    for name in ("gps", "beidou", "galileo", "glonass")
 }
 
 

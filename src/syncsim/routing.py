@@ -24,11 +24,10 @@ from .topology import LinkSpec
 class NoRoute(Exception):
     """No active path exists between the endpoints at the query time."""
 
-    def __init__(self, source: str, destination: str, leg: str = "forward"):
-        super().__init__(f"no active route from {source!r} to {destination!r} ({leg})")
+    def __init__(self, source: str, destination: str):
+        super().__init__(f"no active route from {source!r} to {destination!r}")
         self.source = source
         self.destination = destination
-        self.leg = leg
 
 
 @dataclass(frozen=True)
@@ -113,28 +112,3 @@ def shortest_path(view: NetworkView, query: RouteQuery) -> Route:
             heapq.heappush(frontier, (dist + weight, hops + 1, path + (neighbor,)))
     raise NoRoute(query.source, query.destination)
 
-
-def round_trip_routes(view: NetworkView, source: str, destination: str,
-                      t_send: float, t_reply: float,
-                      size_forward: int, size_backward: int,
-                      forward_id: str = "fwd", backward_id: str = "bwd",
-                      ) -> tuple[Route, Route]:
-    """Forward route at t_send and backward route at t_reply.
-
-    Router states are sampled independently at the two instants, so the two
-    legs may take different paths.  NoRoute exceptions are labeled with the
-    failing leg.
-    """
-    if t_reply < t_send:
-        raise ValueError("t_reply must be >= t_send")
-    try:
-        forward = shortest_path(view, RouteQuery(source, destination, t_send,
-                                                 size_forward, forward_id))
-    except NoRoute:
-        raise NoRoute(source, destination, "forward") from None
-    try:
-        backward = shortest_path(view, RouteQuery(destination, source, t_reply,
-                                                  size_backward, backward_id))
-    except NoRoute:
-        raise NoRoute(destination, source, "backward") from None
-    return forward, backward

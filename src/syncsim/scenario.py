@@ -20,7 +20,7 @@ from .engine import Engine, SimConfig
 from .metrics import metrics_report
 from .sync import BerkeleyRound, CristianExchange, SyncOptions
 from .timebase import seconds_to_ps
-from .topology import (FailureModel, LinkSpec, NetworkGraph, NodeSpec,
+from .topology import (MEDIA, FailureModel, LinkSpec, NetworkGraph, NodeSpec,
                        Violation, validate)
 
 
@@ -246,7 +246,7 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
                 problems.append(Violation(f"message_workload #{index}",
                                           f"unknown node {node_id!r}"))
     for medium in scenario.medium_speeds:
-        if medium not in ("fiber", "copper", "wireless", "satellite"):
+        if medium not in MEDIA:
             problems.append(Violation("medium_speeds_m_per_s",
                                       f"unknown medium {medium!r}"))
     return problems

@@ -80,10 +80,6 @@ class SyncReport:
     def convergence_time(self) -> float:
         return ps_to_seconds(self.convergence_ps)
 
-    @property
-    def precision_range_ps(self) -> int:
-        return max(self.residuals_ps.values(), default=0)
-
     def trace_payload(self) -> dict:
         return {
             "algorithm": self.algorithm,
@@ -115,43 +111,37 @@ def _apply_policy(engine: Engine, node_id: str, delta_ps: int, at_ps: int,
         clock.apply_slew(delta_ps, options.slew_rate, at_ps)
 
 
-class CristianExchange:
-    """State machine for one Cristian client/server round."""
+class _PeerExchange:
+    """One request/reply measurement of a peer's clock by a client.
 
-    def __init__(self, engine: Engine, client: str, server: str,
-                 options: SyncOptions | None = None):
-        self.engine = engine
-        self.client = client
-        self.server = server
-        self.options = options or SyncOptions()
-        self.report: SyncReport | None = None
-        self.start_ps = 0
-        self._exchange = SyncExchange(client, server)
+    The client reads t0 and sends a request; the peer stamps its reply with
+    its own reading; the client reads t1 on delivery and estimates the
+    peer's offset as stamp + rtt/2 - t1.  The exchange settles exactly once,
+    on the reply or on its timeout, whichever executes first: a reply after
+    the timeout is still delivered and traced but changes nothing, and the
+    reply cancels the timeout.
+    """
+
+    def __init__(self, owner: "_Round", client: str, peer: str, timeout_payload: dict):
+        self.owner = owner
+        self.record = SyncExchange(client, peer)
+        self.timeout_payload = timeout_payload
+        self.messages_sent = 0
+        self.offset_ps: int | None = None  # peer minus client; None unless replied
+        self.settled = False
         self._timeout_event = None
-        self._request: Message | None = None
 
-    @property
-    def done(self) -> bool:
-        return self.report is not None
-
-    def start(self, at_ps: int) -> None:
-        """Schedule the round; all clock reads happen when events execute."""
-        self.start_ps = at_ps
-        self.engine.schedule_ps(at_ps, "sync_step",
-                                {"algorithm": "cristian", "phase": "started",
-                                 "participants": [self.client, self.server]},
-                                action=self._begin)
-
-    def _begin(self) -> dict:
-        engine, opts = self.engine, self.options
+    def begin(self) -> None:
+        engine, opts = self.owner.engine, self.owner.options
+        client, peer = self.record.client, self.record.server
         at_ps = engine.now_ps
         at = ps_to_seconds(at_ps)
-        self._exchange.t0_client_ps = engine.clock(self.client).reading_ps(at_ps)
-        self._request = engine.send_message(
-            self.client, self.server, opts.request_size_bits, at,
-            purpose="sync_request", on_delivery=self._request_arrived)
-        baseline = engine.baseline_rtt_ps(self.client, self.server, at,
-                                          opts.request_size_bits,
+        self.record.t0_client_ps = engine.clock(client).reading_ps(at_ps)
+        request = engine.send_message(client, peer, opts.request_size_bits, at,
+                                      purpose="sync_request",
+                                      on_delivery=self._request_arrived)
+        self.messages_sent = 1
+        baseline = engine.baseline_rtt_ps(client, peer, at, opts.request_size_bits,
                                           opts.reply_size_bits)
         if baseline is None:
             wait_ps = seconds_to_ps(opts.default_timeout)
@@ -159,198 +149,171 @@ class CristianExchange:
             wait_ps = round(opts.timeout_factor *
                             (baseline + seconds_to_ps(opts.server_service_time)))
         self._timeout_event = engine.schedule_ps(
-            at_ps + wait_ps, "timeout",
-            {"message_id": self._request.message_id, "node": self.client},
+            at_ps + wait_ps, "timeout", {"message_id": request.message_id, "node": client},
             action=self._timed_out)
-        return {}
 
     def _request_arrived(self, request: Message) -> None:
-        engine, opts = self.engine, self.options
+        engine, opts = self.owner.engine, self.owner.options
+        ex = self.record
         reply_at_ps = request.delivery_ps + seconds_to_ps(opts.server_service_time)
-        t_server_ps = engine.clock(self.server).reading_ps(reply_at_ps)
-        self._exchange.forward_delay_ps = request.route.breakdown.total_ps
-        self._exchange.t_server_ps = t_server_ps
-        engine.send_message(self.server, self.client, opts.reply_size_bits,
+        ex.t_server_ps = engine.clock(ex.server).reading_ps(reply_at_ps)
+        ex.forward_delay_ps = request.route.breakdown.total_ps
+        engine.send_message(ex.server, ex.client, opts.reply_size_bits,
                             ps_to_seconds(reply_at_ps), purpose="sync_reply",
-                            timestamp_ps=t_server_ps,
-                            on_delivery=self._reply_arrived)
+                            timestamp_ps=ex.t_server_ps, on_delivery=self._reply_arrived)
+        self.messages_sent = 2
 
     def _reply_arrived(self, reply: Message) -> None:
-        engine = self.engine
+        if self.settled:
+            return
+        engine = self.owner.engine
         engine.cancel(self._timeout_event)
-        ex = self._exchange
-        t1_ps = reply.delivery_ps
+        ex = self.record
         ex.backward_delay_ps = reply.route.breakdown.total_ps
-        ex.t1_client_ps = engine.clock(self.client).reading_ps(t1_ps)
+        ex.t1_client_ps = engine.clock(ex.client).reading_ps(reply.delivery_ps)
         ex.rtt_ps = ex.t1_client_ps - ex.t0_client_ps
-        # the client believes the server's clock now reads timestamp + rtt/2
-        estimate_ps = reply.timestamp_ps + half_ps(ex.rtt_ps)
-        delta_ps = estimate_ps - ex.t1_client_ps
-        _apply_policy(engine, self.client, delta_ps, t1_ps, self.options)
-        ex.offset_error_ps = (engine.clock(self.client).reading_ps(t1_ps)
-                              - engine.clock(self.server).reading_ps(t1_ps))
-        report = SyncReport(
-            algorithm="cristian", participants=[self.client, self.server],
-            corrections_ps={self.client: delta_ps},
-            residuals_ps={self.client: abs(ex.offset_error_ps)},
-            messages_sent=2, convergence_ps=t1_ps - self.start_ps,
-            exchanges=[ex])
-        self.report = report
-        engine.sync_reports.append(report)
-        engine.schedule_ps(t1_ps, "sync_step",
-                           dict(phase="completed", **report.trace_payload()))
+        # the client believes the peer's clock now reads stamp + rtt/2
+        self.offset_ps = reply.timestamp_ps + half_ps(ex.rtt_ps) - ex.t1_client_ps
+        self.settled = True
+        self.owner._exchange_settled(self)
 
     def _timed_out(self) -> dict:
-        if self.done:
-            return {}
-        report = SyncReport(algorithm="cristian",
-                            participants=[self.client, self.server],
-                            failed=True, reason="timeout", messages_sent=1,
-                            convergence_ps=self.engine.now_ps - self.start_ps)
-        self.report = report
-        self.engine.sync_reports.append(report)
-        return {"sync_aborted": "cristian", "participants": [self.client, self.server]}
+        self.settled = True
+        self.owner._exchange_settled(self)
+        return self.timeout_payload
 
 
-class BerkeleyRound:
-    """State machine for one Berkeley coordinator round over its members."""
+class _Round:
+    """Life cycle shared by both algorithms: a `started` sync_step, then
+    exactly one terminal sync_step (`completed` or `aborted`)."""
 
-    def __init__(self, engine: Engine, coordinator: str, members: list[str],
-                 options: SyncOptions | None = None):
+    algorithm = ""
+
+    def __init__(self, engine: Engine, participants: list[str],
+                 options: SyncOptions | None):
         self.engine = engine
-        self.coordinator = coordinator
-        # the coordinator may be listed as a member; it contributes offset 0
-        # without polling itself
-        self.members = [m for m in members if m != coordinator]
+        self.participants = participants
         self.options = options or SyncOptions()
         self.report: SyncReport | None = None
         self.start_ps = 0
-        self._poll_t0: dict[str, int] = {}
-        self._offsets_ps: dict[str, int] = {}
-        self._exchanges: dict[str, SyncExchange] = {}
-        self._unreachable: list[str] = []
-        self._pending_polls: set[str] = set()
-        self._poll_timeouts: dict[str, object] = {}
-        self._pending_corrections: set[str] = set()
-        self._messages_sent = 0
-        self._last_correction_ps = 0
-        self._corrections_ps: dict[str, int] = {}
-        self._excluded: list[str] = []
-        self._corrections_deadline_event = None
 
     @property
     def done(self) -> bool:
         return self.report is not None
 
-    def start(self, at_ps: int) -> None:
+    def _schedule_start(self, at_ps: int, begin) -> None:
         """Schedule the round; all clock reads happen when events execute."""
         self.start_ps = at_ps
         self.engine.schedule_ps(at_ps, "sync_step",
-                                {"algorithm": "berkeley", "phase": "started",
-                                 "participants": [self.coordinator] + self.members},
-                                action=self._begin)
+                                {"algorithm": self.algorithm, "phase": "started",
+                                 "participants": list(self.participants)},
+                                action=begin)
 
-    def _begin(self) -> dict:
-        engine, opts = self.engine, self.options
-        at_ps = engine.now_ps
-        at = ps_to_seconds(at_ps)
-        coordinator_clock = engine.clock(self.coordinator)
-        for member in self.members:
-            self._pending_polls.add(member)
-            self._poll_t0[member] = coordinator_clock.reading_ps(at_ps)
-            poll = engine.send_message(
-                self.coordinator, member, opts.request_size_bits, at,
-                purpose="sync_request",
-                on_delivery=lambda msg, m=member: self._poll_arrived(m, msg))
-            self._messages_sent += 1
-            baseline = engine.baseline_rtt_ps(self.coordinator, member, at,
-                                              opts.request_size_bits,
-                                              opts.reply_size_bits)
-            if baseline is None:
-                wait_ps = seconds_to_ps(opts.default_timeout)
-            else:
-                wait_ps = round(opts.timeout_factor *
-                                (baseline + seconds_to_ps(opts.server_service_time)))
-            self._poll_timeouts[member] = engine.schedule_ps(
-                at_ps + wait_ps, "timeout",
-                {"message_id": poll.message_id, "node": self.coordinator},
-                action=lambda m=member: self._poll_timed_out(m))
+    def _end(self, end_ps: int | None = None, **fields) -> None:
+        """The one terminal path: store, report and trace the round's result."""
+        engine = self.engine
+        end_ps = engine.now_ps if end_ps is None else end_ps
+        report = SyncReport(self.algorithm, list(self.participants),
+                            convergence_ps=end_ps - self.start_ps, **fields)
+        self.report = report
+        engine.sync_reports.append(report)
+        engine.schedule_ps(engine.now_ps, "sync_step",
+                           dict(phase="aborted" if report.failed else "completed",
+                                **report.trace_payload()))
+
+
+class CristianExchange(_Round):
+    """One Cristian round: one exchange, then the client adopts the server."""
+
+    algorithm = "cristian"
+
+    def __init__(self, engine: Engine, client: str, server: str,
+                 options: SyncOptions | None = None):
+        super().__init__(engine, [client, server], options)
+        self.client = client
+        self.server = server
+        self._exchange = _PeerExchange(self, client, server,
+                                       {"sync_aborted": "cristian",
+                                        "participants": [client, server]})
+
+    def start(self, at_ps: int) -> None:
+        self._schedule_start(at_ps, self._exchange.begin)
+
+    def _exchange_settled(self, exchange: _PeerExchange) -> None:
+        if exchange.offset_ps is None:
+            # a failed round counts only the request the client knows it sent
+            self._end(failed=True, reason="timeout", messages_sent=1)
+            return
+        engine, ex = self.engine, exchange.record
+        t1_ps = engine.now_ps
+        _apply_policy(engine, self.client, exchange.offset_ps, t1_ps, self.options)
+        ex.offset_error_ps = (engine.clock(self.client).reading_ps(t1_ps)
+                              - engine.clock(self.server).reading_ps(t1_ps))
+        self._end(corrections_ps={self.client: exchange.offset_ps},
+                  residuals_ps={self.client: abs(ex.offset_error_ps)},
+                  messages_sent=2, exchanges=[ex])
+
+
+class BerkeleyRound(_Round):
+    """One Berkeley round: one exchange per member, then the coordinator
+    sends everyone the delta onto the median-guarded average offset."""
+
+    algorithm = "berkeley"
+
+    def __init__(self, engine: Engine, coordinator: str, members: list[str],
+                 options: SyncOptions | None = None):
+        # the coordinator may be listed as a member; it contributes offset 0
+        # without polling itself
+        self.members = [m for m in members if m != coordinator]
+        super().__init__(engine, [coordinator] + self.members, options)
+        self.coordinator = coordinator
+        self._polls = {m: _PeerExchange(self, coordinator, m, {"unreachable": m})
+                       for m in self.members}
+        self._corrections_ps: dict[str, int] = {}
+        self._pending_corrections: set[str] = set()
+        self._last_correction_ps = 0
+        self._corrections_deadline_event = None
+
+    def start(self, at_ps: int) -> None:
+        self._schedule_start(at_ps, self._begin)
+
+    def _begin(self) -> None:
+        for poll in self._polls.values():
+            poll.begin()
         if not self.members:
             self._compute_corrections()
-        return {}
 
-    def _poll_arrived(self, member: str, poll: Message) -> None:
-        engine, opts = self.engine, self.options
-        reply_at_ps = poll.delivery_ps + seconds_to_ps(opts.server_service_time)
-        member_reading_ps = engine.clock(member).reading_ps(reply_at_ps)
-        exchange = SyncExchange(self.coordinator, member)
-        exchange.t0_client_ps = self._poll_t0[member]
-        exchange.t_server_ps = member_reading_ps
-        exchange.forward_delay_ps = poll.route.breakdown.total_ps
-        self._exchanges[member] = exchange
-        engine.send_message(member, self.coordinator, opts.reply_size_bits,
-                            ps_to_seconds(reply_at_ps), purpose="sync_reply",
-                            timestamp_ps=member_reading_ps,
-                            on_delivery=lambda msg, m=member: self._reply_arrived(m, msg))
-        self._messages_sent += 1
-
-    def _reply_arrived(self, member: str, reply: Message) -> None:
-        engine = self.engine
-        engine.cancel(self._poll_timeouts[member])
-        exchange = self._exchanges[member]
-        t1_ps = reply.delivery_ps
-        exchange.backward_delay_ps = reply.route.breakdown.total_ps
-        exchange.t1_client_ps = engine.clock(self.coordinator).reading_ps(t1_ps)
-        exchange.rtt_ps = exchange.t1_client_ps - exchange.t0_client_ps
-        estimate_ps = reply.timestamp_ps + half_ps(exchange.rtt_ps)
-        self._offsets_ps[member] = estimate_ps - exchange.t1_client_ps
-        self._pending_polls.discard(member)
-        if not self._pending_polls:
+    def _exchange_settled(self, exchange: _PeerExchange) -> None:
+        if all(poll.settled for poll in self._polls.values()):
             self._compute_corrections()
 
-    def _poll_timed_out(self, member: str) -> dict:
-        if self.done or member not in self._pending_polls:
-            return {}
-        self._unreachable.append(member)
-        self._pending_polls.discard(member)
-        if not self._pending_polls:
-            self._compute_corrections()
-        return {"unreachable": member}
+    def _messages_sent(self) -> int:
+        return (sum(poll.messages_sent for poll in self._polls.values())
+                + sum(1 for p in self._corrections_ps if p != self.coordinator))
 
     def _compute_corrections(self) -> None:
         engine, opts = self.engine, self.options
         now_ps = engine.now_ps
-        reachable = [m for m in self.members if m in self._offsets_ps]
-        participants = [self.coordinator] + reachable
-        if len(participants) < 2:
-            report = SyncReport(algorithm="berkeley",
-                                participants=[self.coordinator] + self.members,
-                                failed=True, reason="fewer than 2 reachable participants",
-                                messages_sent=self._messages_sent,
-                                convergence_ps=now_ps - self.start_ps)
-            self.report = report
-            engine.sync_reports.append(report)
-            engine.schedule_ps(now_ps, "sync_step",
-                               dict(phase="aborted", **report.trace_payload()))
-            return
         offsets = {self.coordinator: 0}
-        offsets.update({m: self._offsets_ps[m] for m in reachable})
+        offsets.update({m: poll.offset_ps for m, poll in self._polls.items()
+                        if poll.offset_ps is not None})
+        if len(offsets) < 2:
+            self._end(failed=True, reason="fewer than 2 reachable participants",
+                      messages_sent=self._messages_sent())
+            return
         values = sorted(offsets.values())
         mid = len(values) // 2
         median = (Fraction(values[mid]) if len(values) % 2 == 1
                   else Fraction(values[mid - 1] + values[mid], 2))
+        surviving = values
         if opts.outlier_threshold is not None:
             threshold_ps = seconds_to_ps(opts.outlier_threshold)
-            surviving = {p: o for p, o in offsets.items()
-                         if abs(Fraction(o) - median) <= threshold_ps}
-            self._excluded = sorted(set(offsets) - set(surviving))
-            if not surviving:  # degenerate threshold; fall back to all
-                surviving = offsets
-        else:
-            surviving = offsets
-        mean = Fraction(sum(surviving.values()), len(surviving))
-        for participant in participants:
-            delta_ps = _round_half_even(mean - offsets[participant])
+            # a degenerate threshold that keeps no one falls back to all
+            surviving = [o for o in values
+                         if abs(Fraction(o) - median) <= threshold_ps] or values
+        mean = Fraction(sum(surviving), len(surviving))
+        for participant, offset_ps in offsets.items():
+            delta_ps = _round_half_even(mean - offset_ps)
             self._corrections_ps[participant] = delta_ps
             if participant == self.coordinator:
                 _apply_policy(engine, participant, delta_ps, now_ps, opts)
@@ -362,55 +325,41 @@ class BerkeleyRound:
                     ps_to_seconds(now_ps), purpose="sync_correction",
                     on_delivery=lambda msg, m=participant, d=delta_ps:
                         self._correction_arrived(m, d, msg))
-                self._messages_sent += 1
-        if not self._pending_corrections:
-            self._finish()
-        else:
-            # corrections that never arrive must not stall the round
-            wait_ps = seconds_to_ps(opts.default_timeout)
-            self._corrections_deadline_event = engine.schedule_ps(
-                now_ps + wait_ps, "timeout", {"node": self.coordinator},
-                action=self._corrections_deadline)
+        # corrections that never arrive must not stall the round
+        self._corrections_deadline_event = engine.schedule_ps(
+            now_ps + seconds_to_ps(opts.default_timeout), "timeout",
+            {"node": self.coordinator}, action=self._corrections_deadline)
 
     def _correction_arrived(self, member: str, delta_ps: int, message: Message) -> None:
+        # the member applies a correction whenever it arrives, but one after
+        # the deadline no longer moves the ended round
         _apply_policy(self.engine, member, delta_ps, message.delivery_ps, self.options)
+        if self.done:
+            return
         self._last_correction_ps = max(self._last_correction_ps, message.delivery_ps)
         self._pending_corrections.discard(member)
         if not self._pending_corrections:
             self._finish()
 
     def _corrections_deadline(self) -> dict:
-        if self.done:
-            return {}
         stragglers = sorted(self._pending_corrections)
-        self._pending_corrections.clear()
         self._finish()
         return {"undelivered_corrections": stragglers}
 
     def _finish(self) -> None:
         engine = self.engine
-        if self._corrections_deadline_event is not None:
-            engine.cancel(self._corrections_deadline_event)
+        engine.cancel(self._corrections_deadline_event)
         t_f = self._last_correction_ps or engine.now_ps
-        corrected = list(self._corrections_ps)
-        readings = {p: engine.clock(p).reading_ps(t_f) for p in corrected}
+        readings = {p: engine.clock(p).reading_ps(t_f) for p in self._corrections_ps}
         ensemble_mean = Fraction(sum(readings.values()), len(readings))
-        residuals = {p: abs(_round_half_even(Fraction(readings[p]) - ensemble_mean))
-                     for p in corrected}
-        report = SyncReport(
-            algorithm="berkeley",
-            participants=[self.coordinator] + self.members,
-            corrections_ps=dict(self._corrections_ps),
-            residuals_ps=residuals,
-            messages_sent=self._messages_sent,
-            convergence_ps=t_f - self.start_ps,
-            exchanges=[self._exchanges[m] for m in self.members if m in self._exchanges])
-        if self._unreachable:
-            report.reason = "unreachable: " + ", ".join(sorted(self._unreachable))
-        self.report = report
-        engine.sync_reports.append(report)
-        engine.schedule_ps(engine.now_ps, "sync_step",
-                           dict(phase="completed", **report.trace_payload()))
+        residuals = {p: abs(_round_half_even(Fraction(reading) - ensemble_mean))
+                     for p, reading in readings.items()}
+        unreachable = sorted(m for m, poll in self._polls.items() if poll.offset_ps is None)
+        self._end(end_ps=t_f, corrections_ps=dict(self._corrections_ps),
+                  residuals_ps=residuals, messages_sent=self._messages_sent(),
+                  reason="unreachable: " + ", ".join(unreachable) if unreachable else "",
+                  exchanges=[poll.record for poll in self._polls.values()
+                             if poll.offset_ps is not None])
 
 
 def _run_to_completion(engine: Engine, machine) -> SyncReport:

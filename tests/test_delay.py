@@ -2,9 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syncsim.delay import (PathBlocked, propagation_delay, router_path_delay,
-                           total_path_delay, transmission_delay,
-                           path_transmission_delay, path_propagation_delay)
+from syncsim.delay import (PathBlocked, propagation_delay, total_path_delay,
+                           transmission_delay)
 from syncsim.netview import NetworkView
 from syncsim.topology import FailureModel, LinkSpec, NetworkGraph, NodeSpec
 
@@ -59,8 +58,8 @@ def test_two_hop_transmission_sum():
         [NodeSpec("a", "router"), NodeSpec("b", "router"), NodeSpec("c", "router")],
         [LinkSpec("a", "b", 1e6, 0.0), LinkSpec("b", "c", 1e9, 0.0)])
     view = NetworkView(graph)
-    assert path_transmission_delay(view, ["a", "b", "c"], 12000) == pytest.approx(
-        0.012012, abs=1e-15)
+    breakdown = total_path_delay(view, ["a", "b", "c"], 12000, 0.0)
+    assert breakdown.transmission_ps == 12_012_000_000
 
 
 def test_two_hop_propagation_sum():
@@ -69,14 +68,14 @@ def test_two_hop_propagation_sum():
         [NodeSpec("a", "router"), NodeSpec("b", "router"), NodeSpec("c", "router")],
         [LinkSpec("a", "b", 1e9, 100_000.0), LinkSpec("b", "c", 1e9, 200_000.0)])
     view = NetworkView(graph)
-    assert path_propagation_delay(view, ["a", "b", "c"]) == pytest.approx(
-        1.5e-3, abs=1e-15)
+    breakdown = total_path_delay(view, ["a", "b", "c"], 12000, 0.0)
+    assert breakdown.propagation_ps == 1_500_000_000
 
 
 def test_router_path_delay_sums_active_routers():
     view = line_view([50e-6, 50e-6, 500e-6])
-    assert router_path_delay(view, full_path(view), 0.0) == pytest.approx(
-        600e-6, abs=1e-15)
+    breakdown = total_path_delay(view, full_path(view), 12000, 0.0)
+    assert breakdown.router_ps == 600_000_000
 
 
 def test_router_path_delay_empty_sum_without_routers():
@@ -84,17 +83,15 @@ def test_router_path_delay_empty_sum_without_routers():
         [NodeSpec("a", "client", clock=None), NodeSpec("b", "client", clock=None)],
         [LinkSpec("a", "b", 1e6, 10.0)])
     view = NetworkView(graph)
-    assert router_path_delay(view, ["a", "b"], 0.0) == 0.0
+    assert total_path_delay(view, ["a", "b"], 12000, 0.0).router_ps == 0
 
 
 def test_inactive_router_blocks_path():
     view = line_view([50e-6, 50e-6, 500e-6],
                      failure_models={"r2": FailureModel("always_failed")})
     with pytest.raises(PathBlocked) as excinfo:
-        router_path_delay(view, full_path(view), 0.0)
-    assert excinfo.value.router_id == "r2"
-    with pytest.raises(PathBlocked):
         total_path_delay(view, full_path(view), 12000, 0.0)
+    assert excinfo.value.router_id == "r2"
 
 
 # -- composition ----------------------------------------------------------------

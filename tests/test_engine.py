@@ -131,8 +131,7 @@ def test_every_message_terminates():
     engine = make_engine(graph, seed=5)
     for i in range(20):
         engine.send_message("c1", "s1", 12000, 0.05 * (i + 1))
-    engine.run_until(1.0)
-    engine.drain(horizon=2.0)
+    engine.run_until(2.0)
     assert all(m.status in ("delivered", "dropped", "blocked")
                for m in engine.messages.values())
 

@@ -3,8 +3,7 @@ import random
 import pytest
 
 from syncsim.netview import NetworkView
-from syncsim.routing import (NoRoute, RouteQuery, edge_weight_ps,
-                             round_trip_routes, shortest_path)
+from syncsim.routing import NoRoute, RouteQuery, edge_weight_ps, shortest_path
 from syncsim.topology import FailureModel, LinkSpec, NetworkGraph, NodeSpec
 
 from conftest import line_graph, make_node
@@ -162,7 +161,8 @@ def test_routing_is_deterministic():
 
 def test_static_round_trip_is_reversed():
     view = NetworkView(line_graph([50e-6, 50e-6]))
-    forward, backward = round_trip_routes(view, "c1", "s1", 0.0, 1.0, 12000, 12000)
+    forward = shortest_path(view, query("c1", "s1", t=0.0))
+    backward = shortest_path(view, query("s1", "c1", t=1.0))
     assert backward.hops == tuple(reversed(forward.hops))
     assert backward.breakdown.total_ps == forward.breakdown.total_ps
 
@@ -177,9 +177,8 @@ def test_failure_between_legs_changes_return_path():
     links = [LinkSpec("c1", "r1", 1e9, 1e3), LinkSpec("r1", "s1", 1e9, 1e3),
              LinkSpec("c1", "r2", 1e9, 1e3), LinkSpec("r2", "s1", 1e9, 1e3)]
     view = NetworkView(NetworkGraph(nodes, links))
-    forward, backward = round_trip_routes(view, "c1", "s1",
-                                          t_send=0.5, t_reply=2.0,
-                                          size_forward=12000, size_backward=12000)
+    forward = shortest_path(view, query("c1", "s1", t=0.5))
+    backward = shortest_path(view, query("s1", "c1", t=2.0))
     assert forward.hops == ("c1", "r1", "s1")
     assert backward.hops == ("s1", "r2", "c1")
 
@@ -187,6 +186,7 @@ def test_failure_between_legs_changes_return_path():
 def test_blocked_legs_raise_labeled_no_route():
     graph = line_graph([50e-6], failure_models={"r1": FailureModel("always_failed")})
     view = NetworkView(graph)
-    with pytest.raises(NoRoute) as excinfo:
-        round_trip_routes(view, "c1", "s1", 0.0, 1.0, 100, 100)
-    assert excinfo.value.leg == "forward"
+    for src, dst, t in (("c1", "s1", 0.0), ("s1", "c1", 1.0)):
+        with pytest.raises(NoRoute) as excinfo:
+            shortest_path(view, query(src, dst, t=t, size=100))
+        assert (excinfo.value.source, excinfo.value.destination) == (src, dst)

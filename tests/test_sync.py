@@ -2,6 +2,7 @@ import pytest
 
 from syncsim.clocks import ClockParameters
 from syncsim.engine import Engine
+from syncsim.metrics import metrics_report
 from syncsim.sync import SyncOptions, berkeley_round, cristian_sync
 from syncsim.timebase import seconds_to_ps
 from syncsim.topology import FailureModel, LinkSpec, NetworkGraph, NodeSpec
@@ -211,3 +212,71 @@ def test_completed_round_emits_no_stray_timeouts():
     berkeley_round(engine, "co", ["m1", "m2"], at=0.0)
     engine.run_until(10.0)
     assert not any(r["kind"] == "timeout" for r in engine.records)
+
+
+# -- each round ends exactly once ----------------------------------------------
+
+def terminal_steps(engine):
+    return [r for r in engine.records
+            if r["kind"] == "sync_step" and r["phase"] in ("completed", "aborted")]
+
+
+def test_cristian_reply_after_timeout_is_ignored():
+    # a budget of half the round trip makes the reply arrive after the timeout
+    engine = Engine(line_graph([50e-6], client_clock=offset_clock(2.0)), seed=1)
+    report = cristian_sync(engine, "c1", "s1", at=1.0,
+                           options=SyncOptions(timeout_factor=0.5))
+    engine.run_until(3.0)
+    assert engine.sync_reports == [report]
+    assert report.failed and report.reason == "timeout"
+    assert engine.clock("c1").offset_ps(engine.now_ps) == seconds_to_ps(2.0)
+    # the late reply is still delivered and traced
+    assert any(r["kind"] == "delivery" and r["node"] == "c1" for r in engine.records)
+    [step] = terminal_steps(engine)
+    assert step["phase"] == "aborted" and step["failed"]
+    aggregate = metrics_report(engine.records)["aggregate"]
+    assert (aggregate["sync_rounds"], aggregate["sync_failures"]) == (1, 1)
+
+
+def test_cristian_timeout_emits_aborted_step_at_the_timeout():
+    graph = line_graph([50e-6], failure_models={"r1": FailureModel("always_failed")})
+    engine = Engine(graph, seed=0)
+    report = cristian_sync(engine, "c1", "s1", at=0.0)
+    engine.run_until(5.0)
+    [timeout] = [r for r in engine.records if r["kind"] == "timeout"]
+    assert timeout["sync_aborted"] == "cristian"
+    [step] = terminal_steps(engine)
+    assert step["sim_time_ps"] == timeout["sim_time_ps"]
+    assert step == {"sim_time_ps": timeout["sim_time_ps"], "sequence": step["sequence"],
+                    "kind": "sync_step", "phase": "aborted", **report.trace_payload()}
+
+
+def test_berkeley_replies_after_every_timeout_are_ignored():
+    engine = star_engine([0.010, -0.004])
+    report = berkeley_round(engine, "co", ["m1", "m2"], at=0.0,
+                            options=SyncOptions(timeout_factor=0.5))
+    engine.run_until(5.0)
+    assert engine.sync_reports == [report]
+    assert report.failed
+    assert report.reason == "fewer than 2 reachable participants"
+    assert report.corrections_ps == {}
+    assert not any(r["kind"] == "message_send" and r["purpose"] == "sync_correction"
+                   for r in engine.records)
+    assert engine.clock("m1").offset_ps(engine.now_ps) == seconds_to_ps(0.010)
+    [step] = terminal_steps(engine)
+    assert step["phase"] == "aborted"
+
+
+def test_berkeley_corrections_after_the_deadline_do_not_end_the_round_again():
+    # 12 ms correction messages against a 5 ms corrections deadline
+    engine = star_engine([0.010, -0.004])
+    report = berkeley_round(engine, "co", ["m1", "m2"], at=0.0,
+                            options=SyncOptions(default_timeout=0.005))
+    engine.run_until(5.0)
+    assert engine.sync_reports == [report]
+    [deadline] = [r for r in engine.records if r["kind"] == "timeout"]
+    assert deadline["undelivered_corrections"] == ["m1", "m2"]
+    [step] = terminal_steps(engine)
+    assert step["phase"] == "completed"
+    # the members still apply their late corrections: mean offset +2 ms
+    assert engine.clock("m1").offset_ps(engine.now_ps) == 2_000_000_000
