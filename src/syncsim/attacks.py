@@ -15,7 +15,7 @@ window, behavior is bit-identical to the attack-free baseline: no stream
 draws are consumed and no trace annotations appear.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import randstream
 from .timebase import seconds_to_ps
@@ -38,6 +38,9 @@ class AttackSpec:
     # router_hijack
     mode: str = "force_down"
     added_delay: float = 0.0
+    # the window quantized once, so per-hop activity checks compare integers
+    start_ps: int = field(init=False, repr=False, compare=False)
+    end_ps: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ATTACK_KINDS:
@@ -54,9 +57,11 @@ class AttackSpec:
                 raise ValueError(f"unknown hijack mode: {self.mode!r}")
             if self.mode == "added_delay" and self.added_delay < 0:
                 raise ValueError("hijack added_delay must be >= 0")
+        object.__setattr__(self, "start_ps", seconds_to_ps(self.t_start))
+        object.__setattr__(self, "end_ps", seconds_to_ps(self.t_end))
 
     def active_at_ps(self, t_ps: int) -> bool:
-        return seconds_to_ps(self.t_start) <= t_ps < seconds_to_ps(self.t_end)
+        return self.start_ps <= t_ps < self.end_ps
 
 
 def effective_flag(attacks: tuple[AttackSpec, ...], node_id: str, t_ps: int,

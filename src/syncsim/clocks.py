@@ -177,28 +177,18 @@ class SoftwareClock:
         """C(t) in integer picoseconds."""
         return t_ps + self.offset_ps(t_ps)
 
-    def offset_at(self, t: float) -> float:
-        """alpha(t) in seconds; the query time is quantized to picoseconds."""
-        return ps_to_seconds(self.offset_ps(seconds_to_ps(t)))
-
-    def reading_at(self, t: float) -> float:
-        """C(t) in seconds, defined as t + alpha(t) so the offset identity
-        C(t) - t = alpha(t) holds exactly in float as well as picoseconds."""
-        return t + self.offset_at(t)
-
 
 def read_clock(clock: SoftwareClock, t: float) -> float:
-    """C(t): the clock's reading at wall time t, in seconds."""
-    if t < 0:
-        raise ValueError("wall-clock time must be >= 0")
-    return clock.reading_at(t)
+    """C(t): the clock's reading at wall time t, in seconds, defined as
+    t + alpha(t) so that C(t) - t = alpha(t) holds exactly in float too."""
+    return t + clock_offset(clock, t)
 
 
 def clock_offset(clock: SoftwareClock, t: float) -> float:
-    """alpha(t) = C(t) - t, in seconds."""
+    """alpha(t) = C(t) - t, in seconds; t is quantized to picoseconds."""
     if t < 0:
         raise ValueError("wall-clock time must be >= 0")
-    return clock.offset_at(t)
+    return ps_to_seconds(clock.offset_ps(seconds_to_ps(t)))
 
 
 def sample_noise(clock: SoftwareClock, t: float) -> float:

@@ -78,13 +78,12 @@ def _link(view: NetworkView, a: str, b: str):
 
 
 def total_path_delay(view: NetworkView, path: list[str], size_bits: int,
-                     t: float, message_id: str = "") -> PathDelayBreakdown:
+                     t_ps: int, message_id: str = "") -> PathDelayBreakdown:
     """Quantized breakdown of all delay components along the path.
 
     Raises PathBlocked if any router on the path (beyond the source) is
-    inactive at t.
+    inactive at t_ps.
     """
-    t_ps = seconds_to_ps(t)
     per_hop: list[HopComponent] = []
     router_ps = transmission_ps = propagation_ps = 0
     for a, b in zip(path, path[1:]):

@@ -19,7 +19,7 @@ from typing import Callable
 from .clocks import SoftwareClock
 from .netview import NetworkView
 from .routing import NoRoute, Route, RouteQuery, shortest_path
-from .timebase import ps_to_seconds, seconds_to_ps
+from .timebase import seconds_to_ps
 from .topology import NetworkGraph
 from .trace import RECORD_KINDS
 
@@ -105,10 +105,6 @@ class Engine:
         heappush(self._queue, (event.time_ps, event.seq, event))
         return event
 
-    def schedule(self, time: float, kind: str, payload: dict | None = None,
-                 action: Callable[[], dict | None] | None = None) -> Event:
-        return self.schedule_ps(seconds_to_ps(time), kind, payload, action)
-
     @staticmethod
     def cancel(event: Event) -> None:
         event.cancelled = True
@@ -150,22 +146,21 @@ class Engine:
     # -- messaging ----------------------------------------------------------
 
     def send_message(self, source: str, destination: str, size_bits: int,
-                     t: float, purpose: str = "data",
+                     at_ps: int, purpose: str = "data",
                      timestamp_ps: int | None = None,
                      on_delivery: Callable[[Message], None] | None = None) -> Message:
-        """Schedule a message send at wall time t; returns the message handle.
+        """Schedule a message send at wall time at_ps; returns the message handle.
 
         The route is chosen when the send event executes; a NoRoute outcome
         leaves the message blocked (the sender only learns via timeout).
         """
-        send_ps = seconds_to_ps(t)
         message = Message(
             message_id=f"m{next(self._msg_counter):05d}",
             source=source, destination=destination, size_bits=size_bits,
-            send_ps=send_ps, purpose=purpose, timestamp_ps=timestamp_ps,
+            send_ps=at_ps, purpose=purpose, timestamp_ps=timestamp_ps,
             on_delivery=on_delivery)
         self.messages[message.message_id] = message
-        self.schedule_ps(send_ps, "message_send",
+        self.schedule_ps(at_ps, "message_send",
                          {"message_id": message.message_id, "src": source,
                           "dst": destination, "size_bits": size_bits,
                           "purpose": purpose},
@@ -173,9 +168,8 @@ class Engine:
         return message
 
     def _start_message(self, message: Message) -> dict:
-        query = RouteQuery(message.source, message.destination,
-                           ps_to_seconds(message.send_ps), message.size_bits,
-                           message.message_id)
+        query = RouteQuery(message.source, message.destination, message.send_ps,
+                           message.size_bits, message.message_id)
         try:
             route = shortest_path(self.view, query)
         except NoRoute:
@@ -253,16 +247,16 @@ class Engine:
 
     # -- timeouts -----------------------------------------------------------
 
-    def baseline_rtt_ps(self, a: str, b: str, t: float, size_forward: int,
+    def baseline_rtt_ps(self, a: str, b: str, t_ps: int, size_forward: int,
                         size_backward: int | None = None) -> int | None:
         """Expected attack-free round-trip delay, used to budget sync timeouts."""
         baseline = self.view.without_attacks()
         if size_backward is None:
             size_backward = size_forward
         try:
-            fwd = shortest_path(baseline, RouteQuery(a, b, t, size_forward, "baseline"))
-            t_back = t + ps_to_seconds(fwd.breakdown.total_ps)
-            bwd = shortest_path(baseline, RouteQuery(b, a, t_back, size_backward,
+            fwd = shortest_path(baseline, RouteQuery(a, b, t_ps, size_forward, "baseline"))
+            t_back_ps = t_ps + fwd.breakdown.total_ps
+            bwd = shortest_path(baseline, RouteQuery(b, a, t_back_ps, size_backward,
                                                      "baseline"))
         except NoRoute:
             return None

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 from .delay import PathDelayBreakdown, propagation_delay, total_path_delay, transmission_delay
 from .netview import NetworkView
-from .timebase import seconds_to_ps
+from .timebase import ps_to_seconds, seconds_to_ps
 from .topology import LinkSpec
 
 
@@ -34,13 +34,19 @@ class NoRoute(Exception):
 class RouteQuery:
     source: str
     destination: str
-    query_time: float
+    t_ps: int
     size_bits: int
     message_id: str = ""
 
     def __post_init__(self):
         if self.source == self.destination:
             raise ValueError("source and destination must differ")
+
+    @property
+    def query_time(self) -> float:
+        """t_ps in seconds.  Routing never reads it; it stays because the
+        benchmark's layer probe (perfbench/layers.py) keys repeat queries on it."""
+        return ps_to_seconds(self.t_ps)
 
 
 @dataclass(frozen=True)
@@ -65,14 +71,13 @@ def edge_weight_ps(view: NetworkView, link: LinkSpec, downstream: str,
     downstream node's router delay when it is an active router; an inactive
     downstream router excludes the edge from the graph view.
     """
-    t_ps = seconds_to_ps(query.query_time)
     node = view.node(downstream)
     weight = seconds_to_ps(transmission_delay(query.size_bits, link.bandwidth_bps))
     weight += seconds_to_ps(propagation_delay(link.distance_m, view.speed_of(link.medium)))
     if node.is_router:
-        if not view.router_active(downstream, t_ps):
+        if not view.router_active(downstream, query.t_ps):
             return None
-        delay_s, _ = view.router_delay_at(downstream, t_ps)
+        delay_s, _ = view.router_delay_at(downstream, query.t_ps)
         weight += seconds_to_ps(delay_s)
     return weight
 
@@ -97,7 +102,7 @@ def shortest_path(view: NetworkView, query: RouteQuery) -> Route:
         best[node_id] = (dist, hops, path)
         if node_id == query.destination:
             breakdown = total_path_delay(view, list(path), query.size_bits,
-                                         query.query_time, query.message_id)
+                                         query.t_ps, query.message_id)
             return Route(path, breakdown)
         # only routers relay; endpoints do not forward traffic through themselves
         if node_id != query.source and not view.node(node_id).is_router:

@@ -12,6 +12,7 @@ section or a preset directly.
 """
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .attacks import AttackSpec
@@ -60,73 +61,88 @@ class Scenario:
     node_clock_names: dict[str, str] = field(default_factory=dict)
 
 
-def _require(condition: bool, problems: list[str], message: str) -> None:
-    if not condition:
-        problems.append(message)
+def _section(data: dict, name: str, kind: type, problems: list[str]):
+    """The named section, or an empty one and a problem if it has the wrong JSON type."""
+    value = data.get(name, kind())
+    if isinstance(value, kind):
+        return value
+    problems.append(f"{name}: expected a JSON {'object' if kind is dict else 'array'}")
+    return kind()
 
 
-def _parse_clock(name: str, spec: dict, problems: list[str]) -> ClockParameters | None:
-    try:
-        if "preset" in spec:
-            overrides = {}
-            mapping = {"alpha0_s": "alpha0", "beta": "beta", "gamma": "gamma",
-                       "noise_sigma_s": "noise_sigma", "jitter_bound_ns": "jitter_bound_ns"}
-            for key, attr in mapping.items():
-                if key in spec:
-                    overrides[attr] = spec[key]
-            return preset_parameters(spec["preset"], **overrides)
-        table = tuple((float(t), float(v)) for t, v in spec.get("offset_table", []))
-        return ClockParameters(
-            alpha0=float(spec.get("alpha0_s", 0.0)),
-            beta=float(spec.get("beta", 0.0)),
-            gamma=float(spec.get("gamma", 0.0)),
-            noise_sigma=float(spec.get("noise_sigma_s", 0.0)),
-            model_kind=spec.get("model", "quadratic"),
-            offset_table=table,
-            jitter_bound_ns=float(spec.get("jitter_bound_ns", 0.0)))
-    except (TypeError, ValueError) as exc:
-        problems.append(f"clock {name!r}: {exc}")
-        return None
+def _parse_each(data: dict, name: str, build, problems: list[str], kind: type = list) -> dict:
+    """{key: build(entry)} over the entries of an array section (keyed by index)
+    or an object section.  An entry that is not a JSON object, or that build
+    rejects, becomes a problem naming its section and key."""
+    entries = _section(data, name, kind, problems)
+    parsed = {}
+    for key, spec in entries.items() if kind is dict else enumerate(entries):
+        try:
+            if not isinstance(spec, dict):
+                raise TypeError("expected a JSON object")
+            parsed[key] = build(spec)
+        except KeyError as exc:
+            problems.append(f"{name}[{key!r}]: missing field {exc}")
+        except (TypeError, ValueError, IndexError) as exc:
+            problems.append(f"{name}[{key!r}]: {exc}")
+    return parsed
 
 
-def _parse_attack(index: int, spec: dict, problems: list[str]) -> AttackSpec | None:
-    label = f"attack #{index}"
-    try:
-        window = spec["window_s"]
-        return AttackSpec(
-            kind=spec["kind"], target=spec["target"],
-            t_start=float(window[0]), t_end=float(window[1]),
-            delay_multiplier=float(spec.get("delay_multiplier", 1.0)),
-            drop_probability=float(spec.get("drop_probability", 0.0)),
-            forged_offset=float(spec.get("forged_offset_s", 0.0)),
-            mode=spec.get("mode", "force_down"),
-            added_delay=float(spec.get("added_delay_s", 0.0)))
-    except (KeyError, TypeError, ValueError, IndexError) as exc:
-        problems.append(f"{label}: {exc}")
-        return None
+def _parse_clock(spec: dict) -> ClockParameters:
+    if "preset" in spec:
+        overrides = {}
+        mapping = {"alpha0_s": "alpha0", "beta": "beta", "gamma": "gamma",
+                   "noise_sigma_s": "noise_sigma", "jitter_bound_ns": "jitter_bound_ns"}
+        for key, attr in mapping.items():
+            if key in spec:
+                overrides[attr] = spec[key]
+        return preset_parameters(spec["preset"], **overrides)
+    table = tuple((float(t), float(v)) for t, v in spec.get("offset_table", []))
+    return ClockParameters(
+        alpha0=float(spec.get("alpha0_s", 0.0)),
+        beta=float(spec.get("beta", 0.0)),
+        gamma=float(spec.get("gamma", 0.0)),
+        noise_sigma=float(spec.get("noise_sigma_s", 0.0)),
+        model_kind=spec.get("model", "quadratic"),
+        offset_table=table,
+        jitter_bound_ns=float(spec.get("jitter_bound_ns", 0.0)))
+
+
+def _parse_attack(spec: dict) -> AttackSpec:
+    window = spec["window_s"]
+    return AttackSpec(
+        kind=spec["kind"], target=spec["target"],
+        t_start=float(window[0]), t_end=float(window[1]),
+        delay_multiplier=float(spec.get("delay_multiplier", 1.0)),
+        drop_probability=float(spec.get("drop_probability", 0.0)),
+        forged_offset=float(spec.get("forged_offset_s", 0.0)),
+        mode=spec.get("mode", "force_down"),
+        added_delay=float(spec.get("added_delay_s", 0.0)))
 
 
 def parse_scenario(data: dict) -> Scenario:
     """Build a Scenario from a parsed JSON document; structural errors only."""
+    if not isinstance(data, dict):
+        raise ScenarioError(["scenario: expected a JSON object at the top level"])
     problems: list[str] = []
-    config_spec = data.get("config", {})
-    config = SimConfig(seed=int(config_spec.get("seed", 0)),
-                       duration=float(config_spec.get("duration_s", 10.0)),
-                       scenario_name=str(config_spec.get("name", "")))
+    config_spec = _section(data, "config", dict, problems)
+    try:
+        config = SimConfig(seed=int(config_spec.get("seed", 0)),
+                           duration=float(config_spec.get("duration_s", 10.0)),
+                           scenario_name=str(config_spec.get("name", "")))
+    except (TypeError, ValueError) as exc:
+        problems.append(f"config: {exc}")
+        config = SimConfig()
 
-    clock_params: dict[str, ClockParameters] = {}
-    for name, spec in data.get("clocks", {}).items():
-        params = _parse_clock(name, spec, problems)
-        if params is not None:
-            clock_params[name] = params
+    clock_params = _parse_each(data, "clocks", _parse_clock, problems, dict)
 
     graph = NetworkGraph()
     node_clock_names: dict[str, str] = {}
-    for spec in data.get("nodes", []):
+
+    def add_node(spec: dict) -> None:
         node_id = spec.get("id")
         if not node_id:
-            problems.append("node without an id")
-            continue
+            raise ValueError("node without an id")
         kind = spec.get("kind", "client")
         clock = None
         if kind in ("client", "time_server"):
@@ -137,61 +153,41 @@ def parse_scenario(data: dict) -> Scenario:
             elif clock_name in CLOCK_PRESETS:
                 clock = preset_parameters(clock_name)
             else:
-                problems.append(f"node {node_id!r}: unknown clock {clock_name!r}")
+                raise ValueError(f"node {node_id!r}: unknown clock {clock_name!r}")
         failure = None
         if "failure_model" in spec:
             fm = spec["failure_model"]
-            try:
-                failure = FailureModel(
-                    mode=fm.get("mode", "always_active"),
-                    failure_probability=float(fm.get("failure_probability", 0.0)),
-                    up_duration=float(fm.get("up_duration_s", 0.0)),
-                    down_duration=float(fm.get("down_duration_s", 0.0)))
-            except ValueError as exc:
-                problems.append(f"node {node_id!r}: {exc}")
-        try:
-            graph.add_node(NodeSpec(
-                node_id=node_id, kind=kind,
-                router_kind=spec.get("router_kind"),
-                router_delay=(float(spec["router_delay_s"])
-                              if "router_delay_s" in spec else None),
-                failure_model=failure, clock=clock))
-        except ValueError as exc:
-            problems.append(str(exc))
+            if not isinstance(fm, dict):
+                raise TypeError(f"node {node_id!r}: failure_model: expected a JSON object")
+            failure = FailureModel(
+                mode=fm.get("mode", "always_active"),
+                failure_probability=float(fm.get("failure_probability", 0.0)),
+                up_duration=float(fm.get("up_duration_s", 0.0)),
+                down_duration=float(fm.get("down_duration_s", 0.0)))
+        graph.add_node(NodeSpec(
+            node_id=node_id, kind=kind,
+            router_kind=spec.get("router_kind"),
+            router_delay=(float(spec["router_delay_s"])
+                          if "router_delay_s" in spec else None),
+            failure_model=failure, clock=clock))
+    _parse_each(data, "nodes", add_node, problems)
 
-    for spec in data.get("links", []):
-        try:
-            graph.add_link(LinkSpec(
-                a=spec["a"], b=spec["b"],
-                bandwidth_bps=float(spec["bandwidth_bps"]),
-                distance_m=float(spec["distance_m"]),
-                medium=spec.get("medium", "fiber")))
-        except (KeyError, TypeError, ValueError) as exc:
-            problems.append(f"link: {exc}")
+    _parse_each(data, "links", lambda spec: graph.add_link(LinkSpec(
+        a=spec["a"], b=spec["b"],
+        bandwidth_bps=float(spec["bandwidth_bps"]),
+        distance_m=float(spec["distance_m"]),
+        medium=spec.get("medium", "fiber"))), problems)
 
-    schedule = []
-    for index, spec in enumerate(data.get("sync_schedule", [])):
-        try:
-            schedule.append(SyncScheduleEntry(
-                time_s=float(spec["time_s"]),
-                algorithm=spec["algorithm"],
-                participants=tuple(spec["participants"])))
-        except (KeyError, TypeError, ValueError) as exc:
-            problems.append(f"sync_schedule #{index}: {exc}")
+    schedule = _parse_each(data, "sync_schedule", lambda spec: SyncScheduleEntry(
+        time_s=float(spec["time_s"]),
+        algorithm=spec["algorithm"],
+        participants=tuple(spec["participants"])), problems)
+    attacks = _parse_each(data, "attacks", _parse_attack, problems)
+    workload = _parse_each(data, "message_workload", lambda spec: WorkloadEntry(
+        time_s=float(spec["time_s"]), source=spec["source"],
+        destination=spec["destination"], size_bits=int(spec["size_bits"])), problems)
 
-    attacks = tuple(a for index, spec in enumerate(data.get("attacks", []))
-                    if (a := _parse_attack(index, spec, problems)) is not None)
-
-    workload = []
-    for index, spec in enumerate(data.get("message_workload", [])):
-        try:
-            workload.append(WorkloadEntry(
-                time_s=float(spec["time_s"]), source=spec["source"],
-                destination=spec["destination"], size_bits=int(spec["size_bits"])))
-        except (KeyError, TypeError, ValueError) as exc:
-            problems.append(f"message_workload #{index}: {exc}")
-
-    options_spec = data.get("sync_options", {})
+    options_spec = _section(data, "sync_options", dict, problems)
     try:
         sync_options = SyncOptions(
             request_size_bits=int(options_spec.get("request_size_bits", 12000)),
@@ -209,11 +205,13 @@ def parse_scenario(data: dict) -> Scenario:
         problems.append(f"sync_options: {exc}")
         sync_options = SyncOptions()
 
+    medium_speeds = _section(data, "medium_speeds_m_per_s", dict, problems)
     if problems:
         raise ScenarioError(problems)
     return Scenario(config=config, clock_params=clock_params, graph=graph,
-                    sync_schedule=schedule, attacks=attacks, workload=workload,
-                    medium_speeds=dict(data.get("medium_speeds_m_per_s", {})),
+                    sync_schedule=list(schedule.values()),
+                    attacks=tuple(attacks.values()), workload=list(workload.values()),
+                    medium_speeds=dict(medium_speeds),
                     sync_options=sync_options, node_clock_names=node_clock_names)
 
 
@@ -221,13 +219,18 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
     """Graph invariants plus scenario-level cross-reference checks."""
     problems = validate(scenario.graph)
     graph = scenario.graph
+    if not 0 <= scenario.config.duration < math.inf:
+        problems.append(Violation("config", "duration_s must be finite and >= 0"))
     for entry in scenario.sync_schedule:
         label = f"sync@{entry.time_s}s"
+        if not 0 <= entry.time_s < math.inf:
+            problems.append(Violation(label, "time_s must be finite and >= 0"))
         if entry.algorithm not in ("cristian", "berkeley"):
             problems.append(Violation(label, f"unknown algorithm {entry.algorithm!r}"))
             continue
-        minimum = 2
-        if len(entry.participants) < minimum:
+        if entry.algorithm == "cristian" and len(entry.participants) != 2:
+            problems.append(Violation(label, "cristian needs exactly 2 participants"))
+        elif len(entry.participants) < 2:
             problems.append(Violation(label, "needs at least 2 participants"))
         for node_id in entry.participants:
             if node_id not in graph:
@@ -241,9 +244,12 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
             problems.append(Violation(f"attack {attack.kind}",
                                       f"unknown target {attack.target!r}"))
     for index, entry in enumerate(scenario.workload):
+        if not 0 <= entry.time_s < math.inf:
+            problems.append(Violation(f"message_workload[{index}]",
+                                      "time_s must be finite and >= 0"))
         for node_id in (entry.source, entry.destination):
             if node_id not in graph:
-                problems.append(Violation(f"message_workload #{index}",
+                problems.append(Violation(f"message_workload[{index}]",
                                           f"unknown node {node_id!r}"))
     for medium in scenario.medium_speeds:
         if medium not in MEDIA:
@@ -254,8 +260,11 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
 
 def load_scenario(path) -> Scenario:
     """Parse and fully validate a scenario file."""
-    with open(path, "r", encoding="utf-8") as handle:
-        text = handle.read()
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            text = handle.read()
+    except OSError as exc:
+        raise ScenarioError([f"{path}: cannot read: {exc.strerror}"]) from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -358,7 +367,7 @@ def build_engine(scenario: Scenario, seed: int | None = None) -> Engine:
     engine = Engine(scenario.graph, run_seed, scenario.attacks, scenario.medium_speeds)
     for entry in scenario.workload:
         engine.send_message(entry.source, entry.destination, entry.size_bits,
-                            entry.time_s)
+                            seconds_to_ps(entry.time_s))
     for entry in scenario.sync_schedule:
         at_ps = seconds_to_ps(entry.time_s)
         if entry.algorithm == "cristian":

@@ -76,10 +76,6 @@ class SyncReport:
     reason: str = ""
     exchanges: list[SyncExchange] = field(default_factory=list)
 
-    @property
-    def convergence_time(self) -> float:
-        return ps_to_seconds(self.convergence_ps)
-
     def trace_payload(self) -> dict:
         return {
             "algorithm": self.algorithm,
@@ -135,13 +131,12 @@ class _PeerExchange:
         engine, opts = self.owner.engine, self.owner.options
         client, peer = self.record.client, self.record.server
         at_ps = engine.now_ps
-        at = ps_to_seconds(at_ps)
         self.record.t0_client_ps = engine.clock(client).reading_ps(at_ps)
-        request = engine.send_message(client, peer, opts.request_size_bits, at,
+        request = engine.send_message(client, peer, opts.request_size_bits, at_ps,
                                       purpose="sync_request",
                                       on_delivery=self._request_arrived)
         self.messages_sent = 1
-        baseline = engine.baseline_rtt_ps(client, peer, at, opts.request_size_bits,
+        baseline = engine.baseline_rtt_ps(client, peer, at_ps, opts.request_size_bits,
                                           opts.reply_size_bits)
         if baseline is None:
             wait_ps = seconds_to_ps(opts.default_timeout)
@@ -159,7 +154,7 @@ class _PeerExchange:
         ex.t_server_ps = engine.clock(ex.server).reading_ps(reply_at_ps)
         ex.forward_delay_ps = request.route.breakdown.total_ps
         engine.send_message(ex.server, ex.client, opts.reply_size_bits,
-                            ps_to_seconds(reply_at_ps), purpose="sync_reply",
+                            reply_at_ps, purpose="sync_reply",
                             timestamp_ps=ex.t_server_ps, on_delivery=self._reply_arrived)
         self.messages_sent = 2
 
@@ -322,7 +317,7 @@ class BerkeleyRound(_Round):
                 self._pending_corrections.add(participant)
                 engine.send_message(
                     self.coordinator, participant, opts.reply_size_bits,
-                    ps_to_seconds(now_ps), purpose="sync_correction",
+                    now_ps, purpose="sync_correction",
                     on_delivery=lambda msg, m=participant, d=delta_ps:
                         self._correction_arrived(m, d, msg))
         # corrections that never arrive must not stall the round

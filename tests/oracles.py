@@ -28,7 +28,7 @@ def enumerate_best_route(view: NetworkView, query: RouteQuery):
         if node == query.destination:
             try:
                 breakdown = total_path_delay(view, path, query.size_bits,
-                                             query.query_time, query.message_id)
+                                             query.t_ps, query.message_id)
             except PathBlocked:
                 return
             key = (breakdown.total_ps, len(path) - 1, tuple(path))

@@ -84,12 +84,12 @@ def test_criterion_3_delay_additivity():
                 bandwidth_bps=rng.choice([1e6, 1e7, 1e9]),
                 distance_m=rng.choice([0.0, 10.0, 1e3, 1e5])), seed=1)
             path = list(view.graph.nodes)
-            breakdown = total_path_delay(view, path, rng.randrange(10**6), 0.0)
+            breakdown = total_path_delay(view, path, rng.randrange(10**6), 0)
             assert breakdown.total_ps == (breakdown.router_ps
                                           + breakdown.transmission_ps
                                           + breakdown.propagation_ps)
         hand = total_path_delay(NetworkView(line_graph([50e-6])),
-                                ["c1", "r1", "s1"], 12000, 0.0)
+                                ["c1", "r1", "s1"], 12000, 0)
         assert hand.total_ps == 1_074_000_000  # 1.074 ms
 
 
@@ -100,7 +100,7 @@ def test_criterion_4_routing_oracle():
         for trial in range(200):
             view = NetworkView(random_network(rng), seed=trial)
             query = RouteQuery("n00", "n01",
-                               rng.choice([0.0, 0.5, 1.5, 4.0]),
+                               seconds_to_ps(rng.choice([0.0, 0.5, 1.5, 4.0])),
                                rng.choice([0, 12000, 10**6]), f"acc{trial}")
             oracle = enumerate_best_route(view, query)
             if oracle is None:

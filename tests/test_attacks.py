@@ -42,11 +42,11 @@ def test_window_is_half_open():
 def test_ddos_scales_router_component_exactly():
     attack = window(0.0, 10.0, kind="ddos", target="r1", delay_multiplier=10.0)
     engine = Engine(line_graph([50e-6]), seed=0, attacks=[attack])
-    message = engine.send_message("c1", "s1", 12000, 1.0)
+    message = engine.send_message("c1", "s1", 12000, seconds_to_ps(1.0))
     engine.run_until(2.0)
     assert message.route.breakdown.router_ps == 500_000_000  # 10 x 50 us
     baseline = Engine(line_graph([50e-6]), seed=0)
-    ref = baseline.send_message("c1", "s1", 12000, 1.0)
+    ref = baseline.send_message("c1", "s1", 12000, seconds_to_ps(1.0))
     baseline.run_until(2.0)
     assert message.route.breakdown.router_ps == 10 * ref.route.breakdown.router_ps
     assert message.route.breakdown.total_ps > ref.route.breakdown.total_ps
@@ -56,7 +56,7 @@ def test_ddos_outside_window_is_a_noop():
     attack = window(5.0, 6.0, kind="ddos", target="r1", delay_multiplier=10.0,
                     drop_probability=1.0)
     engine = Engine(line_graph([50e-6]), seed=0, attacks=[attack])
-    message = engine.send_message("c1", "s1", 12000, 1.0)
+    message = engine.send_message("c1", "s1", 12000, seconds_to_ps(1.0))
     engine.run_until(2.0)
     assert message.status == "delivered"
     assert message.route.breakdown.router_ps == 50_000_000
@@ -65,7 +65,7 @@ def test_ddos_outside_window_is_a_noop():
 def test_certain_drop_loses_every_message_and_aborts_sync():
     attack = window(0.0, 10.0, kind="ddos", target="r1", drop_probability=1.0)
     engine = Engine(line_graph([50e-6]), seed=3, attacks=[attack])
-    message = engine.send_message("c1", "s1", 12000, 0.5)
+    message = engine.send_message("c1", "s1", 12000, seconds_to_ps(0.5))
     report = cristian_sync(engine, "c1", "s1", at=1.0)
     assert message.status == "dropped"
     assert report.failed and report.reason == "timeout"
@@ -78,7 +78,7 @@ def test_partial_drop_probability_is_deterministic_per_message():
     attack = window(0.0, 100.0, kind="ddos", target="r1", drop_probability=0.5)
     def outcomes():
         engine = Engine(line_graph([50e-6]), seed=11, attacks=[attack])
-        msgs = [engine.send_message("c1", "s1", 1000, 0.1 * (i + 1))
+        msgs = [engine.send_message("c1", "s1", 1000, seconds_to_ps(0.1 * (i + 1)))
                 for i in range(40)]
         engine.run_until(10.0)
         return [m.status for m in msgs]
@@ -132,9 +132,9 @@ def test_force_down_blocks_and_recovers():
     attack = window(1.0, 2.0, kind="router_hijack", target="r1", mode="force_down")
     view = NetworkView(line_graph([50e-6]), seed=0, attacks=(attack,))
     with pytest.raises(NoRoute):
-        shortest_path(view, RouteQuery("c1", "s1", 1.5, 100, "during"))
-    before = shortest_path(view, RouteQuery("c1", "s1", 0.5, 100, "before"))
-    after = shortest_path(view, RouteQuery("c1", "s1", 2.5, 100, "after"))
+        shortest_path(view, RouteQuery("c1", "s1", seconds_to_ps(1.5), 100, "during"))
+    before = shortest_path(view, RouteQuery("c1", "s1", seconds_to_ps(0.5), 100, "before"))
+    after = shortest_path(view, RouteQuery("c1", "s1", seconds_to_ps(2.5), 100, "after"))
     assert before.hops == after.hops == ("c1", "r1", "s1")
 
 
@@ -147,11 +147,11 @@ def test_added_delay_flips_route_choice():
     attack = window(1.0, 2.0, kind="router_hijack", target="r1",
                     mode="added_delay", added_delay=9e-3)
     view = NetworkView(NetworkGraph(nodes, links), attacks=(attack,))
-    during = shortest_path(view, RouteQuery("a", "b", 1.5, 0, "mid"))
-    outside = shortest_path(view, RouteQuery("a", "b", 0.5, 0, "pre"))
+    during = shortest_path(view, RouteQuery("a", "b", seconds_to_ps(1.5), 0, "mid"))
+    outside = shortest_path(view, RouteQuery("a", "b", seconds_to_ps(0.5), 0, "pre"))
     assert outside.hops == ("a", "r1", "b")
     assert during.hops == ("a", "b")
-    oracle = enumerate_best_route(view, RouteQuery("a", "b", 1.5, 0, "mid"))
+    oracle = enumerate_best_route(view, RouteQuery("a", "b", seconds_to_ps(1.5), 0, "mid"))
     assert oracle[1] == during.hops
 
 
@@ -161,7 +161,7 @@ def run_with_attacks(attacks):
     clock = ClockParameters(beta=1e-6, noise_sigma=1e-9, model_kind="linear")
     engine = Engine(line_graph([50e-6], client_clock=clock), seed=42,
                     attacks=attacks)
-    engine.send_message("c1", "s1", 12000, 0.25)
+    engine.send_message("c1", "s1", 12000, seconds_to_ps(0.25))
     cristian_sync(engine, "c1", "s1", at=1.0)
     engine.run_until(5.0)
     return engine.records

@@ -44,6 +44,15 @@ def test_validate_ok_and_failing(tmp_path):
     assert "missing" in result.stderr
 
 
+def test_missing_scenario_file_is_a_named_error(tmp_path):
+    missing = tmp_path / "absent.json"
+    for command in ("run", "validate", "export-dot"):
+        result = cli(command, "--scenario", str(missing))
+        assert result.returncode == 1, (command, result.stderr)
+        assert result.stderr.startswith(f"error: {missing}: cannot read"), result.stderr
+        assert "Traceback" not in result.stderr
+
+
 def test_analyze_clock_reports_extremum():
     result = cli("analyze-clock", "--beta=10e-6", "--gamma=-1e-10")
     assert result.returncode == 0

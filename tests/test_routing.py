@@ -4,6 +4,7 @@ import pytest
 
 from syncsim.netview import NetworkView
 from syncsim.routing import NoRoute, RouteQuery, edge_weight_ps, shortest_path
+from syncsim.timebase import seconds_to_ps
 from syncsim.topology import FailureModel, LinkSpec, NetworkGraph, NodeSpec
 
 from conftest import line_graph, make_node
@@ -11,7 +12,7 @@ from oracles import enumerate_best_route, random_network
 
 
 def query(src="c1", dst="s1", t=0.0, size=12000, message_id="m1"):
-    return RouteQuery(src, dst, t, size, message_id)
+    return RouteQuery(src, dst, seconds_to_ps(t), size, message_id)
 
 
 # -- edge weights ---------------------------------------------------------------
@@ -101,7 +102,7 @@ def test_clients_do_not_relay():
 
 def test_route_query_rejects_equal_endpoints():
     with pytest.raises(ValueError):
-        RouteQuery("a", "a", 0.0, 100)
+        RouteQuery("a", "a", 0, 100)
 
 
 # -- oracle equivalence -------------------------------------------------------------

@@ -9,6 +9,7 @@ from syncsim.netview import NetworkView
 from syncsim.scenario import (ScenarioError, load_scenario,
                               parse_scenario, run_scenario, scenario_to_dict,
                               validate_scenario, write_scenario)
+from syncsim.timebase import seconds_to_ps
 from syncsim.trace import (TraceFormatError, diff_traces, parse_trace,
                            load_trace, write_trace)
 
@@ -85,6 +86,77 @@ def test_sync_participant_checks():
     scenario = parse_scenario(data)
     problems = [str(v) for v in validate_scenario(scenario)]
     assert any("zz" in p for p in problems)
+
+
+ROUTER = {"id": "r9", "kind": "router", "router_kind": "regular"}
+
+
+@pytest.mark.parametrize("data, named", [
+    ([], "scenario: expected a JSON object"),
+    ({**MINIMAL, "nodes": ["c1"]}, "nodes[0]: expected a JSON object"),
+    ({**MINIMAL, "links": [5]}, "links[0]: expected a JSON object"),
+    ({**MINIMAL, "sync_schedule": [None]}, "sync_schedule[0]: expected a JSON object"),
+    ({**MINIMAL, "message_workload": ["m"]}, "message_workload[0]: expected a JSON object"),
+    ({**MINIMAL, "attacks": [[0, 1]]}, "attacks[0]: expected a JSON object"),
+    ({**MINIMAL, "config": {"seed": "abc"}}, "config: invalid literal"),
+    ({**MINIMAL, "config": {"duration_s": "abc"}}, "config: could not convert"),
+    ({**MINIMAL, "nodes": MINIMAL["nodes"] + [{**ROUTER, "failure_model": None}]},
+     "nodes[2]: node 'r9': failure_model: expected a JSON object"),
+    ({**MINIMAL, "nodes": MINIMAL["nodes"] + [
+        {**ROUTER, "failure_model": {"mode": "bernoulli",
+                                           "failure_probability": None}}]},
+     "nodes[2]: float() argument"),
+], ids=["top_level_array", "node", "link", "sync_entry", "workload_entry", "attack",
+        "seed", "duration", "failure_model_null", "failure_field_null"])
+def test_malformed_scenario_is_a_named_problem(tmp_path, data, named):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ScenarioError) as excinfo:
+        load_scenario(path)
+    assert any(named in p for p in excinfo.value.problems), excinfo.value.problems
+
+
+@pytest.mark.parametrize("section, entry, named", [
+    ("sync_schedule", {"time_s": -1.0, "algorithm": "cristian",
+                       "participants": ["c1", "s1"]}, "sync@-1.0s: time_s must be"),
+    ("message_workload", {"time_s": -1.0, "source": "c1", "destination": "s1",
+                          "size_bits": 100}, "message_workload[0]: time_s must be"),
+    ("config", {"duration_s": -1.0}, "config: duration_s must be"),
+], ids=["sync_schedule", "message_workload", "config"])
+def test_negative_times_are_rejected(section, entry, named):
+    data = {**MINIMAL, section: entry if section == "config" else [entry]}
+    problems = [str(v) for v in validate_scenario(parse_scenario(data))]
+    assert any(named in p for p in problems), problems
+
+
+def test_cristian_needs_exactly_two_participants():
+    data = {**MINIMAL,
+            "nodes": MINIMAL["nodes"] + [{"id": "c2", "kind": "client"}],
+            "links": MINIMAL["links"] + [{"a": "c2", "b": "s1", "bandwidth_bps": 1e6,
+                                          "distance_m": 1000.0}],
+            "sync_schedule": [{"time_s": 1.0, "algorithm": "cristian",
+                               "participants": ["c1", "s1", "c2"]}]}
+    problems = [str(v) for v in validate_scenario(parse_scenario(data))]
+    assert problems == ["sync@1.0s: cristian needs exactly 2 participants"]
+
+
+@pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda p: p.stem)
+def test_bundled_scenarios_run_exactly_after_a_9000_s_shift(path):
+    shift = 9000.0
+    data = json.loads(path.read_text())
+    data["config"]["duration_s"] = data["config"].get("duration_s", 10.0) + shift
+    for entry in data.get("sync_schedule", []) + data.get("message_workload", []):
+        entry["time_s"] += shift
+    for attack in data.get("attacks", []):
+        attack["window_s"] = [t + shift for t in attack["window_s"]]
+    scenario = parse_scenario(data)
+    assert validate_scenario(scenario) == []
+    engine, _, _ = run_scenario(scenario)
+    assert engine.now_ps == seconds_to_ps(scenario.config.duration)
+    for message in engine.messages.values():
+        if message.status == "delivered":
+            assert message.delivery_ps == (message.send_ps
+                                           + message.route.breakdown.total_ps)
 
 
 def test_bundled_scenarios_are_valid():

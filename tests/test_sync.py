@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from syncsim.clocks import ClockParameters
@@ -280,3 +282,21 @@ def test_berkeley_corrections_after_the_deadline_do_not_end_the_round_again():
     assert step["phase"] == "completed"
     # the members still apply their late corrections: mean offset +2 ms
     assert engine.clock("m1").offset_ps(engine.now_ps) == 2_000_000_000
+
+
+def test_cristian_rounds_stay_exact_at_large_start_times():
+    # past 2**51 ps (about 2,250 s) a trip through float seconds is not exact
+    rng = random.Random(3)
+    options = SyncOptions()
+    for seed in range(300):
+        engine = Engine(line_graph([50e-6, 37e-6, 500e-6]), seed=seed)
+        report = cristian_sync(engine, "c1", "s1", at=rng.uniform(9000, 200000),
+                               options=options)
+        assert not report.failed
+        by_purpose = {m.purpose: m for m in engine.messages.values()}
+        request, reply = by_purpose["sync_request"], by_purpose["sync_reply"]
+        assert reply.send_ps == (request.delivery_ps
+                                 + seconds_to_ps(options.server_service_time))
+        for message in (request, reply):
+            assert message.delivery_ps == (message.send_ps
+                                           + message.route.breakdown.total_ps)
