@@ -10,7 +10,7 @@ from syncsim import (FailureModel, LinkSpec, NetworkGraph, NetworkView,
                      NodeSpec, RouteQuery, shortest_path, total_path_delay,
                      export_graph)
 from syncsim.clocks import preset_parameters
-from syncsim.timebase import seconds_to_ps
+from syncsim.timebase import ps_to_seconds, seconds_to_ps
 
 perfect = preset_parameters("perfect")
 
@@ -38,7 +38,7 @@ print(f"  router       {breakdown.router_ps:>12} ps")
 print(f"  transmission {breakdown.transmission_ps:>12} ps")
 print(f"  propagation  {breakdown.propagation_ps:>12} ps")
 print(f"  total        {breakdown.total_ps:>12} ps "
-      f"(= {breakdown.total * 1e3:.3f} ms, components sum exactly)")
+      f"(= {ps_to_seconds(breakdown.total_ps) * 1e3:.3f} ms, components sum exactly)")
 
 print()
 print("=" * 70)
@@ -46,9 +46,9 @@ print("2. Route choice over time (the fast router is up 2 s, down 2 s)")
 print("=" * 70)
 for t in (0.5, 1.5, 2.5, 3.5, 4.5):
     try:
-        route = shortest_path(view, RouteQuery("c1", "s1", seconds_to_ps(t), 12000, f"m@{t}"))
+        route = shortest_path(view, RouteQuery("c1", "s1", seconds_to_ps(t), 12000))
         print(f"  t={t:4}s  via {' -> '.join(route.hops):28} "
-              f"total {route.breakdown.total * 1e3:7.3f} ms")
+              f"total {ps_to_seconds(route.breakdown.total_ps) * 1e3:7.3f} ms")
     except Exception as exc:
         print(f"  t={t:4}s  {exc}")
 
@@ -58,9 +58,9 @@ print("3. Transmission cost is per message: big payloads reroute")
 print("=" * 70)
 # with the fast path down, compare message sizes on the slow copper path
 for size in (1_000, 10_000_000):
-    route = shortest_path(view, RouteQuery("c1", "s1", seconds_to_ps(2.5), size, f"sz{size}"))
+    route = shortest_path(view, RouteQuery("c1", "s1", seconds_to_ps(2.5), size))
     print(f"  {size:>10} bits via {' -> '.join(route.hops):28} "
-          f"total {route.breakdown.total * 1e3:9.3f} ms")
+          f"total {ps_to_seconds(route.breakdown.total_ps) * 1e3:9.3f} ms")
 
 print()
 print("=" * 70)

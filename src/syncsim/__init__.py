@@ -10,7 +10,7 @@ from .clocks import (CLOCK_PRESETS, ClockParameters, ExtremumReport,
                      SoftwareClock, apply_correction, clock_offset,
                      extremum_analysis, preset_parameters, read_clock,
                      sample_noise)
-from .delay import (HopComponent, PathBlocked, PathDelayBreakdown,
+from .delay import (PathBlocked, PathDelayBreakdown, hop_delay_ps,
                     propagation_delay, total_path_delay, transmission_delay)
 from .dotexport import export_graph
 from .engine import Engine, Event, Message, SimConfig

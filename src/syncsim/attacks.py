@@ -75,25 +75,22 @@ def effective_flag(attacks: tuple[AttackSpec, ...], node_id: str, t_ps: int,
 
 
 def effective_router_delay(attacks: tuple[AttackSpec, ...], node_id: str, t_ps: int,
-                           base_delay: float) -> tuple[float, list[AttackSpec]]:
+                           base_delay: float) -> float:
     """Router processing delay in seconds after active attacks.
 
     added_delay hijacks add to the base delay first; ddos multipliers then
-    scale the sum.  Returns the delay and the attacks that shaped it.
+    scale the sum.
     """
     delay = base_delay
-    applied: list[AttackSpec] = []
     for attack in attacks:
         if (attack.kind == "router_hijack" and attack.mode == "added_delay"
                 and attack.target == node_id and attack.active_at_ps(t_ps)):
             delay += attack.added_delay
-            applied.append(attack)
     for attack in attacks:
         if (attack.kind == "ddos" and attack.target == node_id
                 and attack.active_at_ps(t_ps) and attack.delay_multiplier != 1.0):
             delay *= attack.delay_multiplier
-            applied.append(attack)
-    return delay, applied
+    return delay
 
 
 def drop_roll(attacks: tuple[AttackSpec, ...], seed: int, node_id: str, t_ps: int,

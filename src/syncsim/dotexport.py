@@ -40,8 +40,7 @@ def export_graph(view: NetworkView, t: float,
                        else f"{node.router_kind} router"]
         attrs = [f'shape={_SHAPES[node.kind]}']
         if node.is_router:
-            delay_s, _ = view.router_delay_at(node_id, t_ps)
-            label_parts.append(f"{delay_s * 1e6:g} us")
+            label_parts.append(f"{view.router_delay_at(node_id, t_ps) * 1e6:g} us")
             if not view.router_active(node_id, t_ps):
                 label_parts.append("inactive")
                 attrs.append('style=dashed')

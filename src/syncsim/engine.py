@@ -96,6 +96,9 @@ class Engine:
     def schedule_ps(self, time_ps: int, kind: str, payload: dict | None = None,
                     action: Callable[[], dict | None] | None = None) -> Event:
         """Enqueue an event; its sequence number fixes same-time ordering."""
+        if not isinstance(time_ps, int):
+            raise TypeError(f"event time must be an integer count of picoseconds, "
+                            f"got {time_ps!r}")
         if time_ps < self.now_ps:
             raise SchedulingError(
                 f"cannot schedule {kind} at {time_ps} ps; engine is at {self.now_ps} ps")
@@ -159,17 +162,17 @@ class Engine:
             source=source, destination=destination, size_bits=size_bits,
             send_ps=at_ps, purpose=purpose, timestamp_ps=timestamp_ps,
             on_delivery=on_delivery)
-        self.messages[message.message_id] = message
         self.schedule_ps(at_ps, "message_send",
                          {"message_id": message.message_id, "src": source,
                           "dst": destination, "size_bits": size_bits,
                           "purpose": purpose},
                          action=lambda: self._start_message(message))
+        self.messages[message.message_id] = message
         return message
 
     def _start_message(self, message: Message) -> dict:
         query = RouteQuery(message.source, message.destination, message.send_ps,
-                           message.size_bits, message.message_id)
+                           message.size_bits)
         try:
             route = shortest_path(self.view, query)
         except NoRoute:
@@ -177,54 +180,33 @@ class Engine:
             return {"status": "blocked"}
         message.route = route
         message.status = "in_flight"
-        arrivals = self._hop_arrivals(route)
-        self._schedule_leg(message, arrivals, 0)
+        self._schedule_leg(message, 0)
         bd = route.breakdown
         return {"status": "in_flight", "route": list(route.hops),
                 "router_ps": bd.router_ps, "transmission_ps": bd.transmission_ps,
                 "propagation_ps": bd.propagation_ps, "total_ps": bd.total_ps}
 
-    def _hop_arrivals(self, route: Route) -> list[tuple[str, int]]:
-        """Cumulative arrival offset at each node after the source, from the
-        breakdown's per-hop components (so timings sum exactly to its total)."""
-        arrivals = []
-        cumulative = 0
-        components = list(route.breakdown.per_hop)
-        index = 0
-        for node_id in route.hops[1:]:
-            cumulative += components[index].ps      # transmission
-            cumulative += components[index + 1].ps  # propagation
-            index += 2
-            if self.view.node(node_id).is_router:
-                cumulative += components[index].ps  # router processing
-                index += 1
-            arrivals.append((node_id, cumulative))
-        return arrivals
-
-    def _schedule_leg(self, message: Message, arrivals: list[tuple[str, int]],
-                      leg_index: int) -> None:
-        node_id, offset_ps = arrivals[leg_index]
-        arrival_ps = message.send_ps + offset_ps
-        final = leg_index == len(arrivals) - 1
-        if final:
-            self.schedule_ps(arrival_ps, "delivery",
-                             {"message_id": message.message_id, "node": node_id},
+    def _schedule_leg(self, message: Message, leg: int) -> None:
+        """Schedule the arrival at route.hops[leg + 1], arrivals_ps[leg] after
+        the send: a hop_arrival, or the delivery at the last node."""
+        route = message.route
+        node_id = route.hops[leg + 1]
+        arrival_ps = message.send_ps + route.breakdown.arrivals_ps[leg]
+        payload = {"message_id": message.message_id, "node": node_id}
+        if leg + 2 == len(route.hops):
+            self.schedule_ps(arrival_ps, "delivery", payload,
                              action=lambda: self._deliver(message, arrival_ps))
         else:
-            self.schedule_ps(arrival_ps, "hop_arrival",
-                             {"message_id": message.message_id, "node": node_id},
-                             action=lambda: self._hop(message, arrivals, leg_index))
+            self.schedule_ps(arrival_ps, "hop_arrival", payload,
+                             action=lambda: self._hop(message, leg, node_id, arrival_ps))
 
-    def _hop(self, message: Message, arrivals: list[tuple[str, int]],
-             leg_index: int) -> dict:
-        node_id, offset_ps = arrivals[leg_index]
-        arrival_ps = message.send_ps + offset_ps
+    def _hop(self, message: Message, leg: int, node_id: str, arrival_ps: int) -> dict:
         drop = self.view.drop_attack_at(node_id, arrival_ps, message.message_id)
         if drop is not None:
             message.status = "dropped"
             return {"status": "dropped",
                     "attack": {"kind": drop.kind, "target": drop.target}}
-        self._schedule_leg(message, arrivals, leg_index + 1)
+        self._schedule_leg(message, leg + 1)
         return {}
 
     def _deliver(self, message: Message, arrival_ps: int) -> dict:
@@ -254,10 +236,9 @@ class Engine:
         if size_backward is None:
             size_backward = size_forward
         try:
-            fwd = shortest_path(baseline, RouteQuery(a, b, t_ps, size_forward, "baseline"))
+            fwd = shortest_path(baseline, RouteQuery(a, b, t_ps, size_forward))
             t_back_ps = t_ps + fwd.breakdown.total_ps
-            bwd = shortest_path(baseline, RouteQuery(b, a, t_back_ps, size_backward,
-                                                     "baseline"))
+            bwd = shortest_path(baseline, RouteQuery(b, a, t_back_ps, size_backward))
         except NoRoute:
             return None
         return fwd.breakdown.total_ps + bwd.breakdown.total_ps

@@ -35,11 +35,11 @@ class NetworkView:
         base = node.failure_model.flag_at_ps(node_id, t_ps, self.seed)
         return attacks_mod.effective_flag(self.attacks, node_id, t_ps, base) == 1
 
-    def router_delay_at(self, node_id: str, t_ps: int) -> tuple[float, list[AttackSpec]]:
+    def router_delay_at(self, node_id: str, t_ps: int) -> float:
         """Traversal delay in seconds for an active router, with attack effects."""
         node = self.graph.node(node_id)
         if not node.is_router:
-            return 0.0, []
+            return 0.0
         return attacks_mod.effective_router_delay(self.attacks, node_id, t_ps,
                                                   node.router_delay)
 

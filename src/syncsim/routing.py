@@ -1,11 +1,11 @@
 """Least-delay routing with Dijkstra's algorithm.
 
-Edge weights compose the hop's transmission and propagation delays with the
-downstream router's processing delay, all in integer picoseconds, so a
-route's weight equals its delay breakdown total exactly.  Edges into
-inactive routers are excluded outright rather than given infinite weight.
-Only routers forward traffic: clients and time servers appear solely as
-route endpoints.
+An edge's weight is its hop's delay from `delay.hop_delay_ps` (transmission,
+propagation and the downstream router's processing delay, in integer
+picoseconds), so a route's weight equals its delay breakdown total exactly.
+Edges into inactive routers are excluded outright rather than given
+infinite weight.  Only routers forward traffic: clients and time servers
+appear solely as route endpoints.
 
 Weights depend on message size (the transmission term), so routes are
 computed per message.  Ties break on fewer hops, then the lexicographically
@@ -15,9 +15,9 @@ smallest node-id sequence, making every query deterministic.
 import heapq
 from dataclasses import dataclass
 
-from .delay import PathDelayBreakdown, propagation_delay, total_path_delay, transmission_delay
+from .delay import PathDelayBreakdown, hop_delay_ps, total_path_delay
 from .netview import NetworkView
-from .timebase import ps_to_seconds, seconds_to_ps
+from .timebase import ps_to_seconds
 from .topology import LinkSpec
 
 
@@ -36,9 +36,10 @@ class RouteQuery:
     destination: str
     t_ps: int
     size_bits: int
-    message_id: str = ""
 
     def __post_init__(self):
+        if not isinstance(self.t_ps, int):
+            raise TypeError(f"t_ps must be an integer count of picoseconds, got {self.t_ps!r}")
         if self.source == self.destination:
             raise ValueError("source and destination must differ")
 
@@ -65,21 +66,10 @@ class Route:
 
 def edge_weight_ps(view: NetworkView, link: LinkSpec, downstream: str,
                    query: RouteQuery) -> int | None:
-    """Quantized delay of one hop into `downstream`, or None if excluded.
-
-    The weight is transmission + propagation for the link plus the
-    downstream node's router delay when it is an active router; an inactive
-    downstream router excludes the edge from the graph view.
-    """
-    node = view.node(downstream)
-    weight = seconds_to_ps(transmission_delay(query.size_bits, link.bandwidth_bps))
-    weight += seconds_to_ps(propagation_delay(link.distance_m, view.speed_of(link.medium)))
-    if node.is_router:
-        if not view.router_active(downstream, query.t_ps):
-            return None
-        delay_s, _ = view.router_delay_at(downstream, query.t_ps)
-        weight += seconds_to_ps(delay_s)
-    return weight
+    """Quantized delay of one hop into `downstream` (the sum of its
+    `hop_delay_ps` terms), or None if an inactive router excludes the edge."""
+    hop = hop_delay_ps(view, link, downstream, query.size_bits, query.t_ps)
+    return None if hop is None else sum(hop)
 
 
 def shortest_path(view: NetworkView, query: RouteQuery) -> Route:
@@ -101,8 +91,7 @@ def shortest_path(view: NetworkView, query: RouteQuery) -> Route:
             continue
         best[node_id] = (dist, hops, path)
         if node_id == query.destination:
-            breakdown = total_path_delay(view, list(path), query.size_bits,
-                                         query.t_ps, query.message_id)
+            breakdown = total_path_delay(view, list(path), query.size_bits, query.t_ps)
             return Route(path, breakdown)
         # only routers relay; endpoints do not forward traffic through themselves
         if node_id != query.source and not view.node(node_id).is_router:

@@ -88,6 +88,13 @@ def _parse_each(data: dict, name: str, build, problems: list[str], kind: type = 
     return parsed
 
 
+def _node_ref(value) -> str:
+    """A node id field of a scenario entry; ids are JSON strings."""
+    if not isinstance(value, str):
+        raise TypeError(f"node id {value!r} is not a string")
+    return value
+
+
 def _parse_clock(spec: dict) -> ClockParameters:
     if "preset" in spec:
         overrides = {}
@@ -111,7 +118,7 @@ def _parse_clock(spec: dict) -> ClockParameters:
 def _parse_attack(spec: dict) -> AttackSpec:
     window = spec["window_s"]
     return AttackSpec(
-        kind=spec["kind"], target=spec["target"],
+        kind=spec["kind"], target=_node_ref(spec["target"]),
         t_start=float(window[0]), t_end=float(window[1]),
         delay_multiplier=float(spec.get("delay_multiplier", 1.0)),
         drop_probability=float(spec.get("drop_probability", 0.0)),
@@ -181,11 +188,12 @@ def parse_scenario(data: dict) -> Scenario:
     schedule = _parse_each(data, "sync_schedule", lambda spec: SyncScheduleEntry(
         time_s=float(spec["time_s"]),
         algorithm=spec["algorithm"],
-        participants=tuple(spec["participants"])), problems)
+        participants=tuple(map(_node_ref, spec["participants"]))), problems)
     attacks = _parse_each(data, "attacks", _parse_attack, problems)
     workload = _parse_each(data, "message_workload", lambda spec: WorkloadEntry(
-        time_s=float(spec["time_s"]), source=spec["source"],
-        destination=spec["destination"], size_bits=int(spec["size_bits"])), problems)
+        time_s=float(spec["time_s"]), source=_node_ref(spec["source"]),
+        destination=_node_ref(spec["destination"]), size_bits=int(spec["size_bits"])),
+        problems)
 
     options_spec = _section(data, "sync_options", dict, problems)
     try:
@@ -232,6 +240,8 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
             problems.append(Violation(label, "cristian needs exactly 2 participants"))
         elif len(entry.participants) < 2:
             problems.append(Violation(label, "needs at least 2 participants"))
+        if len(set(entry.participants)) != len(entry.participants):
+            problems.append(Violation(label, "participants must be distinct"))
         for node_id in entry.participants:
             if node_id not in graph:
                 problems.append(Violation(label, f"unknown participant {node_id!r}"))
@@ -244,17 +254,24 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
             problems.append(Violation(f"attack {attack.kind}",
                                       f"unknown target {attack.target!r}"))
     for index, entry in enumerate(scenario.workload):
+        label = f"message_workload[{index}]"
         if not 0 <= entry.time_s < math.inf:
-            problems.append(Violation(f"message_workload[{index}]",
-                                      "time_s must be finite and >= 0"))
+            problems.append(Violation(label, "time_s must be finite and >= 0"))
+        if entry.size_bits < 0:
+            problems.append(Violation(label, "size_bits must be >= 0"))
+        if entry.source == entry.destination:
+            problems.append(Violation(label, "source and destination must differ"))
         for node_id in (entry.source, entry.destination):
             if node_id not in graph:
-                problems.append(Violation(f"message_workload[{index}]",
-                                          f"unknown node {node_id!r}"))
-    for medium in scenario.medium_speeds:
+                problems.append(Violation(label, f"unknown node {node_id!r}"))
+    for medium, speed in scenario.medium_speeds.items():
         if medium not in MEDIA:
             problems.append(Violation("medium_speeds_m_per_s",
                                       f"unknown medium {medium!r}"))
+        elif type(speed) not in (int, float) or not 0 < speed < math.inf:
+            problems.append(Violation("medium_speeds_m_per_s",
+                                      f"{medium}: speed must be a finite number > 0, "
+                                      f"got {speed!r}"))
     return problems
 
 

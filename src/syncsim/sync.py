@@ -34,6 +34,8 @@ class SyncOptions:
     default_timeout: float = 1.0              # seconds, when no baseline exists
 
     def __post_init__(self):
+        if self.request_size_bits < 0 or self.reply_size_bits < 0:
+            raise ValueError("request and reply sizes must be >= 0 bits")
         if self.correction_policy not in ("step", "slew"):
             raise ValueError(f"unknown correction policy: {self.correction_policy!r}")
         if self.correction_policy == "slew" and (self.slew_rate is None or self.slew_rate <= 0):

@@ -27,8 +27,7 @@ def enumerate_best_route(view: NetworkView, query: RouteQuery):
         nonlocal best
         if node == query.destination:
             try:
-                breakdown = total_path_delay(view, path, query.size_bits,
-                                             query.t_ps, query.message_id)
+                breakdown = total_path_delay(view, path, query.size_bits, query.t_ps)
             except PathBlocked:
                 return
             key = (breakdown.total_ps, len(path) - 1, tuple(path))

@@ -101,7 +101,7 @@ def test_criterion_4_routing_oracle():
             view = NetworkView(random_network(rng), seed=trial)
             query = RouteQuery("n00", "n01",
                                seconds_to_ps(rng.choice([0.0, 0.5, 1.5, 4.0])),
-                               rng.choice([0, 12000, 10**6]), f"acc{trial}")
+                               rng.choice([0, 12000, 10**6]))
             oracle = enumerate_best_route(view, query)
             if oracle is None:
                 with pytest.raises(NoRoute):

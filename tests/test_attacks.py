@@ -132,9 +132,9 @@ def test_force_down_blocks_and_recovers():
     attack = window(1.0, 2.0, kind="router_hijack", target="r1", mode="force_down")
     view = NetworkView(line_graph([50e-6]), seed=0, attacks=(attack,))
     with pytest.raises(NoRoute):
-        shortest_path(view, RouteQuery("c1", "s1", seconds_to_ps(1.5), 100, "during"))
-    before = shortest_path(view, RouteQuery("c1", "s1", seconds_to_ps(0.5), 100, "before"))
-    after = shortest_path(view, RouteQuery("c1", "s1", seconds_to_ps(2.5), 100, "after"))
+        shortest_path(view, RouteQuery("c1", "s1", seconds_to_ps(1.5), 100))
+    before = shortest_path(view, RouteQuery("c1", "s1", seconds_to_ps(0.5), 100))
+    after = shortest_path(view, RouteQuery("c1", "s1", seconds_to_ps(2.5), 100))
     assert before.hops == after.hops == ("c1", "r1", "s1")
 
 
@@ -147,11 +147,11 @@ def test_added_delay_flips_route_choice():
     attack = window(1.0, 2.0, kind="router_hijack", target="r1",
                     mode="added_delay", added_delay=9e-3)
     view = NetworkView(NetworkGraph(nodes, links), attacks=(attack,))
-    during = shortest_path(view, RouteQuery("a", "b", seconds_to_ps(1.5), 0, "mid"))
-    outside = shortest_path(view, RouteQuery("a", "b", seconds_to_ps(0.5), 0, "pre"))
+    during = shortest_path(view, RouteQuery("a", "b", seconds_to_ps(1.5), 0))
+    outside = shortest_path(view, RouteQuery("a", "b", seconds_to_ps(0.5), 0))
     assert outside.hops == ("a", "r1", "b")
     assert during.hops == ("a", "b")
-    oracle = enumerate_best_route(view, RouteQuery("a", "b", seconds_to_ps(1.5), 0, "mid"))
+    oracle = enumerate_best_route(view, RouteQuery("a", "b", seconds_to_ps(1.5), 0))
     assert oracle[1] == during.hops
 
 

@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syncsim.delay import (PathBlocked, propagation_delay, total_path_delay,
-                           transmission_delay)
+from syncsim.delay import (PathBlocked, hop_delay_ps, propagation_delay,
+                           total_path_delay, transmission_delay)
 from syncsim.netview import NetworkView
 from syncsim.timebase import seconds_to_ps
 from syncsim.topology import FailureModel, LinkSpec, NetworkGraph, NodeSpec
@@ -106,7 +106,6 @@ def test_three_hop_hand_composition():
     assert breakdown.transmission_ps == 24_000_000
     assert breakdown.router_ps == 50_000_000
     assert breakdown.total_ps == 1_074_000_000
-    assert breakdown.total == 1.074e-3
 
 
 def test_zero_everything_path():
@@ -126,14 +125,21 @@ def test_breakdown_is_deterministic():
 
 
 def test_per_hop_components_sum_to_totals():
+    # every hop: 12 us transmission + 500 us propagation + the router it enters
     view = line_view([50e-6, 500e-6])
-    breakdown = total_path_delay(view, full_path(view), 12000, 0)
-    by_kind = {"router": 0, "transmission": 0, "propagation": 0}
-    for hop in breakdown.per_hop:
-        by_kind[hop.component] += hop.ps
-    assert by_kind["router"] == breakdown.router_ps
-    assert by_kind["transmission"] == breakdown.transmission_ps
-    assert by_kind["propagation"] == breakdown.propagation_ps
+    path = full_path(view)
+    breakdown = total_path_delay(view, path, 12000, 0)
+    arrivals = breakdown.arrivals_ps
+    assert list(arrivals) == sorted(arrivals)
+    assert arrivals[-1] == breakdown.total_ps
+    terms = [hop_delay_ps(view, next(l for l in view.graph.links_of(a) if l.other(a) == b),
+                          b, 12000, 0)
+             for a, b in zip(path, path[1:])]
+    assert terms == [(12_000_000, 500_000_000, 50_000_000),
+                     (12_000_000, 500_000_000, 500_000_000),
+                     (12_000_000, 500_000_000, 0)]
+    steps = [b - a for a, b in zip((0,) + arrivals, arrivals)]
+    assert steps == [sum(hop) for hop in terms]
 
 
 # -- properties -------------------------------------------------------------------

@@ -152,6 +152,19 @@ def test_cancelled_events_never_execute_or_trace():
     assert records == []
 
 
+@pytest.mark.parametrize("call", [
+    lambda engine: engine.schedule_ps(1.0, "sync_step"),
+    lambda engine: engine.send_message("c1", "s1", 12000, 1.0),
+    lambda engine: RouteQuery("c1", "s1", 1.0, 12000),
+], ids=["schedule_ps", "send_message", "route_query"])
+def test_float_time_is_rejected_at_the_engine_boundary(call):
+    engine = make_engine()
+    with pytest.raises(TypeError):
+        call(engine)
+    assert engine.messages == {}
+    assert engine.run_until(2.0) == []
+
+
 def two_path_graph():
     """c1 -- r1 -- s1 through a flaky router, or c1 -- r2 -- r3 -- s1."""
     nodes = [make_node("c1"), make_node("s1", "time_server"),
@@ -172,7 +185,7 @@ def test_send_at_any_ps_routes_and_delivers_exactly(at_ps, size_bits):
     message = engine.send_message("c1", "s1", size_bits, at_ps)
     engine.run_until_ps(at_ps + seconds_to_ps(1.0))
     assert message.send_ps == at_ps
-    query = RouteQuery("c1", "s1", at_ps, size_bits, message.message_id)
+    query = RouteQuery("c1", "s1", at_ps, size_bits)
     try:
         expected = shortest_path(engine.view, query)
     except NoRoute:

@@ -11,8 +11,8 @@ from conftest import line_graph, make_node
 from oracles import enumerate_best_route, random_network
 
 
-def query(src="c1", dst="s1", t=0.0, size=12000, message_id="m1"):
-    return RouteQuery(src, dst, seconds_to_ps(t), size, message_id)
+def query(src="c1", dst="s1", t=0.0, size=12000):
+    return RouteQuery(src, dst, seconds_to_ps(t), size)
 
 
 # -- edge weights ---------------------------------------------------------------
@@ -113,8 +113,7 @@ def test_matches_brute_force_on_random_graphs():
     for trial in range(60):
         view = NetworkView(random_network(rng), seed=trial)
         q = query("n00", "n01", t=rng.choice([0.0, 0.5, 1.5, 4.0]),
-                  size=rng.choice([0, 12000, 10**6]),
-                  message_id=f"t{trial}")
+                  size=rng.choice([0, 12000, 10**6]))
         oracle = enumerate_best_route(view, q)
         if oracle is None:
             with pytest.raises(NoRoute):
@@ -132,15 +131,14 @@ def test_prefixes_of_route_are_optimal():
     checked = 0
     while checked < 8:
         view = NetworkView(random_network(rng), seed=checked)
-        q = query("n00", "n01", message_id=f"p{checked}")
+        q = query("n00", "n01")
         try:
             route = shortest_path(view, q)
         except NoRoute:
             continue
         for end in range(1, len(route.hops)):
             prefix_target = route.hops[end]
-            sub = shortest_path(view, query("n00", prefix_target,
-                                            message_id=f"p{checked}"))
+            sub = shortest_path(view, query("n00", prefix_target))
             assert sub.hops == route.hops[:end + 1]
         checked += 1
 
@@ -148,7 +146,7 @@ def test_prefixes_of_route_are_optimal():
 def test_routing_is_deterministic():
     rng = random.Random(99)
     view = NetworkView(random_network(rng), seed=11)
-    q = query("n00", "n01", t=2.0, message_id="same")
+    q = query("n00", "n01", t=2.0)
     try:
         first = shortest_path(view, q)
         second = shortest_path(view, q)

@@ -89,6 +89,9 @@ def test_sync_participant_checks():
 
 
 ROUTER = {"id": "r9", "kind": "router", "router_kind": "regular"}
+CRISTIAN = {"time_s": 1.0, "algorithm": "cristian", "participants": ["c1", "s1"]}
+WORKLOAD = {"time_s": 1.0, "source": "c1", "destination": "s1", "size_bits": 100}
+ATTACK = {"kind": "ddos", "target": "s1", "window_s": [0.0, 1.0]}
 
 
 @pytest.mark.parametrize("data, named", [
@@ -106,8 +109,37 @@ ROUTER = {"id": "r9", "kind": "router", "router_kind": "regular"}
         {**ROUTER, "failure_model": {"mode": "bernoulli",
                                            "failure_probability": None}}]},
      "nodes[2]: float() argument"),
+    ({**MINIMAL, "sync_schedule": [{**CRISTIAN, "participants": [["c1"], "s1"]}]},
+     "sync_schedule[0]: node id ['c1'] is not a string"),
+    ({**MINIMAL, "message_workload": [{**WORKLOAD, "source": ["c1"]}]},
+     "message_workload[0]: node id ['c1'] is not a string"),
+    ({**MINIMAL, "message_workload": [{**WORKLOAD, "destination": {"id": "s1"}}]},
+     "message_workload[0]: node id {'id': 's1'} is not a string"),
+    ({**MINIMAL, "attacks": [{**ATTACK, "target": ["s1"]}]},
+     "attacks[0]: node id ['s1'] is not a string"),
+    ({**MINIMAL, "medium_speeds_m_per_s": {"fiber": "fast"}},
+     "medium_speeds_m_per_s: fiber: speed must be a finite number > 0, got 'fast'"),
+    ({**MINIMAL, "medium_speeds_m_per_s": {"fiber": 0}},
+     "medium_speeds_m_per_s: fiber: speed must be a finite number > 0, got 0"),
+    ({**MINIMAL, "medium_speeds_m_per_s": {"fiber": -2e8}},
+     "medium_speeds_m_per_s: fiber: speed must be a finite number > 0, got -200000000.0"),
+    ({**MINIMAL, "medium_speeds_m_per_s": {"fiber": None}},
+     "medium_speeds_m_per_s: fiber: speed must be a finite number > 0, got None"),
+    ({**MINIMAL, "message_workload": [{**WORKLOAD, "size_bits": -1}]},
+     "message_workload[0]: size_bits must be >= 0"),
+    ({**MINIMAL, "message_workload": [{**WORKLOAD, "destination": "c1"}]},
+     "message_workload[0]: source and destination must differ"),
+    ({**MINIMAL, "sync_schedule": [{**CRISTIAN, "participants": ["c1", "c1"]}]},
+     "sync@1.0s: participants must be distinct"),
+    ({**MINIMAL, "sync_options": {"request_size_bits": -1}},
+     "sync_options: request and reply sizes must be >= 0 bits"),
 ], ids=["top_level_array", "node", "link", "sync_entry", "workload_entry", "attack",
-        "seed", "duration", "failure_model_null", "failure_field_null"])
+        "seed", "duration", "failure_model_null", "failure_field_null",
+        # accepted before, then broke `run`
+        "participant_array", "workload_source_array", "workload_destination_object",
+        "attack_target_array", "speed_string", "speed_zero", "speed_negative",
+        "speed_null", "negative_size", "same_endpoints", "same_participants",
+        "negative_request_size"])
 def test_malformed_scenario_is_a_named_problem(tmp_path, data, named):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
