@@ -14,7 +14,7 @@ Model kinds:
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from . import randstream
 from .timebase import ps_to_seconds, seconds_to_ps
@@ -229,10 +229,9 @@ CLOCK_PRESETS: dict[str, ClockParameters] = {
 }
 
 
-def preset_parameters(name: str, **overrides) -> ClockParameters:
-    """Look up a preset by name, optionally overriding fields."""
+def preset_parameters(name: str) -> ClockParameters:
+    """Look up a preset by name."""
     try:
-        params = CLOCK_PRESETS[name]
+        return CLOCK_PRESETS[name]
     except KeyError:
         raise ValueError(f"unknown clock preset: {name!r}") from None
-    return replace(params, **overrides) if overrides else params

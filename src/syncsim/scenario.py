@@ -8,19 +8,20 @@ before anything runs, reporting each problem with the entity it concerns.
 
 Clock presets addressable by name: perfect, cesium, quartz, gps, beidou,
 galileo, glonass.  A node's "clock" field may name an entry of the clocks
-section or a preset directly.
+section or a preset directly.  A clocks entry with a "preset" starts from
+that preset and takes the same keys as one without, which override it.
 """
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from .attacks import AttackSpec
 from .clocks import CLOCK_PRESETS, ClockParameters, preset_parameters
 from .engine import Engine, SimConfig
 from .metrics import metrics_report
 from .sync import BerkeleyRound, CristianExchange, SyncOptions
-from .timebase import seconds_to_ps
+from .timebase import PS_PER_SECOND, seconds_to_ps
 from .topology import (MEDIA, FailureModel, LinkSpec, NetworkGraph, NodeSpec,
                        Violation, validate)
 
@@ -95,36 +96,85 @@ def _node_ref(value) -> str:
     return value
 
 
+def _number(key: str, value) -> float:
+    """float(value), rejecting a number that is not finite and, for a key in
+    seconds (an _s suffix), one whose picosecond count is not finite."""
+    try:
+        number = float(value)
+    except OverflowError:  # an integer beyond the float range
+        number = math.inf
+    if not math.isfinite(number * (PS_PER_SECOND if key.endswith("_s") else 1)):
+        raise ValueError(f"{key} must be a finite number"
+                         f"{' of picoseconds' if key.endswith('_s') else ''}, got {value!r}")
+    return number
+
+
+def _int(key: str, value) -> int:
+    if isinstance(value, float) and not value.is_integer():
+        raise ValueError(f"{key} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _text(key: str, value) -> str:
+    return str(value)
+
+
+def _number_or_null(key: str, value) -> float | None:
+    return None if value is None else _number(key, value)
+
+
+def _offset_table(key: str, value) -> tuple[tuple[float, float], ...]:
+    return tuple((_number(key, t), _number(key, v)) for t, v in value)
+
+
+# One table per section of optional keys: JSON key -> (dataclass field, reader).
+# Parsing passes only the keys present, so every default is the dataclass's;
+# scenario_to_dict writes every row.
+CONFIG_KEYS = {"seed": ("seed", _int), "duration_s": ("duration", _number),
+               "name": ("scenario_name", _text)}
+CLOCK_KEYS = {"model": ("model_kind", _text), "alpha0_s": ("alpha0", _number),
+              "beta": ("beta", _number), "gamma": ("gamma", _number),
+              "noise_sigma_s": ("noise_sigma", _number),
+              "jitter_bound_ns": ("jitter_bound_ns", _number),
+              "offset_table": ("offset_table", _offset_table)}
+FAILURE_KEYS = {"mode": ("mode", _text),
+                "failure_probability": ("failure_probability", _number),
+                "up_duration_s": ("up_duration", _number),
+                "down_duration_s": ("down_duration", _number)}
+ATTACK_KEYS = {"delay_multiplier": ("delay_multiplier", _number),
+               "drop_probability": ("drop_probability", _number),
+               "forged_offset_s": ("forged_offset", _number), "mode": ("mode", _text),
+               "added_delay_s": ("added_delay", _number)}
+SYNC_OPTION_KEYS = {"request_size_bits": ("request_size_bits", _int),
+                    "reply_size_bits": ("reply_size_bits", _int),
+                    "server_service_time_s": ("server_service_time", _number),
+                    "outlier_threshold_s": ("outlier_threshold", _number_or_null),
+                    "correction_policy": ("correction_policy", _text),
+                    "slew_rate": ("slew_rate", _number_or_null),
+                    "timeout_factor": ("timeout_factor", _number),
+                    "default_timeout_s": ("default_timeout", _number)}
+
+
+def _read(table: dict, spec: dict) -> dict:
+    """Dataclass fields for the keys of spec that the table declares."""
+    return {name: reader(key, spec[key])
+            for key, (name, reader) in table.items() if key in spec}
+
+
+def _write(table: dict, obj) -> dict:
+    return {key: getattr(obj, name) for key, (name, _) in table.items()}
+
+
 def _parse_clock(spec: dict) -> ClockParameters:
-    if "preset" in spec:
-        overrides = {}
-        mapping = {"alpha0_s": "alpha0", "beta": "beta", "gamma": "gamma",
-                   "noise_sigma_s": "noise_sigma", "jitter_bound_ns": "jitter_bound_ns"}
-        for key, attr in mapping.items():
-            if key in spec:
-                overrides[attr] = spec[key]
-        return preset_parameters(spec["preset"], **overrides)
-    table = tuple((float(t), float(v)) for t, v in spec.get("offset_table", []))
-    return ClockParameters(
-        alpha0=float(spec.get("alpha0_s", 0.0)),
-        beta=float(spec.get("beta", 0.0)),
-        gamma=float(spec.get("gamma", 0.0)),
-        noise_sigma=float(spec.get("noise_sigma_s", 0.0)),
-        model_kind=spec.get("model", "quadratic"),
-        offset_table=table,
-        jitter_bound_ns=float(spec.get("jitter_bound_ns", 0.0)))
+    base = preset_parameters(spec["preset"]) if "preset" in spec else ClockParameters()
+    return replace(base, **_read(CLOCK_KEYS, spec))
 
 
 def _parse_attack(spec: dict) -> AttackSpec:
     window = spec["window_s"]
-    return AttackSpec(
-        kind=spec["kind"], target=_node_ref(spec["target"]),
-        t_start=float(window[0]), t_end=float(window[1]),
-        delay_multiplier=float(spec.get("delay_multiplier", 1.0)),
-        drop_probability=float(spec.get("drop_probability", 0.0)),
-        forged_offset=float(spec.get("forged_offset_s", 0.0)),
-        mode=spec.get("mode", "force_down"),
-        added_delay=float(spec.get("added_delay_s", 0.0)))
+    return AttackSpec(kind=spec["kind"], target=_node_ref(spec["target"]),
+                      t_start=_number("window_s", window[0]),
+                      t_end=_number("window_s", window[1]), **_read(ATTACK_KEYS, spec))
 
 
 def parse_scenario(data: dict) -> Scenario:
@@ -132,11 +182,8 @@ def parse_scenario(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError(["scenario: expected a JSON object at the top level"])
     problems: list[str] = []
-    config_spec = _section(data, "config", dict, problems)
     try:
-        config = SimConfig(seed=int(config_spec.get("seed", 0)),
-                           duration=float(config_spec.get("duration_s", 10.0)),
-                           scenario_name=str(config_spec.get("name", "")))
+        config = SimConfig(**_read(CONFIG_KEYS, _section(data, "config", dict, problems)))
     except (TypeError, ValueError) as exc:
         problems.append(f"config: {exc}")
         config = SimConfig()
@@ -166,49 +213,34 @@ def parse_scenario(data: dict) -> Scenario:
             fm = spec["failure_model"]
             if not isinstance(fm, dict):
                 raise TypeError(f"node {node_id!r}: failure_model: expected a JSON object")
-            failure = FailureModel(
-                mode=fm.get("mode", "always_active"),
-                failure_probability=float(fm.get("failure_probability", 0.0)),
-                up_duration=float(fm.get("up_duration_s", 0.0)),
-                down_duration=float(fm.get("down_duration_s", 0.0)))
+            failure = FailureModel(**_read(FAILURE_KEYS, fm))
         graph.add_node(NodeSpec(
             node_id=node_id, kind=kind,
             router_kind=spec.get("router_kind"),
-            router_delay=(float(spec["router_delay_s"])
+            router_delay=(_number("router_delay_s", spec["router_delay_s"])
                           if "router_delay_s" in spec else None),
             failure_model=failure, clock=clock))
     _parse_each(data, "nodes", add_node, problems)
 
     _parse_each(data, "links", lambda spec: graph.add_link(LinkSpec(
         a=spec["a"], b=spec["b"],
-        bandwidth_bps=float(spec["bandwidth_bps"]),
-        distance_m=float(spec["distance_m"]),
+        bandwidth_bps=_number("bandwidth_bps", spec["bandwidth_bps"]),
+        distance_m=_number("distance_m", spec["distance_m"]),
         medium=spec.get("medium", "fiber"))), problems)
 
     schedule = _parse_each(data, "sync_schedule", lambda spec: SyncScheduleEntry(
-        time_s=float(spec["time_s"]),
+        time_s=_number("time_s", spec["time_s"]),
         algorithm=spec["algorithm"],
         participants=tuple(map(_node_ref, spec["participants"]))), problems)
     attacks = _parse_each(data, "attacks", _parse_attack, problems)
     workload = _parse_each(data, "message_workload", lambda spec: WorkloadEntry(
-        time_s=float(spec["time_s"]), source=_node_ref(spec["source"]),
-        destination=_node_ref(spec["destination"]), size_bits=int(spec["size_bits"])),
-        problems)
+        time_s=_number("time_s", spec["time_s"]), source=_node_ref(spec["source"]),
+        destination=_node_ref(spec["destination"]),
+        size_bits=_int("size_bits", spec["size_bits"])), problems)
 
-    options_spec = _section(data, "sync_options", dict, problems)
     try:
         sync_options = SyncOptions(
-            request_size_bits=int(options_spec.get("request_size_bits", 12000)),
-            reply_size_bits=int(options_spec.get("reply_size_bits", 12000)),
-            server_service_time=float(options_spec.get("server_service_time_s", 0.0)),
-            outlier_threshold=(float(options_spec["outlier_threshold_s"])
-                               if options_spec.get("outlier_threshold_s") is not None
-                               else None),
-            correction_policy=options_spec.get("correction_policy", "step"),
-            slew_rate=(float(options_spec["slew_rate"])
-                       if options_spec.get("slew_rate") is not None else None),
-            timeout_factor=float(options_spec.get("timeout_factor", 5.0)),
-            default_timeout=float(options_spec.get("default_timeout_s", 1.0)))
+            **_read(SYNC_OPTION_KEYS, _section(data, "sync_options", dict, problems)))
     except (TypeError, ValueError) as exc:
         problems.append(f"sync_options: {exc}")
         sync_options = SyncOptions()
@@ -227,12 +259,12 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
     """Graph invariants plus scenario-level cross-reference checks."""
     problems = validate(scenario.graph)
     graph = scenario.graph
-    if not 0 <= scenario.config.duration < math.inf:
-        problems.append(Violation("config", "duration_s must be finite and >= 0"))
+    if scenario.config.duration < 0:
+        problems.append(Violation("config", "duration_s must be >= 0"))
     for entry in scenario.sync_schedule:
         label = f"sync@{entry.time_s}s"
-        if not 0 <= entry.time_s < math.inf:
-            problems.append(Violation(label, "time_s must be finite and >= 0"))
+        if entry.time_s < 0:
+            problems.append(Violation(label, "time_s must be >= 0"))
         if entry.algorithm not in ("cristian", "berkeley"):
             problems.append(Violation(label, f"unknown algorithm {entry.algorithm!r}"))
             continue
@@ -255,8 +287,8 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
                                       f"unknown target {attack.target!r}"))
     for index, entry in enumerate(scenario.workload):
         label = f"message_workload[{index}]"
-        if not 0 <= entry.time_s < math.inf:
-            problems.append(Violation(label, "time_s must be finite and >= 0"))
+        if entry.time_s < 0:
+            problems.append(Violation(label, "time_s must be >= 0"))
         if entry.size_bits < 0:
             problems.append(Violation(label, "size_bits must be >= 0"))
         if entry.source == entry.destination:
@@ -265,10 +297,13 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
             if node_id not in graph:
                 problems.append(Violation(label, f"unknown node {node_id!r}"))
     for medium, speed in scenario.medium_speeds.items():
+        try:
+            valid = type(speed) in (int, float) and _number(medium, speed) > 0
+        except ValueError:
+            valid = False
         if medium not in MEDIA:
-            problems.append(Violation("medium_speeds_m_per_s",
-                                      f"unknown medium {medium!r}"))
-        elif type(speed) not in (int, float) or not 0 < speed < math.inf:
+            problems.append(Violation("medium_speeds_m_per_s", f"unknown medium {medium!r}"))
+        elif not valid:
             problems.append(Violation("medium_speeds_m_per_s",
                                       f"{medium}: speed must be a finite number > 0, "
                                       f"got {speed!r}"))
@@ -297,16 +332,6 @@ def load_scenario(path) -> Scenario:
 
 def scenario_to_dict(scenario: Scenario) -> dict:
     """Canonical dictionary form; load(parse(write(s))) is a fixpoint."""
-    clocks = {}
-    for name, params in sorted(scenario.clock_params.items()):
-        spec: dict = {"model": params.model_kind, "alpha0_s": params.alpha0,
-                      "beta": params.beta, "gamma": params.gamma,
-                      "noise_sigma_s": params.noise_sigma}
-        if params.offset_table:
-            spec["offset_table"] = [[t, v] for t, v in params.offset_table]
-        if params.jitter_bound_ns:
-            spec["jitter_bound_ns"] = params.jitter_bound_ns
-        clocks[name] = spec
     nodes = []
     for node_id in sorted(scenario.graph.nodes):
         node = scenario.graph.node(node_id)
@@ -314,21 +339,15 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         if node.is_router:
             spec["router_kind"] = node.router_kind
             spec["router_delay_s"] = node.router_delay
-            fm = node.failure_model
-            if fm.mode != "always_active":
-                spec["failure_model"] = {"mode": fm.mode,
-                                         "failure_probability": fm.failure_probability,
-                                         "up_duration_s": fm.up_duration,
-                                         "down_duration_s": fm.down_duration}
+            spec["failure_model"] = _write(FAILURE_KEYS, node.failure_model)
         else:
             # either a clocks-section name or a bare preset name; both reload
             spec["clock"] = scenario.node_clock_names.get(node_id, "perfect")
         nodes.append(spec)
     data = {
-        "config": {"seed": scenario.config.seed,
-                   "duration_s": scenario.config.duration,
-                   "name": scenario.config.scenario_name},
-        "clocks": clocks,
+        "config": _write(CONFIG_KEYS, scenario.config),
+        "clocks": {name: _write(CLOCK_KEYS, params)
+                   for name, params in sorted(scenario.clock_params.items())},
         "nodes": nodes,
         "links": [{"a": link.a, "b": link.b, "bandwidth_bps": link.bandwidth_bps,
                    "distance_m": link.distance_m, "medium": link.medium}
@@ -336,40 +355,16 @@ def scenario_to_dict(scenario: Scenario) -> dict:
         "sync_schedule": [{"time_s": e.time_s, "algorithm": e.algorithm,
                            "participants": list(e.participants)}
                           for e in scenario.sync_schedule],
-        "attacks": [_attack_to_dict(a) for a in scenario.attacks],
+        "attacks": [{"kind": a.kind, "target": a.target, "window_s": [a.t_start, a.t_end],
+                     **_write(ATTACK_KEYS, a)} for a in scenario.attacks],
         "message_workload": [{"time_s": e.time_s, "source": e.source,
                               "destination": e.destination, "size_bits": e.size_bits}
                              for e in scenario.workload],
+        "sync_options": _write(SYNC_OPTION_KEYS, scenario.sync_options),
     }
     if scenario.medium_speeds:
         data["medium_speeds_m_per_s"] = dict(sorted(scenario.medium_speeds.items()))
-    opts = scenario.sync_options
-    data["sync_options"] = {
-        "request_size_bits": opts.request_size_bits,
-        "reply_size_bits": opts.reply_size_bits,
-        "server_service_time_s": opts.server_service_time,
-        "outlier_threshold_s": opts.outlier_threshold,
-        "correction_policy": opts.correction_policy,
-        "slew_rate": opts.slew_rate,
-        "timeout_factor": opts.timeout_factor,
-        "default_timeout_s": opts.default_timeout,
-    }
     return data
-
-
-def _attack_to_dict(attack: AttackSpec) -> dict:
-    spec = {"kind": attack.kind, "target": attack.target,
-            "window_s": [attack.t_start, attack.t_end]}
-    if attack.kind == "ddos":
-        spec["delay_multiplier"] = attack.delay_multiplier
-        spec["drop_probability"] = attack.drop_probability
-    elif attack.kind == "ip_spoof":
-        spec["forged_offset_s"] = attack.forged_offset
-    else:
-        spec["mode"] = attack.mode
-        if attack.mode == "added_delay":
-            spec["added_delay_s"] = attack.added_delay
-    return spec
 
 
 def write_scenario(scenario: Scenario, path) -> None:

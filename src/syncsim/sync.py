@@ -36,6 +36,10 @@ class SyncOptions:
     def __post_init__(self):
         if self.request_size_bits < 0 or self.reply_size_bits < 0:
             raise ValueError("request and reply sizes must be >= 0 bits")
+        if self.server_service_time < 0 or (self.outlier_threshold or 0) < 0:
+            raise ValueError("server_service_time and outlier_threshold must be >= 0 s")
+        if self.timeout_factor <= 0 or self.default_timeout <= 0:
+            raise ValueError("timeout_factor and default_timeout must be > 0")
         if self.correction_policy not in ("step", "slew"):
             raise ValueError(f"unknown correction policy: {self.correction_policy!r}")
         if self.correction_policy == "slew" and (self.slew_rate is None or self.slew_rate <= 0):

@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -11,7 +12,7 @@ from syncsim.scenario import (ScenarioError, load_scenario,
                               validate_scenario, write_scenario)
 from syncsim.timebase import seconds_to_ps
 from syncsim.trace import (TraceFormatError, diff_traces, parse_trace,
-                           load_trace, write_trace)
+                           load_trace, trace_sha256, write_trace)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 
@@ -133,13 +134,46 @@ ATTACK = {"kind": "ddos", "target": "s1", "window_s": [0.0, 1.0]}
      "sync@1.0s: participants must be distinct"),
     ({**MINIMAL, "sync_options": {"request_size_bits": -1}},
      "sync_options: request and reply sizes must be >= 0 bits"),
+    ({**MINIMAL, "attacks": [{**ATTACK, "window_s": [0.0, math.inf]}]},
+     "attacks[0]: window_s must be a finite number"),
+    ({**MINIMAL, "nodes": MINIMAL["nodes"] + [{**ROUTER, "router_delay_s": math.inf}]},
+     "nodes[2]: router_delay_s must be a finite number"),
+    ({**MINIMAL, "links": [{**MINIMAL["links"][0], "distance_m": math.inf}]},
+     "links[0]: distance_m must be a finite number"),
+    ({**MINIMAL, "links": [{**MINIMAL["links"][0], "bandwidth_bps": math.inf}]},
+     "links[0]: bandwidth_bps must be a finite number"),
+    ({**MINIMAL, "links": [{**MINIMAL["links"][0], "bandwidth_bps": 10**400}]},
+     "links[0]: bandwidth_bps must be a finite number"),
+    ({**MINIMAL, "nodes": MINIMAL["nodes"] + [
+        {**ROUTER, "failure_model": {"mode": "alternating", "up_duration_s": math.inf,
+                                     "down_duration_s": 1.0}}]},
+     "nodes[2]: up_duration_s must be a finite number"),
+    ({**MINIMAL, "attacks": [{"kind": "ip_spoof", "target": "c1", "window_s": [0.0, 1.0],
+                              "forged_offset_s": math.inf}]},
+     "attacks[0]: forged_offset_s must be a finite number"),
+    ({**MINIMAL, "clocks": {"osc": {"alpha0_s": math.inf}}},
+     "clocks['osc']: alpha0_s must be a finite number"),
+    ({**MINIMAL, "config": {"duration_s": 1e300}},
+     "config: duration_s must be a finite number of picoseconds, got 1e+300"),
+    ({**MINIMAL, "sync_options": {"server_service_time_s": math.inf}},
+     "sync_options: server_service_time_s must be a finite number"),
+    ({**MINIMAL, "sync_options": {"timeout_factor": -1}},
+     "sync_options: timeout_factor and default_timeout must be > 0"),
+    ({**MINIMAL, "config": {"seed": 1.9}}, "config: seed must be an integer, got 1.9"),
+    ({**MINIMAL, "message_workload": [{**WORKLOAD, "size_bits": 1.7}]},
+     "message_workload[0]: size_bits must be an integer, got 1.7"),
 ], ids=["top_level_array", "node", "link", "sync_entry", "workload_entry", "attack",
         "seed", "duration", "failure_model_null", "failure_field_null",
         # accepted before, then broke `run`
         "participant_array", "workload_source_array", "workload_destination_object",
         "attack_target_array", "speed_string", "speed_zero", "speed_negative",
         "speed_null", "negative_size", "same_endpoints", "same_participants",
-        "negative_request_size"])
+        "negative_request_size",
+        # non-finite or non-integral numbers and sync_options out of range
+        "window_infinite", "router_delay_infinite", "distance_infinite",
+        "bandwidth_infinite", "bandwidth_beyond_float", "up_duration_infinite",
+        "forged_offset_infinite", "alpha0_infinite", "duration_beyond_ps", "service_time_infinite",
+        "timeout_factor_negative", "seed_fraction", "size_bits_fraction"])
 def test_malformed_scenario_is_a_named_problem(tmp_path, data, named):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(data))
@@ -201,15 +235,74 @@ def test_bundled_scenarios_are_valid():
 
 # -- canonical round trip --------------------------------------------------------
 
+# Every row of every key table: a preset clock with overrides, a user_defined
+# clock, an alternating router, all three attack kinds and every sync option.
+EVERY_ROW = {
+    "config": {"seed": 7, "duration_s": 8.0, "name": "every_row"},
+    "clocks": {"osc": {"preset": "quartz", "model": "linear", "alpha0_s": 0.002,
+                       "beta": 2e-6, "gamma": 0.0, "noise_sigma_s": 1e-6,
+                       "jitter_bound_ns": 5.0, "offset_table": []},
+               "table": {"model": "user_defined",
+                         "offset_table": [[0.0, 0.0], [4.0, 0.003]]}},
+    "nodes": [{"id": "s1", "kind": "time_server", "clock": "gps"},
+              {"id": "c1", "kind": "client", "clock": "osc"},
+              {"id": "c2", "kind": "client", "clock": "table"},
+              {"id": "r1", "kind": "router", "router_kind": "regular",
+               "failure_model": {"mode": "alternating", "failure_probability": 0.0,
+                                 "up_duration_s": 3.0, "down_duration_s": 0.25}},
+              {"id": "r2", "kind": "router", "router_kind": "wifi", "router_delay_s": 4e-4}],
+    "links": [{"a": "c1", "b": "r1", "bandwidth_bps": 1e8, "distance_m": 2000.0},
+              {"a": "r1", "b": "s1", "bandwidth_bps": 1e9, "distance_m": 5000.0},
+              {"a": "c2", "b": "r2", "bandwidth_bps": 5e7, "distance_m": 30.0,
+               "medium": "wireless"},
+              {"a": "r2", "b": "s1", "bandwidth_bps": 1e9, "distance_m": 8000.0},
+              {"a": "r1", "b": "r2", "bandwidth_bps": 1e9, "distance_m": 1000.0}],
+    "sync_schedule": [{"time_s": 1.0, "algorithm": "cristian", "participants": ["c1", "s1"]},
+                      {"time_s": 3.5, "algorithm": "cristian", "participants": ["c1", "s1"]},
+                      {"time_s": 5.5, "algorithm": "berkeley",
+                       "participants": ["s1", "c1", "c2"]}],
+    "attacks": [{"kind": "ddos", "target": "r1", "window_s": [1.0, 2.0],
+                 "delay_multiplier": 3.0, "drop_probability": 0.5},
+                {"kind": "ip_spoof", "target": "c1", "window_s": [3.0, 4.0],
+                 "forged_offset_s": 0.001},
+                {"kind": "router_hijack", "target": "r2", "window_s": [5.0, 6.0],
+                 "mode": "added_delay", "added_delay_s": 0.002}],
+    "message_workload": [{"time_s": 1.5, "source": "c2", "destination": "c1",
+                          "size_bits": 4000}],
+    "medium_speeds_m_per_s": {"fiber": 2.1e8},
+    "sync_options": {"request_size_bits": 8000, "reply_size_bits": 9000,
+                     "server_service_time_s": 1e-4, "outlier_threshold_s": None,
+                     "correction_policy": "slew", "slew_rate": 0.01,
+                     "timeout_factor": 4.0, "default_timeout_s": 0.5},
+}
+
+
 def test_write_then_load_is_a_fixpoint(tmp_path):
-    scenario = load_scenario(SCENARIO_DIR / "mesh_attacks.json")
-    out = tmp_path / "roundtrip.json"
-    write_scenario(scenario, out)
-    reloaded = load_scenario(out)
-    assert scenario_to_dict(reloaded) == scenario_to_dict(scenario)
-    out2 = tmp_path / "roundtrip2.json"
-    write_scenario(reloaded, out2)
-    assert out.read_text() == out2.read_text()
+    scenarios = {path.stem: load_scenario(path)
+                 for path in sorted(SCENARIO_DIR.glob("*.json"))}
+    scenarios["every_row"] = parse_scenario(EVERY_ROW)
+    assert validate_scenario(scenarios["every_row"]) == []
+    for name, scenario in scenarios.items():
+        out = tmp_path / f"{name}.json"
+        write_scenario(scenario, out)
+        reloaded = load_scenario(out)
+        assert scenario_to_dict(reloaded) == scenario_to_dict(scenario), name
+        out2 = tmp_path / f"{name}_again.json"
+        write_scenario(reloaded, out2)
+        assert out.read_text() == out2.read_text(), name
+        assert (trace_sha256(run_scenario(reloaded)[1])
+                == trace_sha256(run_scenario(scenario)[1])), name
+    # a key missing from a table is neither read nor written
+    written = json.loads(json.dumps(scenario_to_dict(scenarios["every_row"])))
+    assert EVERY_ROW["config"] == written["config"]
+    assert EVERY_ROW["sync_options"] == written["sync_options"]
+    for name, spec in EVERY_ROW["clocks"].items():
+        assert {k: v for k, v in spec.items() if k != "preset"}.items() \
+            <= written["clocks"][name].items()
+    router = next(n for n in written["nodes"] if n["id"] == "r1")
+    assert router["failure_model"] == EVERY_ROW["nodes"][3]["failure_model"]
+    for given, attack in zip(EVERY_ROW["attacks"], written["attacks"]):
+        assert given.items() <= attack.items()
 
 
 # -- GNSS presets ------------------------------------------------------------------
