@@ -4,19 +4,27 @@ A message walking a path pays, per hop: transmission delay (size over link
 bandwidth), propagation delay (link distance over medium speed), and the
 downstream router's processing delay when it enters a router.  Each term is
 computed in double precision seconds and quantized once to integer
-picoseconds in `hop_delay_ps`, so a route's weight, its breakdown total and
-its last arrival offset are the same sum, and traces are platform
-independent.
+picoseconds, so a route's weight, its breakdown total and its last arrival
+offset are the same sum, and traces are platform independent.
+
+The link terms do not depend on time: `CompiledTopology` quantizes them
+once per link (transmission once per link and message size) and is what
+`hop_delay_ps`, `total_path_delay` and the route search all read.  The
+router term is `router_ps`, evaluated at the hop's time.
 
 An inactive router never contributes a numeric infinity: the walk is simply
 unroutable and `PathBlocked` names the failed router.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
+from typing import TYPE_CHECKING
 
-from .netview import NetworkView
 from .timebase import seconds_to_ps
-from .topology import LinkSpec
+from .topology import LinkSpec, NetworkGraph, medium_speed
+
+if TYPE_CHECKING:
+    from .netview import NetworkView
 
 
 class PathBlocked(Exception):
@@ -60,33 +68,107 @@ def propagation_delay(distance_m: float, speed_m_per_s: float) -> float:
     return distance_m / speed_m_per_s
 
 
-def _link(view: NetworkView, a: str, b: str):
-    for link in view.graph.links_of(a):
-        if link.other(a) == b:
-            return link
-    raise ValueError(f"no link between {a!r} and {b!r}")
+def link_terms_ps(link: LinkSpec, size_bits: int,
+                  medium_speeds: dict[str, float]) -> tuple[int, int]:
+    """(transmission, propagation) picoseconds of one traversal of `link` by
+    a message of size_bits.  Raises OverflowError when a term does not
+    quantize to a finite count."""
+    return (seconds_to_ps(transmission_delay(size_bits, link.bandwidth_bps)),
+            seconds_to_ps(propagation_delay(
+                link.distance_m, medium_speed(link.medium, medium_speeds or None))))
 
 
-def hop_delay_ps(view: NetworkView, link: LinkSpec, downstream: str, size_bits: int,
+class CompiledTopology:
+    """A graph as integer-indexed tables of quantized delay terms.
+
+    Node indices follow sorted node ids, so comparing tuples of indices
+    orders paths exactly as comparing tuples of node ids does.  Per node:
+    its id, whether it relays (routers only), whether its failure model can
+    take it down, its links as (neighbor index, link index) pairs in the
+    graph's adjacency order, and its base router term (0 for clients and
+    time servers, None for an always_failed router, which is never up).
+    Per link: the propagation term, and the transmission term per message
+    size, filled on first use.
+
+    A NetworkView compiles its graph once and shares the result with its
+    attack-free baseline; `route_tables` is the routing layer's cache of
+    attack-free routes, which depend on nothing else.
+    """
+
+    def __init__(self, graph: NetworkGraph, medium_speeds: dict[str, float]):
+        self.ids = tuple(sorted(graph.nodes))
+        self.index = {node_id: i for i, node_id in enumerate(self.ids)}
+        nodes = [graph.node(node_id) for node_id in self.ids]
+        self.relays = tuple(node.is_router for node in nodes)
+        self.can_fail = tuple(node.is_router and node.failure_model.mode != "always_active"
+                              for node in nodes)
+        self.base_router_ps = tuple(
+            0 if not node.is_router
+            else None if node.failure_model.mode == "always_failed"
+            else seconds_to_ps(node.router_delay) for node in nodes)
+        self.links = graph.links
+        adjacency: list[list[tuple[int, int]]] = [[] for _ in self.ids]
+        # the first link between a pair carries a path's hop, as adjacency order gives
+        self.link_between: dict[tuple[str, str], int] = {}
+        for i, link in enumerate(self.links):
+            a, b = self.index[link.a], self.index[link.b]
+            adjacency[a].append((b, i))
+            adjacency[b].append((a, i))
+            self.link_between.setdefault((link.a, link.b), i)
+            self.link_between.setdefault((link.b, link.a), i)
+        self.adjacency = tuple(map(tuple, adjacency))
+        self.medium_speeds = medium_speeds
+        self.propagation_ps = tuple(link_terms_ps(link, 0, medium_speeds)[1]
+                                    for link in self.links)
+        self._transmission_ps: dict[int, tuple[int, ...]] = {}
+        self.route_tables: dict = {}
+
+    @cached_property
+    def link_index(self) -> dict[LinkSpec, int]:
+        """Index of each link by value (equal links have equal terms)."""
+        return {link: i for i, link in enumerate(self.links)}
+
+    def transmission_ps(self, size_bits: int) -> tuple[int, ...]:
+        """The transmission term of every link for a message of size_bits."""
+        terms = self._transmission_ps.get(size_bits)
+        if terms is None:
+            terms = self._transmission_ps[size_bits] = tuple(
+                link_terms_ps(link, size_bits, self.medium_speeds)[0] for link in self.links)
+        return terms
+
+
+def router_ps(view: "NetworkView", node_id: str, t_ps: int) -> int | None:
+    """The router term of a hop into node_id at t_ps: 0 when it is a client
+    or time server, None when it is an inactive router, else the router's
+    delay at t_ps (attacks included), quantized."""
+    if not view.node(node_id).is_router:
+        return 0
+    if not view.router_active(node_id, t_ps):
+        return None
+    return seconds_to_ps(view.router_delay_at(node_id, t_ps))
+
+
+def _hop_ps(view: "NetworkView", link_index: int, downstream: str, size_bits: int,
+            t_ps: int) -> tuple[int, int, int] | None:
+    topology = view.topology
+    transmission_ps = topology.transmission_ps(size_bits)[link_index]
+    propagation_ps = topology.propagation_ps[link_index]
+    router = router_ps(view, downstream, t_ps)
+    return None if router is None else (transmission_ps, propagation_ps, router)
+
+
+def hop_delay_ps(view: "NetworkView", link: LinkSpec, downstream: str, size_bits: int,
                  t_ps: int) -> tuple[int, int, int] | None:
     """(transmission, propagation, router) picoseconds of the hop over `link`
     into `downstream`, or None when `downstream` is an inactive router.
 
-    The router term is the downstream router's delay at t_ps, and 0 when the
-    hop enters a client or time server.  This is the only place a hop is
-    costed: route weights and path breakdowns both sum these terms.
+    The router term is `router_ps` at t_ps: the downstream router's delay,
+    and 0 when the hop enters a client or time server.
     """
-    transmission_ps = seconds_to_ps(transmission_delay(size_bits, link.bandwidth_bps))
-    propagation_ps = seconds_to_ps(propagation_delay(link.distance_m,
-                                                     view.speed_of(link.medium)))
-    if not view.node(downstream).is_router:
-        return transmission_ps, propagation_ps, 0
-    if not view.router_active(downstream, t_ps):
-        return None
-    return transmission_ps, propagation_ps, seconds_to_ps(view.router_delay_at(downstream, t_ps))
+    return _hop_ps(view, view.topology.link_index[link], downstream, size_bits, t_ps)
 
 
-def total_path_delay(view: NetworkView, path: list[str], size_bits: int,
+def total_path_delay(view: "NetworkView", path: list[str], size_bits: int,
                      t_ps: int, message_id: str = "") -> PathDelayBreakdown:
     """Quantized breakdown of all delay components along the path.
 
@@ -95,14 +177,20 @@ def total_path_delay(view: NetworkView, path: list[str], size_bits: int,
     message; the parameter stays because the benchmark's layer probe
     (perfbench/layers.py) passes one positionally.
     """
+    link_between = view.topology.link_between
     arrivals_ps: list[int] = []
-    router_ps = transmission_ps = propagation_ps = 0
+    router_total = transmission_total = propagation_total = 0
     for a, b in zip(path, path[1:]):
-        hop = hop_delay_ps(view, _link(view, a, b), b, size_bits, t_ps)
+        try:
+            link_index = link_between[a, b]
+        except KeyError:
+            raise ValueError(f"no link between {a!r} and {b!r}") from None
+        hop = _hop_ps(view, link_index, b, size_bits, t_ps)
         if hop is None:
             raise PathBlocked(b)
-        transmission_ps += hop[0]
-        propagation_ps += hop[1]
-        router_ps += hop[2]
-        arrivals_ps.append(transmission_ps + propagation_ps + router_ps)
-    return PathDelayBreakdown(router_ps, transmission_ps, propagation_ps, tuple(arrivals_ps))
+        transmission_total += hop[0]
+        propagation_total += hop[1]
+        router_total += hop[2]
+        arrivals_ps.append(transmission_total + propagation_total + router_total)
+    return PathDelayBreakdown(router_total, transmission_total, propagation_total,
+                              tuple(arrivals_ps))

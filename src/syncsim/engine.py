@@ -69,6 +69,7 @@ class Engine:
     def __init__(self, graph: NetworkGraph, seed: int = 0, attacks=(),
                  medium_speeds: dict[str, float] | None = None):
         self.view = NetworkView(graph, seed, tuple(attacks), dict(medium_speeds or {}))
+        self._baseline_view = self.view.without_attacks()
         self.seed = seed
         self.now_ps = 0
         self._seq = itertools.count()
@@ -232,7 +233,7 @@ class Engine:
     def baseline_rtt_ps(self, a: str, b: str, t_ps: int, size_forward: int,
                         size_backward: int | None = None) -> int | None:
         """Expected attack-free round-trip delay, used to budget sync timeouts."""
-        baseline = self.view.without_attacks()
+        baseline = self._baseline_view
         if size_backward is None:
             size_backward = size_forward
         try:

@@ -4,14 +4,16 @@ Bundles the graph with the global seed, the attack list, and any medium
 speed overrides, and answers the time-dependent questions routing and delay
 computation ask: is this router up, what does a traversal cost, does a ddos
 drop this message.  All answers are pure functions of (view, t), so
-concurrent queries are safe and repeat queries are identical.
+concurrent queries are safe and repeat queries are identical.  The
+time-independent terms come from the view's compiled topology.
 """
 
 from dataclasses import dataclass, field
 
 from . import attacks as attacks_mod
 from .attacks import AttackSpec
-from .topology import NetworkGraph, NodeSpec, medium_speed
+from .delay import CompiledTopology
+from .topology import NetworkGraph, NodeSpec
 
 
 @dataclass(frozen=True)
@@ -20,12 +22,17 @@ class NetworkView:
     seed: int = 0
     attacks: tuple[AttackSpec, ...] = ()
     medium_speeds: dict[str, float] = field(default_factory=dict)
+    # compiled from graph and medium_speeds when not given; without_attacks
+    # passes its own, so a view and its baseline share one route cache
+    topology: CompiledTopology = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        if self.topology is None:
+            object.__setattr__(self, "topology",
+                               CompiledTopology(self.graph, self.medium_speeds))
 
     def node(self, node_id: str) -> NodeSpec:
         return self.graph.node(node_id)
-
-    def speed_of(self, medium: str) -> float:
-        return medium_speed(medium, self.medium_speeds or None)
 
     def router_active(self, node_id: str, t_ps: int) -> bool:
         """Flag(t) with force_down hijacks applied; non-routers are always up."""
@@ -54,4 +61,4 @@ class NetworkView:
         """The attack-free baseline view (used for timeout budgeting)."""
         if not self.attacks:
             return self
-        return NetworkView(self.graph, self.seed, (), self.medium_speeds)
+        return NetworkView(self.graph, self.seed, (), self.medium_speeds, self.topology)

@@ -10,12 +10,14 @@ Draws are derived from BLAKE2b digests of a canonical key encoding, so they
 are identical across platforms and Python versions.
 """
 
+import functools
 import hashlib
 import math
 import struct
 
 _TWO53 = float(1 << 53)
 _TWO64 = float(1 << 64)
+_EXACT_KEY_TYPES = frozenset((str, int))  # types whose equal values encode equally
 
 
 def _encode(parts: tuple) -> bytes:
@@ -39,10 +41,28 @@ def _encode(parts: tuple) -> bytes:
     return b"".join(chunks)
 
 
+@functools.lru_cache(maxsize=4096)
+def _prefix_state(prefix: tuple):
+    """BLAKE2b state after hashing _encode(prefix); callers copy it."""
+    return hashlib.blake2b(_encode(prefix), digest_size=8)
+
+
 def u64(seed: int, *key) -> int:
-    """Uniform 64-bit integer for (seed, key)."""
-    digest = hashlib.blake2b(_encode((seed,) + key), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
+    """Uniform 64-bit integer for (seed, key).
+
+    The digest is BLAKE2b of _encode((seed,) + key).  _encode concatenates
+    one chunk per part, so the state after the prefix (seed, stream tag,
+    entity) is hashed once and copied.  Only str and int prefix parts are
+    cached: equal values of those types encode equally, while 1 == 1.0 ==
+    True and 0.0 == -0.0 do not.
+    """
+    prefix = (seed,) + key[:2]
+    if _EXACT_KEY_TYPES.issuperset(map(type, prefix)):
+        state = _prefix_state(prefix).copy()
+        state.update(_encode(key[2:]))
+    else:
+        state = hashlib.blake2b(_encode((seed,) + key), digest_size=8)
+    return int.from_bytes(state.digest(), "big")
 
 
 def uniform(seed: int, *key) -> float:

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 
 from .attacks import AttackSpec
 from .clocks import CLOCK_PRESETS, ClockParameters, preset_parameters
+from .delay import link_terms_ps
 from .engine import Engine, SimConfig
 from .metrics import metrics_report
 from .sync import BerkeleyRound, CristianExchange, SyncOptions
@@ -190,13 +191,15 @@ def parse_scenario(data: dict) -> Scenario:
 
     clock_params = _parse_each(data, "clocks", _parse_clock, problems, dict)
 
-    graph = NetworkGraph()
+    nodes: dict[str, NodeSpec] = {}
     node_clock_names: dict[str, str] = {}
 
-    def add_node(spec: dict) -> None:
+    def parse_node(spec: dict) -> None:
         node_id = spec.get("id")
         if not node_id:
             raise ValueError("node without an id")
+        if node_id in nodes:
+            raise ValueError(f"duplicate node id: {node_id!r}")
         kind = spec.get("kind", "client")
         clock = None
         if kind in ("client", "time_server"):
@@ -214,19 +217,20 @@ def parse_scenario(data: dict) -> Scenario:
             if not isinstance(fm, dict):
                 raise TypeError(f"node {node_id!r}: failure_model: expected a JSON object")
             failure = FailureModel(**_read(FAILURE_KEYS, fm))
-        graph.add_node(NodeSpec(
+        nodes[node_id] = NodeSpec(
             node_id=node_id, kind=kind,
             router_kind=spec.get("router_kind"),
             router_delay=(_number("router_delay_s", spec["router_delay_s"])
                           if "router_delay_s" in spec else None),
-            failure_model=failure, clock=clock))
-    _parse_each(data, "nodes", add_node, problems)
+            failure_model=failure, clock=clock)
+    _parse_each(data, "nodes", parse_node, problems)
 
-    _parse_each(data, "links", lambda spec: graph.add_link(LinkSpec(
+    links = _parse_each(data, "links", lambda spec: LinkSpec(
         a=spec["a"], b=spec["b"],
         bandwidth_bps=_number("bandwidth_bps", spec["bandwidth_bps"]),
         distance_m=_number("distance_m", spec["distance_m"]),
-        medium=spec.get("medium", "fiber"))), problems)
+        medium=spec.get("medium", "fiber")), problems)
+    graph = NetworkGraph(nodes.values(), links.values())
 
     schedule = _parse_each(data, "sync_schedule", lambda spec: SyncScheduleEntry(
         time_s=_number("time_s", spec["time_s"]),
@@ -307,6 +311,19 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
             problems.append(Violation("medium_speeds_m_per_s",
                                       f"{medium}: speed must be a finite number > 0, "
                                       f"got {speed!r}"))
+    if not problems:
+        # a run quantizes each link's terms for every message it sends
+        sync = scenario.sync_options
+        largest = max([entry.size_bits for entry in scenario.workload]
+                      + ([sync.request_size_bits, sync.reply_size_bits]
+                         if scenario.sync_schedule else []), default=0)
+        for link in graph.links:
+            try:
+                link_terms_ps(link, largest, scenario.medium_speeds)
+            except OverflowError:
+                problems.append(Violation(f"link {link.a}--{link.b}",
+                                          f"delay of a {largest}-bit message is not a "
+                                          f"finite number of picoseconds"))
     return problems
 
 
@@ -323,6 +340,8 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError(
             [f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
         ) from None
+    except ValueError as exc:  # a number literal beyond the integer conversion limit
+        raise ScenarioError([f"{path}: parse error: {exc}"]) from None
     scenario = parse_scenario(data)
     problems = validate_scenario(scenario)
     if problems:

@@ -6,7 +6,9 @@ state.  Router activity is a pure function of (failure model, seed, time),
 so the graph itself is immutable after construction.
 """
 
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
+from types import MappingProxyType
 
 from . import randstream
 from .clocks import ClockParameters
@@ -125,36 +127,36 @@ class LinkSpec:
 
 
 class NetworkGraph:
-    """Immutable node/link collection with a derived adjacency map."""
+    """Immutable node/link collection with a derived adjacency map.
 
-    def __init__(self, nodes: list[NodeSpec] = (), links: list[LinkSpec] = ()):
-        self.nodes: dict[str, NodeSpec] = {}
-        self.links: list[LinkSpec] = []
-        self._adjacency: dict[str, list[LinkSpec]] = {}
+    Nodes and links are fixed at construction, so anything derived from a
+    graph (a view's compiled topology and its route cache) cannot go stale.
+    """
+
+    def __init__(self, nodes: Iterable[NodeSpec] = (), links: Iterable[LinkSpec] = ()):
+        by_id: dict[str, NodeSpec] = {}
+        adjacency: dict[str, list[LinkSpec]] = {}
         for node in nodes:
-            self.add_node(node)
-        for link in links:
-            self.add_link(link)
-
-    def add_node(self, node: NodeSpec) -> None:
-        if node.node_id in self.nodes:
-            raise ValueError(f"duplicate node id: {node.node_id!r}")
-        self.nodes[node.node_id] = node
-        self._adjacency[node.node_id] = []
-
-    def add_link(self, link: LinkSpec) -> None:
-        self.links.append(link)
-        for end in (link.a, link.b):
-            self._adjacency.setdefault(end, []).append(link)
+            if node.node_id in by_id:
+                raise ValueError(f"duplicate node id: {node.node_id!r}")
+            by_id[node.node_id] = node
+            adjacency[node.node_id] = []
+        self.links: tuple[LinkSpec, ...] = tuple(links)
+        for link in self.links:
+            for end in (link.a, link.b):
+                adjacency.setdefault(end, []).append(link)
+        self._nodes = by_id
+        self.nodes: Mapping[str, NodeSpec] = MappingProxyType(by_id)
+        self._adjacency = {node_id: tuple(ends) for node_id, ends in adjacency.items()}
 
     def node(self, node_id: str) -> NodeSpec:
-        return self.nodes[node_id]
+        return self._nodes[node_id]
 
-    def links_of(self, node_id: str) -> list[LinkSpec]:
-        return self._adjacency.get(node_id, [])
+    def links_of(self, node_id: str) -> tuple[LinkSpec, ...]:
+        return self._adjacency.get(node_id, ())
 
     def __contains__(self, node_id: str) -> bool:
-        return node_id in self.nodes
+        return node_id in self._nodes
 
 
 def router_flag(node: NodeSpec, t: float, seed: int = 0) -> int:

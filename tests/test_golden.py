@@ -6,13 +6,15 @@ states the old and new hash and the reason in CHANGES.md.
 """
 
 import hashlib
+import importlib.util
 from pathlib import Path
 
 import pytest
 
 from syncsim import build_engine, load_scenario, trace_bytes
 
-SCENARIO_DIR = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
+ROOT = Path(__file__).resolve().parent.parent
+SCENARIO_DIR = ROOT / "demos" / "scenarios"
 
 # scenario file stem -> (config seed, {seed: trace SHA-256})
 GOLDEN = {
@@ -46,3 +48,25 @@ def test_trace_sha256_is_pinned(stem, seed, sha256):
     engine = build_engine(scenario, seed)
     engine.run_until(scenario.config.duration)
     assert hashlib.sha256(trace_bytes(engine.records)).hexdigest() == sha256
+
+
+# benchmark workload (perfbench/workloads.py) -> trace SHA-256 at seed 1
+WORKLOADS = {
+    "mesh": "8ff6aadc5cf18b9fe0c8154fbf491fcfca9906245ee44a3fb213ec80a750edd9",
+    "mesh_attacked": "65cfe07524d74f100860355adc71612754778fc5790c8817eb33f0b7c486bd6b",
+    "line": "b102cf44767bd93d403491f44d7ec56df668a93e91928e00e06b2e98414310c0",
+}
+
+
+@pytest.mark.parametrize("workload", sorted(WORKLOADS))
+def test_benchmark_workload_trace_is_pinned(workload, tmp_path):
+    spec = importlib.util.spec_from_file_location("workloads",
+                                                  ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    path = tmp_path / f"{workload}.json"
+    path.write_bytes(workloads.scenario_bytes(workload, 1))
+    scenario = load_scenario(path)
+    engine = build_engine(scenario)
+    engine.run_until(scenario.config.duration)
+    assert hashlib.sha256(trace_bytes(engine.records)).hexdigest() == WORKLOADS[workload]

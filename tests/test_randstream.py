@@ -1,4 +1,6 @@
+import hashlib
 import math
+import random
 import statistics
 
 from hypothesis import given
@@ -55,3 +57,26 @@ def test_gaussian_moments():
     samples = [randstream.gaussian(11, sigma, "noise", i) for i in range(100_000)]
     assert abs(statistics.fmean(samples)) < 3 * sigma / math.sqrt(len(samples))
     assert abs(statistics.stdev(samples) - sigma) < 0.05 * sigma
+
+
+def test_prefix_cached_draws_equal_the_full_key_digest():
+    # small pools, so prefixes repeat and hash-equal parts that encode
+    # differently (1, True, 1.0; 0.0, -0.0; [1], (1,)) meet in one run
+    rng = random.Random(6)
+    pools = {
+        bool: [True, False], int: [-1, 0, 1, 2, 2**70], str: ["", "1", "r01", "é"],
+        float: [0.0, -0.0, 1.0, 0.5], tuple: [(1,), (True,), (1.0,), (-0.0, "x"), ()],
+        list: [[1], [True], [0.0, [1]]]}
+    seen = dict.fromkeys(pools, 0)
+    before = randstream._prefix_state.cache_info().hits
+    for _ in range(120_000):
+        seed = rng.choice([0, 1, 2**64 - 1])
+        key = []
+        for _ in range(rng.randint(0, 4)):  # short keys (0 or 1 part) included
+            kind = rng.choice(list(pools))
+            seen[kind] += 1
+            key.append(rng.choice(pools[kind]))
+        expected = hashlib.blake2b(randstream._encode((seed, *key)), digest_size=8).digest()
+        assert randstream.u64(seed, *key) == int.from_bytes(expected, "big"), (seed, key)
+    assert min(seen.values()) > 30_000
+    assert randstream._prefix_state.cache_info().hits - before > 10_000

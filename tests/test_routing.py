@@ -1,7 +1,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from syncsim.attacks import AttackSpec
 from syncsim.netview import NetworkView
 from syncsim.routing import NoRoute, RouteQuery, edge_weight_ps, shortest_path
 from syncsim.timebase import seconds_to_ps
@@ -124,6 +127,73 @@ def test_matches_brute_force_on_random_graphs():
         assert route.hops == oracle[1]
         agreements += 1
     assert agreements > 10  # the generator must exercise routable cases
+
+
+def _random_attacks(rng: random.Random, graph) -> tuple[AttackSpec, ...]:
+    """ddos (delay multiplier and drops), force_down and added_delay hijacks
+    on random routers, in windows that cover some query times and not others."""
+    routers = sorted(n for n, node in graph.nodes.items() if node.is_router)
+    attacks = []
+    for _ in range(rng.randint(1, 4) if routers else 0):
+        start = rng.choice([0.0, 0.5, 1.0, 2.0])
+        window = dict(target=rng.choice(routers), t_start=start,
+                      t_end=start + rng.choice([0.5, 1.0, 3.0]))
+        kind = rng.choice(["ddos", "force_down", "added_delay"])
+        if kind == "ddos":
+            attacks.append(AttackSpec("ddos", **window,
+                                      delay_multiplier=rng.choice([1.0, 1.5, 10.0]),
+                                      drop_probability=rng.choice([0.0, 0.5])))
+        else:
+            attacks.append(AttackSpec("router_hijack", **window, mode=kind,
+                                      added_delay=rng.choice([0.0, 1e-6, 1e-3])))
+    return tuple(attacks)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_cached_routes_match_brute_force_under_failures_and_attacks(seed):
+    # one view (and its attack-free baseline, which shares the route cache)
+    # queried at several times and sizes: repeats hit the cache, failures
+    # and attacks on a cached route force misses
+    rng = random.Random(seed)
+    graph = random_network(rng)
+    view = NetworkView(graph, seed=seed, attacks=_random_attacks(rng, graph))
+    endpoints = sorted(n for n, node in graph.nodes.items() if not node.is_router)
+    for target in (view, view.without_attacks()):
+        for _ in range(8):
+            source, destination = rng.sample(endpoints, 2)
+            q = query(source, destination, t=rng.choice([0.0, 0.25, 0.5, 1.5, 2.5, 4.0]),
+                      size=rng.choice([0, 12000, 10**6]))
+            oracle = enumerate_best_route(target, q)
+            if oracle is None:
+                with pytest.raises(NoRoute):
+                    shortest_path(target, q)
+                continue
+            route = shortest_path(target, q)
+            assert route.hops == oracle[1]
+            assert route.breakdown == oracle[2]
+            assert route.breakdown.total_ps == oracle[2].total_ps
+
+
+def test_attacked_router_on_cached_route_is_paid_or_avoided():
+    # the same (source, size) is routed before, during and after each window
+    nodes = [make_node("c1"), make_node("s1", "time_server"),
+             NodeSpec("fast", "router", router_delay=10e-6),
+             NodeSpec("slow", "router", router_delay=50e-6)]
+    links = [LinkSpec("c1", "fast", 1e9, 1e3), LinkSpec("fast", "s1", 1e9, 1e3),
+             LinkSpec("c1", "slow", 1e9, 1e3), LinkSpec("slow", "s1", 1e9, 1e3)]
+    attacks = (AttackSpec("ddos", "fast", 1.0, 2.0, delay_multiplier=3.0),
+               AttackSpec("router_hijack", "fast", 3.0, 4.0, mode="added_delay",
+                          added_delay=1e-3))
+    view = NetworkView(NetworkGraph(nodes, links), attacks=attacks)
+    before = shortest_path(view, query(t=0.5))
+    during_ddos = shortest_path(view, query(t=1.5))
+    during_hijack = shortest_path(view, query(t=3.5))
+    after = shortest_path(view, query(t=4.5))
+    assert before.hops == during_ddos.hops == after.hops == ("c1", "fast", "s1")
+    assert during_ddos.breakdown.router_ps == 3 * before.breakdown.router_ps
+    assert during_hijack.hops == ("c1", "slow", "s1")
+    assert after == before
 
 
 def test_prefixes_of_route_are_optimal():

@@ -162,6 +162,19 @@ ATTACK = {"kind": "ddos", "target": "s1", "window_s": [0.0, 1.0]}
     ({**MINIMAL, "config": {"seed": 1.9}}, "config: seed must be an integer, got 1.9"),
     ({**MINIMAL, "message_workload": [{**WORKLOAD, "size_bits": 1.7}]},
      "message_workload[0]: size_bits must be an integer, got 1.7"),
+    ({**MINIMAL, "nodes": MINIMAL["nodes"] + [{"id": "c1", "kind": "client"}]},
+     "nodes[2]: duplicate node id: 'c1'"),
+    # derived quantities and the JSON reader's own limits
+    (json.dumps(MINIMAL).replace("1000000.0", "1" + "0" * 5000),
+     "bad.json: parse error: Exceeds the limit"),
+    ({**MINIMAL, "links": [{**MINIMAL["links"][0], "bandwidth_bps": 1e-300}],
+      "message_workload": [WORKLOAD]},
+     "link c1--s1: delay of a 100-bit message is not a finite number of picoseconds"),
+    ({**MINIMAL, "links": [{**MINIMAL["links"][0], "bandwidth_bps": 1e-300}],
+      "sync_schedule": [CRISTIAN], "sync_options": {"reply_size_bits": 64000}},
+     "link c1--s1: delay of a 64000-bit message is not a finite number of picoseconds"),
+    ({**MINIMAL, "medium_speeds_m_per_s": {"fiber": 1e-300}},
+     "link c1--s1: delay of a 0-bit message is not a finite number of picoseconds"),
 ], ids=["top_level_array", "node", "link", "sync_entry", "workload_entry", "attack",
         "seed", "duration", "failure_model_null", "failure_field_null",
         # accepted before, then broke `run`
@@ -173,10 +186,13 @@ ATTACK = {"kind": "ddos", "target": "s1", "window_s": [0.0, 1.0]}
         "window_infinite", "router_delay_infinite", "distance_infinite",
         "bandwidth_infinite", "bandwidth_beyond_float", "up_duration_infinite",
         "forged_offset_infinite", "alpha0_infinite", "duration_beyond_ps", "service_time_infinite",
-        "timeout_factor_negative", "seed_fraction", "size_bits_fraction"])
+        "timeout_factor_negative", "seed_fraction", "size_bits_fraction", "duplicate_node_id",
+        # accepted or a traceback before, then broke `run`
+        "number_beyond_digit_limit", "workload_delay_beyond_ps", "sync_delay_beyond_ps",
+        "propagation_beyond_ps"])
 def test_malformed_scenario_is_a_named_problem(tmp_path, data, named):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data))
+    path.write_text(data if isinstance(data, str) else json.dumps(data))
     with pytest.raises(ScenarioError) as excinfo:
         load_scenario(path)
     assert any(named in p for p in excinfo.value.problems), excinfo.value.problems

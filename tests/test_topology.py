@@ -157,3 +157,14 @@ def test_alternating_flag_in_ps_domain():
     assert model.flag_at_ps("r", up - 1, seed=0) == 1
     assert model.flag_at_ps("r", up, seed=0) == 0
     assert model.flag_at_ps("r", 2 * up, seed=0) == 1
+
+
+def test_graph_is_fixed_at_construction():
+    # views compile a graph once and cache routes on it, so it cannot change
+    graph = NetworkGraph([make_node("a"), make_node("b")], [LinkSpec("a", "b", 1e9, 0.0)])
+    assert not hasattr(graph, "add_node") and not hasattr(graph, "add_link")
+    with pytest.raises(TypeError):
+        graph.nodes["c"] = make_node("c")
+    assert isinstance(graph.links, tuple) and isinstance(graph.links_of("a"), tuple)
+    with pytest.raises(ValueError, match="duplicate node id: 'a'"):
+        NetworkGraph([make_node("a"), make_node("a")])
