@@ -7,14 +7,12 @@ time-sync attack injection, with byte-reproducible traces.
 
 from .attacks import AttackSpec
 from .clocks import (CLOCK_PRESETS, ClockParameters, ExtremumReport,
-                     SoftwareClock, apply_correction, clock_offset,
-                     extremum_analysis, preset_parameters, read_clock,
-                     sample_noise)
+                     SoftwareClock, clock_offset, extremum_analysis,
+                     preset_parameters, read_clock)
 from .delay import (PathBlocked, PathDelayBreakdown, hop_delay_ps,
                     propagation_delay, total_path_delay, transmission_delay)
 from .dotexport import export_graph
 from .engine import Engine, Event, Message, SimConfig
-from .gnss import GNSS_PRESETS, GnssPreset, gnss_preset, sample_gnss_jitter
 from .metrics import metrics_report
 from .netview import NetworkView
 from .routing import NoRoute, Route, RouteQuery, edge_weight_ps, shortest_path
@@ -25,7 +23,7 @@ from .scenario import (Scenario, ScenarioError, SyncScheduleEntry,
 from .sync import (BerkeleyRound, CristianExchange, SyncExchange, SyncOptions,
                    SyncReport, berkeley_round, cristian_sync)
 from .topology import (FailureModel, LinkSpec, NetworkGraph, NodeSpec,
-                       Violation, medium_speed, router_flag, validate)
+                       Violation, medium_speed, validate)
 from .trace import (diff_traces, format_trace, load_trace, parse_trace,
                     trace_bytes, trace_sha256, write_trace)
 

@@ -137,11 +137,6 @@ class SoftwareClock:
 
     # -- corrections ------------------------------------------------------
 
-    @property
-    def pending_correction_ps(self) -> int:
-        """Total correction that will eventually be applied, in picoseconds."""
-        return sum(delta for _, delta, _ in self._corrections)
-
     def correction_at_ps(self, t_ps: int) -> int:
         """Correction actually in effect at t, honoring in-progress slews."""
         total = 0
@@ -191,33 +186,10 @@ def clock_offset(clock: SoftwareClock, t: float) -> float:
     return ps_to_seconds(clock.offset_ps(seconds_to_ps(t)))
 
 
-def sample_noise(clock: SoftwareClock, t: float) -> float:
-    """The random term of a reading at t, in seconds."""
-    return clock.noise_at_ps(seconds_to_ps(t))
-
-
-def apply_correction(clock: SoftwareClock, delta: float, policy: str = "step",
-                     rate: float | None = None, at: float = 0.0) -> SoftwareClock:
-    """Apply a synchronization correction of `delta` seconds to the clock.
-
-    `step` adds the whole delta immediately; `slew` spreads it linearly at
-    `rate` seconds of correction per simulated second starting at `at`.
-    """
-    delta_ps = seconds_to_ps(delta)
-    at_ps = seconds_to_ps(at)
-    if policy == "step":
-        clock.apply_step(delta_ps, at_ps)
-    elif policy == "slew":
-        if rate is None or rate <= 0:
-            raise ValueError("slew policy requires a positive rate")
-        clock.apply_slew(delta_ps, rate, at_ps)
-    else:
-        raise ValueError(f"unknown correction policy: {policy!r}")
-    return clock
-
-
 # Named presets addressable from scenario files.  GNSS presets are
-# drift-free clocks whose readings carry a bounded uniform jitter.
+# drift-free clocks whose readings carry a uniform jitter in [0, bound),
+# the constellation's one-way time-transfer bound: GPS and Galileo 30 ns,
+# BeiDou 50 ns, GLONASS 40 ns.
 CLOCK_PRESETS: dict[str, ClockParameters] = {
     "perfect": ClockParameters(model_kind="linear"),
     "cesium": ClockParameters(beta=1e-6, gamma=0.0, model_kind="linear"),

@@ -1,10 +1,11 @@
 """Counter-based keyed random streams.
 
-Every random quantity in a run (clock noise, router failure flags, attack
-drops, GNSS jitter) is drawn from its own stream keyed by the global seed
-plus entity identifiers, never from a shared sequential generator.  Adding a
-new consumer therefore never perturbs existing draws, which is what makes
-attack/no-attack trace comparisons byte-stable.
+Every random quantity in a run (a clock's clock_noise and clock_jitter
+draws, router failure flags, attack drops) is drawn from its own stream
+keyed by the global seed plus entity identifiers, never from a shared
+sequential generator.  Adding a new consumer therefore never perturbs
+existing draws, which is what makes attack/no-attack trace comparisons
+byte-stable.
 
 Draws are derived from BLAKE2b digests of a canonical key encoding, so they
 are identical across platforms and Python versions.

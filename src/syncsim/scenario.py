@@ -97,16 +97,18 @@ def _node_ref(value) -> str:
     return value
 
 
-def _number(key: str, value) -> float:
-    """float(value), rejecting a number that is not finite and, for a key in
-    seconds (an _s suffix), one whose picosecond count is not finite."""
+def _number(key: str, value, seconds: bool = False) -> float:
+    """float(value), rejecting a number that is not finite and, for a value in
+    seconds (a key with an _s suffix, or `seconds`), one whose picosecond
+    count is not finite."""
+    seconds = seconds or key.endswith("_s")
     try:
         number = float(value)
     except OverflowError:  # an integer beyond the float range
         number = math.inf
-    if not math.isfinite(number * (PS_PER_SECOND if key.endswith("_s") else 1)):
+    if not math.isfinite(number * (PS_PER_SECOND if seconds else 1)):
         raise ValueError(f"{key} must be a finite number"
-                         f"{' of picoseconds' if key.endswith('_s') else ''}, got {value!r}")
+                         f"{' of picoseconds' if seconds else ''}, got {value!r}")
     return number
 
 
@@ -125,7 +127,9 @@ def _number_or_null(key: str, value) -> float | None:
 
 
 def _offset_table(key: str, value) -> tuple[tuple[float, float], ...]:
-    return tuple((_number(key, t), _number(key, v)) for t, v in value)
+    """(time, offset) points, both in seconds."""
+    return tuple((_number(key, t, seconds=True), _number(key, v, seconds=True))
+                 for t, v in value)
 
 
 # One table per section of optional keys: JSON key -> (dataclass field, reader).
@@ -190,6 +194,7 @@ def parse_scenario(data: dict) -> Scenario:
         config = SimConfig()
 
     clock_params = _parse_each(data, "clocks", _parse_clock, problems, dict)
+    clock_entries = data["clocks"] if isinstance(data.get("clocks"), dict) else {}
 
     nodes: dict[str, NodeSpec] = {}
     node_clock_names: dict[str, str] = {}
@@ -209,7 +214,7 @@ def parse_scenario(data: dict) -> Scenario:
                 clock = clock_params[clock_name]
             elif clock_name in CLOCK_PRESETS:
                 clock = preset_parameters(clock_name)
-            else:
+            elif clock_name not in clock_entries:  # a malformed entry is its own problem
                 raise ValueError(f"node {node_id!r}: unknown clock {clock_name!r}")
         failure = None
         if "failure_model" in spec:

@@ -159,13 +159,6 @@ class NetworkGraph:
         return node_id in self._nodes
 
 
-def router_flag(node: NodeSpec, t: float, seed: int = 0) -> int:
-    """Flag(t) for a router node: 1 when active, 0 when failed."""
-    if not node.is_router:
-        raise ValueError(f"node {node.node_id!r} is not a router")
-    return node.failure_model.flag_at_ps(node.node_id, seconds_to_ps(t), seed)
-
-
 @dataclass(frozen=True)
 class Violation:
     entity: str

@@ -6,6 +6,16 @@ from syncsim.topology import LinkSpec, NetworkGraph, NodeSpec
 
 PERFECT = ClockParameters(model_kind="linear")
 
+# "ACCEPTANCE n <name>: PASS|FAIL (<runtime>)", one per criterion run in
+# tests/test_acceptance.py; printed in the terminal summary, so they show
+# under pytest's default output capture
+ACCEPTANCE_LINES: list[str] = []
+
+
+def pytest_terminal_summary(terminalreporter):
+    for line in ACCEPTANCE_LINES:
+        terminalreporter.write_line(line)
+
 
 def make_node(node_id, kind="client", **kwargs):
     if kind in ("client", "time_server") and "clock" not in kwargs:

@@ -1,7 +1,8 @@
 """Acceptance suite: one test per release criterion.
 
-Each criterion prints a PASS/FAIL line with its runtime so the gate can be
-read off a plain pytest run.  Tolerances are fixed here, not configurable:
+Each criterion records a PASS/FAIL line with its runtime, which the terminal
+summary prints (tests/conftest.py), so the gate can be read off a plain
+pytest run.  Tolerances are fixed here, not configurable:
 exact integer-picosecond equality where stated, 1 ns for synchronization
 corrections, 1e-12 s for drift-offset arithmetic.
 """
@@ -17,10 +18,9 @@ from pathlib import Path
 import pytest
 
 from syncsim.attacks import AttackSpec
-from syncsim.clocks import ClockParameters, SoftwareClock, clock_offset
+from syncsim.clocks import CLOCK_PRESETS, ClockParameters, SoftwareClock, clock_offset
 from syncsim.delay import total_path_delay
 from syncsim.engine import Engine
-from syncsim.gnss import GNSS_PRESETS, sample_gnss_jitter
 from syncsim.netview import NetworkView
 from syncsim.routing import NoRoute, RouteQuery, shortest_path
 from syncsim.scenario import load_scenario, run_scenario, validate_scenario
@@ -29,7 +29,7 @@ from syncsim.timebase import seconds_to_ps
 from syncsim.topology import LinkSpec, NetworkGraph, NodeSpec
 from syncsim.trace import trace_sha256
 
-from conftest import PERFECT, line_graph
+from conftest import ACCEPTANCE_LINES, PERFECT, line_graph
 from oracles import enumerate_best_route, random_network
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
@@ -41,12 +41,12 @@ def criterion(number: int, name: str, budget_s: float):
     try:
         yield
     except BaseException:
-        print(f"ACCEPTANCE {number} {name}: FAIL "
-              f"({time.monotonic() - started:.2f}s)", file=sys.__stdout__)
+        ACCEPTANCE_LINES.append(f"ACCEPTANCE {number} {name}: FAIL "
+                                f"({time.monotonic() - started:.2f}s)")
         raise
     elapsed = time.monotonic() - started
-    print(f"ACCEPTANCE {number} {name}: PASS ({elapsed:.2f}s)",
-          file=sys.__stdout__)
+    verdict = "PASS" if elapsed < budget_s else "FAIL"
+    ACCEPTANCE_LINES.append(f"ACCEPTANCE {number} {name}: {verdict} ({elapsed:.2f}s)")
     assert elapsed < budget_s, f"runtime {elapsed:.2f}s exceeds {budget_s}s budget"
 
 
@@ -186,11 +186,16 @@ def test_criterion_7_attack_superposition():
 
 def test_criterion_8_gnss_presets():
     with criterion(8, "gnss-presets", 30.0):
-        for name, preset in GNSS_PRESETS.items():
-            bound = preset.jitter_bound_ns
-            for i in range(1_000_000):
-                draw = sample_gnss_jitter(preset, 8, i)
-                assert 0.0 <= draw < bound
+        # a GNSS preset is a drift-free clock whose readings carry jitter
+        gnss = {name: params for name, params in CLOCK_PRESETS.items()
+                if params.jitter_bound_ns > 0}
+        assert sorted(gnss) == ["beidou", "galileo", "glonass", "gps"]
+        for name, params in gnss.items():
+            clock = SoftwareClock(name, params, seed=8)
+            bound = params.jitter_bound_ns * 1e-9
+            for t_ps in range(1_000_000):
+                jitter = clock.noise_at_ps(t_ps)
+                assert 0.0 <= jitter < bound
 
 
 def test_criterion_9_determinism():

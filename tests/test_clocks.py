@@ -6,8 +6,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from syncsim.clocks import (CLOCK_PRESETS, ClockParameters, SoftwareClock,
-                            apply_correction, clock_offset, extremum_analysis,
-                            preset_parameters, read_clock, sample_noise)
+                            clock_offset, extremum_analysis, preset_parameters,
+                            read_clock)
 from syncsim.timebase import seconds_to_ps
 
 QUARTZ = ClockParameters(beta=10e-6, gamma=-1e-10)
@@ -152,13 +152,14 @@ def test_linear_model_has_no_extremum_even_with_gamma_field():
 
 def test_zero_sigma_noise_is_exact_zero():
     clock = make_clock(ClockParameters())
-    assert sample_noise(clock, 123.0) == 0.0
+    assert clock.noise_at_ps(seconds_to_ps(123.0)) == 0.0
 
 
 def test_noise_is_deterministic_per_query():
     clock = make_clock(ClockParameters(noise_sigma=1e-9), seed=5)
-    assert sample_noise(clock, 7.25) == sample_noise(clock, 7.25)
-    assert sample_noise(clock, 7.25) != sample_noise(clock, 7.26)
+    t_ps = seconds_to_ps(7.25)
+    assert clock.noise_at_ps(t_ps) == clock.noise_at_ps(t_ps)
+    assert clock.noise_at_ps(t_ps) != clock.noise_at_ps(seconds_to_ps(7.26))
 
 
 def test_noise_moments():
@@ -174,37 +175,38 @@ def test_noise_moments():
 def test_step_correction_shifts_readings():
     clock = make_clock(ClockParameters(model_kind="linear"))
     before = read_clock(clock, 10.0)
-    apply_correction(clock, -2.0, "step")
+    clock.apply_step(seconds_to_ps(-2.0))
     assert read_clock(clock, 10.0) == before - 2.0
 
 
 def test_zero_correction_is_identity():
     clock = make_clock(QUARTZ)
     before = read_clock(clock, 10.0)
-    apply_correction(clock, 0.0, "step")
+    clock.apply_step(0)
     assert read_clock(clock, 10.0) == before
 
 
 def test_slew_applies_linearly():
     clock = make_clock(ClockParameters(model_kind="linear"))
-    apply_correction(clock, -2.0, "slew", rate=1e-2, at=0.0)
+    clock.apply_slew(seconds_to_ps(-2.0), 1e-2, at_ps=0)
     # delta/rate = 200 s to complete
     assert clock.correction_at_ps(seconds_to_ps(100.0)) == seconds_to_ps(-1.0)
     assert clock.correction_at_ps(seconds_to_ps(200.0)) == seconds_to_ps(-2.0)
     assert clock.correction_at_ps(seconds_to_ps(500.0)) == seconds_to_ps(-2.0)
-    assert clock.pending_correction_ps == seconds_to_ps(-2.0)
 
 
 def test_slew_requires_positive_rate():
     clock = make_clock(QUARTZ)
-    with pytest.raises(ValueError):
-        apply_correction(clock, 1.0, "slew", rate=0.0)
+    for rate in (0.0, -1e-2):
+        with pytest.raises(ValueError):
+            clock.apply_slew(seconds_to_ps(1.0), rate)
 
 
 def test_reads_never_mutate_corrections():
     clock = make_clock(QUARTZ)
-    read_clock(clock, 5.0)
-    assert clock.pending_correction_ps == 0
+    before = read_clock(clock, 5.0)
+    assert clock.correction_at_ps(seconds_to_ps(1e6)) == 0
+    assert read_clock(clock, 5.0) == before
 
 
 # -- user-defined table -----------------------------------------------------

@@ -1,6 +1,8 @@
-"""Every demo script runs to completion against the package in src/."""
+"""Every demo script, and the README's Quick start, runs to completion
+against the package in src/."""
 
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,9 +13,20 @@ ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("0*.py"))
 
 
+def run_python(args, cwd):
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    return subprocess.run([sys.executable, *args], cwd=cwd, env=env,
+                          capture_output=True, text=True, timeout=120)
+
+
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda path: path.stem)
 def test_demo_exits_cleanly(demo, tmp_path):
-    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
-    result = subprocess.run([sys.executable, str(demo)], cwd=tmp_path, env=env,
-                            capture_output=True, text=True, timeout=120)
+    result = run_python([str(demo)], tmp_path)
+    assert result.returncode == 0, result.stderr
+
+
+def test_readme_quick_start_runs(tmp_path):
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    [quick_start] = re.findall(r"```python\n(.*?)```", readme, re.DOTALL)
+    result = run_python(["-c", quick_start], tmp_path)
     assert result.returncode == 0, result.stderr

@@ -4,8 +4,8 @@ from pathlib import Path
 
 import pytest
 
+from syncsim.clocks import ClockParameters, SoftwareClock, preset_parameters
 from syncsim.dotexport import export_graph
-from syncsim.gnss import GNSS_PRESETS, GnssPreset, gnss_preset, sample_gnss_jitter
 from syncsim.netview import NetworkView
 from syncsim.scenario import (ScenarioError, load_scenario,
                               parse_scenario, run_scenario, scenario_to_dict,
@@ -175,6 +175,9 @@ ATTACK = {"kind": "ddos", "target": "s1", "window_s": [0.0, 1.0]}
      "link c1--s1: delay of a 64000-bit message is not a finite number of picoseconds"),
     ({**MINIMAL, "medium_speeds_m_per_s": {"fiber": 1e-300}},
      "link c1--s1: delay of a 0-bit message is not a finite number of picoseconds"),
+    ({**MINIMAL, "clocks": {"table": {"model": "user_defined",
+                                      "offset_table": [[0, 0], [1e-300, 1e300]]}}},
+     "clocks['table']: offset_table must be a finite number of picoseconds, got 1e+300"),
 ], ids=["top_level_array", "node", "link", "sync_entry", "workload_entry", "attack",
         "seed", "duration", "failure_model_null", "failure_field_null",
         # accepted before, then broke `run`
@@ -189,13 +192,26 @@ ATTACK = {"kind": "ddos", "target": "s1", "window_s": [0.0, 1.0]}
         "timeout_factor_negative", "seed_fraction", "size_bits_fraction", "duplicate_node_id",
         # accepted or a traceback before, then broke `run`
         "number_beyond_digit_limit", "workload_delay_beyond_ps", "sync_delay_beyond_ps",
-        "propagation_beyond_ps"])
+        "propagation_beyond_ps", "offset_table_beyond_ps"])
 def test_malformed_scenario_is_a_named_problem(tmp_path, data, named):
     path = tmp_path / "bad.json"
     path.write_text(data if isinstance(data, str) else json.dumps(data))
     with pytest.raises(ScenarioError) as excinfo:
         load_scenario(path)
     assert any(named in p for p in excinfo.value.problems), excinfo.value.problems
+
+
+def test_malformed_clock_is_its_only_problem(tmp_path):
+    # the node naming the clock does not add a second, "unknown clock" problem
+    data = json.loads((SCENARIO_DIR / "minimal_pair.json").read_text())
+    data["clocks"]["drifting"]["noise_sigma_s"] = 1e300
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(ScenarioError) as excinfo:
+        load_scenario(path)
+    assert excinfo.value.problems == [
+        "clocks['drifting']: noise_sigma_s must be a finite number of picoseconds, "
+        "got 1e+300"]
 
 
 @pytest.mark.parametrize("section, entry, named", [
@@ -323,35 +339,44 @@ def test_write_then_load_is_a_fixpoint(tmp_path):
 
 # -- GNSS presets ------------------------------------------------------------------
 
+GNSS = ("gps", "beidou", "galileo", "glonass")
+
+
+def jitter_draws(name, seed, count):
+    """A GNSS preset clock's per-reading jitter (seconds) at t = 0, 1, 2, ... ps."""
+    clock = SoftwareClock(name, preset_parameters(name), seed)
+    return [clock.noise_at_ps(t_ps) for t_ps in range(count)]
+
+
 def test_gnss_preset_bounds():
-    assert gnss_preset("gps").jitter_bound_ns == 30.0
-    assert gnss_preset("beidou").jitter_bound_ns == 50.0
-    assert gnss_preset("galileo").jitter_bound_ns == 30.0
-    assert gnss_preset("glonass").jitter_bound_ns == 40.0
+    assert preset_parameters("gps").jitter_bound_ns == 30.0
+    assert preset_parameters("beidou").jitter_bound_ns == 50.0
+    assert preset_parameters("galileo").jitter_bound_ns == 30.0
+    assert preset_parameters("glonass").jitter_bound_ns == 40.0
     with pytest.raises(ValueError):
-        gnss_preset("loran")
+        preset_parameters("loran")
 
 
 def test_gnss_jitter_stays_in_half_open_interval():
-    for name, preset in GNSS_PRESETS.items():
-        draws = [sample_gnss_jitter(preset, 5, name, i) for i in range(20_000)]
-        assert all(0.0 <= d < preset.jitter_bound_ns for d in draws)
+    for name in GNSS:
+        bound = preset_parameters(name).jitter_bound_ns * 1e-9
+        assert all(0.0 <= d < bound for d in jitter_draws(name, 5, 20_000))
 
 
 def test_beidou_jitter_mean():
-    preset = gnss_preset("beidou")
-    draws = [sample_gnss_jitter(preset, 11, i) for i in range(100_000)]
-    assert abs(sum(draws) / len(draws) - 25.0) < 0.5
+    draws = jitter_draws("beidou", 11, 100_000)
+    assert abs(sum(draws) / len(draws) - 25e-9) < 0.5e-9
 
 
 def test_degenerate_zero_bound_always_zero():
-    preset = GnssPreset("custom", 0.0)
-    assert all(sample_gnss_jitter(preset, 1, i) == 0.0 for i in range(100))
+    params = ClockParameters(model_kind="linear", jitter_bound_ns=0.0)
+    clock = SoftwareClock("custom", params, 1)
+    assert all(clock.noise_at_ps(t_ps) == 0.0 for t_ps in range(100))
 
 
 def test_gnss_jitter_deterministic():
-    preset = gnss_preset("gps")
-    assert sample_gnss_jitter(preset, 9, 4) == sample_gnss_jitter(preset, 9, 4)
+    assert jitter_draws("gps", 9, 5) == jitter_draws("gps", 9, 5)
+    assert jitter_draws("gps", 9, 5) != jitter_draws("gps", 10, 5)
 
 
 # -- DOT export --------------------------------------------------------------------

@@ -3,65 +3,58 @@ import pytest
 from syncsim.clocks import preset_parameters
 from syncsim.timebase import seconds_to_ps
 from syncsim.topology import (FailureModel, LinkSpec, NetworkGraph, NodeSpec,
-                              medium_speed, router_flag, validate)
+                              medium_speed, validate)
 
 from conftest import make_node
 
 
-def router(node_id, model=None, delay=50e-6):
-    return NodeSpec(node_id, "router", router_delay=delay, failure_model=model)
+def router(node_id, delay=50e-6):
+    return NodeSpec(node_id, "router", router_delay=delay)
 
 
 # -- router flags -------------------------------------------------------------
 
+def flags(model, times_s, seed=0):
+    """Flag(t) of router r1 at each time in seconds, as the network view reads it."""
+    return [model.flag_at_ps("r1", seconds_to_ps(t), seed) for t in times_s]
+
+
 def test_always_active_flag():
-    node = router("r1", FailureModel("always_active"))
-    assert all(router_flag(node, t) == 1 for t in (0.0, 1.5, 1e6))
+    assert flags(FailureModel("always_active"), (0.0, 1.5, 1e6)) == [1, 1, 1]
 
 
 def test_always_failed_flag():
-    node = router("r1", FailureModel("always_failed"))
-    assert all(router_flag(node, t) == 0 for t in (0.0, 1.5, 1e6))
+    assert flags(FailureModel("always_failed"), (0.0, 1.5, 1e6)) == [0, 0, 0]
 
 
 def test_certain_bernoulli_failure():
-    node = router("r1", FailureModel("bernoulli", failure_probability=1.0))
-    assert router_flag(node, 3.0) == 0
+    assert flags(FailureModel("bernoulli", failure_probability=1.0), (3.0,)) == [0]
 
 
 def test_bernoulli_active_fraction():
-    node = router("r1", FailureModel("bernoulli", failure_probability=0.3))
-    active = sum(router_flag(node, float(epoch), seed=21) for epoch in range(100_000))
+    model = FailureModel("bernoulli", failure_probability=0.3)
+    active = sum(flags(model, map(float, range(100_000)), seed=21))
     assert abs(active / 100_000 - 0.70) < 0.01
 
 
 def test_flag_deterministic_across_query_orderings():
-    node = router("r1", FailureModel("bernoulli", failure_probability=0.5))
-    forward = [router_flag(node, float(t), seed=5) for t in range(200)]
-    backward = [router_flag(node, float(t), seed=5) for t in reversed(range(200))]
+    model = FailureModel("bernoulli", failure_probability=0.5)
+    forward = flags(model, map(float, range(200)), seed=5)
+    backward = flags(model, map(float, reversed(range(200))), seed=5)
     assert forward == list(reversed(backward))
 
 
 def test_alternating_schedule():
-    node = router("r1", FailureModel("alternating", up_duration=2.0, down_duration=3.0))
-    assert router_flag(node, 0.0) == 1
-    assert router_flag(node, 1.999) == 1
-    assert router_flag(node, 2.0) == 0
-    assert router_flag(node, 4.999) == 0
-    assert router_flag(node, 5.0) == 1  # next period
+    model = FailureModel("alternating", up_duration=2.0, down_duration=3.0)
+    # the last time is in the next period
+    assert flags(model, (0.0, 1.999, 2.0, 4.999, 5.0)) == [1, 1, 0, 0, 1]
 
 
 def test_alternating_duty_cycle_exact_over_whole_periods():
     model = FailureModel("alternating", up_duration=2.0, down_duration=3.0)
-    node = router("r1", model)
     # sample a grid that divides both phases exactly: 0.5 s steps, 4 periods
-    samples = [router_flag(node, k * 0.5) for k in range(40)]
+    samples = flags(model, [k * 0.5 for k in range(40)])
     assert sum(samples) / len(samples) == 2.0 / (2.0 + 3.0)
-
-
-def test_flag_of_non_router_rejected():
-    with pytest.raises(ValueError):
-        router_flag(make_node("c1", "client"), 0.0)
 
 
 def test_router_defaults_by_kind():
