@@ -12,6 +12,7 @@ diff-trace), 2 runtime error.
 """
 
 import argparse
+import hashlib
 import json
 import sys
 
@@ -19,7 +20,7 @@ from .clocks import ClockParameters, extremum_analysis
 from .dotexport import export_graph
 from .netview import NetworkView
 from .scenario import ScenarioError, load_scenario, run_scenario
-from .trace import diff_traces, load_trace, trace_sha256, write_trace, TraceFormatError
+from .trace import diff_traces, load_trace, trace_bytes, TraceFormatError
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -38,8 +39,10 @@ def _cmd_run(args) -> int:
     except Exception as exc:  # NoRoute-fatal and other simulation failures
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
+    data = trace_bytes(records)
     if args.trace:
-        write_trace(records, args.trace)
+        with open(args.trace, "wb") as handle:
+            handle.write(data)
     if args.metrics:
         with open(args.metrics, "w", encoding="utf-8") as handle:
             json.dump(metrics, handle, indent=2, sort_keys=True)
@@ -50,7 +53,7 @@ def _cmd_run(args) -> int:
           f"blocked={summary['blocked']}; sync rounds="
           f"{metrics['aggregate']['sync_rounds']} "
           f"(failures={metrics['aggregate']['sync_failures']}); "
-          f"trace sha256={trace_sha256(records)}")
+          f"trace sha256={hashlib.sha256(data).hexdigest()}")
     return EXIT_OK
 
 

@@ -13,6 +13,7 @@ Model kinds:
                interpolated between points and held flat outside them
 """
 
+import math
 from bisect import bisect_right
 from dataclasses import dataclass
 
@@ -79,7 +80,11 @@ def _interpolate(table: tuple[tuple[float, float], ...], t: float) -> float:
     i = bisect_right(times, t)
     t0, v0 = table[i - 1]
     t1, v1 = table[i]
-    return v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+    rise = (v1 - v0) * (t - t0)
+    if math.isfinite(rise):
+        return v0 + rise / (t1 - t0)
+    # the product can overflow where the offset itself is finite: divide first
+    return v0 + (v1 - v0) * ((t - t0) / (t1 - t0))
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,12 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .attacks import AttackSpec
-from .clocks import CLOCK_PRESETS, ClockParameters, preset_parameters
+from .clocks import CLOCK_PRESETS, ClockParameters, extremum_analysis, preset_parameters
 from .delay import link_terms_ps
 from .engine import Engine, SimConfig
 from .metrics import metrics_report
 from .sync import BerkeleyRound, CristianExchange, SyncOptions
-from .timebase import PS_PER_SECOND, seconds_to_ps
+from .timebase import PS_PER_SECOND, ps_to_seconds, seconds_to_ps
 from .topology import (MEDIA, FailureModel, LinkSpec, NetworkGraph, NodeSpec,
                        Violation, validate)
 
@@ -264,6 +264,22 @@ def parse_scenario(data: dict) -> Scenario:
                     sync_options=sync_options, node_clock_names=node_clock_names)
 
 
+def _drift_is_finite_ps(params: ClockParameters, duration: float) -> bool:
+    """Whether the clock's drift offset quantizes to finite picoseconds, as
+    `SoftwareClock.offset_ps` quantizes it, over [0, duration]: at both ends
+    and at the extremum when it lies inside, which bound a quadratic."""
+    times_ps = [0, seconds_to_ps(duration)]
+    extremum = extremum_analysis(params)
+    if extremum.has_extremum and 0 < extremum.t_star < duration:
+        times_ps.append(seconds_to_ps(extremum.t_star))
+    try:
+        for t_ps in times_ps:
+            seconds_to_ps(params.drift_offset(ps_to_seconds(t_ps)))
+    except (OverflowError, ValueError):  # infinite, or NaN from inf - inf
+        return False
+    return True
+
+
 def validate_scenario(scenario: Scenario) -> list[Violation]:
     """Graph invariants plus scenario-level cross-reference checks."""
     problems = validate(scenario.graph)
@@ -316,19 +332,36 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
             problems.append(Violation("medium_speeds_m_per_s",
                                       f"{medium}: speed must be a finite number > 0, "
                                       f"got {speed!r}"))
+    if scenario.config.duration >= 0:
+        for name, params in scenario.clock_params.items():
+            if not _drift_is_finite_ps(params, scenario.config.duration):
+                problems.append(Violation(f"clocks[{name!r}]",
+                                          "drift offset within duration_s is not a "
+                                          "finite number of picoseconds"))
     if not problems:
         # a run quantizes each link's terms for every message it sends
         sync = scenario.sync_options
         largest = max([entry.size_bits for entry in scenario.workload]
                       + ([sync.request_size_bits, sync.reply_size_bits]
                          if scenario.sync_schedule else []), default=0)
+        # no route crosses a link or router twice each way, so this bounds
+        # every baseline round trip a sync exchange budgets its timeout on
+        longest_rtt_ps = 2 * sum(seconds_to_ps(node.router_delay)
+                                 for node in graph.nodes.values() if node.is_router)
         for link in graph.links:
             try:
-                link_terms_ps(link, largest, scenario.medium_speeds)
+                longest_rtt_ps += 2 * sum(link_terms_ps(link, largest, scenario.medium_speeds))
             except OverflowError:
                 problems.append(Violation(f"link {link.a}--{link.b}",
                                           f"delay of a {largest}-bit message is not a "
                                           f"finite number of picoseconds"))
+        if scenario.sync_schedule and not problems:
+            try:
+                sync.timeout_ps(longest_rtt_ps)
+            except OverflowError:
+                problems.append(Violation("sync_options",
+                                          f"timeout_factor {sync.timeout_factor!r} times a "
+                                          f"round trip is not a finite number of picoseconds"))
     return problems
 
 

@@ -45,6 +45,13 @@ class SyncOptions:
         if self.correction_policy == "slew" and (self.slew_rate is None or self.slew_rate <= 0):
             raise ValueError("slew policy requires a positive slew_rate")
 
+    def timeout_ps(self, baseline_rtt_ps: int) -> int:
+        """How long an exchange waits for its reply: timeout_factor times the
+        attack-free round trip plus the server's service time.  Raises
+        OverflowError when that is not a finite number of picoseconds."""
+        return round(self.timeout_factor *
+                     (baseline_rtt_ps + seconds_to_ps(self.server_service_time)))
+
 
 @dataclass
 class SyncExchange:
@@ -147,8 +154,7 @@ class _PeerExchange:
         if baseline is None:
             wait_ps = seconds_to_ps(opts.default_timeout)
         else:
-            wait_ps = round(opts.timeout_factor *
-                            (baseline + seconds_to_ps(opts.server_service_time)))
+            wait_ps = opts.timeout_ps(baseline)
         self._timeout_event = engine.schedule_ps(
             at_ps + wait_ps, "timeout", {"message_id": request.message_id, "node": client},
             action=self._timed_out)

@@ -3,10 +3,21 @@
 All times and delays in a trace are integer picoseconds and keys are
 sorted, so the byte stream for a (scenario, seed) pair is identical across
 runs and platforms and can be compared by hash.
+
+The canonical line of a record is exactly
+`json.dumps(record, sort_keys=True, separators=(",", ":"))` (ASCII escapes)
+followed by a newline.  `format_record` emits those same bytes without
+calling `json.dumps` per record: it caches one plan per key shape (the
+record's keys in insertion order), holding the keys in sorted order, each
+with its escaped `{"key":` or `,"key":` prefix, and writes int, str and
+list-of-str values directly.  Any other value, and any record with no keys
+or a non-str key, still goes through that `json.dumps` call.
 """
 
+import functools
 import hashlib
 import json
+from json.encoder import encode_basestring_ascii
 
 RECORD_KINDS = ("message_send", "hop_arrival", "delivery", "timeout",
                 "sync_step", "attack_edge")
@@ -14,12 +25,42 @@ RECORD_KINDS = ("message_send", "hop_arrival", "delivery", "timeout",
 REQUIRED_FIELDS = ("sim_time_ps", "sequence", "kind")
 
 
+def _dumps(value) -> str:
+    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+
+
+@functools.lru_cache(maxsize=256)
+def _plan(keys: tuple) -> tuple | None:
+    """(key, prefix) pairs in sorted key order, or None when `keys` is empty
+    or holds a non-str key."""
+    if not keys or any(type(key) is not str for key in keys):
+        return None
+    return tuple((key, ("," if i else "{") + encode_basestring_ascii(key) + ":")
+                 for i, key in enumerate(sorted(keys)))
+
+
 def format_record(record: dict) -> str:
-    return json.dumps(record, sort_keys=True, separators=(",", ":"))
+    plan = _plan(tuple(record))
+    if plan is None:
+        return _dumps(record)
+    parts = []
+    for key, prefix in plan:
+        value = record[key]
+        value_type = type(value)  # exact: bool and other subclasses fall through
+        if value_type is int:
+            parts.append(prefix + int.__repr__(value))
+        elif value_type is str:
+            parts.append(prefix + encode_basestring_ascii(value))
+        elif value_type is list and all(type(item) is str for item in value):
+            parts.append(prefix + "[" + ",".join(map(encode_basestring_ascii, value)) + "]")
+        else:
+            parts.append(prefix + _dumps(value))
+    parts.append("}")
+    return "".join(parts)
 
 
 def format_trace(records: list[dict]) -> str:
-    return "".join(format_record(r) + "\n" for r in records)
+    return "".join([format_record(r) + "\n" for r in records])
 
 
 def trace_bytes(records: list[dict]) -> bytes:

@@ -220,6 +220,16 @@ def test_user_table_interpolates_and_extrapolates_flat():
     assert clock_offset(clock, 0.0) == 0.0
 
 
+def test_user_table_between_far_apart_points_stays_finite():
+    # (v1 - v0) * (t - t0) overflows here although every point, and the
+    # offset between them, is a finite number of picoseconds
+    params = ClockParameters(model_kind="user_defined",
+                             offset_table=((0.0, -1e296), (1e30, 1e296)))
+    offset = params.drift_offset(1e12)
+    assert offset == -1e296 + 2e296 * (1e12 / 1e30)
+    assert make_clock(params).offset_ps(seconds_to_ps(1e12)) == seconds_to_ps(offset)
+
+
 def test_user_table_requires_sorted_times():
     with pytest.raises(ValueError):
         ClockParameters(model_kind="user_defined",

@@ -178,6 +178,15 @@ ATTACK = {"kind": "ddos", "target": "s1", "window_s": [0.0, 1.0]}
     ({**MINIMAL, "clocks": {"table": {"model": "user_defined",
                                       "offset_table": [[0, 0], [1e-300, 1e300]]}}},
      "clocks['table']: offset_table must be a finite number of picoseconds, got 1e+300"),
+    ({**MINIMAL, "sync_schedule": [CRISTIAN], "sync_options": {"timeout_factor": 1e300}},
+     "sync_options: timeout_factor 1e+300 times a round trip is not a finite number of "
+     "picoseconds"),
+    ({**MINIMAL, "config": {"duration_s": 5.0}, "clocks": {"osc": {"beta": 1e300}}},
+     "clocks['osc']: drift offset within duration_s is not a finite number of picoseconds"),
+    # zero at both ends of the run, beyond picoseconds at its extremum t = 2 s
+    ({**MINIMAL, "config": {"duration_s": 4.0},
+      "clocks": {"osc": {"beta": 4e296, "gamma": -1e296}}},
+     "clocks['osc']: drift offset within duration_s is not a finite number of picoseconds"),
 ], ids=["top_level_array", "node", "link", "sync_entry", "workload_entry", "attack",
         "seed", "duration", "failure_model_null", "failure_field_null",
         # accepted before, then broke `run`
@@ -192,7 +201,8 @@ ATTACK = {"kind": "ddos", "target": "s1", "window_s": [0.0, 1.0]}
         "timeout_factor_negative", "seed_fraction", "size_bits_fraction", "duplicate_node_id",
         # accepted or a traceback before, then broke `run`
         "number_beyond_digit_limit", "workload_delay_beyond_ps", "sync_delay_beyond_ps",
-        "propagation_beyond_ps", "offset_table_beyond_ps"])
+        "propagation_beyond_ps", "offset_table_beyond_ps", "timeout_budget_beyond_ps",
+        "drift_beyond_ps", "drift_extremum_beyond_ps"])
 def test_malformed_scenario_is_a_named_problem(tmp_path, data, named):
     path = tmp_path / "bad.json"
     path.write_text(data if isinstance(data, str) else json.dumps(data))
