@@ -25,6 +25,6 @@ from .sync import (BerkeleyRound, CristianExchange, SyncExchange, SyncOptions,
 from .topology import (FailureModel, LinkSpec, NetworkGraph, NodeSpec,
                        Violation, medium_speed, validate)
 from .trace import (diff_traces, format_trace, load_trace, parse_trace,
-                    trace_bytes, trace_sha256, write_trace)
+                    trace_bytes, trace_sha256)
 
 __version__ = "0.1.0"

@@ -83,16 +83,17 @@ class CompiledTopology:
 
     Node indices follow sorted node ids, so comparing tuples of indices
     orders paths exactly as comparing tuples of node ids does.  Per node:
-    its id, whether it relays (routers only), whether its failure model can
-    take it down, its links as (neighbor index, link index) pairs in the
-    graph's adjacency order, and its base router term (0 for clients and
-    time servers, None for an always_failed router, which is never up).
-    Per link: the propagation term, and the transmission term per message
-    size, filled on first use.
+    its id, whether it relays (routers only), its failure model when that
+    can take it down (None otherwise), its links as (neighbor index, link
+    index) pairs in the graph's adjacency order, and its base router term
+    (0 for clients and time servers, None for an always_failed router,
+    which is never up).  Per link: the propagation term, and the
+    transmission term per message size, filled on first use.
 
     A NetworkView compiles its graph once and shares the result with its
-    attack-free baseline; `route_tables` is the routing layer's cache of
-    attack-free routes, which depend on nothing else.
+    attack-free baseline.  `epochs` holds one `netview.Epoch` per set of
+    active routing attacks a query has met, keyed by that tuple; its router
+    terms and route tables depend on nothing else.
     """
 
     def __init__(self, graph: NetworkGraph, medium_speeds: dict[str, float]):
@@ -100,8 +101,9 @@ class CompiledTopology:
         self.index = {node_id: i for i, node_id in enumerate(self.ids)}
         nodes = [graph.node(node_id) for node_id in self.ids]
         self.relays = tuple(node.is_router for node in nodes)
-        self.can_fail = tuple(node.is_router and node.failure_model.mode != "always_active"
-                              for node in nodes)
+        self.failure_models = tuple(
+            node.failure_model if node.is_router and node.failure_model.mode != "always_active"
+            else None for node in nodes)
         self.base_router_ps = tuple(
             0 if not node.is_router
             else None if node.failure_model.mode == "always_failed"
@@ -121,7 +123,7 @@ class CompiledTopology:
         self.propagation_ps = tuple(link_terms_ps(link, 0, medium_speeds)[1]
                                     for link in self.links)
         self._transmission_ps: dict[int, tuple[int, ...]] = {}
-        self.route_tables: dict = {}
+        self.epochs: dict = {}
 
     @cached_property
     def link_index(self) -> dict[LinkSpec, int]:

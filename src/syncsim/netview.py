@@ -6,14 +6,83 @@ computation ask: is this router up, what does a traversal cost, does a ddos
 drop this message.  All answers are pure functions of (view, t), so
 concurrent queries are safe and repeat queries are identical.  The
 time-independent terms come from the view's compiled topology.
+
+Attacks are piecewise constant in time.  Between two consecutive edges of
+the windows of the routing attacks (router_hijack of either mode, and ddos
+with a delay multiplier other than 1) the set of active ones, the view's
+routing epoch, is fixed, and so is every router's term while its failure
+model has it up.  `epoch_at` memoizes that per interval, on first use;
+`attack_free_epoch` is the epoch with no routing attack, every term at its
+base value.
 """
 
+from bisect import bisect_right
 from dataclasses import dataclass, field
 
 from . import attacks as attacks_mod
 from .attacks import AttackSpec
 from .delay import CompiledTopology
+from .timebase import seconds_to_ps
 from .topology import NetworkGraph, NodeSpec
+
+
+def _reroutes(attack: AttackSpec) -> bool:
+    """Whether the attack can change a router term while its window is open."""
+    return attack.kind == "router_hijack" or (
+        attack.kind == "ddos" and attack.delay_multiplier != 1.0)
+
+
+def routing_epoch(attacks: tuple[AttackSpec, ...], t_ps: int) -> tuple[AttackSpec, ...]:
+    """The routing attacks active at t_ps, in list order."""
+    return tuple(a for a in attacks if _reroutes(a) and a.active_at_ps(t_ps))
+
+
+def epoch_edges(attacks: tuple[AttackSpec, ...]) -> tuple[int, ...]:
+    """The distinct window edges of the routing attacks, ascending: the
+    routing epoch is constant on each [edges[k], edges[k + 1]), and empty
+    before the first edge."""
+    return tuple(sorted({edge for a in attacks if _reroutes(a)
+                         for edge in (a.start_ps, a.end_ps)}))
+
+
+def up_router_ps(node: NodeSpec, attacks: tuple[AttackSpec, ...], t_ps: int) -> int | None:
+    """The router term of a hop into `node` at t_ps while its failure model
+    has it up: 0 for a client or time server, None for an always_failed
+    router or one a force_down hijack holds down, else its delay under the
+    attacks, quantized.  Raises OverflowError when that delay is not a
+    finite number of picoseconds."""
+    if not node.is_router:
+        return 0
+    if (node.failure_model.mode == "always_failed"
+            or attacks_mod.effective_flag(attacks, node.node_id, t_ps, 1) == 0):
+        return None
+    return seconds_to_ps(attacks_mod.effective_router_delay(attacks, node.node_id, t_ps,
+                                                            node.router_delay))
+
+
+class Epoch:
+    """One routing epoch of a compiled topology, kept in
+    `CompiledTopology.epochs` under its active routing attacks.
+
+    `terms[i]` is node i's `up_router_ps` under those attacks; `raised`
+    holds the indices whose term is not the attack-free one (attacks only
+    raise terms, None meaning down); `routes` is the routing layer's route
+    tables for the epoch, keyed (source index, size).
+    """
+
+    __slots__ = ("terms", "raised", "routes")
+
+    def __init__(self, view: "NetworkView", attacks: tuple[AttackSpec, ...], t_ps: int):
+        topology = view.topology
+        terms = list(topology.base_router_ps)
+        targets = [topology.index[target] for target in dict.fromkeys(a.target for a in attacks)
+                   if target in topology.index]
+        for index in targets:
+            terms[index] = up_router_ps(view.graph.node(topology.ids[index]), attacks, t_ps)
+        self.terms = tuple(terms)
+        self.raised = frozenset(index for index in targets
+                                if terms[index] != topology.base_router_ps[index])
+        self.routes: dict = {}
 
 
 @dataclass(frozen=True)
@@ -30,6 +99,13 @@ class NetworkView:
         if self.topology is None:
             object.__setattr__(self, "topology",
                                CompiledTopology(self.graph, self.medium_speeds))
+        # set with object.__setattr__, never through the instance __dict__
+        # (as functools.cached_property would): reading that dict takes every
+        # later attribute read of the view off CPython's fast path
+        edges = epoch_edges(self.attacks)
+        object.__setattr__(self, "_epoch_edges", edges)
+        object.__setattr__(self, "_epochs", [None] * (len(edges) + 1))
+        object.__setattr__(self, "attack_free_epoch", self._epoch((), 0))
 
     def node(self, node_id: str) -> NodeSpec:
         return self.graph.node(node_id)
@@ -49,6 +125,23 @@ class NetworkView:
             return 0.0
         return attacks_mod.effective_router_delay(self.attacks, node_id, t_ps,
                                                   node.router_delay)
+
+    def epoch_at(self, t_ps: int) -> Epoch:
+        """The routing epoch holding t_ps.  Window starts belong to the
+        interval they open (windows are half-open), hence bisect_right."""
+        index = bisect_right(self._epoch_edges, t_ps)
+        epoch = self._epochs[index]
+        if epoch is None:
+            epoch = self._epochs[index] = self._epoch(routing_epoch(self.attacks, t_ps), t_ps)
+        return epoch
+
+    def _epoch(self, attacks: tuple[AttackSpec, ...], t_ps: int) -> Epoch:
+        # shared through the topology: a recurring set of attacks, and the
+        # empty set of a view and its baseline, reuse one epoch's tables
+        epochs = self.topology.epochs
+        if attacks not in epochs:
+            epochs[attacks] = Epoch(self, attacks, t_ps)
+        return epochs[attacks]
 
     def drop_attack_at(self, node_id: str, t_ps: int, message_id: str) -> AttackSpec | None:
         return attacks_mod.drop_roll(self.attacks, self.seed, node_id, t_ps, message_id)

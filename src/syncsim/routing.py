@@ -11,24 +11,41 @@ Weights depend on message size (the transmission term), so routes are
 computed per message.  Ties break on fewer hops, then the lexicographically
 smallest node-id sequence, making every query deterministic.
 
-Routes are cached per (source, size) on the attack-free graph: every router
-up (except always_failed ones, which never are) at its base delay.  Failures
-and attacks only remove edges or raise weights (`AttackSpec` rejects a ddos
-multiplier below 1 and a negative added delay), so when every router on the
-cached route is up at t with its router term at its base value, no other
-path's (delay, hops, node sequence) label can have fallen below the cached
-route's, and the cached route and breakdown are the answer at t.  Otherwise
-the query is a miss and Dijkstra runs once at t.  A destination the
-attack-free graph cannot reach has no route at any t.
+Routes are cached per routing epoch (`netview.Epoch`: the routing attacks
+active at t, and each router's term under them with every failure model
+up) and per (source, size); one exhaustive Dijkstra run on the epoch's
+terms fills the table for every destination.  A query at t:
+
+  1. takes the route of the attack-free epoch, the empty one;
+  2. if t's epoch raised the term of a router on that route, takes the
+     route of t's epoch instead;
+  3. returns that route when every router on it that a failure model can
+     take down is up at t (`FailureModel.flag_at_ps`; no attack is read);
+  4. otherwise runs Dijkstra at t on the epoch's terms, with the routers
+     that are down at t excluded.
+
+Why that is exact.  Labels (delay, hops, node sequence) are totally
+ordered, so each graph has one optimum per destination.  Attacks only
+raise router terms or remove routers (`AttackSpec` rejects a ddos
+multiplier below 1 and a negative added delay, and quantizing is
+monotone), so every epoch weight is at least its attack-free weight.  If
+no router on the attack-free optimum P is raised, P keeps its label in
+the epoch while no other path's label falls, so P is still the epoch's
+optimum and step 2 is needed only when it applies.  Failure models only
+remove routers from an epoch's graph and leave the terms of the routers
+that stay up, so an epoch's optimum whose routers are all up at t is the
+optimum at t (step 3).  A
+destination the epoch cannot reach has no route at t.  A cached route's
+breakdown is the same at every t it is returned, so `total_path_delay`
+(the direct definition) computes it once.
 """
 
 from collections.abc import Callable
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .delay import (CompiledTopology, PathDelayBreakdown, hop_delay_ps, router_ps,
-                    total_path_delay)
-from .netview import NetworkView
+from .delay import CompiledTopology, PathDelayBreakdown, hop_delay_ps, total_path_delay
+from .netview import Epoch, NetworkView
 from .timebase import ps_to_seconds
 from .topology import LinkSpec
 
@@ -87,47 +104,62 @@ def edge_weight_ps(view: NetworkView, link: LinkSpec, downstream: str,
 def shortest_path(view: NetworkView, query: RouteQuery) -> Route:
     """Minimum-total-delay route at the query time, with deterministic ties.
 
-    The cached attack-free route when it holds at the query time (see the
-    module docstring), else a Dijkstra run at that time.  Raises NoRoute
-    when no active path exists.
+    A cached route of the attack-free epoch or of the query time's epoch
+    when it holds at that time (see the module docstring), else a Dijkstra
+    run at that time.  Raises NoRoute when no active path exists.
     """
     topology = view.topology
     source = topology.index.get(query.source)
     destination = topology.index.get(query.destination)
     if source is None or destination is None:
         raise ValueError("route endpoints must be present in the graph")
-    table = topology.route_tables.get((source, query.size_bits))
-    if table is None:
-        table = topology.route_tables[source, query.size_bits] = _RouteTable(
-            _search(topology, source, query.size_bits, topology.base_router_ps.__getitem__))
-    cached = table.to(topology, destination)
+    size_bits, t_ps = query.size_bits, query.t_ps
+    epoch = view.epoch_at(t_ps)
+    cached = _cached_route(topology, view.attack_free_epoch, source, size_bits, destination)
+    if cached is not None and not cached.routers.isdisjoint(epoch.raised):
+        cached = _cached_route(topology, epoch, source, size_bits, destination)
     if cached is None:
         raise NoRoute(query.source, query.destination)
-    t_ps = query.t_ps
-    # without attacks, only a router's failure model can move its term off its base
-    checks = cached.checks if view.attacks else cached.failure_checks
-    if all(router_ps(view, node_id, t_ps) == base_ps for node_id, base_ps in checks):
+    seed = view.seed
+    if all(model.flag_at_ps(node_id, t_ps, seed) for node_id, model in cached.failures):
         if cached.route is None:
             cached.route = Route(cached.hops, total_path_delay(
-                view, list(cached.hops), query.size_bits, t_ps))
+                view, list(cached.hops), size_bits, t_ps))
         return cached.route
-    return _route_at(view, source, destination, query)
+    return _route_at(view, epoch, source, destination, query)
 
 
-def _route_at(view: NetworkView, source: int, destination: int, query: RouteQuery) -> Route:
-    """Dijkstra at the query time, evaluating each router's state at most once."""
-    topology, t_ps = view.topology, query.t_ps
-    terms: dict[int, int | None] = {}
+def _cached_route(topology: CompiledTopology, epoch: Epoch, source: int, size_bits: int,
+                  destination: int) -> "_CachedRoute | None":
+    """The epoch's route from source to destination (None when the epoch's
+    graph cannot reach it), filling the epoch's table for (source, size)."""
+    table = epoch.routes.get((source, size_bits))
+    if table is None:
+        table = epoch.routes[source, size_bits] = _RouteTable(
+            _search(topology, source, size_bits, epoch.terms.__getitem__))
+    return table.to(topology, destination)
+
+
+def _route_at(view: NetworkView, epoch: Epoch, source: int, destination: int,
+              query: RouteQuery) -> Route:
+    """Dijkstra at the query time on the epoch's terms, reading each router's
+    failure model at most once."""
+    topology, t_ps, seed = view.topology, query.t_ps, view.seed
+    terms, models, ids = epoch.terms, topology.failure_models, topology.ids
+    up: dict[int, int] = {}
 
     def router_term(node: int) -> int | None:
-        if node not in terms:
-            terms[node] = router_ps(view, topology.ids[node], t_ps)
-        return terms[node]
+        model, term = models[node], terms[node]
+        if model is None or term is None:
+            return term
+        if node not in up:
+            up[node] = model.flag_at_ps(ids[node], t_ps, seed)
+        return term if up[node] else None
 
     predecessor = _search(topology, source, query.size_bits, router_term, destination)
     if predecessor[destination] < 0:
         raise NoRoute(query.source, query.destination)
-    hops = tuple(topology.ids[node] for node in _path(predecessor, destination))
+    hops = tuple(ids[node] for node in _path(predecessor, destination))
     return Route(hops, total_path_delay(view, list(hops), query.size_bits, t_ps))
 
 
@@ -180,24 +212,23 @@ def _path(predecessor: list[int], destination: int) -> list[int]:
 
 
 class _CachedRoute:
-    """One attack-free route: its hops, the (router id, base router term)
-    pairs a hit checks (every router after the source, and the subset whose
-    failure model can take them down), and its Route once a query has hit it."""
+    """One route of an epoch's table: its hops, the indices of its routers
+    after the source (a raised one sends a query on to its epoch's table),
+    the (router id, failure model) pairs of those a failure model can take
+    down, which a hit reads at t, and its Route once a query has hit it."""
 
-    __slots__ = ("hops", "checks", "failure_checks", "route")
+    __slots__ = ("hops", "routers", "failures", "route")
 
     def __init__(self, topology: CompiledTopology, path: list[int]):
         self.hops = tuple(topology.ids[node] for node in path)
-        routers = [node for node in path[1:] if topology.relays[node]]
-        self.checks = tuple((topology.ids[node], topology.base_router_ps[node])
-                            for node in routers)
-        self.failure_checks = tuple((topology.ids[node], topology.base_router_ps[node])
-                                    for node in routers if topology.can_fail[node])
+        self.routers = frozenset(node for node in path[1:] if topology.relays[node])
+        self.failures = tuple((topology.ids[node], topology.failure_models[node])
+                              for node in path[1:] if topology.failure_models[node] is not None)
         self.route: Route | None = None
 
 
 class _RouteTable:
-    """Attack-free routes from one source at one message size: the
+    """Routes from one source at one message size in one epoch: the
     predecessor table of one exhaustive Dijkstra run, and the routes
     destinations were asked for."""
 

@@ -21,6 +21,7 @@ from .clocks import CLOCK_PRESETS, ClockParameters, extremum_analysis, preset_pa
 from .delay import link_terms_ps
 from .engine import Engine, SimConfig
 from .metrics import metrics_report
+from .netview import epoch_edges, routing_epoch, up_router_ps
 from .sync import BerkeleyRound, CristianExchange, SyncOptions
 from .timebase import PS_PER_SECOND, ps_to_seconds, seconds_to_ps
 from .topology import (MEDIA, FailureModel, LinkSpec, NetworkGraph, NodeSpec,
@@ -280,6 +281,30 @@ def _drift_is_finite_ps(params: ClockParameters, duration: float) -> bool:
     return True
 
 
+def _epoch_problems(scenario: Scenario) -> list[Violation]:
+    """Each routing epoch's router terms, computed as routing computes them
+    (`netview.up_router_ps`), must be finite picoseconds; a term that is
+    not names its router, the attacks on it and when the epoch starts."""
+    problems: list[Violation] = []
+    seen: set[tuple[AttackSpec, ...]] = set()
+    for t_ps in epoch_edges(scenario.attacks):
+        active = routing_epoch(scenario.attacks, t_ps)
+        for target in dict.fromkeys(a.target for a in active):
+            on_target = tuple(a for a in active if a.target == target)
+            if on_target in seen:
+                continue
+            seen.add(on_target)
+            try:
+                up_router_ps(scenario.graph.node(target), active, t_ps)
+            except OverflowError:
+                kinds = " and ".join(a.kind for a in on_target)
+                problems.append(Violation(
+                    f"attack {kinds} on {target!r}",
+                    f"router delay from {ps_to_seconds(t_ps)!r} s is not a finite number "
+                    f"of picoseconds"))
+    return problems
+
+
 def validate_scenario(scenario: Scenario) -> list[Violation]:
     """Graph invariants plus scenario-level cross-reference checks."""
     problems = validate(scenario.graph)
@@ -339,6 +364,7 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
                                           "drift offset within duration_s is not a "
                                           "finite number of picoseconds"))
     if not problems:
+        problems += _epoch_problems(scenario)
         # a run quantizes each link's terms for every message it sends
         sync = scenario.sync_options
         largest = max([entry.size_bits for entry in scenario.workload]

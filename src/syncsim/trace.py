@@ -104,11 +104,6 @@ def load_trace(path) -> list[dict]:
         return parse_trace(handle.read())
 
 
-def write_trace(records: list[dict], path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(format_trace(records))
-
-
 def diff_traces(a: list[dict], b: list[dict]) -> dict:
     """Structural comparison of two traces.
 

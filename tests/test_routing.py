@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syncsim.attacks import AttackSpec
+from syncsim.delay import router_ps
 from syncsim.netview import NetworkView
 from syncsim.routing import NoRoute, RouteQuery, edge_weight_ps, shortest_path
 from syncsim.timebase import seconds_to_ps
@@ -131,48 +132,88 @@ def test_matches_brute_force_on_random_graphs():
 
 def _random_attacks(rng: random.Random, graph) -> tuple[AttackSpec, ...]:
     """ddos (delay multiplier and drops), force_down and added_delay hijacks
-    on random routers, in windows that cover some query times and not others."""
+    on random routers, in windows that cover some query times and not
+    others.  Among them, when the graph has routers: a window inside
+    another, so the routing epochs run A, A + B, A; a ddos stacked on an
+    added_delay hijack of one router; and a zero-length window."""
     routers = sorted(n for n, node in graph.nodes.items() if node.is_router)
-    attacks = []
-    for _ in range(rng.randint(1, 4) if routers else 0):
-        start = rng.choice([0.0, 0.5, 1.0, 2.0])
-        window = dict(target=rng.choice(routers), t_start=start,
-                      t_end=start + rng.choice([0.5, 1.0, 3.0]))
+    if not routers:
+        return ()
+
+    def attack(start: float, end: float) -> AttackSpec:
+        window = dict(target=rng.choice(routers), t_start=start, t_end=end)
         kind = rng.choice(["ddos", "force_down", "added_delay"])
         if kind == "ddos":
-            attacks.append(AttackSpec("ddos", **window,
-                                      delay_multiplier=rng.choice([1.0, 1.5, 10.0]),
-                                      drop_probability=rng.choice([0.0, 0.5])))
-        else:
-            attacks.append(AttackSpec("router_hijack", **window, mode=kind,
-                                      added_delay=rng.choice([0.0, 1e-6, 1e-3])))
+            return AttackSpec("ddos", **window, delay_multiplier=rng.choice([1.0, 1.5, 10.0]),
+                              drop_probability=rng.choice([0.0, 0.5]))
+        return AttackSpec("router_hijack", **window, mode=kind,
+                          added_delay=rng.choice([0.0, 1e-6, 1e-3]))
+
+    attacks = []
+    for _ in range(rng.randint(0, 3)):
+        start = rng.choice([0.0, 0.5, 1.0, 2.0])
+        attacks.append(attack(start, start + rng.choice([0.5, 1.0, 3.0])))
+    outer = rng.choice([0.0, 0.5])
+    attacks += [attack(outer, outer + 3.0), attack(outer + 1.0, outer + 2.0)]
+    stacked = rng.choice(routers)
+    attacks += [AttackSpec("router_hijack", stacked, 0.5, 2.5, mode="added_delay",
+                           added_delay=rng.choice([1e-6, 1e-3])),
+                AttackSpec("ddos", stacked, 1.0, 3.0, delay_multiplier=rng.choice([1.5, 10.0]))]
+    attacks.append(attack(2.0, 2.0))
+    rng.shuffle(attacks)
     return tuple(attacks)
+
+
+def _edge_times(attacks: tuple[AttackSpec, ...]) -> list[int]:
+    """start - 1, start, end - 1 and end of every window, in that order."""
+    return [t_ps for a in attacks
+            for t_ps in (a.start_ps - 1, a.start_ps, a.end_ps - 1, a.end_ps)]
 
 
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_cached_routes_match_brute_force_under_failures_and_attacks(seed):
-    # one view (and its attack-free baseline, which shares the route cache)
-    # queried at several times and sizes: repeats hit the cache, failures
-    # and attacks on a cached route force misses
+    # one view and its attack-free baseline, which shares the route cache,
+    # queried in turn at random times and at every window's edges: repeats
+    # hit the cache, failures and attacks on a cached route force misses
     rng = random.Random(seed)
     graph = random_network(rng)
     view = NetworkView(graph, seed=seed, attacks=_random_attacks(rng, graph))
+    baseline = view.without_attacks()
     endpoints = sorted(n for n, node in graph.nodes.items() if not node.is_router)
-    for target in (view, view.without_attacks()):
-        for _ in range(8):
-            source, destination = rng.sample(endpoints, 2)
-            q = query(source, destination, t=rng.choice([0.0, 0.25, 0.5, 1.5, 2.5, 4.0]),
-                      size=rng.choice([0, 12000, 10**6]))
-            oracle = enumerate_best_route(target, q)
-            if oracle is None:
-                with pytest.raises(NoRoute):
-                    shortest_path(target, q)
-                continue
-            route = shortest_path(target, q)
-            assert route.hops == oracle[1]
-            assert route.breakdown == oracle[2]
-            assert route.breakdown.total_ps == oracle[2].total_ps
+    times = [seconds_to_ps(rng.choice([0.0, 0.25, 0.5, 1.5, 2.5, 4.0])) for _ in range(8)]
+    for t_ps in times + _edge_times(view.attacks):
+        target = rng.choice((view, baseline))
+        source, destination = rng.sample(endpoints, 2)
+        q = RouteQuery(source, destination, t_ps, rng.choice([0, 12000, 10**6]))
+        oracle = enumerate_best_route(target, q)
+        if oracle is None:
+            with pytest.raises(NoRoute):
+                shortest_path(target, q)
+            continue
+        route = shortest_path(target, q)
+        assert route.hops == oracle[1]
+        assert route.breakdown == oracle[2]
+        assert route.breakdown.total_ps == oracle[2].total_ps
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_epoch_terms_equal_router_ps_at_window_edges(seed):
+    # an epoch's term is the router's term whenever its failure model has it up
+    rng = random.Random(seed)
+    graph = random_network(rng)
+    view = NetworkView(graph, seed=seed, attacks=_random_attacks(rng, graph))
+    topology = view.topology
+    for t_ps in [0] + _edge_times(view.attacks):
+        epoch = view.epoch_at(t_ps)
+        for index, node_id in enumerate(topology.ids):
+            node = graph.node(node_id)
+            up = not node.is_router or node.failure_model.flag_at_ps(node_id, t_ps, seed)
+            assert router_ps(view, node_id, t_ps) == (epoch.terms[index] if up else None)
+        assert epoch.raised == {index for index, (term, base)
+                                in enumerate(zip(epoch.terms, topology.base_router_ps))
+                                if term != base}
 
 
 def test_attacked_router_on_cached_route_is_paid_or_avoided():

@@ -12,7 +12,7 @@ from syncsim.scenario import (ScenarioError, load_scenario,
                               validate_scenario, write_scenario)
 from syncsim.timebase import seconds_to_ps
 from syncsim.trace import (TraceFormatError, diff_traces, parse_trace,
-                           load_trace, trace_sha256, write_trace)
+                           load_trace, trace_bytes, trace_sha256)
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 
@@ -93,6 +93,15 @@ ROUTER = {"id": "r9", "kind": "router", "router_kind": "regular"}
 CRISTIAN = {"time_s": 1.0, "algorithm": "cristian", "participants": ["c1", "s1"]}
 WORKLOAD = {"time_s": 1.0, "source": "c1", "destination": "s1", "size_bits": 100}
 ATTACK = {"kind": "ddos", "target": "s1", "window_s": [0.0, 1.0]}
+MESH_ATTACKS = json.loads((SCENARIO_DIR / "mesh_attacks.json").read_text())
+
+
+def _mesh_attacks_with(multiplier: float, *extra: dict) -> dict:
+    """mesh_attacks.json with its ddos on 'ra' ([4, 6) s) at `multiplier`
+    and `extra` attacks appended."""
+    ddos, *rest = MESH_ATTACKS["attacks"]
+    return {**MESH_ATTACKS,
+            "attacks": [{**ddos, "delay_multiplier": multiplier}, *rest, *extra]}
 
 
 @pytest.mark.parametrize("data, named", [
@@ -187,6 +196,13 @@ ATTACK = {"kind": "ddos", "target": "s1", "window_s": [0.0, 1.0]}
     ({**MINIMAL, "config": {"duration_s": 4.0},
       "clocks": {"osc": {"beta": 4e296, "gamma": -1e296}}},
      "clocks['osc']: drift offset within duration_s is not a finite number of picoseconds"),
+    (_mesh_attacks_with(1e305),
+     "attack ddos on 'ra': router delay from 4.0 s is not a finite number of picoseconds"),
+    # each finite alone: 2e-5 s x 1e10 and 1e290 s; (2e-5 + 1e290) x 1e10 s is not
+    (_mesh_attacks_with(1e10, {"kind": "router_hijack", "target": "ra", "window_s": [4.0, 6.0],
+                               "mode": "added_delay", "added_delay_s": 1e290}),
+     "attack ddos and router_hijack on 'ra': router delay from 4.0 s is not a finite "
+     "number of picoseconds"),
 ], ids=["top_level_array", "node", "link", "sync_entry", "workload_entry", "attack",
         "seed", "duration", "failure_model_null", "failure_field_null",
         # accepted before, then broke `run`
@@ -202,7 +218,8 @@ ATTACK = {"kind": "ddos", "target": "s1", "window_s": [0.0, 1.0]}
         # accepted or a traceback before, then broke `run`
         "number_beyond_digit_limit", "workload_delay_beyond_ps", "sync_delay_beyond_ps",
         "propagation_beyond_ps", "offset_table_beyond_ps", "timeout_budget_beyond_ps",
-        "drift_beyond_ps", "drift_extremum_beyond_ps"])
+        "drift_beyond_ps", "drift_extremum_beyond_ps", "ddos_delay_beyond_ps",
+        "ddos_on_hijack_delay_beyond_ps"])
 def test_malformed_scenario_is_a_named_problem(tmp_path, data, named):
     path = tmp_path / "bad.json"
     path.write_text(data if isinstance(data, str) else json.dumps(data))
@@ -426,7 +443,7 @@ def test_trace_roundtrip(tmp_path):
     scenario = load_scenario(SCENARIO_DIR / "minimal_pair.json")
     _, records, _ = run_scenario(scenario)
     path = tmp_path / "run.trace"
-    write_trace(records, path)
+    path.write_bytes(trace_bytes(records))
     assert load_trace(path) == records
 
 
