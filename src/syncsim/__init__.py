@@ -9,8 +9,8 @@ from .attacks import AttackSpec
 from .clocks import (CLOCK_PRESETS, ClockParameters, ExtremumReport,
                      SoftwareClock, clock_offset, extremum_analysis,
                      preset_parameters, read_clock)
-from .delay import (PathBlocked, PathDelayBreakdown, hop_delay_ps,
-                    propagation_delay, total_path_delay, transmission_delay)
+from .delay import (PathBlocked, PathDelayBreakdown, propagation_delay,
+                    total_path_delay, transmission_delay)
 from .dotexport import export_graph
 from .engine import Engine, Event, Message, SimConfig
 from .metrics import metrics_report

@@ -19,7 +19,7 @@ import sys
 from .clocks import ClockParameters, extremum_analysis
 from .dotexport import export_graph
 from .netview import NetworkView
-from .scenario import ScenarioError, load_scenario, run_scenario
+from .scenario import Scenario, ScenarioError, load_scenario, run_scenario
 from .trace import diff_traces, load_trace, trace_bytes, TraceFormatError
 
 EXIT_OK = 0
@@ -27,12 +27,19 @@ EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
 
-def _cmd_run(args) -> int:
+def _load(path: str) -> Scenario | None:
+    """The scenario at path, or None after printing each of its problems."""
     try:
-        scenario = load_scenario(args.scenario)
+        return load_scenario(path)
     except ScenarioError as exc:
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)
+        return None
+
+
+def _cmd_run(args) -> int:
+    scenario = _load(args.scenario)
+    if scenario is None:
         return EXIT_VALIDATION
     try:
         engine, records, metrics = run_scenario(scenario, seed=args.seed)
@@ -58,11 +65,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    try:
-        load_scenario(args.scenario)
-    except ScenarioError as exc:
-        for problem in exc.problems:
-            print(f"error: {problem}", file=sys.stderr)
+    if _load(args.scenario) is None:
         return EXIT_VALIDATION
     print(f"{args.scenario}: OK")
     return EXIT_OK
@@ -85,11 +88,8 @@ def _cmd_analyze_clock(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    try:
-        scenario = load_scenario(args.scenario)
-    except ScenarioError as exc:
-        for problem in exc.problems:
-            print(f"error: {problem}", file=sys.stderr)
+    scenario = _load(args.scenario)
+    if scenario is None:
         return EXIT_VALIDATION
     view = NetworkView(scenario.graph, scenario.config.seed, scenario.attacks,
                        scenario.medium_speeds)

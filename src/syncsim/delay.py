@@ -9,15 +9,15 @@ offset are the same sum, and traces are platform independent.
 
 The link terms do not depend on time: `CompiledTopology` quantizes them
 once per link (transmission once per link and message size) and is what
-`hop_delay_ps`, `total_path_delay` and the route search all read.  The
-router term is `router_ps`, evaluated at the hop's time.
+`total_path_delay` and the route search both read.  The router term is
+`NetworkView.hop_router_ps` at the path's send time, the rule the route
+search reads too.
 
 An inactive router never contributes a numeric infinity: the walk is simply
 unroutable and `PathBlocked` names the failed router.
 """
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 from .timebase import seconds_to_ps
@@ -110,25 +110,18 @@ class CompiledTopology:
             else seconds_to_ps(node.router_delay) for node in nodes)
         self.links = graph.links
         adjacency: list[list[tuple[int, int]]] = [[] for _ in self.ids]
-        # the first link between a pair carries a path's hop, as adjacency order gives
         self.link_between: dict[tuple[str, str], int] = {}
         for i, link in enumerate(self.links):
             a, b = self.index[link.a], self.index[link.b]
             adjacency[a].append((b, i))
             adjacency[b].append((a, i))
-            self.link_between.setdefault((link.a, link.b), i)
-            self.link_between.setdefault((link.b, link.a), i)
+            self.link_between[link.a, link.b] = self.link_between[link.b, link.a] = i
         self.adjacency = tuple(map(tuple, adjacency))
         self.medium_speeds = medium_speeds
         self.propagation_ps = tuple(link_terms_ps(link, 0, medium_speeds)[1]
                                     for link in self.links)
         self._transmission_ps: dict[int, tuple[int, ...]] = {}
         self.epochs: dict = {}
-
-    @cached_property
-    def link_index(self) -> dict[LinkSpec, int]:
-        """Index of each link by value (equal links have equal terms)."""
-        return {link: i for i, link in enumerate(self.links)}
 
     def transmission_ps(self, size_bits: int) -> tuple[int, ...]:
         """The transmission term of every link for a message of size_bits."""
@@ -137,37 +130,6 @@ class CompiledTopology:
             terms = self._transmission_ps[size_bits] = tuple(
                 link_terms_ps(link, size_bits, self.medium_speeds)[0] for link in self.links)
         return terms
-
-
-def router_ps(view: "NetworkView", node_id: str, t_ps: int) -> int | None:
-    """The router term of a hop into node_id at t_ps: 0 when it is a client
-    or time server, None when it is an inactive router, else the router's
-    delay at t_ps (attacks included), quantized."""
-    if not view.node(node_id).is_router:
-        return 0
-    if not view.router_active(node_id, t_ps):
-        return None
-    return seconds_to_ps(view.router_delay_at(node_id, t_ps))
-
-
-def _hop_ps(view: "NetworkView", link_index: int, downstream: str, size_bits: int,
-            t_ps: int) -> tuple[int, int, int] | None:
-    topology = view.topology
-    transmission_ps = topology.transmission_ps(size_bits)[link_index]
-    propagation_ps = topology.propagation_ps[link_index]
-    router = router_ps(view, downstream, t_ps)
-    return None if router is None else (transmission_ps, propagation_ps, router)
-
-
-def hop_delay_ps(view: "NetworkView", link: LinkSpec, downstream: str, size_bits: int,
-                 t_ps: int) -> tuple[int, int, int] | None:
-    """(transmission, propagation, router) picoseconds of the hop over `link`
-    into `downstream`, or None when `downstream` is an inactive router.
-
-    The router term is `router_ps` at t_ps: the downstream router's delay,
-    and 0 when the hop enters a client or time server.
-    """
-    return _hop_ps(view, view.topology.link_index[link], downstream, size_bits, t_ps)
 
 
 def total_path_delay(view: "NetworkView", path: list[str], size_bits: int,
@@ -179,20 +141,21 @@ def total_path_delay(view: "NetworkView", path: list[str], size_bits: int,
     message; the parameter stays because the benchmark's layer probe
     (perfbench/layers.py) passes one positionally.
     """
-    link_between = view.topology.link_between
+    topology = view.topology
+    transmission, propagation = topology.transmission_ps(size_bits), topology.propagation_ps
     arrivals_ps: list[int] = []
     router_total = transmission_total = propagation_total = 0
     for a, b in zip(path, path[1:]):
         try:
-            link_index = link_between[a, b]
+            link = topology.link_between[a, b]
         except KeyError:
             raise ValueError(f"no link between {a!r} and {b!r}") from None
-        hop = _hop_ps(view, link_index, b, size_bits, t_ps)
-        if hop is None:
+        router = view.hop_router_ps(topology.index[b], t_ps)
+        if router is None:
             raise PathBlocked(b)
-        transmission_total += hop[0]
-        propagation_total += hop[1]
-        router_total += hop[2]
+        transmission_total += transmission[link]
+        propagation_total += propagation[link]
+        router_total += router
         arrivals_ps.append(transmission_total + propagation_total + router_total)
     return PathDelayBreakdown(router_total, transmission_total, propagation_total,
                               tuple(arrivals_ps))

@@ -25,13 +25,9 @@ def _format_distance(meters: float) -> str:
     return f"{meters / 1000:g} km" if meters >= 1000 else f"{meters:g} m"
 
 
-def export_graph(view: NetworkView, t: float,
-                 clocks: dict[str, SoftwareClock] | None = None) -> str:
+def export_graph(view: NetworkView, t: float) -> str:
     """Render the graph state at wall time t as DOT digraph text."""
     t_ps = seconds_to_ps(t)
-    if clocks is None:
-        clocks = {node.node_id: SoftwareClock(node.node_id, node.clock, view.seed)
-                  for node in view.graph.nodes.values() if node.clock is not None}
     lines = ["digraph topology {", "  graph [rankdir=LR];",
              "  edge [dir=none];"]
     for node_id in sorted(view.graph.nodes):
@@ -46,8 +42,8 @@ def export_graph(view: NetworkView, t: float,
                 attrs.append('style=dashed')
                 attrs.append('color=gray50')
                 attrs.append('fontcolor=gray50')
-        elif node_id in clocks:
-            offset_ns = ps_to_ns(clocks[node_id].offset_ps(t_ps))
+        elif node.clock is not None:
+            offset_ns = ps_to_ns(SoftwareClock(node_id, node.clock, view.seed).offset_ps(t_ps))
             label_parts.append(f"offset {offset_ns:.3f} ns")
         attrs.append('label="' + "\\n".join(label_parts) + '"')
         lines.append(f'  "{node_id}" [{", ".join(attrs)}];')

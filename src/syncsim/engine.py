@@ -16,6 +16,7 @@ from dataclasses import dataclass
 from heapq import heappop, heappush
 from typing import Callable
 
+from . import attacks as attacks_mod
 from .clocks import SoftwareClock
 from .netview import NetworkView
 from .routing import NoRoute, Route, RouteQuery, shortest_path
@@ -202,7 +203,8 @@ class Engine:
                              action=lambda: self._hop(message, leg, node_id, arrival_ps))
 
     def _hop(self, message: Message, leg: int, node_id: str, arrival_ps: int) -> dict:
-        drop = self.view.drop_attack_at(node_id, arrival_ps, message.message_id)
+        drop = attacks_mod.drop_roll(self.view.attacks, self.seed, node_id, arrival_ps,
+                                     message.message_id)
         if drop is not None:
             message.status = "dropped"
             return {"status": "dropped",
@@ -215,8 +217,8 @@ class Engine:
         message.delivery_ps = arrival_ps
         extra: dict = {}
         if message.purpose == "sync_reply" and message.timestamp_ps is not None:
-            forged, applied = self.view.forge_timestamp(
-                message.destination, arrival_ps, message.timestamp_ps)
+            forged, applied = attacks_mod.forge_reply_timestamp(
+                self.view.attacks, message.destination, arrival_ps, message.timestamp_ps)
             if applied:
                 message.timestamp_ps = forged
                 extra["attack"] = [{"kind": a.kind, "target": a.target}

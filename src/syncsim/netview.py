@@ -1,11 +1,12 @@
 """Attack-aware view over a network graph at query time.
 
 Bundles the graph with the global seed, the attack list, and any medium
-speed overrides, and answers the time-dependent questions routing and delay
-computation ask: is this router up, what does a traversal cost, does a ddos
-drop this message.  All answers are pure functions of (view, t), so
-concurrent queries are safe and repeat queries are identical.  The
-time-independent terms come from the view's compiled topology.
+speed overrides, and answers the time-dependent question routing and delay
+computation ask: the router term of a hop into a node at t, None when the
+node is down (`hop_router_ps`, the one rule both read).  All answers are pure
+functions of (view, t), so concurrent queries are safe and repeat queries
+are identical.  The time-independent terms come from the view's compiled
+topology.
 
 Attacks are piecewise constant in time.  Between two consecutive edges of
 the windows of the routing attacks (router_hijack of either mode, and ddos
@@ -13,7 +14,9 @@ with a delay multiplier other than 1) the set of active ones, the view's
 routing epoch, is fixed, and so is every router's term while its failure
 model has it up.  `epoch_at` memoizes that per interval, on first use;
 `attack_free_epoch` is the epoch with no routing attack, every term at its
-base value.
+base value.  `router_active` and `router_delay_at` are the direct
+definition of the same terms, scanning the attack list at t; the DOT
+export draws from them.
 """
 
 from bisect import bisect_right
@@ -107,9 +110,6 @@ class NetworkView:
         object.__setattr__(self, "_epochs", [None] * (len(edges) + 1))
         object.__setattr__(self, "attack_free_epoch", self._epoch((), 0))
 
-    def node(self, node_id: str) -> NodeSpec:
-        return self.graph.node(node_id)
-
     def router_active(self, node_id: str, t_ps: int) -> bool:
         """Flag(t) with force_down hijacks applied; non-routers are always up."""
         node = self.graph.node(node_id)
@@ -125,6 +125,17 @@ class NetworkView:
             return 0.0
         return attacks_mod.effective_router_delay(self.attacks, node_id, t_ps,
                                                   node.router_delay)
+
+    def hop_router_ps(self, node: int, t_ps: int) -> int | None:
+        """The router term of a hop into node index `node` at t_ps: its term
+        in the routing epoch holding t_ps while its failure model has it up,
+        else None."""
+        term = self.epoch_at(t_ps).terms[node]
+        model = self.topology.failure_models[node]
+        if term is None or model is None or model.flag_at_ps(self.topology.ids[node], t_ps,
+                                                              self.seed):
+            return term
+        return None
 
     def epoch_at(self, t_ps: int) -> Epoch:
         """The routing epoch holding t_ps.  Window starts belong to the
@@ -142,13 +153,6 @@ class NetworkView:
         if attacks not in epochs:
             epochs[attacks] = Epoch(self, attacks, t_ps)
         return epochs[attacks]
-
-    def drop_attack_at(self, node_id: str, t_ps: int, message_id: str) -> AttackSpec | None:
-        return attacks_mod.drop_roll(self.attacks, self.seed, node_id, t_ps, message_id)
-
-    def forge_timestamp(self, victim: str, t_ps: int,
-                        timestamp_ps: int) -> tuple[int, list[AttackSpec]]:
-        return attacks_mod.forge_reply_timestamp(self.attacks, victim, t_ps, timestamp_ps)
 
     def without_attacks(self) -> "NetworkView":
         """The attack-free baseline view (used for timeout budgeting)."""

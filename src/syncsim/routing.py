@@ -1,8 +1,9 @@
 """Least-delay routing with Dijkstra's algorithm.
 
-An edge's weight is its hop's delay (transmission, propagation and the
-downstream router's processing delay, in integer picoseconds, the terms
-`delay.hop_delay_ps` returns), so a route's weight equals its delay
+An edge's weight is its hop's delay in integer picoseconds: the link's
+transmission and propagation terms from the compiled topology plus the
+downstream router's term at t (`NetworkView.hop_router_ps`), the same terms
+`delay.total_path_delay` sums, so a route's weight equals its delay
 breakdown total exactly.  Edges into inactive routers are excluded outright
 rather than given infinite weight.  Only routers forward traffic: clients
 and time servers appear solely as route endpoints.
@@ -21,8 +22,8 @@ terms fills the table for every destination.  A query at t:
      route of t's epoch instead;
   3. returns that route when every router on it that a failure model can
      take down is up at t (`FailureModel.flag_at_ps`; no attack is read);
-  4. otherwise runs Dijkstra at t on the epoch's terms, with the routers
-     that are down at t excluded.
+  4. otherwise runs Dijkstra at t on `hop_router_ps`: the epoch's terms,
+     with the routers that are down at t excluded.
 
 Why that is exact.  Labels (delay, hops, node sequence) are totally
 ordered, so each graph has one optimum per destination.  Attacks only
@@ -36,15 +37,15 @@ remove routers from an epoch's graph and leave the terms of the routers
 that stay up, so an epoch's optimum whose routers are all up at t is the
 optimum at t (step 3).  A
 destination the epoch cannot reach has no route at t.  A cached route's
-breakdown is the same at every t it is returned, so `total_path_delay`
-(the direct definition) computes it once.
+breakdown is the same at every t it is returned (its routers are up, at
+the terms it was found with), so `total_path_delay` computes it once.
 """
 
 from collections.abc import Callable
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
-from .delay import CompiledTopology, PathDelayBreakdown, hop_delay_ps, total_path_delay
+from .delay import CompiledTopology, PathBlocked, PathDelayBreakdown, total_path_delay
 from .netview import Epoch, NetworkView
 from .timebase import ps_to_seconds
 from .topology import LinkSpec
@@ -95,10 +96,13 @@ class Route:
 
 def edge_weight_ps(view: NetworkView, link: LinkSpec, downstream: str,
                    query: RouteQuery) -> int | None:
-    """Quantized delay of one hop into `downstream` (the sum of its
-    `hop_delay_ps` terms), or None if an inactive router excludes the edge."""
-    hop = hop_delay_ps(view, link, downstream, query.size_bits, query.t_ps)
-    return None if hop is None else sum(hop)
+    """Quantized delay of one hop over `link` into `downstream` (the total of
+    that two-node path), or None if an inactive router excludes the edge."""
+    try:
+        return total_path_delay(view, [link.other(downstream), downstream],
+                                query.size_bits, query.t_ps).total_ps
+    except PathBlocked:
+        return None
 
 
 def shortest_path(view: NetworkView, query: RouteQuery) -> Route:
@@ -126,7 +130,7 @@ def shortest_path(view: NetworkView, query: RouteQuery) -> Route:
             cached.route = Route(cached.hops, total_path_delay(
                 view, list(cached.hops), size_bits, t_ps))
         return cached.route
-    return _route_at(view, epoch, source, destination, query)
+    return _route_at(view, source, destination, query)
 
 
 def _cached_route(topology: CompiledTopology, epoch: Epoch, source: int, size_bits: int,
@@ -140,21 +144,18 @@ def _cached_route(topology: CompiledTopology, epoch: Epoch, source: int, size_bi
     return table.to(topology, destination)
 
 
-def _route_at(view: NetworkView, epoch: Epoch, source: int, destination: int,
-              query: RouteQuery) -> Route:
-    """Dijkstra at the query time on the epoch's terms, reading each router's
-    failure model at most once."""
-    topology, t_ps, seed = view.topology, query.t_ps, view.seed
-    terms, models, ids = epoch.terms, topology.failure_models, topology.ids
-    up: dict[int, int] = {}
+def _route_at(view: NetworkView, source: int, destination: int, query: RouteQuery) -> Route:
+    """Dijkstra at the query time on the hop terms `view.hop_router_ps`
+    gives, reading each router's term, and so its failure model, at most
+    once."""
+    topology, t_ps = view.topology, query.t_ps
+    ids = topology.ids
+    terms: dict[int, int | None] = {}
 
     def router_term(node: int) -> int | None:
-        model, term = models[node], terms[node]
-        if model is None or term is None:
-            return term
-        if node not in up:
-            up[node] = model.flag_at_ps(ids[node], t_ps, seed)
-        return term if up[node] else None
+        if node not in terms:
+            terms[node] = view.hop_router_ps(node, t_ps)
+        return terms[node]
 
     predecessor = _search(topology, source, query.size_bits, router_term, destination)
     if predecessor[destination] < 0:

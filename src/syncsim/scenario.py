@@ -231,11 +231,18 @@ def parse_scenario(data: dict) -> Scenario:
             failure_model=failure, clock=clock)
     _parse_each(data, "nodes", parse_node, problems)
 
-    links = _parse_each(data, "links", lambda spec: LinkSpec(
-        a=spec["a"], b=spec["b"],
-        bandwidth_bps=_number("bandwidth_bps", spec["bandwidth_bps"]),
-        distance_m=_number("distance_m", spec["distance_m"]),
-        medium=spec.get("medium", "fiber")), problems)
+    pairs: set[frozenset[str]] = set()
+
+    def parse_link(spec: dict) -> LinkSpec:
+        link = LinkSpec(a=_node_ref(spec["a"]), b=_node_ref(spec["b"]),
+                        bandwidth_bps=_number("bandwidth_bps", spec["bandwidth_bps"]),
+                        distance_m=_number("distance_m", spec["distance_m"]),
+                        medium=spec.get("medium", "fiber"))
+        if link.endpoints() in pairs:
+            raise ValueError(f"duplicate link between {link.a!r} and {link.b!r}")
+        pairs.add(link.endpoints())
+        return link
+    links = _parse_each(data, "links", parse_link, problems)
     graph = NetworkGraph(nodes.values(), links.values())
 
     schedule = _parse_each(data, "sync_schedule", lambda spec: SyncScheduleEntry(

@@ -101,16 +101,6 @@ class SyncReport:
         }
 
 
-def _round_half_even(x: Fraction) -> int:
-    floor, remainder = divmod(x.numerator, x.denominator)
-    doubled = 2 * remainder
-    if doubled < x.denominator:
-        return floor
-    if doubled > x.denominator:
-        return floor + 1
-    return floor if floor % 2 == 0 else floor + 1
-
-
 def _apply_policy(engine: Engine, node_id: str, delta_ps: int, at_ps: int,
                   options: SyncOptions) -> None:
     clock = engine.clock(node_id)
@@ -320,7 +310,7 @@ class BerkeleyRound(_Round):
                          if abs(Fraction(o) - median) <= threshold_ps] or values
         mean = Fraction(sum(surviving), len(surviving))
         for participant, offset_ps in offsets.items():
-            delta_ps = _round_half_even(mean - offset_ps)
+            delta_ps = round(mean - offset_ps)
             self._corrections_ps[participant] = delta_ps
             if participant == self.coordinator:
                 _apply_policy(engine, participant, delta_ps, now_ps, opts)
@@ -359,7 +349,7 @@ class BerkeleyRound(_Round):
         t_f = self._last_correction_ps or engine.now_ps
         readings = {p: engine.clock(p).reading_ps(t_f) for p in self._corrections_ps}
         ensemble_mean = Fraction(sum(readings.values()), len(readings))
-        residuals = {p: abs(_round_half_even(Fraction(reading) - ensemble_mean))
+        residuals = {p: abs(round(reading - ensemble_mean))
                      for p, reading in readings.items()}
         unreachable = sorted(m for m, poll in self._polls.items() if poll.offset_ps is None)
         self._end(end_ps=t_f, corrections_ps=dict(self._corrections_ps),

@@ -7,6 +7,8 @@ quantities (delays, clock offsets) are computed in double precision seconds
 and quantized once, rounding half to even.
 """
 
+from fractions import Fraction
+
 PS_PER_SECOND = 10**12
 PS_PER_NS = 10**3
 
@@ -26,7 +28,4 @@ def ps_to_ns(ps: int) -> float:
 
 def half_ps(ps: int) -> int:
     """Half of a picosecond count, rounding halves to even."""
-    if ps % 2 == 0:
-        return ps // 2
-    q = ps // 2  # floor; true value is q + 0.5
-    return q if q % 2 == 0 else q + 1
+    return round(Fraction(ps, 2))

@@ -15,9 +15,7 @@ from .clocks import ClockParameters
 from .timebase import seconds_to_ps
 
 NODE_KINDS = ("client", "time_server", "router")
-ROUTER_KINDS = ("wifi", "regular")
 FAILURE_MODES = ("always_active", "always_failed", "bernoulli", "alternating")
-MEDIA = ("fiber", "copper", "wireless", "satellite")
 
 # Propagation speed per medium (m/s): ~2/3 c in glass and copper,
 # free space for radio links.  Overridable per scenario.
@@ -27,9 +25,11 @@ DEFAULT_MEDIUM_SPEEDS: dict[str, float] = {
     "wireless": 2.998e8,
     "satellite": 2.998e8,
 }
+MEDIA = tuple(DEFAULT_MEDIUM_SPEEDS)
 
 # Default per-traversal processing delay by router kind (seconds).
 ROUTER_DELAY_DEFAULTS = {"wifi": 500e-6, "regular": 50e-6}
+ROUTER_KINDS = tuple(ROUTER_DELAY_DEFAULTS)
 
 
 def medium_speed(medium: str, overrides: dict[str, float] | None = None) -> float:
@@ -131,6 +131,7 @@ class NetworkGraph:
 
     Nodes and links are fixed at construction, so anything derived from a
     graph (a view's compiled topology and its route cache) cannot go stale.
+    At most one link joins two nodes, so a path's hops name their links.
     """
 
     def __init__(self, nodes: Iterable[NodeSpec] = (), links: Iterable[LinkSpec] = ()):
@@ -142,7 +143,11 @@ class NetworkGraph:
             by_id[node.node_id] = node
             adjacency[node.node_id] = []
         self.links: tuple[LinkSpec, ...] = tuple(links)
+        pairs: set[frozenset[str]] = set()
         for link in self.links:
+            if link.endpoints() in pairs:
+                raise ValueError(f"duplicate link between {link.a!r} and {link.b!r}")
+            pairs.add(link.endpoints())
             for end in (link.a, link.b):
                 adjacency.setdefault(end, []).append(link)
         self._nodes = by_id
@@ -192,7 +197,6 @@ def validate(graph: NetworkGraph) -> list[Violation]:
                     node.node_id,
                     "time_server clocks must be drift-bounded (gamma = 0)"))
 
-    seen_pairs: set[frozenset[str]] = set()
     for link in graph.links:
         label = f"link {link.a}--{link.b}"
         for end in (link.a, link.b):
@@ -200,10 +204,6 @@ def validate(graph: NetworkGraph) -> list[Violation]:
                 problems.append(Violation(label, f"endpoint {end!r} not in graph"))
         if link.a == link.b:
             problems.append(Violation(label, "self-loops are not allowed"))
-        pair = link.endpoints()
-        if pair in seen_pairs and len(pair) == 2:
-            problems.append(Violation(label, "duplicate link between the same nodes"))
-        seen_pairs.add(pair)
         if link.bandwidth_bps <= 0:
             problems.append(Violation(label, "bandwidth must be > 0"))
         if link.distance_m < 0:

@@ -53,6 +53,19 @@ def test_missing_scenario_file_is_a_named_error(tmp_path):
         assert "Traceback" not in result.stderr
 
 
+def test_duplicate_link_is_a_named_error_in_every_command(tmp_path):
+    data = json.loads(MINIMAL.read_text())
+    link = data["links"][0]
+    data["links"].append({**link, "a": link["b"], "b": link["a"], "bandwidth_bps": 1e9})
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    for command in ("run", "validate", "export-dot"):
+        result = cli(command, "--scenario", str(bad))
+        assert result.returncode == 1, (command, result.stderr)
+        assert result.stderr == (f"error: links[1]: duplicate link between "
+                                 f"{link['b']!r} and {link['a']!r}\n"), result.stderr
+
+
 def test_analyze_clock_reports_extremum():
     result = cli("analyze-clock", "--beta=10e-6", "--gamma=-1e-10")
     assert result.returncode == 0

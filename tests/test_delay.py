@@ -2,8 +2,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syncsim.delay import (PathBlocked, hop_delay_ps, propagation_delay,
-                           total_path_delay, transmission_delay)
+from syncsim.delay import (PathBlocked, propagation_delay, total_path_delay,
+                           transmission_delay)
 from syncsim.netview import NetworkView
 from syncsim.timebase import seconds_to_ps
 from syncsim.topology import FailureModel, LinkSpec, NetworkGraph, NodeSpec
@@ -132,14 +132,13 @@ def test_per_hop_components_sum_to_totals():
     arrivals = breakdown.arrivals_ps
     assert list(arrivals) == sorted(arrivals)
     assert arrivals[-1] == breakdown.total_ps
-    terms = [hop_delay_ps(view, next(l for l in view.graph.links_of(a) if l.other(a) == b),
-                          b, 12000, 0)
-             for a, b in zip(path, path[1:])]
-    assert terms == [(12_000_000, 500_000_000, 50_000_000),
-                     (12_000_000, 500_000_000, 500_000_000),
-                     (12_000_000, 500_000_000, 0)]
+    hops = [total_path_delay(view, [a, b], 12000, 0) for a, b in zip(path, path[1:])]
+    assert [(h.transmission_ps, h.propagation_ps, h.router_ps) for h in hops] == [
+        (12_000_000, 500_000_000, 50_000_000),
+        (12_000_000, 500_000_000, 500_000_000),
+        (12_000_000, 500_000_000, 0)]
     steps = [b - a for a, b in zip((0,) + arrivals, arrivals)]
-    assert steps == [sum(hop) for hop in terms]
+    assert steps == [h.total_ps for h in hops]
 
 
 # -- properties -------------------------------------------------------------------

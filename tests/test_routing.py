@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syncsim.attacks import AttackSpec
-from syncsim.delay import router_ps
 from syncsim.netview import NetworkView
 from syncsim.routing import NoRoute, RouteQuery, edge_weight_ps, shortest_path
 from syncsim.timebase import seconds_to_ps
@@ -200,17 +199,24 @@ def test_cached_routes_match_brute_force_under_failures_and_attacks(seed):
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_epoch_terms_equal_router_ps_at_window_edges(seed):
-    # an epoch's term is the router's term whenever its failure model has it up
+    # the hop rule routing and breakdowns read (t's epoch term, gated by the
+    # failure model) against the direct definition, which scans the attack
+    # list at t: equal at every window's edges and at random times
     rng = random.Random(seed)
     graph = random_network(rng)
     view = NetworkView(graph, seed=seed, attacks=_random_attacks(rng, graph))
     topology = view.topology
-    for t_ps in [0] + _edge_times(view.attacks):
+    times = [rng.randrange(seconds_to_ps(6.0)) for _ in range(8)]
+    for t_ps in [0] + _edge_times(view.attacks) + times:
         epoch = view.epoch_at(t_ps)
         for index, node_id in enumerate(topology.ids):
             node = graph.node(node_id)
-            up = not node.is_router or node.failure_model.flag_at_ps(node_id, t_ps, seed)
-            assert router_ps(view, node_id, t_ps) == (epoch.terms[index] if up else None)
+            direct = (0 if not node.is_router
+                      else seconds_to_ps(view.router_delay_at(node_id, t_ps))
+                      if view.router_active(node_id, t_ps) else None)
+            assert view.hop_router_ps(index, t_ps) == direct
+            if not node.is_router or node.failure_model.flag_at_ps(node_id, t_ps, seed):
+                assert epoch.terms[index] == direct
         assert epoch.raised == {index for index, (term, base)
                                 in enumerate(zip(epoch.terms, topology.base_router_ps))
                                 if term != base}

@@ -173,6 +173,11 @@ def _mesh_attacks_with(multiplier: float, *extra: dict) -> dict:
      "message_workload[0]: size_bits must be an integer, got 1.7"),
     ({**MINIMAL, "nodes": MINIMAL["nodes"] + [{"id": "c1", "kind": "client"}]},
      "nodes[2]: duplicate node id: 'c1'"),
+    ({**MINIMAL, "links": MINIMAL["links"] + [
+        {**MINIMAL["links"][0], "a": "s1", "b": "c1", "bandwidth_bps": 1e9}]},
+     "links[1]: duplicate link between 's1' and 'c1'"),
+    ({**MINIMAL, "links": [{**MINIMAL["links"][0], "a": ["c1"]}]},
+     "links[0]: node id ['c1'] is not a string"),
     # derived quantities and the JSON reader's own limits
     (json.dumps(MINIMAL).replace("1000000.0", "1" + "0" * 5000),
      "bad.json: parse error: Exceeds the limit"),
@@ -215,6 +220,7 @@ def _mesh_attacks_with(multiplier: float, *extra: dict) -> dict:
         "bandwidth_infinite", "bandwidth_beyond_float", "up_duration_infinite",
         "forged_offset_infinite", "alpha0_infinite", "duration_beyond_ps", "service_time_infinite",
         "timeout_factor_negative", "seed_fraction", "size_bits_fraction", "duplicate_node_id",
+        "duplicate_link", "link_endpoint_array",
         # accepted or a traceback before, then broke `run`
         "number_beyond_digit_limit", "workload_delay_beyond_ps", "sync_delay_beyond_ps",
         "propagation_beyond_ps", "offset_table_beyond_ps", "timeout_budget_beyond_ps",

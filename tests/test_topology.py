@@ -105,14 +105,16 @@ def test_negative_router_delay_reported():
     assert any("router_delay" in str(v) for v in validate(graph))
 
 
-def test_self_loop_and_duplicate_links_reported():
+def test_self_loop_reported():
     graph = make_graph([make_node("a"), make_node("b")],
-                       [LinkSpec("a", "a", 1e6, 10.0),
-                        LinkSpec("a", "b", 1e6, 10.0),
-                        LinkSpec("b", "a", 2e6, 20.0)])
-    messages = [str(v) for v in validate(graph)]
-    assert any("self-loop" in m for m in messages)
-    assert any("duplicate link" in m for m in messages)
+                       [LinkSpec("a", "a", 1e6, 10.0), LinkSpec("a", "b", 1e6, 10.0)])
+    assert [str(v) for v in validate(graph)] == ["link a--a: self-loops are not allowed"]
+
+
+def test_duplicate_link_rejected_at_construction():
+    with pytest.raises(ValueError, match="duplicate link between 'b' and 'a'"):
+        NetworkGraph([make_node("a"), make_node("b")],
+                     [LinkSpec("a", "b", 1e6, 10.0), LinkSpec("b", "a", 2e6, 20.0)])
 
 
 def test_nonpositive_bandwidth_reported():
