@@ -12,7 +12,7 @@ from .clocks import (CLOCK_PRESETS, ClockParameters, ExtremumReport,
 from .delay import (PathBlocked, PathDelayBreakdown, propagation_delay,
                     total_path_delay, transmission_delay)
 from .dotexport import export_graph
-from .engine import Engine, Event, Message, SimConfig
+from .engine import Engine, Message, SimConfig
 from .metrics import metrics_report
 from .netview import NetworkView
 from .routing import NoRoute, Route, RouteQuery, edge_weight_ps, shortest_path

@@ -5,10 +5,19 @@ order; the sequence counter breaks ties in scheduling order.  Every
 executed event emits exactly one trace record, so a run's trace bytes are a
 pure function of (scenario, seed).
 
+Every event enters the queue through `Engine.schedule_ps`, which builds the
+event's trace record there and then: `sim_time_ps`, `sequence` and `kind`,
+then the payload's fields.  A queue entry is the list `[time_ps, seq,
+record, action, args]`; `(time_ps, seq)` is unique, so the heap never
+compares past `seq`.  When the event executes, the loop calls
+`action(*args)` and adds the fields it returns to the record.  `cancel`
+clears the entry's record, and the loop skips entries without one.
+
 Messages are routed once at send time; the chosen route is frozen for the
 message's lifetime and hop arrivals, attack drops, and final delivery play
-out as scheduled events.  Blocked and dropped messages surface to waiting
-sync logic as timeouts.
+out as scheduled events.  Drops are rolled only at the nodes a ddos with
+`drop_probability > 0` targets (`NetworkView.drop_targets`).  Blocked and
+dropped messages surface to waiting sync logic as timeouts.
 """
 
 import itertools
@@ -20,9 +29,11 @@ from . import attacks as attacks_mod
 from .clocks import SoftwareClock
 from .netview import NetworkView
 from .routing import NoRoute, Route, RouteQuery, shortest_path
-from .timebase import seconds_to_ps
+from .timebase import require_ps, seconds_to_ps
 from .topology import NetworkGraph
 from .trace import RECORD_KINDS
+
+_KINDS = frozenset(RECORD_KINDS)
 
 
 @dataclass(frozen=True)
@@ -30,19 +41,6 @@ class SimConfig:
     seed: int = 0
     duration: float = 10.0
     scenario_name: str = ""
-
-
-class Event:
-    __slots__ = ("time_ps", "seq", "kind", "payload", "action", "cancelled")
-
-    def __init__(self, time_ps: int, seq: int, kind: str, payload: dict,
-                 action: Callable[[], dict | None] | None):
-        self.time_ps = time_ps
-        self.seq = seq
-        self.kind = kind
-        self.payload = payload
-        self.action = action
-        self.cancelled = False
 
 
 @dataclass
@@ -74,7 +72,7 @@ class Engine:
         self.seed = seed
         self.now_ps = 0
         self._seq = itertools.count()
-        self._queue: list[tuple[int, int, Event]] = []
+        self._queue: list[list] = []  # [time_ps, seq, record, action, args]
         self._msg_counter = itertools.count(1)
         self.messages: dict[str, Message] = {}
         self.records: list[dict] = []
@@ -96,27 +94,33 @@ class Engine:
     # -- scheduling ---------------------------------------------------------
 
     def schedule_ps(self, time_ps: int, kind: str, payload: dict | None = None,
-                    action: Callable[[], dict | None] | None = None) -> Event:
-        """Enqueue an event; its sequence number fixes same-time ordering."""
-        if not isinstance(time_ps, int):
-            raise TypeError(f"event time must be an integer count of picoseconds, "
-                            f"got {time_ps!r}")
+                    action: Callable[..., dict | None] | None = None, *args) -> list:
+        """Enqueue an event and return its queue entry, the handle `cancel`
+        takes.  Its sequence number fixes same-time ordering.  The payload's
+        fields are copied into the event's record now; when the event
+        executes, `action(*args)` runs and the fields it returns are added."""
+        require_ps(time_ps, "event time")
         if time_ps < self.now_ps:
             raise SchedulingError(
                 f"cannot schedule {kind} at {time_ps} ps; engine is at {self.now_ps} ps")
-        if kind not in RECORD_KINDS:
+        if kind not in _KINDS:
             raise ValueError(f"unknown event kind: {kind!r}")
-        event = Event(time_ps, next(self._seq), kind, payload or {}, action)
-        heappush(self._queue, (event.time_ps, event.seq, event))
-        return event
+        seq = next(self._seq)
+        record = {"sim_time_ps": time_ps, "sequence": seq, "kind": kind}
+        if payload:
+            record.update(payload)
+        entry = [time_ps, seq, record, action, args]
+        heappush(self._queue, entry)
+        return entry
 
     @staticmethod
-    def cancel(event: Event) -> None:
-        event.cancelled = True
+    def cancel(entry: list) -> None:
+        """Mark a scheduled event so that it never executes or traces."""
+        entry[2] = None
 
     def next_event_time_ps(self) -> int | None:
         """Time of the next live event, discarding cancelled queue heads."""
-        while self._queue and self._queue[0][2].cancelled:
+        while self._queue and self._queue[0][2] is None:
             heappop(self._queue)
         return self._queue[0][0] if self._queue else None
 
@@ -130,21 +134,21 @@ class Engine:
 
         Returns the trace records emitted during this call.
         """
+        require_ps(t_end_ps, "run_until target")
         if t_end_ps < self.now_ps:
             raise SchedulingError("run_until target is in the past")
-        emitted_from = len(self.records)
-        while self._queue and self._queue[0][0] <= t_end_ps:
-            _, _, event = heappop(self._queue)
-            if event.cancelled:
+        queue, records = self._queue, self.records
+        emitted_from = len(records)
+        while queue and queue[0][0] <= t_end_ps:
+            time_ps, _, record, action, args = heappop(queue)
+            if record is None:
                 continue
-            self.now_ps = event.time_ps
-            record = {"sim_time_ps": event.time_ps, "sequence": event.seq,
-                      "kind": event.kind}
-            record.update(event.payload)
-            extra = event.action() if event.action is not None else None
-            if extra:
-                record.update(extra)
-            self.records.append(record)
+            self.now_ps = time_ps
+            if action is not None:
+                extra = action(*args)
+                if extra:
+                    record.update(extra)
+            records.append(record)
         self.now_ps = t_end_ps
         return self.records[emitted_from:]
 
@@ -168,7 +172,7 @@ class Engine:
                          {"message_id": message.message_id, "src": source,
                           "dst": destination, "size_bits": size_bits,
                           "purpose": purpose},
-                         action=lambda: self._start_message(message))
+                         self._start_message, message)
         self.messages[message.message_id] = message
         return message
 
@@ -182,37 +186,37 @@ class Engine:
             return {"status": "blocked"}
         message.route = route
         message.status = "in_flight"
-        self._schedule_leg(message, 0)
+        self._hop(message, 0)
         bd = route.breakdown
         return {"status": "in_flight", "route": list(route.hops),
                 "router_ps": bd.router_ps, "transmission_ps": bd.transmission_ps,
                 "propagation_ps": bd.propagation_ps, "total_ps": bd.total_ps}
 
-    def _schedule_leg(self, message: Message, leg: int) -> None:
-        """Schedule the arrival at route.hops[leg + 1], arrivals_ps[leg] after
-        the send: a hop_arrival, or the delivery at the last node."""
+    def _hop(self, message: Message, leg: int) -> dict | None:
+        """The message at route.hops[leg], leg 0 being its send: a drop roll
+        there when a ddos that drops targets the node, then, unless dropped,
+        the event at hops[leg + 1], arrivals_ps[leg] after the send (a
+        hop_arrival, or the delivery at the last node)."""
         route = message.route
-        node_id = route.hops[leg + 1]
+        hops = route.hops
+        if leg and hops[leg] in self.view.drop_targets:
+            drop = attacks_mod.drop_roll(self.view.attacks, self.seed, hops[leg],
+                                         self.now_ps, message.message_id)
+            if drop is not None:
+                message.status = "dropped"
+                return {"status": "dropped",
+                        "attack": {"kind": drop.kind, "target": drop.target}}
         arrival_ps = message.send_ps + route.breakdown.arrivals_ps[leg]
-        payload = {"message_id": message.message_id, "node": node_id}
-        if leg + 2 == len(route.hops):
-            self.schedule_ps(arrival_ps, "delivery", payload,
-                             action=lambda: self._deliver(message, arrival_ps))
+        leg += 1
+        payload = {"message_id": message.message_id, "node": hops[leg]}
+        if leg + 1 == len(hops):
+            self.schedule_ps(arrival_ps, "delivery", payload, self._deliver, message)
         else:
-            self.schedule_ps(arrival_ps, "hop_arrival", payload,
-                             action=lambda: self._hop(message, leg, node_id, arrival_ps))
+            self.schedule_ps(arrival_ps, "hop_arrival", payload, self._hop, message, leg)
+        return None
 
-    def _hop(self, message: Message, leg: int, node_id: str, arrival_ps: int) -> dict:
-        drop = attacks_mod.drop_roll(self.view.attacks, self.seed, node_id, arrival_ps,
-                                     message.message_id)
-        if drop is not None:
-            message.status = "dropped"
-            return {"status": "dropped",
-                    "attack": {"kind": drop.kind, "target": drop.target}}
-        self._schedule_leg(message, leg + 1)
-        return {}
-
-    def _deliver(self, message: Message, arrival_ps: int) -> dict:
+    def _deliver(self, message: Message) -> dict:
+        arrival_ps = self.now_ps
         message.status = "delivered"
         message.delivery_ps = arrival_ps
         extra: dict = {}

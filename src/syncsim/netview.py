@@ -16,7 +16,8 @@ model has it up.  `epoch_at` memoizes that per interval, on first use;
 `attack_free_epoch` is the epoch with no routing attack, every term at its
 base value.  `router_active` and `router_delay_at` are the direct
 definition of the same terms, scanning the attack list at t; the DOT
-export draws from them.
+export draws from them.  `drop_targets` holds the nodes where a hop can be
+dropped: the targets of the ddos attacks with `drop_probability > 0`.
 """
 
 from bisect import bisect_right
@@ -109,6 +110,9 @@ class NetworkView:
         object.__setattr__(self, "_epoch_edges", edges)
         object.__setattr__(self, "_epochs", [None] * (len(edges) + 1))
         object.__setattr__(self, "attack_free_epoch", self._epoch((), 0))
+        # the only nodes where a hop can be dropped; the engine rolls nowhere else
+        object.__setattr__(self, "drop_targets", frozenset(
+            a.target for a in self.attacks if a.kind == "ddos" and a.drop_probability > 0))
 
     def router_active(self, node_id: str, t_ps: int) -> bool:
         """Flag(t) with force_down hijacks applied; non-routers are always up."""

@@ -47,7 +47,7 @@ from heapq import heappop, heappush
 
 from .delay import CompiledTopology, PathBlocked, PathDelayBreakdown, total_path_delay
 from .netview import Epoch, NetworkView
-from .timebase import ps_to_seconds
+from .timebase import ps_to_seconds, require_ps
 from .topology import LinkSpec
 
 
@@ -68,8 +68,7 @@ class RouteQuery:
     size_bits: int
 
     def __post_init__(self):
-        if not isinstance(self.t_ps, int):
-            raise TypeError(f"t_ps must be an integer count of picoseconds, got {self.t_ps!r}")
+        require_ps(self.t_ps, "t_ps")
         if self.source == self.destination:
             raise ValueError("source and destination must differ")
 

@@ -340,12 +340,14 @@ class BerkeleyRound(_Round):
 
     def _corrections_deadline(self) -> dict:
         stragglers = sorted(self._pending_corrections)
+        self._corrections_deadline_event = None  # executing, so not cancelled
         self._finish()
         return {"undelivered_corrections": stragglers}
 
     def _finish(self) -> None:
         engine = self.engine
-        engine.cancel(self._corrections_deadline_event)
+        if self._corrections_deadline_event is not None:
+            engine.cancel(self._corrections_deadline_event)
         t_f = self._last_correction_ps or engine.now_ps
         readings = {p: engine.clock(p).reading_ps(t_f) for p in self._corrections_ps}
         ensemble_mean = Fraction(sum(readings.values()), len(readings))

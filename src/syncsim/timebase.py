@@ -13,6 +13,13 @@ PS_PER_SECOND = 10**12
 PS_PER_NS = 10**3
 
 
+def require_ps(t, name: str) -> None:
+    """Raise TypeError unless t is exactly an int: a float is not an exact
+    count, and a bool, although an int subclass, would trace as true/false."""
+    if type(t) is not int:
+        raise TypeError(f"{name} must be an integer count of picoseconds, got {t!r}")
+
+
 def seconds_to_ps(seconds: float) -> int:
     """Quantize a duration or offset in seconds to integer picoseconds."""
     return round(seconds * PS_PER_SECOND)

@@ -1,5 +1,6 @@
 import pytest
 
+import syncsim.attacks as attacks_mod
 from syncsim.attacks import AttackSpec
 from syncsim.clocks import ClockParameters
 from syncsim.engine import Engine
@@ -85,6 +86,37 @@ def test_partial_drop_probability_is_deterministic_per_message():
     first, second = outcomes(), outcomes()
     assert first == second
     assert set(first) == {"delivered", "dropped"}
+
+
+def test_drop_rolls_happen_only_at_ddos_targets_that_drop(monkeypatch):
+    def no_roll(*args):
+        raise AssertionError("drop_roll called off the drop targets")
+    monkeypatch.setattr(attacks_mod, "drop_roll", no_roll)
+    harmless = [window(0.0, 10.0, kind="ddos", target="r2", delay_multiplier=3.0),
+                window(0.0, 10.0, kind="router_hijack", target="r1", mode="added_delay",
+                       added_delay=1e-6)]
+    engine = Engine(line_graph([50e-6] * 3), seed=5, attacks=harmless)
+    assert engine.view.drop_targets == frozenset()
+    messages = [engine.send_message("c1", "s1", 12000, seconds_to_ps(0.5 * i))
+                for i in range(4)]
+    engine.run_until(5.0)
+    assert [m.status for m in messages] == ["delivered"] * 4
+
+
+def test_certain_drop_on_the_middle_router_stops_the_message_there():
+    attack = window(1.0, 2.0, kind="ddos", target="r2", drop_probability=1.0)
+    engine = Engine(line_graph([50e-6] * 3), seed=5, attacks=[attack])
+    assert engine.view.drop_targets == {"r2"}
+    assert engine.view.without_attacks().drop_targets == frozenset()
+    message = engine.send_message("c1", "s1", 12000, seconds_to_ps(1.5))
+    engine.run_until(3.0)
+    assert message.status == "dropped"
+    hops = [r for r in engine.records if r["kind"] == "hop_arrival"]
+    assert [h["node"] for h in hops] == ["r1", "r2"]
+    assert "status" not in hops[0]
+    assert hops[1]["status"] == "dropped"
+    assert hops[1]["attack"] == {"kind": "ddos", "target": "r2"}
+    assert not any(r["kind"] == "delivery" for r in engine.records)
 
 
 # -- ip spoof -------------------------------------------------------------------

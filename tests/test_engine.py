@@ -1,9 +1,13 @@
+import json
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syncsim.engine import Engine, SchedulingError
 from syncsim.routing import NoRoute, RouteQuery, shortest_path
+from syncsim.scenario import parse_scenario, run_scenario
 from syncsim.timebase import seconds_to_ps
 from syncsim.topology import FailureModel, LinkSpec, NetworkGraph, NodeSpec
 from syncsim.trace import trace_sha256
@@ -152,11 +156,55 @@ def test_cancelled_events_never_execute_or_trace():
     assert records == []
 
 
+MESH_ATTACKS = json.loads(
+    (Path(__file__).resolve().parent.parent / "demos" / "scenarios" / "mesh_attacks.json")
+    .read_text())
+
+
+@pytest.mark.parametrize("changes, expect", [
+    # a ddos drop, a forged reply, and every timeout cancelled by its reply
+    ({}, lambda r: r["kind"] == "hop_arrival" and r.get("status") == "dropped"),
+    # replies arrive after the budget: every exchange's timeout executes
+    ({"sync_options": {"timeout_factor": 0.5}},
+     lambda r: r.get("sync_aborted") == "cristian"),
+    # a Berkeley round whose corrections deadline expires in flight
+    ({"sync_options": {"default_timeout_s": 1e-4},
+      "sync_schedule": [{"time_s": 12.0, "algorithm": "berkeley",
+                         "participants": ["s1", "c1"]}]},
+     lambda r: r.get("undelivered_corrections") == ["c1"]),
+], ids=["bundled", "cristian_timeouts", "berkeley_deadline"])
+def test_every_event_enters_the_queue_through_schedule_ps(monkeypatch, changes, expect):
+    """The benchmark's layer probe counts events by wrapping these two
+    methods: every schedule call ends as one trace record, one cancelled
+    event or one entry left in the queue."""
+    calls = {"schedule_ps": 0, "cancel": 0}
+    schedule_ps, cancel = Engine.schedule_ps, Engine.cancel
+
+    def counted_schedule_ps(engine, *args, **kwargs):
+        calls["schedule_ps"] += 1
+        return schedule_ps(engine, *args, **kwargs)
+
+    def counted_cancel(entry):
+        calls["cancel"] += 1
+        cancel(entry)
+    monkeypatch.setattr(Engine, "schedule_ps", counted_schedule_ps)
+    monkeypatch.setattr(Engine, "cancel", staticmethod(counted_cancel))
+    engine, records, _ = run_scenario(parse_scenario({**MESH_ATTACKS, **changes}))
+    assert any(expect(record) for record in records)
+    left = sum(1 for entry in engine._queue if entry[2] is not None)
+    assert calls["schedule_ps"] == len(records) + calls["cancel"] + left
+
+
 @pytest.mark.parametrize("call", [
     lambda engine: engine.schedule_ps(1.0, "sync_step"),
     lambda engine: engine.send_message("c1", "s1", 12000, 1.0),
     lambda engine: RouteQuery("c1", "s1", 1.0, 12000),
-], ids=["schedule_ps", "send_message", "route_query"])
+    lambda engine: engine.schedule_ps(True, "sync_step", {}),
+    lambda engine: engine.send_message("c1", "s1", 12000, True),
+    lambda engine: RouteQuery("c1", "s1", True, 12000),
+    lambda engine: engine.run_until_ps(2.5e12),
+], ids=["schedule_ps", "send_message", "route_query", "schedule_ps_bool",
+        "send_message_bool", "route_query_bool", "run_until_ps"])
 def test_float_time_is_rejected_at_the_engine_boundary(call):
     engine = make_engine()
     with pytest.raises(TypeError):
