@@ -23,7 +23,7 @@ from .scenario import (Scenario, ScenarioError, SyncScheduleEntry,
 from .sync import (BerkeleyRound, CristianExchange, SyncExchange, SyncOptions,
                    SyncReport, berkeley_round, cristian_sync)
 from .topology import (FailureModel, LinkSpec, NetworkGraph, NodeSpec,
-                       Violation, medium_speed, validate)
+                       medium_speed, validate)
 from .trace import (diff_traces, format_trace, load_trace, parse_trace,
                     trace_bytes, trace_sha256)
 

@@ -151,8 +151,8 @@ class SoftwareClock:
                 continue
             if t_ps <= start_ps:
                 continue
-            limit = round(rate * (t_ps - start_ps))
-            applied = min(abs(delta_ps), limit)
+            slewed = rate * (t_ps - start_ps)  # min(|delta|, round(slewed)); never rounds inf
+            applied = abs(delta_ps) if slewed >= abs(delta_ps) else round(slewed)
             total += applied if delta_ps >= 0 else -applied
         return total
 

@@ -87,10 +87,6 @@ class Engine:
     def clock(self, node_id: str) -> SoftwareClock:
         return self.clocks[node_id]
 
-    def node_reading_ps(self, node_id: str, t_ps: int) -> int | None:
-        clock = self.clocks.get(node_id)
-        return clock.reading_ps(t_ps) if clock is not None else None
-
     # -- scheduling ---------------------------------------------------------
 
     def schedule_ps(self, time_ps: int, kind: str, payload: dict | None = None,
@@ -227,9 +223,9 @@ class Engine:
                 message.timestamp_ps = forged
                 extra["attack"] = [{"kind": a.kind, "target": a.target}
                                    for a in applied]
-        reading = self.node_reading_ps(message.destination, arrival_ps)
-        if reading is not None:
-            extra["clock_ps"] = reading
+        clock = self.clocks.get(message.destination)
+        if clock is not None:
+            extra["clock_ps"] = clock.reading_ps(arrival_ps)
         if message.on_delivery is not None:
             message.on_delivery(message)
         return extra
@@ -237,11 +233,9 @@ class Engine:
     # -- timeouts -----------------------------------------------------------
 
     def baseline_rtt_ps(self, a: str, b: str, t_ps: int, size_forward: int,
-                        size_backward: int | None = None) -> int | None:
+                        size_backward: int) -> int | None:
         """Expected attack-free round-trip delay, used to budget sync timeouts."""
         baseline = self._baseline_view
-        if size_backward is None:
-            size_backward = size_forward
         try:
             fwd = shortest_path(baseline, RouteQuery(a, b, t_ps, size_forward))
             t_back_ps = t_ps + fwd.breakdown.total_ps

@@ -70,11 +70,13 @@ class Epoch:
 
     `terms[i]` is node i's `up_router_ps` under those attacks; `raised`
     holds the indices whose term is not the attack-free one (attacks only
-    raise terms, None meaning down); `routes` is the routing layer's route
-    tables for the epoch, keyed (source index, size).
+    raise terms, None meaning down).  The routing layer's cache: `tables`
+    maps (source index, size) to one Dijkstra run's predecessor list, and
+    `routes` maps (source index, size, destination index) to the route read
+    from it, None when unreachable.
     """
 
-    __slots__ = ("terms", "raised", "routes")
+    __slots__ = ("terms", "raised", "tables", "routes")
 
     def __init__(self, view: "NetworkView", attacks: tuple[AttackSpec, ...], t_ps: int):
         topology = view.topology
@@ -86,6 +88,7 @@ class Epoch:
         self.terms = tuple(terms)
         self.raised = frozenset(index for index in targets
                                 if terms[index] != topology.base_router_ps[index])
+        self.tables: dict = {}
         self.routes: dict = {}
 
 

@@ -14,8 +14,10 @@ smallest node-id sequence, making every query deterministic.
 
 Routes are cached per routing epoch (`netview.Epoch`: the routing attacks
 active at t, and each router's term under them with every failure model
-up) and per (source, size); one exhaustive Dijkstra run on the epoch's
-terms fills the table for every destination.  A query at t:
+up) and per (source, size): one exhaustive Dijkstra run on the epoch's
+terms fills the predecessor list `Epoch.tables[source, size]`, and the
+route read from it is kept in `Epoch.routes[source, size, destination]`.
+A query at t:
 
   1. takes the route of the attack-free epoch, the empty one;
   2. if t's epoch raised the term of a router on that route, takes the
@@ -84,14 +86,6 @@ class Route:
     hops: tuple[str, ...]
     breakdown: PathDelayBreakdown
 
-    @property
-    def source(self) -> str:
-        return self.hops[0]
-
-    @property
-    def destination(self) -> str:
-        return self.hops[-1]
-
 
 def edge_weight_ps(view: NetworkView, link: LinkSpec, downstream: str,
                    query: RouteQuery) -> int | None:
@@ -136,11 +130,15 @@ def _cached_route(topology: CompiledTopology, epoch: Epoch, source: int, size_bi
                   destination: int) -> "_CachedRoute | None":
     """The epoch's route from source to destination (None when the epoch's
     graph cannot reach it), filling the epoch's table for (source, size)."""
-    table = epoch.routes.get((source, size_bits))
-    if table is None:
-        table = epoch.routes[source, size_bits] = _RouteTable(
-            _search(topology, source, size_bits, epoch.terms.__getitem__))
-    return table.to(topology, destination)
+    key = (source, size_bits, destination)
+    if key not in epoch.routes:
+        predecessor = epoch.tables.get((source, size_bits))
+        if predecessor is None:
+            predecessor = epoch.tables[source, size_bits] = _search(
+                topology, source, size_bits, epoch.terms.__getitem__)
+        epoch.routes[key] = (_CachedRoute(topology, _path(predecessor, destination))
+                             if predecessor[destination] >= 0 else None)
+    return epoch.routes[key]
 
 
 def _route_at(view: NetworkView, source: int, destination: int, query: RouteQuery) -> Route:
@@ -212,9 +210,9 @@ def _path(predecessor: list[int], destination: int) -> list[int]:
 
 
 class _CachedRoute:
-    """One route of an epoch's table: its hops, the indices of its routers
-    after the source (a raised one sends a query on to its epoch's table),
-    the (router id, failure model) pairs of those a failure model can take
+    """A value of `Epoch.routes`: its hops, the indices of its routers after
+    the source (a raised one sends a query on to its epoch's routes), the
+    (router id, failure model) pairs of those a failure model can take
     down, which a hit reads at t, and its Route once a query has hit it."""
 
     __slots__ = ("hops", "routers", "failures", "route")
@@ -225,23 +223,3 @@ class _CachedRoute:
         self.failures = tuple((topology.ids[node], topology.failure_models[node])
                               for node in path[1:] if topology.failure_models[node] is not None)
         self.route: Route | None = None
-
-
-class _RouteTable:
-    """Routes from one source at one message size in one epoch: the
-    predecessor table of one exhaustive Dijkstra run, and the routes
-    destinations were asked for."""
-
-    __slots__ = ("predecessor", "routes")
-
-    def __init__(self, predecessor: list[int]):
-        self.predecessor = predecessor
-        self.routes: dict[int, _CachedRoute | None] = {}
-
-    def to(self, topology: CompiledTopology, destination: int) -> _CachedRoute | None:
-        """The route to destination, or None when it is not reachable."""
-        if destination not in self.routes:
-            self.routes[destination] = (
-                _CachedRoute(topology, _path(self.predecessor, destination))
-                if self.predecessor[destination] >= 0 else None)
-        return self.routes[destination]

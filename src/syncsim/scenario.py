@@ -24,8 +24,7 @@ from .metrics import metrics_report
 from .netview import epoch_edges, routing_epoch, up_router_ps
 from .sync import BerkeleyRound, CristianExchange, SyncOptions
 from .timebase import PS_PER_SECOND, ps_to_seconds, seconds_to_ps
-from .topology import (MEDIA, FailureModel, LinkSpec, NetworkGraph, NodeSpec,
-                       Violation, validate)
+from .topology import MEDIA, FailureModel, LinkSpec, NetworkGraph, NodeSpec, validate
 
 
 class ScenarioError(Exception):
@@ -178,6 +177,8 @@ def _parse_clock(spec: dict) -> ClockParameters:
 
 def _parse_attack(spec: dict) -> AttackSpec:
     window = spec["window_s"]
+    if not isinstance(window, list) or len(window) != 2:
+        raise ValueError(f"window_s must be an array [start, end], got {window!r}")
     return AttackSpec(kind=spec["kind"], target=_node_ref(spec["target"]),
                       t_start=_number("window_s", window[0]),
                       t_end=_number("window_s", window[1]), **_read(ATTACK_KEYS, spec))
@@ -201,7 +202,7 @@ def parse_scenario(data: dict) -> Scenario:
     node_clock_names: dict[str, str] = {}
 
     def parse_node(spec: dict) -> None:
-        node_id = spec.get("id")
+        node_id = _node_ref(spec.get("id", ""))
         if not node_id:
             raise ValueError("node without an id")
         if node_id in nodes:
@@ -272,27 +273,35 @@ def parse_scenario(data: dict) -> Scenario:
                     sync_options=sync_options, node_clock_names=node_clock_names)
 
 
+# The largest magnitude `randstream.gaussian` returns per unit sigma: its
+# uniform draw u1 is at least 2^-64, and |cos| <= 1.
+_GAUSSIAN_BOUND = math.sqrt(-2.0 * math.log(2.0 ** -64))
+
+
 def _drift_is_finite_ps(params: ClockParameters, duration: float) -> bool:
-    """Whether the clock's drift offset quantizes to finite picoseconds, as
-    `SoftwareClock.offset_ps` quantizes it, over [0, duration]: at both ends
-    and at the extremum when it lies inside, which bound a quadratic."""
-    times_ps = [0, seconds_to_ps(duration)]
+    """Whether the clock's offset, as `SoftwareClock.offset_ps` quantizes it,
+    is finite picoseconds over [0, duration]: the drift's magnitude plus the
+    largest noise and jitter, at both ends, the extremum and the offset_table
+    points inside, which bound a quadratic and a piecewise-linear table."""
+    times = [0.0, duration]
     extremum = extremum_analysis(params)
     if extremum.has_extremum and 0 < extremum.t_star < duration:
-        times_ps.append(seconds_to_ps(extremum.t_star))
+        times.append(extremum.t_star)
+    times += [t for t, _ in params.offset_table if 0 < t < duration]
+    noise = _GAUSSIAN_BOUND * params.noise_sigma + params.jitter_bound_ns * 1e-9
     try:
-        for t_ps in times_ps:
-            seconds_to_ps(params.drift_offset(ps_to_seconds(t_ps)))
+        for t in times:
+            seconds_to_ps(abs(params.drift_offset(ps_to_seconds(seconds_to_ps(t)))) + noise)
     except (OverflowError, ValueError):  # infinite, or NaN from inf - inf
         return False
     return True
 
 
-def _epoch_problems(scenario: Scenario) -> list[Violation]:
+def _epoch_problems(scenario: Scenario) -> list[str]:
     """Each routing epoch's router terms, computed as routing computes them
     (`netview.up_router_ps`), must be finite picoseconds; a term that is
     not names its router, the attacks on it and when the epoch starts."""
-    problems: list[Violation] = []
+    problems: list[str] = []
     seen: set[tuple[AttackSpec, ...]] = set()
     for t_ps in epoch_edges(scenario.attacks):
         active = routing_epoch(scenario.attacks, t_ps)
@@ -305,71 +314,68 @@ def _epoch_problems(scenario: Scenario) -> list[Violation]:
                 up_router_ps(scenario.graph.node(target), active, t_ps)
             except OverflowError:
                 kinds = " and ".join(a.kind for a in on_target)
-                problems.append(Violation(
-                    f"attack {kinds} on {target!r}",
-                    f"router delay from {ps_to_seconds(t_ps)!r} s is not a finite number "
-                    f"of picoseconds"))
+                problems.append(f"attack {kinds} on {target!r}: router delay from "
+                                f"{ps_to_seconds(t_ps)!r} s is not a finite number "
+                                f"of picoseconds")
     return problems
 
 
-def validate_scenario(scenario: Scenario) -> list[Violation]:
-    """Graph invariants plus scenario-level cross-reference checks."""
+def validate_scenario(scenario: Scenario) -> list[str]:
+    """Graph invariants plus scenario-level cross-reference checks, each
+    problem as "entity: message"."""
     problems = validate(scenario.graph)
     graph = scenario.graph
     if scenario.config.duration < 0:
-        problems.append(Violation("config", "duration_s must be >= 0"))
+        problems.append("config: duration_s must be >= 0")
     for entry in scenario.sync_schedule:
         label = f"sync@{entry.time_s}s"
         if entry.time_s < 0:
-            problems.append(Violation(label, "time_s must be >= 0"))
+            problems.append(f"{label}: time_s must be >= 0")
         if entry.algorithm not in ("cristian", "berkeley"):
-            problems.append(Violation(label, f"unknown algorithm {entry.algorithm!r}"))
+            problems.append(f"{label}: unknown algorithm {entry.algorithm!r}")
             continue
         if entry.algorithm == "cristian" and len(entry.participants) != 2:
-            problems.append(Violation(label, "cristian needs exactly 2 participants"))
+            problems.append(f"{label}: cristian needs exactly 2 participants")
         elif len(entry.participants) < 2:
-            problems.append(Violation(label, "needs at least 2 participants"))
+            problems.append(f"{label}: needs at least 2 participants")
         if len(set(entry.participants)) != len(entry.participants):
-            problems.append(Violation(label, "participants must be distinct"))
+            problems.append(f"{label}: participants must be distinct")
         for node_id in entry.participants:
             if node_id not in graph:
-                problems.append(Violation(label, f"unknown participant {node_id!r}"))
+                problems.append(f"{label}: unknown participant {node_id!r}")
             elif graph.node(node_id).clock is None:
-                problems.append(Violation(label, f"participant {node_id!r} has no clock"))
+                problems.append(f"{label}: participant {node_id!r} has no clock")
             elif not graph.links_of(node_id):
-                problems.append(Violation(label, f"participant {node_id!r} is disconnected"))
+                problems.append(f"{label}: participant {node_id!r} is disconnected")
     for attack in scenario.attacks:
         if attack.target not in graph:
-            problems.append(Violation(f"attack {attack.kind}",
-                                      f"unknown target {attack.target!r}"))
+            problems.append(f"attack {attack.kind}: unknown target {attack.target!r}")
     for index, entry in enumerate(scenario.workload):
         label = f"message_workload[{index}]"
         if entry.time_s < 0:
-            problems.append(Violation(label, "time_s must be >= 0"))
+            problems.append(f"{label}: time_s must be >= 0")
         if entry.size_bits < 0:
-            problems.append(Violation(label, "size_bits must be >= 0"))
+            problems.append(f"{label}: size_bits must be >= 0")
         if entry.source == entry.destination:
-            problems.append(Violation(label, "source and destination must differ"))
+            problems.append(f"{label}: source and destination must differ")
         for node_id in (entry.source, entry.destination):
             if node_id not in graph:
-                problems.append(Violation(label, f"unknown node {node_id!r}"))
+                problems.append(f"{label}: unknown node {node_id!r}")
     for medium, speed in scenario.medium_speeds.items():
         try:
             valid = type(speed) in (int, float) and _number(medium, speed) > 0
         except ValueError:
             valid = False
         if medium not in MEDIA:
-            problems.append(Violation("medium_speeds_m_per_s", f"unknown medium {medium!r}"))
+            problems.append(f"medium_speeds_m_per_s: unknown medium {medium!r}")
         elif not valid:
-            problems.append(Violation("medium_speeds_m_per_s",
-                                      f"{medium}: speed must be a finite number > 0, "
-                                      f"got {speed!r}"))
+            problems.append(f"medium_speeds_m_per_s: {medium}: speed must be a finite "
+                            f"number > 0, got {speed!r}")
     if scenario.config.duration >= 0:
         for name, params in scenario.clock_params.items():
             if not _drift_is_finite_ps(params, scenario.config.duration):
-                problems.append(Violation(f"clocks[{name!r}]",
-                                          "drift offset within duration_s is not a "
-                                          "finite number of picoseconds"))
+                problems.append(f"clocks[{name!r}]: drift offset within duration_s is not "
+                                f"a finite number of picoseconds")
     if not problems:
         problems += _epoch_problems(scenario)
         # a run quantizes each link's terms for every message it sends
@@ -385,16 +391,14 @@ def validate_scenario(scenario: Scenario) -> list[Violation]:
             try:
                 longest_rtt_ps += 2 * sum(link_terms_ps(link, largest, scenario.medium_speeds))
             except OverflowError:
-                problems.append(Violation(f"link {link.a}--{link.b}",
-                                          f"delay of a {largest}-bit message is not a "
-                                          f"finite number of picoseconds"))
+                problems.append(f"link {link.a}--{link.b}: delay of a {largest}-bit message "
+                                f"is not a finite number of picoseconds")
         if scenario.sync_schedule and not problems:
             try:
                 sync.timeout_ps(longest_rtt_ps)
             except OverflowError:
-                problems.append(Violation("sync_options",
-                                          f"timeout_factor {sync.timeout_factor!r} times a "
-                                          f"round trip is not a finite number of picoseconds"))
+                problems.append(f"sync_options: timeout_factor {sync.timeout_factor!r} times "
+                                f"a round trip is not a finite number of picoseconds")
     return problems
 
 
@@ -416,7 +420,7 @@ def load_scenario(path) -> Scenario:
     scenario = parse_scenario(data)
     problems = validate_scenario(scenario)
     if problems:
-        raise ScenarioError([str(p) for p in problems])
+        raise ScenarioError(problems)
     return scenario
 
 

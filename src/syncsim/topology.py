@@ -55,7 +55,8 @@ class FailureModel:
             raise ValueError(f"unknown failure mode: {self.mode!r}")
         if not 0.0 <= self.failure_probability <= 1.0:
             raise ValueError("failure_probability must be in [0, 1]")
-        if self.mode == "alternating" and (self.up_duration <= 0 or self.down_duration <= 0):
+        if self.mode == "alternating" and (seconds_to_ps(self.up_duration) <= 0
+                                           or seconds_to_ps(self.down_duration) <= 0):
             raise ValueError("alternating mode needs positive up/down durations")
 
     def flag_at_ps(self, node_id: str, t_ps: int, seed: int) -> int:
@@ -164,50 +165,39 @@ class NetworkGraph:
         return node_id in self._nodes
 
 
-@dataclass(frozen=True)
-class Violation:
-    entity: str
-    message: str
-
-    def __str__(self) -> str:
-        return f"{self.entity}: {self.message}"
-
-
-def validate(graph: NetworkGraph) -> list[Violation]:
-    """Check graph invariants; an empty list means the graph is valid."""
-    problems: list[Violation] = []
+def validate(graph: NetworkGraph) -> list[str]:
+    """Check graph invariants, each problem as "entity: message"; an empty
+    list means the graph is valid."""
+    problems: list[str] = []
     for node in graph.nodes.values():
+        name = node.node_id
         if node.kind not in NODE_KINDS:
-            problems.append(Violation(node.node_id, f"unknown node kind {node.kind!r}"))
+            problems.append(f"{name}: unknown node kind {node.kind!r}")
             continue
         if node.is_router:
             if node.router_kind not in ROUTER_KINDS:
-                problems.append(Violation(node.node_id,
-                                          f"unknown router kind {node.router_kind!r}"))
+                problems.append(f"{name}: unknown router kind {node.router_kind!r}")
             if node.router_delay is None or node.router_delay < 0:
-                problems.append(Violation(node.node_id, "router_delay must be >= 0"))
+                problems.append(f"{name}: router_delay must be >= 0")
         else:
             if node.router_delay is not None:
-                problems.append(Violation(node.node_id,
-                                          "router_delay only applies to routers"))
+                problems.append(f"{name}: router_delay only applies to routers")
             if node.clock is None:
-                problems.append(Violation(node.node_id, f"{node.kind} needs a clock"))
+                problems.append(f"{name}: {node.kind} needs a clock")
             elif node.kind == "time_server" and node.clock.effective_gamma != 0.0:
-                problems.append(Violation(
-                    node.node_id,
-                    "time_server clocks must be drift-bounded (gamma = 0)"))
+                problems.append(f"{name}: time_server clocks must be drift-bounded (gamma = 0)")
 
     for link in graph.links:
         label = f"link {link.a}--{link.b}"
         for end in (link.a, link.b):
             if end not in graph.nodes:
-                problems.append(Violation(label, f"endpoint {end!r} not in graph"))
+                problems.append(f"{label}: endpoint {end!r} not in graph")
         if link.a == link.b:
-            problems.append(Violation(label, "self-loops are not allowed"))
+            problems.append(f"{label}: self-loops are not allowed")
         if link.bandwidth_bps <= 0:
-            problems.append(Violation(label, "bandwidth must be > 0"))
+            problems.append(f"{label}: bandwidth must be > 0")
         if link.distance_m < 0:
-            problems.append(Violation(label, "distance must be >= 0"))
+            problems.append(f"{label}: distance must be >= 0")
         if link.medium not in MEDIA:
-            problems.append(Violation(label, f"unknown medium {link.medium!r}"))
+            problems.append(f"{label}: unknown medium {link.medium!r}")
     return problems

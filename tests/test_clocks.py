@@ -195,6 +195,14 @@ def test_slew_applies_linearly():
     assert clock.correction_at_ps(seconds_to_ps(500.0)) == seconds_to_ps(-2.0)
 
 
+def test_fast_slew_applies_the_whole_delta():
+    # rate times the elapsed picoseconds is beyond the float range a second in
+    clock = make_clock(ClockParameters(model_kind="linear"))
+    clock.apply_slew(seconds_to_ps(-0.25), 1e300, at_ps=seconds_to_ps(1.0))
+    assert clock.correction_at_ps(seconds_to_ps(1.0)) == 0
+    assert clock.correction_at_ps(seconds_to_ps(2.0)) == seconds_to_ps(-0.25)
+
+
 def test_slew_requires_positive_rate():
     clock = make_clock(QUARTZ)
     for rate in (0.0, -1e-2):

@@ -7,9 +7,11 @@ import pytest
 from syncsim.clocks import ClockParameters, SoftwareClock, preset_parameters
 from syncsim.dotexport import export_graph
 from syncsim.netview import NetworkView
-from syncsim.scenario import (ScenarioError, load_scenario,
-                              parse_scenario, run_scenario, scenario_to_dict,
-                              validate_scenario, write_scenario)
+from syncsim.scenario import (ATTACK_KEYS, CLOCK_KEYS, CONFIG_KEYS, FAILURE_KEYS,
+                              SYNC_OPTION_KEYS, ScenarioError, _int, _number,
+                              _number_or_null, load_scenario, parse_scenario,
+                              run_scenario, scenario_to_dict, validate_scenario,
+                              write_scenario)
 from syncsim.timebase import seconds_to_ps
 from syncsim.trace import (TraceFormatError, diff_traces, parse_trace,
                            load_trace, trace_bytes, trace_sha256)
@@ -208,6 +210,23 @@ def _mesh_attacks_with(multiplier: float, *extra: dict) -> dict:
                                "mode": "added_delay", "added_delay_s": 1e290}),
      "attack ddos and router_hijack on 'ra': router delay from 4.0 s is not a finite "
      "number of picoseconds"),
+    # validated OK before, then broke `run`
+    ({**MINIMAL, "nodes": MINIMAL["nodes"] + [
+        {**ROUTER, "failure_model": {"mode": "alternating", "up_duration_s": 1e-13,
+                                     "down_duration_s": 1e-13}}]},
+     "nodes[2]: alternating mode needs positive up/down durations"),
+    ({**MINIMAL, "nodes": MINIMAL["nodes"] + [{"id": 5, "kind": "client"}]},
+     "nodes[2]: node id 5 is not a string"),
+    ({**MINIMAL, "nodes": MINIMAL["nodes"] + [{"id": True, "kind": "client"}]},
+     "nodes[2]: node id True is not a string"),
+    ({**MINIMAL, "attacks": [{**ATTACK, "window_s": [0, 1, 2]}]},
+     "attacks[0]: window_s must be an array [start, end], got [0, 1, 2]"),
+    ({**MINIMAL, "attacks": [{**ATTACK, "window_s": [1]}]},
+     "attacks[0]: window_s must be an array [start, end], got [1]"),
+    ({**MINIMAL, "clocks": {"osc": {"jitter_bound_ns": 1e308}}},
+     "clocks['osc']: drift offset within duration_s is not a finite number of picoseconds"),
+    ({**MINIMAL, "clocks": {"osc": {"noise_sigma_s": 1.7e296}}},
+     "clocks['osc']: drift offset within duration_s is not a finite number of picoseconds"),
 ], ids=["top_level_array", "node", "link", "sync_entry", "workload_entry", "attack",
         "seed", "duration", "failure_model_null", "failure_field_null",
         # accepted before, then broke `run`
@@ -225,7 +244,11 @@ def _mesh_attacks_with(multiplier: float, *extra: dict) -> dict:
         "number_beyond_digit_limit", "workload_delay_beyond_ps", "sync_delay_beyond_ps",
         "propagation_beyond_ps", "offset_table_beyond_ps", "timeout_budget_beyond_ps",
         "drift_beyond_ps", "drift_extremum_beyond_ps", "ddos_delay_beyond_ps",
-        "ddos_on_hijack_delay_beyond_ps"])
+        "ddos_on_hijack_delay_beyond_ps",
+        # validated OK before, then broke `run`
+        "alternating_durations_zero_ps", "node_id_number", "node_id_bool",
+        "window_three_elements", "window_one_element", "jitter_beyond_ps",
+        "noise_beyond_ps"])
 def test_malformed_scenario_is_a_named_problem(tmp_path, data, named):
     path = tmp_path / "bad.json"
     path.write_text(data if isinstance(data, str) else json.dumps(data))
@@ -296,6 +319,87 @@ def test_bundled_scenarios_are_valid():
     for path in paths:
         scenario = load_scenario(path)
         assert validate_scenario(scenario) == []
+
+
+MINIMAL_PAIR = json.loads((SCENARIO_DIR / "minimal_pair.json").read_text())
+
+
+@pytest.mark.parametrize("data", [
+    # rate times the elapsed picoseconds is beyond the float range once the
+    # first round's slew has run for a second
+    {**MINIMAL_PAIR, "sync_schedule": [CRISTIAN, {**CRISTIAN, "time_s": 2.0}],
+     "sync_options": {"correction_policy": "slew", "slew_rate": 1e300}},
+    # the shortest alternating durations, 1 ps each
+    {**MINIMAL_PAIR,
+     "nodes": MINIMAL_PAIR["nodes"] + [
+         {**ROUTER, "failure_model": {"mode": "alternating", "up_duration_s": 1e-12,
+                                      "down_duration_s": 1e-12}}],
+     "links": [{**MINIMAL_PAIR["links"][0], "b": "r9"},
+               {**MINIMAL_PAIR["links"][0], "a": "r9"}]},
+], ids=["slew_rate_1e300", "alternating_durations_1_ps"])
+def test_extreme_valid_scenario_runs(data):
+    scenario = parse_scenario(data)
+    assert validate_scenario(scenario) == []
+    engine, _, _ = run_scenario(scenario)
+    assert engine.now_ps == seconds_to_ps(scenario.config.duration)
+
+
+# -- validate or run: every numeric key at extreme values ----------------------
+
+EXTREMES = (0, -1, 1e-13, 5e-13, 1e296, 1.7e296, 1e300, 1.7e308, 10**30)
+# a well-formed failure model of each mode that reads a key
+FAILURE_BASES = {"bernoulli": {"mode": "bernoulli", "failure_probability": 0.5},
+                 "alternating": {"mode": "alternating", "up_duration_s": 1.0,
+                                 "down_duration_s": 1.0}}
+# what a key needs beside it to be read at all
+COMPANIONS = {"slew_rate": {"correction_policy": "slew"},
+              "added_delay_s": {"mode": "added_delay"}}
+
+
+def _numeric(table: dict) -> list[str]:
+    return [key for key, (_, reader) in table.items()
+            if reader in (_number, _int, _number_or_null)]
+
+
+def _entries(data: dict, where: str) -> list[dict]:
+    """The JSON objects of `data` that a key placed at `where` goes into."""
+    routers = [node for node in data["nodes"] if node.get("kind") == "router"]
+    if where in FAILURE_BASES:
+        for node in routers:
+            node["failure_model"] = dict(FAILURE_BASES[where])
+        return [node["failure_model"] for node in routers]
+    return {"config": [data.setdefault("config", {})],
+            "clocks": list(data.get("clocks", {}).values()),
+            "attacks": data.get("attacks", []),
+            "sync_options": [data.setdefault("sync_options", {})],
+            "routers": routers, "links": data["links"]}[where]
+
+
+def _grid():
+    places = [("config", _numeric(CONFIG_KEYS)), ("clocks", _numeric(CLOCK_KEYS)),
+              *((mode, _numeric(FAILURE_KEYS)) for mode in FAILURE_BASES),
+              ("attacks", _numeric(ATTACK_KEYS)), ("sync_options", _numeric(SYNC_OPTION_KEYS)),
+              ("routers", ["router_delay_s"]), ("links", ["bandwidth_bps", "distance_m"])]
+    for path in sorted(SCENARIO_DIR.glob("*.json")):
+        for where, keys in places:
+            if _entries(json.loads(path.read_text()), where):
+                for key in keys:
+                    yield pytest.param(path, where, key, id=f"{path.stem}-{where}-{key}")
+
+
+@pytest.mark.parametrize("path, where, key", _grid())
+def test_extreme_value_is_a_named_problem_or_runs(path, where, key):
+    for value in EXTREMES:
+        data = json.loads(path.read_text())
+        for entry in _entries(data, where):
+            entry.update({key: value, **COMPANIONS.get(key, {})})
+        try:
+            scenario = parse_scenario(data)
+        except ScenarioError as exc:
+            assert exc.problems
+            continue
+        if not validate_scenario(scenario):
+            run_scenario(scenario)
 
 
 # -- canonical round trip --------------------------------------------------------
