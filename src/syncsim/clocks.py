@@ -126,18 +126,23 @@ class SoftwareClock:
         self.clock_id = clock_id
         self.params = params
         self.seed = seed
+        # the prefix states of this clock's two keyed streams, hashed once
+        self._noise_stream = randstream.stream(seed, "clock_noise", clock_id)
+        self._jitter_stream = randstream.stream(seed, "clock_jitter", clock_id)
         # (start_ps, delta_ps, rate) triples; rate None means instant step
         self._corrections: list[tuple[int, int, float | None]] = []
 
     # -- noise ------------------------------------------------------------
 
     def noise_at_ps(self, t_ps: int) -> float:
-        """Per-reading random term in seconds, keyed by the quantized time."""
-        noise = randstream.gaussian(self.seed, self.params.noise_sigma,
-                                    "clock_noise", self.clock_id, t_ps)
-        if self.params.jitter_bound_ns > 0.0:
-            jitter = randstream.uniform(self.seed, "clock_jitter", self.clock_id, t_ps)
-            noise += jitter * self.params.jitter_bound_ns * 1e-9
+        """Per-reading random term in seconds, keyed by the quantized time:
+        gaussian(seed, sigma, "clock_noise", clock_id, t_ps) plus
+        uniform(seed, "clock_jitter", clock_id, t_ps) * jitter_bound_ns * 1e-9."""
+        params = self.params
+        noise = randstream.draw_gaussian(self._noise_stream, params.noise_sigma, t_ps)
+        if params.jitter_bound_ns > 0.0:
+            jitter = randstream.unit(randstream.draw(self._jitter_stream, t_ps))
+            noise += jitter * params.jitter_bound_ns * 1e-9
         return noise
 
     # -- corrections ------------------------------------------------------

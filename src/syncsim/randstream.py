@@ -8,7 +8,14 @@ existing draws, which is what makes attack/no-attack trace comparisons
 byte-stable.
 
 Draws are derived from BLAKE2b digests of a canonical key encoding, so they
-are identical across platforms and Python versions.
+are identical across platforms and Python versions.  `_encode` writes one
+chunk per key part, so a stream's prefix (seed, stream tag, entity) is
+hashed once into a state that `draw` copies and extends with the tail.  A
+stream owner holds its prefix state: each `SoftwareClock` builds its
+clock_noise and clock_jitter states from `stream`.  `u64` looks the prefix
+up instead (cached for str and int prefixes) and is the reference every
+held draw must equal bit for bit; router flags and drop rolls draw through
+it.
 """
 
 import functools
@@ -42,33 +49,60 @@ def _encode(parts: tuple) -> bytes:
     return b"".join(chunks)
 
 
+_GAUSSIAN_TAILS = (_encode((0,)), _encode((1,)))  # the two draws of a Gaussian
+
+
+def stream(seed: int, *key):
+    """BLAKE2b state after hashing _encode((seed,) + key): the prefix state
+    a stream owner holds and passes to `draw`."""
+    return hashlib.blake2b(_encode((seed,) + key), digest_size=8)
+
+
 @functools.lru_cache(maxsize=4096)
 def _prefix_state(prefix: tuple):
-    """BLAKE2b state after hashing _encode(prefix); callers copy it."""
-    return hashlib.blake2b(_encode(prefix), digest_size=8)
+    """stream(*prefix), cached; callers copy it."""
+    return stream(*prefix)
+
+
+def _extend(prefix, tail: tuple):
+    """A copy of `prefix` updated with _encode(tail), exact ints encoded inline."""
+    state = prefix.copy()
+    for part in tail:
+        if type(part) is int:
+            size = (part.bit_length() + 8) // 8 + 1
+            state.update(b"i" + size.to_bytes(2, "big") + part.to_bytes(size, "big", signed=True))
+        else:
+            state.update(_encode((part,)))
+    return state
+
+
+def draw(prefix, *tail) -> int:
+    """Uniform 64-bit integer of the key whose encoding `prefix` has hashed,
+    extended by `tail`.  `prefix` is not mutated."""
+    return int.from_bytes(_extend(prefix, tail).digest(), "big")
 
 
 def u64(seed: int, *key) -> int:
-    """Uniform 64-bit integer for (seed, key).
+    """Uniform 64-bit integer for (seed, key): BLAKE2b of _encode((seed,) + key).
 
-    The digest is BLAKE2b of _encode((seed,) + key).  _encode concatenates
-    one chunk per part, so the state after the prefix (seed, stream tag,
-    entity) is hashed once and copied.  Only str and int prefix parts are
-    cached: equal values of those types encode equally, while 1 == 1.0 ==
-    True and 0.0 == -0.0 do not.
+    The prefix state of (seed, stream tag, entity) is cached only when its
+    parts are str and int: equal values of those types encode equally,
+    while 1 == 1.0 == True and 0.0 == -0.0 do not.
     """
     prefix = (seed,) + key[:2]
     if _EXACT_KEY_TYPES.issuperset(map(type, prefix)):
-        state = _prefix_state(prefix).copy()
-        state.update(_encode(key[2:]))
-    else:
-        state = hashlib.blake2b(_encode((seed,) + key), digest_size=8)
-    return int.from_bytes(state.digest(), "big")
+        return draw(_prefix_state(prefix), *key[2:])
+    return draw(stream(seed, *key))
+
+
+def unit(value: int) -> float:
+    """A 64-bit draw as a uniform float in [0, 1)."""
+    return (value >> 11) / _TWO53
 
 
 def uniform(seed: int, *key) -> float:
     """Uniform float in [0, 1)."""
-    return (u64(seed, *key) >> 11) / _TWO53
+    return unit(u64(seed, *key))
 
 
 def bernoulli(seed: int, probability: float, *key) -> bool:
@@ -80,10 +114,28 @@ def bernoulli(seed: int, probability: float, *key) -> bool:
     return uniform(seed, *key) < probability
 
 
+def _box_muller(sigma: float, first: int, second: int) -> float:
+    u1 = (first + 1) / _TWO64  # (0, 1]
+    u2 = second / _TWO64       # [0, 1)
+    return sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
 def gaussian(seed: int, sigma: float, *key) -> float:
-    """Zero-mean normal draw with standard deviation sigma (Box-Muller)."""
+    """Zero-mean normal draw with standard deviation sigma (Box-Muller of the
+    draws of key + (0,) and key + (1,))."""
     if sigma == 0.0:
         return 0.0
-    u1 = (u64(seed, *key, 0) + 1) / _TWO64  # (0, 1]
-    u2 = u64(seed, *key, 1) / _TWO64        # [0, 1)
-    return sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+    return _box_muller(sigma, u64(seed, *key, 0), u64(seed, *key, 1))
+
+
+def draw_gaussian(prefix, sigma: float, *tail) -> float:
+    """`gaussian` of the key `prefix` has hashed, extended by `tail`: the tail
+    is hashed once and the state copied for the two constant last chunks."""
+    if sigma == 0.0:
+        return 0.0
+    state = _extend(prefix, tail)
+    first = state.copy()
+    first.update(_GAUSSIAN_TAILS[0])
+    state.update(_GAUSSIAN_TAILS[1])
+    return _box_muller(sigma, int.from_bytes(first.digest(), "big"),
+                       int.from_bytes(state.digest(), "big"))

@@ -164,40 +164,53 @@ def _route_at(view: NetworkView, source: int, destination: int, query: RouteQuer
 def _search(topology: CompiledTopology, source: int, size_bits: int,
             router_term: Callable[[int], int | None], destination: int = -1) -> list[int]:
     """Dijkstra from `source` over labels (delay, hop count, node-index path);
-    tuple order on the label realizes the tie-break rule exactly.
+    their tuple order realizes the tie-break rule exactly.
+
+    The heap holds (delay, hops, node) and each node keeps the best (delay,
+    hops) pushed for it; a node's path is built once, when it is settled.
+    An equal (delay, hops) from a settled node with a smaller path takes over
+    as predecessor: every predecessor on a tight edge has one hop fewer, so
+    it is settled first and its path, of the same length as the others', is
+    known.  Ties therefore resolve as on full (delay, hops, path) labels.
 
     router_term(v) is the router term of a hop into node v, or None when the
     hop is excluded.  Stops once `destination` is settled (never, by
     default).  Returns each node's predecessor on its best path: -1 for the
-    source and for nodes not reached.
+    source and for nodes not reached (and the best so far for nodes left
+    unsettled by a stop).
     """
     transmission = topology.transmission_ps(size_bits)
     propagation = topology.propagation_ps
     adjacency = topology.adjacency
     relays = topology.relays
     predecessor = [-1] * len(topology.ids)
-    settled = [False] * len(topology.ids)
-    frontier = [(0, 0, (source,))]
+    labels: list[tuple[int, int] | None] = [None] * len(topology.ids)
+    paths: list[tuple[int, ...] | None] = [None] * len(topology.ids)  # set when settled
+    frontier = [(0, 0, source)]
     while frontier:
-        dist, hops, path = heappop(frontier)
-        node = path[-1]
-        if settled[node]:
+        dist, hops, node = heappop(frontier)
+        if paths[node] is not None:
             continue
-        settled[node] = True
-        if hops:
-            predecessor[node] = path[-2]
+        path = paths[node] = paths[predecessor[node]] + (node,) if hops else (source,)
         if node == destination:
             break
         # only routers relay; endpoints do not forward traffic through themselves
         if hops and not relays[node]:
             continue
         for neighbor, link in adjacency[node]:
-            if settled[neighbor]:
+            if paths[neighbor] is not None:
                 continue
             term = router_term(neighbor)
-            if term is not None:
-                heappush(frontier, (dist + transmission[link] + propagation[link] + term,
-                                    hops + 1, path + (neighbor,)))
+            if term is None:
+                continue
+            label = (dist + transmission[link] + propagation[link] + term, hops + 1)
+            best = labels[neighbor]
+            if best is None or label < best:
+                labels[neighbor] = label
+                predecessor[neighbor] = node
+                heappush(frontier, (*label, neighbor))
+            elif label == best and path < paths[predecessor[neighbor]]:
+                predecessor[neighbor] = node
     return predecessor
 
 

@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from syncsim import randstream
+from syncsim.clocks import ClockParameters, SoftwareClock
 
 key_parts = st.lists(
     st.one_of(st.integers(-2**40, 2**40), st.text(max_size=8),
@@ -80,3 +81,34 @@ def test_prefix_cached_draws_equal_the_full_key_digest():
         assert randstream.u64(seed, *key) == int.from_bytes(expected, "big"), (seed, key)
     assert min(seen.values()) > 30_000
     assert randstream._prefix_state.cache_info().hits - before > 10_000
+
+
+HELD_SEEDS = (0, 1, 2**64 - 1, True)
+HELD_CLOCK_IDS = ("c1", "é", "")
+HELD_TIMES_PS = (0, 1, 255, 256, -1, 2**60, 2**70)
+
+
+def test_held_clock_draws_equal_the_reference_bit_for_bit():
+    # a clock draws through prefix states it holds; u64 is the reference
+    params = ClockParameters(noise_sigma=1e-9, jitter_bound_ns=30.0)
+    for seed in HELD_SEEDS:
+        for clock_id in HELD_CLOCK_IDS:
+            clock = SoftwareClock(clock_id, params, seed)
+            for t_ps in HELD_TIMES_PS:
+                expected = randstream.gaussian(seed, params.noise_sigma,
+                                               "clock_noise", clock_id, t_ps)
+                expected += (randstream.uniform(seed, "clock_jitter", clock_id, t_ps)
+                             * params.jitter_bound_ns * 1e-9)
+                assert clock.noise_at_ps(t_ps) == expected, (seed, clock_id, t_ps)
+
+
+def test_int_tails_equal_the_full_key_digest():
+    for seed in HELD_SEEDS:
+        for entity in HELD_CLOCK_IDS:
+            for t_ps in HELD_TIMES_PS:
+                for key in (("router_flag", entity, t_ps), ("clock_noise", entity, t_ps, 1),
+                            ("ddos_drop", t_ps, entity), (entity, t_ps, t_ps)):
+                    expected = hashlib.blake2b(randstream._encode((seed, *key)),
+                                               digest_size=8).digest()
+                    assert randstream.u64(seed, *key) == int.from_bytes(expected, "big"), \
+                        (seed, key)

@@ -94,6 +94,22 @@ def test_ties_prefer_lexicographically_smaller_path():
     assert route.hops == ("a", "ra", "b")
 
 
+def test_equal_label_from_a_later_settled_node_with_smaller_path_wins():
+    # both paths cost 60 us in 2 hops: ra pays 60 us in its router term, rz
+    # 40 us plus 20 us of propagation into b.  rz settles first and reaches
+    # b first; ra's equal label must still take b over, as ("a", "ra") sorts
+    # before ("a", "rz")
+    nodes = [make_node("a"), make_node("b", "time_server"),
+             NodeSpec("ra", "router", router_delay=60e-6),
+             NodeSpec("rz", "router", router_delay=40e-6)]
+    links = [LinkSpec("a", "ra", 1e9, 0.0), LinkSpec("ra", "b", 1e9, 0.0),
+             LinkSpec("a", "rz", 1e9, 0.0), LinkSpec("rz", "b", 1e9, 4.0e3)]
+    view = NetworkView(NetworkGraph(nodes, links))
+    route = shortest_path(view, query("a", "b"))
+    assert route.hops == ("a", "ra", "b")
+    assert enumerate_best_route(view, query("a", "b"))[1] == route.hops
+
+
 def test_clients_do_not_relay():
     # a--c2--b is the only geometric path but c2 is a client: no route
     nodes = [make_node("a"), make_node("c2"), make_node("b", "time_server")]
