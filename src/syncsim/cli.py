@@ -14,6 +14,7 @@ diff-trace), 2 runtime error.
 import argparse
 import hashlib
 import json
+import math
 import sys
 
 from .clocks import ClockParameters, extremum_analysis
@@ -37,6 +38,21 @@ def _load(path: str) -> Scenario | None:
         return None
 
 
+def _write(path: str, data: bytes) -> bool:
+    """Write data to path; False after printing why it could not be written."""
+    try:
+        with open(path, "wb") as handle:
+            handle.write(data)
+    except OSError as exc:
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
+        return False
+    return True
+
+
+def _finite_or_none(value: float | None) -> float | None:
+    return value if value is not None and math.isfinite(value) else None
+
+
 def _cmd_run(args) -> int:
     scenario = _load(args.scenario)
     if scenario is None:
@@ -47,13 +63,11 @@ def _cmd_run(args) -> int:
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     data = trace_bytes(records)
-    if args.trace:
-        with open(args.trace, "wb") as handle:
-            handle.write(data)
-    if args.metrics:
-        with open(args.metrics, "w", encoding="utf-8") as handle:
-            json.dump(metrics, handle, indent=2, sort_keys=True)
-            handle.write("\n")
+    if args.trace and not _write(args.trace, data):
+        return EXIT_RUNTIME
+    if args.metrics and not _write(args.metrics, (json.dumps(
+            metrics, indent=2, sort_keys=True) + "\n").encode("utf-8")):
+        return EXIT_RUNTIME
     summary = metrics["messages"]
     print(f"{len(records)} events; messages sent={summary['sent']} "
           f"delivered={summary['delivered']} dropped={summary['dropped']} "
@@ -72,18 +86,24 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_analyze_clock(args) -> int:
+    for name in ("alpha0", "beta", "gamma"):
+        value = getattr(args, name)
+        if not math.isfinite(value):
+            print(f"error: --{name} must be finite, got {value!r}", file=sys.stderr)
+            return EXIT_VALIDATION
     params = ClockParameters(alpha0=args.alpha0, beta=args.beta, gamma=args.gamma,
                              model_kind="quadratic" if args.gamma != 0 else "linear")
     report = extremum_analysis(params)
+    # a t*, offset or concavity that overflows prints as null, never as NaN
     payload = {
         "has_extremum": report.has_extremum,
-        "t_star_s": report.t_star,
+        "t_star_s": _finite_or_none(report.t_star),
         "classification": report.classification,
-        "concavity_per_s": report.concavity,
+        "concavity_per_s": _finite_or_none(report.concavity),
     }
     if report.has_extremum:
-        payload["offset_at_t_star_s"] = params.drift_offset(report.t_star)
-    print(json.dumps(payload, sort_keys=True))
+        payload["offset_at_t_star_s"] = _finite_or_none(params.drift_offset(report.t_star))
+    print(json.dumps(payload, sort_keys=True, allow_nan=False))
     return EXIT_OK
 
 
@@ -93,10 +113,15 @@ def _cmd_export_dot(args) -> int:
         return EXIT_VALIDATION
     view = NetworkView(scenario.graph, scenario.config.seed, scenario.attacks,
                        scenario.medium_speeds)
-    text = export_graph(view, args.time)
+    try:
+        text = export_graph(view, args.time)
+    except (OverflowError, ValueError):  # the instant or a clock offset at it
+        print(f"error: --time {args.time!r}: the snapshot is not a finite number "
+              f"of picoseconds", file=sys.stderr)
+        return EXIT_VALIDATION
     if args.output:
-        with open(args.output, "w", encoding="utf-8", newline="\n") as handle:
-            handle.write(text)
+        if not _write(args.output, text.encode("utf-8")):
+            return EXIT_RUNTIME
     else:
         sys.stdout.write(text)
     return EXIT_OK

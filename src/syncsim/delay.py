@@ -24,7 +24,7 @@ from .timebase import seconds_to_ps
 from .topology import LinkSpec, NetworkGraph, medium_speed
 
 if TYPE_CHECKING:
-    from .netview import NetworkView
+    from .netview import Epoch, NetworkView
 
 
 class PathBlocked(Exception):
@@ -83,31 +83,26 @@ class CompiledTopology:
 
     Node indices follow sorted node ids, so comparing tuples of indices
     orders paths exactly as comparing tuples of node ids does.  Per node:
-    its id, whether it relays (routers only), its failure model when that
-    can take it down (None otherwise), its links as (neighbor index, link
-    index) pairs in the graph's adjacency order, and its base router term
-    (0 for clients and time servers, None for an always_failed router,
-    which is never up).  Per link: the propagation term, and the
-    transmission term per message size, filled on first use.
+    its id, its `NodeSpec`, whether it relays (routers only), its failure
+    model when that can take it down (None otherwise), and its links as
+    (neighbor index, link index) pairs in the graph's adjacency order.  Per
+    link: the propagation term, and the transmission term per message size,
+    filled on first use.
 
     A NetworkView compiles its graph once and shares the result with its
     attack-free baseline.  `epochs` holds one `netview.Epoch` per set of
-    active routing attacks a query has met, keyed by that tuple; its router
-    terms and route tables depend on nothing else.
+    active routing attacks, keyed by that tuple (`epoch`); its router terms
+    and route tables depend on nothing else.
     """
 
     def __init__(self, graph: NetworkGraph, medium_speeds: dict[str, float]):
         self.ids = tuple(sorted(graph.nodes))
         self.index = {node_id: i for i, node_id in enumerate(self.ids)}
-        nodes = [graph.node(node_id) for node_id in self.ids]
-        self.relays = tuple(node.is_router for node in nodes)
+        self.nodes = tuple(graph.node(node_id) for node_id in self.ids)
+        self.relays = tuple(node.is_router for node in self.nodes)
         self.failure_models = tuple(
             node.failure_model if node.is_router and node.failure_model.mode != "always_active"
-            else None for node in nodes)
-        self.base_router_ps = tuple(
-            0 if not node.is_router
-            else None if node.failure_model.mode == "always_failed"
-            else seconds_to_ps(node.router_delay) for node in nodes)
+            else None for node in self.nodes)
         self.links = graph.links
         adjacency: list[list[tuple[int, int]]] = [[] for _ in self.ids]
         self.link_between: dict[tuple[str, str], int] = {}
@@ -122,6 +117,16 @@ class CompiledTopology:
                                     for link in self.links)
         self._transmission_ps: dict[int, tuple[int, ...]] = {}
         self.epochs: dict = {}
+
+    def epoch(self, attacks: tuple, t_ps: int) -> "Epoch":
+        """The shared `netview.Epoch` of `attacks`, the routing attacks
+        active at t_ps, built on first request: a recurring set, and the
+        empty set of a view and its baseline, share one epoch's tables."""
+        epoch = self.epochs.get(attacks)
+        if epoch is None:
+            from .netview import Epoch  # netview imports this module
+            epoch = self.epochs[attacks] = Epoch(self, attacks, t_ps)
+        return epoch
 
     def transmission_ps(self, size_bits: int) -> tuple[int, ...]:
         """The transmission term of every link for a message of size_bits."""

@@ -3,27 +3,29 @@
 Bundles the graph with the global seed, the attack list, and any medium
 speed overrides, and answers the time-dependent question routing and delay
 computation ask: the router term of a hop into a node at t, None when the
-node is down (`hop_router_ps`, the one rule both read).  All answers are pure
-functions of (view, t), so concurrent queries are safe and repeat queries
-are identical.  The time-independent terms come from the view's compiled
-topology.
+node is down (`hop_router_ps`, the one rule both read).  Everything that
+depends only on those inputs is built with the view, so a query only
+indexes: the compiled topology with its time-independent terms, the
+routing epochs, and the router_flag stream state of every router a
+failure model can take down.  All answers are pure functions of (view, t),
+so concurrent queries are safe and repeat queries are identical.
 
 Attacks are piecewise constant in time.  Between two consecutive edges of
 the windows of the routing attacks (router_hijack of either mode, and ddos
 with a delay multiplier other than 1) the set of active ones, the view's
 routing epoch, is fixed, and so is every router's term while its failure
-model has it up.  `epoch_at` memoizes that per interval, on first use;
-`attack_free_epoch` is the epoch with no routing attack, every term at its
-base value.  `router_active` and `router_delay_at` are the direct
-definition of the same terms, scanning the attack list at t; the DOT
-export draws from them.  `drop_targets` holds the nodes where a hop can be
-dropped: the targets of the ddos attacks with `drop_probability > 0`.
+model has it up.  The view builds one epoch per interval; `epoch_at`
+looks it up, and `attack_free_epoch` is the epoch with no routing attack.
+`router_active` and `router_delay_at` are the direct definition of the
+same terms, scanning the attack list at t; the DOT export draws from
+them.  `drop_targets` holds the nodes where a hop can be dropped: the
+targets of the ddos attacks with `drop_probability > 0`.
 """
 
 from bisect import bisect_right
-from dataclasses import dataclass, field
 
 from . import attacks as attacks_mod
+from . import randstream
 from .attacks import AttackSpec
 from .delay import CompiledTopology
 from .timebase import seconds_to_ps
@@ -69,53 +71,61 @@ class Epoch:
     `CompiledTopology.epochs` under its active routing attacks.
 
     `terms[i]` is node i's `up_router_ps` under those attacks; `raised`
-    holds the indices whose term is not the attack-free one (attacks only
-    raise terms, None meaning down).  The routing layer's cache: `tables`
-    maps (source index, size) to one Dijkstra run's predecessor list, and
-    `routes` maps (source index, size, destination index) to the route read
-    from it, None when unreachable.
+    holds the indices whose term is not the attack-free epoch's (attacks
+    only raise terms, None meaning down).  The routing layer's cache:
+    `tables` maps (source index, size) to one Dijkstra run's predecessor
+    list, and `routes` maps (source index, size, destination index) to the
+    route read from it, None when unreachable.
     """
 
     __slots__ = ("terms", "raised", "tables", "routes")
 
-    def __init__(self, view: "NetworkView", attacks: tuple[AttackSpec, ...], t_ps: int):
-        topology = view.topology
-        terms = list(topology.base_router_ps)
-        targets = [topology.index[target] for target in dict.fromkeys(a.target for a in attacks)
-                   if target in topology.index]
-        for index in targets:
-            terms[index] = up_router_ps(view.graph.node(topology.ids[index]), attacks, t_ps)
+    def __init__(self, topology: CompiledTopology, attacks: tuple[AttackSpec, ...], t_ps: int):
+        if attacks:
+            base = topology.epoch((), 0).terms
+            terms = list(base)
+            targets = [topology.index[target] for target in dict.fromkeys(a.target for a in attacks)
+                       if target in topology.index]
+            for index in targets:
+                terms[index] = up_router_ps(topology.nodes[index], attacks, t_ps)
+            self.raised = frozenset(index for index in targets if terms[index] != base[index])
+        else:
+            terms = [up_router_ps(node, (), 0) for node in topology.nodes]
+            self.raised = frozenset()
         self.terms = tuple(terms)
-        self.raised = frozenset(index for index in targets
-                                if terms[index] != topology.base_router_ps[index])
         self.tables: dict = {}
         self.routes: dict = {}
 
 
-@dataclass(frozen=True)
 class NetworkView:
-    graph: NetworkGraph
-    seed: int = 0
-    attacks: tuple[AttackSpec, ...] = ()
-    medium_speeds: dict[str, float] = field(default_factory=dict)
-    # compiled from graph and medium_speeds when not given; without_attacks
-    # passes its own, so a view and its baseline share one route cache
-    topology: CompiledTopology = field(default=None, compare=False, repr=False)
+    __slots__ = ("graph", "seed", "attacks", "medium_speeds", "topology", "flag_streams",
+                 "attack_free_epoch", "drop_targets", "_epoch_edges", "_epochs")
 
-    def __post_init__(self):
-        if self.topology is None:
-            object.__setattr__(self, "topology",
-                               CompiledTopology(self.graph, self.medium_speeds))
-        # set with object.__setattr__, never through the instance __dict__
-        # (as functools.cached_property would): reading that dict takes every
-        # later attribute read of the view off CPython's fast path
-        edges = epoch_edges(self.attacks)
-        object.__setattr__(self, "_epoch_edges", edges)
-        object.__setattr__(self, "_epochs", [None] * (len(edges) + 1))
-        object.__setattr__(self, "attack_free_epoch", self._epoch((), 0))
+    def __init__(self, graph: NetworkGraph, seed: int = 0,
+                 attacks: tuple[AttackSpec, ...] = (),
+                 medium_speeds: dict[str, float] | None = None,
+                 topology: CompiledTopology | None = None):
+        self.graph = graph
+        self.seed = seed
+        self.attacks = attacks
+        self.medium_speeds = medium_speeds or {}
+        # compiled from graph and medium_speeds when not given; without_attacks
+        # passes its own, so a view and its baseline share one route cache
+        self.topology = topology = (topology if topology is not None
+                                    else CompiledTopology(graph, self.medium_speeds))
+        # the router_flag stream of each router a failure model can take down
+        self.flag_streams = tuple(
+            None if model is None else randstream.stream(seed, "router_flag", node_id)
+            for node_id, model in zip(topology.ids, topology.failure_models))
+        # epoch k covers [edges[k - 1], edges[k]); the first one, before any
+        # window opens, is the attack-free epoch
+        self._epoch_edges = epoch_edges(attacks)
+        self.attack_free_epoch = topology.epoch((), 0)
+        self._epochs = (self.attack_free_epoch,) + tuple(
+            topology.epoch(routing_epoch(attacks, edge), edge) for edge in self._epoch_edges)
         # the only nodes where a hop can be dropped; the engine rolls nowhere else
-        object.__setattr__(self, "drop_targets", frozenset(
-            a.target for a in self.attacks if a.kind == "ddos" and a.drop_probability > 0))
+        self.drop_targets = frozenset(
+            a.target for a in attacks if a.kind == "ddos" and a.drop_probability > 0)
 
     def router_active(self, node_id: str, t_ps: int) -> bool:
         """Flag(t) with force_down hijacks applied; non-routers are always up."""
@@ -139,27 +149,14 @@ class NetworkView:
         else None."""
         term = self.epoch_at(t_ps).terms[node]
         model = self.topology.failure_models[node]
-        if term is None or model is None or model.flag_at_ps(self.topology.ids[node], t_ps,
-                                                              self.seed):
+        if term is None or model is None or model.flag_from(self.flag_streams[node], t_ps):
             return term
         return None
 
     def epoch_at(self, t_ps: int) -> Epoch:
         """The routing epoch holding t_ps.  Window starts belong to the
         interval they open (windows are half-open), hence bisect_right."""
-        index = bisect_right(self._epoch_edges, t_ps)
-        epoch = self._epochs[index]
-        if epoch is None:
-            epoch = self._epochs[index] = self._epoch(routing_epoch(self.attacks, t_ps), t_ps)
-        return epoch
-
-    def _epoch(self, attacks: tuple[AttackSpec, ...], t_ps: int) -> Epoch:
-        # shared through the topology: a recurring set of attacks, and the
-        # empty set of a view and its baseline, reuse one epoch's tables
-        epochs = self.topology.epochs
-        if attacks not in epochs:
-            epochs[attacks] = Epoch(self, attacks, t_ps)
-        return epochs[attacks]
+        return self._epochs[bisect_right(self._epoch_edges, t_ps)]
 
     def without_attacks(self) -> "NetworkView":
         """The attack-free baseline view (used for timeout budgeting)."""

@@ -10,22 +10,20 @@ byte-stable.
 Draws are derived from BLAKE2b digests of a canonical key encoding, so they
 are identical across platforms and Python versions.  `_encode` writes one
 chunk per key part, so a stream's prefix (seed, stream tag, entity) is
-hashed once into a state that `draw` copies and extends with the tail.  A
-stream owner holds its prefix state: each `SoftwareClock` builds its
-clock_noise and clock_jitter states from `stream`.  `u64` looks the prefix
-up instead (cached for str and int prefixes) and is the reference every
-held draw must equal bit for bit; router flags and drop rolls draw through
-it.
+hashed once into a state that `draw` copies and extends with the tail.
+Every stream on the run path is held by its owner, built once from
+`stream`: each `SoftwareClock` holds its clock_noise and clock_jitter
+states, and each `NetworkView` the router_flag state of every router a
+failure model can take down.  A drop roll hashes its whole key, as `u64`
+does: `u64` is the reference every held draw must equal bit for bit.
 """
 
-import functools
 import hashlib
 import math
 import struct
 
 _TWO53 = float(1 << 53)
 _TWO64 = float(1 << 64)
-_EXACT_KEY_TYPES = frozenset((str, int))  # types whose equal values encode equally
 
 
 def _encode(parts: tuple) -> bytes:
@@ -58,12 +56,6 @@ def stream(seed: int, *key):
     return hashlib.blake2b(_encode((seed,) + key), digest_size=8)
 
 
-@functools.lru_cache(maxsize=4096)
-def _prefix_state(prefix: tuple):
-    """stream(*prefix), cached; callers copy it."""
-    return stream(*prefix)
-
-
 def _extend(prefix, tail: tuple):
     """A copy of `prefix` updated with _encode(tail), exact ints encoded inline."""
     state = prefix.copy()
@@ -83,15 +75,7 @@ def draw(prefix, *tail) -> int:
 
 
 def u64(seed: int, *key) -> int:
-    """Uniform 64-bit integer for (seed, key): BLAKE2b of _encode((seed,) + key).
-
-    The prefix state of (seed, stream tag, entity) is cached only when its
-    parts are str and int: equal values of those types encode equally,
-    while 1 == 1.0 == True and 0.0 == -0.0 do not.
-    """
-    prefix = (seed,) + key[:2]
-    if _EXACT_KEY_TYPES.issuperset(map(type, prefix)):
-        return draw(_prefix_state(prefix), *key[2:])
+    """Uniform 64-bit integer for (seed, key): BLAKE2b of _encode((seed,) + key)."""
     return draw(stream(seed, *key))
 
 
@@ -105,13 +89,19 @@ def uniform(seed: int, *key) -> float:
     return unit(u64(seed, *key))
 
 
-def bernoulli(seed: int, probability: float, *key) -> bool:
-    """True with the given probability; p=0 never, p=1 always."""
+def draw_bernoulli(prefix, probability: float, *tail) -> bool:
+    """True with the given probability, drawn from the key `prefix` has
+    hashed, extended by `tail`; p=0 never and p=1 always, without a draw."""
     if probability <= 0.0:
         return False
     if probability >= 1.0:
         return True
-    return uniform(seed, *key) < probability
+    return unit(draw(prefix, *tail)) < probability
+
+
+def bernoulli(seed: int, probability: float, *key) -> bool:
+    """True with the given probability, drawn from (seed, key)."""
+    return draw_bernoulli(stream(seed, *key), probability)
 
 
 def _box_muller(sigma: float, first: int, second: int) -> float:

@@ -23,7 +23,8 @@ A query at t:
   2. if t's epoch raised the term of a router on that route, takes the
      route of t's epoch instead;
   3. returns that route when every router on it that a failure model can
-     take down is up at t (`FailureModel.flag_at_ps`; no attack is read);
+     take down is up at t (`FailureModel.flag_from` on the router_flag
+     stream the view holds; no attack is read);
   4. otherwise runs Dijkstra at t on `hop_router_ps`: the epoch's terms,
      with the routers that are down at t excluded.
 
@@ -117,8 +118,8 @@ def shortest_path(view: NetworkView, query: RouteQuery) -> Route:
         cached = _cached_route(topology, epoch, source, size_bits, destination)
     if cached is None:
         raise NoRoute(query.source, query.destination)
-    seed = view.seed
-    if all(model.flag_at_ps(node_id, t_ps, seed) for node_id, model in cached.failures):
+    models, streams = topology.failure_models, view.flag_streams
+    if all(models[node].flag_from(streams[node], t_ps) for node in cached.failures):
         if cached.route is None:
             cached.route = Route(cached.hops, total_path_delay(
                 view, list(cached.hops), size_bits, t_ps))
@@ -225,14 +226,14 @@ def _path(predecessor: list[int], destination: int) -> list[int]:
 class _CachedRoute:
     """A value of `Epoch.routes`: its hops, the indices of its routers after
     the source (a raised one sends a query on to its epoch's routes), the
-    (router id, failure model) pairs of those a failure model can take
-    down, which a hit reads at t, and its Route once a query has hit it."""
+    indices of those a failure model can take down, whose flags a hit reads
+    at t, and its Route once a query has hit it."""
 
     __slots__ = ("hops", "routers", "failures", "route")
 
     def __init__(self, topology: CompiledTopology, path: list[int]):
         self.hops = tuple(topology.ids[node] for node in path)
         self.routers = frozenset(node for node in path[1:] if topology.relays[node])
-        self.failures = tuple((topology.ids[node], topology.failure_models[node])
-                              for node in path[1:] if topology.failure_models[node] is not None)
+        self.failures = tuple(node for node in path[1:]
+                              if topology.failure_models[node] is not None)
         self.route: Route | None = None

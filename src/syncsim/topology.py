@@ -62,18 +62,21 @@ class FailureModel:
     def flag_at_ps(self, node_id: str, t_ps: int, seed: int) -> int:
         """Activity indicator at t: 1 active, 0 failed.
 
-        Bernoulli draws are keyed by (seed, node id, time epoch), so every
-        query at the same instant sees the same router state and distinct
-        instants are independent.
+        Bernoulli draws are keyed by (seed, "router_flag", node id, t_ps), so
+        every query at the same instant sees the same router state and
+        distinct instants are independent.
         """
+        return self.flag_from(randstream.stream(seed, "router_flag", node_id), t_ps)
+
+    def flag_from(self, prefix, t_ps: int) -> int:
+        """`flag_at_ps` of the router whose router_flag stream state is
+        `prefix` (`randstream.stream(seed, "router_flag", node_id)`)."""
         if self.mode == "always_active":
             return 1
         if self.mode == "always_failed":
             return 0
         if self.mode == "bernoulli":
-            failed = randstream.bernoulli(seed, self.failure_probability,
-                                          "router_flag", node_id, t_ps)
-            return 0 if failed else 1
+            return 0 if randstream.draw_bernoulli(prefix, self.failure_probability, t_ps) else 1
         period_ps = seconds_to_ps(self.up_duration) + seconds_to_ps(self.down_duration)
         return 1 if t_ps % period_ps < seconds_to_ps(self.up_duration) else 0
 

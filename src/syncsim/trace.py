@@ -101,7 +101,12 @@ def parse_trace(text: str) -> list[dict]:
 
 def load_trace(path) -> list[dict]:
     with open(path, "r", encoding="utf-8") as handle:
-        return parse_trace(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise TraceFormatError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                                   f"{exc.start})") from None
+    return parse_trace(text)
 
 
 def diff_traces(a: list[dict], b: list[dict]) -> dict:

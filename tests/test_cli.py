@@ -115,3 +115,64 @@ def test_diff_trace_against_attacked_run(tmp_path):
     assert result.returncode == 1
     summary = json.loads(result.stdout)
     assert summary["identical"] is False
+
+
+def test_export_dot_time_beyond_picoseconds_is_a_named_error():
+    # inf, nan and 1e300 s do not quantize; at 1e290 s the mesh's drifting
+    # clocks have offsets that do not
+    mesh = SCENARIO_DIR / "mesh_attacks.json"
+    for scenario, time in ((MINIMAL, "inf"), (MINIMAL, "nan"), (MINIMAL, "1e300"),
+                           (mesh, "1e290")):
+        result = cli("export-dot", "--scenario", str(scenario), f"--time={time}")
+        assert result.returncode == 1, (time, result.stderr)
+        assert result.stderr == (f"error: --time {float(time)!r}: the snapshot is not a "
+                                 f"finite number of picoseconds\n"), result.stderr
+
+
+def test_unwritable_output_path_is_a_named_error(tmp_path):
+    path = tmp_path / "missing" / "out"
+    for args in (("run", "--scenario", str(MINIMAL), "--trace", str(path)),
+                 ("run", "--scenario", str(MINIMAL), "--metrics", str(path)),
+                 ("export-dot", "--scenario", str(MINIMAL), "--output", str(path))):
+        result = cli(*args)
+        assert result.returncode == 2, (args, result.stderr)
+        assert result.stderr == f"error: cannot write {path}: No such file or directory\n"
+
+
+def test_diff_trace_of_a_file_that_is_not_utf8_is_a_named_error(tmp_path):
+    binary, empty = tmp_path / "binary.trace", tmp_path / "empty.trace"
+    binary.write_bytes(b"\xff\xfe")
+    empty.write_bytes(b"")
+    for args in ((binary, empty), (empty, binary)):
+        result = cli("diff-trace", *map(str, args))
+        assert result.returncode == 1, result.stderr
+        assert result.stderr.startswith(f"error: {binary}: not UTF-8 text"), result.stderr
+
+
+def _strict_json(text: str):
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+    return json.loads(text, parse_constant=reject)
+
+
+def test_analyze_clock_non_finite_input_is_a_named_error():
+    for args in (("--beta=nan", "--gamma=1e-10"), ("--beta=1e-6", "--gamma=inf"),
+                 ("--beta=1e-6", "--gamma=-1e-10", "--alpha0=-inf")):
+        result = cli("analyze-clock", *args)
+        assert result.returncode == 1, (args, result.stdout)
+        assert result.stdout == ""
+        assert result.stderr.startswith("error: --"), result.stderr
+
+
+def test_analyze_clock_prints_json_when_t_star_overflows():
+    # finite input: t* = -1 / 2e-320 is -inf, and the offset there is nan
+    result = cli("analyze-clock", "--beta=1", "--gamma=1e-320")
+    assert result.returncode == 0, result.stderr
+    payload = _strict_json(result.stdout)
+    assert payload["t_star_s"] is None
+    assert payload["offset_at_t_star_s"] is None
+    assert payload["concavity_per_s"] == 2e-320
+    # and 2 * gamma overflows
+    payload = _strict_json(cli("analyze-clock", "--beta=1", "--gamma=1e308").stdout)
+    assert payload["concavity_per_s"] is None
+    assert payload["t_star_s"] == 0.0

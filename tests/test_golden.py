@@ -1,4 +1,5 @@
-"""Golden trace lock: the full SHA-256 of each bundled scenario's trace.
+"""Golden trace lock: the full SHA-256 of each bundled scenario's trace,
+and of its DOT export at the instants where its router state changes.
 
 A trace's bytes depend only on (scenario, seed), so any change to these
 values is a behaviour change.  An intended one updates the value here and
@@ -12,6 +13,8 @@ from pathlib import Path
 import pytest
 
 from syncsim import build_engine, load_scenario, trace_bytes
+from syncsim.dotexport import export_graph
+from syncsim.netview import NetworkView
 
 ROOT = Path(__file__).resolve().parent.parent
 SCENARIO_DIR = ROOT / "demos" / "scenarios"
@@ -70,3 +73,31 @@ def test_benchmark_workload_trace_is_pinned(workload, tmp_path):
     engine = build_engine(scenario)
     engine.run_until(scenario.config.duration)
     assert hashlib.sha256(trace_bytes(engine.records)).hexdigest() == WORKLOADS[workload]
+
+
+# (scenario file stem, snapshot seconds) -> SHA-256 of `syncsim export-dot`;
+# mesh_attacks at t = 0 and at each attack window edge
+DOT_EXPORTS = {
+    ("minimal_pair", 0.0): "2717ffad662b6483b03c3a8d714d4011e2c8085009c3bb8932a5551887b2ad22",
+    ("campus_wifi_fiber", 0.0):
+        "4215c9b7c5b25a3a5a1aa3fce615165bd1e3a2ac1af6e3c30efe24f77ff787c8",
+    ("fiber_vs_satellite", 0.0):
+        "41f51445051208955a50d6f3cb7e06b00dc8f7178a7a0adb233ae0e88df34a0c",
+    ("mesh_attacks", 0.0): "68f5e9693200d3cc77be95ac1be9d64b14210fb142a1c4faf34ed497ab45956d",
+    ("mesh_attacks", 4.0): "6e398f8a9444b2f3fca6c92fd0adc12c861677e4032c31c17609ac984bdcba35",
+    ("mesh_attacks", 6.0): "aef3b0b4eafd0480e31717f1179a46f950e081a432d9f8fb736567a164a28bb9",
+    ("mesh_attacks", 8.0): "e7da39354a413a5e83a5409ccb78eba676843ec7fd2dbe64854234a9d9af0e41",
+    ("mesh_attacks", 10.0): "beb27c0fba15f5713d0d3f8176863ef573f93ddf0212cbac3e0abed9c6e4755a",
+    ("mesh_attacks", 14.0): "828c56846f0076acc24d992db8ed3e0115393413f426843a8919adcd5274d1ba",
+    ("mesh_attacks", 16.0): "bcc953f974c8db2ab79329f705411a98e9cf662da0a9d60821e1d98d740c6299",
+}
+
+
+@pytest.mark.parametrize("stem,t", sorted(DOT_EXPORTS), ids=lambda value: str(value))
+def test_dot_export_sha256_is_pinned(stem, t):
+    # the view `syncsim export-dot` builds, and the text it writes
+    scenario = load_scenario(SCENARIO_DIR / f"{stem}.json")
+    view = NetworkView(scenario.graph, scenario.config.seed, scenario.attacks,
+                       scenario.medium_speeds)
+    text = export_graph(view, t)
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == DOT_EXPORTS[stem, t]

@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 
 from syncsim import randstream
 from syncsim.clocks import ClockParameters, SoftwareClock
+from syncsim.netview import NetworkView
+from syncsim.topology import FailureModel, NetworkGraph, NodeSpec
 
 key_parts = st.lists(
     st.one_of(st.integers(-2**40, 2**40), st.text(max_size=8),
@@ -69,7 +71,6 @@ def test_prefix_cached_draws_equal_the_full_key_digest():
         float: [0.0, -0.0, 1.0, 0.5], tuple: [(1,), (True,), (1.0,), (-0.0, "x"), ()],
         list: [[1], [True], [0.0, [1]]]}
     seen = dict.fromkeys(pools, 0)
-    before = randstream._prefix_state.cache_info().hits
     for _ in range(120_000):
         seed = rng.choice([0, 1, 2**64 - 1])
         key = []
@@ -80,7 +81,6 @@ def test_prefix_cached_draws_equal_the_full_key_digest():
         expected = hashlib.blake2b(randstream._encode((seed, *key)), digest_size=8).digest()
         assert randstream.u64(seed, *key) == int.from_bytes(expected, "big"), (seed, key)
     assert min(seen.values()) > 30_000
-    assert randstream._prefix_state.cache_info().hits - before > 10_000
 
 
 HELD_SEEDS = (0, 1, 2**64 - 1, True)
@@ -100,6 +100,32 @@ def test_held_clock_draws_equal_the_reference_bit_for_bit():
                 expected += (randstream.uniform(seed, "clock_jitter", clock_id, t_ps)
                              * params.jitter_bound_ns * 1e-9)
                 assert clock.noise_at_ps(t_ps) == expected, (seed, clock_id, t_ps)
+
+
+HELD_ROUTER_IDS = ("", "é", "r01")
+HELD_ROUTER_TIMES_PS = (0, 1, 255, 256, 2**60, 2**70)
+
+
+def test_held_router_flags_equal_the_reference_bit_for_bit():
+    # a view holds each failing router's router_flag stream; the reference
+    # draws uniform(seed, "router_flag", id, t) and fails the router below p
+    for p in (0.0, 0.05, 0.5, 1.0):
+        model = FailureModel("bernoulli", failure_probability=p)
+        graph = NetworkGraph([NodeSpec(node_id, "router", failure_model=model)
+                              for node_id in HELD_ROUTER_IDS])
+        for seed in HELD_SEEDS:
+            view = NetworkView(graph, seed)
+            for index, node_id in enumerate(view.topology.ids):
+                for t_ps in HELD_ROUTER_TIMES_PS:
+                    u = randstream.uniform(seed, "router_flag", node_id, t_ps)
+                    expected = 1 if p == 0.0 else 0 if p == 1.0 else 0 if u < p else 1
+                    held = randstream.stream(seed, "router_flag", node_id)
+                    case = (p, seed, node_id, t_ps)
+                    assert model.flag_from(held, t_ps) == expected, case
+                    assert model.flag_from(view.flag_streams[index], t_ps) == expected, case
+                    assert model.flag_at_ps(node_id, t_ps, seed) == expected, case
+                    term = view.hop_router_ps(index, t_ps)
+                    assert (term is not None) == (expected == 1), case
 
 
 def test_int_tails_equal_the_full_key_digest():

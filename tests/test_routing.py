@@ -234,7 +234,7 @@ def test_epoch_terms_equal_router_ps_at_window_edges(seed):
             if not node.is_router or node.failure_model.flag_at_ps(node_id, t_ps, seed):
                 assert epoch.terms[index] == direct
         assert epoch.raised == {index for index, (term, base)
-                                in enumerate(zip(epoch.terms, topology.base_router_ps))
+                                in enumerate(zip(epoch.terms, view.attack_free_epoch.terms))
                                 if term != base}
 
 
