@@ -86,8 +86,9 @@ class CompiledTopology:
     its id, its `NodeSpec`, whether it relays (routers only), its failure
     model when that can take it down (None otherwise), and its links as
     (neighbor index, link index) pairs in the graph's adjacency order.  Per
-    link: the propagation term, and the transmission term per message size,
-    filled on first use.
+    link: the propagation term, and per message size, filled on first use,
+    the transmission term and the link term (transmission plus propagation,
+    what a route search adds per hop).
 
     A NetworkView compiles its graph once and shares the result with its
     attack-free baseline.  `epochs` holds one `netview.Epoch` per set of
@@ -115,7 +116,7 @@ class CompiledTopology:
         self.medium_speeds = medium_speeds
         self.propagation_ps = tuple(link_terms_ps(link, 0, medium_speeds)[1]
                                     for link in self.links)
-        self._transmission_ps: dict[int, tuple[int, ...]] = {}
+        self._size_terms: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self.epochs: dict = {}
 
     def epoch(self, attacks: tuple, t_ps: int) -> "Epoch":
@@ -128,12 +129,15 @@ class CompiledTopology:
             epoch = self.epochs[attacks] = Epoch(self, attacks, t_ps)
         return epoch
 
-    def transmission_ps(self, size_bits: int) -> tuple[int, ...]:
-        """The transmission term of every link for a message of size_bits."""
-        terms = self._transmission_ps.get(size_bits)
+    def size_terms(self, size_bits: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The transmission term and the link term of every link for a
+        message of size_bits."""
+        terms = self._size_terms.get(size_bits)
         if terms is None:
-            terms = self._transmission_ps[size_bits] = tuple(
-                link_terms_ps(link, size_bits, self.medium_speeds)[0] for link in self.links)
+            transmission = tuple(link_terms_ps(link, size_bits, self.medium_speeds)[0]
+                                 for link in self.links)
+            terms = self._size_terms[size_bits] = (transmission, tuple(
+                t + p for t, p in zip(transmission, self.propagation_ps)))
         return terms
 
 
@@ -147,7 +151,7 @@ def total_path_delay(view: "NetworkView", path: list[str], size_bits: int,
     (perfbench/layers.py) passes one positionally.
     """
     topology = view.topology
-    transmission, propagation = topology.transmission_ps(size_bits), topology.propagation_ps
+    transmission, propagation = topology.size_terms(size_bits)[0], topology.propagation_ps
     arrivals_ps: list[int] = []
     router_total = transmission_total = propagation_total = 0
     for a, b in zip(path, path[1:]):

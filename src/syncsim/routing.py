@@ -1,12 +1,14 @@
 """Least-delay routing with Dijkstra's algorithm.
 
 An edge's weight is its hop's delay in integer picoseconds: the link's
-transmission and propagation terms from the compiled topology plus the
-downstream router's term at t (`NetworkView.hop_router_ps`), the same terms
-`delay.total_path_delay` sums, so a route's weight equals its delay
-breakdown total exactly.  Edges into inactive routers are excluded outright
-rather than given infinite weight.  Only routers forward traffic: clients
-and time servers appear solely as route endpoints.
+term for the message size (transmission plus propagation, from the
+compiled topology) plus the downstream router's term at t
+(`NetworkView.hop_router_ps`), the same terms `delay.total_path_delay`
+sums, so a route's weight equals its delay breakdown total exactly.  The
+search reads router terms from a sequence indexed by node, where None
+excludes every edge into that node rather than giving it infinite weight.
+Only routers forward traffic: clients and time servers appear solely as
+route endpoints.
 
 Weights depend on message size (the transmission term), so routes are
 computed per message.  Ties break on fewer hops, then the lexicographically
@@ -25,8 +27,9 @@ A query at t:
   3. returns that route when every router on it that a failure model can
      take down is up at t (`FailureModel.flag_from` on the router_flag
      stream the view holds; no attack is read);
-  4. otherwise runs Dijkstra at t on `hop_router_ps`: the epoch's terms,
-     with the routers that are down at t excluded.
+  4. otherwise runs Dijkstra at t on the epoch's terms, with the term of
+     each router a failure model can take down replaced by its
+     `hop_router_ps` at t, None for the routers down at t.
 
 Why that is exact.  Labels (delay, hops, node sequence) are totally
 ordered, so each graph has one optimum per destination.  Attacks only
@@ -38,13 +41,13 @@ the epoch while no other path's label falls, so P is still the epoch's
 optimum and step 2 is needed only when it applies.  Failure models only
 remove routers from an epoch's graph and leave the terms of the routers
 that stay up, so an epoch's optimum whose routers are all up at t is the
-optimum at t (step 3).  A
-destination the epoch cannot reach has no route at t.  A cached route's
-breakdown is the same at every t it is returned (its routers are up, at
-the terms it was found with), so `total_path_delay` computes it once.
+optimum at t (step 3).  A destination the epoch cannot reach has no
+route at t.  A cached route's breakdown is the same at every t it is
+returned (its routers are up, at the terms it was found with), so
+`total_path_delay` computes it once.
 """
 
-from collections.abc import Callable
+from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import heappop, heappush
 
@@ -136,81 +139,85 @@ def _cached_route(topology: CompiledTopology, epoch: Epoch, source: int, size_bi
         predecessor = epoch.tables.get((source, size_bits))
         if predecessor is None:
             predecessor = epoch.tables[source, size_bits] = _search(
-                topology, source, size_bits, epoch.terms.__getitem__)
+                topology, source, size_bits, epoch.terms)
         epoch.routes[key] = (_CachedRoute(topology, _path(predecessor, destination))
                              if predecessor[destination] >= 0 else None)
     return epoch.routes[key]
 
 
 def _route_at(view: NetworkView, source: int, destination: int, query: RouteQuery) -> Route:
-    """Dijkstra at the query time on the hop terms `view.hop_router_ps`
-    gives, reading each router's term, and so its failure model, at most
-    once."""
+    """Dijkstra at the query time on the epoch's terms, with the term of
+    each router a failure model can take down read from `view.hop_router_ps`
+    (None when it is down at t)."""
     topology, t_ps = view.topology, query.t_ps
-    ids = topology.ids
-    terms: dict[int, int | None] = {}
-
-    def router_term(node: int) -> int | None:
-        if node not in terms:
+    terms = list(view.epoch_at(t_ps).terms)
+    for node, model in enumerate(topology.failure_models):
+        if model is not None:
             terms[node] = view.hop_router_ps(node, t_ps)
-        return terms[node]
-
-    predecessor = _search(topology, source, query.size_bits, router_term, destination)
+    predecessor = _search(topology, source, query.size_bits, terms, destination)
     if predecessor[destination] < 0:
         raise NoRoute(query.source, query.destination)
-    hops = tuple(ids[node] for node in _path(predecessor, destination))
+    hops = tuple(topology.ids[node] for node in _path(predecessor, destination))
     return Route(hops, total_path_delay(view, list(hops), query.size_bits, t_ps))
 
 
 def _search(topology: CompiledTopology, source: int, size_bits: int,
-            router_term: Callable[[int], int | None], destination: int = -1) -> list[int]:
-    """Dijkstra from `source` over labels (delay, hop count, node-index path);
-    their tuple order realizes the tie-break rule exactly.
+            terms: Sequence[int | None], destination: int = -1) -> list[int]:
+    """Dijkstra from `source` over labels (delay, hop count, node-index path),
+    compared in that order: the tie-break rule exactly.
 
-    The heap holds (delay, hops, node) and each node keeps the best (delay,
-    hops) pushed for it; a node's path is built once, when it is settled.
-    An equal (delay, hops) from a settled node with a smaller path takes over
-    as predecessor: every predecessor on a tight edge has one hop fewer, so
-    it is settled first and its path, of the same length as the others', is
-    known.  Ties therefore resolve as on full (delay, hops, path) labels.
+    The heap holds (delay, hops, node) and each node keeps the best delay
+    and hop count pushed for it.  Paths are never stored: they are read from
+    the predecessor list on an exact (delay, hops) tie only.  Predecessors
+    are settled nodes (only a settled node relaxes its edges), and a settled
+    node's predecessor never changes again, so the chain `_path` follows
+    from one is its final path.  On such a tie between the node being
+    settled and the neighbor's current predecessor, both paths have the
+    same length, so comparing them orders the two full labels of the
+    neighbor exactly, and the smaller takes over as predecessor.  Ties
+    therefore resolve as on full (delay, hops, path) labels.
 
-    router_term(v) is the router term of a hop into node v, or None when the
+    `terms[v]` is the router term of a hop into node v, or None when the
     hop is excluded.  Stops once `destination` is settled (never, by
     default).  Returns each node's predecessor on its best path: -1 for the
     source and for nodes not reached (and the best so far for nodes left
     unsettled by a stop).
     """
-    transmission = topology.transmission_ps(size_bits)
-    propagation = topology.propagation_ps
+    link_ps = topology.size_terms(size_bits)[1]
     adjacency = topology.adjacency
     relays = topology.relays
-    predecessor = [-1] * len(topology.ids)
-    labels: list[tuple[int, int] | None] = [None] * len(topology.ids)
-    paths: list[tuple[int, ...] | None] = [None] * len(topology.ids)  # set when settled
+    count = len(topology.ids)
+    predecessor = [-1] * count
+    best_delay: list[int | None] = [None] * count
+    best_hops = [0] * count
+    settled = [False] * count
     frontier = [(0, 0, source)]
     while frontier:
         dist, hops, node = heappop(frontier)
-        if paths[node] is not None:
+        if settled[node]:
             continue
-        path = paths[node] = paths[predecessor[node]] + (node,) if hops else (source,)
+        settled[node] = True
         if node == destination:
             break
         # only routers relay; endpoints do not forward traffic through themselves
         if hops and not relays[node]:
             continue
+        hops += 1
         for neighbor, link in adjacency[node]:
-            if paths[neighbor] is not None:
+            if settled[neighbor]:
                 continue
-            term = router_term(neighbor)
+            term = terms[neighbor]
             if term is None:
                 continue
-            label = (dist + transmission[link] + propagation[link] + term, hops + 1)
-            best = labels[neighbor]
-            if best is None or label < best:
-                labels[neighbor] = label
+            delay = dist + link_ps[link] + term
+            best = best_delay[neighbor]
+            if best is None or delay < best or (delay == best and hops < best_hops[neighbor]):
+                best_delay[neighbor] = delay
+                best_hops[neighbor] = hops
                 predecessor[neighbor] = node
-                heappush(frontier, (*label, neighbor))
-            elif label == best and path < paths[predecessor[neighbor]]:
+                heappush(frontier, (delay, hops, neighbor))
+            elif (delay == best and hops == best_hops[neighbor]
+                  and _path(predecessor, node) < _path(predecessor, predecessor[neighbor])):
                 predecessor[neighbor] = node
     return predecessor
 

@@ -106,7 +106,10 @@ def load_trace(path) -> list[dict]:
         except UnicodeDecodeError as exc:
             raise TraceFormatError(f"{path}: not UTF-8 text ({exc.reason} at byte "
                                    f"{exc.start})") from None
-    return parse_trace(text)
+    try:
+        return parse_trace(text)
+    except TraceFormatError as exc:
+        raise TraceFormatError(f"{path}: {exc}") from None
 
 
 def diff_traces(a: list[dict], b: list[dict]) -> dict:

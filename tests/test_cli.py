@@ -149,6 +149,16 @@ def test_diff_trace_of_a_file_that_is_not_utf8_is_a_named_error(tmp_path):
         assert result.stderr.startswith(f"error: {binary}: not UTF-8 text"), result.stderr
 
 
+def test_diff_trace_names_the_file_a_parse_error_is_in(tmp_path):
+    good, bad = tmp_path / "good.trace", tmp_path / "bad.trace"
+    cli("run", "--scenario", str(MINIMAL), "--trace", str(good))
+    bad.write_text('{"a":1}\n')
+    for args in ((good, bad), (bad, good)):
+        result = cli("diff-trace", *map(str, args))
+        assert result.returncode == 1, result.stderr
+        assert result.stderr == f"error: {bad}: line 1: missing field 'sim_time_ps'\n"
+
+
 def _strict_json(text: str):
     def reject(constant):
         raise ValueError(f"not JSON: {constant}")

@@ -53,26 +53,30 @@ def test_trace_sha256_is_pinned(stem, seed, sha256):
     assert hashlib.sha256(trace_bytes(engine.records)).hexdigest() == sha256
 
 
-# benchmark workload (perfbench/workloads.py) -> trace SHA-256 at seed 1
+# (benchmark workload (perfbench/workloads.py), seed) -> trace SHA-256
 WORKLOADS = {
-    "mesh": "8ff6aadc5cf18b9fe0c8154fbf491fcfca9906245ee44a3fb213ec80a750edd9",
-    "mesh_attacked": "65cfe07524d74f100860355adc71612754778fc5790c8817eb33f0b7c486bd6b",
-    "line": "b102cf44767bd93d403491f44d7ec56df668a93e91928e00e06b2e98414310c0",
+    ("mesh", 1): "8ff6aadc5cf18b9fe0c8154fbf491fcfca9906245ee44a3fb213ec80a750edd9",
+    ("mesh_attacked", 1): "65cfe07524d74f100860355adc71612754778fc5790c8817eb33f0b7c486bd6b",
+    ("line", 1): "b102cf44767bd93d403491f44d7ec56df668a93e91928e00e06b2e98414310c0",
+    ("mesh", 21): "29da3b3cb666c667fd338e7831c7c705e1a8f7e17e1c8bdc2ede88c9e74d0278",
+    ("mesh_attacked", 21): "061d5363d7b6470988066f0a0d22fecd2789c4c118f512cbc33b29bdcc5a4967",
+    ("line", 21): "a204d2af9fafc61057b1c4ef927cc7b39268fa6c074db53cb2c136375c5183e7",
 }
 
 
-@pytest.mark.parametrize("workload", sorted(WORKLOADS))
-def test_benchmark_workload_trace_is_pinned(workload, tmp_path):
+@pytest.mark.parametrize("workload,seed", sorted(WORKLOADS),
+                         ids=[f"{workload}-{seed}" for workload, seed in sorted(WORKLOADS)])
+def test_benchmark_workload_trace_is_pinned(workload, seed, tmp_path):
     spec = importlib.util.spec_from_file_location("workloads",
                                                   ROOT / "perfbench" / "workloads.py")
     workloads = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(workloads)
     path = tmp_path / f"{workload}.json"
-    path.write_bytes(workloads.scenario_bytes(workload, 1))
+    path.write_bytes(workloads.scenario_bytes(workload, seed))
     scenario = load_scenario(path)
     engine = build_engine(scenario)
     engine.run_until(scenario.config.duration)
-    assert hashlib.sha256(trace_bytes(engine.records)).hexdigest() == WORKLOADS[workload]
+    assert hashlib.sha256(trace_bytes(engine.records)).hexdigest() == WORKLOADS[workload, seed]
 
 
 # (scenario file stem, snapshot seconds) -> SHA-256 of `syncsim export-dot`;

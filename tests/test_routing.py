@@ -212,6 +212,45 @@ def test_cached_routes_match_brute_force_under_failures_and_attacks(seed):
         assert route.breakdown.total_ps == oracle[2].total_ps
 
 
+def _tied_grid(rows: int, cols: int, rng: random.Random) -> NetworkGraph:
+    """A rows x cols grid of routers with identical links and router delays,
+    about 40% of them Bernoulli p=0.3, c1 at one corner and s1 at the other:
+    many shortest paths share one (delay, hops) label."""
+    flaky = FailureModel("bernoulli", failure_probability=0.3)
+    names = [[f"r{row}{col}" for col in range(cols)] for row in range(rows)]
+    nodes = [make_node("c1"), make_node("s1", "time_server")]
+    nodes += [NodeSpec(name, "router", router_delay=50e-6,
+                       failure_model=flaky if rng.random() < 0.4 else None)
+              for row in names for name in row]
+    pairs = [("c1", names[0][0]), (names[-1][-1], "s1")]
+    pairs += [(names[row][col], names[row][col + 1])
+              for row in range(rows) for col in range(cols - 1)]
+    pairs += [(names[row][col], names[row + 1][col])
+              for row in range(rows - 1) for col in range(cols)]
+    return NetworkGraph(nodes, [LinkSpec(a, b, 1e9, 1e3) for a, b in pairs])
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(2, 3), st.integers(2, 4), st.integers(0, 2**32 - 1))
+def test_routes_on_tied_grids_match_brute_force(rows, cols, seed):
+    # equal (delay, hops) labels everywhere, so the path tie-break decides
+    # nearly every route: the first query fills the cache, later ones hit
+    # it or, when a router on the cached route is down, miss
+    rng = random.Random(seed)
+    view = NetworkView(_tied_grid(rows, cols, rng), seed=seed)
+    for t_ps in sorted(rng.randrange(seconds_to_ps(10.0)) for _ in range(5)):
+        for source, destination in (("c1", "s1"), ("s1", "c1")):
+            q = RouteQuery(source, destination, t_ps, 12000)
+            oracle = enumerate_best_route(view, q)
+            if oracle is None:
+                with pytest.raises(NoRoute):
+                    shortest_path(view, q)
+                continue
+            route = shortest_path(view, q)
+            assert route.hops == oracle[1]
+            assert route.breakdown == oracle[2]
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_epoch_terms_equal_router_ps_at_window_edges(seed):
