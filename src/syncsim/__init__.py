@@ -24,7 +24,7 @@ from .sync import (BerkeleyRound, CristianExchange, SyncExchange, SyncOptions,
                    SyncReport, berkeley_round, cristian_sync)
 from .topology import (FailureModel, LinkSpec, NetworkGraph, NodeSpec,
                        medium_speed, validate)
-from .trace import (diff_traces, format_trace, load_trace, parse_trace,
-                    trace_bytes, trace_sha256)
+from .trace import (diff_traces, load_trace, parse_trace, trace_bytes,
+                    trace_sha256)
 
 __version__ = "0.1.0"

@@ -6,17 +6,23 @@ runs and platforms and can be compared by hash.
 
 The canonical line of a record is exactly
 `json.dumps(record, sort_keys=True, separators=(",", ":"))` (ASCII escapes)
-followed by a newline.  `format_record` emits those same bytes without
-calling `json.dumps` per record: it caches one plan per key shape (the
-record's keys in insertion order), holding the keys in sorted order, each
-with its escaped `{"key":` or `,"key":` prefix, and writes int, str and
-list-of-str values directly.  Any other value, and any record with no keys
-or a non-str key, still goes through that `json.dumps` call.
+followed by a newline.  Those bytes come from one formatter per key shape
+(the record's keys in insertion order), generated as source the way
+`namedtuple` builds its methods and cached.  A formatter unpacks the
+record's values, checks in one test that every value first seen as an
+exact int or str still is one, and fills a `%` template holding the
+escaped `{"key":` / `,"key":` prefixes in sorted key order: `%d` for ints,
+the escaped string for strs, and `json.dumps` of the value for any other
+type.  Keys enter the source only as `repr()` literals, never values.  A
+record that fails the test, has no keys or holds a non-str key goes
+through that `json.dumps` call whole.  `trace_bytes` writes the lines
+chunk by chunk into one buffer, so no str of the whole trace is built.
 """
 
-import functools
 import hashlib
+import io
 import json
+from collections.abc import Callable
 from json.encoder import encode_basestring_ascii
 
 RECORD_KINDS = ("message_send", "hop_arrival", "delivery", "timeout",
@@ -24,47 +30,75 @@ RECORD_KINDS = ("message_send", "hop_arrival", "delivery", "timeout",
 
 REQUIRED_FIELDS = ("sim_time_ps", "sequence", "kind")
 
+# one JSONEncoder.encode call is what json.dumps makes with these arguments
+_dumps = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
-def _dumps(value) -> str:
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+_MAX_SHAPES = 256
+_CHUNK_RECORDS = 4096
+
+# key shape -> formatter(record) -> canonical line with its "\n"
+_formatters: dict = {}
 
 
-@functools.lru_cache(maxsize=256)
-def _plan(keys: tuple) -> tuple | None:
-    """(key, prefix) pairs in sorted key order, or None when `keys` is empty
-    or holds a non-str key."""
-    if not keys or any(type(key) is not str for key in keys):
-        return None
-    return tuple((key, ("," if i else "{") + encode_basestring_ascii(key) + ":")
-                 for i, key in enumerate(sorted(keys)))
+def _line(record: dict) -> str:
+    return _dumps(record) + "\n"
+
+
+def _generate(shape: tuple, values) -> Callable[[dict], str]:
+    """The formatter for records of key shape `shape` (all str keys), each
+    value typed as in `values`, the first record seen of that shape."""
+    names = [f"v{i}" for i in range(len(shape))]
+    checks, fields = [], {}
+    for key, name, value in zip(shape, names, values):
+        if type(value) is int:
+            checks.append(f"type({name}) is int")
+            fields[key] = ("%d", name)
+        elif type(value) is str:
+            checks.append(f"type({name}) is str")
+            fields[key] = ("%s", f"_esc({name})")
+        else:
+            fields[key] = ("%s", f"_dumps({name})")
+    keys = sorted(shape)
+    template = "".join(("," if i else "{") + encode_basestring_ascii(key).replace("%", "%%")
+                       + ":" + fields[key][0] for i, key in enumerate(keys)) + "}\n"
+    source = ("def format(record):\n"
+              f"    {', '.join(names)}, = record.values()\n"
+              f"    if {' and '.join(checks) or 'True'}:\n"
+              f"        return {template!r} % ({', '.join(fields[key][1] for key in keys)},)\n"
+              "    return _line(record)\n")
+    namespace = {"_esc": encode_basestring_ascii, "_dumps": _dumps, "_line": _line}
+    exec(source, namespace)
+    return namespace["format"]
+
+
+def _formatter(record: dict) -> Callable[[dict], str]:
+    """The formatter for the key shape of `record`, generated and cached on
+    first sight of the shape (evicting the oldest past _MAX_SHAPES)."""
+    shape = tuple(record)
+    formatter = _formatters.get(shape)
+    if formatter is None:
+        if shape and all(type(key) is str for key in shape):
+            formatter = _generate(shape, record.values())
+        else:
+            formatter = _line
+        if len(_formatters) >= _MAX_SHAPES:
+            del _formatters[next(iter(_formatters))]
+        _formatters[shape] = formatter
+    return formatter
 
 
 def format_record(record: dict) -> str:
-    plan = _plan(tuple(record))
-    if plan is None:
-        return _dumps(record)
-    parts = []
-    for key, prefix in plan:
-        value = record[key]
-        value_type = type(value)  # exact: bool and other subclasses fall through
-        if value_type is int:
-            parts.append(prefix + int.__repr__(value))
-        elif value_type is str:
-            parts.append(prefix + encode_basestring_ascii(value))
-        elif value_type is list and all(type(item) is str for item in value):
-            parts.append(prefix + "[" + ",".join(map(encode_basestring_ascii, value)) + "]")
-        else:
-            parts.append(prefix + _dumps(value))
-    parts.append("}")
-    return "".join(parts)
-
-
-def format_trace(records: list[dict]) -> str:
-    return "".join([format_record(r) + "\n" for r in records])
+    return _formatter(record)(record)[:-1]
 
 
 def trace_bytes(records: list[dict]) -> bytes:
-    return format_trace(records).encode("utf-8")
+    out = io.BytesIO()
+    get = _formatters.get
+    for start in range(0, len(records), _CHUNK_RECORDS):
+        chunk = records[start:start + _CHUNK_RECORDS]
+        out.write("".join([(get(tuple(r)) or _formatter(r))(r)
+                           for r in chunk]).encode("utf-8"))
+    return out.getvalue()
 
 
 def trace_sha256(records: list[dict]) -> str:
@@ -92,7 +126,9 @@ def parse_record(line: str, lineno: int = 0) -> dict:
 
 def parse_trace(text: str) -> list[dict]:
     records = []
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    # only "\n" ends a line: JSON strings may hold U+2028, U+0085 and the
+    # other characters str.splitlines() also splits on
+    for lineno, line in enumerate(text.split("\n"), start=1):
         if not line.strip():
             continue
         records.append(parse_record(line, lineno))

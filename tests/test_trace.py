@@ -1,9 +1,12 @@
 import json
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from syncsim.trace import format_record
+from syncsim import trace
+from syncsim.trace import (TraceFormatError, format_record, load_trace,
+                           parse_trace, trace_bytes)
 
 # strings json must escape: controls, quotes, non-ASCII, astral-plane
 # characters (written as surrogate pairs) and a lone surrogate
@@ -63,3 +66,57 @@ def test_records_with_non_str_keys_follow_json_dumps(record):
     # must then raise the same error, and otherwise emit the same bytes
     assert outcome(format_record, record) == outcome(canonical, record)
 
+
+
+def canonical_lines(records) -> bytes:
+    return "".join(canonical(r) + "\n" for r in records).encode("utf-8")
+
+
+class Text(str):
+    pass
+
+
+class Count(int):
+    pass
+
+
+def test_value_types_unlike_the_first_record_of_a_shape_fall_back():
+    # the shape's formatter is typed by the first record: int at t_int, str
+    # at t_str; every other type there must still give json.dumps bytes
+    first = {"t_int": 7, "t_str": "s", "t_other": None}
+    others = [True, 1.5, None, Text("sub"), Count(3), [4], "str", 8]
+    records = [first] + [{"t_int": value, "t_str": value, "t_other": value}
+                         for value in others]
+    assert trace_bytes(records) == canonical_lines(records)
+    assert [format_record(r) for r in records] == [canonical(r) for r in records]
+
+
+def test_trace_bytes_over_several_chunks_of_mixed_shapes():
+    shapes = [("sim_time_ps", "sequence", "kind"), ("kind", "sequence", "sim_time_ps", "node"),
+              ("sequence", "route", "sim_time_ps", "kind"), ("kind", "attack", "sim_time_ps")]
+    values = [0, 12, "r\u00e9", "\u2028%s", ["a", 1], {"k": 2}, True, None, 2.5, -10**30]
+    records = []
+    for i in range(3 * 4096 + 5):
+        shape = shapes[i % len(shapes)]
+        records.append({key: values[(i * 7 + j) % len(values)] for j, key in enumerate(shape)})
+    assert trace_bytes(records) == canonical_lines(records)
+    assert trace_bytes([]) == b""
+
+
+def test_formatter_cache_stays_within_its_cap():
+    for i in range(1000):
+        record = {f"shape{i}": i, "kind": "timeout"}
+        assert format_record(record) == canonical(record)
+    assert len(trace._formatters) <= trace._MAX_SHAPES
+
+
+def test_raw_line_separators_inside_strings_do_not_split_records(tmp_path):
+    # JSON allows U+2028, U+2029 and U+0085 raw in strings; only "\n" ends a
+    # trace line
+    record = {"sim_time_ps": 0, "sequence": 0, "kind": "message_send",
+              "src": "a\u2028b\u2029c\x85d"}
+    path = tmp_path / "raw.trace"
+    path.write_text(json.dumps(record, ensure_ascii=False) + "\n{}\n", encoding="utf-8")
+    with pytest.raises(TraceFormatError, match="line 2: missing field"):
+        load_trace(path)
+    assert parse_trace(json.dumps(record, ensure_ascii=False) + "\n") == [record]
