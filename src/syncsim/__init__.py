@@ -6,22 +6,21 @@ time-sync attack injection, with byte-reproducible traces.
 """
 
 from .attacks import AttackSpec
-from .clocks import (CLOCK_PRESETS, ClockParameters, ExtremumReport,
-                     SoftwareClock, clock_offset, extremum_analysis,
-                     preset_parameters, read_clock)
+from .clocks import (CLOCK_PRESETS, ClockParameters, SoftwareClock,
+                     clock_offset, extremum_analysis, preset_parameters,
+                     read_clock)
 from .delay import (PathBlocked, PathDelayBreakdown, propagation_delay,
                     total_path_delay, transmission_delay)
 from .dotexport import export_graph
-from .engine import Engine, Message, SimConfig
+from .engine import Engine, Message
 from .metrics import metrics_report
 from .netview import NetworkView
 from .routing import NoRoute, Route, RouteQuery, edge_weight_ps, shortest_path
-from .scenario import (Scenario, ScenarioError, SyncScheduleEntry,
+from .scenario import (Scenario, ScenarioError, SimConfig, SyncScheduleEntry,
                        WorkloadEntry, build_engine, load_scenario,
-                       parse_scenario, run_scenario, scenario_to_dict,
-                       validate_scenario, write_scenario)
-from .sync import (BerkeleyRound, CristianExchange, SyncExchange, SyncOptions,
-                   SyncReport, berkeley_round, cristian_sync)
+                       parse_scenario, run_scenario, validate_scenario)
+from .sync import (BerkeleyRound, CristianExchange, SyncOptions, SyncReport,
+                   berkeley_round, cristian_sync)
 from .topology import (FailureModel, LinkSpec, NetworkGraph, NodeSpec,
                        medium_speed, validate)
 from .trace import (diff_traces, load_trace, parse_trace, trace_bytes,

@@ -123,9 +123,7 @@ class SoftwareClock:
     """
 
     def __init__(self, clock_id: str, params: ClockParameters, seed: int = 0):
-        self.clock_id = clock_id
         self.params = params
-        self.seed = seed
         # the prefix states of this clock's two keyed streams, hashed once
         self._noise_stream = randstream.stream(seed, "clock_noise", clock_id)
         self._jitter_stream = randstream.stream(seed, "clock_jitter", clock_id)

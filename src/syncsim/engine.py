@@ -36,13 +36,6 @@ from .trace import RECORD_KINDS
 _KINDS = frozenset(RECORD_KINDS)
 
 
-@dataclass(frozen=True)
-class SimConfig:
-    seed: int = 0
-    duration: float = 10.0
-    scenario_name: str = ""
-
-
 @dataclass
 class Message:
     message_id: str

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field, replace
 from .attacks import AttackSpec
 from .clocks import CLOCK_PRESETS, ClockParameters, extremum_analysis, preset_parameters
 from .delay import link_terms_ps
-from .engine import Engine, SimConfig
+from .engine import Engine
 from .metrics import metrics_report
 from .netview import epoch_edges, routing_epoch, up_router_ps
 from .sync import BerkeleyRound, CristianExchange, SyncOptions
@@ -33,6 +33,12 @@ class ScenarioError(Exception):
     def __init__(self, problems: list[str]):
         super().__init__("; ".join(problems))
         self.problems = problems
+
+
+@dataclass(frozen=True)
+class SimConfig:
+    seed: int = 0
+    duration: float = 10.0
 
 
 @dataclass(frozen=True)
@@ -60,7 +66,6 @@ class Scenario:
     workload: list[WorkloadEntry] = field(default_factory=list)
     medium_speeds: dict[str, float] = field(default_factory=dict)
     sync_options: SyncOptions = field(default_factory=SyncOptions)
-    node_clock_names: dict[str, str] = field(default_factory=dict)
 
 
 def _section(data: dict, name: str, kind: type, problems: list[str]):
@@ -119,7 +124,9 @@ def _int(key: str, value) -> int:
 
 
 def _text(key: str, value) -> str:
-    return str(value)
+    if type(value) is not str:
+        raise TypeError(f"{key} must be a JSON string, got {value!r}")
+    return value
 
 
 def _number_or_null(key: str, value) -> float | None:
@@ -134,9 +141,8 @@ def _offset_table(key: str, value) -> tuple[tuple[float, float], ...]:
 
 # One table per section of optional keys: JSON key -> (dataclass field, reader).
 # Parsing passes only the keys present, so every default is the dataclass's;
-# scenario_to_dict writes every row.
-CONFIG_KEYS = {"seed": ("seed", _int), "duration_s": ("duration", _number),
-               "name": ("scenario_name", _text)}
+# a key no table declares (such as config "name") is a label and is skipped.
+CONFIG_KEYS = {"seed": ("seed", _int), "duration_s": ("duration", _number)}
 CLOCK_KEYS = {"model": ("model_kind", _text), "alpha0_s": ("alpha0", _number),
               "beta": ("beta", _number), "gamma": ("gamma", _number),
               "noise_sigma_s": ("noise_sigma", _number),
@@ -166,12 +172,9 @@ def _read(table: dict, spec: dict) -> dict:
             for key, (name, reader) in table.items() if key in spec}
 
 
-def _write(table: dict, obj) -> dict:
-    return {key: getattr(obj, name) for key, (name, _) in table.items()}
-
-
 def _parse_clock(spec: dict) -> ClockParameters:
-    base = preset_parameters(spec["preset"]) if "preset" in spec else ClockParameters()
+    base = (preset_parameters(_text("preset", spec["preset"])) if "preset" in spec
+            else ClockParameters())
     return replace(base, **_read(CLOCK_KEYS, spec))
 
 
@@ -199,7 +202,6 @@ def parse_scenario(data: dict) -> Scenario:
     clock_entries = data["clocks"] if isinstance(data.get("clocks"), dict) else {}
 
     nodes: dict[str, NodeSpec] = {}
-    node_clock_names: dict[str, str] = {}
 
     def parse_node(spec: dict) -> None:
         node_id = _node_ref(spec.get("id", ""))
@@ -210,8 +212,7 @@ def parse_scenario(data: dict) -> Scenario:
         kind = spec.get("kind", "client")
         clock = None
         if kind in ("client", "time_server"):
-            clock_name = spec.get("clock", "perfect")
-            node_clock_names[node_id] = clock_name
+            clock_name = _text("clock", spec.get("clock", "perfect"))
             if clock_name in clock_params:
                 clock = clock_params[clock_name]
             elif clock_name in CLOCK_PRESETS:
@@ -226,7 +227,8 @@ def parse_scenario(data: dict) -> Scenario:
             failure = FailureModel(**_read(FAILURE_KEYS, fm))
         nodes[node_id] = NodeSpec(
             node_id=node_id, kind=kind,
-            router_kind=spec.get("router_kind"),
+            router_kind=(_text("router_kind", spec["router_kind"])
+                         if "router_kind" in spec else None),
             router_delay=(_number("router_delay_s", spec["router_delay_s"])
                           if "router_delay_s" in spec else None),
             failure_model=failure, clock=clock)
@@ -270,7 +272,7 @@ def parse_scenario(data: dict) -> Scenario:
                     sync_schedule=list(schedule.values()),
                     attacks=tuple(attacks.values()), workload=list(workload.values()),
                     medium_speeds=dict(medium_speeds),
-                    sync_options=sync_options, node_clock_names=node_clock_names)
+                    sync_options=sync_options)
 
 
 # The largest magnitude `randstream.gaussian` returns per unit sigma: its
@@ -422,49 +424,6 @@ def load_scenario(path) -> Scenario:
     if problems:
         raise ScenarioError(problems)
     return scenario
-
-
-def scenario_to_dict(scenario: Scenario) -> dict:
-    """Canonical dictionary form; load(parse(write(s))) is a fixpoint."""
-    nodes = []
-    for node_id in sorted(scenario.graph.nodes):
-        node = scenario.graph.node(node_id)
-        spec = {"id": node.node_id, "kind": node.kind}
-        if node.is_router:
-            spec["router_kind"] = node.router_kind
-            spec["router_delay_s"] = node.router_delay
-            spec["failure_model"] = _write(FAILURE_KEYS, node.failure_model)
-        else:
-            # either a clocks-section name or a bare preset name; both reload
-            spec["clock"] = scenario.node_clock_names.get(node_id, "perfect")
-        nodes.append(spec)
-    data = {
-        "config": _write(CONFIG_KEYS, scenario.config),
-        "clocks": {name: _write(CLOCK_KEYS, params)
-                   for name, params in sorted(scenario.clock_params.items())},
-        "nodes": nodes,
-        "links": [{"a": link.a, "b": link.b, "bandwidth_bps": link.bandwidth_bps,
-                   "distance_m": link.distance_m, "medium": link.medium}
-                  for link in sorted(scenario.graph.links, key=lambda l: (l.a, l.b))],
-        "sync_schedule": [{"time_s": e.time_s, "algorithm": e.algorithm,
-                           "participants": list(e.participants)}
-                          for e in scenario.sync_schedule],
-        "attacks": [{"kind": a.kind, "target": a.target, "window_s": [a.t_start, a.t_end],
-                     **_write(ATTACK_KEYS, a)} for a in scenario.attacks],
-        "message_workload": [{"time_s": e.time_s, "source": e.source,
-                              "destination": e.destination, "size_bits": e.size_bits}
-                             for e in scenario.workload],
-        "sync_options": _write(SYNC_OPTION_KEYS, scenario.sync_options),
-    }
-    if scenario.medium_speeds:
-        data["medium_speeds_m_per_s"] = dict(sorted(scenario.medium_speeds.items()))
-    return data
-
-
-def write_scenario(scenario: Scenario, path) -> None:
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        json.dump(scenario_to_dict(scenario), handle, indent=2, sort_keys=True)
-        handle.write("\n")
 
 
 def build_engine(scenario: Scenario, seed: int | None = None) -> Engine:

@@ -25,8 +25,7 @@ import json
 from collections.abc import Callable
 from json.encoder import encode_basestring_ascii
 
-RECORD_KINDS = ("message_send", "hop_arrival", "delivery", "timeout",
-                "sync_step", "attack_edge")
+RECORD_KINDS = ("message_send", "hop_arrival", "delivery", "timeout", "sync_step")
 
 REQUIRED_FIELDS = ("sim_time_ps", "sequence", "kind")
 

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from syncsim import trace
 from syncsim.trace import (TraceFormatError, format_record, load_trace,
-                           parse_trace, trace_bytes)
+                           parse_record, parse_trace, trace_bytes)
 
 # strings json must escape: controls, quotes, non-ASCII, astral-plane
 # characters (written as surrogate pairs) and a lone surrogate
@@ -120,3 +120,9 @@ def test_raw_line_separators_inside_strings_do_not_split_records(tmp_path):
     with pytest.raises(TraceFormatError, match="line 2: missing field"):
         load_trace(path)
     assert parse_trace(json.dumps(record, ensure_ascii=False) + "\n") == [record]
+
+
+def test_attack_edge_is_not_a_record_kind():
+    # nothing emits attack window edges, so a trace may not hold one
+    with pytest.raises(TraceFormatError, match="unknown record kind 'attack_edge'"):
+        parse_record('{"sim_time_ps": 0, "sequence": 0, "kind": "attack_edge"}')
