@@ -5,13 +5,15 @@ order; the sequence counter breaks ties in scheduling order.  Every
 executed event emits exactly one trace record, so a run's trace bytes are a
 pure function of (scenario, seed).
 
-Every event enters the queue through `Engine.schedule_ps`, which builds the
-event's trace record there and then: `sim_time_ps`, `sequence` and `kind`,
-then the payload's fields.  A queue entry is the list `[time_ps, seq,
-record, action, args]`; `(time_ps, seq)` is unique, so the heap never
-compares past `seq`.  When the event executes, the loop calls
-`action(*args)` and adds the fields it returns to the record.  `cancel`
-clears the entry's record, and the loop skips entries without one.
+A message's hop arrivals and its delivery are pushed onto the queue by
+`Engine._hop`; every other event enters through `Engine.schedule_ps`.  Both
+build the event's trace record there and then: `sim_time_ps`, `sequence`
+and `kind`, then the payload's fields.  A queue entry is the list
+`[time_ps, seq, record, action, args]`; both take `seq` from one counter,
+so `(time_ps, seq)` is unique and the heap never compares past `seq`.
+When the event executes, the loop calls `action(*args)` and adds the
+fields it returns to the record.  `cancel` clears the entry's record, and
+the loop skips entries without one.
 
 Messages are routed once at send time; the chosen route is frozen for the
 message's lifetime and hop arrivals, attack drops, and final delivery play
@@ -185,7 +187,14 @@ class Engine:
         """The message at route.hops[leg], leg 0 being its send: a drop roll
         there when a ddos that drops targets the node, then, unless dropped,
         the event at hops[leg + 1], arrivals_ps[leg] after the send (a
-        hop_arrival, or the delivery at the last node)."""
+        hop_arrival, or the delivery at the last node).
+
+        That event is pushed here, past `schedule_ps`, whose checks cannot
+        fail for it: `send_ps` passed them when the send was queued, and
+        `arrivals_ps` are exact, non-negative, nondecreasing sums of int
+        terms, so the time is an int no earlier than now; both kinds are
+        constants in `RECORD_KINDS`.  The record's keys keep the order
+        `schedule_ps` gives them."""
         route = message.route
         hops = route.hops
         if leg and hops[leg] in self.view.drop_targets:
@@ -197,11 +206,14 @@ class Engine:
                         "attack": {"kind": drop.kind, "target": drop.target}}
         arrival_ps = message.send_ps + route.breakdown.arrivals_ps[leg]
         leg += 1
-        payload = {"message_id": message.message_id, "node": hops[leg]}
         if leg + 1 == len(hops):
-            self.schedule_ps(arrival_ps, "delivery", payload, self._deliver, message)
+            kind, action, args = "delivery", self._deliver, (message,)
         else:
-            self.schedule_ps(arrival_ps, "hop_arrival", payload, self._hop, message, leg)
+            kind, action, args = "hop_arrival", self._hop, (message, leg)
+        seq = next(self._seq)
+        heappush(self._queue, [arrival_ps, seq, {
+            "sim_time_ps": arrival_ps, "sequence": seq, "kind": kind,
+            "message_id": message.message_id, "node": hops[leg]}, action, args])
         return None
 
     def _deliver(self, message: Message) -> dict:

@@ -102,13 +102,21 @@ def _node_ref(value) -> str:
     return value
 
 
+def _not_bool(key: str, value):
+    """value, unless it is JSON true or false, which float() and int() would
+    read as 1 and 0."""
+    if isinstance(value, bool):
+        raise TypeError(f"{key} must be a number, got {value!r}")
+    return value
+
+
 def _number(key: str, value, seconds: bool = False) -> float:
-    """float(value), rejecting a number that is not finite and, for a value in
-    seconds (a key with an _s suffix, or `seconds`), one whose picosecond
-    count is not finite."""
+    """float(value), rejecting a boolean, a number that is not finite and, for
+    a value in seconds (a key with an _s suffix, or `seconds`), one whose
+    picosecond count is not finite."""
     seconds = seconds or key.endswith("_s")
     try:
-        number = float(value)
+        number = float(_not_bool(key, value))
     except OverflowError:  # an integer beyond the float range
         number = math.inf
     if not math.isfinite(number * (PS_PER_SECOND if seconds else 1)):
@@ -120,7 +128,7 @@ def _number(key: str, value, seconds: bool = False) -> float:
 def _int(key: str, value) -> int:
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(value)
+    return int(_not_bool(key, value))
 
 
 def _text(key: str, value) -> str:

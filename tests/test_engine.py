@@ -1,18 +1,19 @@
 import json
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from syncsim import engine as engine_mod
 from syncsim.engine import Engine, SchedulingError
 from syncsim.routing import NoRoute, RouteQuery, shortest_path
-from syncsim.scenario import parse_scenario, run_scenario
+from syncsim.scenario import build_engine, parse_scenario, run_scenario
 from syncsim.timebase import seconds_to_ps
 from syncsim.topology import FailureModel, LinkSpec, NetworkGraph, NodeSpec
 from syncsim.trace import trace_sha256
 
-from conftest import line_graph, make_node
+from conftest import (ROOT, assert_every_seq_accounted_for, benchmark_workloads,
+                      line_graph, make_node)
 
 
 def make_engine(graph=None, seed=0, **kwargs):
@@ -156,9 +157,8 @@ def test_cancelled_events_never_execute_or_trace():
     assert records == []
 
 
-MESH_ATTACKS = json.loads(
-    (Path(__file__).resolve().parent.parent / "demos" / "scenarios" / "mesh_attacks.json")
-    .read_text())
+SCENARIO_DIR = ROOT / "demos" / "scenarios"
+MESH_ATTACKS = json.loads((SCENARIO_DIR / "mesh_attacks.json").read_text())
 
 
 @pytest.mark.parametrize("changes, expect", [
@@ -173,26 +173,78 @@ MESH_ATTACKS = json.loads(
                          "participants": ["s1", "c1"]}]},
      lambda r: r.get("undelivered_corrections") == ["c1"]),
 ], ids=["bundled", "cristian_timeouts", "berkeley_deadline"])
-def test_every_event_enters_the_queue_through_schedule_ps(monkeypatch, changes, expect):
-    """The benchmark's layer probe counts events by wrapping these two
-    methods: every schedule call ends as one trace record, one cancelled
-    event or one entry left in the queue."""
-    calls = {"schedule_ps": 0, "cancel": 0}
-    schedule_ps, cancel = Engine.schedule_ps, Engine.cancel
-
-    def counted_schedule_ps(engine, *args, **kwargs):
-        calls["schedule_ps"] += 1
-        return schedule_ps(engine, *args, **kwargs)
-
-    def counted_cancel(entry):
-        calls["cancel"] += 1
-        cancel(entry)
-    monkeypatch.setattr(Engine, "schedule_ps", counted_schedule_ps)
-    monkeypatch.setattr(Engine, "cancel", staticmethod(counted_cancel))
+def test_every_sequence_number_is_traced_cancelled_or_queued(cancelled_seqs, changes,
+                                                             expect):
+    """Sends, sync steps and timeouts are queued by `schedule_ps`, hops and
+    deliveries by `_hop`; both draw from one sequence counter, and every
+    number drawn ends as one trace record, one cancelled event or one entry
+    left in the queue."""
     engine, records, _ = run_scenario(parse_scenario({**MESH_ATTACKS, **changes}))
     assert any(expect(record) for record in records)
-    left = sum(1 for entry in engine._queue if entry[2] is not None)
-    assert calls["schedule_ps"] == len(records) + calls["cancel"] + left
+    assert_every_seq_accounted_for(engine, cancelled_seqs)
+
+
+def assert_hop_times_are_exact(routes, records):
+    """What lets `_hop` push without `schedule_ps`'s checks: each route's
+    arrival offsets are int, non-negative and nondecreasing, one per node
+    after the source, ending at its total; no hop_arrival or delivery
+    precedes its message's send."""
+    for route in routes:
+        arrivals = route.breakdown.arrivals_ps
+        assert len(arrivals) == len(route.hops) - 1
+        assert all(type(offset) is int for offset in arrivals)
+        assert all(0 <= a <= b for a, b in zip((0,) + arrivals, arrivals))
+        assert arrivals[-1] == route.breakdown.total_ps
+    send_ps = {r["message_id"]: r["sim_time_ps"] for r in records
+               if r["kind"] == "message_send"}
+    for record in records:
+        if record["kind"] in ("hop_arrival", "delivery"):
+            assert record["sim_time_ps"] >= send_ps[record["message_id"]]
+
+
+@pytest.mark.parametrize("source", [
+    *sorted(p.stem for p in SCENARIO_DIR.glob("*.json")), "mesh", "mesh_attacked", "line"])
+def test_every_route_handed_out_has_exact_arrivals(monkeypatch, source):
+    """Every bundled scenario at its own seed, and the benchmark workloads at
+    seed 1; the routes include the baseline ones that budget timeouts."""
+    path = SCENARIO_DIR / f"{source}.json"
+    data = (json.loads(path.read_text()) if path.exists()
+            else getattr(benchmark_workloads(), source)(1))
+    routes = []
+
+    def recording_shortest_path(view, query):
+        routes.append(shortest_path(view, query))
+        return routes[-1]
+    monkeypatch.setattr(engine_mod, "shortest_path", recording_shortest_path)
+    scenario = parse_scenario(data)
+    engine = build_engine(scenario)
+    engine.run_until(scenario.config.duration)
+    assert routes
+    assert_hop_times_are_exact(routes, engine.records)
+
+
+@settings(max_examples=40, deadline=None)
+@given(legs=st.lists(st.tuples(st.sampled_from([0.0, 1.0, 250_000.0]),
+                               st.sampled_from([1e6, 1e9, 3.3e9]),
+                               st.sampled_from([0.0, 1e-9, 37e-6])),
+                     min_size=1, max_size=6),
+       size_bits=st.sampled_from([0, 1, 12_000]) | st.integers(0, 10**7),
+       at_ps=st.integers(0, 2**60))
+def test_line_route_arrivals_are_exact(legs, size_bits, at_ps):
+    """Random lines of (distance, bandwidth, router delay) legs, zero-distance
+    links and empty messages included."""
+    nodes = [make_node("c1")]
+    nodes += [make_node(f"r{i}", "router", router_delay=delay)
+              for i, (_, _, delay) in enumerate(legs[1:], start=1)]
+    nodes.append(make_node("s1", "time_server"))
+    ids = [node.node_id for node in nodes]
+    links = [LinkSpec(a, b, bandwidth, distance, "fiber")
+             for (a, b), (distance, bandwidth, _) in zip(zip(ids, ids[1:]), legs)]
+    engine = make_engine(NetworkGraph(nodes, links))
+    message = engine.send_message("c1", "s1", size_bits, at_ps)
+    engine.run_until_ps(at_ps + seconds_to_ps(100.0))
+    assert message.status == "delivered"
+    assert_hop_times_are_exact([message.route], engine.records)
 
 
 @pytest.mark.parametrize("call", [

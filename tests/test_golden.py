@@ -7,8 +7,6 @@ states the old and new hash and the reason in CHANGES.md.
 """
 
 import hashlib
-import importlib.util
-from pathlib import Path
 
 import pytest
 
@@ -16,7 +14,8 @@ from syncsim import build_engine, load_scenario, trace_bytes
 from syncsim.dotexport import export_graph
 from syncsim.netview import NetworkView
 
-ROOT = Path(__file__).resolve().parent.parent
+from conftest import ROOT, assert_every_seq_accounted_for, benchmark_workloads
+
 SCENARIO_DIR = ROOT / "demos" / "scenarios"
 
 # scenario file stem -> (config seed, {seed: trace SHA-256})
@@ -53,7 +52,8 @@ def test_trace_sha256_is_pinned(stem, seed, sha256):
     assert hashlib.sha256(trace_bytes(engine.records)).hexdigest() == sha256
 
 
-# (benchmark workload (perfbench/workloads.py), seed) -> trace SHA-256
+# (benchmark workload (perfbench/workloads.py), seed) -> trace SHA-256; each
+# run also accounts for every sequence number its engine handed out
 WORKLOADS = {
     ("mesh", 1): "8ff6aadc5cf18b9fe0c8154fbf491fcfca9906245ee44a3fb213ec80a750edd9",
     ("mesh_attacked", 1): "65cfe07524d74f100860355adc71612754778fc5790c8817eb33f0b7c486bd6b",
@@ -66,17 +66,14 @@ WORKLOADS = {
 
 @pytest.mark.parametrize("workload,seed", sorted(WORKLOADS),
                          ids=[f"{workload}-{seed}" for workload, seed in sorted(WORKLOADS)])
-def test_benchmark_workload_trace_is_pinned(workload, seed, tmp_path):
-    spec = importlib.util.spec_from_file_location("workloads",
-                                                  ROOT / "perfbench" / "workloads.py")
-    workloads = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(workloads)
+def test_benchmark_workload_trace_is_pinned(workload, seed, tmp_path, cancelled_seqs):
     path = tmp_path / f"{workload}.json"
-    path.write_bytes(workloads.scenario_bytes(workload, seed))
+    path.write_bytes(benchmark_workloads().scenario_bytes(workload, seed))
     scenario = load_scenario(path)
     engine = build_engine(scenario)
     engine.run_until(scenario.config.duration)
     assert hashlib.sha256(trace_bytes(engine.records)).hexdigest() == WORKLOADS[workload, seed]
+    assert_every_seq_accounted_for(engine, cancelled_seqs)
 
 
 # (scenario file stem, snapshot seconds) -> SHA-256 of `syncsim export-dot`;

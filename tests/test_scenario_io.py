@@ -234,6 +234,20 @@ def _mesh_attacks_with(multiplier: float, *extra: dict) -> dict:
      "nodes[2]: router_kind must be a JSON string, got ['wifi']"),
     ({**MINIMAL, "clocks": {"osc": {"preset": ["quartz"]}}},
      "clocks['osc']: preset must be a JSON string, got ['quartz']"),
+    # JSON true and false, read as 1 and 0 before
+    ({**MINIMAL, "message_workload": [{**WORKLOAD, "size_bits": True}]},
+     "message_workload[0]: size_bits must be a number, got True"),
+    ({**MINIMAL, "config": {"seed": True}}, "config: seed must be a number, got True"),
+    ({**MINIMAL, "config": {"duration_s": False}},
+     "config: duration_s must be a number, got False"),
+    ({**MINIMAL, "links": [{**MINIMAL["links"][0], "bandwidth_bps": True}]},
+     "links[0]: bandwidth_bps must be a number, got True"),
+    ({**MINIMAL, "message_workload": [{**WORKLOAD, "time_s": True}]},
+     "message_workload[0]: time_s must be a number, got True"),
+    ({**MINIMAL, "sync_schedule": [{**CRISTIAN, "time_s": False}]},
+     "sync_schedule[0]: time_s must be a number, got False"),
+    ({**MINIMAL, "sync_options": {"reply_size_bits": True}},
+     "sync_options: reply_size_bits must be a number, got True"),
 ], ids=["top_level_array", "node", "link", "sync_entry", "workload_entry", "attack",
         "seed", "duration", "failure_model_null", "failure_field_null",
         # accepted before, then broke `run`
@@ -257,7 +271,10 @@ def _mesh_attacks_with(multiplier: float, *extra: dict) -> dict:
         "window_three_elements", "window_one_element", "jitter_beyond_ps",
         "noise_beyond_ps",
         # named a Python type error, not the field
-        "clock_array", "router_kind_array", "preset_array"])
+        "clock_array", "router_kind_array", "preset_array",
+        # a JSON boolean read as a number
+        "size_bits_bool", "seed_bool", "duration_bool", "bandwidth_bool",
+        "workload_time_bool", "sync_time_bool", "reply_size_bool"])
 def test_malformed_scenario_is_a_named_problem(tmp_path, data, named):
     path = tmp_path / "bad.json"
     path.write_text(data if isinstance(data, str) else json.dumps(data))
