@@ -11,10 +11,16 @@ offsets (its own counts as 0, optionally discarding outliers relative to
 the median), and sends every participant the delta that moves it onto the
 average.
 
+Both measure a peer with one class, `SyncExchange`.  Every wait (an
+exchange's reply, a Berkeley round's corrections) ends exactly once: the
+last awaited delivery cancels the deadline, or the deadline executes and
+whatever arrives later is delivered and traced but changes nothing.
+
 Residuals are measured against ground truth the protocol participants never
 see: the wall clock drives both the true delays and the reference readings.
 """
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -34,6 +40,11 @@ class SyncOptions:
     default_timeout: float = 1.0              # seconds, when no baseline exists
 
     def __post_init__(self):
+        for name in ("server_service_time", "timeout_factor", "default_timeout",
+                     "outlier_threshold", "slew_rate"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.request_size_bits < 0 or self.reply_size_bits < 0:
             raise ValueError("request and reply sizes must be >= 0 bits")
         if self.server_service_time < 0 or (self.outlier_threshold or 0) < 0:
@@ -53,28 +64,77 @@ class SyncOptions:
                      (baseline_rtt_ps + seconds_to_ps(self.server_service_time)))
 
 
-@dataclass
 class SyncExchange:
-    """One request/reply round between two clocked nodes.
+    """One request/reply measurement of a server's clock by a client: the
+    client reads t0 and sends a request, the server stamps its reply with its
+    own reading, and the client reads t1 on delivery and estimates the
+    server's offset as stamp + rtt/2 - t1.  The true one-way delays and the
+    signed post-correction error are ground truth, kept for verification."""
 
-    The client-visible timestamps drive the algorithm; the true one-way
-    delays and the signed post-correction error are simulator-side ground
-    truth recorded for verification only.
-    """
-
-    client: str
-    server: str
-    t0_client_ps: int = 0
-    t_server_ps: int = 0
-    t1_client_ps: int = 0
-    rtt_ps: int = 0
-    forward_delay_ps: int = 0
-    backward_delay_ps: int = 0
-    offset_error_ps: int | None = None  # client minus reference, after correction
+    def __init__(self, owner: "_Round", client: str, server: str, timeout_payload: dict):
+        self.owner = owner
+        self.client = client
+        self.server = server
+        self.timeout_payload = timeout_payload
+        self.t0_client_ps = 0
+        self.t_server_ps = 0
+        self.t1_client_ps = 0
+        self.rtt_ps = 0
+        self.forward_delay_ps = 0
+        self.backward_delay_ps = 0
+        self.offset_error_ps: int | None = None  # client minus reference, after correction
+        self.offset_ps: int | None = None  # server minus client; None unless replied
+        self.messages_sent = 0
+        self.settled = False
+        self._timeout_event = None
 
     @property
     def rtt(self) -> float:
         return ps_to_seconds(self.rtt_ps)
+
+    def begin(self) -> None:
+        engine, opts = self.owner.engine, self.owner.options
+        at_ps = engine.now_ps
+        self.t0_client_ps = engine.clock(self.client).reading_ps(at_ps)
+        request = engine.send_message(self.client, self.server, opts.request_size_bits,
+                                      at_ps, purpose="sync_request",
+                                      on_delivery=self._request_arrived)
+        self.messages_sent = 1
+        baseline = engine.baseline_rtt_ps(self.client, self.server, at_ps,
+                                          opts.request_size_bits, opts.reply_size_bits)
+        wait_ps = (seconds_to_ps(opts.default_timeout) if baseline is None
+                   else opts.timeout_ps(baseline))
+        self._timeout_event = engine.schedule_ps(
+            at_ps + wait_ps, "timeout", {"message_id": request.message_id, "node": self.client},
+            action=self._timed_out)
+
+    def _request_arrived(self, request: Message) -> None:
+        engine, opts = self.owner.engine, self.owner.options
+        reply_at_ps = request.delivery_ps + seconds_to_ps(opts.server_service_time)
+        self.t_server_ps = engine.clock(self.server).reading_ps(reply_at_ps)
+        self.forward_delay_ps = request.route.breakdown.total_ps
+        engine.send_message(self.server, self.client, opts.reply_size_bits,
+                            reply_at_ps, purpose="sync_reply",
+                            timestamp_ps=self.t_server_ps, on_delivery=self._reply_arrived)
+        self.messages_sent = 2
+
+    def _reply_arrived(self, reply: Message) -> None:
+        if self.settled:
+            return
+        engine = self.owner.engine
+        engine.cancel(self._timeout_event)
+        self.backward_delay_ps = reply.route.breakdown.total_ps
+        self.t1_client_ps = engine.clock(self.client).reading_ps(reply.delivery_ps)
+        self.rtt_ps = self.t1_client_ps - self.t0_client_ps
+        # the client believes the server's clock now reads stamp + rtt/2
+        self.offset_ps = reply.timestamp_ps + half_ps(self.rtt_ps) - self.t1_client_ps
+        self.settled = True
+        self.owner._exchange_settled(self)
+
+    def _timed_out(self) -> dict:
+        self.settled = True
+        self.owner._exchange_settled(self)
+        return self.timeout_payload
 
 
 @dataclass
@@ -110,76 +170,6 @@ def _apply_policy(engine: Engine, node_id: str, delta_ps: int, at_ps: int,
         clock.apply_slew(delta_ps, options.slew_rate, at_ps)
 
 
-class _PeerExchange:
-    """One request/reply measurement of a peer's clock by a client.
-
-    The client reads t0 and sends a request; the peer stamps its reply with
-    its own reading; the client reads t1 on delivery and estimates the
-    peer's offset as stamp + rtt/2 - t1.  The exchange settles exactly once,
-    on the reply or on its timeout, whichever executes first: a reply after
-    the timeout is still delivered and traced but changes nothing, and the
-    reply cancels the timeout.
-    """
-
-    def __init__(self, owner: "_Round", client: str, peer: str, timeout_payload: dict):
-        self.owner = owner
-        self.record = SyncExchange(client, peer)
-        self.timeout_payload = timeout_payload
-        self.messages_sent = 0
-        self.offset_ps: int | None = None  # peer minus client; None unless replied
-        self.settled = False
-        self._timeout_event = None
-
-    def begin(self) -> None:
-        engine, opts = self.owner.engine, self.owner.options
-        client, peer = self.record.client, self.record.server
-        at_ps = engine.now_ps
-        self.record.t0_client_ps = engine.clock(client).reading_ps(at_ps)
-        request = engine.send_message(client, peer, opts.request_size_bits, at_ps,
-                                      purpose="sync_request",
-                                      on_delivery=self._request_arrived)
-        self.messages_sent = 1
-        baseline = engine.baseline_rtt_ps(client, peer, at_ps, opts.request_size_bits,
-                                          opts.reply_size_bits)
-        if baseline is None:
-            wait_ps = seconds_to_ps(opts.default_timeout)
-        else:
-            wait_ps = opts.timeout_ps(baseline)
-        self._timeout_event = engine.schedule_ps(
-            at_ps + wait_ps, "timeout", {"message_id": request.message_id, "node": client},
-            action=self._timed_out)
-
-    def _request_arrived(self, request: Message) -> None:
-        engine, opts = self.owner.engine, self.owner.options
-        ex = self.record
-        reply_at_ps = request.delivery_ps + seconds_to_ps(opts.server_service_time)
-        ex.t_server_ps = engine.clock(ex.server).reading_ps(reply_at_ps)
-        ex.forward_delay_ps = request.route.breakdown.total_ps
-        engine.send_message(ex.server, ex.client, opts.reply_size_bits,
-                            reply_at_ps, purpose="sync_reply",
-                            timestamp_ps=ex.t_server_ps, on_delivery=self._reply_arrived)
-        self.messages_sent = 2
-
-    def _reply_arrived(self, reply: Message) -> None:
-        if self.settled:
-            return
-        engine = self.owner.engine
-        engine.cancel(self._timeout_event)
-        ex = self.record
-        ex.backward_delay_ps = reply.route.breakdown.total_ps
-        ex.t1_client_ps = engine.clock(ex.client).reading_ps(reply.delivery_ps)
-        ex.rtt_ps = ex.t1_client_ps - ex.t0_client_ps
-        # the client believes the peer's clock now reads stamp + rtt/2
-        self.offset_ps = reply.timestamp_ps + half_ps(ex.rtt_ps) - ex.t1_client_ps
-        self.settled = True
-        self.owner._exchange_settled(self)
-
-    def _timed_out(self) -> dict:
-        self.settled = True
-        self.owner._exchange_settled(self)
-        return self.timeout_payload
-
-
 class _Round:
     """Life cycle shared by both algorithms: a `started` sync_step, then
     exactly one terminal sync_step (`completed` or `aborted`)."""
@@ -193,10 +183,6 @@ class _Round:
         self.options = options or SyncOptions()
         self.report: SyncReport | None = None
         self.start_ps = 0
-
-    @property
-    def done(self) -> bool:
-        return self.report is not None
 
     def _schedule_start(self, at_ps: int, begin) -> None:
         """Schedule the round; all clock reads happen when events execute."""
@@ -227,27 +213,25 @@ class CristianExchange(_Round):
     def __init__(self, engine: Engine, client: str, server: str,
                  options: SyncOptions | None = None):
         super().__init__(engine, [client, server], options)
-        self.client = client
-        self.server = server
-        self._exchange = _PeerExchange(self, client, server,
-                                       {"sync_aborted": "cristian",
-                                        "participants": [client, server]})
+        self._exchange = SyncExchange(self, client, server,
+                                      {"sync_aborted": "cristian",
+                                       "participants": [client, server]})
 
     def start(self, at_ps: int) -> None:
         self._schedule_start(at_ps, self._exchange.begin)
 
-    def _exchange_settled(self, exchange: _PeerExchange) -> None:
-        if exchange.offset_ps is None:
+    def _exchange_settled(self, ex: SyncExchange) -> None:
+        if ex.offset_ps is None:
             # a failed round counts only the request the client knows it sent
             self._end(failed=True, reason="timeout", messages_sent=1)
             return
-        engine, ex = self.engine, exchange.record
+        engine = self.engine
         t1_ps = engine.now_ps
-        _apply_policy(engine, self.client, exchange.offset_ps, t1_ps, self.options)
-        ex.offset_error_ps = (engine.clock(self.client).reading_ps(t1_ps)
-                              - engine.clock(self.server).reading_ps(t1_ps))
-        self._end(corrections_ps={self.client: exchange.offset_ps},
-                  residuals_ps={self.client: abs(ex.offset_error_ps)},
+        _apply_policy(engine, ex.client, ex.offset_ps, t1_ps, self.options)
+        ex.offset_error_ps = (engine.clock(ex.client).reading_ps(t1_ps)
+                              - engine.clock(ex.server).reading_ps(t1_ps))
+        self._end(corrections_ps={ex.client: ex.offset_ps},
+                  residuals_ps={ex.client: abs(ex.offset_error_ps)},
                   messages_sent=2, exchanges=[ex])
 
 
@@ -261,11 +245,11 @@ class BerkeleyRound(_Round):
                  options: SyncOptions | None = None):
         # the coordinator may be listed as a member; it contributes offset 0
         # without polling itself
-        self.members = [m for m in members if m != coordinator]
-        super().__init__(engine, [coordinator] + self.members, options)
+        members = [m for m in members if m != coordinator]
+        super().__init__(engine, [coordinator] + members, options)
         self.coordinator = coordinator
-        self._polls = {m: _PeerExchange(self, coordinator, m, {"unreachable": m})
-                       for m in self.members}
+        self._polls = {m: SyncExchange(self, coordinator, m, {"unreachable": m})
+                       for m in members}
         self._corrections_ps: dict[str, int] = {}
         self._pending_corrections: set[str] = set()
         self._last_correction_ps = 0
@@ -277,10 +261,10 @@ class BerkeleyRound(_Round):
     def _begin(self) -> None:
         for poll in self._polls.values():
             poll.begin()
-        if not self.members:
+        if not self._polls:
             self._compute_corrections()
 
-    def _exchange_settled(self, exchange: _PeerExchange) -> None:
+    def _exchange_settled(self, exchange: SyncExchange) -> None:
         if all(poll.settled for poll in self._polls.values()):
             self._compute_corrections()
 
@@ -331,24 +315,22 @@ class BerkeleyRound(_Round):
         # the member applies a correction whenever it arrives, but one after
         # the deadline no longer moves the ended round
         _apply_policy(self.engine, member, delta_ps, message.delivery_ps, self.options)
-        if self.done:
+        if self.report is not None:
             return
         self._last_correction_ps = max(self._last_correction_ps, message.delivery_ps)
         self._pending_corrections.discard(member)
         if not self._pending_corrections:
+            self.engine.cancel(self._corrections_deadline_event)
             self._finish()
 
     def _corrections_deadline(self) -> dict:
         stragglers = sorted(self._pending_corrections)
-        self._corrections_deadline_event = None  # executing, so not cancelled
         self._finish()
         return {"undelivered_corrections": stragglers}
 
     def _finish(self) -> None:
         engine = self.engine
-        if self._corrections_deadline_event is not None:
-            engine.cancel(self._corrections_deadline_event)
-        t_f = self._last_correction_ps or engine.now_ps
+        t_f = self._last_correction_ps
         readings = {p: engine.clock(p).reading_ps(t_f) for p in self._corrections_ps}
         ensemble_mean = Fraction(sum(readings.values()), len(readings))
         residuals = {p: abs(round(reading - ensemble_mean))
@@ -357,12 +339,14 @@ class BerkeleyRound(_Round):
         self._end(end_ps=t_f, corrections_ps=dict(self._corrections_ps),
                   residuals_ps=residuals, messages_sent=self._messages_sent(),
                   reason="unreachable: " + ", ".join(unreachable) if unreachable else "",
-                  exchanges=[poll.record for poll in self._polls.values()
+                  exchanges=[poll for poll in self._polls.values()
                              if poll.offset_ps is not None])
 
 
-def _run_to_completion(engine: Engine, machine) -> SyncReport:
-    while not machine.done:
+def _run_to_completion(engine: Engine, machine: _Round, at: float | None) -> SyncReport:
+    """Start the round at `at` seconds (default now) and run until it ends."""
+    machine.start(engine.now_ps if at is None else seconds_to_ps(at))
+    while machine.report is None:
         next_ps = engine.next_event_time_ps()
         if next_ps is None:
             raise RuntimeError("sync round cannot complete: event queue is empty")
@@ -374,15 +358,11 @@ def cristian_sync(engine: Engine, client: str, server: str,
                   at: float | None = None,
                   options: SyncOptions | None = None) -> SyncReport:
     """Run one Cristian round to completion and return its report."""
-    exchange = CristianExchange(engine, client, server, options)
-    exchange.start(engine.now_ps if at is None else seconds_to_ps(at))
-    return _run_to_completion(engine, exchange)
+    return _run_to_completion(engine, CristianExchange(engine, client, server, options), at)
 
 
 def berkeley_round(engine: Engine, coordinator: str, members: list[str],
                    at: float | None = None,
                    options: SyncOptions | None = None) -> SyncReport:
     """Run one Berkeley round to completion and return its report."""
-    machine = BerkeleyRound(engine, coordinator, members, options)
-    machine.start(engine.now_ps if at is None else seconds_to_ps(at))
-    return _run_to_completion(engine, machine)
+    return _run_to_completion(engine, BerkeleyRound(engine, coordinator, members, options), at)

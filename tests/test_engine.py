@@ -1,4 +1,5 @@
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -172,16 +173,23 @@ MESH_ATTACKS = json.loads((SCENARIO_DIR / "mesh_attacks.json").read_text())
       "sync_schedule": [{"time_s": 12.0, "algorithm": "berkeley",
                          "participants": ["s1", "c1"]}]},
      lambda r: r.get("undelivered_corrections") == ["c1"]),
-], ids=["bundled", "cristian_timeouts", "berkeley_deadline"])
+    # a Berkeley round whose last correction cancels the deadline
+    ({"sync_schedule": [{"time_s": 12.0, "algorithm": "berkeley",
+                         "participants": ["s1", "c1"]}]},
+     lambda r: r["kind"] == "sync_step" and r["algorithm"] == "berkeley"
+     and r["phase"] == "completed"),
+], ids=["bundled", "cristian_timeouts", "berkeley_deadline", "berkeley_completed"])
 def test_every_sequence_number_is_traced_cancelled_or_queued(cancelled_seqs, changes,
                                                              expect):
     """Sends, sync steps and timeouts are queued by `schedule_ps`, hops and
     deliveries by `_hop`; both draw from one sequence counter, and every
     number drawn ends as one trace record, one cancelled event or one entry
-    left in the queue."""
+    left in the queue.  Every round that starts ends exactly once."""
     engine, records, _ = run_scenario(parse_scenario({**MESH_ATTACKS, **changes}))
     assert any(expect(record) for record in records)
     assert_every_seq_accounted_for(engine, cancelled_seqs)
+    phases = Counter(r["phase"] for r in records if r["kind"] == "sync_step")
+    assert phases["completed"] + phases["aborted"] == phases["started"] > 0
 
 
 def assert_hop_times_are_exact(routes, records):

@@ -106,6 +106,14 @@ def test_slew_correction_arrives_gradually():
     assert clock.offset_ps(seconds_to_ps(300.0)) < seconds_to_ps(0.01)
 
 
+@pytest.mark.parametrize("name", ["server_service_time", "timeout_factor",
+                                  "default_timeout", "outlier_threshold", "slew_rate"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf")], ids=["nan", "inf"])
+def test_options_reject_a_non_finite_value(name, value):
+    with pytest.raises(ValueError, match=f"^{name} must be finite"):
+        SyncOptions(**{name: value})
+
+
 # -- Berkeley -----------------------------------------------------------------
 
 def star_engine(member_offsets, coordinator_offset=0.0, router_models=None):
@@ -184,6 +192,21 @@ def test_unreachable_member_is_flagged_and_excluded():
     assert "m2" not in report.corrections_ps
     # mean over (0, +10 ms) = +5 ms
     assert report.corrections_ps == {"co": 5_000_000_000, "m1": -5_000_000_000}
+
+
+def test_berkeley_exchanges_are_the_replied_polls_with_their_true_delays():
+    engine = star_engine([0.010, -0.004],
+                         router_models={"m2": FailureModel("always_failed")})
+    report = berkeley_round(engine, "co", ["m1", "m2"], at=0.0)
+    total_ps = {(r["purpose"], r["src"], r["dst"]): r["total_ps"] for r in engine.records
+                if r["kind"] == "message_send" and "total_ps" in r}
+    # the unreachable m2 has no entry
+    assert [ex.server for ex in report.exchanges] == ["m1"]
+    for ex in report.exchanges:
+        assert ex.client == "co"
+        assert ex.rtt_ps == ex.t1_client_ps - ex.t0_client_ps > 0
+        assert ex.forward_delay_ps == total_ps["sync_request", "co", ex.server]
+        assert ex.backward_delay_ps == total_ps["sync_reply", ex.server, "co"]
 
 
 def test_round_aborts_below_two_participants():
