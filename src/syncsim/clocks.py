@@ -120,6 +120,12 @@ class SoftwareClock:
     corrections applied so far); noise is drawn from a keyed stream, so the
     same query always returns the same value.  Corrections accumulate in
     integer picoseconds and change only via apply_step/apply_slew.
+
+    A delivery, its callback and the sync logic often read one clock at one
+    instant, so the clock keeps the quantized drift plus noise of the last
+    instant it was read at and draws the noise once for them.  The
+    correction is added live on every read: a step applied between two
+    reads at one instant shows in the second.
     """
 
     def __init__(self, clock_id: str, params: ClockParameters, seed: int = 0):
@@ -129,6 +135,8 @@ class SoftwareClock:
         self._jitter_stream = randstream.stream(seed, "clock_jitter", clock_id)
         # (start_ps, delta_ps, rate) triples; rate None means instant step
         self._corrections: list[tuple[int, int, float | None]] = []
+        # (t_ps, drift + noise in ps) of the last instant offset_ps computed
+        self._last: tuple[int | None, int] = (None, 0)
 
     # -- noise ------------------------------------------------------------
 
@@ -172,9 +180,12 @@ class SoftwareClock:
 
     def offset_ps(self, t_ps: int) -> int:
         """alpha(t) = C(t) - t in integer picoseconds."""
-        drift = self.params.drift_offset(ps_to_seconds(t_ps))
-        noisy = drift + self.noise_at_ps(t_ps)
-        return seconds_to_ps(noisy) + self.correction_at_ps(t_ps)
+        last_ps, free_ps = self._last
+        if last_ps != t_ps:
+            drift = self.params.drift_offset(ps_to_seconds(t_ps))
+            free_ps = seconds_to_ps(drift + self.noise_at_ps(t_ps))
+            self._last = (t_ps, free_ps)
+        return free_ps + self.correction_at_ps(t_ps)
 
     def reading_ps(self, t_ps: int) -> int:
         """C(t) in integer picoseconds."""

@@ -20,6 +20,13 @@ message's lifetime and hop arrivals, attack drops, and final delivery play
 out as scheduled events.  Drops are rolled only at the nodes a ddos with
 `drop_probability > 0` targets (`NetworkView.drop_targets`).  Blocked and
 dropped messages surface to waiting sync logic as timeouts.
+
+Sends and timeout budgets get their routes from `Engine._route`, which
+answers each (routing epoch, endpoints, size) query once per instant: the
+attack-free route a timeout budget finds for a message is not searched
+again when the message is sent at that instant.  It keeps the answers of
+the instants from `now_ps` on and drops older ones, so its memory follows
+the instants in flight, not the horizon.
 """
 
 import itertools
@@ -68,6 +75,8 @@ class Engine:
         self.now_ps = 0
         self._seq = itertools.count()
         self._queue: list[list] = []  # [time_ps, seq, record, action, args]
+        # t_ps -> {(epoch, source, destination, size_bits): Route or None}
+        self._answers: dict[int, dict[tuple, Route | None]] = {}
         self._msg_counter = itertools.count(1)
         self.messages: dict[str, Message] = {}
         self.records: list[dict] = []
@@ -141,6 +150,7 @@ class Engine:
                     record.update(extra)
             records.append(record)
         self.now_ps = t_end_ps
+        self._drop_past_answers()
         return self.records[emitted_from:]
 
     # -- messaging ----------------------------------------------------------
@@ -168,11 +178,9 @@ class Engine:
         return message
 
     def _start_message(self, message: Message) -> dict:
-        query = RouteQuery(message.source, message.destination, message.send_ps,
-                           message.size_bits)
-        try:
-            route = shortest_path(self.view, query)
-        except NoRoute:
+        route = self._route(self.view, message.source, message.destination,
+                            message.send_ps, message.size_bits)
+        if route is None:
             message.status = "blocked"
             return {"status": "blocked"}
         message.route = route
@@ -235,16 +243,43 @@ class Engine:
             message.on_delivery(message)
         return extra
 
+    # -- routes -------------------------------------------------------------
+
+    def _route(self, view: NetworkView, source: str, destination: str, t_ps: int,
+               size_bits: int) -> Route | None:
+        """`shortest_path` of the query on `view`, None for NoRoute.  Keyed
+        on the epoch at t: a view and its baseline share the topology's
+        epochs and draw the same router flags, so the epoch settles the answer."""
+        answers = self._answers.get(t_ps)
+        if answers is None:
+            self._drop_past_answers()
+            answers = self._answers[t_ps] = {}
+        key = (view.epoch_at(t_ps), source, destination, size_bits)
+        if key in answers:
+            return answers[key]
+        try:
+            route = shortest_path(view, RouteQuery(source, destination, t_ps, size_bits))
+        except NoRoute:
+            route = None
+        answers[key] = route
+        return route
+
+    def _drop_past_answers(self) -> None:
+        answers, now_ps = self._answers, self.now_ps
+        for t_ps in list(answers):
+            if t_ps < now_ps:
+                del answers[t_ps]
+
     # -- timeouts -----------------------------------------------------------
 
     def baseline_rtt_ps(self, a: str, b: str, t_ps: int, size_forward: int,
                         size_backward: int) -> int | None:
         """Expected attack-free round-trip delay, used to budget sync timeouts."""
         baseline = self._baseline_view
-        try:
-            fwd = shortest_path(baseline, RouteQuery(a, b, t_ps, size_forward))
-            t_back_ps = t_ps + fwd.breakdown.total_ps
-            bwd = shortest_path(baseline, RouteQuery(b, a, t_back_ps, size_backward))
-        except NoRoute:
+        fwd = self._route(baseline, a, b, t_ps, size_forward)
+        if fwd is None:
+            return None
+        bwd = self._route(baseline, b, a, t_ps + fwd.breakdown.total_ps, size_backward)
+        if bwd is None:
             return None
         return fwd.breakdown.total_ps + bwd.breakdown.total_ps

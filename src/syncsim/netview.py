@@ -8,7 +8,11 @@ depends only on those inputs is built with the view, so a query only
 indexes: the compiled topology with its time-independent terms, the
 routing epochs, and the router_flag stream state of every router a
 failure model can take down.  All answers are pure functions of (view, t),
-so concurrent queries are safe and repeat queries are identical.
+so repeat queries are identical.  `router_flag` keeps, per router, the
+flag of the last instant it was asked about: a route query reads the same
+flags in its hit check, its search and its breakdown, and that memo draws
+each once.  Since the memo holds only what the draw at its instant gave,
+it never changes an answer.
 
 Attacks are piecewise constant in time.  Between two consecutive edges of
 the windows of the routing attacks (router_hijack of either mode, and ddos
@@ -99,7 +103,7 @@ class Epoch:
 
 class NetworkView:
     __slots__ = ("graph", "seed", "attacks", "medium_speeds", "topology", "flag_streams",
-                 "attack_free_epoch", "drop_targets", "_epoch_edges", "_epochs")
+                 "attack_free_epoch", "drop_targets", "_epoch_edges", "_epochs", "_flags")
 
     def __init__(self, graph: NetworkGraph, seed: int = 0,
                  attacks: tuple[AttackSpec, ...] = (),
@@ -117,6 +121,8 @@ class NetworkView:
         self.flag_streams = tuple(
             None if model is None else randstream.stream(seed, "router_flag", node_id)
             for node_id, model in zip(topology.ids, topology.failure_models))
+        # per router index, (t_ps, flag) of the last instant `router_flag` drew
+        self._flags = [(None, 1)] * len(topology.ids)
         # epoch k covers [edges[k - 1], edges[k]); the first one, before any
         # window opens, is the attack-free epoch
         self._epoch_edges = epoch_edges(attacks)
@@ -148,10 +154,20 @@ class NetworkView:
         in the routing epoch holding t_ps while its failure model has it up,
         else None."""
         term = self.epoch_at(t_ps).terms[node]
-        model = self.topology.failure_models[node]
-        if term is None or model is None or model.flag_from(self.flag_streams[node], t_ps):
+        if (term is None or self.topology.failure_models[node] is None
+                or self.router_flag(node, t_ps)):
             return term
         return None
+
+    def router_flag(self, node: int, t_ps: int) -> int:
+        """The failure flag at t_ps (1 up, 0 down) of router index `node`,
+        which a failure model can take down: `FailureModel.flag_from` on the
+        router's held stream, drawn once per instant in a row."""
+        last_ps, flag = self._flags[node]
+        if last_ps != t_ps:
+            flag = self.topology.failure_models[node].flag_from(self.flag_streams[node], t_ps)
+            self._flags[node] = (t_ps, flag)
+        return flag
 
     def epoch_at(self, t_ps: int) -> Epoch:
         """The routing epoch holding t_ps.  Window starts belong to the

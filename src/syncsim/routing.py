@@ -25,11 +25,16 @@ A query at t:
   2. if t's epoch raised the term of a router on that route, takes the
      route of t's epoch instead;
   3. returns that route when every router on it that a failure model can
-     take down is up at t (`FailureModel.flag_from` on the router_flag
-     stream the view holds; no attack is read);
+     take down is up at t (`NetworkView.router_flag`; no attack is read);
   4. otherwise runs Dijkstra at t on the epoch's terms, with the term of
-     each router a failure model can take down replaced by its
-     `hop_router_ps` at t, None for the routers down at t.
+     each router a failure model takes down at t replaced by None (a
+     router whose epoch term is None already stays excluded undrawn).
+
+Steps 3 and 4 and the breakdown of the route step 4 finds read each
+router's flag at t through `router_flag`, whose per-router memo of the last
+instant draws it once for the whole query.  The engine keeps each
+instant's answers (`Engine._route`), so a query is computed here once per
+(epoch, endpoints, size, instant).
 
 Why that is exact.  Labels (delay, hops, node sequence) are totally
 ordered, so each graph has one optimum per destination.  Attacks only
@@ -121,8 +126,8 @@ def shortest_path(view: NetworkView, query: RouteQuery) -> Route:
         cached = _cached_route(topology, epoch, source, size_bits, destination)
     if cached is None:
         raise NoRoute(query.source, query.destination)
-    models, streams = topology.failure_models, view.flag_streams
-    if all(models[node].flag_from(streams[node], t_ps) for node in cached.failures):
+    router_flag = view.router_flag
+    if all(router_flag(node, t_ps) for node in cached.failures):
         if cached.route is None:
             cached.route = Route(cached.hops, total_path_delay(
                 view, list(cached.hops), size_bits, t_ps))
@@ -146,14 +151,13 @@ def _cached_route(topology: CompiledTopology, epoch: Epoch, source: int, size_bi
 
 
 def _route_at(view: NetworkView, source: int, destination: int, query: RouteQuery) -> Route:
-    """Dijkstra at the query time on the epoch's terms, with the term of
-    each router a failure model can take down read from `view.hop_router_ps`
-    (None when it is down at t)."""
+    """Dijkstra at the query time on the epoch's terms, with None for each
+    router whose failure model has it down at t (`view.router_flag`)."""
     topology, t_ps = view.topology, query.t_ps
     terms = list(view.epoch_at(t_ps).terms)
     for node, model in enumerate(topology.failure_models):
-        if model is not None:
-            terms[node] = view.hop_router_ps(node, t_ps)
+        if model is not None and terms[node] is not None and not view.router_flag(node, t_ps):
+            terms[node] = None
     predecessor = _search(topology, source, query.size_bits, terms, destination)
     if predecessor[destination] < 0:
         raise NoRoute(query.source, query.destination)

@@ -1,0 +1,184 @@
+"""Answers kept per instant: the engine's route answers, a view's router
+flags and a clock's drift plus noise are computed once per instant and are
+equal to what a fresh engine, view or clock computes."""
+
+from collections import Counter
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from syncsim import engine as engine_mod
+from syncsim import randstream
+from syncsim.attacks import AttackSpec
+from syncsim.clocks import ClockParameters, SoftwareClock
+from syncsim.engine import Engine
+from syncsim.netview import NetworkView
+from syncsim.routing import RouteQuery, shortest_path
+from syncsim.scenario import build_engine, parse_scenario
+from syncsim.sync import cristian_sync
+from syncsim.timebase import seconds_to_ps
+from syncsim.topology import FailureModel, LinkSpec, NetworkGraph, NodeSpec
+
+from conftest import benchmark_workloads, line_graph
+
+NOISY = ClockParameters(beta=1e-6, noise_sigma=1e-6, model_kind="linear", jitter_bound_ns=30.0)
+
+
+def diamond_graph():
+    """c1 -- r1 -- s1 through a fast flaky router, or c1 -- r2 -- r3 -- s1
+    through two slower flaky ones; both endpoints have noisy clocks."""
+    flaky = FailureModel("bernoulli", failure_probability=0.5)
+    nodes = [NodeSpec("c1", "client", clock=NOISY), NodeSpec("s1", "time_server", clock=NOISY),
+             NodeSpec("r1", "router", router_delay=10e-6, failure_model=flaky),
+             NodeSpec("r2", "router", router_delay=50e-6, failure_model=flaky),
+             NodeSpec("r3", "router", router_delay=50e-6, failure_model=flaky)]
+    links = [LinkSpec(a, b, 1e9, 1e3, "fiber")
+             for a, b in (("c1", "r1"), ("r1", "s1"), ("c1", "r2"), ("r2", "r3"), ("r3", "s1"))]
+    return NetworkGraph(nodes, links)
+
+
+# a ddos raising r1's term and a hijack holding r2 down, overlapping
+ATTACKS = (AttackSpec("ddos", "r1", 1.0, 2.0, delay_multiplier=3.0),
+           AttackSpec("router_hijack", "r2", 1.5, 3.0))
+
+
+@pytest.mark.parametrize("attacks", [
+    (), (AttackSpec("ddos", "r1", 50.0, 60.0, delay_multiplier=2.0),)],
+    ids=["no_attacks", "attack_outside_the_round"])
+def test_attack_free_cristian_round_computes_two_routes(monkeypatch, attacks):
+    """The timeout budget routes the request and the reply at the instants
+    they are sent at, so those sends reuse its answers; with an attack
+    listed, the baseline is another view, sharing the attack-free epoch."""
+    computed = []
+
+    def counting_shortest_path(view, query):
+        computed.append(query)
+        return shortest_path(view, query)
+    monkeypatch.setattr(engine_mod, "shortest_path", counting_shortest_path)
+    engine = Engine(line_graph([50e-6]), seed=3, attacks=attacks)
+    report = cristian_sync(engine, "c1", "s1", at=1.0)
+    assert not report.failed
+    assert len(computed) == 2
+    assert [m.status for m in engine.messages.values()] == ["delivered", "delivered"]
+
+
+def test_query_with_a_down_router_on_its_cached_route_draws_each_flag_once(monkeypatch):
+    graph = diamond_graph()
+    seed = 5
+    flag = {node_id: graph.node(node_id).failure_model for node_id in ("r1", "r2", "r3")}
+    t_ps = next(t for t in range(1, 10**6)
+                if not flag["r1"].flag_at_ps("r1", t, seed)
+                and flag["r2"].flag_at_ps("r2", t, seed) and flag["r3"].flag_at_ps("r3", t, seed))
+    view = NetworkView(graph, seed)
+    node_of = {id(state): view.topology.ids[i]
+               for i, state in enumerate(view.flag_streams) if state is not None}
+    draws = Counter()
+    flag_from = FailureModel.flag_from
+
+    def counting_flag_from(model, prefix, at_ps):
+        draws[node_of[id(prefix)]] += 1
+        return flag_from(model, prefix, at_ps)
+    monkeypatch.setattr(FailureModel, "flag_from", counting_flag_from)
+    route = shortest_path(view, RouteQuery("c1", "s1", t_ps, 12000))
+    assert route.hops == ("c1", "r2", "r3", "s1")
+    # the hit check finds r1 down, the search at t reads every flag, and the
+    # breakdown of the route found reads r2's and r3's again
+    assert draws == {"r1": 1, "r2": 1, "r3": 1}
+
+
+def test_two_reads_at_one_instant_draw_noise_once_and_see_a_step_between(monkeypatch):
+    draws = []
+    draw_gaussian = randstream.draw_gaussian
+
+    def counting_draw_gaussian(*args):
+        draws.append(args)
+        return draw_gaussian(*args)
+    monkeypatch.setattr(randstream, "draw_gaussian", counting_draw_gaussian)
+    clock = SoftwareClock("c1", NOISY, seed=9)
+    t_ps = seconds_to_ps(2.5)
+    first = clock.reading_ps(t_ps)
+    clock.apply_step(-1_234_567, at_ps=t_ps)
+    second = clock.reading_ps(t_ps)
+    assert len(draws) == 1
+    assert second - first == -1_234_567
+    fresh = SoftwareClock("c1", NOISY, seed=9)
+    fresh.apply_step(-1_234_567, at_ps=t_ps)
+    assert second == fresh.reading_ps(t_ps)
+
+
+INSTANTS_PS = tuple(seconds_to_ps(t) for t in (0.0, 0.25, 1.0, 1.5, 1.75, 2.0, 3.0, 3.5))
+OPERATIONS = st.tuples(st.sampled_from(("advance", "route", "baseline", "flag", "clock", "step")),
+                       st.sampled_from(INSTANTS_PS), st.booleans())
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**16), operations=st.lists(OPERATIONS, min_size=1, max_size=30))
+def test_answers_kept_per_instant_equal_fresh_ones(seed, operations):
+    """Queries at instants before, at and after the engine's now, in any
+    order, interleaved with clock steps, against the same call on a fresh
+    engine (its view and baseline, and its clock replaying the steps so
+    far)."""
+    graph = diamond_graph()
+    engine = Engine(graph, seed, ATTACKS)
+    clock = engine.clock("c1")
+    failures = [i for i, model in enumerate(engine.view.topology.failure_models)
+                if model is not None]
+    steps = []
+
+    def check_clock(t_ps):
+        replay = Engine(graph, seed, ATTACKS).clock("c1")
+        for delta_ps, at_ps in steps:
+            replay.apply_step(delta_ps, at_ps)
+        assert clock.offset_ps(t_ps) == replay.offset_ps(t_ps)
+
+    for kind, t_ps, flip in operations:
+        fresh = Engine(graph, seed, ATTACKS)
+        if kind == "advance":
+            engine.run_until_ps(max(t_ps, engine.now_ps))
+        elif kind == "route":
+            ends = ("s1", "c1") if flip else ("c1", "s1")
+            assert (engine._route(engine.view, *ends, t_ps, 12000)
+                    == fresh._route(fresh.view, *ends, t_ps, 12000))
+            assert (engine._route(engine._baseline_view, *ends, t_ps, 12000)
+                    == fresh._route(fresh._baseline_view, *ends, t_ps, 12000))
+        elif kind == "baseline":
+            back_bits = 0 if flip else 12000
+            assert (engine.baseline_rtt_ps("c1", "s1", t_ps, 12000, back_bits)
+                    == fresh.baseline_rtt_ps("c1", "s1", t_ps, 12000, back_bits))
+        elif kind == "flag":
+            for node in failures:
+                assert engine.view.router_flag(node, t_ps) == fresh.view.router_flag(node, t_ps)
+                assert (engine._baseline_view.router_flag(node, t_ps)
+                        == fresh._baseline_view.router_flag(node, t_ps))
+        elif kind == "clock":
+            check_clock(t_ps)
+        else:
+            # a step between two reads at its own instant
+            check_clock(t_ps)
+            delta_ps = -7_000 if flip else 1_000_000
+            clock.apply_step(delta_ps, t_ps)
+            steps.append((delta_ps, t_ps))
+            check_clock(t_ps)
+
+
+def test_route_answers_hold_no_instant_before_now(monkeypatch):
+    """mesh seed 1 in slices: each slice ends with no answers kept for an
+    instant before now, and the instants held at any query (the rounds in
+    flight; 43 at most, when a Berkeley round budgets all its polls) are a
+    small share of the 2,642 instants the run routes at."""
+    scenario = parse_scenario(benchmark_workloads().mesh(1))
+    engine = build_engine(scenario)
+    held, instants = [], set()
+
+    def recording_shortest_path(view, query):
+        held.append(len(engine._answers))
+        instants.add(query.t_ps)
+        return shortest_path(view, query)
+    monkeypatch.setattr(engine_mod, "shortest_path", recording_shortest_path)
+    horizon_ps = seconds_to_ps(scenario.config.duration)
+    for k in range(1, 21):
+        engine.run_until_ps(horizon_ps * k // 20)
+        assert min(engine._answers, default=engine.now_ps) >= engine.now_ps
+    assert len(instants) > 2000
+    assert max(held) * 50 < len(instants)
