@@ -111,6 +111,10 @@ def _cmd_export_dot(args) -> int:
     scenario = _load(args.scenario)
     if scenario is None:
         return EXIT_VALIDATION
+    if args.time < 0:
+        print(f"error: --time {args.time!r}: the snapshot instant must be >= 0 s",
+              file=sys.stderr)
+        return EXIT_VALIDATION
     view = NetworkView(scenario.graph, scenario.config.seed, scenario.attacks,
                        scenario.medium_speeds)
     try:

@@ -119,13 +119,8 @@ class SoftwareClock:
     Readings are pure functions of (params, seed, clock_id, query time,
     corrections applied so far); noise is drawn from a keyed stream, so the
     same query always returns the same value.  Corrections accumulate in
-    integer picoseconds and change only via apply_step/apply_slew.
-
-    A delivery, its callback and the sync logic often read one clock at one
-    instant, so the clock keeps the quantized drift plus noise of the last
-    instant it was read at and draws the noise once for them.  The
-    correction is added live on every read: a step applied between two
-    reads at one instant shows in the second.
+    integer picoseconds and change only via apply_step/apply_slew.  Noise
+    is drawn once per instant (see the engine module).
     """
 
     def __init__(self, clock_id: str, params: ClockParameters, seed: int = 0):
@@ -141,9 +136,10 @@ class SoftwareClock:
     # -- noise ------------------------------------------------------------
 
     def noise_at_ps(self, t_ps: int) -> float:
-        """Per-reading random term in seconds, keyed by the quantized time:
-        gaussian(seed, sigma, "clock_noise", clock_id, t_ps) plus
-        uniform(seed, "clock_jitter", clock_id, t_ps) * jitter_bound_ns * 1e-9."""
+        """Per-reading random term in seconds, keyed by the quantized time: a
+        normal draw of (seed, "clock_noise", clock_id, t_ps) with deviation
+        noise_sigma, plus jitter_bound_ns * 1e-9 times the uniform draw of
+        (seed, "clock_jitter", clock_id, t_ps)."""
         params = self.params
         noise = randstream.draw_gaussian(self._noise_stream, params.noise_sigma, t_ps)
         if params.jitter_bound_ns > 0.0:

@@ -24,7 +24,7 @@ from .timebase import seconds_to_ps
 from .topology import LinkSpec, NetworkGraph, medium_speed
 
 if TYPE_CHECKING:
-    from .netview import Epoch, NetworkView
+    from .netview import NetworkView
 
 
 class PathBlocked(Exception):
@@ -88,18 +88,14 @@ class CompiledTopology:
     (neighbor index, link index) pairs in the graph's adjacency order.  Per
     link: the propagation term, and per message size, filled on first use,
     the transmission term and the link term (transmission plus propagation,
-    what a route search adds per hop).
-
-    A NetworkView compiles its graph once and shares the result with its
-    attack-free baseline.  `epochs` holds one `netview.Epoch` per set of
-    active routing attacks, keyed by that tuple (`epoch`); its router terms
-    and route tables depend on nothing else.
+    what a route search adds per hop).  `epochs` is the store of the
+    routing epochs built on it (see netview).
     """
 
-    def __init__(self, graph: NetworkGraph, medium_speeds: dict[str, float]):
+    def __init__(self, graph: NetworkGraph, medium_speeds: dict[str, float] | None):
         self.ids = tuple(sorted(graph.nodes))
         self.index = {node_id: i for i, node_id in enumerate(self.ids)}
-        self.nodes = tuple(graph.node(node_id) for node_id in self.ids)
+        self.nodes = tuple(graph.nodes[node_id] for node_id in self.ids)
         self.relays = tuple(node.is_router for node in self.nodes)
         self.failure_models = tuple(
             node.failure_model if node.is_router and node.failure_model.mode != "always_active"
@@ -113,21 +109,11 @@ class CompiledTopology:
             adjacency[b].append((a, i))
             self.link_between[link.a, link.b] = self.link_between[link.b, link.a] = i
         self.adjacency = tuple(map(tuple, adjacency))
-        self.medium_speeds = medium_speeds
-        self.propagation_ps = tuple(link_terms_ps(link, 0, medium_speeds)[1]
+        self.medium_speeds = dict(medium_speeds or {})
+        self.propagation_ps = tuple(link_terms_ps(link, 0, self.medium_speeds)[1]
                                     for link in self.links)
         self._size_terms: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
         self.epochs: dict = {}
-
-    def epoch(self, attacks: tuple, t_ps: int) -> "Epoch":
-        """The shared `netview.Epoch` of `attacks`, the routing attacks
-        active at t_ps, built on first request: a recurring set, and the
-        empty set of a view and its baseline, share one epoch's tables."""
-        epoch = self.epochs.get(attacks)
-        if epoch is None:
-            from .netview import Epoch  # netview imports this module
-            epoch = self.epochs[attacks] = Epoch(self, attacks, t_ps)
-        return epoch
 
     def size_terms(self, size_bits: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The transmission term and the link term of every link for a

@@ -30,8 +30,7 @@ def export_graph(view: NetworkView, t: float) -> str:
     t_ps = seconds_to_ps(t)
     lines = ["digraph topology {", "  graph [rankdir=LR];",
              "  edge [dir=none];"]
-    for node_id in sorted(view.graph.nodes):
-        node = view.graph.node(node_id)
+    for node_id, node in sorted(view.graph.nodes.items()):
         label_parts = [node_id, node.kind if not node.is_router
                        else f"{node.router_kind} router"]
         attrs = [f'shape={_SHAPES[node.kind]}']

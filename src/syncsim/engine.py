@@ -21,12 +21,19 @@ out as scheduled events.  Drops are rolled only at the nodes a ddos with
 `drop_probability > 0` targets (`NetworkView.drop_targets`).  Blocked and
 dropped messages surface to waiting sync logic as timeouts.
 
-Sends and timeout budgets get their routes from `Engine._route`, which
-answers each (routing epoch, endpoints, size) query once per instant: the
-attack-free route a timeout budget finds for a message is not searched
-again when the message is sent at that instant.  It keeps the answers of
-the instants from `now_ps` on and drops older ones, so its memory follows
-the instants in flight, not the horizon.
+Reads at one instant often repeat, so three answers are kept per instant.
+Each holds only what its computation gave at that instant, so no memo
+changes an answer:
+  - `Engine._route` keeps each (routing epoch, endpoints, size) route query
+    of the instants from `now_ps` on, and drops older ones: the
+    attack-free route a timeout budget finds for a message is not searched
+    again when the message is sent at that instant;
+  - `NetworkView.router_flag` keeps each router's flag of the last instant
+    it drew, so a route query's hit check, search and breakdown draw it once;
+  - `SoftwareClock.offset_ps` keeps the drift plus noise of the last
+    instant it read, so a delivery, its callback and the sync logic draw
+    the noise once; the corrections are added on every read, so a step
+    applied between two reads at one instant shows in the second.
 """
 
 import itertools
@@ -69,15 +76,13 @@ class Engine:
 
     def __init__(self, graph: NetworkGraph, seed: int = 0, attacks=(),
                  medium_speeds: dict[str, float] | None = None):
-        self.view = NetworkView(graph, seed, tuple(attacks), dict(medium_speeds or {}))
+        self.view = NetworkView(graph, seed, tuple(attacks), medium_speeds)
         self._baseline_view = self.view.without_attacks()
-        self.seed = seed
         self.now_ps = 0
         self._seq = itertools.count()
         self._queue: list[list] = []  # [time_ps, seq, record, action, args]
         # t_ps -> {(epoch, source, destination, size_bits): Route or None}
         self._answers: dict[int, dict[tuple, Route | None]] = {}
-        self._msg_counter = itertools.count(1)
         self.messages: dict[str, Message] = {}
         self.records: list[dict] = []
         self.sync_reports: list = []
@@ -85,11 +90,6 @@ class Engine:
         for node in graph.nodes.values():
             if node.clock is not None:
                 self.clocks[node.node_id] = SoftwareClock(node.node_id, node.clock, seed)
-
-    # -- clocks -------------------------------------------------------------
-
-    def clock(self, node_id: str) -> SoftwareClock:
-        return self.clocks[node_id]
 
     # -- scheduling ---------------------------------------------------------
 
@@ -165,10 +165,11 @@ class Engine:
         leaves the message blocked (the sender only learns via timeout).
         """
         message = Message(
-            message_id=f"m{next(self._msg_counter):05d}",
+            message_id=f"m{len(self.messages) + 1:05d}",
             source=source, destination=destination, size_bits=size_bits,
             send_ps=at_ps, purpose=purpose, timestamp_ps=timestamp_ps,
             on_delivery=on_delivery)
+        # a send that schedule_ps rejects is not stored, so it takes no id
         self.schedule_ps(at_ps, "message_send",
                          {"message_id": message.message_id, "src": source,
                           "dst": destination, "size_bits": size_bits,
@@ -206,7 +207,7 @@ class Engine:
         route = message.route
         hops = route.hops
         if leg and hops[leg] in self.view.drop_targets:
-            drop = attacks_mod.drop_roll(self.view.attacks, self.seed, hops[leg],
+            drop = attacks_mod.drop_roll(self.view.attacks, self.view.seed, hops[leg],
                                          self.now_ps, message.message_id)
             if drop is not None:
                 message.status = "dropped"

@@ -1,18 +1,14 @@
 """Attack-aware view over a network graph at query time.
 
-Bundles the graph with the global seed, the attack list, and any medium
-speed overrides, and answers the time-dependent question routing and delay
-computation ask: the router term of a hop into a node at t, None when the
-node is down (`hop_router_ps`, the one rule both read).  Everything that
-depends only on those inputs is built with the view, so a query only
-indexes: the compiled topology with its time-independent terms, the
-routing epochs, and the router_flag stream state of every router a
-failure model can take down.  All answers are pure functions of (view, t),
-so repeat queries are identical.  `router_flag` keeps, per router, the
-flag of the last instant it was asked about: a route query reads the same
-flags in its hit check, its search and its breakdown, and that memo draws
-each once.  Since the memo holds only what the draw at its instant gave,
-it never changes an answer.
+Bundles the graph with the global seed and the attack list, and answers
+the time-dependent question routing and delay computation ask: the router
+term of a hop into a node at t, None when the node is down
+(`hop_router_ps`, the one rule both read).  Everything that depends only
+on those inputs is built with the view, so a query only indexes: the
+compiled topology with its time-independent terms, the routing epochs,
+and the router_flag stream state of every router a failure model can take
+down.  All answers are pure functions of (view, t); `router_flag` draws
+each router's flag once per instant (see the engine module).
 
 Attacks are piecewise constant in time.  Between two consecutive edges of
 the windows of the routing attacks (router_hijack of either mode, and ddos
@@ -20,6 +16,11 @@ with a delay multiplier other than 1) the set of active ones, the view's
 routing epoch, is fixed, and so is every router's term while its failure
 model has it up.  The view builds one epoch per interval; `epoch_at`
 looks it up, and `attack_free_epoch` is the epoch with no routing attack.
+The compiled topology keeps one `Epoch` per set of active routing attacks
+(`shared_epoch`), and `without_attacks` hands the baseline view the same
+compiled topology, so a set that recurs, and the attack-free set of a
+view and its baseline, share one epoch: its terms and its route tables.
+
 `router_active` and `router_delay_at` are the direct definition of the
 same terms, scanning the attack list at t; the DOT export draws from
 them.  `drop_targets` holds the nodes where a hop can be dropped: the
@@ -71,22 +72,19 @@ def up_router_ps(node: NodeSpec, attacks: tuple[AttackSpec, ...], t_ps: int) -> 
 
 
 class Epoch:
-    """One routing epoch of a compiled topology, kept in
-    `CompiledTopology.epochs` under its active routing attacks.
+    """One routing epoch of a compiled topology, built by `shared_epoch`.
 
-    `terms[i]` is node i's `up_router_ps` under those attacks; `raised`
-    holds the indices whose term is not the attack-free epoch's (attacks
-    only raise terms, None meaning down).  The routing layer's cache:
-    `tables` maps (source index, size) to one Dijkstra run's predecessor
-    list, and `routes` maps (source index, size, destination index) to the
-    route read from it, None when unreachable.
+    `terms[i]` is node i's `up_router_ps` under the epoch's attacks;
+    `raised` holds the indices whose term is not the attack-free epoch's
+    (attacks only raise terms, None meaning down).  `tables` and `routes`
+    hold the routing module's cache for the epoch.
     """
 
     __slots__ = ("terms", "raised", "tables", "routes")
 
     def __init__(self, topology: CompiledTopology, attacks: tuple[AttackSpec, ...], t_ps: int):
         if attacks:
-            base = topology.epoch((), 0).terms
+            base = shared_epoch(topology, (), 0).terms
             terms = list(base)
             targets = [topology.index[target] for target in dict.fromkeys(a.target for a in attacks)
                        if target in topology.index]
@@ -101,8 +99,18 @@ class Epoch:
         self.routes: dict = {}
 
 
+def shared_epoch(topology: CompiledTopology, attacks: tuple[AttackSpec, ...],
+                 t_ps: int) -> Epoch:
+    """The topology's epoch of `attacks`, the routing attacks active at
+    t_ps, built on first request."""
+    epoch = topology.epochs.get(attacks)
+    if epoch is None:
+        epoch = topology.epochs[attacks] = Epoch(topology, attacks, t_ps)
+    return epoch
+
+
 class NetworkView:
-    __slots__ = ("graph", "seed", "attacks", "medium_speeds", "topology", "flag_streams",
+    __slots__ = ("graph", "seed", "attacks", "topology", "flag_streams",
                  "attack_free_epoch", "drop_targets", "_epoch_edges", "_epochs", "_flags")
 
     def __init__(self, graph: NetworkGraph, seed: int = 0,
@@ -112,11 +120,8 @@ class NetworkView:
         self.graph = graph
         self.seed = seed
         self.attacks = attacks
-        self.medium_speeds = medium_speeds or {}
-        # compiled from graph and medium_speeds when not given; without_attacks
-        # passes its own, so a view and its baseline share one route cache
         self.topology = topology = (topology if topology is not None
-                                    else CompiledTopology(graph, self.medium_speeds))
+                                    else CompiledTopology(graph, medium_speeds))
         # the router_flag stream of each router a failure model can take down
         self.flag_streams = tuple(
             None if model is None else randstream.stream(seed, "router_flag", node_id)
@@ -126,16 +131,17 @@ class NetworkView:
         # epoch k covers [edges[k - 1], edges[k]); the first one, before any
         # window opens, is the attack-free epoch
         self._epoch_edges = epoch_edges(attacks)
-        self.attack_free_epoch = topology.epoch((), 0)
+        self.attack_free_epoch = shared_epoch(topology, (), 0)
         self._epochs = (self.attack_free_epoch,) + tuple(
-            topology.epoch(routing_epoch(attacks, edge), edge) for edge in self._epoch_edges)
+            shared_epoch(topology, routing_epoch(attacks, edge), edge)
+            for edge in self._epoch_edges)
         # the only nodes where a hop can be dropped; the engine rolls nowhere else
         self.drop_targets = frozenset(
             a.target for a in attacks if a.kind == "ddos" and a.drop_probability > 0)
 
     def router_active(self, node_id: str, t_ps: int) -> bool:
         """Flag(t) with force_down hijacks applied; non-routers are always up."""
-        node = self.graph.node(node_id)
+        node = self.graph.nodes[node_id]
         if not node.is_router:
             return True
         base = node.failure_model.flag_at_ps(node_id, t_ps, self.seed)
@@ -143,7 +149,7 @@ class NetworkView:
 
     def router_delay_at(self, node_id: str, t_ps: int) -> float:
         """Traversal delay in seconds for an active router, with attack effects."""
-        node = self.graph.node(node_id)
+        node = self.graph.nodes[node_id]
         if not node.is_router:
             return 0.0
         return attacks_mod.effective_router_delay(self.attacks, node_id, t_ps,
@@ -178,4 +184,4 @@ class NetworkView:
         """The attack-free baseline view (used for timeout budgeting)."""
         if not self.attacks:
             return self
-        return NetworkView(self.graph, self.seed, (), self.medium_speeds, self.topology)
+        return NetworkView(self.graph, self.seed, topology=self.topology)

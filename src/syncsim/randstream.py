@@ -84,11 +84,6 @@ def unit(value: int) -> float:
     return (value >> 11) / _TWO53
 
 
-def uniform(seed: int, *key) -> float:
-    """Uniform float in [0, 1)."""
-    return unit(u64(seed, *key))
-
-
 def draw_bernoulli(prefix, probability: float, *tail) -> bool:
     """True with the given probability, drawn from the key `prefix` has
     hashed, extended by `tail`; p=0 never and p=1 always, without a draw."""
@@ -104,28 +99,17 @@ def bernoulli(seed: int, probability: float, *key) -> bool:
     return draw_bernoulli(stream(seed, *key), probability)
 
 
-def _box_muller(sigma: float, first: int, second: int) -> float:
-    u1 = (first + 1) / _TWO64  # (0, 1]
-    u2 = second / _TWO64       # [0, 1)
-    return sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
-
-def gaussian(seed: int, sigma: float, *key) -> float:
-    """Zero-mean normal draw with standard deviation sigma (Box-Muller of the
-    draws of key + (0,) and key + (1,))."""
-    if sigma == 0.0:
-        return 0.0
-    return _box_muller(sigma, u64(seed, *key, 0), u64(seed, *key, 1))
-
-
 def draw_gaussian(prefix, sigma: float, *tail) -> float:
-    """`gaussian` of the key `prefix` has hashed, extended by `tail`: the tail
-    is hashed once and the state copied for the two constant last chunks."""
+    """Zero-mean normal draw with standard deviation sigma: Box-Muller of the
+    draws of the key `prefix` has hashed, extended by `tail` and then by 0
+    and by 1.  The tail is hashed once and the state copied for the two
+    constant last chunks."""
     if sigma == 0.0:
         return 0.0
     state = _extend(prefix, tail)
     first = state.copy()
     first.update(_GAUSSIAN_TAILS[0])
     state.update(_GAUSSIAN_TAILS[1])
-    return _box_muller(sigma, int.from_bytes(first.digest(), "big"),
-                       int.from_bytes(state.digest(), "big"))
+    u1 = (int.from_bytes(first.digest(), "big") + 1) / _TWO64  # (0, 1]
+    u2 = int.from_bytes(state.digest(), "big") / _TWO64        # [0, 1)
+    return sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)

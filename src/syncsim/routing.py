@@ -14,11 +14,11 @@ Weights depend on message size (the transmission term), so routes are
 computed per message.  Ties break on fewer hops, then the lexicographically
 smallest node-id sequence, making every query deterministic.
 
-Routes are cached per routing epoch (`netview.Epoch`: the routing attacks
-active at t, and each router's term under them with every failure model
-up) and per (source, size): one exhaustive Dijkstra run on the epoch's
-terms fills the predecessor list `Epoch.tables[source, size]`, and the
-route read from it is kept in `Epoch.routes[source, size, destination]`.
+Routes are cached per routing epoch (`netview.Epoch`: each router's term
+under the routing attacks active at t, with every failure model up) and
+per (source, size): one exhaustive Dijkstra run on the epoch's terms
+fills the predecessor list `Epoch.tables[source, size]`, and the route
+read from it is kept in `Epoch.routes[source, size, destination]`.
 A query at t:
 
   1. takes the route of the attack-free epoch, the empty one;
@@ -30,11 +30,8 @@ A query at t:
      each router a failure model takes down at t replaced by None (a
      router whose epoch term is None already stays excluded undrawn).
 
-Steps 3 and 4 and the breakdown of the route step 4 finds read each
-router's flag at t through `router_flag`, whose per-router memo of the last
-instant draws it once for the whole query.  The engine keeps each
-instant's answers (`Engine._route`), so a query is computed here once per
-(epoch, endpoints, size, instant).
+The engine asks each query once per instant, and `router_flag` draws a
+router's flag once per instant (see the engine module).
 
 Why that is exact.  Labels (delay, hops, node sequence) are totally
 ordered, so each graph has one optimum per destination.  Attacks only

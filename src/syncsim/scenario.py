@@ -102,6 +102,12 @@ def _node_ref(value) -> str:
     return value
 
 
+def _node_refs(key: str, value) -> tuple[str, ...]:
+    if not isinstance(value, list):
+        raise TypeError(f"{key} must be an array of node ids, got {value!r}")
+    return tuple(map(_node_ref, value))
+
+
 def _not_bool(key: str, value):
     """value, unless it is JSON true or false, which float() and int() would
     read as 1 and 0."""
@@ -143,6 +149,9 @@ def _number_or_null(key: str, value) -> float | None:
 
 def _offset_table(key: str, value) -> tuple[tuple[float, float], ...]:
     """(time, offset) points, both in seconds."""
+    if not isinstance(value, list) or not all(
+            isinstance(point, list) and len(point) == 2 for point in value):
+        raise ValueError(f"{key} must be an array of [time, offset] points, got {value!r}")
     return tuple((_number(key, t, seconds=True), _number(key, v, seconds=True))
                  for t, v in value)
 
@@ -259,7 +268,7 @@ def parse_scenario(data: dict) -> Scenario:
     schedule = _parse_each(data, "sync_schedule", lambda spec: SyncScheduleEntry(
         time_s=_number("time_s", spec["time_s"]),
         algorithm=spec["algorithm"],
-        participants=tuple(map(_node_ref, spec["participants"]))), problems)
+        participants=_node_refs("participants", spec["participants"])), problems)
     attacks = _parse_each(data, "attacks", _parse_attack, problems)
     workload = _parse_each(data, "message_workload", lambda spec: WorkloadEntry(
         time_s=_number("time_s", spec["time_s"]), source=_node_ref(spec["source"]),
@@ -283,7 +292,7 @@ def parse_scenario(data: dict) -> Scenario:
                     sync_options=sync_options)
 
 
-# The largest magnitude `randstream.gaussian` returns per unit sigma: its
+# The largest magnitude `randstream.draw_gaussian` returns per unit sigma: its
 # uniform draw u1 is at least 2^-64, and |cos| <= 1.
 _GAUSSIAN_BOUND = math.sqrt(-2.0 * math.log(2.0 ** -64))
 
@@ -321,7 +330,7 @@ def _epoch_problems(scenario: Scenario) -> list[str]:
                 continue
             seen.add(on_target)
             try:
-                up_router_ps(scenario.graph.node(target), active, t_ps)
+                up_router_ps(scenario.graph.nodes[target], active, t_ps)
             except OverflowError:
                 kinds = " and ".join(a.kind for a in on_target)
                 problems.append(f"attack {kinds} on {target!r}: router delay from "
@@ -351,14 +360,14 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         if len(set(entry.participants)) != len(entry.participants):
             problems.append(f"{label}: participants must be distinct")
         for node_id in entry.participants:
-            if node_id not in graph:
+            if node_id not in graph.nodes:
                 problems.append(f"{label}: unknown participant {node_id!r}")
-            elif graph.node(node_id).clock is None:
+            elif graph.nodes[node_id].clock is None:
                 problems.append(f"{label}: participant {node_id!r} has no clock")
             elif not graph.links_of(node_id):
                 problems.append(f"{label}: participant {node_id!r} is disconnected")
     for attack in scenario.attacks:
-        if attack.target not in graph:
+        if attack.target not in graph.nodes:
             problems.append(f"attack {attack.kind}: unknown target {attack.target!r}")
     for index, entry in enumerate(scenario.workload):
         label = f"message_workload[{index}]"
@@ -369,7 +378,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         if entry.source == entry.destination:
             problems.append(f"{label}: source and destination must differ")
         for node_id in (entry.source, entry.destination):
-            if node_id not in graph:
+            if node_id not in graph.nodes:
                 problems.append(f"{label}: unknown node {node_id!r}")
     for medium, speed in scenario.medium_speeds.items():
         try:

@@ -95,7 +95,7 @@ class SyncExchange:
     def begin(self) -> None:
         engine, opts = self.owner.engine, self.owner.options
         at_ps = engine.now_ps
-        self.t0_client_ps = engine.clock(self.client).reading_ps(at_ps)
+        self.t0_client_ps = engine.clocks[self.client].reading_ps(at_ps)
         request = engine.send_message(self.client, self.server, opts.request_size_bits,
                                       at_ps, purpose="sync_request",
                                       on_delivery=self._request_arrived)
@@ -111,7 +111,7 @@ class SyncExchange:
     def _request_arrived(self, request: Message) -> None:
         engine, opts = self.owner.engine, self.owner.options
         reply_at_ps = request.delivery_ps + seconds_to_ps(opts.server_service_time)
-        self.t_server_ps = engine.clock(self.server).reading_ps(reply_at_ps)
+        self.t_server_ps = engine.clocks[self.server].reading_ps(reply_at_ps)
         self.forward_delay_ps = request.route.breakdown.total_ps
         engine.send_message(self.server, self.client, opts.reply_size_bits,
                             reply_at_ps, purpose="sync_reply",
@@ -124,7 +124,7 @@ class SyncExchange:
         engine = self.owner.engine
         engine.cancel(self._timeout_event)
         self.backward_delay_ps = reply.route.breakdown.total_ps
-        self.t1_client_ps = engine.clock(self.client).reading_ps(reply.delivery_ps)
+        self.t1_client_ps = engine.clocks[self.client].reading_ps(reply.delivery_ps)
         self.rtt_ps = self.t1_client_ps - self.t0_client_ps
         # the client believes the server's clock now reads stamp + rtt/2
         self.offset_ps = reply.timestamp_ps + half_ps(self.rtt_ps) - self.t1_client_ps
@@ -163,7 +163,7 @@ class SyncReport:
 
 def _apply_policy(engine: Engine, node_id: str, delta_ps: int, at_ps: int,
                   options: SyncOptions) -> None:
-    clock = engine.clock(node_id)
+    clock = engine.clocks[node_id]
     if options.correction_policy == "step":
         clock.apply_step(delta_ps, at_ps)
     else:
@@ -228,8 +228,8 @@ class CristianExchange(_Round):
         engine = self.engine
         t1_ps = engine.now_ps
         _apply_policy(engine, ex.client, ex.offset_ps, t1_ps, self.options)
-        ex.offset_error_ps = (engine.clock(ex.client).reading_ps(t1_ps)
-                              - engine.clock(ex.server).reading_ps(t1_ps))
+        ex.offset_error_ps = (engine.clocks[ex.client].reading_ps(t1_ps)
+                              - engine.clocks[ex.server].reading_ps(t1_ps))
         self._end(corrections_ps={ex.client: ex.offset_ps},
                   residuals_ps={ex.client: abs(ex.offset_error_ps)},
                   messages_sent=2, exchanges=[ex])
@@ -331,7 +331,7 @@ class BerkeleyRound(_Round):
     def _finish(self) -> None:
         engine = self.engine
         t_f = self._last_correction_ps
-        readings = {p: engine.clock(p).reading_ps(t_f) for p in self._corrections_ps}
+        readings = {p: engine.clocks[p].reading_ps(t_f) for p in self._corrections_ps}
         ensemble_mean = Fraction(sum(readings.values()), len(readings))
         residuals = {p: abs(round(reading - ensemble_mean))
                      for p, reading in readings.items()}

@@ -80,8 +80,6 @@ class FailureModel:
         period_ps = seconds_to_ps(self.up_duration) + seconds_to_ps(self.down_duration)
         return 1 if t_ps % period_ps < seconds_to_ps(self.up_duration) else 0
 
-ALWAYS_ACTIVE = FailureModel()
-
 
 @dataclass(frozen=True)
 class NodeSpec:
@@ -106,7 +104,7 @@ class NodeSpec:
                 object.__setattr__(self, "router_delay",
                                    ROUTER_DELAY_DEFAULTS.get(self.router_kind, 50e-6))
             if self.failure_model is None:
-                object.__setattr__(self, "failure_model", ALWAYS_ACTIVE)
+                object.__setattr__(self, "failure_model", FailureModel())
 
     @property
     def is_router(self) -> bool:
@@ -154,18 +152,11 @@ class NetworkGraph:
             pairs.add(link.endpoints())
             for end in (link.a, link.b):
                 adjacency.setdefault(end, []).append(link)
-        self._nodes = by_id
         self.nodes: Mapping[str, NodeSpec] = MappingProxyType(by_id)
         self._adjacency = {node_id: tuple(ends) for node_id, ends in adjacency.items()}
 
-    def node(self, node_id: str) -> NodeSpec:
-        return self._nodes[node_id]
-
     def links_of(self, node_id: str) -> tuple[LinkSpec, ...]:
         return self._adjacency.get(node_id, ())
-
-    def __contains__(self, node_id: str) -> bool:
-        return node_id in self._nodes
 
 
 def validate(graph: NetworkGraph) -> list[str]:

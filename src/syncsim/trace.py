@@ -86,10 +86,6 @@ def _formatter(record: dict) -> Callable[[dict], str]:
     return formatter
 
 
-def format_record(record: dict) -> str:
-    return _formatter(record)(record)[:-1]
-
-
 def trace_bytes(records: list[dict]) -> bytes:
     out = io.BytesIO()
     get = _formatters.get

@@ -34,7 +34,7 @@ def enumerate_best_route(view: NetworkView, query: RouteQuery):
             if best is None or key < best[0]:
                 best = (key, tuple(path), breakdown)
             return
-        if node != query.source and not graph.node(node).is_router:
+        if node != query.source and not graph.nodes[node].is_router:
             return  # clients and servers do not relay
         for link in graph.links_of(node):
             neighbor = link.other(node)

@@ -129,6 +129,15 @@ def test_export_dot_time_beyond_picoseconds_is_a_named_error():
                                  f"finite number of picoseconds\n"), result.stderr
 
 
+def test_export_dot_negative_time_is_a_named_error():
+    for time in ("-5", "-1e-13", "-inf"):
+        result = cli("export-dot", "--scenario", str(MINIMAL), f"--time={time}")
+        assert result.returncode == 1, (time, result.stderr)
+        assert result.stderr == (f"error: --time {float(time)!r}: the snapshot instant "
+                                 f"must be >= 0 s\n"), result.stderr
+        assert result.stdout == ""
+
+
 def test_unwritable_output_path_is_a_named_error(tmp_path):
     path = tmp_path / "missing" / "out"
     for args in (("run", "--scenario", str(MINIMAL), "--trace", str(path)),

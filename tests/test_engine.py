@@ -273,6 +273,20 @@ def test_float_time_is_rejected_at_the_engine_boundary(call):
     assert engine.run_until(2.0) == []
 
 
+def test_a_rejected_send_takes_no_message_id():
+    engine = make_engine()
+    engine.run_until(1.0)
+    with pytest.raises(SchedulingError):
+        engine.send_message("c1", "s1", 100, seconds_to_ps(0.5))
+    with pytest.raises(TypeError):
+        engine.send_message("c1", "s1", 100, 2.5e12)
+    message = engine.send_message("c1", "s1", 100, seconds_to_ps(2.0))
+    assert message.message_id == "m00001"
+    assert list(engine.messages) == ["m00001"]
+    engine.run_until(3.0)
+    assert [r["message_id"] for r in engine.records if r["kind"] == "message_send"] == ["m00001"]
+
+
 def two_path_graph():
     """c1 -- r1 -- s1 through a flaky router, or c1 -- r2 -- r3 -- s1."""
     nodes = [make_node("c1"), make_node("s1", "time_server"),

@@ -66,7 +66,7 @@ def test_attack_free_cristian_round_computes_two_routes(monkeypatch, attacks):
 def test_query_with_a_down_router_on_its_cached_route_draws_each_flag_once(monkeypatch):
     graph = diamond_graph()
     seed = 5
-    flag = {node_id: graph.node(node_id).failure_model for node_id in ("r1", "r2", "r3")}
+    flag = {node_id: graph.nodes[node_id].failure_model for node_id in ("r1", "r2", "r3")}
     t_ps = next(t for t in range(1, 10**6)
                 if not flag["r1"].flag_at_ps("r1", t, seed)
                 and flag["r2"].flag_at_ps("r2", t, seed) and flag["r3"].flag_at_ps("r3", t, seed))
@@ -121,13 +121,13 @@ def test_answers_kept_per_instant_equal_fresh_ones(seed, operations):
     far)."""
     graph = diamond_graph()
     engine = Engine(graph, seed, ATTACKS)
-    clock = engine.clock("c1")
+    clock = engine.clocks["c1"]
     failures = [i for i, model in enumerate(engine.view.topology.failure_models)
                 if model is not None]
     steps = []
 
     def check_clock(t_ps):
-        replay = Engine(graph, seed, ATTACKS).clock("c1")
+        replay = Engine(graph, seed, ATTACKS).clocks["c1"]
         for delta_ps, at_ps in steps:
             replay.apply_step(delta_ps, at_ps)
         assert clock.offset_ps(t_ps) == replay.offset_ps(t_ps)

@@ -17,15 +17,30 @@ key_parts = st.lists(
     min_size=1, max_size=4)
 
 
+def uniform(seed, *key):
+    """The reference uniform draw in [0, 1): the top 53 bits of u64."""
+    return (randstream.u64(seed, *key) >> 11) / 2.0**53
+
+
+def gaussian(seed, sigma, *key):
+    """The reference normal draw: Box-Muller of u64 of key + (0,) and of
+    key + (1,)."""
+    if sigma == 0.0:
+        return 0.0
+    u1 = (randstream.u64(seed, *key, 0) + 1) / 2.0**64
+    u2 = randstream.u64(seed, *key, 1) / 2.0**64
+    return sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+
+
 @given(st.integers(0, 2**64 - 1), key_parts)
 def test_draws_are_deterministic(seed, key):
     assert randstream.u64(seed, *key) == randstream.u64(seed, *key)
-    assert randstream.uniform(seed, *key) == randstream.uniform(seed, *key)
+    assert randstream.unit(randstream.u64(seed, *key)) == uniform(seed, *key)
 
 
 @given(st.integers(0, 2**32), key_parts)
 def test_uniform_range(seed, key):
-    u = randstream.uniform(seed, *key)
+    u = randstream.unit(randstream.u64(seed, *key))
     assert 0.0 <= u < 1.0
 
 
@@ -52,12 +67,14 @@ def test_bernoulli_frequency():
 
 
 def test_gaussian_zero_sigma_is_exactly_zero():
-    assert randstream.gaussian(5, 0.0, "n", 1) == 0.0
+    assert randstream.draw_gaussian(randstream.stream(5, "n"), 0.0, 1) == 0.0
 
 
 def test_gaussian_moments():
     sigma = 1e-9
-    samples = [randstream.gaussian(11, sigma, "noise", i) for i in range(100_000)]
+    prefix = randstream.stream(11, "noise")
+    samples = [randstream.draw_gaussian(prefix, sigma, i) for i in range(100_000)]
+    assert samples[:100] == [gaussian(11, sigma, "noise", i) for i in range(100)]
     assert abs(statistics.fmean(samples)) < 3 * sigma / math.sqrt(len(samples))
     assert abs(statistics.stdev(samples) - sigma) < 0.05 * sigma
 
@@ -95,9 +112,8 @@ def test_held_clock_draws_equal_the_reference_bit_for_bit():
         for clock_id in HELD_CLOCK_IDS:
             clock = SoftwareClock(clock_id, params, seed)
             for t_ps in HELD_TIMES_PS:
-                expected = randstream.gaussian(seed, params.noise_sigma,
-                                               "clock_noise", clock_id, t_ps)
-                expected += (randstream.uniform(seed, "clock_jitter", clock_id, t_ps)
+                expected = gaussian(seed, params.noise_sigma, "clock_noise", clock_id, t_ps)
+                expected += (uniform(seed, "clock_jitter", clock_id, t_ps)
                              * params.jitter_bound_ns * 1e-9)
                 assert clock.noise_at_ps(t_ps) == expected, (seed, clock_id, t_ps)
 
@@ -117,7 +133,7 @@ def test_held_router_flags_equal_the_reference_bit_for_bit():
             view = NetworkView(graph, seed)
             for index, node_id in enumerate(view.topology.ids):
                 for t_ps in HELD_ROUTER_TIMES_PS:
-                    u = randstream.uniform(seed, "router_flag", node_id, t_ps)
+                    u = uniform(seed, "router_flag", node_id, t_ps)
                     expected = 1 if p == 0.0 else 0 if p == 1.0 else 0 if u < p else 1
                     held = randstream.stream(seed, "router_flag", node_id)
                     case = (p, seed, node_id, t_ps)

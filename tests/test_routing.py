@@ -185,6 +185,25 @@ def _edge_times(attacks: tuple[AttackSpec, ...]) -> list[int]:
             for t_ps in (a.start_ps - 1, a.start_ps, a.end_ps - 1, a.end_ps)]
 
 
+def test_one_epoch_per_set_of_active_routing_attacks():
+    # the epochs run none, A, A + B, A, none: both stretches of A are one
+    # epoch, and the baseline view is in the attacked view's attack-free
+    # epoch at every instant, so both fill one route table between them
+    outer = AttackSpec("router_hijack", "r1", 1.0, 4.0, mode="added_delay", added_delay=1e-6)
+    inner = AttackSpec("ddos", "r2", 2.0, 3.0, delay_multiplier=2.0)
+    view = NetworkView(line_graph([50e-6, 50e-6]), attacks=(outer, inner))
+    baseline = view.without_attacks()
+    epochs = [view.epoch_at(seconds_to_ps(t)) for t in (0.5, 1.5, 2.5, 3.5, 4.5)]
+    assert epochs[1] is epochs[3]
+    assert epochs[0] is epochs[4] is view.attack_free_epoch
+    assert len({id(epoch) for epoch in epochs}) == 3
+    for t in (0.5, 1.5, 2.5, 3.5, 4.5):
+        assert baseline.epoch_at(seconds_to_ps(t)) is view.attack_free_epoch
+    shortest_path(baseline, query(t=2.5))
+    shortest_path(view, query(t=0.5))
+    assert len(view.attack_free_epoch.tables) == 1
+
+
 @settings(max_examples=150, deadline=None)
 @given(st.integers(0, 2**32 - 1))
 def test_cached_routes_match_brute_force_under_failures_and_attacks(seed):
@@ -265,7 +284,7 @@ def test_epoch_terms_equal_router_ps_at_window_edges(seed):
     for t_ps in [0] + _edge_times(view.attacks) + times:
         epoch = view.epoch_at(t_ps)
         for index, node_id in enumerate(topology.ids):
-            node = graph.node(node_id)
+            node = graph.nodes[node_id]
             direct = (0 if not node.is_router
                       else seconds_to_ps(view.router_delay_at(node_id, t_ps))
                       if view.router_active(node_id, t_ps) else None)

@@ -37,7 +37,7 @@ def test_minimal_scenario_fills_defaults(tmp_path):
     scenario = load_scenario(path)
     assert scenario.config.seed == 0
     assert scenario.config.duration == 10.0
-    assert scenario.graph.node("c1").clock is not None  # perfect preset
+    assert scenario.graph.nodes["c1"].clock is not None  # perfect preset
     assert scenario.sync_options.timeout_factor == 5.0
 
 
@@ -49,7 +49,7 @@ def test_quartz_preset_expansion(tmp_path):
     path = tmp_path / "quartz.json"
     path.write_text(json.dumps(data))
     scenario = load_scenario(path)
-    params = scenario.graph.node("c1").clock
+    params = scenario.graph.nodes["c1"].clock
     assert params.beta == 10e-6
     assert params.gamma == -1e-10
 
@@ -248,6 +248,17 @@ def _mesh_attacks_with(multiplier: float, *extra: dict) -> dict:
      "sync_schedule[0]: time_s must be a number, got False"),
     ({**MINIMAL, "sync_options": {"reply_size_bits": True}},
      "sync_options: reply_size_bits must be a number, got True"),
+    # split into characters, or a Python error, before
+    ({**MINIMAL, "sync_schedule": [{**CRISTIAN, "participants": "c1"}]},
+     "sync_schedule[0]: participants must be an array of node ids, got 'c1'"),
+    ({**MINIMAL, "sync_schedule": [{**CRISTIAN, "participants": 5}]},
+     "sync_schedule[0]: participants must be an array of node ids, got 5"),
+    ({**MINIMAL, "clocks": {"osc": {"model": "user_defined",
+                                    "offset_table": [[0, 0], [0, 1, 2]]}}},
+     "clocks['osc']: offset_table must be an array of [time, offset] points, "
+     "got [[0, 0], [0, 1, 2]]"),
+    ({**MINIMAL, "clocks": {"osc": {"model": "user_defined", "offset_table": 5}}},
+     "clocks['osc']: offset_table must be an array of [time, offset] points, got 5"),
 ], ids=["top_level_array", "node", "link", "sync_entry", "workload_entry", "attack",
         "seed", "duration", "failure_model_null", "failure_field_null",
         # accepted before, then broke `run`
@@ -274,7 +285,10 @@ def _mesh_attacks_with(multiplier: float, *extra: dict) -> dict:
         "clock_array", "router_kind_array", "preset_array",
         # a JSON boolean read as a number
         "size_bits_bool", "seed_bool", "duration_bool", "bandwidth_bool",
-        "workload_time_bool", "sync_time_bool", "reply_size_bool"])
+        "workload_time_bool", "sync_time_bool", "reply_size_bool",
+        # split into characters, or a Python error, before
+        "participants_string", "participants_number", "offset_point_three_values",
+        "offset_table_number"])
 def test_malformed_scenario_is_a_named_problem(tmp_path, data, named):
     path = tmp_path / "bad.json"
     path.write_text(data if isinstance(data, str) else json.dumps(data))
@@ -490,7 +504,7 @@ def test_every_key_table_row_is_read_into_its_field():
     read = {"config": [(EVERY_ROW["config"], scenario.config)],
             "sync_options": [(EVERY_ROW["sync_options"], scenario.sync_options)],
             "failure_model": [(router["failure_model"],
-                               scenario.graph.node("r1").failure_model)],
+                               scenario.graph.nodes["r1"].failure_model)],
             "clocks": [(spec, scenario.clock_params[name])
                        for name, spec in EVERY_ROW["clocks"].items()],
             "attacks": list(zip(EVERY_ROW["attacks"], scenario.attacks))}

@@ -99,7 +99,7 @@ def test_slew_correction_arrives_gradually():
     engine = Engine(line_graph([50e-6], client_clock=offset_clock(2.0)), seed=1)
     options = SyncOptions(correction_policy="slew", slew_rate=0.01)
     report = cristian_sync(engine, "c1", "s1", at=0.0, options=options)
-    clock = engine.clock("c1")
+    clock = engine.clocks["c1"]
     t_done = report.exchanges[0].t1_client_ps  # close enough to wall for bounds
     # immediately after the round the offset is still ~2 s, gone after 200 s
     assert clock.offset_ps(engine.now_ps) > seconds_to_ps(1.9)
@@ -165,7 +165,7 @@ def test_mean_preservation_without_discard():
     engine = star_engine(offsets)
     report = berkeley_round(engine, "co", ["m1", "m2", "m3"], at=0.0)
     t_ps = seconds_to_ps(5.0)
-    post = [engine.clock(n).offset_ps(t_ps) for n in ("co", "m1", "m2", "m3")]
+    post = [engine.clocks[n].offset_ps(t_ps) for n in ("co", "m1", "m2", "m3")]
     pre_mean_ps = seconds_to_ps(sum([0.0] + offsets) / 4)
     assert abs(sum(post) / 4 - pre_mean_ps) <= 1000  # within 1 ns
 
@@ -179,7 +179,7 @@ def test_outlier_excluded_from_mean_but_still_corrected():
     assert report.corrections_ps["co"] == 2_000_000_000
     assert report.corrections_ps["m2"] == -2_000_000_000
     assert report.corrections_ps["m1"] == 2_000_000_000 - seconds_to_ps(10.0)
-    post = engine.clock("m1").offset_ps(engine.now_ps)
+    post = engine.clocks["m1"].offset_ps(engine.now_ps)
     assert abs(post - 2_000_000_000) <= 1000
 
 
@@ -254,7 +254,7 @@ def test_cristian_reply_after_timeout_is_ignored():
     engine.run_until(3.0)
     assert engine.sync_reports == [report]
     assert report.failed and report.reason == "timeout"
-    assert engine.clock("c1").offset_ps(engine.now_ps) == seconds_to_ps(2.0)
+    assert engine.clocks["c1"].offset_ps(engine.now_ps) == seconds_to_ps(2.0)
     # the late reply is still delivered and traced
     assert any(r["kind"] == "delivery" and r["node"] == "c1" for r in engine.records)
     [step] = terminal_steps(engine)
@@ -287,7 +287,7 @@ def test_berkeley_replies_after_every_timeout_are_ignored():
     assert report.corrections_ps == {}
     assert not any(r["kind"] == "message_send" and r["purpose"] == "sync_correction"
                    for r in engine.records)
-    assert engine.clock("m1").offset_ps(engine.now_ps) == seconds_to_ps(0.010)
+    assert engine.clocks["m1"].offset_ps(engine.now_ps) == seconds_to_ps(0.010)
     [step] = terminal_steps(engine)
     assert step["phase"] == "aborted"
 
@@ -304,7 +304,7 @@ def test_berkeley_corrections_after_the_deadline_do_not_end_the_round_again():
     [step] = terminal_steps(engine)
     assert step["phase"] == "completed"
     # the members still apply their late corrections: mean offset +2 ms
-    assert engine.clock("m1").offset_ps(engine.now_ps) == 2_000_000_000
+    assert engine.clocks["m1"].offset_ps(engine.now_ps) == 2_000_000_000
 
 
 def test_cristian_rounds_stay_exact_at_large_start_times():

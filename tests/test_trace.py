@@ -5,8 +5,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from syncsim import trace
-from syncsim.trace import (TraceFormatError, format_record, load_trace,
-                           parse_record, parse_trace, trace_bytes)
+from syncsim.trace import (TraceFormatError, load_trace, parse_record, parse_trace,
+                           trace_bytes)
 
 # strings json must escape: controls, quotes, non-ASCII, astral-plane
 # characters (written as surrogate pairs) and a lone surrogate
@@ -32,10 +32,14 @@ def canonical(record) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
-def outcome(fn, record):
-    """The output of fn(record), or the type of the exception it raises."""
+def canonical_lines(records) -> bytes:
+    return "".join(canonical(r) + "\n" for r in records).encode("utf-8")
+
+
+def outcome(fn, records):
+    """The output of fn(records), or the type of the exception it raises."""
     try:
-        return fn(record)
+        return fn(records)
     except Exception as exc:  # compared, not swallowed: both sides must agree
         return type(exc)
 
@@ -45,14 +49,14 @@ def outcome(fn, record):
 @example(record={}, data=None)
 @example(record={"sim_time_ps": 1, "sequence": True}, data=None)
 @example(record={"sim_time_ps": True, "sequence": None}, data=None)
-def test_format_record_is_json_dumps(record, data):
-    assert format_record(record) == canonical(record)
+def test_trace_line_is_json_dumps(record, data):
+    assert trace_bytes([record]) == canonical_lines([record])
     if data is None:
         return
     # the same key set in another insertion order: same canonical bytes
     items = data.draw(st.permutations(list(record.items())))
     reordered = dict(items)
-    assert format_record(reordered) == canonical(reordered) == canonical(record)
+    assert trace_bytes([reordered]) == canonical_lines([reordered]) == canonical_lines([record])
 
 
 @settings(max_examples=100, deadline=None)
@@ -64,12 +68,8 @@ def test_format_record_is_json_dumps(record, data):
 def test_records_with_non_str_keys_follow_json_dumps(record):
     # mixed key types make json.dumps's sort raise TypeError; the serializer
     # must then raise the same error, and otherwise emit the same bytes
-    assert outcome(format_record, record) == outcome(canonical, record)
+    assert outcome(trace_bytes, [record]) == outcome(canonical_lines, [record])
 
-
-
-def canonical_lines(records) -> bytes:
-    return "".join(canonical(r) + "\n" for r in records).encode("utf-8")
 
 
 class Text(str):
@@ -88,7 +88,7 @@ def test_value_types_unlike_the_first_record_of_a_shape_fall_back():
     records = [first] + [{"t_int": value, "t_str": value, "t_other": value}
                          for value in others]
     assert trace_bytes(records) == canonical_lines(records)
-    assert [format_record(r) for r in records] == [canonical(r) for r in records]
+    assert [trace_bytes([r]) for r in records] == [canonical_lines([r]) for r in records]
 
 
 def test_trace_bytes_over_several_chunks_of_mixed_shapes():
@@ -106,7 +106,7 @@ def test_trace_bytes_over_several_chunks_of_mixed_shapes():
 def test_formatter_cache_stays_within_its_cap():
     for i in range(1000):
         record = {f"shape{i}": i, "kind": "timeout"}
-        assert format_record(record) == canonical(record)
+        assert trace_bytes([record]) == canonical_lines([record])
     assert len(trace._formatters) <= trace._MAX_SHAPES
 
 
