@@ -5,15 +5,25 @@ order; the sequence counter breaks ties in scheduling order.  Every
 executed event emits exactly one trace record, so a run's trace bytes are a
 pure function of (scenario, seed).
 
-A message's hop arrivals and its delivery are pushed onto the queue by
-`Engine._hop`; every other event enters through `Engine.schedule_ps`.  Both
-build the event's trace record there and then: `sim_time_ps`, `sequence`
-and `kind`, then the payload's fields.  A queue entry is the list
-`[time_ps, seq, record, action, args]`; both take `seq` from one counter,
-so `(time_ps, seq)` is unique and the heap never compares past `seq`.
-When the event executes, the loop calls `action(*args)` and adds the
-fields it returns to the record.  `cancel` clears the entry's record, and
-the loop skips entries without one.
+Pending events sit in two heaps, split by lifetime.  `_queue` holds what
+`Engine.schedule_ps` enqueues: message sends, sync steps and timeouts,
+most of them queued when the scenario is built and due far ahead.
+`_arrivals` holds what `Engine._hop` pushes: each in-flight message's next
+hop arrival or its delivery, one entry per message in flight.  A run keeps a
+backlog of hundreds to thousands of scheduled events but only a handful of
+messages in flight, and every hop pushes and pops one entry, so keeping
+the arrivals apart makes each hop's heap operations cost the log of the
+few messages in flight, not of the backlog.
+
+Both build the event's trace record when they enqueue it: `sim_time_ps`,
+`sequence` and `kind`, then the payload's fields.  An entry of either heap
+is the list `[time_ps, seq, record, action, args]`; both take `seq` from
+one counter, so `(time_ps, seq)` is unique, no comparison reaches past
+`seq`, and popping whichever head compares smaller executes events in
+exactly the order one heap would.  When the event executes, the loop
+calls `action(*args)` and adds the fields it returns to the record.
+`cancel` clears the entry's record, and the loop skips entries without
+one; only `_queue` entries are handed out, so only they are cancelled.
 
 Messages are routed once at send time; the chosen route is frozen for the
 message's lifetime and hop arrivals, attack drops, and final delivery play
@@ -80,7 +90,10 @@ class Engine:
         self._baseline_view = self.view.without_attacks()
         self.now_ps = 0
         self._seq = itertools.count()
-        self._queue: list[list] = []  # [time_ps, seq, record, action, args]
+        # [time_ps, seq, record, action, args]: sends, sync steps and timeouts
+        self._queue: list[list] = []
+        # the same entries for in-flight messages' next hop_arrival or delivery
+        self._arrivals: list[list] = []
         # t_ps -> {(epoch, source, destination, size_bits): Route or None}
         self._answers: dict[int, dict[tuple, Route | None]] = {}
         self.messages: dict[str, Message] = {}
@@ -120,9 +133,10 @@ class Engine:
 
     def next_event_time_ps(self) -> int | None:
         """Time of the next live event, discarding cancelled queue heads."""
-        while self._queue and self._queue[0][2] is None:
-            heappop(self._queue)
-        return self._queue[0][0] if self._queue else None
+        queue = self._queue
+        while queue and queue[0][2] is None:
+            heappop(queue)
+        return min((heap[0][0] for heap in (queue, self._arrivals) if heap), default=None)
 
     # -- execution ----------------------------------------------------------
 
@@ -137,10 +151,14 @@ class Engine:
         require_ps(t_end_ps, "run_until target")
         if t_end_ps < self.now_ps:
             raise SchedulingError("run_until target is in the past")
-        queue, records = self._queue, self.records
+        queue, arrivals, records = self._queue, self._arrivals, self.records
         emitted_from = len(records)
-        while queue and queue[0][0] <= t_end_ps:
-            time_ps, _, record, action, args = heappop(queue)
+        while True:
+            # the smaller head is the next event; it decides when to stop
+            heap = queue if not arrivals or (queue and queue[0] < arrivals[0]) else arrivals
+            if not heap or heap[0][0] > t_end_ps:
+                break
+            time_ps, _, record, action, args = heappop(heap)
             if record is None:
                 continue
             self.now_ps = time_ps
@@ -198,12 +216,15 @@ class Engine:
         the event at hops[leg + 1], arrivals_ps[leg] after the send (a
         hop_arrival, or the delivery at the last node).
 
-        That event is pushed here, past `schedule_ps`, whose checks cannot
-        fail for it: `send_ps` passed them when the send was queued, and
-        `arrivals_ps` are exact, non-negative, nondecreasing sums of int
-        terms, so the time is an int no earlier than now; both kinds are
-        constants in `RECORD_KINDS`.  The record's keys keep the order
-        `schedule_ps` gives them."""
+        That event is pushed here onto `_arrivals`, not onto `_queue` with
+        the backlog of scheduled sends: each message in flight has exactly
+        one entry there, so the heap a hop pushes onto and pops from is as
+        small as the number of messages in flight.  The push bypasses
+        `schedule_ps`, whose checks cannot fail for it: `send_ps` passed
+        them when the send was queued, and `arrivals_ps` are exact,
+        non-negative, nondecreasing sums of int terms, so the time is an int
+        no earlier than now; both kinds are constants in `RECORD_KINDS`.
+        The record's keys keep the order `schedule_ps` gives them."""
         route = message.route
         hops = route.hops
         if leg and hops[leg] in self.view.drop_targets:
@@ -220,7 +241,7 @@ class Engine:
         else:
             kind, action, args = "hop_arrival", self._hop, (message, leg)
         seq = next(self._seq)
-        heappush(self._queue, [arrival_ps, seq, {
+        heappush(self._arrivals, [arrival_ps, seq, {
             "sim_time_ps": arrival_ps, "sequence": seq, "kind": kind,
             "message_id": message.message_id, "node": hops[leg]}, action, args])
         return None

@@ -125,6 +125,8 @@ def _number(key: str, value, seconds: bool = False) -> float:
         number = float(_not_bool(key, value))
     except OverflowError:  # an integer beyond the float range
         number = math.inf
+    except ValueError:  # a string that is not a number
+        raise ValueError(f"{key} must be a number, got {value!r}") from None
     if not math.isfinite(number * (PS_PER_SECOND if seconds else 1)):
         raise ValueError(f"{key} must be a finite number"
                          f"{' of picoseconds' if seconds else ''}, got {value!r}")
@@ -134,7 +136,10 @@ def _number(key: str, value, seconds: bool = False) -> float:
 def _int(key: str, value) -> int:
     if isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{key} must be an integer, got {value!r}")
-    return int(_not_bool(key, value))
+    try:
+        return int(_not_bool(key, value))
+    except ValueError:  # a string that is not an integer
+        raise ValueError(f"{key} must be an integer, got {value!r}") from None
 
 
 def _text(key: str, value) -> str:

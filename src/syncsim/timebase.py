@@ -7,8 +7,6 @@ quantities (delays, clock offsets) are computed in double precision seconds
 and quantized once, rounding half to even.
 """
 
-from fractions import Fraction
-
 PS_PER_SECOND = 10**12
 PS_PER_NS = 10**3
 
@@ -34,5 +32,7 @@ def ps_to_ns(ps: int) -> float:
 
 
 def half_ps(ps: int) -> int:
-    """Half of a picosecond count, rounding halves to even."""
-    return round(Fraction(ps, 2))
+    """Half of a picosecond count, rounding halves to even: an odd count's
+    half is q + 1/2 with q = ps // 2, and it rounds up exactly when q is odd."""
+    q, r = divmod(ps, 2)
+    return q + (r & q)

@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 from collections import Counter
 from pathlib import Path
 
@@ -67,12 +68,17 @@ def cancelled_seqs(monkeypatch):
 
 def assert_every_seq_accounted_for(engine, cancelled_seqs):
     """Each sequence number the engine handed out, 0 to next(engine._seq) - 1,
-    is on exactly one trace record, one cancelled entry or one live queue
-    entry; a lost or reused number shows as a count other than 1."""
+    is on exactly one trace record, one cancelled entry or one live entry of
+    either heap, the scheduled events' or the in-flight arrivals'; a lost or
+    reused number shows as a count other than 1.  Reading the counter draws
+    a number, so the counter restarts at it: the run can go on and be
+    checked again."""
     n = next(engine._seq)
+    engine._seq = itertools.count(n)
     counts = Counter(record["sequence"] for record in engine.records)
     counts.update(cancelled_seqs)
-    counts.update(entry[1] for entry in engine._queue if entry[2] is not None)
+    counts.update(entry[1] for heap in (engine._queue, engine._arrivals)
+                  for entry in heap if entry[2] is not None)
     wrong = {seq: counts[seq] for seq in counts.keys() | range(n)
              if counts[seq] != 1 or not 0 <= seq < n}
     assert wrong == {}, f"of {n} sequence numbers, these are seen other than once"

@@ -9,6 +9,7 @@ from syncsim import engine as engine_mod
 from syncsim.engine import Engine, SchedulingError
 from syncsim.routing import NoRoute, RouteQuery, shortest_path
 from syncsim.scenario import build_engine, parse_scenario, run_scenario
+from syncsim.sync import cristian_sync
 from syncsim.timebase import seconds_to_ps
 from syncsim.topology import FailureModel, LinkSpec, NetworkGraph, NodeSpec
 from syncsim.trace import trace_sha256
@@ -68,6 +69,51 @@ def test_event_at_current_time_runs_after_earlier_sequenced():
                        action=lambda: order.append("second"))
     engine.run_until(1.0)
     assert order == ["first", "second", "nested"]
+
+
+def test_next_event_is_an_in_flight_arrival_when_nothing_else_is_queued():
+    engine = make_engine()
+    message = engine.send_message("c1", "s1", 12000, 0)
+    engine.run_until_ps(0)
+    # only the hop arrival at r1 is pending, and no scheduled event is
+    hop_ps = message.route.breakdown.arrivals_ps[0]
+    assert engine.next_event_time_ps() == hop_ps > 0
+    assert [r["kind"] for r in engine.run_until_ps(hop_ps)] == ["hop_arrival"]
+
+    # a Cristian round on an idle engine steps through the instants of its
+    # in-flight messages one by one, never straight to its timeout
+    engine = make_engine()
+    stops = []
+    next_event_time_ps = engine.next_event_time_ps
+
+    def recording_next_event_time_ps():
+        stops.append(next_event_time_ps())
+        return stops[-1]
+    engine.next_event_time_ps = recording_next_event_time_ps
+    report = cristian_sync(engine, "c1", "s1")
+    assert not report.failed
+    assert stops == sorted({r["sim_time_ps"] for r in engine.records})
+    assert [r["kind"] for r in engine.records] == [
+        "sync_step", "message_send", "hop_arrival", "delivery",
+        "message_send", "hop_arrival", "delivery", "sync_step"]
+
+
+def test_same_instant_scheduled_event_and_arrival_run_in_sequence_order():
+    # the time of the first hop, from a run of the same send
+    probe = make_engine()
+    sent = probe.send_message("c1", "s1", 12000, 0)
+    probe.run_until_ps(0)
+    hop_ps = sent.route.breakdown.arrivals_ps[0]
+
+    engine = make_engine()
+    engine.schedule_ps(hop_ps, "sync_step", {"tag": "before"})      # sequence 0
+    engine.send_message("c1", "s1", 12000, 0)                       # sequence 1
+    engine.run_until_ps(0)                   # the send pushes the hop, sequence 2
+    engine.schedule_ps(hop_ps, "sync_step", {"tag": "after"})       # sequence 3
+    records = engine.run_until_ps(hop_ps)
+    assert [(r["sequence"], r["kind"], r.get("tag")) for r in records] == [
+        (0, "sync_step", "before"), (2, "hop_arrival", None), (3, "sync_step", "after")]
+    assert {r["sim_time_ps"] for r in records} == {hop_ps}
 
 
 # -- messages --------------------------------------------------------------------

@@ -13,6 +13,7 @@ import pytest
 from syncsim import build_engine, load_scenario, trace_bytes
 from syncsim.dotexport import export_graph
 from syncsim.netview import NetworkView
+from syncsim.timebase import seconds_to_ps
 
 from conftest import ROOT, assert_every_seq_accounted_for, benchmark_workloads
 
@@ -74,6 +75,25 @@ def test_benchmark_workload_trace_is_pinned(workload, seed, tmp_path, cancelled_
     engine.run_until(scenario.config.duration)
     assert hashlib.sha256(trace_bytes(engine.records)).hexdigest() == WORKLOADS[workload, seed]
     assert_every_seq_accounted_for(engine, cancelled_seqs)
+
+
+def test_sliced_line_run_matches_the_one_call_trace(tmp_path, cancelled_seqs):
+    """The line workload run as perfbench/worker.py runs it, in 120
+    `run_until_ps` slices of the horizon: messages are in flight at slice
+    edges, every sequence number is accounted for after each slice, and
+    the trace is the one-call run's to the byte."""
+    path = tmp_path / "line.json"
+    path.write_bytes(benchmark_workloads().scenario_bytes("line", 1))
+    scenario = load_scenario(path)
+    engine = build_engine(scenario)
+    horizon_ps = seconds_to_ps(scenario.config.duration)
+    edges_in_flight = 0
+    for k in range(1, 121):
+        engine.run_until_ps(horizon_ps * k // 120)
+        edges_in_flight += bool(engine._arrivals)
+        assert_every_seq_accounted_for(engine, cancelled_seqs)
+    assert edges_in_flight > 0
+    assert hashlib.sha256(trace_bytes(engine.records)).hexdigest() == WORKLOADS["line", 1]
 
 
 # (scenario file stem, snapshot seconds) -> SHA-256 of `syncsim export-dot`;

@@ -113,8 +113,9 @@ def _mesh_attacks_with(multiplier: float, *extra: dict) -> dict:
     ({**MINIMAL, "sync_schedule": [None]}, "sync_schedule[0]: expected a JSON object"),
     ({**MINIMAL, "message_workload": ["m"]}, "message_workload[0]: expected a JSON object"),
     ({**MINIMAL, "attacks": [[0, 1]]}, "attacks[0]: expected a JSON object"),
-    ({**MINIMAL, "config": {"seed": "abc"}}, "config: invalid literal"),
-    ({**MINIMAL, "config": {"duration_s": "abc"}}, "config: could not convert"),
+    ({**MINIMAL, "config": {"seed": "abc"}}, "config: seed must be an integer, got 'abc'"),
+    ({**MINIMAL, "config": {"duration_s": "abc"}},
+     "config: duration_s must be a number, got 'abc'"),
     ({**MINIMAL, "nodes": MINIMAL["nodes"] + [{**ROUTER, "failure_model": None}]},
      "nodes[2]: node 'r9': failure_model: expected a JSON object"),
     ({**MINIMAL, "nodes": MINIMAL["nodes"] + [
@@ -248,6 +249,11 @@ def _mesh_attacks_with(multiplier: float, *extra: dict) -> dict:
      "sync_schedule[0]: time_s must be a number, got False"),
     ({**MINIMAL, "sync_options": {"reply_size_bits": True}},
      "sync_options: reply_size_bits must be a number, got True"),
+    # a string that is not a number, named without its field before
+    ({**MINIMAL, "message_workload": [{**WORKLOAD, "time_s": "soon"}]},
+     "message_workload[0]: time_s must be a number, got 'soon'"),
+    ({**MINIMAL, "attacks": [{**ATTACK, "window_s": ["a", 1]}]},
+     "attacks[0]: window_s must be a number, got 'a'"),
     # split into characters, or a Python error, before
     ({**MINIMAL, "sync_schedule": [{**CRISTIAN, "participants": "c1"}]},
      "sync_schedule[0]: participants must be an array of node ids, got 'c1'"),
@@ -286,6 +292,8 @@ def _mesh_attacks_with(multiplier: float, *extra: dict) -> dict:
         # a JSON boolean read as a number
         "size_bits_bool", "seed_bool", "duration_bool", "bandwidth_bool",
         "workload_time_bool", "sync_time_bool", "reply_size_bool",
+        # a string that is not a number, named without its field before
+        "workload_time_string", "window_string",
         # split into characters, or a Python error, before
         "participants_string", "participants_number", "offset_point_three_values",
         "offset_table_number"])

@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 from hypothesis import given
 from hypothesis import strategies as st
 
@@ -31,3 +33,9 @@ def test_half_ps_matches_exact_halving_within_half_tick(ps):
     assert abs(value - ps / 2) <= 0.5
     if ps % 2 == 0:
         assert value * 2 == ps
+
+
+@given(st.integers(min_value=-10**40, max_value=10**40)
+       | st.integers(min_value=-10**6, max_value=10**6))
+def test_half_ps_is_exact_half_to_even(ps):
+    assert half_ps(ps) == round(Fraction(ps, 2))
