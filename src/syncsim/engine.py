@@ -8,22 +8,34 @@ pure function of (scenario, seed).
 Pending events sit in two heaps, split by lifetime.  `_queue` holds what
 `Engine.schedule_ps` enqueues: message sends, sync steps and timeouts,
 most of them queued when the scenario is built and due far ahead.
-`_arrivals` holds what `Engine._hop` pushes: each in-flight message's next
-hop arrival or its delivery, one entry per message in flight.  A run keeps a
-backlog of hundreds to thousands of scheduled events but only a handful of
-messages in flight, and every hop pushes and pops one entry, so keeping
-the arrivals apart makes each hop's heap operations cost the log of the
-few messages in flight, not of the backlog.
+`_arrivals` holds each in-flight message's next hop arrival or its
+delivery, one entry per message in flight, and the loop advances the
+message itself.  A run keeps a backlog of hundreds to thousands of
+scheduled events but only a handful of messages in flight, and every hop
+pushes and pops one entry, so keeping the arrivals apart makes each hop's
+heap operations cost the log of the few messages in flight, not of the
+backlog.
 
 Both build the event's trace record when they enqueue it: `sim_time_ps`,
-`sequence` and `kind`, then the payload's fields.  An entry of either heap
-is the list `[time_ps, seq, record, action, args]`; both take `seq` from
-one counter, so `(time_ps, seq)` is unique, no comparison reaches past
-`seq`, and popping whichever head compares smaller executes events in
-exactly the order one heap would.  When the event executes, the loop
+`sequence` and `kind`, then the payload's fields.  A `_queue` entry is the
+list `[time_ps, seq, record, action, args]`; when it executes, the loop
 calls `action(*args)` and adds the fields it returns to the record.
 `cancel` clears the entry's record, and the loop skips entries without
 one; only `_queue` entries are handed out, so only they are cancelled.
+An `_arrivals` entry is `[time_ps, seq, record, message, leg, hops,
+times]`, the message arriving at `hops[leg]`; `times[k]`, the send time
+plus `arrivals_ps[k]`, is summed once per message.  The loop delivers the
+message at its last node, and elsewhere pushes its arrival at the next
+node unless a drop roll drops it.  Both heaps take `seq` from one
+counter, so `(time_ps, seq)` is unique, no comparison reaches past `seq`,
+and popping whichever head compares smaller executes events in exactly
+the order one heap would.
+
+An arrival is pushed without `schedule_ps`'s checks, which cannot fail
+for it: `send_ps` passed them when the send was queued, and `arrivals_ps`
+are exact, non-negative, nondecreasing sums of int terms, so each time is
+an int no earlier than now; both kinds are constants in `RECORD_KINDS`.
+The record's keys keep the order `schedule_ps` gives them.
 
 Messages are routed once at send time; the chosen route is frozen for the
 message's lifetime and hop arrivals, attack drops, and final delivery play
@@ -39,7 +51,8 @@ changes an answer:
     attack-free route a timeout budget finds for a message is not searched
     again when the message is sent at that instant;
   - `NetworkView.router_flag` keeps each router's flag of the last instant
-    it drew, so a route query's hit check, search and breakdown draw it once;
+    it drew, shared with the baseline view, so a route query's hit check,
+    search and breakdown, and a baseline query at that instant, draw it once;
   - `SoftwareClock.offset_ps` keeps the drift plus noise of the last
     instant it read, so a delivery, its callback and the sync logic draw
     the noise once; the corrections are added on every read, so a step
@@ -152,20 +165,43 @@ class Engine:
         if t_end_ps < self.now_ps:
             raise SchedulingError("run_until target is in the past")
         queue, arrivals, records = self._queue, self._arrivals, self.records
+        view, seq = self.view, self._seq
+        drop_targets = view.drop_targets
         emitted_from = len(records)
         while True:
             # the smaller head is the next event; it decides when to stop
-            heap = queue if not arrivals or (queue and queue[0] < arrivals[0]) else arrivals
-            if not heap or heap[0][0] > t_end_ps:
-                break
-            time_ps, _, record, action, args = heappop(heap)
-            if record is None:
-                continue
-            self.now_ps = time_ps
-            if action is not None:
-                extra = action(*args)
-                if extra:
-                    record.update(extra)
+            if arrivals and not (queue and queue[0] < arrivals[0]):
+                if arrivals[0][0] > t_end_ps:
+                    break
+                time_ps, _, record, message, leg, hops, times = heappop(arrivals)
+                self.now_ps = time_ps
+                if leg + 1 == len(hops):
+                    self._deliver(message, record)
+                elif hops[leg] in drop_targets and (drop := attacks_mod.drop_roll(
+                        view.attacks, view.seed, hops[leg], time_ps,
+                        message.message_id)) is not None:
+                    message.status = record["status"] = "dropped"
+                    record["attack"] = {"kind": drop.kind, "target": drop.target}
+                else:
+                    at_ps = times[leg]
+                    leg += 1
+                    n = next(seq)
+                    heappush(arrivals, [at_ps, n, {
+                        "sim_time_ps": at_ps, "sequence": n,
+                        "kind": "delivery" if leg + 1 == len(hops) else "hop_arrival",
+                        "message_id": message.message_id, "node": hops[leg]},
+                        message, leg, hops, times])
+            else:
+                if not queue or queue[0][0] > t_end_ps:
+                    break
+                time_ps, _, record, action, args = heappop(queue)
+                if record is None:
+                    continue
+                self.now_ps = time_ps
+                if action is not None:
+                    extra = action(*args)
+                    if extra:
+                        record.update(extra)
             records.append(record)
         self.now_ps = t_end_ps
         self._drop_past_answers()
@@ -204,66 +240,35 @@ class Engine:
             return {"status": "blocked"}
         message.route = route
         message.status = "in_flight"
-        self._hop(message, 0)
-        bd = route.breakdown
-        return {"status": "in_flight", "route": list(route.hops),
+        bd, hops, send_ps = route.breakdown, route.hops, message.send_ps
+        times = [send_ps + offset_ps for offset_ps in bd.arrivals_ps]
+        # the first arrival; the loop pushes each later one the same way
+        seq = next(self._seq)
+        heappush(self._arrivals, [times[0], seq, {
+            "sim_time_ps": times[0], "sequence": seq,
+            "kind": "delivery" if len(hops) == 2 else "hop_arrival",
+            "message_id": message.message_id, "node": hops[1]},
+            message, 1, hops, times])
+        return {"status": "in_flight", "route": list(hops),
                 "router_ps": bd.router_ps, "transmission_ps": bd.transmission_ps,
                 "propagation_ps": bd.propagation_ps, "total_ps": bd.total_ps}
 
-    def _hop(self, message: Message, leg: int) -> dict | None:
-        """The message at route.hops[leg], leg 0 being its send: a drop roll
-        there when a ddos that drops targets the node, then, unless dropped,
-        the event at hops[leg + 1], arrivals_ps[leg] after the send (a
-        hop_arrival, or the delivery at the last node).
-
-        That event is pushed here onto `_arrivals`, not onto `_queue` with
-        the backlog of scheduled sends: each message in flight has exactly
-        one entry there, so the heap a hop pushes onto and pops from is as
-        small as the number of messages in flight.  The push bypasses
-        `schedule_ps`, whose checks cannot fail for it: `send_ps` passed
-        them when the send was queued, and `arrivals_ps` are exact,
-        non-negative, nondecreasing sums of int terms, so the time is an int
-        no earlier than now; both kinds are constants in `RECORD_KINDS`.
-        The record's keys keep the order `schedule_ps` gives them."""
-        route = message.route
-        hops = route.hops
-        if leg and hops[leg] in self.view.drop_targets:
-            drop = attacks_mod.drop_roll(self.view.attacks, self.view.seed, hops[leg],
-                                         self.now_ps, message.message_id)
-            if drop is not None:
-                message.status = "dropped"
-                return {"status": "dropped",
-                        "attack": {"kind": drop.kind, "target": drop.target}}
-        arrival_ps = message.send_ps + route.breakdown.arrivals_ps[leg]
-        leg += 1
-        if leg + 1 == len(hops):
-            kind, action, args = "delivery", self._deliver, (message,)
-        else:
-            kind, action, args = "hop_arrival", self._hop, (message, leg)
-        seq = next(self._seq)
-        heappush(self._arrivals, [arrival_ps, seq, {
-            "sim_time_ps": arrival_ps, "sequence": seq, "kind": kind,
-            "message_id": message.message_id, "node": hops[leg]}, action, args])
-        return None
-
-    def _deliver(self, message: Message) -> dict:
+    def _deliver(self, message: Message, record: dict) -> None:
         arrival_ps = self.now_ps
         message.status = "delivered"
         message.delivery_ps = arrival_ps
-        extra: dict = {}
         if message.purpose == "sync_reply" and message.timestamp_ps is not None:
             forged, applied = attacks_mod.forge_reply_timestamp(
                 self.view.attacks, message.destination, arrival_ps, message.timestamp_ps)
             if applied:
                 message.timestamp_ps = forged
-                extra["attack"] = [{"kind": a.kind, "target": a.target}
-                                   for a in applied]
+                record["attack"] = [{"kind": a.kind, "target": a.target}
+                                    for a in applied]
         clock = self.clocks.get(message.destination)
         if clock is not None:
-            extra["clock_ps"] = clock.reading_ps(arrival_ps)
+            record["clock_ps"] = clock.reading_ps(arrival_ps)
         if message.on_delivery is not None:
             message.on_delivery(message)
-        return extra
 
     # -- routes -------------------------------------------------------------
 

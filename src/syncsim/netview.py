@@ -20,6 +20,8 @@ The compiled topology keeps one `Epoch` per set of active routing attacks
 (`shared_epoch`), and `without_attacks` hands the baseline view the same
 compiled topology, so a set that recurs, and the attack-free set of a
 view and its baseline, share one epoch: its terms and its route tables.
+The baseline also shares the view's router flags, which both draw alike,
+so each router's flag is drawn once per instant, not once per view.
 
 `router_active` and `router_delay_at` are the direct definition of the
 same terms, scanning the attack list at t; the DOT export draws from
@@ -181,7 +183,10 @@ class NetworkView:
         return self._epochs[bisect_right(self._epoch_edges, t_ps)]
 
     def without_attacks(self) -> "NetworkView":
-        """The attack-free baseline view (used for timeout budgeting)."""
+        """The attack-free baseline view (used for timeout budgeting), sharing
+        this view's compiled topology and router flags."""
         if not self.attacks:
             return self
-        return NetworkView(self.graph, self.seed, topology=self.topology)
+        baseline = NetworkView(self.graph, self.seed, topology=self.topology)
+        baseline.flag_streams, baseline._flags = self.flag_streams, self._flags
+        return baseline

@@ -117,16 +117,16 @@ def _not_bool(key: str, value):
 
 
 def _number(key: str, value, seconds: bool = False) -> float:
-    """float(value), rejecting a boolean, a number that is not finite and, for
-    a value in seconds (a key with an _s suffix, or `seconds`), one whose
-    picosecond count is not finite."""
+    """float(value), rejecting a boolean, a string, a number that is not
+    finite and, for a value in seconds (a key with an _s suffix, or
+    `seconds`), one whose picosecond count is not finite."""
     seconds = seconds or key.endswith("_s")
+    if isinstance(value, str):
+        raise ValueError(f"{key} must be a number, got {value!r}")
     try:
         number = float(_not_bool(key, value))
     except OverflowError:  # an integer beyond the float range
         number = math.inf
-    except ValueError:  # a string that is not a number
-        raise ValueError(f"{key} must be a number, got {value!r}") from None
     if not math.isfinite(number * (PS_PER_SECOND if seconds else 1)):
         raise ValueError(f"{key} must be a finite number"
                          f"{' of picoseconds' if seconds else ''}, got {value!r}")
@@ -134,12 +134,9 @@ def _number(key: str, value, seconds: bool = False) -> float:
 
 
 def _int(key: str, value) -> int:
-    if isinstance(value, float) and not value.is_integer():
+    if isinstance(value, str) or isinstance(value, float) and not value.is_integer():
         raise ValueError(f"{key} must be an integer, got {value!r}")
-    try:
-        return int(_not_bool(key, value))
-    except ValueError:  # a string that is not an integer
-        raise ValueError(f"{key} must be an integer, got {value!r}") from None
+    return int(_not_bool(key, value))
 
 
 def _text(key: str, value) -> str:

@@ -227,10 +227,11 @@ MESH_ATTACKS = json.loads((SCENARIO_DIR / "mesh_attacks.json").read_text())
 ], ids=["bundled", "cristian_timeouts", "berkeley_deadline", "berkeley_completed"])
 def test_every_sequence_number_is_traced_cancelled_or_queued(cancelled_seqs, changes,
                                                              expect):
-    """Sends, sync steps and timeouts are queued by `schedule_ps`, hops and
-    deliveries by `_hop`; both draw from one sequence counter, and every
-    number drawn ends as one trace record, one cancelled event or one entry
-    left in the queue.  Every round that starts ends exactly once."""
+    """Sends, sync steps and timeouts are queued by `schedule_ps`, and the
+    event loop pushes the hops and deliveries as it advances in-flight
+    messages; both draw from one sequence counter, and every number drawn
+    ends as one trace record, one cancelled event or one entry left in
+    either heap.  Every round that starts ends exactly once."""
     engine, records, _ = run_scenario(parse_scenario({**MESH_ATTACKS, **changes}))
     assert any(expect(record) for record in records)
     assert_every_seq_accounted_for(engine, cancelled_seqs)
@@ -239,7 +240,8 @@ def test_every_sequence_number_is_traced_cancelled_or_queued(cancelled_seqs, cha
 
 
 def assert_hop_times_are_exact(routes, records):
-    """What lets `_hop` push without `schedule_ps`'s checks: each route's
+    """What lets the event loop push hop arrivals and deliveries without
+    `schedule_ps`'s checks as it advances in-flight messages: each route's
     arrival offsets are int, non-negative and nondecreasing, one per node
     after the source, ending at its total; no hop_arrival or delivery
     precedes its message's send."""

@@ -77,23 +77,35 @@ def test_benchmark_workload_trace_is_pinned(workload, seed, tmp_path, cancelled_
     assert_every_seq_accounted_for(engine, cancelled_seqs)
 
 
-def test_sliced_line_run_matches_the_one_call_trace(tmp_path, cancelled_seqs):
-    """The line workload run as perfbench/worker.py runs it, in 120
+@pytest.mark.parametrize("source,seed,sha256,drops", [
+    ("line", 1, WORKLOADS["line", 1], 0),
+    ("mesh_attacks", 99, GOLDEN["mesh_attacks"][1][99], 1)], ids=["line-1", "mesh_attacks-99"])
+def test_sliced_run_matches_the_one_call_trace(source, seed, sha256, drops, tmp_path,
+                                               cancelled_seqs):
+    """The line workload, and the mesh_attacks demo, whose trace holds a
+    drop, run as perfbench/worker.py runs a workload, in 120
     `run_until_ps` slices of the horizon: messages are in flight at slice
-    edges, every sequence number is accounted for after each slice, and
-    the trace is the one-call run's to the byte."""
-    path = tmp_path / "line.json"
-    path.write_bytes(benchmark_workloads().scenario_bytes("line", 1))
+    edges, `_arrivals` then holds one entry per message in flight, every
+    sequence number is accounted for after each slice, and the trace is the
+    one-call run's to the byte."""
+    path = SCENARIO_DIR / f"{source}.json"
+    if not path.exists():
+        path = tmp_path / f"{source}.json"
+        path.write_bytes(benchmark_workloads().scenario_bytes(source, seed))
     scenario = load_scenario(path)
-    engine = build_engine(scenario)
+    engine = build_engine(scenario, seed)
     horizon_ps = seconds_to_ps(scenario.config.duration)
     edges_in_flight = 0
     for k in range(1, 121):
         engine.run_until_ps(horizon_ps * k // 120)
-        edges_in_flight += bool(engine._arrivals)
+        in_flight = sorted(m.message_id for m in engine.messages.values()
+                           if m.status == "in_flight")
+        assert sorted(entry[2]["message_id"] for entry in engine._arrivals) == in_flight
+        edges_in_flight += bool(in_flight)
         assert_every_seq_accounted_for(engine, cancelled_seqs)
     assert edges_in_flight > 0
-    assert hashlib.sha256(trace_bytes(engine.records)).hexdigest() == WORKLOADS["line", 1]
+    assert sum(record.get("status") == "dropped" for record in engine.records) == drops
+    assert hashlib.sha256(trace_bytes(engine.records)).hexdigest() == sha256
 
 
 # (scenario file stem, snapshot seconds) -> SHA-256 of `syncsim export-dot`;

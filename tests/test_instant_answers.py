@@ -87,6 +87,35 @@ def test_query_with_a_down_router_on_its_cached_route_draws_each_flag_once(monke
     assert draws == {"r1": 1, "r2": 1, "r3": 1}
 
 
+def test_baseline_and_attacked_queries_at_one_instant_draw_each_flag_once(monkeypatch):
+    """The attack-free view shares the attacked view's router flags: the
+    baseline query at t draws them, and the attacked query at t, in another
+    routing epoch (r1 raised, r2 held down), reads them again."""
+    graph = diamond_graph()
+    seed = 5
+    models = {node_id: graph.nodes[node_id].failure_model for node_id in ("r1", "r2", "r3")}
+    t_ps = next(t for t in range(seconds_to_ps(1.5), seconds_to_ps(2.0))
+                if all(model.flag_at_ps(node_id, t, seed) for node_id, model in models.items()))
+    view = NetworkView(graph, seed, ATTACKS)
+    baseline = view.without_attacks()
+    assert baseline.epoch_at(t_ps) is not view.epoch_at(t_ps)
+    node_of = {id(state): view.topology.ids[i] for v in (view, baseline)
+               for i, state in enumerate(v.flag_streams) if state is not None}
+    draws = Counter()
+    flag_from = FailureModel.flag_from
+
+    def counting_flag_from(model, prefix, at_ps):
+        draws[node_of[id(prefix)], at_ps] += 1
+        return flag_from(model, prefix, at_ps)
+    monkeypatch.setattr(FailureModel, "flag_from", counting_flag_from)
+    query = RouteQuery("c1", "s1", t_ps, 12000)
+    assert shortest_path(baseline, query).hops == ("c1", "r1", "s1")
+    drawn = dict(draws)
+    assert shortest_path(view, query).hops == ("c1", "r1", "s1")
+    assert ("r1", t_ps) in drawn
+    assert draws == drawn and set(drawn.values()) == {1}
+
+
 def test_two_reads_at_one_instant_draw_noise_once_and_see_a_step_between(monkeypatch):
     draws = []
     draw_gaussian = randstream.draw_gaussian

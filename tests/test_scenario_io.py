@@ -254,6 +254,10 @@ def _mesh_attacks_with(multiplier: float, *extra: dict) -> dict:
      "message_workload[0]: time_s must be a number, got 'soon'"),
     ({**MINIMAL, "attacks": [{**ATTACK, "window_s": ["a", 1]}]},
      "attacks[0]: window_s must be a number, got 'a'"),
+    # a string holding a number, read as that number before
+    ({**MINIMAL, "config": {"seed": "12"}}, "config: seed must be an integer, got '12'"),
+    ({**MINIMAL, "config": {"duration_s": "2.5"}},
+     "config: duration_s must be a number, got '2.5'"),
     # split into characters, or a Python error, before
     ({**MINIMAL, "sync_schedule": [{**CRISTIAN, "participants": "c1"}]},
      "sync_schedule[0]: participants must be an array of node ids, got 'c1'"),
@@ -294,6 +298,8 @@ def _mesh_attacks_with(multiplier: float, *extra: dict) -> dict:
         "workload_time_bool", "sync_time_bool", "reply_size_bool",
         # a string that is not a number, named without its field before
         "workload_time_string", "window_string",
+        # a string holding a number, read as that number before
+        "seed_string", "duration_string",
         # split into characters, or a Python error, before
         "participants_string", "participants_number", "offset_point_three_values",
         "offset_table_number"])
