@@ -93,18 +93,18 @@ def effective_router_delay(attacks: tuple[AttackSpec, ...], node_id: str, t_ps: 
     return delay
 
 
-def drop_roll(attacks: tuple[AttackSpec, ...], seed: int, node_id: str, t_ps: int,
+def drop_roll(attacks: tuple[AttackSpec, ...], stream, node_id: str, t_ps: int,
               message_id: str) -> AttackSpec | None:
     """Decide whether a message traversing node_id at t is dropped by a ddos.
 
-    The roll is keyed by (seed, attack index, message id) so it is
-    deterministic and consumed only while the attack window is active.
+    The roll draws from `stream`, the (seed, "ddos_drop") state the view
+    holds, extended by (attack index, message id), so it is deterministic
+    and consumed only while the attack window is active.
     """
     for index, attack in enumerate(attacks):
         if (attack.kind == "ddos" and attack.target == node_id
                 and attack.active_at_ps(t_ps) and attack.drop_probability > 0.0):
-            if randstream.bernoulli(seed, attack.drop_probability,
-                                    "ddos_drop", index, message_id):
+            if randstream.draw_bernoulli(stream, attack.drop_probability, index, message_id):
                 return attack
     return None
 

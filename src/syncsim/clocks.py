@@ -18,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from . import randstream
-from .timebase import ps_to_seconds, seconds_to_ps
+from .timebase import ps_to_seconds, require_ps, seconds_to_ps
 
 MODEL_KINDS = ("linear", "quadratic", "user_defined")
 
@@ -164,10 +164,14 @@ class SoftwareClock:
         return total
 
     def apply_step(self, delta_ps: int, at_ps: int = 0) -> None:
+        require_ps(delta_ps, "correction delta")
+        require_ps(at_ps, "correction time")
         self._corrections.append((at_ps, delta_ps, None))
 
     def apply_slew(self, delta_ps: int, rate: float, at_ps: int = 0) -> None:
         """Schedule a gradual correction at `rate` seconds per simulated second."""
+        require_ps(delta_ps, "correction delta")
+        require_ps(at_ps, "correction time")
         if rate <= 0:
             raise ValueError("slew rate must be > 0")
         self._corrections.append((at_ps, delta_ps, rate))

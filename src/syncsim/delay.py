@@ -69,13 +69,13 @@ def propagation_delay(distance_m: float, speed_m_per_s: float) -> float:
 
 
 def link_terms_ps(link: LinkSpec, size_bits: int,
-                  medium_speeds: dict[str, float]) -> tuple[int, int]:
+                  medium_speeds: dict[str, float] | None) -> tuple[int, int]:
     """(transmission, propagation) picoseconds of one traversal of `link` by
     a message of size_bits.  Raises OverflowError when a term does not
     quantize to a finite count."""
     return (seconds_to_ps(transmission_delay(size_bits, link.bandwidth_bps)),
             seconds_to_ps(propagation_delay(
-                link.distance_m, medium_speed(link.medium, medium_speeds or None))))
+                link.distance_m, medium_speed(link.medium, medium_speeds))))
 
 
 class CompiledTopology:
@@ -88,8 +88,7 @@ class CompiledTopology:
     (neighbor index, link index) pairs in the graph's adjacency order.  Per
     link: the propagation term, and per message size, filled on first use,
     the transmission term and the link term (transmission plus propagation,
-    what a route search adds per hop).  `epochs` is the store of the
-    routing epochs built on it (see netview).
+    what a route search adds per hop).
     """
 
     def __init__(self, graph: NetworkGraph, medium_speeds: dict[str, float] | None):
@@ -109,18 +108,16 @@ class CompiledTopology:
             adjacency[b].append((a, i))
             self.link_between[link.a, link.b] = self.link_between[link.b, link.a] = i
         self.adjacency = tuple(map(tuple, adjacency))
-        self.medium_speeds = dict(medium_speeds or {})
-        self.propagation_ps = tuple(link_terms_ps(link, 0, self.medium_speeds)[1]
+        self.propagation_ps = tuple(link_terms_ps(link, 0, medium_speeds)[1]
                                     for link in self.links)
         self._size_terms: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
-        self.epochs: dict = {}
 
     def size_terms(self, size_bits: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The transmission term and the link term of every link for a
         message of size_bits."""
         terms = self._size_terms.get(size_bits)
         if terms is None:
-            transmission = tuple(link_terms_ps(link, size_bits, self.medium_speeds)[0]
+            transmission = tuple(seconds_to_ps(transmission_delay(size_bits, link.bandwidth_bps))
                                  for link in self.links)
             terms = self._size_terms[size_bits] = (transmission, tuple(
                 t + p for t, p in zip(transmission, self.propagation_ps)))

@@ -16,26 +16,26 @@ pushes and pops one entry, so keeping the arrivals apart makes each hop's
 heap operations cost the log of the few messages in flight, not of the
 backlog.
 
-Both build the event's trace record when they enqueue it: `sim_time_ps`,
-`sequence` and `kind`, then the payload's fields.  A `_queue` entry is the
-list `[time_ps, seq, record, action, args]`; when it executes, the loop
-calls `action(*args)` and adds the fields it returns to the record.
-`cancel` clears the entry's record, and the loop skips entries without
-one; only `_queue` entries are handed out, so only they are cancelled.
-An `_arrivals` entry is `[time_ps, seq, record, message, leg, hops,
-times]`, the message arriving at `hops[leg]`; `times[k]`, the send time
-plus `arrivals_ps[k]`, is summed once per message.  The loop delivers the
-message at its last node, and elsewhere pushes its arrival at the next
-node unless a drop roll drops it.  Both heaps take `seq` from one
-counter, so `(time_ps, seq)` is unique, no comparison reaches past `seq`,
-and popping whichever head compares smaller executes events in exactly
-the order one heap would.
+A `_queue` entry is the list `[time_ps, seq, record, action, args]`:
+`schedule_ps` builds the event's trace record when it enqueues it,
+`sim_time_ps`, `sequence` and `kind`, then the payload's fields; when it
+executes, the loop calls `action(*args)` and adds the fields it returns
+to the record.  `cancel` clears the entry's record, and the loop skips
+entries without one; only `_queue` entries are handed out, so only they
+are cancelled.  An `_arrivals` entry is `[time_ps, seq, message, leg,
+hops, times]`, the message arriving at `hops[leg]`; `times[k]`, the send
+time plus `arrivals_ps[k]`, is summed once per message.  The loop builds
+its record, with the keys in `schedule_ps`'s order, when it pops it,
+delivers the message at its last node, and elsewhere pushes its arrival
+at the next node unless a drop roll drops it.  Both heaps take `seq`
+from one counter, so `(time_ps, seq)` is unique, no comparison reaches
+past `seq`, and popping whichever head compares smaller executes events
+in exactly the order one heap would.
 
 An arrival is pushed without `schedule_ps`'s checks, which cannot fail
 for it: `send_ps` passed them when the send was queued, and `arrivals_ps`
 are exact, non-negative, nondecreasing sums of int terms, so each time is
 an int no earlier than now; both kinds are constants in `RECORD_KINDS`.
-The record's keys keep the order `schedule_ps` gives them.
 
 Messages are routed once at send time; the chosen route is frozen for the
 message's lifetime and hop arrivals, attack drops, and final delivery play
@@ -105,7 +105,8 @@ class Engine:
         self._seq = itertools.count()
         # [time_ps, seq, record, action, args]: sends, sync steps and timeouts
         self._queue: list[list] = []
-        # the same entries for in-flight messages' next hop_arrival or delivery
+        # [time_ps, seq, message, leg, hops, times]: in-flight messages' next
+        # hop_arrival or delivery
         self._arrivals: list[list] = []
         # t_ps -> {(epoch, source, destination, size_bits): Route or None}
         self._answers: dict[int, dict[tuple, Route | None]] = {}
@@ -173,24 +174,21 @@ class Engine:
             if arrivals and not (queue and queue[0] < arrivals[0]):
                 if arrivals[0][0] > t_end_ps:
                     break
-                time_ps, _, record, message, leg, hops, times = heappop(arrivals)
+                time_ps, n, message, leg, hops, times = heappop(arrivals)
                 self.now_ps = time_ps
-                if leg + 1 == len(hops):
+                last = leg + 1 == len(hops)
+                record = {"sim_time_ps": time_ps, "sequence": n,
+                          "kind": "delivery" if last else "hop_arrival",
+                          "message_id": message.message_id, "node": hops[leg]}
+                if last:
                     self._deliver(message, record)
                 elif hops[leg] in drop_targets and (drop := attacks_mod.drop_roll(
-                        view.attacks, view.seed, hops[leg], time_ps,
+                        view.attacks, view.drop_stream, hops[leg], time_ps,
                         message.message_id)) is not None:
                     message.status = record["status"] = "dropped"
                     record["attack"] = {"kind": drop.kind, "target": drop.target}
                 else:
-                    at_ps = times[leg]
-                    leg += 1
-                    n = next(seq)
-                    heappush(arrivals, [at_ps, n, {
-                        "sim_time_ps": at_ps, "sequence": n,
-                        "kind": "delivery" if leg + 1 == len(hops) else "hop_arrival",
-                        "message_id": message.message_id, "node": hops[leg]},
-                        message, leg, hops, times])
+                    heappush(arrivals, [times[leg], next(seq), message, leg + 1, hops, times])
             else:
                 if not queue or queue[0][0] > t_end_ps:
                     break
@@ -218,6 +216,8 @@ class Engine:
         The route is chosen when the send event executes; a NoRoute outcome
         leaves the message blocked (the sender only learns via timeout).
         """
+        if type(size_bits) is not int or size_bits < 0:
+            raise ValueError(f"size_bits must be an int >= 0, got {size_bits!r}")
         message = Message(
             message_id=f"m{len(self.messages) + 1:05d}",
             source=source, destination=destination, size_bits=size_bits,
@@ -242,13 +242,7 @@ class Engine:
         message.status = "in_flight"
         bd, hops, send_ps = route.breakdown, route.hops, message.send_ps
         times = [send_ps + offset_ps for offset_ps in bd.arrivals_ps]
-        # the first arrival; the loop pushes each later one the same way
-        seq = next(self._seq)
-        heappush(self._arrivals, [times[0], seq, {
-            "sim_time_ps": times[0], "sequence": seq,
-            "kind": "delivery" if len(hops) == 2 else "hop_arrival",
-            "message_id": message.message_id, "node": hops[1]},
-            message, 1, hops, times])
+        heappush(self._arrivals, [times[0], next(self._seq), message, 1, hops, times])
         return {"status": "in_flight", "route": list(hops),
                 "router_ps": bd.router_ps, "transmission_ps": bd.transmission_ps,
                 "propagation_ps": bd.propagation_ps, "total_ps": bd.total_ps}
@@ -275,8 +269,8 @@ class Engine:
     def _route(self, view: NetworkView, source: str, destination: str, t_ps: int,
                size_bits: int) -> Route | None:
         """`shortest_path` of the query on `view`, None for NoRoute.  Keyed
-        on the epoch at t: a view and its baseline share the topology's
-        epochs and draw the same router flags, so the epoch settles the answer."""
+        on the epoch at t: a view and its baseline share the attack-free
+        epoch and draw the same router flags, so the epoch settles the answer."""
         answers = self._answers.get(t_ps)
         if answers is None:
             self._drop_past_answers()

@@ -14,22 +14,25 @@ Attacks are piecewise constant in time.  Between two consecutive edges of
 the windows of the routing attacks (router_hijack of either mode, and ddos
 with a delay multiplier other than 1) the set of active ones, the view's
 routing epoch, is fixed, and so is every router's term while its failure
-model has it up.  The view builds one epoch per interval; `epoch_at`
-looks it up, and `attack_free_epoch` is the epoch with no routing attack.
-The compiled topology keeps one `Epoch` per set of active routing attacks
-(`shared_epoch`), and `without_attacks` hands the baseline view the same
-compiled topology, so a set that recurs, and the attack-free set of a
-view and its baseline, share one epoch: its terms and its route tables.
-The baseline also shares the view's router flags, which both draw alike,
-so each router's flag is drawn once per instant, not once per view.
+model has it up.  The view builds the attack-free epoch first, then one
+epoch per distinct set of active routing attacks, so a set that recurs
+shares one epoch: its terms and its route tables.  `epoch_at` looks the
+epoch of an instant up, and `attack_free_epoch` is the epoch with no
+routing attack.  `without_attacks` is a copy of the view with no attacks
+and only the attack-free epoch, so the baseline shares the view's
+compiled topology, its attack-free route tables and its router flags,
+which both draw alike: each router's flag is drawn once per instant, not
+once per view.
 
 `router_active` and `router_delay_at` are the direct definition of the
 same terms, scanning the attack list at t; the DOT export draws from
 them.  `drop_targets` holds the nodes where a hop can be dropped: the
-targets of the ddos attacks with `drop_probability > 0`.
+targets of the ddos attacks with `drop_probability > 0`, and `drop_stream`
+the ddos_drop stream state their rolls draw from.
 """
 
 from bisect import bisect_right
+from copy import copy
 
 from . import attacks as attacks_mod
 from . import randstream
@@ -74,7 +77,9 @@ def up_router_ps(node: NodeSpec, attacks: tuple[AttackSpec, ...], t_ps: int) -> 
 
 
 class Epoch:
-    """One routing epoch of a compiled topology, built by `shared_epoch`.
+    """One routing epoch of a view: the attack-free one, or the epoch of
+    `attacks`, the routing attacks active at t_ps, over the attack-free
+    epoch `base`.
 
     `terms[i]` is node i's `up_router_ps` under the epoch's attacks;
     `raised` holds the indices whose term is not the attack-free epoch's
@@ -84,46 +89,32 @@ class Epoch:
 
     __slots__ = ("terms", "raised", "tables", "routes")
 
-    def __init__(self, topology: CompiledTopology, attacks: tuple[AttackSpec, ...], t_ps: int):
-        if attacks:
-            base = shared_epoch(topology, (), 0).terms
-            terms = list(base)
-            targets = [topology.index[target] for target in dict.fromkeys(a.target for a in attacks)
-                       if target in topology.index]
-            for index in targets:
-                terms[index] = up_router_ps(topology.nodes[index], attacks, t_ps)
-            self.raised = frozenset(index for index in targets if terms[index] != base[index])
-        else:
-            terms = [up_router_ps(node, (), 0) for node in topology.nodes]
-            self.raised = frozenset()
+    def __init__(self, topology: CompiledTopology, attacks: tuple[AttackSpec, ...] = (),
+                 t_ps: int = 0, base: "Epoch | None" = None):
+        terms = list(base.terms if base
+                     else (up_router_ps(node, (), 0) for node in topology.nodes))
+        targets = [topology.index[target] for target in dict.fromkeys(a.target for a in attacks)
+                   if target in topology.index]
+        for index in targets:
+            terms[index] = up_router_ps(topology.nodes[index], attacks, t_ps)
         self.terms = tuple(terms)
+        # only an epoch with attacks, and so with a base, has targets
+        self.raised = frozenset(index for index in targets if terms[index] != base.terms[index])
         self.tables: dict = {}
         self.routes: dict = {}
 
 
-def shared_epoch(topology: CompiledTopology, attacks: tuple[AttackSpec, ...],
-                 t_ps: int) -> Epoch:
-    """The topology's epoch of `attacks`, the routing attacks active at
-    t_ps, built on first request."""
-    epoch = topology.epochs.get(attacks)
-    if epoch is None:
-        epoch = topology.epochs[attacks] = Epoch(topology, attacks, t_ps)
-    return epoch
-
-
 class NetworkView:
-    __slots__ = ("graph", "seed", "attacks", "topology", "flag_streams",
-                 "attack_free_epoch", "drop_targets", "_epoch_edges", "_epochs", "_flags")
+    __slots__ = ("graph", "seed", "attacks", "topology", "flag_streams", "attack_free_epoch",
+                 "drop_targets", "drop_stream", "_epoch_edges", "_epochs", "_flags")
 
     def __init__(self, graph: NetworkGraph, seed: int = 0,
                  attacks: tuple[AttackSpec, ...] = (),
-                 medium_speeds: dict[str, float] | None = None,
-                 topology: CompiledTopology | None = None):
+                 medium_speeds: dict[str, float] | None = None):
         self.graph = graph
         self.seed = seed
         self.attacks = attacks
-        self.topology = topology = (topology if topology is not None
-                                    else CompiledTopology(graph, medium_speeds))
+        self.topology = topology = CompiledTopology(graph, medium_speeds)
         # the router_flag stream of each router a failure model can take down
         self.flag_streams = tuple(
             None if model is None else randstream.stream(seed, "router_flag", node_id)
@@ -133,13 +124,18 @@ class NetworkView:
         # epoch k covers [edges[k - 1], edges[k]); the first one, before any
         # window opens, is the attack-free epoch
         self._epoch_edges = epoch_edges(attacks)
-        self.attack_free_epoch = shared_epoch(topology, (), 0)
-        self._epochs = (self.attack_free_epoch,) + tuple(
-            shared_epoch(topology, routing_epoch(attacks, edge), edge)
-            for edge in self._epoch_edges)
+        self.attack_free_epoch = attack_free = Epoch(topology)
+        by_set = {(): attack_free}
+        self._epochs = [attack_free]
+        for edge in self._epoch_edges:
+            active = routing_epoch(attacks, edge)
+            if active not in by_set:
+                by_set[active] = Epoch(topology, active, edge, attack_free)
+            self._epochs.append(by_set[active])
         # the only nodes where a hop can be dropped; the engine rolls nowhere else
         self.drop_targets = frozenset(
             a.target for a in attacks if a.kind == "ddos" and a.drop_probability > 0)
+        self.drop_stream = randstream.stream(seed, "ddos_drop")
 
     def router_active(self, node_id: str, t_ps: int) -> bool:
         """Flag(t) with force_down hijacks applied; non-routers are always up."""
@@ -183,10 +179,13 @@ class NetworkView:
         return self._epochs[bisect_right(self._epoch_edges, t_ps)]
 
     def without_attacks(self) -> "NetworkView":
-        """The attack-free baseline view (used for timeout budgeting), sharing
-        this view's compiled topology and router flags."""
+        """The attack-free baseline view (used for timeout budgeting): a copy
+        of this view with no attacks, sharing its compiled topology, router
+        flags and attack-free epoch."""
         if not self.attacks:
             return self
-        baseline = NetworkView(self.graph, self.seed, topology=self.topology)
-        baseline.flag_streams, baseline._flags = self.flag_streams, self._flags
+        baseline = copy(self)
+        baseline.attacks = baseline._epoch_edges = ()
+        baseline._epochs = (self.attack_free_epoch,)
+        baseline.drop_targets = frozenset()
         return baseline

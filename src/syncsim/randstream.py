@@ -14,8 +14,8 @@ hashed once into a state that `draw` copies and extends with the tail.
 Every stream on the run path is held by its owner, built once from
 `stream`: each `SoftwareClock` holds its clock_noise and clock_jitter
 states, and each `NetworkView` the router_flag state of every router a
-failure model can take down.  A drop roll hashes its whole key, as `u64`
-does: `u64` is the reference every held draw must equal bit for bit.
+failure model can take down and the ddos_drop state of its drop rolls.
+`u64` hashes a whole key; every held draw must equal it bit for bit.
 """
 
 import hashlib
@@ -92,11 +92,6 @@ def draw_bernoulli(prefix, probability: float, *tail) -> bool:
     if probability >= 1.0:
         return True
     return unit(draw(prefix, *tail)) < probability
-
-
-def bernoulli(seed: int, probability: float, *key) -> bool:
-    """True with the given probability, drawn from (seed, key)."""
-    return draw_bernoulli(stream(seed, *key), probability)
 
 
 def draw_gaussian(prefix, sigma: float, *tail) -> float:

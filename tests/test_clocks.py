@@ -186,6 +186,22 @@ def test_zero_correction_is_identity():
     assert read_clock(clock, 10.0) == before
 
 
+@pytest.mark.parametrize("correct", [
+    lambda clock: clock.apply_step(1.5),
+    lambda clock: clock.apply_step(5, 0.5),
+    lambda clock: clock.apply_step(True),
+    lambda clock: clock.apply_slew(1.5, 1e-2),
+    lambda clock: clock.apply_slew(5, 1e-2, 0.5),
+    lambda clock: clock.apply_slew(5, 1e-2, True),
+], ids=["step_delta", "step_time", "step_bool", "slew_delta", "slew_time", "slew_bool"])
+def test_corrections_are_integer_picoseconds(correct):
+    clock = make_clock(ClockParameters(model_kind="linear"))
+    with pytest.raises(TypeError):
+        correct(clock)
+    assert clock.correction_at_ps(10) == 0
+    assert clock.reading_ps(10) == 10
+
+
 def test_slew_applies_linearly():
     clock = make_clock(ClockParameters(model_kind="linear"))
     clock.apply_slew(seconds_to_ps(-2.0), 1e-2, at_ps=0)

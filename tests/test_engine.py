@@ -335,6 +335,21 @@ def test_a_rejected_send_takes_no_message_id():
     assert [r["message_id"] for r in engine.records if r["kind"] == "message_send"] == ["m00001"]
 
 
+@pytest.mark.parametrize("size_bits", [1000.5, True, -5, "1000", None])
+def test_a_bad_size_is_rejected_at_the_send(size_bits):
+    # rejected before an id is taken or anything is queued, so the run
+    # goes on and the next send is m00001
+    engine = make_engine()
+    with pytest.raises(ValueError):
+        engine.send_message("c1", "s1", size_bits, seconds_to_ps(0.5))
+    assert engine.messages == {} and engine.next_event_time_ps() is None
+    message = engine.send_message("c1", "s1", 0, seconds_to_ps(0.5))
+    assert message.message_id == "m00001"
+    engine.run_until(1.0)
+    assert message.status == "delivered"
+    assert [r["size_bits"] for r in engine.records if r["kind"] == "message_send"] == [0]
+
+
 def two_path_graph():
     """c1 -- r1 -- s1 through a flaky router, or c1 -- r2 -- r3 -- s1."""
     nodes = [make_node("c1"), make_node("s1", "time_server"),

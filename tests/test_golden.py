@@ -100,7 +100,7 @@ def test_sliced_run_matches_the_one_call_trace(source, seed, sha256, drops, tmp_
         engine.run_until_ps(horizon_ps * k // 120)
         in_flight = sorted(m.message_id for m in engine.messages.values()
                            if m.status == "in_flight")
-        assert sorted(entry[2]["message_id"] for entry in engine._arrivals) == in_flight
+        assert sorted(entry[2].message_id for entry in engine._arrivals) == in_flight
         edges_in_flight += bool(in_flight)
         assert_every_seq_accounted_for(engine, cancelled_seqs)
     assert edges_in_flight > 0

@@ -6,7 +6,8 @@ import statistics
 from hypothesis import given
 from hypothesis import strategies as st
 
-from syncsim import randstream
+from syncsim import attacks, randstream
+from syncsim.attacks import AttackSpec
 from syncsim.clocks import ClockParameters, SoftwareClock
 from syncsim.netview import NetworkView
 from syncsim.topology import FailureModel, NetworkGraph, NodeSpec
@@ -20,6 +21,16 @@ key_parts = st.lists(
 def uniform(seed, *key):
     """The reference uniform draw in [0, 1): the top 53 bits of u64."""
     return (randstream.u64(seed, *key) >> 11) / 2.0**53
+
+
+def bernoulli(seed, probability, *key):
+    """The reference Bernoulli draw: uniform below p; p=0 never and p=1
+    always, without a draw."""
+    if probability <= 0.0:
+        return False
+    if probability >= 1.0:
+        return True
+    return uniform(seed, *key) < probability
 
 
 def gaussian(seed, sigma, *key):
@@ -57,13 +68,18 @@ def test_seed_changes_stream():
 
 
 def test_bernoulli_extremes():
-    assert randstream.bernoulli(3, 0.0, "k") is False
-    assert randstream.bernoulli(3, 1.0, "k") is True
+    prefix = randstream.stream(3, "k")
+    assert randstream.draw_bernoulli(prefix, 0.0) is False
+    assert randstream.draw_bernoulli(prefix, 1.0) is True
+    assert randstream.draw_bernoulli(prefix, 0.0, 1, "m") is False
+    assert randstream.draw_bernoulli(prefix, 1.0, 1, "m") is True
 
 
 def test_bernoulli_frequency():
-    hits = sum(randstream.bernoulli(9, 0.3, "flip", i) for i in range(100_000))
-    assert abs(hits / 100_000 - 0.3) < 0.01
+    prefix = randstream.stream(9, "flip")
+    flips = [randstream.draw_bernoulli(prefix, 0.3, i) for i in range(100_000)]
+    assert flips[:100] == [bernoulli(9, 0.3, "flip", i) for i in range(100)]
+    assert abs(sum(flips) / 100_000 - 0.3) < 0.01
 
 
 def test_gaussian_zero_sigma_is_exactly_zero():
@@ -142,6 +158,36 @@ def test_held_router_flags_equal_the_reference_bit_for_bit():
                     assert model.flag_at_ps(node_id, t_ps, seed) == expected, case
                     term = view.hop_router_ps(index, t_ps)
                     assert (term is not None) == (expected == 1), case
+
+
+HELD_MESSAGE_IDS = ("m00001", "m99999", "é", "")
+
+
+def test_held_drop_rolls_equal_the_reference_bit_for_bit():
+    # a view holds the ddos_drop stream; the reference draws
+    # u64(seed, "ddos_drop", attack index, message id) and drops below p
+    graph = NetworkGraph([NodeSpec("r1", "router"), NodeSpec("r2", "router")])
+    for p in (0.0, 0.05, 0.5, 1.0):
+        # attack 0 only slows r1, so r1 rolls for attack 2 and r2 for attack 1
+        ddos = (AttackSpec("ddos", "r1", 0.0, 1.0, delay_multiplier=2.0),
+                AttackSpec("ddos", "r2", 0.0, 1.0, drop_probability=p),
+                AttackSpec("ddos", "r1", 0.0, 1.0, drop_probability=p))
+        for seed in HELD_SEEDS:
+            view = NetworkView(graph, seed, ddos)
+            assert view.without_attacks().drop_stream is view.drop_stream
+            for index in (0, 1, 2, 255, 256, 2**70):
+                for message_id in HELD_MESSAGE_IDS:
+                    assert (randstream.draw(view.drop_stream, index, message_id)
+                            == randstream.u64(seed, "ddos_drop", index, message_id))
+            for node_id, index in (("r1", 2), ("r2", 1)):
+                for message_id in HELD_MESSAGE_IDS:
+                    case = (p, seed, node_id, message_id)
+                    dropped = attacks.drop_roll(ddos, view.drop_stream, node_id, 0, message_id)
+                    expected = bernoulli(seed, p, "ddos_drop", index, message_id)
+                    assert dropped is (ddos[index] if expected else None), case
+                    # outside the window nothing is dropped
+                    assert attacks.drop_roll(ddos, view.drop_stream, node_id,
+                                             10**12, message_id) is None, case
 
 
 def test_int_tails_equal_the_full_key_digest():

@@ -199,6 +199,10 @@ def test_one_epoch_per_set_of_active_routing_attacks():
     assert len({id(epoch) for epoch in epochs}) == 3
     for t in (0.5, 1.5, 2.5, 3.5, 4.5):
         assert baseline.epoch_at(seconds_to_ps(t)) is view.attack_free_epoch
+    # the baseline is the view without attacks: it shares what both read
+    assert baseline.attacks == () and not baseline.drop_targets
+    for shared in ("topology", "flag_streams", "_flags", "attack_free_epoch"):
+        assert getattr(baseline, shared) is getattr(view, shared), shared
     shortest_path(baseline, query(t=2.5))
     shortest_path(view, query(t=0.5))
     assert len(view.attack_free_epoch.tables) == 1
