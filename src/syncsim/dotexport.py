@@ -4,7 +4,9 @@ Nodes are labeled with their kind and, for clock-bearing nodes, their clock
 offset at the snapshot time; links carry (bandwidth, distance, medium)
 labels.  Routers that are inactive at the snapshot instant (through their
 failure model or an active hijack) are drawn dashed and gray.  Output is
-deterministic: nodes and links are emitted in sorted order.
+deterministic: nodes and links are emitted in sorted order.  Node ids,
+edge endpoints and label text escape `\\` and `"` alike, so any id is one
+quoted DOT string.
 """
 
 from .clocks import SoftwareClock
@@ -12,6 +14,11 @@ from .netview import NetworkView
 from .timebase import ps_to_ns, seconds_to_ps
 
 _SHAPES = {"client": "ellipse", "time_server": "box", "router": "diamond"}
+
+
+def _escape(text: str) -> str:
+    """`text` as the inside of a DOT quoted string."""
+    return text.replace("\\", "\\\\").replace('"', '\\"')
 
 
 def _format_bandwidth(bps: float) -> str:
@@ -44,11 +51,11 @@ def export_graph(view: NetworkView, t: float) -> str:
         elif node.clock is not None:
             offset_ns = ps_to_ns(SoftwareClock(node_id, node.clock, view.seed).offset_ps(t_ps))
             label_parts.append(f"offset {offset_ns:.3f} ns")
-        attrs.append('label="' + "\\n".join(label_parts) + '"')
-        lines.append(f'  "{node_id}" [{", ".join(attrs)}];')
+        attrs.append('label="' + "\\n".join(map(_escape, label_parts)) + '"')
+        lines.append(f'  "{_escape(node_id)}" [{", ".join(attrs)}];')
     for link in sorted(view.graph.links, key=lambda l: (l.a, l.b)):
         label = (f"{_format_bandwidth(link.bandwidth_bps)}\\n"
-                 f"{_format_distance(link.distance_m)}\\n{link.medium}")
-        lines.append(f'  "{link.a}" -> "{link.b}" [label="{label}"];')
+                 f"{_format_distance(link.distance_m)}\\n{_escape(link.medium)}")
+        lines.append(f'  "{_escape(link.a)}" -> "{_escape(link.b)}" [label="{label}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -9,14 +9,20 @@ The canonical line of a record is exactly
 followed by a newline.  Those bytes come from one formatter per key shape
 (the record's keys in insertion order), generated as source the way
 `namedtuple` builds its methods and cached.  A formatter unpacks the
-record's values, checks in one test that every value first seen as an
-exact int or str still is one, and fills a `%` template holding the
-escaped `{"key":` / `,"key":` prefixes in sorted key order: `%d` for ints,
-the escaped string for strs, and `json.dumps` of the value for any other
-type.  Keys enter the source only as `repr()` literals, never values.  A
-record that fails the test, has no keys or holds a non-str key goes
-through that `json.dumps` call whole.  `trace_bytes` writes the lines
-chunk by chunk into one buffer, so no str of the whole trace is built.
+record's values and returns one f-string: the escaped `{"key":` /
+`,"key":` prefixes in sorted key order as `repr()` literals, each followed
+by its value's piece, `f'{v}'` for a value first seen as an exact int, the
+escaped string for one first seen as a str, and `json.dumps` of the value
+for any other type.  Only the int slots are checked (`type(v) is int`: a
+bool, float or int subclass would print wrongly through `f'{v}'`); the
+string escaper raises `TypeError` for any non-str value and encodes a str
+subclass as `json.dumps` does.  A failed int check or a `TypeError` sends
+the record through that `json.dumps` call whole, so a value it cannot
+encode raises its own error.  Keys enter the source only as `repr()`
+literals, never inside f-string braces, and values never enter it.  A
+record with no keys or a non-str key also goes through `json.dumps` whole.
+`trace_bytes` writes the lines chunk by chunk into one buffer, so no str
+of the whole trace is built.
 """
 
 import hashlib
@@ -47,23 +53,25 @@ def _generate(shape: tuple, values) -> Callable[[dict], str]:
     """The formatter for records of key shape `shape` (all str keys), each
     value typed as in `values`, the first record seen of that shape."""
     names = [f"v{i}" for i in range(len(shape))]
-    checks, fields = [], {}
+    checks, pieces = [], {}
     for key, name, value in zip(shape, names, values):
         if type(value) is int:
             checks.append(f"type({name}) is int")
-            fields[key] = ("%d", name)
+            pieces[key] = f"f'{{{name}}}'"
         elif type(value) is str:
-            checks.append(f"type({name}) is str")
-            fields[key] = ("%s", f"_esc({name})")
+            pieces[key] = f"f'{{_esc({name})}}'"
         else:
-            fields[key] = ("%s", f"_dumps({name})")
-    keys = sorted(shape)
-    template = "".join(("," if i else "{") + encode_basestring_ascii(key).replace("%", "%%")
-                       + ":" + fields[key][0] for i, key in enumerate(keys)) + "}\n"
+            pieces[key] = f"f'{{_dumps({name})}}'"
+    line = " ".join([repr(("," if i else "{") + encode_basestring_ascii(key) + ":")
+                     + " " + pieces[key] for i, key in enumerate(sorted(shape))]
+                    + [repr("}\n")])
     source = ("def format(record):\n"
               f"    {', '.join(names)}, = record.values()\n"
               f"    if {' and '.join(checks) or 'True'}:\n"
-              f"        return {template!r} % ({', '.join(fields[key][1] for key in keys)},)\n"
+              "        try:\n"
+              f"            return {line}\n"
+              "        except TypeError:\n"
+              "            pass\n"
               "    return _line(record)\n")
     namespace = {"_esc": encode_basestring_ascii, "_dumps": _dumps, "_line": _line}
     exec(source, namespace)

@@ -1,5 +1,6 @@
 """Golden trace lock: the full SHA-256 of each bundled scenario's trace,
-and of its DOT export at the instants where its router state changes.
+and of its DOT export at the instants where its router state changes; for
+the benchmark workloads, of the trace and of the metrics report.
 
 A trace's bytes depend only on (scenario, seed), so any change to these
 values is a behaviour change.  An intended one updates the value here and
@@ -7,10 +8,11 @@ states the old and new hash and the reason in CHANGES.md.
 """
 
 import hashlib
+import json
 
 import pytest
 
-from syncsim import build_engine, load_scenario, trace_bytes
+from syncsim import build_engine, load_scenario, metrics_report, trace_bytes
 from syncsim.dotexport import export_graph
 from syncsim.netview import NetworkView
 from syncsim.timebase import seconds_to_ps
@@ -54,7 +56,8 @@ def test_trace_sha256_is_pinned(stem, seed, sha256):
 
 
 # (benchmark workload (perfbench/workloads.py), seed) -> trace SHA-256; each
-# run also accounts for every sequence number its engine handed out
+# run also pins its metrics report (METRICS) and accounts for every sequence
+# number its engine handed out
 WORKLOADS = {
     ("mesh", 1): "8ff6aadc5cf18b9fe0c8154fbf491fcfca9906245ee44a3fb213ec80a750edd9",
     ("mesh_attacked", 1): "65cfe07524d74f100860355adc71612754778fc5790c8817eb33f0b7c486bd6b",
@@ -62,6 +65,17 @@ WORKLOADS = {
     ("mesh", 21): "29da3b3cb666c667fd338e7831c7c705e1a8f7e17e1c8bdc2ede88c9e74d0278",
     ("mesh_attacked", 21): "061d5363d7b6470988066f0a0d22fecd2789c4c118f512cbc33b29bdcc5a4967",
     ("line", 21): "a204d2af9fafc61057b1c4ef927cc7b39268fa6c074db53cb2c136375c5183e7",
+}
+
+# (benchmark workload, seed) -> SHA-256 of
+# `json.dumps(metrics_report(records), sort_keys=True)` for the same runs
+METRICS = {
+    ("mesh", 1): "49b3e90c93c2b88aac1c519872e683e3e0995ca43ba4005bfd25c9fd26283bfb",
+    ("mesh_attacked", 1): "9585667e2739beacd8b88ad2e3e40a6a3c757de74986ecf95fa479192e307d33",
+    ("line", 1): "3119a7dbeb3311624f13855ae38250f5596c95c4d00d16a55df95ba0423e56aa",
+    ("mesh", 21): "8c20ea49627f6bc9a94db0e47ba291b26307230054ae1c7fb9c523cf6c14e5d3",
+    ("mesh_attacked", 21): "0bc206c58b0703ee4cfa9ecf16114a398dfb6fc24784b9e3a86ee95d6de15312",
+    ("line", 21): "d4f55bf903cb3245a61c5877902c2efdc482b5dbee6abc962e4cebe898c99609",
 }
 
 
@@ -74,6 +88,8 @@ def test_benchmark_workload_trace_is_pinned(workload, seed, tmp_path, cancelled_
     engine = build_engine(scenario)
     engine.run_until(scenario.config.duration)
     assert hashlib.sha256(trace_bytes(engine.records)).hexdigest() == WORKLOADS[workload, seed]
+    report = json.dumps(metrics_report(engine.records), sort_keys=True)
+    assert hashlib.sha256(report.encode("utf-8")).hexdigest() == METRICS[workload, seed]
     assert_every_seq_accounted_for(engine, cancelled_seqs)
 
 

@@ -610,6 +610,55 @@ def test_dot_marks_hijacked_router_inactive():
     assert "inactive" not in ra_outside
 
 
+def _dot_statement_ids(line: str) -> list[str]:
+    """The ids a DOT statement line names: its quoted strings outside `[...]`,
+    read by the DOT rule (`\\"` is a quote, every other character is literal;
+    a `\\\\` pair is kept whole, as Graphviz keeps it, so it cannot start a
+    `\\"`).  Fails unless every quote and bracket on the line closes."""
+    ids, depth, i = [], 0, 0
+    while i < len(line):
+        char = line[i]
+        if char == '"':
+            text, i = [], i + 1
+            while line[i] != '"':   # IndexError: the string never closes
+                if line[i] == "\\" and line[i + 1] in '"\\':
+                    text.append(line[i + 1] if line[i + 1] == '"' else "\\\\")
+                    i += 2
+                else:
+                    text.append(line[i])
+                    i += 1
+            if depth == 0:
+                ids.append("".join(text))
+        elif char in "[]":
+            depth += 1 if char == "[" else -1
+        i += 1
+    assert depth == 0, line
+    return ids
+
+
+def test_dot_quotes_ids_holding_quotes_and_backslashes():
+    # `validate` accepts any string id; each must stay one quoted DOT string
+    # in its node statement, its edge statements and its label
+    names = ['a"b', "r\\1", "s\\"]
+    scenario = parse_scenario({
+        "nodes": [{"id": names[0], "kind": "client"},
+                  {"id": names[1], "kind": "router", "router_kind": "regular"},
+                  {"id": names[2], "kind": "time_server"}],
+        "links": [{"a": names[0], "b": names[1], "bandwidth_bps": 1e6, "distance_m": 1.0},
+                  {"a": names[1], "b": names[2], "bandwidth_bps": 1e6, "distance_m": 1.0}],
+    })
+    assert validate_scenario(scenario) == []
+    text = export_graph(NetworkView(scenario.graph), 0.0)
+    statements = [line for line in text.splitlines() if line.startswith('  "')]
+    nodes = [_dot_statement_ids(line) for line in statements if " -> " not in line]
+    edges = [_dot_statement_ids(line) for line in statements if " -> " in line]
+    assert all(len(ids) == 1 for ids in nodes) and all(len(ids) == 2 for ids in edges)
+    node_ids = sorted(ids[0] for ids in nodes)
+    assert len(node_ids) == 3
+    assert sorted({name for ids in edges for name in ids}) == node_ids
+    assert 'a"b' in node_ids
+
+
 # -- trace schema -------------------------------------------------------------------
 
 def test_trace_roundtrip(tmp_path):

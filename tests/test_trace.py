@@ -49,6 +49,10 @@ def outcome(fn, records):
 @example(record={}, data=None)
 @example(record={"sim_time_ps": 1, "sequence": True}, data=None)
 @example(record={"sim_time_ps": True, "sequence": None}, data=None)
+# keys holding f-string braces, quotes, backslashes, newlines and % fields
+@example(record={"{": 1, "}": "s", "{x}": None, "'": -2, '"': "q'\"", "\\": [1],
+                 "\n": 3, "%d": "%d"}, data=None)
+@example(record={"{v0}": "{v0}", "{_esc(v0)}": 0, "}{": 1.5, "\\'": "\\"}, data=None)
 def test_trace_line_is_json_dumps(record, data):
     assert trace_bytes([record]) == canonical_lines([record])
     if data is None:
@@ -70,6 +74,24 @@ def test_records_with_non_str_keys_follow_json_dumps(record):
     # must then raise the same error, and otherwise emit the same bytes
     assert outcome(trace_bytes, [record]) == outcome(canonical_lines, [record])
 
+
+def test_record_with_300_keys():
+    record = {f"k{i:03}": [i, str(i), None][i % 3] for i in range(300)}
+    records = [record, dict(reversed(record.items())), {**record, "k000": "int slot as str"}]
+    assert trace_bytes(records) == canonical_lines(records)
+
+
+@pytest.mark.parametrize("first", [7, "str", None, ["list"]], ids=["int", "str", "other", "list"])
+def test_value_json_dumps_cannot_encode_raises_its_error(first):
+    # a shape first seen with `first` at one slot, later holding a value
+    # json.dumps rejects there, raises what json.dumps raises
+    shape_first = {"kind": "timeout", f"unencodable_after_{type(first).__name__}": first}
+    later = [dict.fromkeys(shape_first, object()),
+             {**shape_first, "kind": object()},
+             dict.fromkeys(shape_first, [object()])]
+    for record in later:
+        for records in ([shape_first, record], [record]):
+            assert outcome(trace_bytes, records) == outcome(canonical_lines, records) == TypeError
 
 
 class Text(str):
