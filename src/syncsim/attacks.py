@@ -15,6 +15,7 @@ window, behavior is bit-identical to the attack-free baseline: no stream
 draws are consumed and no trace annotations appear.
 """
 
+import math
 from dataclasses import dataclass, field
 
 from . import randstream
@@ -43,6 +44,10 @@ class AttackSpec:
     end_ps: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        for name in ("delay_multiplier", "drop_probability", "forged_offset", "added_delay"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind: {self.kind!r}")
         if self.t_start > self.t_end:
@@ -87,8 +92,7 @@ def effective_router_delay(attacks: tuple[AttackSpec, ...], node_id: str, t_ps: 
                 and attack.target == node_id and attack.active_at_ps(t_ps)):
             delay += attack.added_delay
     for attack in attacks:
-        if (attack.kind == "ddos" and attack.target == node_id
-                and attack.active_at_ps(t_ps) and attack.delay_multiplier != 1.0):
+        if attack.kind == "ddos" and attack.target == node_id and attack.active_at_ps(t_ps):
             delay *= attack.delay_multiplier
     return delay
 
@@ -102,10 +106,10 @@ def drop_roll(attacks: tuple[AttackSpec, ...], stream, node_id: str, t_ps: int,
     and consumed only while the attack window is active.
     """
     for index, attack in enumerate(attacks):
-        if (attack.kind == "ddos" and attack.target == node_id
-                and attack.active_at_ps(t_ps) and attack.drop_probability > 0.0):
-            if randstream.draw_bernoulli(stream, attack.drop_probability, index, message_id):
-                return attack
+        if (attack.kind == "ddos" and attack.target == node_id and attack.active_at_ps(t_ps)
+                and randstream.draw_bernoulli(stream, attack.drop_probability, index,
+                                              message_id)):
+            return attack
     return None
 
 

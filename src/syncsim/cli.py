@@ -86,13 +86,12 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_analyze_clock(args) -> int:
-    for name in ("alpha0", "beta", "gamma"):
-        value = getattr(args, name)
-        if not math.isfinite(value):
-            print(f"error: --{name} must be finite, got {value!r}", file=sys.stderr)
-            return EXIT_VALIDATION
-    params = ClockParameters(alpha0=args.alpha0, beta=args.beta, gamma=args.gamma,
-                             model_kind="quadratic" if args.gamma != 0 else "linear")
+    try:
+        params = ClockParameters(alpha0=args.alpha0, beta=args.beta, gamma=args.gamma,
+                                 model_kind="quadratic" if args.gamma != 0 else "linear")
+    except ValueError as exc:  # a non-finite number, named by its field
+        print(f"error: --{exc}", file=sys.stderr)
+        return EXIT_VALIDATION
     report = extremum_analysis(params)
     # a t*, offset or concavity that overflows prints as null, never as NaN
     payload = {

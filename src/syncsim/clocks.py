@@ -43,6 +43,10 @@ class ClockParameters:
     jitter_bound_ns: float = 0.0
 
     def __post_init__(self):
+        for name in ("alpha0", "beta", "gamma", "noise_sigma", "jitter_bound_ns"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if self.model_kind not in MODEL_KINDS:
             raise ValueError(f"unknown clock model kind: {self.model_kind!r}")
         if self.noise_sigma < 0:
@@ -172,6 +176,8 @@ class SoftwareClock:
         """Schedule a gradual correction at `rate` seconds per simulated second."""
         require_ps(delta_ps, "correction delta")
         require_ps(at_ps, "correction time")
+        if not math.isfinite(rate):
+            raise ValueError(f"rate must be finite, got {rate!r}")
         if rate <= 0:
             raise ValueError("slew rate must be > 0")
         self._corrections.append((at_ps, delta_ps, rate))

@@ -85,9 +85,9 @@ class CompiledTopology:
     orders paths exactly as comparing tuples of node ids does.  Per node:
     its id, its `NodeSpec`, whether it relays (routers only), its failure
     model when that can take it down (None otherwise), and its links as
-    (neighbor index, link index) pairs in the graph's adjacency order.  Per
-    link: the propagation term, and per message size, filled on first use,
-    the transmission term and the link term (transmission plus propagation,
+    (neighbor index, link index) pairs in link order.  Per link: the
+    propagation term, and per message size, filled on first use, the
+    transmission term and the link term (transmission plus propagation,
     what a route search adds per hop).
     """
 

@@ -16,21 +16,22 @@ pushes and pops one entry, so keeping the arrivals apart makes each hop's
 heap operations cost the log of the few messages in flight, not of the
 backlog.
 
-A `_queue` entry is the list `[time_ps, seq, record, action, args]`:
+A `_queue` entry is the list `[time_ps, seq, record, action]`:
 `schedule_ps` builds the event's trace record when it enqueues it,
 `sim_time_ps`, `sequence` and `kind`, then the payload's fields; when it
-executes, the loop calls `action(*args)` and adds the fields it returns
-to the record.  `cancel` clears the entry's record, and the loop skips
-entries without one; only `_queue` entries are handed out, so only they
-are cancelled.  An `_arrivals` entry is `[time_ps, seq, message, leg,
-hops, times]`, the message arriving at `hops[leg]`; `times[k]`, the send
-time plus `arrivals_ps[k]`, is summed once per message.  The loop builds
-its record, with the keys in `schedule_ps`'s order, when it pops it,
-delivers the message at its last node, and elsewhere pushes its arrival
-at the next node unless a drop roll drops it.  Both heaps take `seq`
-from one counter, so `(time_ps, seq)` is unique, no comparison reaches
-past `seq`, and popping whichever head compares smaller executes events
-in exactly the order one heap would.
+executes, the loop calls `action()`, which takes no arguments, and adds
+the fields it returns to the record.  `cancel` clears the entry's
+record, and the loop skips entries without one; only `_queue` entries
+are handed out, so only they are cancelled.  An `_arrivals` entry is
+`[time_ps, seq, message, leg, hops, times]`, the message arriving at
+`hops[leg]`; `times[k]`, the send time plus `arrivals_ps[k]`, is summed
+once per message.  The loop builds its record, with the keys in
+`schedule_ps`'s order, when it pops it, delivers the message at its last
+node, and elsewhere pushes its arrival at the next node unless a drop
+roll drops it.  Both heaps take `seq` from one counter, so `(time_ps,
+seq)` is unique, no comparison reaches past `seq`, and popping whichever
+head compares smaller executes events in exactly the order one heap
+would.
 
 An arrival is pushed without `schedule_ps`'s checks, which cannot fail
 for it: `send_ps` passed them when the send was queued, and `arrivals_ps`
@@ -103,7 +104,7 @@ class Engine:
         self._baseline_view = self.view.without_attacks()
         self.now_ps = 0
         self._seq = itertools.count()
-        # [time_ps, seq, record, action, args]: sends, sync steps and timeouts
+        # [time_ps, seq, record, action]: sends, sync steps and timeouts
         self._queue: list[list] = []
         # [time_ps, seq, message, leg, hops, times]: in-flight messages' next
         # hop_arrival or delivery
@@ -121,11 +122,11 @@ class Engine:
     # -- scheduling ---------------------------------------------------------
 
     def schedule_ps(self, time_ps: int, kind: str, payload: dict | None = None,
-                    action: Callable[..., dict | None] | None = None, *args) -> list:
+                    action: Callable[[], dict | None] | None = None) -> list:
         """Enqueue an event and return its queue entry, the handle `cancel`
         takes.  Its sequence number fixes same-time ordering.  The payload's
         fields are copied into the event's record now; when the event
-        executes, `action(*args)` runs and the fields it returns are added."""
+        executes, `action()` runs and the fields it returns are added."""
         require_ps(time_ps, "event time")
         if time_ps < self.now_ps:
             raise SchedulingError(
@@ -136,7 +137,7 @@ class Engine:
         record = {"sim_time_ps": time_ps, "sequence": seq, "kind": kind}
         if payload:
             record.update(payload)
-        entry = [time_ps, seq, record, action, args]
+        entry = [time_ps, seq, record, action]
         heappush(self._queue, entry)
         return entry
 
@@ -192,12 +193,12 @@ class Engine:
             else:
                 if not queue or queue[0][0] > t_end_ps:
                     break
-                time_ps, _, record, action, args = heappop(queue)
+                time_ps, _, record, action = heappop(queue)
                 if record is None:
                     continue
                 self.now_ps = time_ps
                 if action is not None:
-                    extra = action(*args)
+                    extra = action()
                     if extra:
                         record.update(extra)
             records.append(record)
@@ -218,6 +219,11 @@ class Engine:
         """
         if type(size_bits) is not int or size_bits < 0:
             raise ValueError(f"size_bits must be an int >= 0, got {size_bits!r}")
+        nodes = self.view.graph.nodes
+        if source not in nodes or destination not in nodes:
+            raise ValueError(f"unknown node {source if source not in nodes else destination!r}")
+        if source == destination:
+            raise ValueError(f"source and destination must differ, got {source!r} twice")
         message = Message(
             message_id=f"m{len(self.messages) + 1:05d}",
             source=source, destination=destination, size_bits=size_bits,
@@ -228,7 +234,7 @@ class Engine:
                          {"message_id": message.message_id, "src": source,
                           "dst": destination, "size_bits": size_bits,
                           "purpose": purpose},
-                         self._start_message, message)
+                         lambda: self._start_message(message))
         self.messages[message.message_id] = message
         return message
 

@@ -22,7 +22,7 @@ from .delay import link_terms_ps
 from .engine import Engine
 from .metrics import metrics_report
 from .netview import epoch_edges, routing_epoch, up_router_ps
-from .sync import BerkeleyRound, CristianExchange, SyncOptions
+from .sync import ALGORITHMS, SyncOptions
 from .timebase import PS_PER_SECOND, ps_to_seconds, seconds_to_ps
 from .topology import MEDIA, FailureModel, LinkSpec, NetworkGraph, NodeSpec, validate
 
@@ -162,6 +162,8 @@ def _offset_table(key: str, value) -> tuple[tuple[float, float], ...]:
 # Parsing passes only the keys present, so every default is the dataclass's;
 # a key no table declares (such as config "name") is a label and is skipped.
 CONFIG_KEYS = {"seed": ("seed", _int), "duration_s": ("duration", _number)}
+NODE_KEYS = {"router_kind": ("router_kind", _text),
+             "router_delay_s": ("router_delay", _number)}
 CLOCK_KEYS = {"model": ("model_kind", _text), "alpha0_s": ("alpha0", _number),
               "beta": ("beta", _number), "gamma": ("gamma", _number),
               "noise_sigma_s": ("noise_sigma", _number),
@@ -191,6 +193,16 @@ def _read(table: dict, spec: dict) -> dict:
             for key, (name, reader) in table.items() if key in spec}
 
 
+def _parse_object(data: dict, name: str, build, table: dict, problems: list[str]):
+    """build(**fields) of the table's keys in an object section; build()
+    and a problem naming the section if build rejects them."""
+    try:
+        return build(**_read(table, _section(data, name, dict, problems)))
+    except (TypeError, ValueError) as exc:
+        problems.append(f"{name}: {exc}")
+        return build()
+
+
 def _parse_clock(spec: dict) -> ClockParameters:
     base = (preset_parameters(_text("preset", spec["preset"])) if "preset" in spec
             else ClockParameters())
@@ -211,11 +223,7 @@ def parse_scenario(data: dict) -> Scenario:
     if not isinstance(data, dict):
         raise ScenarioError(["scenario: expected a JSON object at the top level"])
     problems: list[str] = []
-    try:
-        config = SimConfig(**_read(CONFIG_KEYS, _section(data, "config", dict, problems)))
-    except (TypeError, ValueError) as exc:
-        problems.append(f"config: {exc}")
-        config = SimConfig()
+    config = _parse_object(data, "config", SimConfig, CONFIG_KEYS, problems)
 
     clock_params = _parse_each(data, "clocks", _parse_clock, problems, dict)
     clock_entries = data["clocks"] if isinstance(data.get("clocks"), dict) else {}
@@ -244,13 +252,8 @@ def parse_scenario(data: dict) -> Scenario:
             if not isinstance(fm, dict):
                 raise TypeError(f"node {node_id!r}: failure_model: expected a JSON object")
             failure = FailureModel(**_read(FAILURE_KEYS, fm))
-        nodes[node_id] = NodeSpec(
-            node_id=node_id, kind=kind,
-            router_kind=(_text("router_kind", spec["router_kind"])
-                         if "router_kind" in spec else None),
-            router_delay=(_number("router_delay_s", spec["router_delay_s"])
-                          if "router_delay_s" in spec else None),
-            failure_model=failure, clock=clock)
+        nodes[node_id] = NodeSpec(node_id=node_id, kind=kind, failure_model=failure,
+                                  clock=clock, **_read(NODE_KEYS, spec))
     _parse_each(data, "nodes", parse_node, problems)
 
     pairs: set[frozenset[str]] = set()
@@ -277,12 +280,8 @@ def parse_scenario(data: dict) -> Scenario:
         destination=_node_ref(spec["destination"]),
         size_bits=_int("size_bits", spec["size_bits"])), problems)
 
-    try:
-        sync_options = SyncOptions(
-            **_read(SYNC_OPTION_KEYS, _section(data, "sync_options", dict, problems)))
-    except (TypeError, ValueError) as exc:
-        problems.append(f"sync_options: {exc}")
-        sync_options = SyncOptions()
+    sync_options = _parse_object(data, "sync_options", SyncOptions, SYNC_OPTION_KEYS,
+                                 problems)
 
     medium_speeds = _section(data, "medium_speeds_m_per_s", dict, problems)
     if problems:
@@ -346,13 +345,15 @@ def validate_scenario(scenario: Scenario) -> list[str]:
     problem as "entity: message"."""
     problems = validate(scenario.graph)
     graph = scenario.graph
+    linked = {end for link in graph.links for end in (link.a, link.b)}
     if scenario.config.duration < 0:
         problems.append("config: duration_s must be >= 0")
     for entry in scenario.sync_schedule:
         label = f"sync@{entry.time_s}s"
         if entry.time_s < 0:
             problems.append(f"{label}: time_s must be >= 0")
-        if entry.algorithm not in ("cristian", "berkeley"):
+        # a tuple, since a dict raises TypeError for an unhashable value
+        if entry.algorithm not in tuple(ALGORITHMS):
             problems.append(f"{label}: unknown algorithm {entry.algorithm!r}")
             continue
         if entry.algorithm == "cristian" and len(entry.participants) != 2:
@@ -366,7 +367,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                 problems.append(f"{label}: unknown participant {node_id!r}")
             elif graph.nodes[node_id].clock is None:
                 problems.append(f"{label}: participant {node_id!r} has no clock")
-            elif not graph.links_of(node_id):
+            elif node_id not in linked:
                 problems.append(f"{label}: participant {node_id!r} is disconnected")
     for attack in scenario.attacks:
         if attack.target not in graph.nodes:
@@ -453,14 +454,8 @@ def build_engine(scenario: Scenario, seed: int | None = None) -> Engine:
         engine.send_message(entry.source, entry.destination, entry.size_bits,
                             seconds_to_ps(entry.time_s))
     for entry in scenario.sync_schedule:
-        at_ps = seconds_to_ps(entry.time_s)
-        if entry.algorithm == "cristian":
-            machine = CristianExchange(engine, entry.participants[0],
-                                       entry.participants[1], scenario.sync_options)
-        else:
-            machine = BerkeleyRound(engine, entry.participants[0],
-                                    list(entry.participants[1:]), scenario.sync_options)
-        machine.start(at_ps)
+        machine = ALGORITHMS[entry.algorithm](engine, entry.participants, scenario.sync_options)
+        machine.start(seconds_to_ps(entry.time_s))
     return engine
 
 

@@ -206,12 +206,14 @@ class _Round:
 
 
 class CristianExchange(_Round):
-    """One Cristian round: one exchange, then the client adopts the server."""
+    """One Cristian round of participants (client, server): one exchange,
+    then the client adopts the server."""
 
     algorithm = "cristian"
 
-    def __init__(self, engine: Engine, client: str, server: str,
+    def __init__(self, engine: Engine, participants: tuple[str, ...],
                  options: SyncOptions | None = None):
+        client, server = participants
         super().__init__(engine, [client, server], options)
         self._exchange = SyncExchange(self, client, server,
                                       {"sync_aborted": "cristian",
@@ -236,13 +238,15 @@ class CristianExchange(_Round):
 
 
 class BerkeleyRound(_Round):
-    """One Berkeley round: one exchange per member, then the coordinator
-    sends everyone the delta onto the median-guarded average offset."""
+    """One Berkeley round of participants (coordinator, *members): one
+    exchange per member, then the coordinator sends everyone the delta onto
+    the median-guarded average offset."""
 
     algorithm = "berkeley"
 
-    def __init__(self, engine: Engine, coordinator: str, members: list[str],
+    def __init__(self, engine: Engine, participants: tuple[str, ...],
                  options: SyncOptions | None = None):
+        coordinator, *members = participants
         # the coordinator may be listed as a member; it contributes offset 0
         # without polling itself
         members = [m for m in members if m != coordinator]
@@ -303,18 +307,18 @@ class BerkeleyRound(_Round):
                 self._pending_corrections.add(participant)
                 engine.send_message(
                     self.coordinator, participant, opts.reply_size_bits,
-                    now_ps, purpose="sync_correction",
-                    on_delivery=lambda msg, m=participant, d=delta_ps:
-                        self._correction_arrived(m, d, msg))
+                    now_ps, purpose="sync_correction", on_delivery=self._correction_arrived)
         # corrections that never arrive must not stall the round
         self._corrections_deadline_event = engine.schedule_ps(
             now_ps + seconds_to_ps(opts.default_timeout), "timeout",
             {"node": self.coordinator}, action=self._corrections_deadline)
 
-    def _correction_arrived(self, member: str, delta_ps: int, message: Message) -> None:
+    def _correction_arrived(self, message: Message) -> None:
         # the member applies a correction whenever it arrives, but one after
         # the deadline no longer moves the ended round
-        _apply_policy(self.engine, member, delta_ps, message.delivery_ps, self.options)
+        member = message.destination
+        _apply_policy(self.engine, member, self._corrections_ps[member],
+                      message.delivery_ps, self.options)
         if self.report is not None:
             return
         self._last_correction_ps = max(self._last_correction_ps, message.delivery_ps)
@@ -343,6 +347,11 @@ class BerkeleyRound(_Round):
                              if poll.offset_ps is not None])
 
 
+# algorithm name in a scenario's sync_schedule -> its round; each takes
+# (engine, participants, options), participants as the schedule lists them
+ALGORITHMS = {"cristian": CristianExchange, "berkeley": BerkeleyRound}
+
+
 def _run_to_completion(engine: Engine, machine: _Round, at: float | None) -> SyncReport:
     """Start the round at `at` seconds (default now) and run until it ends."""
     machine.start(engine.now_ps if at is None else seconds_to_ps(at))
@@ -358,11 +367,11 @@ def cristian_sync(engine: Engine, client: str, server: str,
                   at: float | None = None,
                   options: SyncOptions | None = None) -> SyncReport:
     """Run one Cristian round to completion and return its report."""
-    return _run_to_completion(engine, CristianExchange(engine, client, server, options), at)
+    return _run_to_completion(engine, CristianExchange(engine, (client, server), options), at)
 
 
 def berkeley_round(engine: Engine, coordinator: str, members: list[str],
                    at: float | None = None,
                    options: SyncOptions | None = None) -> SyncReport:
     """Run one Berkeley round to completion and return its report."""
-    return _run_to_completion(engine, BerkeleyRound(engine, coordinator, members, options), at)
+    return _run_to_completion(engine, BerkeleyRound(engine, (coordinator, *members), options), at)

@@ -129,7 +129,7 @@ class LinkSpec:
 
 
 class NetworkGraph:
-    """Immutable node/link collection with a derived adjacency map.
+    """Immutable node/link collection.
 
     Nodes and links are fixed at construction, so anything derived from a
     graph (a view's compiled topology and its route cache) cannot go stale.
@@ -138,25 +138,17 @@ class NetworkGraph:
 
     def __init__(self, nodes: Iterable[NodeSpec] = (), links: Iterable[LinkSpec] = ()):
         by_id: dict[str, NodeSpec] = {}
-        adjacency: dict[str, list[LinkSpec]] = {}
         for node in nodes:
             if node.node_id in by_id:
                 raise ValueError(f"duplicate node id: {node.node_id!r}")
             by_id[node.node_id] = node
-            adjacency[node.node_id] = []
         self.links: tuple[LinkSpec, ...] = tuple(links)
         pairs: set[frozenset[str]] = set()
         for link in self.links:
             if link.endpoints() in pairs:
                 raise ValueError(f"duplicate link between {link.a!r} and {link.b!r}")
             pairs.add(link.endpoints())
-            for end in (link.a, link.b):
-                adjacency.setdefault(end, []).append(link)
         self.nodes: Mapping[str, NodeSpec] = MappingProxyType(by_id)
-        self._adjacency = {node_id: tuple(ends) for node_id, ends in adjacency.items()}
-
-    def links_of(self, node_id: str) -> tuple[LinkSpec, ...]:
-        return self._adjacency.get(node_id, ())
 
 
 def validate(graph: NetworkGraph) -> list[str]:
@@ -171,7 +163,7 @@ def validate(graph: NetworkGraph) -> list[str]:
         if node.is_router:
             if node.router_kind not in ROUTER_KINDS:
                 problems.append(f"{name}: unknown router kind {node.router_kind!r}")
-            if node.router_delay is None or node.router_delay < 0:
+            if node.router_delay < 0:
                 problems.append(f"{name}: router_delay must be >= 0")
         else:
             if node.router_delay is not None:

@@ -21,6 +21,11 @@ PERFECT = ClockParameters(model_kind="linear")
 def enumerate_best_route(view: NetworkView, query: RouteQuery):
     """Exhaustive simple-path minimum, or None when nothing is routable."""
     graph = view.graph
+    # its own adjacency, so the oracle shares no structure with the simulator
+    links_of = {node_id: [] for node_id in graph.nodes}
+    for link in graph.links:
+        links_of[link.a].append(link)
+        links_of[link.b].append(link)
     best = None
 
     def walk(node, visited, path):
@@ -36,7 +41,7 @@ def enumerate_best_route(view: NetworkView, query: RouteQuery):
             return
         if node != query.source and not graph.nodes[node].is_router:
             return  # clients and servers do not relay
-        for link in graph.links_of(node):
+        for link in links_of[node]:
             neighbor = link.other(node)
             if neighbor not in visited:
                 walk(neighbor, visited | {neighbor}, path + [neighbor])

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 import syncsim.attacks as attacks_mod
@@ -28,6 +30,18 @@ def test_attack_spec_invariants():
         window(0.0, 1.0, kind="ddos", target="r1", delay_multiplier=0.5)
     with pytest.raises(ValueError):
         window(0.0, 1.0, kind="tampering", target="r1")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("delay_multiplier", math.nan), ("delay_multiplier", math.inf),
+    ("drop_probability", math.nan), ("forged_offset", math.inf),
+    ("added_delay", math.nan),
+])
+def test_attack_numbers_that_are_not_finite_are_rejected(field, value):
+    # a NaN multiplier or added delay was accepted before, and building an
+    # engine with it raised "cannot convert float NaN to integer"
+    with pytest.raises(ValueError, match=f"{field} must be finite, got {value!r}"):
+        window(0.0, 1.0, kind="ddos", target="r1", **{field: value})
 
 
 def test_window_is_half_open():

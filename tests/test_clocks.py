@@ -220,10 +220,14 @@ def test_fast_slew_applies_the_whole_delta():
 
 
 def test_slew_requires_positive_rate():
+    # a NaN rate was accepted before, and the next reading raised
+    # "cannot convert float NaN to integer"
     clock = make_clock(QUARTZ)
-    for rate in (0.0, -1e-2):
+    for rate in (0.0, -1e-2, math.nan, math.inf):
         with pytest.raises(ValueError):
             clock.apply_slew(seconds_to_ps(1.0), rate)
+    assert clock.offset_ps(seconds_to_ps(2.0)) == make_clock(QUARTZ).offset_ps(
+        seconds_to_ps(2.0))
 
 
 def test_reads_never_mutate_corrections():
@@ -294,3 +298,14 @@ def test_invalid_parameters_rejected():
         ClockParameters(noise_sigma=-1.0)
     with pytest.raises(ValueError):
         ClockParameters(model_kind="cubic")
+
+
+@pytest.mark.parametrize("field, value", [
+    ("alpha0", math.inf), ("beta", math.nan), ("gamma", -math.inf),
+    ("noise_sigma", math.nan), ("noise_sigma", math.inf),
+    ("jitter_bound_ns", math.inf), ("jitter_bound_ns", math.nan),
+])
+def test_parameters_that_are_not_finite_are_rejected(field, value):
+    # accepted before; the first reading then raised
+    with pytest.raises(ValueError, match=f"{field} must be finite, got {value!r}"):
+        ClockParameters(**{field: value})

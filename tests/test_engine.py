@@ -350,6 +350,24 @@ def test_a_bad_size_is_rejected_at_the_send(size_bits):
     assert [r["size_bits"] for r in engine.records if r["kind"] == "message_send"] == [0]
 
 
+@pytest.mark.parametrize("source, destination, named", [
+    ("c1", "c1", "source and destination must differ, got 'c1' twice"),
+    ("c1", "zz", "unknown node 'zz'"),
+    ("zz", "s1", "unknown node 'zz'"),
+], ids=["self_send", "unknown_destination", "unknown_source"])
+def test_a_bad_endpoint_is_rejected_at_the_send(source, destination, named):
+    # accepted before, then run_until raised after popping the send and
+    # left the message pending, its sequence number on no record
+    engine = make_engine()
+    with pytest.raises(ValueError, match=named):
+        engine.send_message(source, destination, 100, seconds_to_ps(0.5))
+    assert engine.messages == {} and engine.next_event_time_ps() is None
+    message = engine.send_message("c1", "s1", 100, seconds_to_ps(0.5))
+    assert message.message_id == "m00001"
+    engine.run_until(1.0)
+    assert message.status == "delivered"
+
+
 def two_path_graph():
     """c1 -- r1 -- s1 through a flaky router, or c1 -- r2 -- r3 -- s1."""
     nodes = [make_node("c1"), make_node("s1", "time_server"),

@@ -22,7 +22,7 @@ def query(src="c1", dst="s1", t=0.0, size=12000):
 
 def test_edge_weight_composes_three_terms(simple_view):
     # 12 us transmission + 500 us propagation + 50 us router = 562 us
-    link = simple_view.graph.links_of("c1")[0]
+    link = simple_view.graph.links[0]  # c1--r1
     weight = edge_weight_ps(simple_view, link, "r1", query())
     assert weight == 562_000_000
 
@@ -30,7 +30,7 @@ def test_edge_weight_composes_three_terms(simple_view):
 def test_edge_into_inactive_router_is_excluded():
     graph = line_graph([50e-6], failure_models={"r1": FailureModel("always_failed")})
     view = NetworkView(graph)
-    link = graph.links_of("c1")[0]
+    link = graph.links[0]  # c1--r1
     assert edge_weight_ps(view, link, "r1", query()) is None
 
 
@@ -38,7 +38,7 @@ def test_edge_weight_zero_case():
     graph = NetworkGraph([make_node("a"), make_node("b")],
                          [LinkSpec("a", "b", 1e12, 0.0)])
     view = NetworkView(graph)
-    link = graph.links_of("a")[0]
+    link = graph.links[0]
     assert edge_weight_ps(view, link, "b", query("a", "b", size=0)) == 0
 
 

@@ -9,7 +9,7 @@ from syncsim.clocks import ClockParameters, SoftwareClock, preset_parameters
 from syncsim.dotexport import export_graph
 from syncsim.netview import NetworkView
 from syncsim.scenario import (ATTACK_KEYS, CLOCK_KEYS, CONFIG_KEYS, FAILURE_KEYS,
-                              SYNC_OPTION_KEYS, ScenarioError, _int, _number,
+                              NODE_KEYS, SYNC_OPTION_KEYS, ScenarioError, _int, _number,
                               _number_or_null, load_scenario, parse_scenario,
                               run_scenario, validate_scenario)
 from syncsim.timebase import seconds_to_ps
@@ -269,6 +269,20 @@ def _mesh_attacks_with(multiplier: float, *extra: dict) -> dict:
      "got [[0, 0], [0, 1, 2]]"),
     ({**MINIMAL, "clocks": {"osc": {"model": "user_defined", "offset_table": 5}}},
      "clocks['osc']: offset_table must be an array of [time, offset] points, got 5"),
+    # sync_schedule checks of validate_scenario
+    ({**MINIMAL, "sync_schedule": [{**CRISTIAN, "algorithm": "ntp"}]},
+     "sync@1.0s: unknown algorithm 'ntp'"),
+    ({**MINIMAL, "sync_schedule": [{**CRISTIAN, "algorithm": ["cristian"]}]},
+     "sync@1.0s: unknown algorithm ['cristian']"),
+    ({**MINIMAL, "sync_schedule": [{**CRISTIAN, "algorithm": "berkeley",
+                                    "participants": ["c1"]}]},
+     "sync@1.0s: needs at least 2 participants"),
+    ({**MINIMAL, "nodes": MINIMAL["nodes"] + [ROUTER],
+      "sync_schedule": [{**CRISTIAN, "participants": ["c1", "r9"]}]},
+     "sync@1.0s: participant 'r9' has no clock"),
+    ({**MINIMAL, "nodes": MINIMAL["nodes"] + [{"id": "c2", "kind": "client"}],
+      "sync_schedule": [{**CRISTIAN, "participants": ["c2", "s1"]}]},
+     "sync@1.0s: participant 'c2' is disconnected"),
 ], ids=["top_level_array", "node", "link", "sync_entry", "workload_entry", "attack",
         "seed", "duration", "failure_model_null", "failure_field_null",
         # accepted before, then broke `run`
@@ -302,7 +316,10 @@ def _mesh_attacks_with(multiplier: float, *extra: dict) -> dict:
         "seed_string", "duration_string",
         # split into characters, or a Python error, before
         "participants_string", "participants_number", "offset_point_three_values",
-        "offset_table_number"])
+        "offset_table_number",
+        # sync_schedule checks of validate_scenario
+        "unknown_algorithm", "unknown_algorithm_array", "one_participant",
+        "participant_without_clock", "participant_disconnected"])
 def test_malformed_scenario_is_a_named_problem(tmp_path, data, named):
     path = tmp_path / "bad.json"
     path.write_text(data if isinstance(data, str) else json.dumps(data))
@@ -442,7 +459,7 @@ def _grid():
     places = [("config", _numeric(CONFIG_KEYS)), ("clocks", _numeric(CLOCK_KEYS)),
               *((mode, _numeric(FAILURE_KEYS)) for mode in FAILURE_BASES),
               ("attacks", _numeric(ATTACK_KEYS)), ("sync_options", _numeric(SYNC_OPTION_KEYS)),
-              ("routers", ["router_delay_s"]), ("links", ["bandwidth_bps", "distance_m"])]
+              ("routers", _numeric(NODE_KEYS)), ("links", ["bandwidth_bps", "distance_m"])]
     for path in sorted(SCENARIO_DIR.glob("*.json")):
         for where, keys in places:
             if _entries(json.loads(path.read_text()), where):
@@ -468,7 +485,8 @@ def test_extreme_value_is_a_named_problem_or_runs(path, where, key):
 # -- key tables ------------------------------------------------------------------
 
 # Every row of every key table: a preset clock with overrides, a user_defined
-# clock, an alternating router, all three attack kinds and every sync option.
+# clock, an alternating router, a router with a kind and a delay, all three
+# attack kinds and every sync option.
 # The config "name" is a label that no table declares.
 EVERY_ROW = {
     "config": {"seed": 7, "duration_s": 8.0, "name": "every_row"},
@@ -521,9 +539,11 @@ def test_every_key_table_row_is_read_into_its_field():
                                scenario.graph.nodes["r1"].failure_model)],
             "clocks": [(spec, scenario.clock_params[name])
                        for name, spec in EVERY_ROW["clocks"].items()],
-            "attacks": list(zip(EVERY_ROW["attacks"], scenario.attacks))}
+            "attacks": list(zip(EVERY_ROW["attacks"], scenario.attacks)),
+            "nodes": [(spec, scenario.graph.nodes[spec["id"]]) for spec in EVERY_ROW["nodes"]]}
     tables = {"config": CONFIG_KEYS, "sync_options": SYNC_OPTION_KEYS,
-              "failure_model": FAILURE_KEYS, "clocks": CLOCK_KEYS, "attacks": ATTACK_KEYS}
+              "failure_model": FAILURE_KEYS, "clocks": CLOCK_KEYS, "attacks": ATTACK_KEYS,
+              "nodes": NODE_KEYS}
     for section, table in tables.items():
         given = set()
         for spec, obj in read[section]:
