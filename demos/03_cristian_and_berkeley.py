@@ -26,7 +26,7 @@ engine = Engine(graph, seed=1)
 report = cristian_sync(engine, "c1", "s1", at=1.0)
 ex = report.exchanges[0]
 print(f"  client started 750 ms fast; correction {report.corrections_ps['c1']/1e12:+.6f} s")
-print(f"  rtt {ex.rtt * 1e3:.3f} ms, residual {report.residuals_ps['c1']/1e3:.1f} ns")
+print(f"  rtt {ex.rtt_ps / 1e9:.3f} ms, residual {report.residuals_ps['c1']/1e3:.1f} ns")
 
 print()
 print("=" * 70)

@@ -30,7 +30,7 @@ print("=" * 70)
 engine = build_engine()
 base = cristian_sync(engine, "c1", "s1", at=1.0)
 print(f"  route residual: {base.residuals_ps['c1']} ps, "
-      f"rtt {base.exchanges[0].rtt * 1e3:.3f} ms")
+      f"rtt {base.exchanges[0].rtt_ps / 1e9:.3f} ms")
 
 print()
 print("=" * 70)
@@ -50,7 +50,7 @@ ddos = AttackSpec("ddos", "r1", 0.0, 10.0, delay_multiplier=20.0)
 report = cristian_sync(build_engine((ddos,)), "c1", "s1", at=1.0)
 route = report.exchanges[0]
 print(f"  with r1 slowed 20x the round trips detour via r2: "
-      f"rtt {route.rtt * 1e3:.3f} ms")
+      f"rtt {route.rtt_ps / 1e9:.3f} ms")
 flood = AttackSpec("ddos", "r1", 0.0, 10.0, drop_probability=1.0)
 lossy = build_engine((flood,))
 report = cristian_sync(lossy, "c1", "s1", at=1.0)

@@ -7,8 +7,7 @@ time-sync attack injection, with byte-reproducible traces.
 
 from .attacks import AttackSpec
 from .clocks import (CLOCK_PRESETS, ClockParameters, SoftwareClock,
-                     clock_offset, extremum_analysis, preset_parameters,
-                     read_clock)
+                     extremum_analysis, preset_parameters)
 from .delay import (PathBlocked, PathDelayBreakdown, propagation_delay,
                     total_path_delay, transmission_delay)
 from .dotexport import export_graph

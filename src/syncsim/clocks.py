@@ -47,6 +47,9 @@ class ClockParameters:
             value = getattr(self, name)
             if not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        for point in self.offset_table:
+            if not all(map(math.isfinite, point)):
+                raise ValueError(f"offset_table points must be finite, got {point!r}")
         if self.model_kind not in MODEL_KINDS:
             raise ValueError(f"unknown clock model kind: {self.model_kind!r}")
         if self.noise_sigma < 0:
@@ -196,19 +199,6 @@ class SoftwareClock:
     def reading_ps(self, t_ps: int) -> int:
         """C(t) in integer picoseconds."""
         return t_ps + self.offset_ps(t_ps)
-
-
-def read_clock(clock: SoftwareClock, t: float) -> float:
-    """C(t): the clock's reading at wall time t, in seconds, defined as
-    t + alpha(t) so that C(t) - t = alpha(t) holds exactly in float too."""
-    return t + clock_offset(clock, t)
-
-
-def clock_offset(clock: SoftwareClock, t: float) -> float:
-    """alpha(t) = C(t) - t, in seconds; t is quantized to picoseconds."""
-    if t < 0:
-        raise ValueError("wall-clock time must be >= 0")
-    return ps_to_seconds(clock.offset_ps(seconds_to_ps(t)))
 
 
 # Named presets addressable from scenario files.  GNSS presets are

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .engine import Engine, Message
-from .timebase import half_ps, ps_to_seconds, seconds_to_ps
+from .timebase import half_ps, seconds_to_ps
 
 
 @dataclass(frozen=True)
@@ -45,6 +45,10 @@ class SyncOptions:
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):
                 raise ValueError(f"{name} must be finite, got {value!r}")
+        for name in ("request_size_bits", "reply_size_bits"):
+            value = getattr(self, name)
+            if type(value) is not int:
+                raise ValueError(f"{name} must be an int, got {value!r}")
         if self.request_size_bits < 0 or self.reply_size_bits < 0:
             raise ValueError("request and reply sizes must be >= 0 bits")
         if self.server_service_time < 0 or (self.outlier_threshold or 0) < 0:
@@ -87,10 +91,6 @@ class SyncExchange:
         self.messages_sent = 0
         self.settled = False
         self._timeout_event = None
-
-    @property
-    def rtt(self) -> float:
-        return ps_to_seconds(self.rtt_ps)
 
     def begin(self) -> None:
         engine, opts = self.owner.engine, self.owner.options

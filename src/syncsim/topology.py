@@ -6,6 +6,7 @@ state.  Router activity is a pure function of (failure model, seed, time),
 so the graph itself is immutable after construction.
 """
 
+import math
 from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -53,6 +54,10 @@ class FailureModel:
     def __post_init__(self):
         if self.mode not in FAILURE_MODES:
             raise ValueError(f"unknown failure mode: {self.mode!r}")
+        for name in ("failure_probability", "up_duration", "down_duration"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value!r}")
         if not 0.0 <= self.failure_probability <= 1.0:
             raise ValueError("failure_probability must be in [0, 1]")
         if self.mode == "alternating" and (seconds_to_ps(self.up_duration) <= 0
@@ -163,7 +168,7 @@ def validate(graph: NetworkGraph) -> list[str]:
         if node.is_router:
             if node.router_kind not in ROUTER_KINDS:
                 problems.append(f"{name}: unknown router kind {node.router_kind!r}")
-            if node.router_delay < 0:
+            if not node.router_delay >= 0:
                 problems.append(f"{name}: router_delay must be >= 0")
         else:
             if node.router_delay is not None:
@@ -180,9 +185,9 @@ def validate(graph: NetworkGraph) -> list[str]:
                 problems.append(f"{label}: endpoint {end!r} not in graph")
         if link.a == link.b:
             problems.append(f"{label}: self-loops are not allowed")
-        if link.bandwidth_bps <= 0:
+        if not link.bandwidth_bps > 0:
             problems.append(f"{label}: bandwidth must be > 0")
-        if link.distance_m < 0:
+        if not link.distance_m >= 0:
             problems.append(f"{label}: distance must be >= 0")
         if link.medium not in MEDIA:
             problems.append(f"{label}: unknown medium {link.medium!r}")

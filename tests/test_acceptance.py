@@ -3,8 +3,8 @@
 Each criterion records a PASS/FAIL line with its runtime, which the terminal
 summary prints (tests/conftest.py), so the gate can be read off a plain
 pytest run.  Tolerances are fixed here, not configurable:
-exact integer-picosecond equality where stated, 1 ns for synchronization
-corrections, 1e-12 s for drift-offset arithmetic.
+exact integer-picosecond equality where stated (drift offsets included) and
+1 ns for synchronization corrections.
 """
 
 import json
@@ -18,7 +18,7 @@ from pathlib import Path
 import pytest
 
 from syncsim.attacks import AttackSpec
-from syncsim.clocks import CLOCK_PRESETS, ClockParameters, SoftwareClock, clock_offset
+from syncsim.clocks import CLOCK_PRESETS, ClockParameters, SoftwareClock
 from syncsim.delay import total_path_delay
 from syncsim.engine import Engine
 from syncsim.netview import NetworkView
@@ -60,17 +60,16 @@ def test_criterion_1_extremum_reproduction():
         assert payload["t_star_s"] == 5e4
         assert payload["classification"] == "local_maximum"
         clock = SoftwareClock("a", ClockParameters(beta=10e-6, gamma=-1e-10))
-        peak = clock_offset(clock, 5e4)
-        assert abs(peak - 0.25) < 1e-12
-        assert clock_offset(clock, 5e4 - 100) < peak
-        assert clock_offset(clock, 5e4 + 100) < peak
+        assert clock.offset_ps(seconds_to_ps(5e4)) == 250_000_000_000
+        assert clock.offset_ps(seconds_to_ps(5e4 - 100)) == 249_999_000_000
+        assert clock.offset_ps(seconds_to_ps(5e4 + 100)) == 249_999_000_000
 
 
 def test_criterion_2_quadratic_model_flaw():
     with criterion(2, "quadratic-model-flaw", 1.0):
         clock = SoftwareClock("a", ClockParameters(beta=10e-6, gamma=-1e-10))
         # the modeled offset returns to zero on its own at t = -beta/gamma
-        assert abs(clock_offset(clock, 1e5)) < 1e-12
+        assert clock.offset_ps(seconds_to_ps(1e5)) == 0
 
 
 def test_criterion_3_delay_additivity():

@@ -6,8 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from syncsim.clocks import (CLOCK_PRESETS, ClockParameters, SoftwareClock,
-                            clock_offset, extremum_analysis, preset_parameters,
-                            read_clock)
+                            extremum_analysis, preset_parameters)
 from syncsim.timebase import seconds_to_ps
 
 QUARTZ = ClockParameters(beta=10e-6, gamma=-1e-10)
@@ -21,51 +20,45 @@ def make_clock(params, seed=0, clock_id="n1"):
 
 def test_identity_clock_reads_wall_time():
     clock = make_clock(ClockParameters(model_kind="linear"))
-    assert read_clock(clock, 42.0) == 42.0
+    assert clock.reading_ps(42_000_000_000_000) == 42_000_000_000_000
 
 
 def test_quadratic_drift_reading():
     # drift at t=5e4: 1e-5*5e4 - 1e-10*(5e4)^2 = 0.5 - 0.25
     clock = make_clock(QUARTZ)
-    assert read_clock(clock, 5e4) == 50000.25
+    assert clock.reading_ps(seconds_to_ps(5e4)) == 50_000_250_000_000_000
 
 
 def test_cesium_preset_linear_drift():
     # 1e6 seconds at 1 us/s drift: exactly 1000001 s
     clock = make_clock(preset_parameters("cesium"))
-    assert read_clock(clock, 1e6) == 1000001.0
+    assert clock.reading_ps(seconds_to_ps(1e6)) == 1_000_001_000_000_000_000
     assert preset_parameters("cesium").effective_gamma == 0.0
 
 
 def test_linear_model_ignores_gamma():
     params = ClockParameters(beta=1e-6, gamma=5.0, model_kind="linear")
     clock = make_clock(params)
-    assert clock_offset(clock, 1000.0) == pytest.approx(1e-6 * 1000.0, abs=1e-12)
-
-
-def test_negative_time_rejected():
-    clock = make_clock(QUARTZ)
-    with pytest.raises(ValueError):
-        read_clock(clock, -1.0)
+    assert clock.offset_ps(seconds_to_ps(1000.0)) == 1_000_000_000
 
 
 # -- offsets ----------------------------------------------------------------
 
-def test_perfect_clock_offset_is_zero():
+def test_offset_of_perfect_clock_is_zero():
     clock = make_clock(ClockParameters(model_kind="linear"))
     for t in (0.0, 1.0, 123.456, 9e5):
-        assert clock_offset(clock, t) == 0.0
+        assert clock.offset_ps(seconds_to_ps(t)) == 0
 
 
 def test_offset_of_quartz_at_extremum():
     clock = make_clock(QUARTZ)
-    assert abs(clock_offset(clock, 5e4) - 0.25) < 1e-12
+    assert clock.offset_ps(seconds_to_ps(5e4)) == 250_000_000_000
 
 
 def test_quadratic_offset_vanishes_at_double_extremum():
     # beta*t cancels gamma*t^2 at t = -beta/gamma = 1e5
     clock = make_clock(QUARTZ)
-    assert abs(clock_offset(clock, 1e5)) < 1e-12
+    assert clock.offset_ps(seconds_to_ps(1e5)) == 0
 
 
 @given(st.floats(min_value=0.0, max_value=1e6, allow_nan=False))
@@ -73,21 +66,22 @@ def test_offset_plus_time_is_reading(t):
     clock = make_clock(QUARTZ)
     t_ps = seconds_to_ps(t)
     assert t_ps + clock.offset_ps(t_ps) == clock.reading_ps(t_ps)
-    assert clock_offset(clock, t) + t == read_clock(clock, t)  # float identity
 
 
 @given(st.floats(min_value=0.0, max_value=1e6))
 def test_reading_is_pure(t):
     clock = make_clock(ClockParameters(beta=2e-6, gamma=1e-11, noise_sigma=1e-8))
-    assert read_clock(clock, t) == read_clock(clock, t)
+    t_ps = seconds_to_ps(t)
+    assert clock.reading_ps(t_ps) == clock.reading_ps(t_ps)
 
 
 def test_identical_clocks_agree():
     a = make_clock(ClockParameters(noise_sigma=1e-6), seed=99, clock_id="x")
     b = make_clock(ClockParameters(noise_sigma=1e-6), seed=99, clock_id="x")
-    assert all(read_clock(a, t) == read_clock(b, t) for t in (0.0, 1.5, 2.75))
+    times_ps = [seconds_to_ps(t) for t in (0.0, 1.5, 2.75)]
+    assert all(a.reading_ps(t_ps) == b.reading_ps(t_ps) for t_ps in times_ps)
     c = make_clock(ClockParameters(noise_sigma=1e-6), seed=99, clock_id="y")
-    assert read_clock(a, 1.5) != read_clock(c, 1.5)
+    assert a.reading_ps(times_ps[1]) != c.reading_ps(times_ps[1])
 
 
 # -- derivative and extremum ------------------------------------------------
@@ -107,8 +101,8 @@ def test_quantized_offset_finite_difference_matches_rate(t):
     # the picosecond-quantized reading path sustains the same derivative
     # once 2h is large enough that +-0.5 ps rounding is below 1e-6 relative
     clock = make_clock(QUARTZ)
-    h = 1e-3 * t
-    rate = (clock_offset(clock, t + h) - clock_offset(clock, t - h)) / (2 * h)
+    t_ps, h_ps = seconds_to_ps(t), seconds_to_ps(1e-3 * t)
+    rate = (clock.offset_ps(t_ps + h_ps) - clock.offset_ps(t_ps - h_ps)) / (2 * h_ps)
     expected = QUARTZ.beta + 2 * QUARTZ.gamma * t
     assert rate == pytest.approx(expected, rel=1e-6, abs=1e-12)
 
@@ -123,10 +117,10 @@ def test_extremum_of_quartz_parameters():
 
 def test_extremum_is_numerically_observable():
     clock = make_clock(QUARTZ)
-    peak = clock_offset(clock, 5e4)
+    peak = clock.offset_ps(seconds_to_ps(5e4))
     for delta in (1.0, 10.0, 100.0):
-        assert clock_offset(clock, 5e4 - delta) < peak
-        assert clock_offset(clock, 5e4 + delta) < peak
+        assert clock.offset_ps(seconds_to_ps(5e4 - delta)) < peak
+        assert clock.offset_ps(seconds_to_ps(5e4 + delta)) < peak
 
 
 def test_no_extremum_without_drift():
@@ -174,16 +168,16 @@ def test_noise_moments():
 
 def test_step_correction_shifts_readings():
     clock = make_clock(ClockParameters(model_kind="linear"))
-    before = read_clock(clock, 10.0)
+    before = clock.reading_ps(seconds_to_ps(10.0))
     clock.apply_step(seconds_to_ps(-2.0))
-    assert read_clock(clock, 10.0) == before - 2.0
+    assert clock.reading_ps(seconds_to_ps(10.0)) == before - seconds_to_ps(2.0)
 
 
 def test_zero_correction_is_identity():
     clock = make_clock(QUARTZ)
-    before = read_clock(clock, 10.0)
+    before = clock.reading_ps(seconds_to_ps(10.0))
     clock.apply_step(0)
-    assert read_clock(clock, 10.0) == before
+    assert clock.reading_ps(seconds_to_ps(10.0)) == before
 
 
 @pytest.mark.parametrize("correct", [
@@ -232,9 +226,9 @@ def test_slew_requires_positive_rate():
 
 def test_reads_never_mutate_corrections():
     clock = make_clock(QUARTZ)
-    before = read_clock(clock, 5.0)
+    before = clock.reading_ps(seconds_to_ps(5.0))
     assert clock.correction_at_ps(seconds_to_ps(1e6)) == 0
-    assert read_clock(clock, 5.0) == before
+    assert clock.reading_ps(seconds_to_ps(5.0)) == before
 
 
 # -- user-defined table -----------------------------------------------------
@@ -243,9 +237,9 @@ def test_user_table_interpolates_and_extrapolates_flat():
     params = ClockParameters(model_kind="user_defined",
                              offset_table=((0.0, 0.0), (10.0, 1.0)))
     clock = make_clock(params)
-    assert clock_offset(clock, 5.0) == pytest.approx(0.5, abs=1e-12)
-    assert clock_offset(clock, 100.0) == pytest.approx(1.0, abs=1e-12)
-    assert clock_offset(clock, 0.0) == 0.0
+    assert clock.offset_ps(seconds_to_ps(5.0)) == 500_000_000_000
+    assert clock.offset_ps(seconds_to_ps(100.0)) == 1_000_000_000_000
+    assert clock.offset_ps(0) == 0
 
 
 def test_user_table_between_far_apart_points_stays_finite():
@@ -256,6 +250,13 @@ def test_user_table_between_far_apart_points_stays_finite():
     offset = params.drift_offset(1e12)
     assert offset == -1e296 + 2e296 * (1e12 / 1e30)
     assert make_clock(params).offset_ps(seconds_to_ps(1e12)) == seconds_to_ps(offset)
+
+
+@pytest.mark.parametrize("point", [(math.nan, 1.0), (20.0, math.inf)], ids=["time", "offset"])
+def test_user_table_point_that_is_not_finite_is_rejected(point):
+    # accepted before; the first reading then raised an unnamed ValueError
+    with pytest.raises(ValueError, match=r"^offset_table points must be finite, got \("):
+        ClockParameters(model_kind="user_defined", offset_table=((0.0, 0.0), point))
 
 
 def test_user_table_requires_sorted_times():

@@ -114,6 +114,15 @@ def test_options_reject_a_non_finite_value(name, value):
         SyncOptions(**{name: value})
 
 
+@pytest.mark.parametrize("name", ["request_size_bits", "reply_size_bits"])
+@pytest.mark.parametrize("value", [1.5, True, 12000.0], ids=["fraction", "bool", "float"])
+def test_options_reject_a_size_that_is_not_an_int(name, value):
+    # accepted before; the round then failed inside its first event, with
+    # the clock already moved and nothing traced
+    with pytest.raises(ValueError, match=f"^{name} must be an int, got {value!r}$"):
+        SyncOptions(**{name: value})
+
+
 # -- Berkeley -----------------------------------------------------------------
 
 def star_engine(member_offsets, coordinator_offset=0.0, router_models=None):

@@ -1,3 +1,5 @@
+import math
+
 import pytest
 
 from syncsim.clocks import preset_parameters
@@ -48,6 +50,16 @@ def test_alternating_schedule():
     model = FailureModel("alternating", up_duration=2.0, down_duration=3.0)
     # the last time is in the next period
     assert flags(model, (0.0, 1.999, 2.0, 4.999, 5.0)) == [1, 1, 0, 0, 1]
+
+
+@pytest.mark.parametrize("field", ["failure_probability", "up_duration", "down_duration"])
+@pytest.mark.parametrize("value", [math.nan, math.inf], ids=["nan", "inf"])
+def test_failure_model_rejects_a_non_finite_value(field, value):
+    # an infinite duration raised OverflowError before, a NaN one "cannot
+    # convert float NaN to integer", and a probability the range message
+    fields = {"up_duration": 1.0, "down_duration": 1.0, field: value}
+    with pytest.raises(ValueError, match=f"^{field} must be finite, got {value!r}$"):
+        FailureModel("alternating", **fields)
 
 
 def test_alternating_duty_cycle_exact_over_whole_periods():
@@ -121,6 +133,18 @@ def test_nonpositive_bandwidth_reported():
     graph = make_graph([make_node("a"), make_node("b")],
                        [LinkSpec("a", "b", 0.0, 10.0)])
     assert any("bandwidth" in str(v) for v in validate(graph))
+
+
+@pytest.mark.parametrize("node, link, problem", [
+    (router("r1", delay=math.nan), LinkSpec("a", "r1", 1e6, 10.0),
+     "r1: router_delay must be >= 0"),
+    (router("r1"), LinkSpec("a", "r1", math.nan, 10.0), "link a--r1: bandwidth must be > 0"),
+    (router("r1"), LinkSpec("a", "r1", 1e6, math.nan), "link a--r1: distance must be >= 0"),
+], ids=["router_delay", "bandwidth_bps", "distance_m"])
+def test_nan_graph_number_reported(node, link, problem):
+    # validated clean before, and Engine(graph) then raised "cannot convert
+    # float NaN to integer"
+    assert validate(make_graph([make_node("a"), node], [link])) == [problem]
 
 
 def test_time_server_requires_drift_bounded_clock():
