@@ -18,8 +18,8 @@ from .routing import NoRoute, Route, RouteQuery, edge_weight_ps, shortest_path
 from .scenario import (Scenario, ScenarioError, SimConfig, SyncScheduleEntry,
                        WorkloadEntry, build_engine, load_scenario,
                        parse_scenario, run_scenario, validate_scenario)
-from .sync import (BerkeleyRound, CristianExchange, SyncOptions, SyncReport,
-                   berkeley_round, cristian_sync)
+from .sync import (BerkeleyRound, CristianExchange, SyncOptions, berkeley_round,
+                   cristian_sync)
 from .topology import (FailureModel, LinkSpec, NetworkGraph, NodeSpec,
                        medium_speed, validate)
 from .trace import (diff_traces, load_trace, parse_trace, trace_bytes,

@@ -114,12 +114,20 @@ class CompiledTopology:
 
     def size_terms(self, size_bits: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The transmission term and the link term of every link for a
-        message of size_bits."""
+        message of size_bits.  Raises ValueError naming the first link whose
+        transmission term is not a finite number of picoseconds."""
         terms = self._size_terms.get(size_bits)
         if terms is None:
-            transmission = tuple(seconds_to_ps(transmission_delay(size_bits, link.bandwidth_bps))
-                                 for link in self.links)
-            terms = self._size_terms[size_bits] = (transmission, tuple(
+            transmission = []
+            for link in self.links:
+                try:
+                    transmission.append(
+                        seconds_to_ps(transmission_delay(size_bits, link.bandwidth_bps)))
+                except OverflowError:
+                    raise ValueError(f"link {link.a}--{link.b}: transmission of a "
+                                     f"{size_bits}-bit message is not a finite number "
+                                     f"of picoseconds") from None
+            terms = self._size_terms[size_bits] = (tuple(transmission), tuple(
                 t + p for t, p in zip(transmission, self.propagation_ps)))
         return terms
 

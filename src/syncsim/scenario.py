@@ -394,9 +394,16 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             problems.append(f"medium_speeds_m_per_s: {medium}: speed must be a finite "
                             f"number > 0, got {speed!r}")
     if scenario.config.duration >= 0:
-        for name, params in scenario.clock_params.items():
+        # each clocks entry, then each other clock a node reads (a preset it
+        # names directly), named after the first node that reads it
+        clocks = {id(params): (f"clocks[{name!r}]", params)
+                  for name, params in scenario.clock_params.items()}
+        for node in graph.nodes.values():
+            if node.clock is not None:
+                clocks.setdefault(id(node.clock), (f"node {node.node_id!r} clock", node.clock))
+        for label, params in clocks.values():
             if not _drift_is_finite_ps(params, scenario.config.duration):
-                problems.append(f"clocks[{name!r}]: drift offset within duration_s is not "
+                problems.append(f"{label}: drift offset within duration_s is not "
                                 f"a finite number of picoseconds")
     if not problems:
         problems += _epoch_problems(scenario)

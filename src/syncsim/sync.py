@@ -11,17 +11,20 @@ offsets (its own counts as 0, optionally discarding outliers relative to
 the median), and sends every participant the delta that moves it onto the
 average.
 
-Both measure a peer with one class, `SyncExchange`.  Every wait (an
-exchange's reply, a Berkeley round's corrections) ends exactly once: the
-last awaited delivery cancels the deadline, or the deadline executes and
-whatever arrives later is delivered and traced but changes nothing.
+Both measure a peer with one class, `SyncExchange`.  A round owns its
+polls and is its own report: once it ends, its `report` is the round, and
+`cristian_sync`/`berkeley_round` return it.  Every wait (an exchange's
+reply, a Berkeley round's corrections) ends exactly once: the last awaited
+delivery cancels the deadline, or the deadline executes and whatever
+arrives later is delivered and traced but changes nothing.
 
 Residuals are measured against ground truth the protocol participants never
 see: the wall clock drives both the true delays and the reference readings.
 """
 
 import math
-from dataclasses import dataclass, field
+import statistics
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .engine import Engine, Message
@@ -129,25 +132,85 @@ class SyncExchange:
         # the client believes the server's clock now reads stamp + rtt/2
         self.offset_ps = reply.timestamp_ps + half_ps(self.rtt_ps) - self.t1_client_ps
         self.settled = True
-        self.owner._exchange_settled(self)
+        self.owner._exchange_settled()
 
     def _timed_out(self) -> dict:
         self.settled = True
-        self.owner._exchange_settled(self)
+        self.owner._exchange_settled()
         return self.timeout_payload
 
 
-@dataclass
-class SyncReport:
-    algorithm: str
-    participants: list[str]
-    corrections_ps: dict[str, int] = field(default_factory=dict)
-    residuals_ps: dict[str, int] = field(default_factory=dict)  # absolute values
-    messages_sent: int = 0
-    convergence_ps: int = 0
-    failed: bool = False
-    reason: str = ""
-    exchanges: list[SyncExchange] = field(default_factory=list)
+def _apply_policy(engine: Engine, node_id: str, delta_ps: int, at_ps: int,
+                  options: SyncOptions) -> None:
+    clock = engine.clocks[node_id]
+    if options.correction_policy == "step":
+        clock.apply_step(delta_ps, at_ps)
+    else:
+        clock.apply_slew(delta_ps, options.slew_rate, at_ps)
+
+
+class _Round:
+    """One sync round, which is also its own report: a `started` sync_step,
+    one `SyncExchange` per polled peer, one decision (`_polled`) once every
+    poll has settled, then exactly one terminal sync_step (`completed` or
+    `aborted`).  `report` is None until the round ends, then the round."""
+
+    algorithm = ""
+
+    def __init__(self, engine: Engine, participants: list[str],
+                 options: SyncOptions | None):
+        self.engine = engine
+        self.participants = participants
+        self.options = options or SyncOptions()
+        self.report: _Round | None = None
+        self.start_ps = 0
+        self._polls: list[SyncExchange] = []
+        self._corrections: list[Message] = []  # correction messages sent
+        self.corrections_ps: dict[str, int] = {}
+        self.residuals_ps: dict[str, int] = {}  # absolute values
+        self.messages_sent = 0
+        self.convergence_ps = 0
+        self.failed = False
+        self.reason = ""
+
+    @property
+    def exchanges(self) -> list[SyncExchange]:
+        """The polls that were replied to."""
+        return [poll for poll in self._polls if poll.offset_ps is not None]
+
+    def start(self, at_ps: int) -> None:
+        """Schedule the round; all clock reads happen when events execute."""
+        self.start_ps = at_ps
+        self.engine.schedule_ps(at_ps, "sync_step",
+                                {"algorithm": self.algorithm, "phase": "started",
+                                 "participants": list(self.participants)},
+                                action=self._begin)
+
+    def _begin(self) -> None:
+        for poll in self._polls:
+            poll.begin()
+        if not self._polls:
+            self._polled()
+
+    def _exchange_settled(self) -> None:
+        if all(poll.settled for poll in self._polls):
+            self._polled()
+
+    def _end(self, end_ps: int | None = None, failed: bool = False, reason: str = "",
+             messages_sent: int | None = None) -> None:
+        """The one terminal path: the round becomes its report and is traced.
+        It sent what its polls sent plus its correction messages."""
+        engine = self.engine
+        self.convergence_ps = (engine.now_ps if end_ps is None else end_ps) - self.start_ps
+        self.failed, self.reason = failed, reason
+        self.messages_sent = (sum(poll.messages_sent for poll in self._polls)
+                              + len(self._corrections)
+                              if messages_sent is None else messages_sent)
+        self.report = self
+        engine.sync_reports.append(self)
+        engine.schedule_ps(engine.now_ps, "sync_step",
+                           dict(phase="aborted" if failed else "completed",
+                                **self.trace_payload()))
 
     def trace_payload(self) -> dict:
         return {
@@ -161,50 +224,6 @@ class SyncReport:
         }
 
 
-def _apply_policy(engine: Engine, node_id: str, delta_ps: int, at_ps: int,
-                  options: SyncOptions) -> None:
-    clock = engine.clocks[node_id]
-    if options.correction_policy == "step":
-        clock.apply_step(delta_ps, at_ps)
-    else:
-        clock.apply_slew(delta_ps, options.slew_rate, at_ps)
-
-
-class _Round:
-    """Life cycle shared by both algorithms: a `started` sync_step, then
-    exactly one terminal sync_step (`completed` or `aborted`)."""
-
-    algorithm = ""
-
-    def __init__(self, engine: Engine, participants: list[str],
-                 options: SyncOptions | None):
-        self.engine = engine
-        self.participants = participants
-        self.options = options or SyncOptions()
-        self.report: SyncReport | None = None
-        self.start_ps = 0
-
-    def _schedule_start(self, at_ps: int, begin) -> None:
-        """Schedule the round; all clock reads happen when events execute."""
-        self.start_ps = at_ps
-        self.engine.schedule_ps(at_ps, "sync_step",
-                                {"algorithm": self.algorithm, "phase": "started",
-                                 "participants": list(self.participants)},
-                                action=begin)
-
-    def _end(self, end_ps: int | None = None, **fields) -> None:
-        """The one terminal path: store, report and trace the round's result."""
-        engine = self.engine
-        end_ps = engine.now_ps if end_ps is None else end_ps
-        report = SyncReport(self.algorithm, list(self.participants),
-                            convergence_ps=end_ps - self.start_ps, **fields)
-        self.report = report
-        engine.sync_reports.append(report)
-        engine.schedule_ps(engine.now_ps, "sync_step",
-                           dict(phase="aborted" if report.failed else "completed",
-                                **report.trace_payload()))
-
-
 class CristianExchange(_Round):
     """One Cristian round of participants (client, server): one exchange,
     then the client adopts the server."""
@@ -215,14 +234,14 @@ class CristianExchange(_Round):
                  options: SyncOptions | None = None):
         client, server = participants
         super().__init__(engine, [client, server], options)
-        self._exchange = SyncExchange(self, client, server,
-                                      {"sync_aborted": "cristian",
-                                       "participants": [client, server]})
+        self._polls = [SyncExchange(self, client, server,
+                                    {"sync_aborted": "cristian",
+                                     "participants": [client, server]})]
 
-    def start(self, at_ps: int) -> None:
-        self._schedule_start(at_ps, self._exchange.begin)
+    start = _Round.start  # in each class body, where the benchmark probe wraps it
 
-    def _exchange_settled(self, ex: SyncExchange) -> None:
+    def _polled(self) -> None:
+        (ex,) = self._polls
         if ex.offset_ps is None:
             # a failed round counts only the request the client knows it sent
             self._end(failed=True, reason="timeout", messages_sent=1)
@@ -232,9 +251,9 @@ class CristianExchange(_Round):
         _apply_policy(engine, ex.client, ex.offset_ps, t1_ps, self.options)
         ex.offset_error_ps = (engine.clocks[ex.client].reading_ps(t1_ps)
                               - engine.clocks[ex.server].reading_ps(t1_ps))
-        self._end(corrections_ps={ex.client: ex.offset_ps},
-                  residuals_ps={ex.client: abs(ex.offset_error_ps)},
-                  messages_sent=2, exchanges=[ex])
+        self.corrections_ps[ex.client] = ex.offset_ps
+        self.residuals_ps[ex.client] = abs(ex.offset_error_ps)
+        self._end()
 
 
 class BerkeleyRound(_Round):
@@ -252,62 +271,36 @@ class BerkeleyRound(_Round):
         members = [m for m in members if m != coordinator]
         super().__init__(engine, [coordinator] + members, options)
         self.coordinator = coordinator
-        self._polls = {m: SyncExchange(self, coordinator, m, {"unreachable": m})
-                       for m in members}
-        self._corrections_ps: dict[str, int] = {}
-        self._pending_corrections: set[str] = set()
-        self._last_correction_ps = 0
+        self._polls = [SyncExchange(self, coordinator, m, {"unreachable": m})
+                       for m in members]
         self._corrections_deadline_event = None
 
-    def start(self, at_ps: int) -> None:
-        self._schedule_start(at_ps, self._begin)
+    start = _Round.start  # in each class body, where the benchmark probe wraps it
 
-    def _begin(self) -> None:
-        for poll in self._polls.values():
-            poll.begin()
-        if not self._polls:
-            self._compute_corrections()
-
-    def _exchange_settled(self, exchange: SyncExchange) -> None:
-        if all(poll.settled for poll in self._polls.values()):
-            self._compute_corrections()
-
-    def _messages_sent(self) -> int:
-        return (sum(poll.messages_sent for poll in self._polls.values())
-                + sum(1 for p in self._corrections_ps if p != self.coordinator))
-
-    def _compute_corrections(self) -> None:
+    def _polled(self) -> None:
         engine, opts = self.engine, self.options
         now_ps = engine.now_ps
         offsets = {self.coordinator: 0}
-        offsets.update({m: poll.offset_ps for m, poll in self._polls.items()
-                        if poll.offset_ps is not None})
+        offsets.update({poll.server: poll.offset_ps for poll in self.exchanges})
         if len(offsets) < 2:
-            self._end(failed=True, reason="fewer than 2 reachable participants",
-                      messages_sent=self._messages_sent())
+            self._end(failed=True, reason="fewer than 2 reachable participants")
             return
-        values = sorted(offsets.values())
-        mid = len(values) // 2
-        median = (Fraction(values[mid]) if len(values) % 2 == 1
-                  else Fraction(values[mid - 1] + values[mid], 2))
+        values = list(offsets.values())
+        median = statistics.median(map(Fraction, values))
         surviving = values
         if opts.outlier_threshold is not None:
             threshold_ps = seconds_to_ps(opts.outlier_threshold)
             # a degenerate threshold that keeps no one falls back to all
-            surviving = [o for o in values
-                         if abs(Fraction(o) - median) <= threshold_ps] or values
+            surviving = [o for o in values if abs(o - median) <= threshold_ps] or values
         mean = Fraction(sum(surviving), len(surviving))
         for participant, offset_ps in offsets.items():
-            delta_ps = round(mean - offset_ps)
-            self._corrections_ps[participant] = delta_ps
+            delta_ps = self.corrections_ps[participant] = round(mean - offset_ps)
             if participant == self.coordinator:
                 _apply_policy(engine, participant, delta_ps, now_ps, opts)
-                self._last_correction_ps = now_ps
             else:
-                self._pending_corrections.add(participant)
-                engine.send_message(
+                self._corrections.append(engine.send_message(
                     self.coordinator, participant, opts.reply_size_bits,
-                    now_ps, purpose="sync_correction", on_delivery=self._correction_arrived)
+                    now_ps, purpose="sync_correction", on_delivery=self._correction_arrived))
         # corrections that never arrive must not stall the round
         self._corrections_deadline_event = engine.schedule_ps(
             now_ps + seconds_to_ps(opts.default_timeout), "timeout",
@@ -317,34 +310,31 @@ class BerkeleyRound(_Round):
         # the member applies a correction whenever it arrives, but one after
         # the deadline no longer moves the ended round
         member = message.destination
-        _apply_policy(self.engine, member, self._corrections_ps[member],
+        _apply_policy(self.engine, member, self.corrections_ps[member],
                       message.delivery_ps, self.options)
-        if self.report is not None:
-            return
-        self._last_correction_ps = max(self._last_correction_ps, message.delivery_ps)
-        self._pending_corrections.discard(member)
-        if not self._pending_corrections:
+        if self.report is None and all(m.status == "delivered" for m in self._corrections):
             self.engine.cancel(self._corrections_deadline_event)
             self._finish()
 
     def _corrections_deadline(self) -> dict:
-        stragglers = sorted(self._pending_corrections)
+        stragglers = sorted(m.destination for m in self._corrections
+                            if m.status != "delivered")
         self._finish()
         return {"undelivered_corrections": stragglers}
 
     def _finish(self) -> None:
         engine = self.engine
-        t_f = self._last_correction_ps
-        readings = {p: engine.clocks[p].reading_ps(t_f) for p in self._corrections_ps}
+        # the last correction took effect at the last delivery before the
+        # round ended, or when the coordinator corrected itself and sent them
+        t_f = max((m.delivery_ps for m in self._corrections if m.status == "delivered"),
+                  default=self._corrections[0].send_ps)
+        readings = {p: engine.clocks[p].reading_ps(t_f) for p in self.corrections_ps}
         ensemble_mean = Fraction(sum(readings.values()), len(readings))
-        residuals = {p: abs(round(reading - ensemble_mean))
-                     for p, reading in readings.items()}
-        unreachable = sorted(m for m, poll in self._polls.items() if poll.offset_ps is None)
-        self._end(end_ps=t_f, corrections_ps=dict(self._corrections_ps),
-                  residuals_ps=residuals, messages_sent=self._messages_sent(),
-                  reason="unreachable: " + ", ".join(unreachable) if unreachable else "",
-                  exchanges=[poll for poll in self._polls.values()
-                             if poll.offset_ps is not None])
+        self.residuals_ps = {p: abs(round(reading - ensemble_mean))
+                             for p, reading in readings.items()}
+        unreachable = sorted(poll.server for poll in self._polls if poll.offset_ps is None)
+        self._end(end_ps=t_f,
+                  reason="unreachable: " + ", ".join(unreachable) if unreachable else "")
 
 
 # algorithm name in a scenario's sync_schedule -> its round; each takes
@@ -352,7 +342,7 @@ class BerkeleyRound(_Round):
 ALGORITHMS = {"cristian": CristianExchange, "berkeley": BerkeleyRound}
 
 
-def _run_to_completion(engine: Engine, machine: _Round, at: float | None) -> SyncReport:
+def _run_to_completion(engine: Engine, machine: _Round, at: float | None) -> _Round:
     """Start the round at `at` seconds (default now) and run until it ends."""
     machine.start(engine.now_ps if at is None else seconds_to_ps(at))
     while machine.report is None:
@@ -365,13 +355,13 @@ def _run_to_completion(engine: Engine, machine: _Round, at: float | None) -> Syn
 
 def cristian_sync(engine: Engine, client: str, server: str,
                   at: float | None = None,
-                  options: SyncOptions | None = None) -> SyncReport:
-    """Run one Cristian round to completion and return its report."""
+                  options: SyncOptions | None = None) -> CristianExchange:
+    """Run one Cristian round to completion and return it."""
     return _run_to_completion(engine, CristianExchange(engine, (client, server), options), at)
 
 
 def berkeley_round(engine: Engine, coordinator: str, members: list[str],
                    at: float | None = None,
-                   options: SyncOptions | None = None) -> SyncReport:
-    """Run one Berkeley round to completion and return its report."""
+                   options: SyncOptions | None = None) -> BerkeleyRound:
+    """Run one Berkeley round to completion and return it."""
     return _run_to_completion(engine, BerkeleyRound(engine, (coordinator, *members), options), at)

@@ -13,7 +13,7 @@ from types import MappingProxyType
 
 from . import randstream
 from .clocks import ClockParameters
-from .timebase import seconds_to_ps
+from .timebase import PS_PER_SECOND, seconds_to_ps
 
 NODE_KINDS = ("client", "time_server", "router")
 FAILURE_MODES = ("always_active", "always_failed", "bernoulli", "alternating")
@@ -170,6 +170,8 @@ def validate(graph: NetworkGraph) -> list[str]:
                 problems.append(f"{name}: unknown router kind {node.router_kind!r}")
             if not node.router_delay >= 0:
                 problems.append(f"{name}: router_delay must be >= 0")
+            elif not math.isfinite(node.router_delay * PS_PER_SECOND):
+                problems.append(f"{name}: router_delay is not a finite number of picoseconds")
         else:
             if node.router_delay is not None:
                 problems.append(f"{name}: router_delay only applies to routers")
@@ -191,4 +193,8 @@ def validate(graph: NetworkGraph) -> list[str]:
             problems.append(f"{label}: distance must be >= 0")
         if link.medium not in MEDIA:
             problems.append(f"{label}: unknown medium {link.medium!r}")
+        elif link.distance_m >= 0 and not math.isfinite(
+                link.distance_m / DEFAULT_MEDIUM_SPEEDS[link.medium] * PS_PER_SECOND):
+            problems.append(f"{label}: propagation at the default {link.medium} speed is "
+                            f"not a finite number of picoseconds")
     return problems

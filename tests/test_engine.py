@@ -11,7 +11,7 @@ from syncsim.routing import NoRoute, RouteQuery, shortest_path
 from syncsim.scenario import build_engine, parse_scenario, run_scenario
 from syncsim.sync import cristian_sync
 from syncsim.timebase import seconds_to_ps
-from syncsim.topology import FailureModel, LinkSpec, NetworkGraph, NodeSpec
+from syncsim.topology import FailureModel, LinkSpec, NetworkGraph, NodeSpec, validate
 from syncsim.trace import trace_sha256
 
 from conftest import (ROOT, assert_every_seq_accounted_for, benchmark_workloads,
@@ -348,6 +348,23 @@ def test_a_bad_size_is_rejected_at_the_send(size_bits):
     engine.run_until(1.0)
     assert message.status == "delivered"
     assert [r["size_bits"] for r in engine.records if r["kind"] == "message_send"] == [0]
+
+
+def test_a_size_whose_link_term_overflows_is_rejected_at_the_send():
+    # the graph validates clean, since a 0-bit message crosses the link in
+    # 0 ps; a 100-bit one raised "cannot convert float infinity to integer"
+    # from the run before
+    graph = line_graph([50e-6], bandwidth_bps=1e-300)
+    assert validate(graph) == []
+    engine = make_engine(graph)
+    with pytest.raises(ValueError, match="^link c1--r1: transmission of a 100-bit message "
+                                         "is not a finite number of picoseconds$"):
+        engine.send_message("c1", "s1", 100, seconds_to_ps(0.5))
+    assert engine.messages == {} and engine.next_event_time_ps() is None
+    message = engine.send_message("c1", "s1", 0, seconds_to_ps(0.5))
+    assert message.message_id == "m00001"
+    engine.run_until(1.0)
+    assert message.status == "delivered"
 
 
 @pytest.mark.parametrize("source, destination, named", [

@@ -228,6 +228,11 @@ def _mesh_attacks_with(multiplier: float, *extra: dict) -> dict:
      "clocks['osc']: drift offset within duration_s is not a finite number of picoseconds"),
     ({**MINIMAL, "clocks": {"osc": {"noise_sigma_s": 1.7e296}}},
      "clocks['osc']: drift offset within duration_s is not a finite number of picoseconds"),
+    # a preset named by the node, not through a clocks entry: OK before, then broke `run`
+    ({**MINIMAL, "config": {"duration_s": 1e291},
+      "nodes": [{"id": "c1", "kind": "client", "clock": "quartz"}, MINIMAL["nodes"][1]],
+      "sync_schedule": [{**CRISTIAN, "time_s": 1e290}]},
+     "node 'c1' clock: drift offset within duration_s is not a finite number of picoseconds"),
     ({**MINIMAL, "nodes": [{"id": "c1", "kind": "client", "clock": ["x"]},
                            MINIMAL["nodes"][1]]},
      "nodes[0]: clock must be a JSON string, got ['x']"),
@@ -283,6 +288,34 @@ def _mesh_attacks_with(multiplier: float, *extra: dict) -> dict:
     ({**MINIMAL, "nodes": MINIMAL["nodes"] + [{"id": "c2", "kind": "client"}],
       "sync_schedule": [{**CRISTIAN, "participants": ["c2", "s1"]}]},
      "sync@1.0s: participant 'c2' is disconnected"),
+    # named problems that no other row reaches
+    ({**MINIMAL, "links": {}}, "links: expected a JSON array"),
+    ({**MINIMAL, "links": [{"a": "c1", "b": "s1", "bandwidth_bps": 1e6}]},
+     "links[0]: missing field 'distance_m'"),
+    ({**MINIMAL, "nodes": MINIMAL["nodes"] + [{"kind": "client"}]},
+     "nodes[2]: node without an id"),
+    ({**MINIMAL, "attacks": [{**ATTACK, "target": "zz"}]},
+     "attack ddos: unknown target 'zz'"),
+    ({**MINIMAL, "message_workload": [{**WORKLOAD, "destination": "zz"}]},
+     "message_workload[0]: unknown node 'zz'"),
+    ({**MINIMAL, "medium_speeds_m_per_s": {"laser": 3e8}},
+     "medium_speeds_m_per_s: unknown medium 'laser'"),
+    ({**MINIMAL, "links": [{**MINIMAL["links"][0], "medium": "laser"}]},
+     "link c1--s1: unknown medium 'laser'"),
+    ({**MINIMAL, "nodes": MINIMAL["nodes"] + [{**ROUTER, "router_kind": "optical"}]},
+     "r9: unknown router kind 'optical'"),
+    ({**MINIMAL, "nodes": MINIMAL["nodes"] + [{"id": "x9", "kind": "switch"}]},
+     "x9: unknown node kind 'switch'"),
+    ({**MINIMAL, "nodes": MINIMAL["nodes"] + [{"id": "c2", "kind": "client",
+                                               "router_delay_s": 1e-6}]},
+     "c2: router_delay only applies to routers"),
+    ({**MINIMAL, "attacks": [{"kind": "router_hijack", "target": "s1", "window_s": [0.0, 1.0],
+                              "mode": "reroute"}]},
+     "attacks[0]: unknown hijack mode: 'reroute'"),
+    ({**MINIMAL, "nodes": MINIMAL["nodes"] + [{**ROUTER, "failure_model": {"mode": "flaky"}}]},
+     "nodes[2]: unknown failure mode: 'flaky'"),
+    ({**MINIMAL, "sync_options": {"correction_policy": "jump"}},
+     "sync_options: unknown correction policy: 'jump'"),
 ], ids=["top_level_array", "node", "link", "sync_entry", "workload_entry", "attack",
         "seed", "duration", "failure_model_null", "failure_field_null",
         # accepted before, then broke `run`
@@ -304,7 +337,7 @@ def _mesh_attacks_with(multiplier: float, *extra: dict) -> dict:
         # validated OK before, then broke `run`
         "alternating_durations_zero_ps", "node_id_number", "node_id_bool",
         "window_three_elements", "window_one_element", "jitter_beyond_ps",
-        "noise_beyond_ps",
+        "noise_beyond_ps", "node_preset_drift_beyond_ps",
         # named a Python type error, not the field
         "clock_array", "router_kind_array", "preset_array",
         # a JSON boolean read as a number
@@ -319,7 +352,12 @@ def _mesh_attacks_with(multiplier: float, *extra: dict) -> dict:
         "offset_table_number",
         # sync_schedule checks of validate_scenario
         "unknown_algorithm", "unknown_algorithm_array", "one_participant",
-        "participant_without_clock", "participant_disconnected"])
+        "participant_without_clock", "participant_disconnected",
+        # named problems that no other row reaches
+        "links_object", "missing_field", "node_without_id", "attack_unknown_target",
+        "workload_unknown_node", "speed_unknown_medium", "link_unknown_medium",
+        "unknown_router_kind", "unknown_node_kind", "router_delay_on_client",
+        "unknown_hijack_mode", "unknown_failure_mode", "unknown_correction_policy"])
 def test_malformed_scenario_is_a_named_problem(tmp_path, data, named):
     path = tmp_path / "bad.json"
     path.write_text(data if isinstance(data, str) else json.dumps(data))

@@ -147,6 +147,25 @@ def test_nan_graph_number_reported(node, link, problem):
     assert validate(make_graph([make_node("a"), node], [link])) == [problem]
 
 
+@pytest.mark.parametrize("node, link, problem", [
+    (router("r1", delay=math.inf), LinkSpec("a", "r1", 1e6, 10.0),
+     "r1: router_delay is not a finite number of picoseconds"),
+    (router("r1", delay=1e300), LinkSpec("a", "r1", 1e6, 10.0),
+     "r1: router_delay is not a finite number of picoseconds"),
+    (router("r1"), LinkSpec("a", "r1", 1e6, math.inf),
+     "link a--r1: propagation at the default fiber speed is not a finite number of "
+     "picoseconds"),
+    (router("r1"), LinkSpec("a", "r1", 1e6, 1e305, "satellite"),
+     "link a--r1: propagation at the default satellite speed is not a finite number of "
+     "picoseconds"),
+], ids=["router_delay_infinite", "router_delay_beyond_ps", "distance_infinite",
+        "distance_beyond_ps"])
+def test_graph_number_beyond_ps_reported(node, link, problem):
+    # validated clean before, and the run then raised "cannot convert float
+    # infinity to integer"
+    assert validate(make_graph([make_node("a"), node], [link])) == [problem]
+
+
 def test_time_server_requires_drift_bounded_clock():
     quartz = preset_parameters("quartz")
     graph = make_graph([NodeSpec("s1", "time_server", clock=quartz),
