@@ -8,8 +8,7 @@ time-sync attack injection, with byte-reproducible traces.
 from .attacks import AttackSpec
 from .clocks import (CLOCK_PRESETS, ClockParameters, SoftwareClock,
                      extremum_analysis, preset_parameters)
-from .delay import (PathBlocked, PathDelayBreakdown, propagation_delay,
-                    total_path_delay, transmission_delay)
+from .delay import PathBlocked, PathDelayBreakdown, total_path_delay
 from .dotexport import export_graph
 from .engine import Engine, Message
 from .metrics import metrics_report
@@ -20,8 +19,7 @@ from .scenario import (Scenario, ScenarioError, SimConfig, SyncScheduleEntry,
                        parse_scenario, run_scenario, validate_scenario)
 from .sync import (BerkeleyRound, CristianExchange, SyncOptions, berkeley_round,
                    cristian_sync)
-from .topology import (FailureModel, LinkSpec, NetworkGraph, NodeSpec,
-                       medium_speed, validate)
+from .topology import FailureModel, LinkSpec, NetworkGraph, NodeSpec, validate
 from .trace import (diff_traces, load_trace, parse_trace, trace_bytes,
                     trace_sha256)
 

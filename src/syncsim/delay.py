@@ -7,11 +7,12 @@ computed in double precision seconds and quantized once to integer
 picoseconds, so a route's weight, its breakdown total and its last arrival
 offset are the same sum, and traces are platform independent.
 
-The link terms do not depend on time: `CompiledTopology` quantizes them
-once per link (transmission once per link and message size) and is what
-`total_path_delay` and the route search both read.  The router term is
-`NetworkView.hop_router_ps` at the path's send time, the rule the route
-search reads too.
+The link terms do not depend on time.  `topology.link_terms_ps` is the
+one place both link formulas are written and quantized; `CompiledTopology`
+calls it once per link (transmission once per link and message size) and
+is what `total_path_delay` and the route search both read.  The router
+term is `NetworkView.hop_router_ps` at the path's send time, the rule the
+route search reads too.
 
 An inactive router never contributes a numeric infinity: the walk is simply
 unroutable and `PathBlocked` names the failed router.
@@ -20,8 +21,7 @@ unroutable and `PathBlocked` names the failed router.
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
-from .timebase import seconds_to_ps
-from .topology import LinkSpec, NetworkGraph, medium_speed
+from .topology import NetworkGraph, link_terms_ps
 
 if TYPE_CHECKING:
     from .netview import NetworkView
@@ -48,34 +48,6 @@ class PathDelayBreakdown:
     @property
     def total_ps(self) -> int:
         return self.router_ps + self.transmission_ps + self.propagation_ps
-
-
-def transmission_delay(size_bits: int, bandwidth_bps: float) -> float:
-    """Seconds to push size_bits onto a link of the given bandwidth."""
-    if size_bits < 0:
-        raise ValueError("message size must be >= 0 bits")
-    if bandwidth_bps <= 0:
-        raise ValueError("bandwidth must be > 0")
-    return size_bits / bandwidth_bps
-
-
-def propagation_delay(distance_m: float, speed_m_per_s: float) -> float:
-    """Seconds for a signal to cover distance_m at the medium speed."""
-    if distance_m < 0:
-        raise ValueError("distance must be >= 0")
-    if speed_m_per_s <= 0:
-        raise ValueError("propagation speed must be > 0")
-    return distance_m / speed_m_per_s
-
-
-def link_terms_ps(link: LinkSpec, size_bits: int,
-                  medium_speeds: dict[str, float] | None) -> tuple[int, int]:
-    """(transmission, propagation) picoseconds of one traversal of `link` by
-    a message of size_bits.  Raises OverflowError when a term does not
-    quantize to a finite count."""
-    return (seconds_to_ps(transmission_delay(size_bits, link.bandwidth_bps)),
-            seconds_to_ps(propagation_delay(
-                link.distance_m, medium_speed(link.medium, medium_speeds))))
 
 
 class CompiledTopology:
@@ -108,6 +80,7 @@ class CompiledTopology:
             adjacency[b].append((a, i))
             self.link_between[link.a, link.b] = self.link_between[link.b, link.a] = i
         self.adjacency = tuple(map(tuple, adjacency))
+        self._medium_speeds = medium_speeds
         self.propagation_ps = tuple(link_terms_ps(link, 0, medium_speeds)[1]
                                     for link in self.links)
         self._size_terms: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {}
@@ -115,20 +88,12 @@ class CompiledTopology:
     def size_terms(self, size_bits: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The transmission term and the link term of every link for a
         message of size_bits.  Raises ValueError naming the first link whose
-        transmission term is not a finite number of picoseconds."""
+        delay is not a finite number of picoseconds."""
         terms = self._size_terms.get(size_bits)
         if terms is None:
-            transmission = []
-            for link in self.links:
-                try:
-                    transmission.append(
-                        seconds_to_ps(transmission_delay(size_bits, link.bandwidth_bps)))
-                except OverflowError:
-                    raise ValueError(f"link {link.a}--{link.b}: transmission of a "
-                                     f"{size_bits}-bit message is not a finite number "
-                                     f"of picoseconds") from None
-            terms = self._size_terms[size_bits] = (tuple(transmission), tuple(
-                t + p for t, p in zip(transmission, self.propagation_ps)))
+            pairs = [link_terms_ps(link, size_bits, self._medium_speeds) for link in self.links]
+            terms = self._size_terms[size_bits] = (tuple(t for t, _ in pairs),
+                                                   tuple(map(sum, pairs)))
         return terms
 
 

@@ -18,13 +18,13 @@ from dataclasses import dataclass, field, replace
 
 from .attacks import AttackSpec
 from .clocks import CLOCK_PRESETS, ClockParameters, extremum_analysis, preset_parameters
-from .delay import link_terms_ps
 from .engine import Engine
 from .metrics import metrics_report
 from .netview import epoch_edges, routing_epoch, up_router_ps
 from .sync import ALGORITHMS, SyncOptions
 from .timebase import PS_PER_SECOND, ps_to_seconds, seconds_to_ps
-from .topology import MEDIA, FailureModel, LinkSpec, NetworkGraph, NodeSpec, validate
+from .topology import (MEDIA, FailureModel, LinkSpec, NetworkGraph, NodeSpec, link_terms_ps,
+                       validate)
 
 
 class ScenarioError(Exception):
@@ -332,11 +332,8 @@ def _epoch_problems(scenario: Scenario) -> list[str]:
             seen.add(on_target)
             try:
                 up_router_ps(scenario.graph.nodes[target], active, t_ps)
-            except OverflowError:
-                kinds = " and ".join(a.kind for a in on_target)
-                problems.append(f"attack {kinds} on {target!r}: router delay from "
-                                f"{ps_to_seconds(t_ps)!r} s is not a finite number "
-                                f"of picoseconds")
+            except ValueError as exc:
+                problems.append(str(exc))
     return problems
 
 
@@ -419,9 +416,8 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         for link in graph.links:
             try:
                 longest_rtt_ps += 2 * sum(link_terms_ps(link, largest, scenario.medium_speeds))
-            except OverflowError:
-                problems.append(f"link {link.a}--{link.b}: delay of a {largest}-bit message "
-                                f"is not a finite number of picoseconds")
+            except ValueError as exc:
+                problems.append(str(exc))
         if scenario.sync_schedule and not problems:
             try:
                 sync.timeout_ps(longest_rtt_ps)

@@ -159,6 +159,9 @@ class _Round:
 
     def __init__(self, engine: Engine, participants: list[str],
                  options: SyncOptions | None):
+        for node_id in participants:
+            if node_id not in engine.clocks:
+                raise ValueError(f"participant {node_id!r} has no clock")
         self.engine = engine
         self.participants = participants
         self.options = options or SyncOptions()

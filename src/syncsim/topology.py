@@ -4,6 +4,12 @@ Links are undirected with symmetric parameters; asymmetry between the two
 directions of a round trip arises from routing and time-varying router
 state.  Router activity is a pure function of (failure model, seed, time),
 so the graph itself is immutable after construction.
+
+`link_terms_ps` is the only place a link's two delay formulas are written:
+size over bandwidth and distance over the medium's speed, each quantized
+once to integer picoseconds.  The compiled topology, `validate` and the
+scenario validator all call it, so a link term that is not finite is named
+wherever it is found.
 """
 
 import math
@@ -31,15 +37,6 @@ MEDIA = tuple(DEFAULT_MEDIUM_SPEEDS)
 # Default per-traversal processing delay by router kind (seconds).
 ROUTER_DELAY_DEFAULTS = {"wifi": 500e-6, "regular": 50e-6}
 ROUTER_KINDS = tuple(ROUTER_DELAY_DEFAULTS)
-
-
-def medium_speed(medium: str, overrides: dict[str, float] | None = None) -> float:
-    """Propagation speed for a link medium in m/s."""
-    speeds = DEFAULT_MEDIUM_SPEEDS if not overrides else {**DEFAULT_MEDIUM_SPEEDS, **overrides}
-    try:
-        return speeds[medium]
-    except KeyError:
-        raise ValueError(f"unknown link medium: {medium!r}") from None
 
 
 @dataclass(frozen=True)
@@ -133,6 +130,31 @@ class LinkSpec:
         return self.b if node_id == self.a else self.a
 
 
+def link_terms_ps(link: LinkSpec, size_bits: int,
+                  medium_speeds: Mapping[str, float] | None = None) -> tuple[int, int]:
+    """(transmission, propagation) picoseconds of one traversal of `link` by
+    a message of size_bits: size over bandwidth, and distance over the speed
+    of the link's medium (from `medium_speeds` when it names the medium,
+    else the default), each quantized once.  Raises ValueError for an
+    unknown medium, a size or distance < 0, a bandwidth or speed that is not
+    > 0, and a term that is not a finite number of picoseconds."""
+    speed = (medium_speeds or {}).get(link.medium, DEFAULT_MEDIUM_SPEEDS.get(link.medium))
+    if speed is None:
+        raise ValueError(f"unknown link medium: {link.medium!r}")
+    problem = (f"message size must be >= 0 bits, got {size_bits}" if not size_bits >= 0
+               else "bandwidth must be > 0" if not link.bandwidth_bps > 0
+               else "distance must be >= 0" if not link.distance_m >= 0
+               else f"{link.medium} speed must be > 0" if not speed > 0 else None)
+    if problem:
+        raise ValueError(f"link {link.a}--{link.b}: {problem}")
+    try:
+        return (seconds_to_ps(size_bits / link.bandwidth_bps),
+                seconds_to_ps(link.distance_m / speed))
+    except (OverflowError, ValueError):  # beyond the float range, or NaN from inf / inf
+        raise ValueError(f"link {link.a}--{link.b}: delay of a {size_bits}-bit message is "
+                         f"not a finite number of picoseconds") from None
+
+
 class NetworkGraph:
     """Immutable node/link collection.
 
@@ -193,8 +215,10 @@ def validate(graph: NetworkGraph) -> list[str]:
             problems.append(f"{label}: distance must be >= 0")
         if link.medium not in MEDIA:
             problems.append(f"{label}: unknown medium {link.medium!r}")
-        elif link.distance_m >= 0 and not math.isfinite(
-                link.distance_m / DEFAULT_MEDIUM_SPEEDS[link.medium] * PS_PER_SECOND):
-            problems.append(f"{label}: propagation at the default {link.medium} speed is "
-                            f"not a finite number of picoseconds")
+        elif link.bandwidth_bps > 0 and link.distance_m >= 0:
+            try:
+                link_terms_ps(link, 0)
+            except ValueError:
+                problems.append(f"{label}: propagation at the default {link.medium} speed "
+                                f"is not a finite number of picoseconds")
     return problems

@@ -1,12 +1,14 @@
+import math
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from syncsim.delay import (PathBlocked, propagation_delay, total_path_delay,
-                           transmission_delay)
+from syncsim.delay import PathBlocked, total_path_delay
 from syncsim.netview import NetworkView
 from syncsim.timebase import seconds_to_ps
-from syncsim.topology import FailureModel, LinkSpec, NetworkGraph, NodeSpec
+from syncsim.topology import FailureModel, LinkSpec, NetworkGraph, NodeSpec, link_terms_ps
 
 from conftest import line_graph
 
@@ -22,33 +24,55 @@ def full_path(view):
 
 
 # -- single-hop formulas -----------------------------------------------------
+# link_terms_ps returns one traversal's (transmission, propagation) terms
 
 def test_transmission_direct_division():
-    assert transmission_delay(12000, 1e6) == 0.012
+    # 12,000 bits at 1 Mb/s: 12 ms
+    assert link_terms_ps(LinkSpec("a", "b", 1e6, 0.0), 12000) == (12_000_000_000, 0)
 
 
 def test_transmission_zero_size():
-    assert transmission_delay(0, 5e9) == 0.0
+    assert link_terms_ps(LinkSpec("a", "b", 5e9, 0.0), 0) == (0, 0)
 
 
-def test_transmission_rejects_bad_inputs():
-    with pytest.raises(ValueError):
-        transmission_delay(100, 0.0)
-    with pytest.raises(ValueError):
-        transmission_delay(-1, 1e6)
+@pytest.mark.parametrize("bandwidth_bps, size_bits, problem", [
+    (0.0, 100, "link a--b: bandwidth must be > 0"),
+    (math.nan, 100, "link a--b: bandwidth must be > 0"),
+    (1e6, -1, "link a--b: message size must be >= 0 bits, got -1"),
+    (1e-300, 100, "link a--b: delay of a 100-bit message is not a finite number of "
+                  "picoseconds"),
+], ids=["zero_bandwidth", "nan_bandwidth", "negative_size", "beyond_ps"])
+def test_transmission_rejects_bad_inputs(bandwidth_bps, size_bits, problem):
+    with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+        link_terms_ps(LinkSpec("a", "b", bandwidth_bps, 10.0), size_bits)
 
 
 def test_propagation_direct_division():
-    assert propagation_delay(3e5, 2e8) == 1.5e-3
+    # 300 km at the default fiber speed, 2e8 m/s: 1.5 ms
+    assert link_terms_ps(LinkSpec("a", "b", 1e6, 3e5), 0) == (0, 1_500_000_000)
+    assert link_terms_ps(LinkSpec("a", "b", 1e6, 3e5), 12000) == (12_000_000_000,
+                                                                  1_500_000_000)
 
 
 def test_propagation_zero_distance():
-    assert propagation_delay(0.0, 2e8) == 0.0
+    assert link_terms_ps(LinkSpec("a", "b", 1e6, 0.0), 0, {"fiber": 1.0}) == (0, 0)
 
 
-def test_propagation_rejects_bad_speed():
-    with pytest.raises(ValueError):
-        propagation_delay(10.0, 0.0)
+@pytest.mark.parametrize("distance_m, speeds, problem", [
+    (10.0, {"fiber": 0.0}, "link a--b: fiber speed must be > 0"),
+    (10.0, {"fiber": -2e8}, "link a--b: fiber speed must be > 0"),
+    (10.0, {"fiber": math.nan}, "link a--b: fiber speed must be > 0"),
+    (-1.0, None, "link a--b: distance must be >= 0"),
+    (math.nan, None, "link a--b: distance must be >= 0"),
+    (10.0, {"fiber": 1e-300}, "link a--b: delay of a 0-bit message is not a finite number "
+                              "of picoseconds"),
+    (math.inf, {"fiber": math.inf}, "link a--b: delay of a 0-bit message is not a finite "
+                                    "number of picoseconds"),
+], ids=["zero_speed", "negative_speed", "nan_speed", "negative_distance", "nan_distance",
+        "beyond_ps", "inf_over_inf"])
+def test_propagation_rejects_bad_speed(distance_m, speeds, problem):
+    with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+        link_terms_ps(LinkSpec("a", "b", 1e6, distance_m), 0, speeds)
 
 
 # -- path sums ----------------------------------------------------------------

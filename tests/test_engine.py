@@ -1,4 +1,6 @@
 import json
+import math
+import re
 from collections import Counter
 
 import pytest
@@ -6,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syncsim import engine as engine_mod
+from syncsim.attacks import AttackSpec
 from syncsim.engine import Engine, SchedulingError
 from syncsim.routing import NoRoute, RouteQuery, shortest_path
 from syncsim.scenario import build_engine, parse_scenario, run_scenario
@@ -357,7 +360,7 @@ def test_a_size_whose_link_term_overflows_is_rejected_at_the_send():
     graph = line_graph([50e-6], bandwidth_bps=1e-300)
     assert validate(graph) == []
     engine = make_engine(graph)
-    with pytest.raises(ValueError, match="^link c1--r1: transmission of a 100-bit message "
+    with pytest.raises(ValueError, match="^link c1--r1: delay of a 100-bit message "
                                          "is not a finite number of picoseconds$"):
         engine.send_message("c1", "s1", 100, seconds_to_ps(0.5))
     assert engine.messages == {} and engine.next_event_time_ps() is None
@@ -365,6 +368,39 @@ def test_a_size_whose_link_term_overflows_is_rejected_at_the_send():
     assert message.message_id == "m00001"
     engine.run_until(1.0)
     assert message.status == "delivered"
+
+
+@pytest.mark.parametrize("speed, problem", [
+    (1e-300, "link c1--r1: delay of a 0-bit message is not a finite number of picoseconds"),
+    (math.nan, "link c1--r1: fiber speed must be > 0"),
+], ids=["beyond_ps", "nan"])
+def test_a_speed_override_whose_link_term_is_not_finite_names_the_link(speed, problem):
+    # the graph validates clean at the default speeds; the engine raised a
+    # bare OverflowError for 1e-300 and "cannot convert float NaN to
+    # integer" for NaN before
+    graph = line_graph([50e-6])
+    assert validate(graph) == []
+    with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+        make_engine(graph, medium_speeds={"fiber": speed})
+
+
+@pytest.mark.parametrize("router_delay, attacks, problem", [
+    (math.inf, (), "r1: router_delay is not a finite number of picoseconds"),
+    (math.nan, (), "r1: router_delay is not a finite number of picoseconds"),
+    (50e-6, (AttackSpec("ddos", "r1", 0.0, 10.0, delay_multiplier=1e305),),
+     "attack ddos on 'r1': router delay from 0.0 s is not a finite number of picoseconds"),
+    (50e-6, (AttackSpec("ddos", "r1", 2.5, 10.0, delay_multiplier=1e305),
+             AttackSpec("router_hijack", "r1", 2.0, 10.0, mode="added_delay",
+                        added_delay=1.0)),
+     "attack ddos and router_hijack on 'r1': router delay from 2.5 s is not a finite "
+     "number of picoseconds"),
+], ids=["router_delay_infinite", "router_delay_nan", "ddos", "ddos_and_hijack"])
+def test_a_router_term_that_is_not_finite_names_the_router(router_delay, attacks, problem):
+    # built through the API, with no scenario validation, the engine raised
+    # a bare OverflowError, or "cannot convert float NaN to integer", from
+    # netview.up_router_ps before
+    with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+        make_engine(line_graph([router_delay]), attacks=attacks)
 
 
 @pytest.mark.parametrize("source, destination, named", [

@@ -123,6 +123,19 @@ def test_options_reject_a_size_that_is_not_an_int(name, value):
         SyncOptions(**{name: value})
 
 
+@pytest.mark.parametrize("run", [
+    lambda engine: cristian_sync(engine, "c1", "r1"),
+    lambda engine: cristian_sync(engine, "r1", "s1"),
+    lambda engine: berkeley_round(engine, "s1", ["c1", "r1"]),
+], ids=["cristian_server", "cristian_client", "berkeley_member"])
+def test_a_participant_without_a_clock_is_rejected_when_the_round_is_built(run):
+    # raised KeyError: 'r1' from inside the run before, the round already queued
+    engine = Engine(line_graph([50e-6]), seed=0)
+    with pytest.raises(ValueError, match="^participant 'r1' has no clock$"):
+        run(engine)
+    assert engine.next_event_time_ps() is None and engine.records == []
+
+
 # -- Berkeley -----------------------------------------------------------------
 
 def star_engine(member_offsets, coordinator_offset=0.0, router_models=None):

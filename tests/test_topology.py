@@ -5,7 +5,7 @@ import pytest
 from syncsim.clocks import preset_parameters
 from syncsim.timebase import seconds_to_ps
 from syncsim.topology import (FailureModel, LinkSpec, NetworkGraph, NodeSpec,
-                              medium_speed, validate)
+                              link_terms_ps, validate)
 
 from conftest import make_node
 
@@ -79,17 +79,23 @@ def test_router_defaults_by_kind():
 
 # -- medium speeds -------------------------------------------------------------
 
-def test_medium_speed_constants():
-    assert medium_speed("fiber") == 2.0e8
-    assert medium_speed("copper") == 2.0e8
-    assert medium_speed("wireless") == 2.998e8
-    assert medium_speed("satellite") == 2.998e8
+@pytest.mark.parametrize("medium, distance_m", [
+    ("fiber", 2.0e8), ("copper", 2.0e8), ("wireless", 2.998e8), ("satellite", 2.998e8),
+])
+def test_medium_speed_constants(medium, distance_m):
+    # one second at the medium's default speed
+    link = LinkSpec("a", "b", 1e6, distance_m, medium)
+    assert link_terms_ps(link, 0) == (0, 10**12)
+    assert link_terms_ps(link, 0, {}) == (0, 10**12)
 
 
 def test_medium_speed_override_and_unknown():
-    assert medium_speed("fiber", {"fiber": 1.5e8}) == 1.5e8
-    with pytest.raises(ValueError):
-        medium_speed("carrier-pigeon")
+    link = LinkSpec("a", "b", 1e6, 3e5)
+    assert link_terms_ps(link, 0, {"fiber": 1.5e8}) == (0, 2_000_000_000)
+    # an override of another medium leaves the link's default
+    assert link_terms_ps(link, 0, {"copper": 1.5e8}) == (0, 1_500_000_000)
+    with pytest.raises(ValueError, match="^unknown link medium: 'carrier-pigeon'$"):
+        link_terms_ps(LinkSpec("a", "b", 1e6, 3e5, "carrier-pigeon"), 0)
 
 
 # -- validation -----------------------------------------------------------------
