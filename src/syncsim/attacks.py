@@ -15,11 +15,10 @@ window, behavior is bit-identical to the attack-free baseline: no stream
 draws are consumed and no trace annotations appear.
 """
 
-import math
 from dataclasses import dataclass, field
 
 from . import randstream
-from .timebase import seconds_to_ps
+from .timebase import require_finite, seconds_to_ps
 
 ATTACK_KINDS = ("ddos", "ip_spoof", "router_hijack")
 HIJACK_MODES = ("force_down", "added_delay")
@@ -44,10 +43,8 @@ class AttackSpec:
     end_ps: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for name in ("delay_multiplier", "drop_probability", "forged_offset", "added_delay"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        require_finite(self, "delay_multiplier", "drop_probability", "forged_offset",
+                       "added_delay")
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind: {self.kind!r}")
         if self.t_start > self.t_end:

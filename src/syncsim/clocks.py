@@ -18,7 +18,7 @@ from bisect import bisect_right
 from dataclasses import dataclass
 
 from . import randstream
-from .timebase import ps_to_seconds, require_ps, seconds_to_ps
+from .timebase import ps_to_seconds, require_finite, require_ps, seconds_to_ps
 
 MODEL_KINDS = ("linear", "quadratic", "user_defined")
 
@@ -43,10 +43,7 @@ class ClockParameters:
     jitter_bound_ns: float = 0.0
 
     def __post_init__(self):
-        for name in ("alpha0", "beta", "gamma", "noise_sigma", "jitter_bound_ns"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        require_finite(self, "alpha0", "beta", "gamma", "noise_sigma", "jitter_bound_ns")
         for point in self.offset_table:
             if not all(map(math.isfinite, point)):
                 raise ValueError(f"offset_table points must be finite, got {point!r}")
@@ -179,10 +176,8 @@ class SoftwareClock:
         """Schedule a gradual correction at `rate` seconds per simulated second."""
         require_ps(delta_ps, "correction delta")
         require_ps(at_ps, "correction time")
-        if not math.isfinite(rate):
-            raise ValueError(f"rate must be finite, got {rate!r}")
-        if rate <= 0:
-            raise ValueError("slew rate must be > 0")
+        if not 0 < rate < math.inf:
+            raise ValueError(f"slew rate must be finite and > 0, got {rate!r}")
         self._corrections.append((at_ps, delta_ps, rate))
 
     # -- readings ---------------------------------------------------------

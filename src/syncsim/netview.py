@@ -16,15 +16,16 @@ with a delay multiplier other than 1) the set of active ones, the view's
 routing epoch, is fixed, and so is every router's term while its failure
 model has it up.  The view builds the attack-free epoch first, then one
 epoch per distinct set of active routing attacks, so a set that recurs
-shares one epoch: its terms and its route tables.  A term that is not a
-finite number of picoseconds fails the view's construction, naming the
-router and the attacks on it (`up_router_ps`).  `epoch_at` looks the
-epoch of an instant up, and `attack_free_epoch` is the epoch with no
-routing attack.  `without_attacks` is a copy of the view with no attacks
-and only the attack-free epoch, so the baseline shares the view's
-compiled topology, its attack-free route tables and its router flags,
-which both draw alike: each router's flag is drawn once per instant, not
-once per view.
+shares one epoch: its terms and its route tables.  Each term is
+`topology.up_router_ps`, the one router rule, so a router delay that is
+not >= 0, or a term that is not a finite number of picoseconds, fails the
+view's construction with the words `validate` uses, naming the router and
+the attacks on it.  `epoch_at` looks the epoch of an instant up, and
+`attack_free_epoch` is the epoch with no routing attack.
+`without_attacks` is a copy of the view with no attacks and only the
+attack-free epoch, so the baseline shares the view's compiled topology,
+its attack-free route tables and its router flags, which both draw alike:
+each router's flag is drawn once per instant, not once per view.
 
 `router_active` and `router_delay_at` are the direct definition of the
 same terms, scanning the attack list at t; the DOT export draws from
@@ -40,8 +41,7 @@ from . import attacks as attacks_mod
 from . import randstream
 from .attacks import AttackSpec
 from .delay import CompiledTopology
-from .timebase import ps_to_seconds, seconds_to_ps
-from .topology import NetworkGraph, NodeSpec
+from .topology import NetworkGraph, up_router_ps
 
 
 def _reroutes(attack: AttackSpec) -> bool:
@@ -61,27 +61,6 @@ def epoch_edges(attacks: tuple[AttackSpec, ...]) -> tuple[int, ...]:
     before the first edge."""
     return tuple(sorted({edge for a in attacks if _reroutes(a)
                          for edge in (a.start_ps, a.end_ps)}))
-
-
-def up_router_ps(node: NodeSpec, attacks: tuple[AttackSpec, ...], t_ps: int) -> int | None:
-    """The router term of a hop into `node` at t_ps while its failure model
-    has it up: 0 for a client or time server, None for an always_failed
-    router or one a force_down hijack holds down, else its delay under the
-    attacks, quantized.  Raises ValueError, naming the router and the
-    attacks on it, when that delay is not a finite number of picoseconds."""
-    if not node.is_router:
-        return 0
-    if (node.failure_model.mode == "always_failed"
-            or attacks_mod.effective_flag(attacks, node.node_id, t_ps, 1) == 0):
-        return None
-    try:
-        return seconds_to_ps(attacks_mod.effective_router_delay(attacks, node.node_id, t_ps,
-                                                                node.router_delay))
-    except (OverflowError, ValueError):  # infinite, or NaN
-        kinds = " and ".join(a.kind for a in attacks if a.target == node.node_id)
-        term = (f"attack {kinds} on {node.node_id!r}: router delay from "
-                f"{ps_to_seconds(t_ps)!r} s" if kinds else f"{node.node_id}: router_delay")
-        raise ValueError(f"{term} is not a finite number of picoseconds") from None
 
 
 class Epoch:

@@ -20,11 +20,11 @@ from .attacks import AttackSpec
 from .clocks import CLOCK_PRESETS, ClockParameters, extremum_analysis, preset_parameters
 from .engine import Engine
 from .metrics import metrics_report
-from .netview import epoch_edges, routing_epoch, up_router_ps
+from .netview import epoch_edges, routing_epoch
 from .sync import ALGORITHMS, SyncOptions
 from .timebase import PS_PER_SECOND, ps_to_seconds, seconds_to_ps
-from .topology import (MEDIA, FailureModel, LinkSpec, NetworkGraph, NodeSpec, link_terms_ps,
-                       validate)
+from .topology import (MEDIA, FailureModel, LinkSpec, NetworkGraph, NodeSpec, admit_link,
+                       link_terms_ps, up_router_ps, validate)
 
 
 class ScenarioError(Exception):
@@ -229,6 +229,7 @@ def parse_scenario(data: dict) -> Scenario:
     clock_entries = data["clocks"] if isinstance(data.get("clocks"), dict) else {}
 
     nodes: dict[str, NodeSpec] = {}
+    declared: set[str] = set()  # each node entry's id, parsed or not
 
     def parse_node(spec: dict) -> None:
         node_id = _node_ref(spec.get("id", ""))
@@ -236,6 +237,7 @@ def parse_scenario(data: dict) -> Scenario:
             raise ValueError("node without an id")
         if node_id in nodes:
             raise ValueError(f"duplicate node id: {node_id!r}")
+        declared.add(node_id)
         kind = spec.get("kind", "client")
         clock = None
         if kind in ("client", "time_server"):
@@ -263,12 +265,9 @@ def parse_scenario(data: dict) -> Scenario:
                         bandwidth_bps=_number("bandwidth_bps", spec["bandwidth_bps"]),
                         distance_m=_number("distance_m", spec["distance_m"]),
                         medium=spec.get("medium", "fiber"))
-        if link.endpoints() in pairs:
-            raise ValueError(f"duplicate link between {link.a!r} and {link.b!r}")
-        pairs.add(link.endpoints())
+        admit_link(link, declared, pairs)  # a malformed node entry is its own problem
         return link
     links = _parse_each(data, "links", parse_link, problems)
-    graph = NetworkGraph(nodes.values(), links.values())
 
     schedule = _parse_each(data, "sync_schedule", lambda spec: SyncScheduleEntry(
         time_s=_number("time_s", spec["time_s"]),
@@ -286,7 +285,8 @@ def parse_scenario(data: dict) -> Scenario:
     medium_speeds = _section(data, "medium_speeds_m_per_s", dict, problems)
     if problems:
         raise ScenarioError(problems)
-    return Scenario(config=config, clock_params=clock_params, graph=graph,
+    return Scenario(config=config, clock_params=clock_params,
+                    graph=NetworkGraph(nodes.values(), links.values()),
                     sync_schedule=list(schedule.values()),
                     attacks=tuple(attacks.values()), workload=list(workload.values()),
                     medium_speeds=dict(medium_speeds),
@@ -319,7 +319,7 @@ def _drift_is_finite_ps(params: ClockParameters, duration: float) -> bool:
 
 def _epoch_problems(scenario: Scenario) -> list[str]:
     """Each routing epoch's router terms, computed as routing computes them
-    (`netview.up_router_ps`), must be finite picoseconds; a term that is
+    (`topology.up_router_ps`), must be finite picoseconds; a term that is
     not names its router, the attacks on it and when the epoch starts."""
     problems: list[str] = []
     seen: set[tuple[AttackSpec, ...]] = set()
@@ -410,9 +410,9 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                       + ([sync.request_size_bits, sync.reply_size_bits]
                          if scenario.sync_schedule else []), default=0)
         # no route crosses a link or router twice each way, so this bounds
-        # every baseline round trip a sync exchange budgets its timeout on
-        longest_rtt_ps = 2 * sum(seconds_to_ps(node.router_delay)
-                                 for node in graph.nodes.values() if node.is_router)
+        # every baseline round trip a sync exchange budgets its timeout on;
+        # a down router carries no route
+        longest_rtt_ps = 2 * sum(up_router_ps(node, (), 0) or 0 for node in graph.nodes.values())
         for link in graph.links:
             try:
                 longest_rtt_ps += 2 * sum(link_terms_ps(link, largest, scenario.medium_speeds))

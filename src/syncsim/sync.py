@@ -22,13 +22,12 @@ Residuals are measured against ground truth the protocol participants never
 see: the wall clock drives both the true delays and the reference readings.
 """
 
-import math
 import statistics
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .engine import Engine, Message
-from .timebase import half_ps, seconds_to_ps
+from .timebase import half_ps, require_finite, seconds_to_ps
 
 
 @dataclass(frozen=True)
@@ -43,11 +42,9 @@ class SyncOptions:
     default_timeout: float = 1.0              # seconds, when no baseline exists
 
     def __post_init__(self):
-        for name in ("server_service_time", "timeout_factor", "default_timeout",
-                     "outlier_threshold", "slew_rate"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        require_finite(self, "server_service_time", "timeout_factor", "default_timeout",
+                       *(name for name in ("outlier_threshold", "slew_rate")
+                         if getattr(self, name) is not None))
         for name in ("request_size_bits", "reply_size_bits"):
             value = getattr(self, name)
             if type(value) is not int:
@@ -159,6 +156,8 @@ class _Round:
 
     def __init__(self, engine: Engine, participants: list[str],
                  options: SyncOptions | None):
+        if len(set(participants)) != len(participants):
+            raise ValueError("participants must be distinct")
         for node_id in participants:
             if node_id not in engine.clocks:
                 raise ValueError(f"participant {node_id!r} has no clock")

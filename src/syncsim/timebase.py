@@ -7,6 +7,8 @@ quantities (delays, clock offsets) are computed in double precision seconds
 and quantized once, rounding half to even.
 """
 
+import math
+
 PS_PER_SECOND = 10**12
 PS_PER_NS = 10**3
 
@@ -16,6 +18,15 @@ def require_ps(t, name: str) -> None:
     count, and a bool, although an int subclass, would trace as true/false."""
     if type(t) is not int:
         raise TypeError(f"{name} must be an integer count of picoseconds, got {t!r}")
+
+
+def require_finite(owner, *names: str) -> None:
+    """Raise ValueError naming the first of the named fields of `owner`
+    whose value is not a finite number."""
+    for name in names:
+        value = getattr(owner, name)
+        if not math.isfinite(value):
+            raise ValueError(f"{name} must be finite, got {value!r}")
 
 
 def seconds_to_ps(seconds: float) -> int:

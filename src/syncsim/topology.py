@@ -5,21 +5,25 @@ directions of a round trip arises from routing and time-varying router
 state.  Router activity is a pure function of (failure model, seed, time),
 so the graph itself is immutable after construction.
 
-`link_terms_ps` is the only place a link's two delay formulas are written:
-size over bandwidth and distance over the medium's speed, each quantized
-once to integer picoseconds.  The compiled topology, `validate` and the
-scenario validator all call it, so a link term that is not finite is named
-wherever it is found.
+Each input rule on a graph is one function here, which the run and the
+validators both call, so an input that breaks it is named in the same
+words wherever it is found.  `link_terms_ps` writes a link's two delay
+formulas, size over bandwidth and distance over the medium's speed, each
+quantized once to integer picoseconds; `up_router_ps` a router's term, its
+delay under the attacks, quantized, or None while it is down; and
+`admit_link` where a link may go: between two of the graph's nodes, at
+most one link to a pair.
 """
 
-import math
-from collections.abc import Iterable, Mapping
+from collections.abc import Container, Iterable, Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
 
+from . import attacks as attacks_mod
 from . import randstream
+from .attacks import AttackSpec
 from .clocks import ClockParameters
-from .timebase import PS_PER_SECOND, seconds_to_ps
+from .timebase import ps_to_seconds, require_finite, seconds_to_ps
 
 NODE_KINDS = ("client", "time_server", "router")
 FAILURE_MODES = ("always_active", "always_failed", "bernoulli", "alternating")
@@ -51,10 +55,7 @@ class FailureModel:
     def __post_init__(self):
         if self.mode not in FAILURE_MODES:
             raise ValueError(f"unknown failure mode: {self.mode!r}")
-        for name in ("failure_probability", "up_duration", "down_duration"):
-            value = getattr(self, name)
-            if not math.isfinite(value):
-                raise ValueError(f"{name} must be finite, got {value!r}")
+        require_finite(self, "failure_probability", "up_duration", "down_duration")
         if not 0.0 <= self.failure_probability <= 1.0:
             raise ValueError("failure_probability must be in [0, 1]")
         if self.mode == "alternating" and (seconds_to_ps(self.up_duration) <= 0
@@ -139,9 +140,8 @@ def link_terms_ps(link: LinkSpec, size_bits: int,
     unknown medium, a size or distance < 0, a bandwidth or speed that is not
     > 0, and a term that is not a finite number of picoseconds."""
     speed = (medium_speeds or {}).get(link.medium, DEFAULT_MEDIUM_SPEEDS.get(link.medium))
-    if speed is None:
-        raise ValueError(f"unknown link medium: {link.medium!r}")
-    problem = (f"message size must be >= 0 bits, got {size_bits}" if not size_bits >= 0
+    problem = (f"unknown medium {link.medium!r}" if speed is None
+               else f"message size must be >= 0 bits, got {size_bits}" if not size_bits >= 0
                else "bandwidth must be > 0" if not link.bandwidth_bps > 0
                else "distance must be >= 0" if not link.distance_m >= 0
                else f"{link.medium} speed must be > 0" if not speed > 0 else None)
@@ -155,12 +155,50 @@ def link_terms_ps(link: LinkSpec, size_bits: int,
                          f"not a finite number of picoseconds") from None
 
 
+def up_router_ps(node: NodeSpec, attacks: tuple[AttackSpec, ...], t_ps: int) -> int | None:
+    """The router term of a hop into `node` at t_ps while its failure model
+    has it up: 0 for a client or time server, None for an always_failed
+    router or one a force_down hijack holds down, else its delay under the
+    attacks, quantized.  Raises ValueError for a router_delay that is not
+    >= 0, and, naming the router and the attacks on it, for a delay under
+    the attacks that is not a finite number of picoseconds, down or not."""
+    if not node.is_router:
+        return 0
+    if not node.router_delay >= 0:
+        raise ValueError(f"{node.node_id}: router_delay must be >= 0")
+    try:
+        term = seconds_to_ps(attacks_mod.effective_router_delay(attacks, node.node_id, t_ps,
+                                                                node.router_delay))
+    except OverflowError:  # infinite; a NaN delay failed the range check
+        kinds = " and ".join(a.kind for a in attacks if a.target == node.node_id)
+        name = (f"attack {kinds} on {node.node_id!r}: router delay from "
+                f"{ps_to_seconds(t_ps)!r} s" if kinds else f"{node.node_id}: router_delay")
+        raise ValueError(f"{name} is not a finite number of picoseconds") from None
+    if (node.failure_model.mode == "always_failed"
+            or attacks_mod.effective_flag(attacks, node.node_id, t_ps, 1) == 0):
+        return None
+    return term
+
+
+def admit_link(link: LinkSpec, node_ids: Container[str], pairs: set[frozenset[str]]) -> None:
+    """Add the pair `link` joins to `pairs`, the pairs of the links before
+    it, if both its endpoints are in `node_ids` and no link before it joins
+    the same two nodes; else raise ValueError naming the problem."""
+    for end in (link.a, link.b):
+        if end not in node_ids:
+            raise ValueError(f"link {link.a}--{link.b}: endpoint {end!r} not in graph")
+    if link.endpoints() in pairs:
+        raise ValueError(f"duplicate link between {link.a!r} and {link.b!r}")
+    pairs.add(link.endpoints())
+
+
 class NetworkGraph:
     """Immutable node/link collection.
 
     Nodes and links are fixed at construction, so anything derived from a
     graph (a view's compiled topology and its route cache) cannot go stale.
-    At most one link joins two nodes, so a path's hops name their links.
+    Every link joins two of its nodes, and at most one link joins two
+    nodes, so a path's hops name their links.
     """
 
     def __init__(self, nodes: Iterable[NodeSpec] = (), links: Iterable[LinkSpec] = ()):
@@ -172,9 +210,7 @@ class NetworkGraph:
         self.links: tuple[LinkSpec, ...] = tuple(links)
         pairs: set[frozenset[str]] = set()
         for link in self.links:
-            if link.endpoints() in pairs:
-                raise ValueError(f"duplicate link between {link.a!r} and {link.b!r}")
-            pairs.add(link.endpoints())
+            admit_link(link, by_id, pairs)
         self.nodes: Mapping[str, NodeSpec] = MappingProxyType(by_id)
 
 
@@ -190,10 +226,10 @@ def validate(graph: NetworkGraph) -> list[str]:
         if node.is_router:
             if node.router_kind not in ROUTER_KINDS:
                 problems.append(f"{name}: unknown router kind {node.router_kind!r}")
-            if not node.router_delay >= 0:
-                problems.append(f"{name}: router_delay must be >= 0")
-            elif not math.isfinite(node.router_delay * PS_PER_SECOND):
-                problems.append(f"{name}: router_delay is not a finite number of picoseconds")
+            try:
+                up_router_ps(node, (), 0)
+            except ValueError as exc:
+                problems.append(str(exc))
         else:
             if node.router_delay is not None:
                 problems.append(f"{name}: router_delay only applies to routers")
@@ -203,22 +239,10 @@ def validate(graph: NetworkGraph) -> list[str]:
                 problems.append(f"{name}: time_server clocks must be drift-bounded (gamma = 0)")
 
     for link in graph.links:
-        label = f"link {link.a}--{link.b}"
-        for end in (link.a, link.b):
-            if end not in graph.nodes:
-                problems.append(f"{label}: endpoint {end!r} not in graph")
         if link.a == link.b:
-            problems.append(f"{label}: self-loops are not allowed")
-        if not link.bandwidth_bps > 0:
-            problems.append(f"{label}: bandwidth must be > 0")
-        if not link.distance_m >= 0:
-            problems.append(f"{label}: distance must be >= 0")
-        if link.medium not in MEDIA:
-            problems.append(f"{label}: unknown medium {link.medium!r}")
-        elif link.bandwidth_bps > 0 and link.distance_m >= 0:
-            try:
-                link_terms_ps(link, 0)
-            except ValueError:
-                problems.append(f"{label}: propagation at the default {link.medium} speed "
-                                f"is not a finite number of picoseconds")
+            problems.append(f"link {link.a}--{link.b}: self-loops are not allowed")
+        try:
+            link_terms_ps(link, 0)
+        except ValueError as exc:
+            problems.append(str(exc))
     return problems

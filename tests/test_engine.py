@@ -386,7 +386,7 @@ def test_a_speed_override_whose_link_term_is_not_finite_names_the_link(speed, pr
 
 @pytest.mark.parametrize("router_delay, attacks, problem", [
     (math.inf, (), "r1: router_delay is not a finite number of picoseconds"),
-    (math.nan, (), "r1: router_delay is not a finite number of picoseconds"),
+    (math.nan, (), "r1: router_delay must be >= 0"),
     (50e-6, (AttackSpec("ddos", "r1", 0.0, 10.0, delay_multiplier=1e305),),
      "attack ddos on 'r1': router delay from 0.0 s is not a finite number of picoseconds"),
     (50e-6, (AttackSpec("ddos", "r1", 2.5, 10.0, delay_multiplier=1e305),
@@ -401,6 +401,45 @@ def test_a_router_term_that_is_not_finite_names_the_router(router_delay, attacks
     # netview.up_router_ps before
     with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
         make_engine(line_graph([router_delay]), attacks=attacks)
+
+
+@pytest.mark.parametrize("router_delay, failure_model, attacks, problem", [
+    (-1e-3, None, (), "r1: router_delay must be >= 0"),
+    (math.inf, FailureModel("always_failed"), (),
+     "r1: router_delay is not a finite number of picoseconds"),
+    (50e-6, None, (AttackSpec("ddos", "r1", 0.0, 10.0, delay_multiplier=1e305),
+                   AttackSpec("router_hijack", "r1", 0.0, 10.0)),
+     "attack ddos and router_hijack on 'r1': router delay from 0.0 s is not a finite "
+     "number of picoseconds"),
+], ids=["negative", "infinite_and_always_failed", "ddos_on_forced_down"])
+def test_a_router_delay_the_rule_rejects_fails_the_engine(router_delay, failure_model,
+                                                         attacks, problem):
+    # accepted before: the negative delay traced a hop_arrival before its own
+    # send, and a down router's delay was never quantized
+    graph = line_graph([router_delay], failure_models={"r1": failure_model})
+    with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+        make_engine(graph, attacks=attacks)
+
+
+@pytest.mark.parametrize("router_delay, link", [
+    (-1.0, {}), (math.nan, {}), (math.inf, {}), (1e300, {}),
+    (50e-6, {"bandwidth_bps": 0.0}), (50e-6, {"bandwidth_bps": math.nan}),
+    (50e-6, {"distance_m": math.nan}), (50e-6, {"distance_m": math.inf}),
+    (50e-6, {"distance_m": 1e305}), (50e-6, {"medium": "laser"}),
+], ids=["delay_negative", "delay_nan", "delay_infinite", "delay_beyond_ps",
+        "bandwidth_zero", "bandwidth_nan", "distance_nan", "distance_infinite",
+        "distance_beyond_ps", "medium_unknown"])
+def test_validate_names_what_the_engine_rejects_in_its_words(router_delay, link):
+    # one rule, one message: validate and the engine named a NaN router delay,
+    # an infinite distance and an unknown medium differently before
+    nodes = [make_node("c1"), make_node("r1", "router", router_delay=router_delay),
+             make_node("s1", "time_server")]
+    graph = NetworkGraph(nodes, [LinkSpec(**{"a": "c1", "b": "r1", "bandwidth_bps": 1e9,
+                                             "distance_m": 1e5, **link}),
+                                 LinkSpec("r1", "s1", 1e9, 1e5)])
+    with pytest.raises(ValueError) as error:
+        make_engine(graph)
+    assert validate(graph) == [str(error.value)]
 
 
 @pytest.mark.parametrize("source, destination, named", [

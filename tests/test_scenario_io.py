@@ -65,6 +65,26 @@ def test_link_to_undefined_node_is_reported(tmp_path):
     assert any("ghost" in p for p in excinfo.value.problems)
 
 
+def test_link_to_undefined_node_names_its_entry():
+    # parsed clean before, and only validate named the link, without its index
+    data = {**MINIMAL, "links": MINIMAL["links"] + [
+        {"a": "c1", "b": "ghost", "bandwidth_bps": 1e6, "distance_m": 1.0}]}
+    with pytest.raises(ScenarioError) as excinfo:
+        parse_scenario(data)
+    assert excinfo.value.problems == ["links[1]: link c1--ghost: endpoint 'ghost' not in graph"]
+
+
+def test_link_to_malformed_node_is_not_a_second_problem():
+    # the node entry is named; its links are not named again as dangling
+    data = {**MINIMAL, "nodes": MINIMAL["nodes"] + [
+        {"id": "r9", "kind": "router", "router_delay_s": "x"}],
+        "links": MINIMAL["links"] + [
+            {"a": "c1", "b": "r9", "bandwidth_bps": 1e6, "distance_m": 1.0}]}
+    with pytest.raises(ScenarioError) as excinfo:
+        parse_scenario(data)
+    assert excinfo.value.problems == ["nodes[2]: router_delay_s must be a number, got 'x'"]
+
+
 def test_parse_error_carries_line_info(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"config": {"seed": 1,}\n}')

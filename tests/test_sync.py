@@ -254,6 +254,21 @@ def test_coordinator_listed_as_member_is_not_polled():
     assert report.messages_sent == 6
 
 
+@pytest.mark.parametrize("run", [
+    lambda engine: cristian_sync(engine, "co", "co"),
+    lambda engine: berkeley_round(engine, "co", ["m1", "m1"]),
+    lambda engine: berkeley_round(engine, "co", ["co", "m1", "m1"]),
+], ids=["cristian", "berkeley", "berkeley_coordinator_listed"])
+def test_a_repeated_participant_is_rejected_when_the_round_is_built(run):
+    # cristian raised "source and destination must differ" from inside the
+    # run before, tracing nothing; berkeley polled m1 twice and counted 5
+    # messages sent
+    engine = star_engine([0.010])
+    with pytest.raises(ValueError, match="^participants must be distinct$"):
+        run(engine)
+    assert engine.next_event_time_ps() is None and engine.records == []
+
+
 def test_completed_round_emits_no_stray_timeouts():
     engine = star_engine([0.010, -0.004])
     berkeley_round(engine, "co", ["m1", "m2"], at=0.0)
