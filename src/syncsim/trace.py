@@ -11,14 +11,25 @@ followed by a newline.  Those bytes come from one formatter per key shape
 `namedtuple` builds its methods and cached.  A formatter unpacks the
 record's values and returns one f-string: the escaped `{"key":` /
 `,"key":` prefixes in sorted key order as `repr()` literals, each followed
-by its value's piece, `f'{v}'` for a value first seen as an exact int, the
-escaped string for one first seen as a str, and `json.dumps` of the value
-for any other type.  Only the int slots are checked (`type(v) is int`: a
-bool, float or int subclass would print wrongly through `f'{v}'`); the
-string escaper raises `TypeError` for any non-str value and encodes a str
-subclass as `json.dumps` does.  A failed int check or a `TypeError` sends
-the record through that `json.dumps` call whole, so a value it cannot
-encode raises its own error.  Keys enter the source only as `repr()`
+by its value's piece.  The type of each value in the first record of a
+shape makes its slot one of these kinds:
+
+- int (exact, `type(v) is int`): the digits;
+- str: the escaped string;
+- bool: `true` or `false`;
+- list (exact) of str: `[`, the escaped strings joined by `,`, `]`;
+- dict (exact) of str keys to exact ints: `{`, the `"key":int` pairs in
+  sorted key order joined by `,`, `}`;
+- any other type: `json.dumps` of the value.
+
+A value that does not fit its slot, such as a bool, float or int subclass
+in an int slot (`f'{v}'` would print it wrongly), is written by
+`json.dumps` of that value alone.  The int slots are checked before the
+f-string runs, and the string escaper raises `TypeError` for a value that
+is not a str (it encodes a str subclass as `json.dumps` does); either sends
+the record to a second f-string that checks every value.  Only when
+`json.dumps` of a value raises does the record go through `json.dumps`
+whole, which raises its own error.  Keys enter the source only as `repr()`
 literals, never inside f-string braces, and values never enter it.  A
 record with no keys or a non-str key also goes through `json.dumps` whole.
 `trace_bytes` writes the lines chunk by chunk into one buffer, so no str
@@ -29,7 +40,7 @@ import hashlib
 import io
 import json
 from collections.abc import Callable
-from json.encoder import encode_basestring_ascii
+from json.encoder import encode_basestring_ascii as _esc
 
 RECORD_KINDS = ("message_send", "hop_arrival", "delivery", "timeout", "sync_step")
 
@@ -49,31 +60,80 @@ def _line(record: dict) -> str:
     return _dumps(record) + "\n"
 
 
+def _int(value) -> str:
+    return f"{value}" if type(value) is int else _dumps(value)
+
+
+def _str(value) -> str:
+    return _esc(value) if type(value) is str else _dumps(value)
+
+
+def _bool(value) -> str:
+    return "true" if value is True else "false" if value is False else _dumps(value)
+
+
+def _strings(value) -> str:
+    if type(value) is list:
+        try:
+            return "[" + ",".join(map(_esc, value)) + "]"
+        except TypeError:  # an element that is not a str
+            pass
+    return _dumps(value)
+
+
+def _counts(value) -> str:
+    if type(value) is dict:
+        try:
+            pairs = [f"{_esc(key)}:{count}" for key, count in sorted(value.items())
+                     if type(count) is int]
+        except TypeError:  # a key that is not a str
+            pass
+        else:
+            if len(pairs) == len(value):
+                return "{" + ",".join(pairs) + "}"
+    return _dumps(value)
+
+
+# type of a slot's value in the first record of a shape -> the function that
+# writes the slot's value in every record of that shape
+_WRITERS = {int: "_int", str: "_str", bool: "_bool", list: "_strings", dict: "_counts"}
+
+
 def _generate(shape: tuple, values) -> Callable[[dict], str]:
     """The formatter for records of key shape `shape` (all str keys), each
     value typed as in `values`, the first record seen of that shape."""
     names = [f"v{i}" for i in range(len(shape))]
-    checks, pieces = [], {}
+    checks, fast, checked = [], {}, {}
     for key, name, value in zip(shape, names, values):
-        if type(value) is int:
+        writer = _WRITERS.get(type(value), "_dumps")
+        checked[key] = f"{writer}({name})"
+        if writer == "_int":
             checks.append(f"type({name}) is int")
-            pieces[key] = f"f'{{{name}}}'"
-        elif type(value) is str:
-            pieces[key] = f"f'{{_esc({name})}}'"
+            fast[key] = name
+        elif writer == "_str":
+            fast[key] = f"_esc({name})"
         else:
-            pieces[key] = f"f'{{_dumps({name})}}'"
-    line = " ".join([repr(("," if i else "{") + encode_basestring_ascii(key) + ":")
-                     + " " + pieces[key] for i, key in enumerate(sorted(shape))]
-                    + [repr("}\n")])
+            fast[key] = checked[key]
+
+    def line(pieces: dict) -> str:
+        return " ".join([repr(("," if i else "{") + _esc(key) + ":")
+                         + f" f'{{{pieces[key]}}}'" for i, key in enumerate(sorted(shape))]
+                        + [repr("}\n")])
+
     source = ("def format(record):\n"
               f"    {', '.join(names)}, = record.values()\n"
               f"    if {' and '.join(checks) or 'True'}:\n"
               "        try:\n"
-              f"            return {line}\n"
+              f"            return {line(fast)}\n"
               "        except TypeError:\n"
               "            pass\n"
-              "    return _line(record)\n")
-    namespace = {"_esc": encode_basestring_ascii, "_dumps": _dumps, "_line": _line}
+              "    try:\n"
+              f"        return {line(checked)}\n"
+              "    except (TypeError, ValueError):\n"
+              "        return _line(record)\n")
+    namespace = {"_esc": _esc, "_dumps": _dumps, "_line": _line,
+                 "_int": _int, "_str": _str, "_bool": _bool, "_strings": _strings,
+                 "_counts": _counts}
     exec(source, namespace)
     return namespace["format"]
 

@@ -1,12 +1,14 @@
 import json
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from syncsim import trace
+from syncsim import load_scenario, run_scenario, trace
 from syncsim.trace import (TraceFormatError, load_trace, parse_record, parse_trace,
                            trace_bytes)
+
+from conftest import ROOT, benchmark_workloads
 
 # strings json must escape: controls, quotes, non-ASCII, astral-plane
 # characters (written as surrogate pairs) and a lone surrogate
@@ -81,14 +83,16 @@ def test_record_with_300_keys():
     assert trace_bytes(records) == canonical_lines(records)
 
 
-@pytest.mark.parametrize("first", [7, "str", None, ["list"]], ids=["int", "str", "other", "list"])
+@pytest.mark.parametrize("first", [7, "str", None, ["list"], True, {"k": 1}],
+                         ids=["int", "str", "other", "list", "bool", "dict"])
 def test_value_json_dumps_cannot_encode_raises_its_error(first):
     # a shape first seen with `first` at one slot, later holding a value
     # json.dumps rejects there, raises what json.dumps raises
     shape_first = {"kind": "timeout", f"unencodable_after_{type(first).__name__}": first}
     later = [dict.fromkeys(shape_first, object()),
              {**shape_first, "kind": object()},
-             dict.fromkeys(shape_first, [object()])]
+             dict.fromkeys(shape_first, [object()]),
+             dict.fromkeys(shape_first, {"k": object()})]
     for record in later:
         for records in ([shape_first, record], [record]):
             assert outcome(trace_bytes, records) == outcome(canonical_lines, records) == TypeError
@@ -102,15 +106,79 @@ class Count(int):
     pass
 
 
-def test_value_types_unlike_the_first_record_of_a_shape_fall_back():
+class Strings(list):
+    pass
+
+
+def test_value_types_unlike_the_first_record_of_a_shape_fall_back(monkeypatch):
     # the shape's formatter is typed by the first record: int at t_int, str
-    # at t_str; every other type there must still give json.dumps bytes
-    first = {"t_int": 7, "t_str": "s", "t_other": None}
-    others = [True, 1.5, None, Text("sub"), Count(3), [4], "str", 8]
-    records = [first] + [{"t_int": value, "t_str": value, "t_other": value}
-                         for value in others]
+    # at t_str, bool, list of str and dict of str to int at t_bool, t_list
+    # and t_dict; every other value there must still give json.dumps's
+    # bytes, or its error
+    monkeypatch.setattr(trace, "_formatters", {})
+    first = {"t_int": 7, "t_str": "s", "t_bool": True, "t_list": ["a"], "t_dict": {"k": 1},
+             "t_other": None}
+    others = [True, 1.5, None, Text("sub"), Count(3), [4], "str", 8,
+              [1], ["a", None], [["a"]], [],
+              ("a",), "ab", Strings(["a"]), [Text("x")],
+              {}, {"b": 1, "a": 2}, {"k": True}, {"k": Count(3)}, {"k": 1.5}, {"k": "v"},
+              {1: 2}, {Text("k"): 1},
+              1, False]
+    records = [first] + [dict.fromkeys(first, value) for value in others]
     assert trace_bytes(records) == canonical_lines(records)
     assert [trace_bytes([r]) for r in records] == [canonical_lines([r]) for r in records]
+    # keys json.dumps cannot sort
+    unsortable = dict.fromkeys(first, {"a": 1, 2: 3})
+    assert outcome(trace_bytes, [first, unsortable]) == TypeError
+    assert outcome(canonical_lines, [first, unsortable]) == TypeError
+
+
+@st.composite
+def same_shape_pairs(draw):
+    """A record, then a second with the same keys in the same order."""
+    first = draw(RECORDS)
+    return first, {key: draw(VALUES) for key in first}
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(pair=same_shape_pairs())
+@example(pair=({"n": 1, "s": "a", "b": False, "l": ["x"], "d": {"k": 1}},
+               {"n": True, "s": 1, "b": 0, "l": "xy", "d": {"k": False}}))
+@example(pair=({"l": [], "d": {}}, {"l": [object()], "d": {"a": 1, 2: 3}}))
+def test_a_second_record_of_a_shape_follows_json_dumps(pair, monkeypatch):
+    # the first record types the slots of a fresh formatter; the second
+    # holds any values there
+    monkeypatch.setattr(trace, "_formatters", {})
+    assert outcome(trace_bytes, list(pair)) == outcome(canonical_lines, list(pair))
+
+
+# a benchmark workload (perfbench/workloads.py) at seed 1, or a bundled
+# scenario at its own seed
+ENGINE_TRACES = ["mesh", "line", "mesh_attacked", "campus_wifi_fiber", "fiber_vs_satellite",
+                 "minimal_pair", "mesh_attacks"]
+
+
+@pytest.mark.parametrize("source", ENGINE_TRACES)
+def test_engine_records_are_written_without_json_dumps(source, tmp_path, monkeypatch):
+    # every value the engine emits fits the slot the first record of its
+    # shape gave it, except an attack value, which json.dumps writes alone;
+    # no record is written by json.dumps whole
+    path = ROOT / "demos" / "scenarios" / f"{source}.json"
+    if not path.exists():
+        path = tmp_path / f"{source}.json"
+        path.write_bytes(benchmark_workloads().scenario_bytes(source, 1))
+    records = run_scenario(load_scenario(path))[1]
+    dumped, lined = [], []
+    dumps, line = trace._dumps, trace._line
+    monkeypatch.setattr(trace, "_formatters", {})
+    monkeypatch.setattr(trace, "_dumps", lambda value: dumped.append(value) or dumps(value))
+    monkeypatch.setattr(trace, "_line", lambda record: lined.append(record) or line(record))
+    trace_bytes(records)
+    attacks = {id(record["attack"]) for record in records if "attack" in record}
+    assert [value for value in dumped if id(value) not in attacks] == []
+    assert lined == []
+    assert bool(dumped) == (source in ("mesh_attacked", "mesh_attacks"))
 
 
 def test_trace_bytes_over_several_chunks_of_mixed_shapes():
