@@ -22,14 +22,16 @@ shape makes its slot one of these kinds:
   sorted key order joined by `,`, `}`;
 - any other type: `json.dumps` of the value.
 
-A value that does not fit its slot, such as a bool, float or int subclass
-in an int slot (`f'{v}'` would print it wrongly), is written by
-`json.dumps` of that value alone.  The int slots are checked before the
-f-string runs, and the string escaper raises `TypeError` for a value that
-is not a str (it encodes a str subclass as `json.dumps` does); either sends
-the record to a second f-string that checks every value.  Only when
-`json.dumps` of a value raises does the record go through `json.dumps`
-whole, which raises its own error.  Keys enter the source only as `repr()`
+The bool, list and dict writers check their value, and one that does not
+fit its slot (a tuple or str in a list slot, a float or nested value in a
+dict, ...) is written by `json.dumps` of that value alone.  The int slots
+are checked before the f-string runs (a bool, float or int subclass would
+print wrongly through `f'{v}'`), and the string escaper raises `TypeError`
+for a value that is not a str (it encodes a str subclass as `json.dumps`
+does).  A failed int check or a `TypeError`, from the escaper or from
+`json.dumps` of a value it cannot encode, sends the record through
+`json.dumps` whole, which writes it or raises its own error.  The engine's
+records never take that path.  Keys enter the source only as `repr()`
 literals, never inside f-string braces, and values never enter it.  A
 record with no keys or a non-str key also goes through `json.dumps` whole.
 `trace_bytes` writes the lines chunk by chunk into one buffer, so no str
@@ -60,14 +62,6 @@ def _line(record: dict) -> str:
     return _dumps(record) + "\n"
 
 
-def _int(value) -> str:
-    return f"{value}" if type(value) is int else _dumps(value)
-
-
-def _str(value) -> str:
-    return _esc(value) if type(value) is str else _dumps(value)
-
-
 def _bool(value) -> str:
     return "true" if value is True else "false" if value is False else _dumps(value)
 
@@ -95,45 +89,39 @@ def _counts(value) -> str:
 
 
 # type of a slot's value in the first record of a shape -> the function that
-# writes the slot's value in every record of that shape
-_WRITERS = {int: "_int", str: "_str", bool: "_bool", list: "_strings", dict: "_counts"}
+# writes the slot's value in every record of that shape (int and str slots
+# are written inline, any other type by _dumps)
+_WRITERS = {bool: _bool, list: _strings, dict: _counts}
 
 
 def _generate(shape: tuple, values) -> Callable[[dict], str]:
     """The formatter for records of key shape `shape` (all str keys), each
     value typed as in `values`, the first record seen of that shape."""
     names = [f"v{i}" for i in range(len(shape))]
-    checks, fast, checked = [], {}, {}
+    checks, pieces = [], {}
     for key, name, value in zip(shape, names, values):
-        writer = _WRITERS.get(type(value), "_dumps")
-        checked[key] = f"{writer}({name})"
-        if writer == "_int":
+        if type(value) is int:
             checks.append(f"type({name}) is int")
-            fast[key] = name
-        elif writer == "_str":
-            fast[key] = f"_esc({name})"
+            pieces[key] = name
+        elif type(value) is str:
+            pieces[key] = f"_esc({name})"
+        elif type(value) in _WRITERS:
+            pieces[key] = f"{_WRITERS[type(value)].__name__}({name})"
         else:
-            fast[key] = checked[key]
-
-    def line(pieces: dict) -> str:
-        return " ".join([repr(("," if i else "{") + _esc(key) + ":")
-                         + f" f'{{{pieces[key]}}}'" for i, key in enumerate(sorted(shape))]
-                        + [repr("}\n")])
-
+            pieces[key] = f"_dumps({name})"
+    line = " ".join([repr(("," if i else "{") + _esc(key) + ":")
+                     + f" f'{{{pieces[key]}}}'" for i, key in enumerate(sorted(shape))]
+                    + [repr("}\n")])
     source = ("def format(record):\n"
               f"    {', '.join(names)}, = record.values()\n"
               f"    if {' and '.join(checks) or 'True'}:\n"
               "        try:\n"
-              f"            return {line(fast)}\n"
+              f"            return {line}\n"
               "        except TypeError:\n"
               "            pass\n"
-              "    try:\n"
-              f"        return {line(checked)}\n"
-              "    except (TypeError, ValueError):\n"
-              "        return _line(record)\n")
+              "    return _line(record)\n")
     namespace = {"_esc": _esc, "_dumps": _dumps, "_line": _line,
-                 "_int": _int, "_str": _str, "_bool": _bool, "_strings": _strings,
-                 "_counts": _counts}
+                 **{writer.__name__: writer for writer in _WRITERS.values()}}
     exec(source, namespace)
     return namespace["format"]
 
