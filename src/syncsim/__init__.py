@@ -19,7 +19,7 @@ from .scenario import (Scenario, ScenarioError, SimConfig, SyncScheduleEntry,
                        parse_scenario, run_scenario, validate_scenario)
 from .sync import (BerkeleyRound, CristianExchange, SyncOptions, berkeley_round,
                    cristian_sync)
-from .topology import FailureModel, LinkSpec, NetworkGraph, NodeSpec, validate
+from .topology import FailureModel, LinkSpec, NetworkGraph, NodeSpec
 from .trace import (diff_traces, load_trace, parse_trace, trace_bytes,
                     trace_sha256)
 

@@ -48,7 +48,7 @@ def export_graph(view: NetworkView, t: float) -> str:
                 attrs.append('style=dashed')
                 attrs.append('color=gray50')
                 attrs.append('fontcolor=gray50')
-        elif node.clock is not None:
+        else:
             offset_ns = ps_to_ns(SoftwareClock(node_id, node.clock, view.seed).offset_ps(t_ps))
             label_parts.append(f"offset {offset_ns:.3f} ns")
         attrs.append('label="' + "\\n".join(map(_escape, label_parts)) + '"')

@@ -17,10 +17,10 @@ routing epoch, is fixed, and so is every router's term while its failure
 model has it up.  The view builds the attack-free epoch first, then one
 epoch per distinct set of active routing attacks, so a set that recurs
 shares one epoch: its terms and its route tables.  Each term is
-`topology.up_router_ps`, the one router rule, so a router delay that is
-not >= 0, or a term that is not a finite number of picoseconds, fails the
-view's construction with the words `validate` uses, naming the router and
-the attacks on it.  `epoch_at` looks the epoch of an instant up, and
+`topology.up_router_ps`, the one router rule, which `NodeSpec` applies
+with no attacks, so a term under the attacks that is not a finite number
+of picoseconds fails the view's construction in the same words, naming
+the router and the attacks on it.  `epoch_at` looks the epoch of an instant up, and
 `attack_free_epoch` is the epoch with no routing attack.
 `without_attacks` is a copy of the view with no attacks and only the
 attack-free epoch, so the baseline shares the view's compiled topology,

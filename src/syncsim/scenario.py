@@ -3,8 +3,9 @@
 Sections: config, clocks, nodes, links, sync_schedule, attacks,
 message_workload, medium_speeds_m_per_s, sync_options.  Times and durations
 carry an _s suffix (seconds); sizes are bits; bandwidths are bits/second.
-`load_scenario` fully validates cross-references and graph invariants
-before anything runs, reporting each problem with the entity it concerns.
+Parsing builds the graph, so a node or link that breaks a graph rule is a
+parse problem named after its entry; `load_scenario` then checks the
+cross-references before anything runs, each problem named with its entity.
 
 Clock presets addressable by name: perfect, cesium, quartz, gps, beidou,
 galileo, glonass.  A node's "clock" field may name an entry of the clocks
@@ -24,7 +25,7 @@ from .netview import epoch_edges, routing_epoch
 from .sync import ALGORITHMS, SyncOptions
 from .timebase import PS_PER_SECOND, ps_to_seconds, seconds_to_ps
 from .topology import (MEDIA, FailureModel, LinkSpec, NetworkGraph, NodeSpec, admit_link,
-                       link_terms_ps, up_router_ps, validate)
+                       link_terms_ps, up_router_ps)
 
 
 class ScenarioError(Exception):
@@ -246,7 +247,9 @@ def parse_scenario(data: dict) -> Scenario:
                 clock = clock_params[clock_name]
             elif clock_name in CLOCK_PRESETS:
                 clock = preset_parameters(clock_name)
-            elif clock_name not in clock_entries:  # a malformed entry is its own problem
+            elif clock_name in clock_entries:  # a malformed entry is its own problem
+                return
+            else:
                 raise ValueError(f"node {node_id!r}: unknown clock {clock_name!r}")
         failure = None
         if "failure_model" in spec:
@@ -264,7 +267,7 @@ def parse_scenario(data: dict) -> Scenario:
         link = LinkSpec(a=_node_ref(spec["a"]), b=_node_ref(spec["b"]),
                         bandwidth_bps=_number("bandwidth_bps", spec["bandwidth_bps"]),
                         distance_m=_number("distance_m", spec["distance_m"]),
-                        medium=spec.get("medium", "fiber"))
+                        medium=_text("medium", spec.get("medium", "fiber")))
         admit_link(link, declared, pairs)  # a malformed node entry is its own problem
         return link
     links = _parse_each(data, "links", parse_link, problems)
@@ -338,9 +341,10 @@ def _epoch_problems(scenario: Scenario) -> list[str]:
 
 
 def validate_scenario(scenario: Scenario) -> list[str]:
-    """Graph invariants plus scenario-level cross-reference checks, each
-    problem as "entity: message"."""
-    problems = validate(scenario.graph)
+    """Scenario-level cross-reference checks and the run's bounds, each
+    problem as "entity: message"; the graph's own rules hold once it is
+    built."""
+    problems: list[str] = []
     graph = scenario.graph
     linked = {end for link in graph.links for end in (link.a, link.b)}
     if scenario.config.duration < 0:
@@ -434,6 +438,9 @@ def load_scenario(path) -> Scenario:
             text = handle.read()
     except OSError as exc:
         raise ScenarioError([f"{path}: cannot read: {exc.strerror}"]) from None
+    except UnicodeDecodeError as exc:
+        raise ScenarioError([f"{path}: not UTF-8 text ({exc.reason} at byte "
+                             f"{exc.start})"]) from None
     try:
         data = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -234,6 +234,8 @@ class CristianExchange(_Round):
 
     def __init__(self, engine: Engine, participants: tuple[str, ...],
                  options: SyncOptions | None = None):
+        if len(participants) != 2:
+            raise ValueError("cristian needs exactly 2 participants")
         client, server = participants
         super().__init__(engine, [client, server], options)
         self._polls = [SyncExchange(self, client, server,

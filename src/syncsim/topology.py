@@ -5,14 +5,15 @@ directions of a round trip arises from routing and time-varying router
 state.  Router activity is a pure function of (failure model, seed, time),
 so the graph itself is immutable after construction.
 
-Each input rule on a graph is one function here, which the run and the
-validators both call, so an input that breaks it is named in the same
-words wherever it is found.  `link_terms_ps` writes a link's two delay
-formulas, size over bandwidth and distance over the medium's speed, each
-quantized once to integer picoseconds; `up_router_ps` a router's term, its
-delay under the attacks, quantized, or None while it is down; and
-`admit_link` where a link may go: between two of the graph's nodes, at
-most one link to a pair.
+A graph is valid once it is built: each node, link and graph constructor
+raises ValueError naming the first rule its input breaks.  Each input rule
+on a graph is one function here, which the constructors and the run both
+call, so an input that breaks it is named in the same words wherever it is
+found.  `link_terms_ps` writes a link's two delay formulas, size over
+bandwidth and distance over the medium's speed, each quantized once to
+integer picoseconds; `up_router_ps` a router's term, its delay under the
+attacks, quantized, or None while it is down; and `admit_link` where a
+link may go: between two of the graph's nodes, at most one link to a pair.
 """
 
 from collections.abc import Container, Iterable, Mapping
@@ -88,8 +89,9 @@ class FailureModel:
 class NodeSpec:
     """One node: a client, a time server, or a router.
 
-    Clients and time servers carry a clock; routers carry a per-traversal
-    processing delay and a failure model.
+    Clients and time servers carry a clock, a time server's with gamma 0;
+    routers carry a per-traversal processing delay, by default their
+    kind's, and a failure model.
     """
 
     node_id: str
@@ -100,14 +102,25 @@ class NodeSpec:
     clock: ClockParameters | None = None
 
     def __post_init__(self):
-        if self.kind == "router":
+        name = self.node_id
+        if self.kind not in NODE_KINDS:
+            raise ValueError(f"{name}: unknown node kind {self.kind!r}")
+        if self.is_router:
             if self.router_kind is None:
                 object.__setattr__(self, "router_kind", "regular")
+            if self.router_kind not in ROUTER_KINDS:
+                raise ValueError(f"{name}: unknown router kind {self.router_kind!r}")
             if self.router_delay is None:
-                object.__setattr__(self, "router_delay",
-                                   ROUTER_DELAY_DEFAULTS.get(self.router_kind, 50e-6))
+                object.__setattr__(self, "router_delay", ROUTER_DELAY_DEFAULTS[self.router_kind])
             if self.failure_model is None:
                 object.__setattr__(self, "failure_model", FailureModel())
+            up_router_ps(self, (), 0)
+        elif self.router_delay is not None:
+            raise ValueError(f"{name}: router_delay only applies to routers")
+        elif self.clock is None:
+            raise ValueError(f"{name}: {self.kind} needs a clock")
+        elif self.kind == "time_server" and self.clock.effective_gamma != 0.0:
+            raise ValueError(f"{name}: time_server clocks must be drift-bounded (gamma = 0)")
 
     @property
     def is_router(self) -> bool:
@@ -116,13 +129,19 @@ class NodeSpec:
 
 @dataclass(frozen=True)
 class LinkSpec:
-    """Undirected link with symmetric bandwidth/distance/medium."""
+    """Undirected link with symmetric bandwidth/distance/medium between two
+    distinct nodes; a 0-bit message crosses it in finite picoseconds."""
 
     a: str
     b: str
     bandwidth_bps: float
     distance_m: float
     medium: str = "fiber"
+
+    def __post_init__(self):
+        if self.a == self.b:
+            raise ValueError(f"link {self.a}--{self.b}: self-loops are not allowed")
+        link_terms_ps(self, 0)
 
     def endpoints(self) -> frozenset[str]:
         return frozenset((self.a, self.b))
@@ -212,37 +231,3 @@ class NetworkGraph:
         for link in self.links:
             admit_link(link, by_id, pairs)
         self.nodes: Mapping[str, NodeSpec] = MappingProxyType(by_id)
-
-
-def validate(graph: NetworkGraph) -> list[str]:
-    """Check graph invariants, each problem as "entity: message"; an empty
-    list means the graph is valid."""
-    problems: list[str] = []
-    for node in graph.nodes.values():
-        name = node.node_id
-        if node.kind not in NODE_KINDS:
-            problems.append(f"{name}: unknown node kind {node.kind!r}")
-            continue
-        if node.is_router:
-            if node.router_kind not in ROUTER_KINDS:
-                problems.append(f"{name}: unknown router kind {node.router_kind!r}")
-            try:
-                up_router_ps(node, (), 0)
-            except ValueError as exc:
-                problems.append(str(exc))
-        else:
-            if node.router_delay is not None:
-                problems.append(f"{name}: router_delay only applies to routers")
-            if node.clock is None:
-                problems.append(f"{name}: {node.kind} needs a clock")
-            elif node.kind == "time_server" and node.clock.effective_gamma != 0.0:
-                problems.append(f"{name}: time_server clocks must be drift-bounded (gamma = 0)")
-
-    for link in graph.links:
-        if link.a == link.b:
-            problems.append(f"link {link.a}--{link.b}: self-loops are not allowed")
-        try:
-            link_terms_ps(link, 0)
-        except ValueError as exc:
-            problems.append(str(exc))
-    return problems

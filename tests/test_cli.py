@@ -46,11 +46,15 @@ def test_validate_ok_and_failing(tmp_path):
 
 def test_missing_scenario_file_is_a_named_error(tmp_path):
     missing = tmp_path / "absent.json"
-    for command in ("run", "validate", "export-dot"):
-        result = cli(command, "--scenario", str(missing))
-        assert result.returncode == 1, (command, result.stderr)
-        assert result.stderr.startswith(f"error: {missing}: cannot read"), result.stderr
-        assert "Traceback" not in result.stderr
+    latin1 = tmp_path / "latin1.json"  # a UnicodeDecodeError traceback before
+    latin1.write_bytes('{"config": {"name": "café"}}'.encode("latin-1"))
+    for path, problem in ((missing, "cannot read"),
+                          (latin1, "not UTF-8 text (invalid continuation byte at byte 24)")):
+        for command in ("run", "validate", "export-dot"):
+            result = cli(command, "--scenario", str(path))
+            assert result.returncode == 1, (command, result.stderr)
+            assert result.stderr.startswith(f"error: {path}: {problem}"), result.stderr
+            assert "Traceback" not in result.stderr
 
 
 def test_duplicate_link_is_a_named_error_in_every_command(tmp_path):

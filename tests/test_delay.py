@@ -10,7 +10,7 @@ from syncsim.netview import NetworkView
 from syncsim.timebase import seconds_to_ps
 from syncsim.topology import FailureModel, LinkSpec, NetworkGraph, NodeSpec, link_terms_ps
 
-from conftest import line_graph
+from conftest import line_graph, make_node
 
 
 def line_view(router_delays, failure_models=None, **kwargs):
@@ -105,7 +105,7 @@ def test_router_path_delay_sums_active_routers():
 
 def test_router_path_delay_empty_sum_without_routers():
     graph = NetworkGraph(
-        [NodeSpec("a", "client", clock=None), NodeSpec("b", "client", clock=None)],
+        [make_node("a"), make_node("b")],
         [LinkSpec("a", "b", 1e6, 10.0)])
     view = NetworkView(graph)
     assert total_path_delay(view, ["a", "b"], 12000, 0).router_ps == 0
@@ -134,7 +134,7 @@ def test_three_hop_hand_composition():
 
 def test_zero_everything_path():
     graph = NetworkGraph(
-        [NodeSpec("a", "client", clock=None), NodeSpec("b", "client", clock=None)],
+        [make_node("a"), make_node("b")],
         [LinkSpec("a", "b", 1e9, 0.0)])
     view = NetworkView(graph)
     breakdown = total_path_delay(view, ["a", "b"], 0, 0)

@@ -14,7 +14,7 @@ from syncsim.routing import NoRoute, RouteQuery, shortest_path
 from syncsim.scenario import build_engine, parse_scenario, run_scenario
 from syncsim.sync import cristian_sync
 from syncsim.timebase import seconds_to_ps
-from syncsim.topology import FailureModel, LinkSpec, NetworkGraph, NodeSpec, validate
+from syncsim.topology import FailureModel, LinkSpec, NetworkGraph, NodeSpec
 from syncsim.trace import trace_sha256
 
 from conftest import (ROOT, assert_every_seq_accounted_for, benchmark_workloads,
@@ -354,12 +354,10 @@ def test_a_bad_size_is_rejected_at_the_send(size_bits):
 
 
 def test_a_size_whose_link_term_overflows_is_rejected_at_the_send():
-    # the graph validates clean, since a 0-bit message crosses the link in
-    # 0 ps; a 100-bit one raised "cannot convert float infinity to integer"
-    # from the run before
-    graph = line_graph([50e-6], bandwidth_bps=1e-300)
-    assert validate(graph) == []
-    engine = make_engine(graph)
+    # the graph is valid, since a 0-bit message crosses the link in 0 ps; a
+    # 100-bit one raised "cannot convert float infinity to integer" from the
+    # run before
+    engine = make_engine(line_graph([50e-6], bandwidth_bps=1e-300))
     with pytest.raises(ValueError, match="^link c1--r1: delay of a 100-bit message "
                                          "is not a finite number of picoseconds$"):
         engine.send_message("c1", "s1", 100, seconds_to_ps(0.5))
@@ -375,11 +373,10 @@ def test_a_size_whose_link_term_overflows_is_rejected_at_the_send():
     (math.nan, "link c1--r1: fiber speed must be > 0"),
 ], ids=["beyond_ps", "nan"])
 def test_a_speed_override_whose_link_term_is_not_finite_names_the_link(speed, problem):
-    # the graph validates clean at the default speeds; the engine raised a
-    # bare OverflowError for 1e-300 and "cannot convert float NaN to
-    # integer" for NaN before
+    # the graph is valid at the default speeds; the engine raised a bare
+    # OverflowError for 1e-300 and "cannot convert float NaN to integer" for
+    # NaN before
     graph = line_graph([50e-6])
-    assert validate(graph) == []
     with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
         make_engine(graph, medium_speeds={"fiber": speed})
 
@@ -415,31 +412,38 @@ def test_a_router_term_that_is_not_finite_names_the_router(router_delay, attacks
 def test_a_router_delay_the_rule_rejects_fails_the_engine(router_delay, failure_model,
                                                          attacks, problem):
     # accepted before: the negative delay traced a hop_arrival before its own
-    # send, and a down router's delay was never quantized
-    graph = line_graph([router_delay], failure_models={"r1": failure_model})
+    # send, and a down router's delay was never quantized; the first two are
+    # now rejected when the router is built, the third by the engine
     with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
-        make_engine(graph, attacks=attacks)
+        make_engine(line_graph([router_delay], failure_models={"r1": failure_model}),
+                    attacks=attacks)
 
 
-@pytest.mark.parametrize("router_delay, link", [
-    (-1.0, {}), (math.nan, {}), (math.inf, {}), (1e300, {}),
-    (50e-6, {"bandwidth_bps": 0.0}), (50e-6, {"bandwidth_bps": math.nan}),
-    (50e-6, {"distance_m": math.nan}), (50e-6, {"distance_m": math.inf}),
-    (50e-6, {"distance_m": 1e305}), (50e-6, {"medium": "laser"}),
+@pytest.mark.parametrize("router_delay, link, problem", [
+    (-1.0, {}, "r1: router_delay must be >= 0"),
+    (math.nan, {}, "r1: router_delay must be >= 0"),
+    (math.inf, {}, "r1: router_delay is not a finite number of picoseconds"),
+    (1e300, {}, "r1: router_delay is not a finite number of picoseconds"),
+    (50e-6, {"bandwidth_bps": 0.0}, "link c1--r1: bandwidth must be > 0"),
+    (50e-6, {"bandwidth_bps": math.nan}, "link c1--r1: bandwidth must be > 0"),
+    (50e-6, {"distance_m": math.nan}, "link c1--r1: distance must be >= 0"),
+    (50e-6, {"distance_m": math.inf},
+     "link c1--r1: delay of a 0-bit message is not a finite number of picoseconds"),
+    (50e-6, {"distance_m": 1e305},
+     "link c1--r1: delay of a 0-bit message is not a finite number of picoseconds"),
+    (50e-6, {"medium": "laser"}, "link c1--r1: unknown medium 'laser'"),
 ], ids=["delay_negative", "delay_nan", "delay_infinite", "delay_beyond_ps",
         "bandwidth_zero", "bandwidth_nan", "distance_nan", "distance_infinite",
         "distance_beyond_ps", "medium_unknown"])
-def test_validate_names_what_the_engine_rejects_in_its_words(router_delay, link):
-    # one rule, one message: validate and the engine named a NaN router delay,
-    # an infinite distance and an unknown medium differently before
-    nodes = [make_node("c1"), make_node("r1", "router", router_delay=router_delay),
-             make_node("s1", "time_server")]
-    graph = NetworkGraph(nodes, [LinkSpec(**{"a": "c1", "b": "r1", "bandwidth_bps": 1e9,
-                                             "distance_m": 1e5, **link}),
-                                 LinkSpec("r1", "s1", 1e9, 1e5)])
-    with pytest.raises(ValueError) as error:
-        make_engine(graph)
-    assert validate(graph) == [str(error.value)]
+def test_a_graph_the_engine_rejected_is_not_built_in_its_words(router_delay, link, problem):
+    # one rule, one message: the engine raised these words when it was
+    # built on such a graph, and the node and link constructors now do
+    with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+        NetworkGraph([make_node("c1"), make_node("r1", "router", router_delay=router_delay),
+                      make_node("s1", "time_server")],
+                     [LinkSpec(**{"a": "c1", "b": "r1", "bandwidth_bps": 1e9,
+                                  "distance_m": 1e5, **link}),
+                      LinkSpec("r1", "s1", 1e9, 1e5)])
 
 
 @pytest.mark.parametrize("source, destination, named", [

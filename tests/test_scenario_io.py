@@ -85,6 +85,26 @@ def test_link_to_malformed_node_is_not_a_second_problem():
     assert excinfo.value.problems == ["nodes[2]: router_delay_s must be a number, got 'x'"]
 
 
+def test_a_graph_problem_is_a_parse_problem_named_after_its_entry():
+    # named by validate, unlabelled, next to the sync entry's problem before;
+    # the graph is not built, so the cross-references are not checked
+    data = {**MINIMAL, "nodes": MINIMAL["nodes"] + [
+        {"id": "r1", "kind": "router", "router_kind": "optical"}],
+        "sync_schedule": [{"time_s": 1.0, "algorithm": "cristian",
+                           "participants": ["c1", "ghost"]}]}
+    with pytest.raises(ScenarioError) as excinfo:
+        parse_scenario(data)
+    assert excinfo.value.problems == ["nodes[2]: r1: unknown router kind 'optical'"]
+
+
+def test_a_medium_that_is_not_a_string_is_a_named_problem():
+    # raised a bare TypeError "unhashable type: 'list'" from validate before
+    data = {**MINIMAL, "links": [{**MINIMAL["links"][0], "medium": ["fiber"]}]}
+    with pytest.raises(ScenarioError) as excinfo:
+        parse_scenario(data)
+    assert excinfo.value.problems == ["links[0]: medium must be a JSON string, got ['fiber']"]
+
+
 def test_parse_error_carries_line_info(tmp_path):
     path = tmp_path / "broken.json"
     path.write_text('{"config": {"seed": 1,}\n}')

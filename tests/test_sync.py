@@ -5,7 +5,7 @@ import pytest
 from syncsim.clocks import ClockParameters
 from syncsim.engine import Engine
 from syncsim.metrics import metrics_report
-from syncsim.sync import SyncOptions, berkeley_round, cristian_sync
+from syncsim.sync import CristianExchange, SyncOptions, berkeley_round, cristian_sync
 from syncsim.timebase import seconds_to_ps
 from syncsim.topology import FailureModel, LinkSpec, NetworkGraph, NodeSpec
 
@@ -266,6 +266,16 @@ def test_a_repeated_participant_is_rejected_when_the_round_is_built(run):
     engine = star_engine([0.010])
     with pytest.raises(ValueError, match="^participants must be distinct$"):
         run(engine)
+    assert engine.next_event_time_ps() is None and engine.records == []
+
+
+@pytest.mark.parametrize("participants", [("co",), ("m1", "co", "m2")], ids=["one", "three"])
+def test_a_cristian_round_needs_exactly_two_participants(participants):
+    # raised a bare "too many values to unpack (expected 2)" before, or
+    # "not enough values to unpack" for one
+    engine = star_engine([0.010, -0.004])
+    with pytest.raises(ValueError, match="^cristian needs exactly 2 participants$"):
+        CristianExchange(engine, participants)
     assert engine.next_event_time_ps() is None and engine.records == []
 
 

@@ -1,11 +1,11 @@
 import math
+import re
 
 import pytest
 
 from syncsim.clocks import preset_parameters
 from syncsim.timebase import seconds_to_ps
-from syncsim.topology import (FailureModel, LinkSpec, NetworkGraph, NodeSpec,
-                              link_terms_ps, validate)
+from syncsim.topology import FailureModel, LinkSpec, NetworkGraph, NodeSpec, link_terms_ps
 
 from conftest import make_node
 
@@ -89,43 +89,29 @@ def test_medium_speed_constants(medium, distance_m):
     assert link_terms_ps(link, 0, {}) == (0, 10**12)
 
 
-def test_medium_speed_override_and_unknown():
+def test_medium_speed_override():
     link = LinkSpec("a", "b", 1e6, 3e5)
     assert link_terms_ps(link, 0, {"fiber": 1.5e8}) == (0, 2_000_000_000)
     # an override of another medium leaves the link's default
     assert link_terms_ps(link, 0, {"copper": 1.5e8}) == (0, 1_500_000_000)
-    with pytest.raises(ValueError, match="^link a--b: unknown medium 'carrier-pigeon'$"):
-        link_terms_ps(LinkSpec("a", "b", 1e6, 3e5, "carrier-pigeon"), 0)
 
 
-# -- validation -----------------------------------------------------------------
-
-def make_graph(nodes, links):
-    return NetworkGraph(nodes, links)
-
+# -- rules at construction ---------------------------------------------------------
 
 def test_minimal_valid_graph():
-    graph = make_graph([make_node("a"), make_node("b")],
-                       [LinkSpec("a", "b", 1e6, 10.0, "fiber")])
-    assert validate(graph) == []
+    graph = NetworkGraph([make_node("a"), make_node("s1", "time_server",
+                                                    clock=preset_parameters("gps")),
+                          router("r1"), NodeSpec("w1", "router", router_kind="wifi")],
+                         [LinkSpec("a", "r1", 1e6, 10.0, "fiber"),
+                          LinkSpec("r1", "w1", 1e6, 10.0, "wireless"),
+                          LinkSpec("w1", "s1", 1e6, 10.0, "copper")])
+    assert list(graph.nodes) == ["a", "s1", "r1", "w1"]
 
 
 def test_link_to_absent_node_reported():
     # validate named it before, but Engine(graph) raised a bare KeyError: 'r9'
     with pytest.raises(ValueError, match="^link a--r9: endpoint 'r9' not in graph$"):
-        make_graph([make_node("a")], [LinkSpec("a", "r9", 1e6, 10.0)])
-
-
-def test_negative_router_delay_reported():
-    graph = make_graph([router("r1", delay=-1.0), make_node("a")],
-                       [LinkSpec("a", "r1", 1e6, 10.0)])
-    assert any("router_delay" in str(v) for v in validate(graph))
-
-
-def test_self_loop_reported():
-    graph = make_graph([make_node("a"), make_node("b")],
-                       [LinkSpec("a", "a", 1e6, 10.0), LinkSpec("a", "b", 1e6, 10.0)])
-    assert [str(v) for v in validate(graph)] == ["link a--a: self-loops are not allowed"]
+        NetworkGraph([make_node("a")], [LinkSpec("a", "r9", 1e6, 10.0)])
 
 
 def test_duplicate_link_rejected_at_construction():
@@ -134,62 +120,42 @@ def test_duplicate_link_rejected_at_construction():
                      [LinkSpec("a", "b", 1e6, 10.0), LinkSpec("b", "a", 2e6, 20.0)])
 
 
-def test_nonpositive_bandwidth_reported():
-    graph = make_graph([make_node("a"), make_node("b")],
-                       [LinkSpec("a", "b", 0.0, 10.0)])
-    assert any("bandwidth" in str(v) for v in validate(graph))
-
-
-@pytest.mark.parametrize("node, link, problem", [
-    (router("r1", delay=math.nan), LinkSpec("a", "r1", 1e6, 10.0),
-     "r1: router_delay must be >= 0"),
-    (router("r1"), LinkSpec("a", "r1", math.nan, 10.0), "link a--r1: bandwidth must be > 0"),
-    (router("r1"), LinkSpec("a", "r1", 1e6, math.nan), "link a--r1: distance must be >= 0"),
-], ids=["router_delay", "bandwidth_bps", "distance_m"])
-def test_nan_graph_number_reported(node, link, problem):
-    # validated clean before, and Engine(graph) then raised "cannot convert
-    # float NaN to integer"
-    assert validate(make_graph([make_node("a"), node], [link])) == [problem]
-
-
-@pytest.mark.parametrize("node, link, problem", [
-    (router("r1", delay=math.inf), LinkSpec("a", "r1", 1e6, 10.0),
+@pytest.mark.parametrize("build, problem", [
+    # built, given an Engine and delivered a message (routr: blocked, with no
+    # problem named) before, while only a separate validate pass named them
+    (lambda: NodeSpec("r1", "router", router_kind="optical"),
+     "r1: unknown router kind 'optical'"),
+    (lambda: NodeSpec("c1", "client"), "c1: client needs a clock"),
+    (lambda: make_node("c1", router_delay=1e-3), "c1: router_delay only applies to routers"),
+    (lambda: LinkSpec("a", "a", 1e6, 10.0), "link a--a: self-loops are not allowed"),
+    (lambda: NodeSpec("r1", "routr"), "r1: unknown node kind 'routr'"),
+    (lambda: NodeSpec("s1", "time_server", clock=preset_parameters("quartz")),
+     "s1: time_server clocks must be drift-bounded (gamma = 0)"),
+    (lambda: router("r1", delay=-1.0), "r1: router_delay must be >= 0"),
+    (lambda: LinkSpec("a", "b", 0.0, 10.0), "link a--b: bandwidth must be > 0"),
+    (lambda: LinkSpec("a", "b", 1e6, 3e5, "carrier-pigeon"),
+     "link a--b: unknown medium 'carrier-pigeon'"),
+    # the engine raised "cannot convert float NaN to integer" before
+    (lambda: router("r1", delay=math.nan), "r1: router_delay must be >= 0"),
+    (lambda: LinkSpec("a", "r1", math.nan, 10.0), "link a--r1: bandwidth must be > 0"),
+    (lambda: LinkSpec("a", "r1", 1e6, math.nan), "link a--r1: distance must be >= 0"),
+    # the run raised "cannot convert float infinity to integer" before
+    (lambda: router("r1", delay=math.inf),
      "r1: router_delay is not a finite number of picoseconds"),
-    (router("r1", delay=1e300), LinkSpec("a", "r1", 1e6, 10.0),
+    (lambda: router("r1", delay=1e300),
      "r1: router_delay is not a finite number of picoseconds"),
-    (router("r1"), LinkSpec("a", "r1", 1e6, math.inf),
+    (lambda: LinkSpec("a", "r1", 1e6, math.inf),
      "link a--r1: delay of a 0-bit message is not a finite number of picoseconds"),
-    (router("r1"), LinkSpec("a", "r1", 1e6, 1e305, "satellite"),
+    (lambda: LinkSpec("a", "r1", 1e6, 1e305, "satellite"),
      "link a--r1: delay of a 0-bit message is not a finite number of picoseconds"),
-], ids=["router_delay_infinite", "router_delay_beyond_ps", "distance_infinite",
-        "distance_beyond_ps"])
-def test_graph_number_beyond_ps_reported(node, link, problem):
-    # validated clean before, and the run then raised "cannot convert float
-    # infinity to integer"
-    assert validate(make_graph([make_node("a"), node], [link])) == [problem]
-
-
-def test_time_server_requires_drift_bounded_clock():
-    quartz = preset_parameters("quartz")
-    graph = make_graph([NodeSpec("s1", "time_server", clock=quartz),
-                        make_node("a")],
-                       [LinkSpec("a", "s1", 1e6, 10.0)])
-    assert any("gamma" in str(v) for v in validate(graph))
-    ok = make_graph([NodeSpec("s1", "time_server", clock=preset_parameters("gps")),
-                     make_node("a")],
-                    [LinkSpec("a", "s1", 1e6, 10.0)])
-    assert validate(ok) == []
-
-
-def test_clientlike_node_needs_clock():
-    graph = make_graph([NodeSpec("c1", "client")], [])
-    assert any("needs a clock" in str(v) for v in validate(graph))
-
-
-def test_validation_is_idempotent():
-    graph = make_graph([make_node("a"), make_node("b")],
-                       [LinkSpec("a", "b", 1e6, 10.0)])
-    assert validate(graph) == validate(graph)
+], ids=["router_kind_unknown", "client_without_clock", "client_with_router_delay",
+        "self_loop", "node_kind_unknown", "quadratic_time_server", "router_delay_negative",
+        "bandwidth_zero", "medium_unknown", "router_delay_nan", "bandwidth_nan",
+        "distance_nan", "router_delay_infinite", "router_delay_beyond_ps",
+        "distance_infinite", "distance_beyond_ps"])
+def test_a_spec_that_breaks_a_rule_is_not_built(build, problem):
+    with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
+        build()
 
 
 def test_alternating_flag_in_ps_domain():
