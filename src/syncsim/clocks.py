@@ -11,6 +11,14 @@ Model kinds:
   quadratic    offset = alpha0 + beta*t + gamma*t^2
   user_defined offset from a piecewise-linear (time, offset) table,
                interpolated between points and held flat outside them
+
+A correction, once wholly in effect, stays so at every later instant, so a
+clock folds the corrections that are complete into one sum as it is read.
+A reading at or after the instant of its latest fold costs the corrections
+still live, a step not yet reached or a slew still in progress, however
+many rounds the clock has taken; a reading at an earlier instant sums
+every correction taken.  Both are exact int sums, so folding moves no
+reading.
 """
 
 import math
@@ -117,6 +125,20 @@ def extremum_analysis(params: ClockParameters) -> ExtremumReport:
     return ExtremumReport(True, t_star, kind, 2.0 * gamma)
 
 
+def _applied_ps(correction: tuple[int, int, float | None], t_ps: int) -> int:
+    """The part of one (start_ps, delta_ps, rate) correction in effect at t.
+    It never moves away from delta_ps as t grows: a step is all of it from
+    its start on, and a slew's part only grows until it is all of it."""
+    start_ps, delta_ps, rate = correction
+    if rate is None:
+        return delta_ps if t_ps >= start_ps else 0
+    if t_ps <= start_ps:
+        return 0
+    slewed = rate * (t_ps - start_ps)  # min(|delta|, round(slewed)); never rounds inf
+    applied = abs(delta_ps) if slewed >= abs(delta_ps) else round(slewed)
+    return applied if delta_ps >= 0 else -applied
+
+
 class SoftwareClock:
     """A drifting clock owned by one node.
 
@@ -125,6 +147,13 @@ class SoftwareClock:
     same query always returns the same value.  Corrections accumulate in
     integer picoseconds and change only via apply_step/apply_slew.  Noise
     is drawn once per instant (see the engine module).
+
+    Every correction stays in `_corrections`.  A reading at t at or after
+    `_folded_from` adds the live ones' parts to `_folded_ps`, so it visits
+    only the live corrections, and folds those complete at t, raising
+    `_folded_from` to t when it folds any; a reading before `_folded_from`,
+    such as a Berkeley round's residuals at its last delivery, sums
+    `_corrections`.
     """
 
     def __init__(self, clock_id: str, params: ClockParameters, seed: int = 0):
@@ -134,6 +163,11 @@ class SoftwareClock:
         self._jitter_stream = randstream.stream(seed, "clock_jitter", clock_id)
         # (start_ps, delta_ps, rate) triples; rate None means instant step
         self._corrections: list[tuple[int, int, float | None]] = []
+        # every correction in `_corrections` but those of `_live` is wholly in
+        # effect at each t >= `_folded_from`, and they sum to `_folded_ps`
+        self._folded_from = 0
+        self._folded_ps = 0
+        self._live: list[tuple[int, int, float | None]] = []
         # (t_ps, drift + noise in ps) of the last instant offset_ps computed
         self._last: tuple[int | None, int] = (None, 0)
 
@@ -155,22 +189,24 @@ class SoftwareClock:
 
     def correction_at_ps(self, t_ps: int) -> int:
         """Correction actually in effect at t, honoring in-progress slews."""
-        total = 0
-        for start_ps, delta_ps, rate in self._corrections:
-            if rate is None:
-                total += delta_ps if t_ps >= start_ps else 0
-                continue
-            if t_ps <= start_ps:
-                continue
-            slewed = rate * (t_ps - start_ps)  # min(|delta|, round(slewed)); never rounds inf
-            applied = abs(delta_ps) if slewed >= abs(delta_ps) else round(slewed)
-            total += applied if delta_ps >= 0 else -applied
-        return total
+        if t_ps < self._folded_from:
+            return sum(_applied_ps(correction, t_ps) for correction in self._corrections)
+        folded_ps, pending_ps, live = self._folded_ps, 0, []
+        for correction in self._live:
+            applied_ps = _applied_ps(correction, t_ps)
+            if applied_ps == correction[1]:
+                folded_ps += applied_ps
+            else:
+                pending_ps += applied_ps
+                live.append(correction)
+        if len(live) < len(self._live):
+            self._folded_ps, self._folded_from, self._live = folded_ps, t_ps, live
+        return folded_ps + pending_ps
 
     def apply_step(self, delta_ps: int, at_ps: int = 0) -> None:
         require_ps(delta_ps, "correction delta")
         require_ps(at_ps, "correction time")
-        self._corrections.append((at_ps, delta_ps, None))
+        self._take((at_ps, delta_ps, None))
 
     def apply_slew(self, delta_ps: int, rate: float, at_ps: int = 0) -> None:
         """Schedule a gradual correction at `rate` seconds per simulated second."""
@@ -178,7 +214,11 @@ class SoftwareClock:
         require_ps(at_ps, "correction time")
         if not 0 < rate < math.inf:
             raise ValueError(f"slew rate must be finite and > 0, got {rate!r}")
-        self._corrections.append((at_ps, delta_ps, rate))
+        self._take((at_ps, delta_ps, rate))
+
+    def _take(self, correction: tuple[int, int, float | None]) -> None:
+        self._corrections.append(correction)
+        self._live.append(correction)
 
     # -- readings ---------------------------------------------------------
 

@@ -12,9 +12,8 @@ most of them queued when the scenario is built and due far ahead.
 delivery, one entry per message in flight, and the loop advances the
 message itself.  A run keeps a backlog of hundreds to thousands of
 scheduled events but only a handful of messages in flight, and every hop
-pushes and pops one entry, so keeping the arrivals apart makes each hop's
-heap operations cost the log of the few messages in flight, not of the
-backlog.
+re-sifts one entry, so keeping the arrivals apart makes each hop's heap
+operation cost the log of the few messages in flight, not of the backlog.
 
 A `_queue` entry is the list `[time_ps, seq, record, action]`:
 `schedule_ps` builds the event's trace record when it enqueues it,
@@ -26,14 +25,18 @@ are handed out, so only they are cancelled.  An `_arrivals` entry is
 `[time_ps, seq, message, leg, hops, times]`, the message arriving at
 `hops[leg]`; `times[k]`, the send time plus `arrivals_ps[k]`, is summed
 once per message.  The loop builds its record, with the keys in
-`schedule_ps`'s order, when it pops it, delivers the message at its last
-node, and elsewhere pushes its arrival at the next node unless a drop
-roll drops it.  Both heaps take `seq` from one counter, so `(time_ps,
-seq)` is unique, no comparison reaches past `seq`, and popping whichever
-head compares smaller executes events in exactly the order one heap
-would.
+`schedule_ps`'s order, when the entry is the head.  At the message's last
+node, or where a drop roll drops it, the loop pops the entry; elsewhere
+the message moves on in the same entry: the loop writes the next node's
+time, a new `seq` and `leg + 1` into it and re-sifts it with
+`heapreplace`, one heap operation and no new list per hop.  Both heaps
+take `seq` from one counter, so `(time_ps, seq)` is unique, no comparison
+reaches past `seq`, and executing whichever head compares smaller runs
+events in exactly the order one heap would.  `now_ps` is set before the
+code that reads it, a queued action or a delivery; a hop that only moves
+the message on leaves it, and `run_until_ps` ends at its target.
 
-An arrival is pushed without `schedule_ps`'s checks, which cannot fail
+An arrival is queued without `schedule_ps`'s checks, which cannot fail
 for it: `send_ps` passed them when the send was queued, and `arrivals_ps`
 are exact, non-negative, nondecreasing sums of int terms, so each time is
 an int no earlier than now; both kinds are constants in `RECORD_KINDS`.
@@ -57,12 +60,14 @@ changes an answer:
   - `SoftwareClock.offset_ps` keeps the drift plus noise of the last
     instant it read, so a delivery, its callback and the sync logic draw
     the noise once; the corrections are added on every read, so a step
-    applied between two reads at one instant shows in the second.
+    applied between two reads at one instant shows in the second, and a
+    reading at or after the clock's latest fold costs its live
+    corrections only (see the clocks module).
 """
 
 import itertools
 from dataclasses import dataclass
-from heapq import heappop, heappush
+from heapq import heappop, heappush, heapreplace
 from typing import Callable
 
 from . import attacks as attacks_mod
@@ -173,23 +178,29 @@ class Engine:
         while True:
             # the smaller head is the next event; it decides when to stop
             if arrivals and not (queue and queue[0] < arrivals[0]):
-                if arrivals[0][0] > t_end_ps:
+                entry = arrivals[0]
+                time_ps, n, message, leg, hops, times = entry
+                if time_ps > t_end_ps:
                     break
-                time_ps, n, message, leg, hops, times = heappop(arrivals)
-                self.now_ps = time_ps
-                last = leg + 1 == len(hops)
+                node, last = hops[leg], leg + 1 == len(hops)
                 record = {"sim_time_ps": time_ps, "sequence": n,
                           "kind": "delivery" if last else "hop_arrival",
-                          "message_id": message.message_id, "node": hops[leg]}
+                          "message_id": message.message_id, "node": node}
                 if last:
+                    heappop(arrivals)
+                    self.now_ps = time_ps
                     self._deliver(message, record)
-                elif hops[leg] in drop_targets and (drop := attacks_mod.drop_roll(
-                        view.attacks, view.drop_stream, hops[leg], time_ps,
+                elif node in drop_targets and (drop := attacks_mod.drop_roll(
+                        view.attacks, view.drop_stream, node, time_ps,
                         message.message_id)) is not None:
+                    heappop(arrivals)
                     message.status = record["status"] = "dropped"
                     record["attack"] = {"kind": drop.kind, "target": drop.target}
                 else:
-                    heappush(arrivals, [times[leg], next(seq), message, leg + 1, hops, times])
+                    entry[0] = times[leg]
+                    entry[1] = next(seq)
+                    entry[3] = leg + 1
+                    heapreplace(arrivals, entry)
             else:
                 if not queue or queue[0][0] > t_end_ps:
                     break

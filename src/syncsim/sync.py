@@ -269,10 +269,12 @@ class BerkeleyRound(_Round):
 
     def __init__(self, engine: Engine, participants: tuple[str, ...],
                  options: SyncOptions | None = None):
-        coordinator, *members = participants
         # the coordinator may be listed as a member; it contributes offset 0
         # without polling itself
-        members = [m for m in members if m != coordinator]
+        members = [m for m in participants[1:] if m != participants[0]]
+        if not members:
+            raise ValueError("needs at least 2 participants")
+        coordinator = participants[0]
         super().__init__(engine, [coordinator] + members, options)
         self.coordinator = coordinator
         self._polls = [SyncExchange(self, coordinator, m, {"unreachable": m})

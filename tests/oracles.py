@@ -1,10 +1,13 @@
-"""Independent oracles and scenario generators for route checking.
+"""Independent oracles and scenario generators for route and clock checking.
 
 The route oracle enumerates every simple path (interior hops restricted to
 routers, inactive routers pruned by the delay computation itself) and takes
 the minimum by (total delay, hop count, node sequence) — no shared logic
 with the Dijkstra implementation beyond the per-hop delay primitives it is
 checking against.
+
+The correction oracle sums every correction a clock has taken, at any
+instant, with none of the clock's folding.
 """
 
 import random
@@ -101,3 +104,19 @@ def random_network(rng: random.Random, max_nodes: int = 10, max_links: int = 20)
                               medium=rng.choice(["fiber", "copper",
                                                  "wireless", "satellite"])))
     return NetworkGraph(nodes, links)
+
+
+def correction_sum_ps(corrections, t_ps: int) -> int:
+    """The correction in effect at t: the sum, over every (start_ps,
+    delta_ps, rate) correction, of the part of it applied by t."""
+    total = 0
+    for start_ps, delta_ps, rate in corrections:
+        if rate is None:
+            total += delta_ps if t_ps >= start_ps else 0
+            continue
+        if t_ps <= start_ps:
+            continue
+        slewed = rate * (t_ps - start_ps)  # min(|delta|, round(slewed)); never rounds inf
+        applied = abs(delta_ps) if slewed >= abs(delta_ps) else round(slewed)
+        total += applied if delta_ps >= 0 else -applied
+    return total

@@ -1,13 +1,22 @@
+import json
 import math
+import random
 import statistics
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from syncsim.clocks import (CLOCK_PRESETS, ClockParameters, SoftwareClock,
                             extremum_analysis, preset_parameters)
+from syncsim.engine import Engine
+from syncsim.scenario import build_engine, parse_scenario
+from syncsim.sync import BerkeleyRound, CristianExchange, SyncOptions
 from syncsim.timebase import seconds_to_ps
+from syncsim.trace import trace_bytes
+
+from conftest import ROOT
+from oracles import correction_sum_ps
 
 QUARTZ = ClockParameters(beta=10e-6, gamma=-1e-10)
 
@@ -229,6 +238,145 @@ def test_reads_never_mutate_corrections():
     before = clock.reading_ps(seconds_to_ps(5.0))
     assert clock.correction_at_ps(seconds_to_ps(1e6)) == 0
     assert clock.reading_ps(seconds_to_ps(5.0)) == before
+
+
+# -- folded corrections -----------------------------------------------------
+
+CORRECTIONS = st.lists(st.tuples(
+    st.integers(0, 10**13),                               # start_ps
+    st.just(0) | st.integers(-10**13, 10**13),            # delta_ps
+    st.none() | st.floats(min_value=1e-9, max_value=1e12)),  # rate; None steps
+    min_size=1, max_size=10)
+
+
+@settings(max_examples=200, deadline=None)
+@given(corrections=CORRECTIONS, data=st.data())
+def test_readings_in_any_order_equal_the_reference_sum(corrections, data):
+    """After each correction, the clock is read before, at and after every
+    start and around the instant each slew completes, in an order drawn
+    at random, so readings at earlier instants follow folds."""
+    clock = make_clock(ClockParameters(model_kind="linear"))
+    taken = []
+    for start_ps, delta_ps, rate in corrections:
+        if rate is None:
+            clock.apply_step(delta_ps, start_ps)
+        else:
+            clock.apply_slew(delta_ps, rate, start_ps)
+        taken.append((start_ps, delta_ps, rate))
+        instants = {t for start, delta, rate in taken
+                    for done in (0 if rate is None else int(abs(delta) / rate),)
+                    for t in (start - 1, start, start + 1, start + done, start + done + 1)}
+        instants.update(data.draw(st.lists(st.integers(0, 2 * 10**13), max_size=4)))
+        for t_ps in data.draw(st.permutations(sorted(instants))):
+            assert clock.correction_at_ps(t_ps) == correction_sum_ps(taken, t_ps), t_ps
+
+
+def minimal_pair(**changes):
+    """The minimal_pair demo with client clock noise, its top-level
+    sections replaced by `changes`."""
+    data = json.loads((ROOT / "demos" / "scenarios" / "minimal_pair.json").read_text())
+    data["clocks"]["drifting"]["noise_sigma_s"] = 1e-7
+    return {**data, **changes}
+
+
+def recorded_corrections(monkeypatch):
+    """clock -> the (start_ps, delta_ps, rate) corrections it takes, recorded
+    at the public apply_step/apply_slew calls."""
+    taken = {}
+    apply_step, apply_slew = SoftwareClock.apply_step, SoftwareClock.apply_slew
+
+    def step(clock, delta_ps, at_ps=0):
+        apply_step(clock, delta_ps, at_ps)
+        taken.setdefault(clock, []).append((at_ps, delta_ps, None))
+
+    def slew(clock, delta_ps, rate, at_ps=0):
+        apply_slew(clock, delta_ps, rate, at_ps)
+        taken.setdefault(clock, []).append((at_ps, delta_ps, rate))
+    monkeypatch.setattr(SoftwareClock, "apply_step", step)
+    monkeypatch.setattr(SoftwareClock, "apply_slew", slew)
+    return taken
+
+
+def test_a_reading_after_a_thousand_rounds_visits_few_corrections(monkeypatch):
+    # summed all 1,000 corrections on every reading before
+    taken = recorded_corrections(monkeypatch)
+    scenario = parse_scenario(minimal_pair(
+        config={"seed": 1, "duration_s": 1001.0},
+        sync_schedule=[{"time_s": float(k), "algorithm": "cristian",
+                        "participants": ["c1", "s1"]} for k in range(1, 1001)]))
+    engine = build_engine(scenario)
+    engine.run_until(scenario.config.duration)
+    clock = engine.clocks["c1"]
+    assert len(taken[clock]) == 1000
+    visited = []
+
+    class VisitedList(list):
+        def __iter__(self):
+            for item in list.__iter__(self):
+                visited.append(item)
+                yield item
+    for name, value in vars(clock).items():
+        if isinstance(value, list):
+            setattr(clock, name, VisitedList(value))
+    now_ps = engine.now_ps
+    assert clock.correction_at_ps(now_ps) == correction_sum_ps(taken[clock], now_ps)
+    assert len(visited) <= 2
+
+
+def long_pair_engine(rounds: int) -> Engine:
+    """minimal_pair with a noisy client clock and a 10 ms service time, for
+    `rounds` seconds: each second a Cristian round whose client steps or
+    slews at one of two rates, a Berkeley round of (s1, c1) that steps or
+    slews, and a data message each way, all at seeded random instants, so
+    readings of a clock come out of time order."""
+    scenario = parse_scenario(minimal_pair(config={"seed": 1, "duration_s": rounds + 2.0}))
+    engine = Engine(scenario.graph, scenario.config.seed)
+    policies = [SyncOptions(server_service_time=0.01),
+                SyncOptions(server_service_time=0.01, correction_policy="slew", slew_rate=0.5),
+                SyncOptions(server_service_time=0.01, correction_policy="slew", slew_rate=1e-3)]
+    rng = random.Random(5)
+    for k in range(1, rounds + 1):
+        CristianExchange(engine, ("c1", "s1"), policies[k % 3]).start(
+            seconds_to_ps(k + rng.uniform(0.0, 0.05)))
+        BerkeleyRound(engine, ("s1", "c1"), policies[k % 2]).start(
+            seconds_to_ps(k + rng.uniform(0.0, 0.05)))
+        for source, destination in (("c1", "s1"), ("s1", "c1")):
+            engine.send_message(source, destination, rng.choice([0, 12000]),
+                                seconds_to_ps(k + rng.random()))
+    return engine
+
+
+def test_a_long_run_reads_every_correction_exactly(monkeypatch):
+    """1,000 seconds of long_pair_engine, 2,000 rounds: in 120 slices and in
+    one call it traces the same bytes, and each reading at an instant
+    before one already read on its clock, and every 50th reading, equals
+    the reference sum."""
+    taken = recorded_corrections(monkeypatch)
+    correction_at_ps = SoftwareClock.correction_at_ps
+    latest, reads, earlier = {}, [0], [0]
+
+    def checked(clock, t_ps):
+        value = correction_at_ps(clock, t_ps)
+        reads[0] += 1
+        if t_ps < latest.get(clock, t_ps):
+            earlier[0] += 1
+        elif reads[0] % 50:
+            latest[clock] = t_ps
+            return value
+        assert value == correction_sum_ps(taken.get(clock, ()), t_ps)
+        return value
+    monkeypatch.setattr(SoftwareClock, "correction_at_ps", checked)
+
+    sliced = long_pair_engine(1000)
+    horizon_ps = seconds_to_ps(1002.0)
+    for k in range(1, 121):
+        sliced.run_until_ps(horizon_ps * k // 120)
+    whole = long_pair_engine(1000)
+    whole.run_until_ps(horizon_ps)
+    assert trace_bytes(sliced.records) == trace_bytes(whole.records)
+    steps = [r["phase"] for r in whole.records if r["kind"] == "sync_step"]
+    assert steps.count("completed") == 2000
+    assert earlier[0] > 0 and len(taken[whole.clocks["c1"]]) == 2000
 
 
 # -- user-defined table -----------------------------------------------------

@@ -231,10 +231,10 @@ MESH_ATTACKS = json.loads((SCENARIO_DIR / "mesh_attacks.json").read_text())
 def test_every_sequence_number_is_traced_cancelled_or_queued(cancelled_seqs, changes,
                                                              expect):
     """Sends, sync steps and timeouts are queued by `schedule_ps`, and the
-    event loop pushes the hops and deliveries as it advances in-flight
-    messages; both draw from one sequence counter, and every number drawn
-    ends as one trace record, one cancelled event or one entry left in
-    either heap.  Every round that starts ends exactly once."""
+    event loop gives each hop and delivery a number as it advances
+    in-flight messages; both draw from one sequence counter, and every
+    number drawn ends as one trace record, one cancelled event or one
+    entry left in either heap.  Every round that starts ends exactly once."""
     engine, records, _ = run_scenario(parse_scenario({**MESH_ATTACKS, **changes}))
     assert any(expect(record) for record in records)
     assert_every_seq_accounted_for(engine, cancelled_seqs)
@@ -242,8 +242,68 @@ def test_every_sequence_number_is_traced_cancelled_or_queued(cancelled_seqs, cha
     assert phases["completed"] + phases["aborted"] == phases["started"] > 0
 
 
+def test_an_in_flight_message_keeps_its_arrivals_entry():
+    """The line workload at seed 1 in 120 `run_until_ps` slices: each message
+    in flight at a slice edge is followed through the next event, and
+    through each of its hops it stays in one `_arrivals` entry, re-sifted
+    in place, not popped and pushed anew."""
+    scenario = parse_scenario(benchmark_workloads().line(1))
+    engine = build_engine(scenario)
+    horizon_ps = seconds_to_ps(scenario.config.duration)
+    followed = 0
+    for k in range(1, 121):
+        engine.run_until_ps(horizon_ps * k // 120)
+        entries = {entry[2].message_id: entry for entry in engine._arrivals}
+        if not entries:
+            continue
+        engine.run_until_ps(engine.next_event_time_ps())
+        for entry in engine._arrivals:
+            message_id = entry[2].message_id
+            if message_id in entries:
+                assert entry is entries[message_id], message_id
+                followed += 1
+    assert followed > 0
+
+
+def test_actions_and_delivery_callbacks_see_their_records_time(monkeypatch):
+    """On the mesh_attacks demo, with its drop, forged replies and sync
+    rounds, every queued action and every delivery callback runs with
+    `engine.now_ps` at its record's `sim_time_ps`, although a hop that
+    neither delivers nor drops does not set it."""
+    seen = {}  # ("event", sequence) or ("delivery", message id) -> now_ps
+    schedule_ps, send_message = Engine.schedule_ps, Engine.send_message
+
+    def schedule(engine, time_ps, kind, payload=None, action=None):
+        entry = None
+
+        def seen_action():
+            seen["event", entry[1]] = engine.now_ps
+            return action()
+        entry = schedule_ps(engine, time_ps, kind, payload,
+                            None if action is None else seen_action)
+        return entry
+
+    def send(engine, *args, on_delivery=None, **kwargs):
+        def seen_delivery(message):
+            seen["delivery", message.message_id] = engine.now_ps
+            if on_delivery is not None:
+                on_delivery(message)
+        return send_message(engine, *args, on_delivery=seen_delivery, **kwargs)
+    monkeypatch.setattr(Engine, "schedule_ps", schedule)
+    monkeypatch.setattr(Engine, "send_message", send)
+    _, records, _ = run_scenario(parse_scenario(MESH_ATTACKS))
+    times = {}
+    for record in records:
+        key = (("delivery", record["message_id"]) if record["kind"] == "delivery"
+               else ("event", record["sequence"]))
+        times[key] = record["sim_time_ps"]
+    assert {key: times[key] for key in seen} == seen
+    kinds = Counter(record["kind"] for record in records)
+    assert len(seen) > kinds["delivery"] > 0 and kinds["hop_arrival"] > 0
+
+
 def assert_hop_times_are_exact(routes, records):
-    """What lets the event loop push hop arrivals and deliveries without
+    """What lets the event loop queue hop arrivals and deliveries without
     `schedule_ps`'s checks as it advances in-flight messages: each route's
     arrival offsets are int, non-negative and nondecreasing, one per node
     after the source, ending at its total; no hop_arrival or delivery

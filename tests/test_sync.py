@@ -5,7 +5,8 @@ import pytest
 from syncsim.clocks import ClockParameters
 from syncsim.engine import Engine
 from syncsim.metrics import metrics_report
-from syncsim.sync import CristianExchange, SyncOptions, berkeley_round, cristian_sync
+from syncsim.sync import (BerkeleyRound, CristianExchange, SyncOptions, berkeley_round,
+                          cristian_sync)
 from syncsim.timebase import seconds_to_ps
 from syncsim.topology import FailureModel, LinkSpec, NetworkGraph, NodeSpec
 
@@ -276,6 +277,20 @@ def test_a_cristian_round_needs_exactly_two_participants(participants):
     engine = star_engine([0.010, -0.004])
     with pytest.raises(ValueError, match="^cristian needs exactly 2 participants$"):
         CristianExchange(engine, participants)
+    assert engine.next_event_time_ps() is None and engine.records == []
+
+
+@pytest.mark.parametrize("build", [
+    lambda engine: BerkeleyRound(engine, ()),
+    lambda engine: berkeley_round(engine, "co", []),
+    lambda engine: berkeley_round(engine, "co", ["co"]),
+], ids=["no_participants", "no_members", "coordinator_only"])
+def test_a_berkeley_round_needs_a_member_besides_the_coordinator(build):
+    # raised a bare "not enough values to unpack" before, or built a round
+    # that aborted at run time with "fewer than 2 reachable participants"
+    engine = star_engine([0.010])
+    with pytest.raises(ValueError, match="^needs at least 2 participants$"):
+        build(engine)
     assert engine.next_event_time_ps() is None and engine.records == []
 
 
