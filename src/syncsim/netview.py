@@ -16,7 +16,7 @@ with a delay multiplier other than 1) the set of active ones, the view's
 routing epoch, is fixed, and so is every router's term while its failure
 model has it up.  The view builds the attack-free epoch first, then one
 epoch per distinct set of active routing attacks, so a set that recurs
-shares one epoch: its terms and its route tables.  Each term is
+shares one epoch: its terms and its routes.  Each term is
 `topology.up_router_ps`, the one router rule, which `NodeSpec` applies
 with no attacks, so a term under the attacks that is not a finite number
 of picoseconds fails the view's construction in the same words, naming
@@ -70,8 +70,10 @@ class Epoch:
 
     `terms[i]` is node i's `up_router_ps` under the epoch's attacks;
     `raised` holds the indices whose term is not the attack-free epoch's
-    (attacks only raise terms, None meaning down).  `tables` and `routes`
-    hold the routing module's cache for the epoch.
+    (attacks only raise terms, None meaning down).  `routes` holds the
+    routing module's routes for the epoch; `tables`, its exhaustive fills
+    with their attack-free distances, is filled in the attack-free epoch
+    only, as an attacked epoch's routes are found by goal-directed searches.
     """
 
     __slots__ = ("terms", "raised", "tables", "routes")

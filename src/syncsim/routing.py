@@ -15,20 +15,23 @@ computed per message.  Ties break on fewer hops, then the lexicographically
 smallest node-id sequence, making every query deterministic.
 
 Routes are cached per routing epoch (`netview.Epoch`: each router's term
-under the routing attacks active at t, with every failure model up) and
-per (source, size): one exhaustive Dijkstra run on the epoch's terms
-fills the predecessor list `Epoch.tables[source, size]`, and the route
-read from it is kept in `Epoch.routes[source, size, destination]`.
-A query at t:
+under the routing attacks active at t, with every failure model up) in
+`Epoch.routes[source, size, destination]`.  The attack-free epoch, the
+empty one, also keeps one exhaustive Dijkstra fill per (source, size) in
+`Epoch.tables`: the predecessor list its routes are read from, and each
+node's attack-free delay to the source, which the goal-directed searches
+below take as exact lower bounds.  A query at t:
 
-  1. takes the route of the attack-free epoch, the empty one;
+  1. takes the route of the attack-free epoch;
   2. if t's epoch raised the term of a router on that route, takes the
-     route of t's epoch instead;
+     route of t's epoch instead, found by a goal-directed search on the
+     epoch's terms that stops at the destination;
   3. returns that route when every router on it that a failure model can
      take down is up at t (`NetworkView.router_flag`; no attack is read);
-  4. otherwise runs Dijkstra at t on the epoch's terms, with the term of
-     each router a failure model takes down at t replaced by None (a
-     router whose epoch term is None already stays excluded undrawn).
+  4. otherwise runs a goal-directed search at t on the epoch's terms,
+     entering a router a failure model can take down only if its flag
+     at t, read when the search first reaches it, has it up (a router
+     whose epoch term is None stays excluded undrawn).
 
 The engine asks each query once per instant, and `router_flag` draws a
 router's flag once per instant (see the engine module).
@@ -47,11 +50,26 @@ optimum at t (step 3).  A destination the epoch cannot reach has no
 route at t.  A cached route's breakdown is the same at every t it is
 returned (its routers are up, at the terms it was found with), so
 `total_path_delay` computes it once.
+
+The goal-directed searches (steps 2 and 4) are Dijkstra on reduced
+weights w(u, v) + h(v) - h(u), where h(v) is the attack-free delay from
+v to the destination d less d's own term.  A link's term is the same in
+both directions, so the route v ... d is the attack-free fill of (d,
+size)'s route d ... v reversed, and its delay is that route's less v's
+term plus d's: h is read from that fill.  The reduced weights are >= 0,
+as h(u) <= w0(u, v) + h(v) for the attack-free weight w0 <= w of any hop
+into a router or d.  For a fixed node every path's label shifts by the
+same h(v), so the search settles the labels (delay, hops, node sequence)
+exactly as Dijkstra does and the tie-break argument of `_search` carries
+over unchanged.  A node with no h, which the attack-free graph cannot
+route through to d, and an endpoint other than d, which does not relay,
+are not pushed: no path to d at t passes them.
 """
 
 from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import heappop, heappush
+from struct import error as StructError, pack
 
 from .delay import CompiledTopology, PathBlocked, PathDelayBreakdown, total_path_delay
 from .netview import Epoch, NetworkView
@@ -108,8 +126,9 @@ def shortest_path(view: NetworkView, query: RouteQuery) -> Route:
     """Minimum-total-delay route at the query time, with deterministic ties.
 
     A cached route of the attack-free epoch or of the query time's epoch
-    when it holds at that time (see the module docstring), else a Dijkstra
-    run at that time.  Raises NoRoute when no active path exists.
+    when it holds at that time (see the module docstring), else a
+    goal-directed search at that time.  Raises NoRoute when no active path
+    exists.
     """
     topology = view.topology
     source = topology.index.get(query.source)
@@ -118,9 +137,10 @@ def shortest_path(view: NetworkView, query: RouteQuery) -> Route:
         raise ValueError("route endpoints must be present in the graph")
     size_bits, t_ps = query.size_bits, query.t_ps
     epoch = view.epoch_at(t_ps)
-    cached = _cached_route(topology, view.attack_free_epoch, source, size_bits, destination)
+    attack_free = view.attack_free_epoch
+    cached = _cached_route(topology, attack_free, attack_free, source, size_bits, destination)
     if cached is not None and not cached.routers.isdisjoint(epoch.raised):
-        cached = _cached_route(topology, epoch, source, size_bits, destination)
+        cached = _cached_route(topology, epoch, attack_free, source, size_bits, destination)
     if cached is None:
         raise NoRoute(query.source, query.destination)
     router_flag = view.router_flag
@@ -132,69 +152,112 @@ def shortest_path(view: NetworkView, query: RouteQuery) -> Route:
     return _route_at(view, source, destination, query)
 
 
-def _cached_route(topology: CompiledTopology, epoch: Epoch, source: int, size_bits: int,
-                  destination: int) -> "_CachedRoute | None":
+def _cached_route(topology: CompiledTopology, epoch: Epoch, attack_free: Epoch, source: int,
+                  size_bits: int, destination: int) -> "_CachedRoute | None":
     """The epoch's route from source to destination (None when the epoch's
-    graph cannot reach it), filling the epoch's table for (source, size)."""
+    graph cannot reach it): read from the attack-free fill of (source,
+    size) in the attack-free epoch, else found by a goal-directed search."""
     key = (source, size_bits, destination)
     if key not in epoch.routes:
-        predecessor = epoch.tables.get((source, size_bits))
-        if predecessor is None:
-            predecessor = epoch.tables[source, size_bits] = _search(
-                topology, source, size_bits, epoch.terms)
+        if epoch is attack_free:
+            predecessor = _fill(topology, attack_free, source, size_bits)[0]
+        else:
+            predecessor = _search(topology, source, size_bits, epoch.terms, destination,
+                                  _fill(topology, attack_free, destination, size_bits)[1])[0]
         epoch.routes[key] = (_CachedRoute(topology, _path(predecessor, destination))
                              if predecessor[destination] >= 0 else None)
     return epoch.routes[key]
 
 
+def _fill(topology: CompiledTopology, attack_free: Epoch, source: int,
+          size_bits: int) -> tuple[list[int], Sequence[int]]:
+    """The attack-free epoch's table for (source, size), filled by one
+    exhaustive search on first use.  It holds the predecessor list of the
+    best paths from source, and the distances the goal-directed searches
+    toward source read: for source and each router reached, the
+    attack-free delay from it to source less source's own term (which
+    every route to source pays alike); -1 for every other node, as no
+    route to source passes through it.  Distances are a memoryview of
+    signed 64-bit items, or a list where one does not fit in 64 bits."""
+    table = attack_free.tables.get((source, size_bits))
+    if table is None:
+        terms = attack_free.terms
+        predecessor, delays = _search(topology, source, size_bits, terms)
+        # links cost the same both ways: the route from a router to source
+        # is the reverse of source's route to it, paying the terms of the
+        # nodes before it in place of its own
+        distances = [delay - term if delay is not None and relay else -1
+                     for delay, term, relay in zip(delays, terms, topology.relays)]
+        distances[source] = 0
+        try:
+            # signed 64-bit items as array('q') packs them, without loading
+            # the array extension module, a shared library on most builds
+            # whose pages add to peak memory
+            distances = memoryview(pack(f"{len(distances)}q", *distances)).cast("q")
+        except StructError:
+            pass
+        table = attack_free.tables[source, size_bits] = (predecessor, distances)
+    return table
+
+
 def _route_at(view: NetworkView, source: int, destination: int, query: RouteQuery) -> Route:
-    """Dijkstra at the query time on the epoch's terms, with None for each
-    router whose failure model has it down at t (`view.router_flag`)."""
-    topology, t_ps = view.topology, query.t_ps
-    terms = list(view.epoch_at(t_ps).terms)
-    for node, model in enumerate(topology.failure_models):
-        if model is not None and terms[node] is not None and not view.router_flag(node, t_ps):
-            terms[node] = None
-    predecessor = _search(topology, source, query.size_bits, terms, destination)
+    """The goal-directed search at the query time on its epoch's terms,
+    entering a router a failure model can take down only while
+    `view.router_flag` has it up at t, read when the search first reaches
+    it."""
+    topology, size_bits, t_ps = view.topology, query.size_bits, query.t_ps
+    predecessor = _search(topology, source, size_bits, view.epoch_at(t_ps).terms, destination,
+                          _fill(topology, view.attack_free_epoch, destination, size_bits)[1],
+                          view, t_ps)[0]
     if predecessor[destination] < 0:
         raise NoRoute(query.source, query.destination)
     hops = tuple(topology.ids[node] for node in _path(predecessor, destination))
-    return Route(hops, total_path_delay(view, list(hops), query.size_bits, t_ps))
+    return Route(hops, total_path_delay(view, list(hops), size_bits, t_ps))
 
 
 def _search(topology: CompiledTopology, source: int, size_bits: int,
-            terms: Sequence[int | None], destination: int = -1) -> list[int]:
+            terms: Sequence[int | None], destination: int = -1,
+            remaining: Sequence[int] | None = None, view: NetworkView | None = None,
+            t_ps: int = 0) -> tuple[list[int], list[int | None]]:
     """Dijkstra from `source` over labels (delay, hop count, node-index path),
     compared in that order: the tie-break rule exactly.
 
-    The heap holds (delay, hops, node) and each node keeps the best delay
-    and hop count pushed for it.  Paths are never stored: they are read from
-    the predecessor list on an exact (delay, hops) tie only.  Predecessors
-    are settled nodes (only a settled node relaxes its edges), and a settled
-    node's predecessor never changes again, so the chain `_path` follows
-    from one is its final path.  On such a tie between the node being
-    settled and the neighbor's current predecessor, both paths have the
-    same length, so comparing them orders the two full labels of the
-    neighbor exactly, and the smaller takes over as predecessor.  Ties
-    therefore resolve as on full (delay, hops, path) labels.
+    The heap holds (key, hops, node), where key is the delay plus
+    `remaining[node]` when given (the goal-directed search of the module
+    docstring), and each node keeps the best delay and hop count pushed
+    for it.  Paths are never stored: they are read from the predecessor
+    list on an exact (delay, hops) tie only.  Predecessors are settled
+    nodes (only a settled node relaxes its edges), and a settled node's
+    predecessor never changes again, so the chain `_path` follows from one
+    is its final path.  On such a tie between the node being settled and
+    the neighbor's current predecessor, both paths have the same length,
+    so comparing them orders the two full labels of the neighbor exactly,
+    and the smaller takes over as predecessor.  Ties therefore resolve as
+    on full (delay, hops, path) labels.
 
     `terms[v]` is the router term of a hop into node v, or None when the
-    hop is excluded.  Stops once `destination` is settled (never, by
-    default).  Returns each node's predecessor on its best path: -1 for the
-    source and for nodes not reached (and the best so far for nodes left
-    unsettled by a stop).
+    hop is excluded.  A node whose `remaining` is negative is excluded
+    too, and so, when `view` is given, is a router a failure model can
+    take down whose `view.router_flag` at t_ps, read when the search first
+    reaches it, has it down.  Stops once `destination` is settled (never,
+    by default).  Returns each node's predecessor on its best path (-1 for
+    the source and for nodes not reached) and its best delay (None for
+    nodes not reached); both are the best so far for nodes left unsettled
+    by a stop.
     """
     link_ps = topology.size_terms(size_bits)[1]
     adjacency = topology.adjacency
     relays = topology.relays
+    failure_models = topology.failure_models
     count = len(topology.ids)
     predecessor = [-1] * count
     best_delay: list[int | None] = [None] * count
+    best_delay[source] = 0
     best_hops = [0] * count
     settled = [False] * count
     frontier = [(0, 0, source)]
     while frontier:
-        dist, hops, node = heappop(frontier)
+        _, hops, node = heappop(frontier)
         if settled[node]:
             continue
         settled[node] = True
@@ -203,6 +266,7 @@ def _search(topology: CompiledTopology, source: int, size_bits: int,
         # only routers relay; endpoints do not forward traffic through themselves
         if hops and not relays[node]:
             continue
+        dist = best_delay[node]
         hops += 1
         for neighbor, link in adjacency[node]:
             if settled[neighbor]:
@@ -212,15 +276,23 @@ def _search(topology: CompiledTopology, source: int, size_bits: int,
                 continue
             delay = dist + link_ps[link] + term
             best = best_delay[neighbor]
-            if best is None or delay < best or (delay == best and hops < best_hops[neighbor]):
-                best_delay[neighbor] = delay
-                best_hops[neighbor] = hops
-                predecessor[neighbor] = node
-                heappush(frontier, (delay, hops, neighbor))
-            elif (delay == best and hops == best_hops[neighbor]
-                  and _path(predecessor, node) < _path(predecessor, predecessor[neighbor])):
-                predecessor[neighbor] = node
-    return predecessor
+            if best is None:
+                if ((remaining is not None and remaining[neighbor] < 0)
+                        or (view is not None and failure_models[neighbor] is not None
+                            and not view.router_flag(neighbor, t_ps))):
+                    settled[neighbor] = True  # never entered: nothing relaxes into it again
+                    continue
+            elif delay > best or (delay == best and hops >= best_hops[neighbor]):
+                if (delay == best and hops == best_hops[neighbor]
+                        and _path(predecessor, node) < _path(predecessor, predecessor[neighbor])):
+                    predecessor[neighbor] = node
+                continue
+            best_delay[neighbor] = delay
+            best_hops[neighbor] = hops
+            predecessor[neighbor] = node
+            heappush(frontier, (delay if remaining is None else delay + remaining[neighbor],
+                                hops, neighbor))
+    return predecessor, best_delay
 
 
 def _path(predecessor: list[int], destination: int) -> list[int]:

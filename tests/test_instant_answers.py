@@ -82,9 +82,44 @@ def test_query_with_a_down_router_on_its_cached_route_draws_each_flag_once(monke
     monkeypatch.setattr(FailureModel, "flag_from", counting_flag_from)
     route = shortest_path(view, RouteQuery("c1", "s1", t_ps, 12000))
     assert route.hops == ("c1", "r2", "r3", "s1")
-    # the hit check finds r1 down, the search at t reads every flag, and the
-    # breakdown of the route found reads r2's and r3's again
+    # the hit check finds r1 down, the search at t reads r1's again and draws
+    # r2's and r3's as it first reaches them, and the breakdown of the route
+    # found reads r2's and r3's again
     assert draws == {"r1": 1, "r2": 1, "r3": 1}
+
+
+def test_search_at_t_draws_no_flag_of_a_router_it_never_reaches(monkeypatch):
+    """c1 -- r1 -- s1 through a fast flaky router, or c1 -- r2 -- s1 over a
+    long link; r2 also leads to r4 -- r5 and s1 to rx.  With r1 down at t,
+    the search at t settles s1 before r4, whose delay is smaller but which
+    is 500 us further from s1, so r4 is never expanded: the flaky r5 next to
+    it and rx beyond the destination are never reached and never drawn."""
+    flaky = FailureModel("bernoulli", failure_probability=0.5)
+    nodes = [NodeSpec("c1", "client", clock=NOISY), NodeSpec("s1", "time_server", clock=NOISY),
+             NodeSpec("r1", "router", router_delay=10e-6, failure_model=flaky),
+             NodeSpec("r2", "router", router_delay=50e-6),
+             NodeSpec("r4", "router", router_delay=10e-6),
+             NodeSpec("r5", "router", router_delay=10e-6, failure_model=flaky),
+             NodeSpec("rx", "router", router_delay=10e-6, failure_model=flaky)]
+    links = [LinkSpec(a, b, 1e9, 1e5 if (a, b) == ("r2", "s1") else 1e3, "fiber")
+             for a, b in (("c1", "r1"), ("r1", "s1"), ("c1", "r2"), ("r2", "s1"),
+                          ("r2", "r4"), ("r4", "r5"), ("rx", "s1"))]
+    graph = NetworkGraph(nodes, links)
+    seed = 5
+    t_ps = next(t for t in range(1, 10**6) if not flaky.flag_at_ps("r1", t, seed))
+    view = NetworkView(graph, seed)
+    node_of = {id(state): view.topology.ids[i]
+               for i, state in enumerate(view.flag_streams) if state is not None}
+    draws = Counter()
+    flag_from = FailureModel.flag_from
+
+    def counting_flag_from(model, prefix, at_ps):
+        draws[node_of[id(prefix)]] += 1
+        return flag_from(model, prefix, at_ps)
+    monkeypatch.setattr(FailureModel, "flag_from", counting_flag_from)
+    route = shortest_path(view, RouteQuery("c1", "s1", t_ps, 12000))
+    assert route.hops == ("c1", "r2", "s1")
+    assert draws == {"r1": 1}
 
 
 def test_baseline_and_attacked_queries_at_one_instant_draw_each_flag_once(monkeypatch):

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from syncsim.attacks import AttackSpec
 from syncsim.netview import NetworkView
-from syncsim.routing import NoRoute, RouteQuery, edge_weight_ps, shortest_path
+from syncsim.routing import NoRoute, RouteQuery, _path, _search, edge_weight_ps, shortest_path
 from syncsim.timebase import seconds_to_ps
 from syncsim.topology import FailureModel, LinkSpec, NetworkGraph, NodeSpec
 
@@ -145,12 +145,13 @@ def test_matches_brute_force_on_random_graphs():
     assert agreements > 10  # the generator must exercise routable cases
 
 
-def _random_attacks(rng: random.Random, graph) -> tuple[AttackSpec, ...]:
+def _random_attacks(rng: random.Random, graph, extra: int = 0) -> tuple[AttackSpec, ...]:
     """ddos (delay multiplier and drops), force_down and added_delay hijacks
     on random routers, in windows that cover some query times and not
-    others.  Among them, when the graph has routers: a window inside
-    another, so the routing epochs run A, A + B, A; a ddos stacked on an
-    added_delay hijack of one router; and a zero-length window."""
+    others, `extra` of them more than by default.  Among them, when the
+    graph has routers: a window inside another, so the routing epochs run
+    A, A + B, A; a ddos stacked on an added_delay hijack of one router; and
+    a zero-length window."""
     routers = sorted(n for n, node in graph.nodes.items() if node.is_router)
     if not routers:
         return ()
@@ -165,7 +166,7 @@ def _random_attacks(rng: random.Random, graph) -> tuple[AttackSpec, ...]:
                           added_delay=rng.choice([0.0, 1e-6, 1e-3]))
 
     attacks = []
-    for _ in range(rng.randint(0, 3)):
+    for _ in range(rng.randint(0, 3) + extra):
         start = rng.choice([0.0, 0.5, 1.0, 2.0])
         attacks.append(attack(start, start + rng.choice([0.5, 1.0, 3.0])))
     outer = rng.choice([0.0, 0.5])
@@ -295,9 +296,99 @@ def test_epoch_terms_equal_router_ps_at_window_edges(seed):
             assert view.hop_router_ps(index, t_ps) == direct
             if not node.is_router or node.failure_model.flag_at_ps(node_id, t_ps, seed):
                 assert epoch.terms[index] == direct
+            # the goal-directed searches' lower bounds: no epoch term is below
+            # its attack-free term, None counting as infinite
+            base = view.attack_free_epoch.terms[index]
+            term = epoch.terms[index]
+            assert term is None if base is None else term is None or term >= base
         assert epoch.raised == {index for index, (term, base)
                                 in enumerate(zip(epoch.terms, view.attack_free_epoch.terms))
                                 if term != base}
+
+
+def _large_network(rng: random.Random) -> NetworkGraph:
+    """30 to 80 nodes: about a fifth endpoints (n00 a client, n01 a time
+    server), the rest routers, about half of them Bernoulli and a few
+    always failed; a random spanning tree plus as many links again.  Delays
+    and link parameters come from small sets, so equal labels are common."""
+    n = rng.randint(30, 80)
+    node_ids = [f"n{i:02d}" for i in range(n)]
+    nodes = [make_node("n00"), make_node("n01", "time_server")]
+    for node_id in node_ids[2:]:
+        roll = rng.random()
+        if roll < 0.2:
+            nodes.append(make_node(node_id, rng.choice(["client", "time_server"])))
+            continue
+        model = (FailureModel("bernoulli", failure_probability=rng.choice([0.2, 0.5]))
+                 if roll < 0.6 else FailureModel("always_failed") if roll < 0.63 else None)
+        nodes.append(NodeSpec(node_id, "router", router_delay=rng.choice([10e-6, 50e-6]),
+                              failure_model=model))
+    pairs = {frozenset((node_ids[i], node_ids[rng.randrange(i)])) for i in range(1, n)}
+    while len(pairs) < 2 * (n - 1):
+        pairs.add(frozenset(rng.sample(node_ids, 2)))
+    links = [LinkSpec(*sorted(pair), bandwidth_bps=rng.choice([1e7, 1e9]),
+                      distance_m=rng.choice([0.0, 1e3, 2e3]))
+             for pair in sorted(pairs, key=sorted)]
+    return NetworkGraph(nodes, links)
+
+
+def _route_from_a_fill(view: NetworkView, q: RouteQuery) -> tuple[str, ...] | None:
+    """The route read from an exhaustive `_search` fill on t's terms, a
+    router down at t (`hop_router_ps`) set to None; None when unreachable."""
+    topology = view.topology
+    terms = [view.hop_router_ps(node, q.t_ps) for node in range(len(topology.ids))]
+    predecessor = _search(topology, topology.index[q.source], q.size_bits, terms)[0]
+    destination = topology.index[q.destination]
+    if predecessor[destination] < 0:
+        return None
+    return tuple(topology.ids[node] for node in _path(predecessor, destination))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(0, 2**32 - 1))
+def test_goal_directed_routes_match_exhaustive_fills_on_large_graphs(seed):
+    # too large for the brute-force oracle; windowed attacks on many routers
+    # and Bernoulli failures send most queries past the attack-free cache to
+    # a goal-directed search, where a wrong lower bound or pruning rule shows
+    rng = random.Random(seed)
+    graph = _large_network(rng)
+    view = NetworkView(graph, seed=seed, attacks=_random_attacks(rng, graph, extra=8))
+    baseline = view.without_attacks()
+    endpoints = sorted(n for n, node in graph.nodes.items() if not node.is_router)
+    times = [seconds_to_ps(rng.choice([0.0, 0.25, 0.5, 1.5, 2.5, 4.0])) for _ in range(8)]
+    for t_ps in times + _edge_times(view.attacks):
+        target = rng.choice((view, view, baseline))
+        source, destination = rng.sample(endpoints, 2)
+        q = RouteQuery(source, destination, t_ps, rng.choice([0, 12000, 10**6]))
+        expected = _route_from_a_fill(target, q)
+        if expected is None:
+            with pytest.raises(NoRoute):
+                shortest_path(target, q)
+            continue
+        assert shortest_path(target, q).hops == expected
+
+
+def test_distances_beyond_64_bits_route_in_an_attacked_epoch_and_at_t():
+    # a 10**20-bit message over 1 bps links: 10**32 ps per link, so the
+    # attack-free distances to s1 do not fit in 64 bits.  At 0.5 s a ddos
+    # raises fast's term past slow's; at 3 s fast is down
+    alternating = FailureModel("alternating", up_duration=1.0, down_duration=10.0)
+    nodes = [make_node("c1"), make_node("s1", "time_server"),
+             NodeSpec("fast", "router", router_delay=10e-6, failure_model=alternating),
+             NodeSpec("slow", "router", router_delay=50e-6)]
+    links = [LinkSpec(a, b, 1.0, 1e3)
+             for a, b in (("c1", "fast"), ("fast", "s1"), ("c1", "slow"), ("slow", "s1"))]
+    attacks = (AttackSpec("ddos", "fast", 0.25, 0.75, delay_multiplier=10.0),)
+    view = NetworkView(NetworkGraph(nodes, links), attacks=attacks)
+    size = 10**20
+    for t, via in ((0.1, "fast"), (0.5, "slow"), (3.0, "slow")):
+        q = query(t=t, size=size)
+        route = shortest_path(view, q)
+        oracle = enumerate_best_route(view, q)
+        assert route.hops == oracle[1] == ("c1", via, "s1")
+        assert route.breakdown == oracle[2]
+    distances = view.attack_free_epoch.tables[view.topology.index["s1"], size][1]
+    assert max(distances) >= 2**63
 
 
 def test_attacked_router_on_cached_route_is_paid_or_avoided():
