@@ -19,8 +19,9 @@ import sys
 
 from .clocks import ClockParameters, extremum_analysis
 from .dotexport import export_graph
-from .netview import NetworkView
-from .scenario import Scenario, ScenarioError, load_scenario, run_scenario
+from .engine import Engine
+from .metrics import metrics_report
+from .scenario import Scenario, ScenarioError, build_engine, load_scenario
 from .trace import diff_traces, load_trace, trace_bytes, TraceFormatError
 
 EXIT_OK = 0
@@ -28,10 +29,11 @@ EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
 
-def _load(path: str) -> Scenario | None:
-    """The scenario at path, or None after printing each of its problems."""
+def _build(path: str, seed: int | None = None) -> tuple[Scenario, Engine] | None:
+    """The scenario at path and its engine, or None after printing its problems."""
     try:
-        return load_scenario(path)
+        scenario = load_scenario(path)
+        return scenario, build_engine(scenario, seed)
     except ScenarioError as exc:
         for problem in exc.problems:
             print(f"error: {problem}", file=sys.stderr)
@@ -54,11 +56,13 @@ def _finite_or_none(value: float | None) -> float | None:
 
 
 def _cmd_run(args) -> int:
-    scenario = _load(args.scenario)
-    if scenario is None:
+    built = _build(args.scenario, args.seed)
+    if built is None:
         return EXIT_VALIDATION
+    scenario, engine = built
     try:
-        engine, records, metrics = run_scenario(scenario, seed=args.seed)
+        records = engine.run_until(scenario.config.duration)
+        metrics = metrics_report(records)
     except Exception as exc:  # NoRoute-fatal and other simulation failures
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
@@ -79,7 +83,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_validate(args) -> int:
-    if _load(args.scenario) is None:
+    if _build(args.scenario) is None:
         return EXIT_VALIDATION
     print(f"{args.scenario}: OK")
     return EXIT_OK
@@ -107,17 +111,15 @@ def _cmd_analyze_clock(args) -> int:
 
 
 def _cmd_export_dot(args) -> int:
-    scenario = _load(args.scenario)
-    if scenario is None:
+    built = _build(args.scenario)
+    if built is None:
         return EXIT_VALIDATION
     if args.time < 0:
         print(f"error: --time {args.time!r}: the snapshot instant must be >= 0 s",
               file=sys.stderr)
         return EXIT_VALIDATION
-    view = NetworkView(scenario.graph, scenario.config.seed, scenario.attacks,
-                       scenario.medium_speeds)
     try:
-        text = export_graph(view, args.time)
+        text = export_graph(built[1].view, args.time)
     except (OverflowError, ValueError):  # the instant or a clock offset at it
         print(f"error: --time {args.time!r}: the snapshot is not a finite number "
               f"of picoseconds", file=sys.stderr)

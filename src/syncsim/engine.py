@@ -229,7 +229,7 @@ class Engine:
         leaves the message blocked (the sender only learns via timeout).
         """
         if type(size_bits) is not int or size_bits < 0:
-            raise ValueError(f"size_bits must be an int >= 0, got {size_bits!r}")
+            raise ValueError(f"size_bits must be >= 0 and an int, got {size_bits!r}")
         nodes = self.view.graph.nodes
         if source not in nodes or destination not in nodes:
             raise ValueError(f"unknown node {source if source not in nodes else destination!r}")

@@ -4,8 +4,9 @@ Sections: config, clocks, nodes, links, sync_schedule, attacks,
 message_workload, medium_speeds_m_per_s, sync_options.  Times and durations
 carry an _s suffix (seconds); sizes are bits; bandwidths are bits/second.
 Parsing builds the graph, so a node or link that breaks a graph rule is a
-parse problem named after its entry; `load_scenario` then checks the
-cross-references before anything runs, each problem named with its entity.
+parse problem named after its entry.  `build_engine` names every other
+problem before anything runs: `validate_scenario`'s, then each workload
+and sync entry that the engine or its round rejects when it is scheduled.
 
 Clock presets addressable by name: perfect, cesium, quartz, gps, beidou,
 galileo, glonass.  A node's "clock" field may name an entry of the clocks
@@ -19,13 +20,13 @@ from dataclasses import dataclass, field, replace
 
 from .attacks import AttackSpec
 from .clocks import CLOCK_PRESETS, ClockParameters, extremum_analysis, preset_parameters
-from .engine import Engine
+from .engine import Engine, SchedulingError
 from .metrics import metrics_report
 from .netview import epoch_edges, routing_epoch
 from .sync import ALGORITHMS, SyncOptions
 from .timebase import PS_PER_SECOND, ps_to_seconds, seconds_to_ps
 from .topology import (MEDIA, FailureModel, LinkSpec, NetworkGraph, NodeSpec, admit_link,
-                       link_terms_ps, up_router_ps)
+                       is_medium_speed, link_terms_ps, up_router_ps)
 
 
 class ScenarioError(Exception):
@@ -341,57 +342,26 @@ def _epoch_problems(scenario: Scenario) -> list[str]:
 
 
 def validate_scenario(scenario: Scenario) -> list[str]:
-    """Scenario-level cross-reference checks and the run's bounds, each
-    problem as "entity: message"; the graph's own rules hold once it is
-    built."""
+    """The problems no constructor of the run can know, each as "entity:
+    message": the duration, attack targets, disconnected sync participants,
+    `medium_speeds`, the drift bound, the epoch terms and the sync timeout
+    bound.  `build_engine` names the workload and sync entries' problems."""
     problems: list[str] = []
     graph = scenario.graph
     linked = {end for link in graph.links for end in (link.a, link.b)}
     if scenario.config.duration < 0:
         problems.append("config: duration_s must be >= 0")
     for entry in scenario.sync_schedule:
-        label = f"sync@{entry.time_s}s"
-        if entry.time_s < 0:
-            problems.append(f"{label}: time_s must be >= 0")
-        # a tuple, since a dict raises TypeError for an unhashable value
-        if entry.algorithm not in tuple(ALGORITHMS):
-            problems.append(f"{label}: unknown algorithm {entry.algorithm!r}")
-            continue
-        if entry.algorithm == "cristian" and len(entry.participants) != 2:
-            problems.append(f"{label}: cristian needs exactly 2 participants")
-        elif len(entry.participants) < 2:
-            problems.append(f"{label}: needs at least 2 participants")
-        if len(set(entry.participants)) != len(entry.participants):
-            problems.append(f"{label}: participants must be distinct")
         for node_id in entry.participants:
-            if node_id not in graph.nodes:
-                problems.append(f"{label}: unknown participant {node_id!r}")
-            elif graph.nodes[node_id].clock is None:
-                problems.append(f"{label}: participant {node_id!r} has no clock")
-            elif node_id not in linked:
-                problems.append(f"{label}: participant {node_id!r} is disconnected")
+            if node_id in graph.nodes and node_id not in linked:
+                problems.append(f"sync@{entry.time_s}s: participant {node_id!r} is disconnected")
     for attack in scenario.attacks:
         if attack.target not in graph.nodes:
             problems.append(f"attack {attack.kind}: unknown target {attack.target!r}")
-    for index, entry in enumerate(scenario.workload):
-        label = f"message_workload[{index}]"
-        if entry.time_s < 0:
-            problems.append(f"{label}: time_s must be >= 0")
-        if entry.size_bits < 0:
-            problems.append(f"{label}: size_bits must be >= 0")
-        if entry.source == entry.destination:
-            problems.append(f"{label}: source and destination must differ")
-        for node_id in (entry.source, entry.destination):
-            if node_id not in graph.nodes:
-                problems.append(f"{label}: unknown node {node_id!r}")
     for medium, speed in scenario.medium_speeds.items():
-        try:
-            valid = type(speed) in (int, float) and _number(medium, speed) > 0
-        except ValueError:
-            valid = False
         if medium not in MEDIA:
             problems.append(f"medium_speeds_m_per_s: unknown medium {medium!r}")
-        elif not valid:
+        elif not is_medium_speed(speed):
             problems.append(f"medium_speeds_m_per_s: {medium}: speed must be a finite "
                             f"number > 0, got {speed!r}")
     if scenario.config.duration >= 0:
@@ -408,11 +378,10 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                                 f"a finite number of picoseconds")
     if not problems:
         problems += _epoch_problems(scenario)
-        # a run quantizes each link's terms for every message it sends
+    if scenario.sync_schedule and not problems:
+        # a run quantizes each link's terms for every sync message it sends
         sync = scenario.sync_options
-        largest = max([entry.size_bits for entry in scenario.workload]
-                      + ([sync.request_size_bits, sync.reply_size_bits]
-                         if scenario.sync_schedule else []), default=0)
+        largest = max(sync.request_size_bits, sync.reply_size_bits)
         # no route crosses a link or router twice each way, so this bounds
         # every baseline round trip a sync exchange budgets its timeout on;
         # a down router carries no route
@@ -422,7 +391,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
                 longest_rtt_ps += 2 * sum(link_terms_ps(link, largest, scenario.medium_speeds))
             except ValueError as exc:
                 problems.append(str(exc))
-        if scenario.sync_schedule and not problems:
+        if not problems:
             try:
                 sync.timeout_ps(longest_rtt_ps)
             except OverflowError:
@@ -432,7 +401,7 @@ def validate_scenario(scenario: Scenario) -> list[str]:
 
 
 def load_scenario(path) -> Scenario:
-    """Parse and fully validate a scenario file."""
+    """Read and parse a scenario file; `build_engine` validates it."""
     try:
         with open(path, "r", encoding="utf-8") as handle:
             text = handle.read()
@@ -449,23 +418,42 @@ def load_scenario(path) -> Scenario:
         ) from None
     except ValueError as exc:  # a number literal beyond the integer conversion limit
         raise ScenarioError([f"{path}: parse error: {exc}"]) from None
-    scenario = parse_scenario(data)
-    problems = validate_scenario(scenario)
-    if problems:
-        raise ScenarioError(problems)
-    return scenario
+    return parse_scenario(data)
+
+
+def _entry_problem(label: str, exc: Exception) -> str:
+    # the engine is at 0 ps while it is built, so an event before it is a negative time
+    return f"{label}: {'time_s must be >= 0' if isinstance(exc, SchedulingError) else exc}"
 
 
 def build_engine(scenario: Scenario, seed: int | None = None) -> Engine:
-    """Engine with the scenario's workload and sync rounds scheduled."""
+    """Engine with the scenario's workload and sync rounds scheduled.  Raises
+    ScenarioError with `validate_scenario`'s problems (else the engine's own)
+    and the problem of each entry that `send_message` or its round rejects."""
+    problems = validate_scenario(scenario)
     run_seed = scenario.config.seed if seed is None else seed
-    engine = Engine(scenario.graph, run_seed, scenario.attacks, scenario.medium_speeds)
-    for entry in scenario.workload:
-        engine.send_message(entry.source, entry.destination, entry.size_bits,
-                            seconds_to_ps(entry.time_s))
+    try:
+        engine = Engine(scenario.graph, run_seed, scenario.attacks, scenario.medium_speeds)
+    except ValueError as exc:
+        raise ScenarioError(problems or [str(exc)]) from None
+    for index, entry in enumerate(scenario.workload):
+        try:
+            engine.send_message(entry.source, entry.destination, entry.size_bits,
+                                seconds_to_ps(entry.time_s))
+        except (SchedulingError, ValueError) as exc:
+            problems.append(_entry_problem(f"message_workload[{index}]", exc))
     for entry in scenario.sync_schedule:
-        machine = ALGORITHMS[entry.algorithm](engine, entry.participants, scenario.sync_options)
-        machine.start(seconds_to_ps(entry.time_s))
+        try:
+            # a tuple, since a dict raises TypeError for an unhashable value
+            if entry.algorithm not in tuple(ALGORITHMS):
+                raise ValueError(f"unknown algorithm {entry.algorithm!r}")
+            machine = ALGORITHMS[entry.algorithm](engine, entry.participants,
+                                                  scenario.sync_options)
+            machine.start(seconds_to_ps(entry.time_s))
+        except (SchedulingError, ValueError) as exc:
+            problems.append(_entry_problem(f"sync@{entry.time_s}s", exc))
+    if problems:
+        raise ScenarioError(problems)
     return engine
 
 

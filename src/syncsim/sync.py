@@ -160,7 +160,9 @@ class _Round:
             raise ValueError("participants must be distinct")
         for node_id in participants:
             if node_id not in engine.clocks:
-                raise ValueError(f"participant {node_id!r} has no clock")
+                raise ValueError(f"participant {node_id!r} has no clock"
+                                 if node_id in engine.view.graph.nodes
+                                 else f"unknown participant {node_id!r}")
         self.engine = engine
         self.participants = participants
         self.options = options or SyncOptions()

@@ -11,11 +11,13 @@ on a graph is one function here, which the constructors and the run both
 call, so an input that breaks it is named in the same words wherever it is
 found.  `link_terms_ps` writes a link's two delay formulas, size over
 bandwidth and distance over the medium's speed, each quantized once to
-integer picoseconds; `up_router_ps` a router's term, its delay under the
-attacks, quantized, or None while it is down; and `admit_link` where a
-link may go: between two of the graph's nodes, at most one link to a pair.
+integer picoseconds; `is_medium_speed` what a medium's speed may be;
+`up_router_ps` a router's term, its delay under the attacks, quantized,
+or None while it is down; and `admit_link` where a link may go: between
+two of the graph's nodes, at most one link to a pair.
 """
 
+import sys
 from collections.abc import Container, Iterable, Mapping
 from dataclasses import dataclass
 from types import MappingProxyType
@@ -155,15 +157,15 @@ def link_terms_ps(link: LinkSpec, size_bits: int,
     """(transmission, propagation) picoseconds of one traversal of `link` by
     a message of size_bits: size over bandwidth, and distance over the speed
     of the link's medium (from `medium_speeds` when it names the medium,
-    else the default), each quantized once.  Raises ValueError for an
-    unknown medium, a size or distance < 0, a bandwidth or speed that is not
-    > 0, and a term that is not a finite number of picoseconds."""
+    else the default), each quantized once.  Raises ValueError for an unknown
+    medium, a size or distance < 0, a bandwidth that is not > 0, a speed
+    `is_medium_speed` rejects, and a term that is not finite picoseconds."""
     speed = (medium_speeds or {}).get(link.medium, DEFAULT_MEDIUM_SPEEDS.get(link.medium))
-    problem = (f"unknown medium {link.medium!r}" if speed is None
+    problem = (f"unknown medium {link.medium!r}" if link.medium not in DEFAULT_MEDIUM_SPEEDS
                else f"message size must be >= 0 bits, got {size_bits}" if not size_bits >= 0
                else "bandwidth must be > 0" if not link.bandwidth_bps > 0
                else "distance must be >= 0" if not link.distance_m >= 0
-               else f"{link.medium} speed must be > 0" if not speed > 0 else None)
+               else f"{link.medium} speed must be > 0" if not is_medium_speed(speed) else None)
     if problem:
         raise ValueError(f"link {link.a}--{link.b}: {problem}")
     try:
@@ -172,6 +174,11 @@ def link_terms_ps(link: LinkSpec, size_bits: int,
     except (OverflowError, ValueError):  # beyond the float range, or NaN from inf / inf
         raise ValueError(f"link {link.a}--{link.b}: delay of a {size_bits}-bit message is "
                          f"not a finite number of picoseconds") from None
+
+
+def is_medium_speed(speed) -> bool:
+    """Whether `speed` (m/s) is an int or a float, not a bool, finite and > 0."""
+    return type(speed) in (int, float) and 0 < speed <= sys.float_info.max
 
 
 def up_router_ps(node: NodeSpec, attacks: tuple[AttackSpec, ...], t_ps: int) -> int | None:

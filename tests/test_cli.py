@@ -70,6 +70,22 @@ def test_duplicate_link_is_a_named_error_in_every_command(tmp_path):
                                  f"{link['b']!r} and {link['a']!r}\n"), result.stderr
 
 
+def test_a_build_problem_is_a_named_error_in_every_command(tmp_path):
+    # the workload entry's only problem is its time, which `build_engine`
+    # finds when the engine rejects its send: every command exits 1 with it
+    data = json.loads(MINIMAL.read_text())
+    data["message_workload"] = [{"time_s": -1.0, "source": "c1", "destination": "s1",
+                                 "size_bits": 100}]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    for command in ("run", "validate", "export-dot"):
+        result = cli(command, "--scenario", str(bad))
+        assert result.returncode == 1, (command, result.stderr)
+        assert result.stderr == "error: message_workload[0]: time_s must be >= 0\n", (
+            command, result.stderr)
+        assert result.stdout == ""
+
+
 def test_analyze_clock_reports_extremum():
     result = cli("analyze-clock", "--beta=10e-6", "--gamma=-1e-10")
     assert result.returncode == 0

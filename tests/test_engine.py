@@ -441,6 +441,15 @@ def test_a_speed_override_whose_link_term_is_not_finite_names_the_link(speed, pr
         make_engine(graph, medium_speeds={"fiber": speed})
 
 
+@pytest.mark.parametrize("speed", ["fast", [1], None, True],
+                         ids=["string", "array", "null", "bool"])
+def test_a_speed_override_that_is_not_a_number_names_the_link(speed):
+    # raised a bare TypeError for "fast" and [1], named None an unknown
+    # medium, and ran the link at True, read as 1 m/s
+    with pytest.raises(ValueError, match="^link c1--r1: fiber speed must be > 0$"):
+        make_engine(line_graph([50e-6]), medium_speeds={"fiber": speed})
+
+
 @pytest.mark.parametrize("router_delay, attacks, problem", [
     (math.inf, (), "r1: router_delay is not a finite number of picoseconds"),
     (math.nan, (), "r1: router_delay must be >= 0"),

@@ -10,7 +10,7 @@ from syncsim.dotexport import export_graph
 from syncsim.netview import NetworkView
 from syncsim.scenario import (ATTACK_KEYS, CLOCK_KEYS, CONFIG_KEYS, FAILURE_KEYS,
                               NODE_KEYS, SYNC_OPTION_KEYS, ScenarioError, _int, _number,
-                              _number_or_null, load_scenario, parse_scenario,
+                              _number_or_null, build_engine, load_scenario, parse_scenario,
                               run_scenario, validate_scenario)
 from syncsim.timebase import seconds_to_ps
 from syncsim.trace import (TraceFormatError, diff_traces, parse_trace,
@@ -122,13 +122,20 @@ def test_unknown_clock_reference_rejected():
     assert any("nope" in p for p in excinfo.value.problems)
 
 
+def build_problems(data: dict) -> list[str]:
+    """The problems `build_engine` names for a scenario document, [] if it builds."""
+    try:
+        build_engine(parse_scenario(data))
+    except ScenarioError as exc:
+        return exc.problems
+    return []
+
+
 def test_sync_participant_checks():
     data = dict(MINIMAL)
     data["sync_schedule"] = [
         {"time_s": 1.0, "algorithm": "cristian", "participants": ["c1", "zz"]}]
-    scenario = parse_scenario(data)
-    problems = [str(v) for v in validate_scenario(scenario)]
-    assert any("zz" in p for p in problems)
+    assert build_problems(data) == ["sync@1.0s: unknown participant 'zz'"]
 
 
 ROUTER = {"id": "r9", "kind": "router", "router_kind": "regular"}
@@ -178,6 +185,8 @@ def _mesh_attacks_with(multiplier: float, *extra: dict) -> dict:
      "medium_speeds_m_per_s: fiber: speed must be a finite number > 0, got -200000000.0"),
     ({**MINIMAL, "medium_speeds_m_per_s": {"fiber": None}},
      "medium_speeds_m_per_s: fiber: speed must be a finite number > 0, got None"),
+    ({**MINIMAL, "medium_speeds_m_per_s": {"fiber": True}},
+     "medium_speeds_m_per_s: fiber: speed must be a finite number > 0, got True"),
     ({**MINIMAL, "message_workload": [{**WORKLOAD, "size_bits": -1}]},
      "message_workload[0]: size_bits must be >= 0"),
     ({**MINIMAL, "message_workload": [{**WORKLOAD, "destination": "c1"}]},
@@ -314,7 +323,7 @@ def _mesh_attacks_with(multiplier: float, *extra: dict) -> dict:
      "got [[0, 0], [0, 1, 2]]"),
     ({**MINIMAL, "clocks": {"osc": {"model": "user_defined", "offset_table": 5}}},
      "clocks['osc']: offset_table must be an array of [time, offset] points, got 5"),
-    # sync_schedule checks of validate_scenario
+    # sync_schedule checks of build_engine and validate_scenario
     ({**MINIMAL, "sync_schedule": [{**CRISTIAN, "algorithm": "ntp"}]},
      "sync@1.0s: unknown algorithm 'ntp'"),
     ({**MINIMAL, "sync_schedule": [{**CRISTIAN, "algorithm": ["cristian"]}]},
@@ -361,7 +370,7 @@ def _mesh_attacks_with(multiplier: float, *extra: dict) -> dict:
         # accepted before, then broke `run`
         "participant_array", "workload_source_array", "workload_destination_object",
         "attack_target_array", "speed_string", "speed_zero", "speed_negative",
-        "speed_null", "negative_size", "same_endpoints", "same_participants",
+        "speed_null", "speed_bool", "negative_size", "same_endpoints", "same_participants",
         "negative_request_size",
         # non-finite or non-integral numbers and sync_options out of range
         "window_infinite", "router_delay_infinite", "distance_infinite",
@@ -390,7 +399,7 @@ def _mesh_attacks_with(multiplier: float, *extra: dict) -> dict:
         # split into characters, or a Python error, before
         "participants_string", "participants_number", "offset_point_three_values",
         "offset_table_number",
-        # sync_schedule checks of validate_scenario
+        # sync_schedule checks of build_engine and validate_scenario
         "unknown_algorithm", "unknown_algorithm_array", "one_participant",
         "participant_without_clock", "participant_disconnected",
         # named problems that no other row reaches
@@ -402,7 +411,7 @@ def test_malformed_scenario_is_a_named_problem(tmp_path, data, named):
     path = tmp_path / "bad.json"
     path.write_text(data if isinstance(data, str) else json.dumps(data))
     with pytest.raises(ScenarioError) as excinfo:
-        load_scenario(path)
+        build_engine(load_scenario(path))
     assert any(named in p for p in excinfo.value.problems), excinfo.value.problems
 
 
@@ -437,7 +446,7 @@ def test_each_overflowing_epoch_is_its_own_problem():
 ], ids=["sync_schedule", "message_workload", "config"])
 def test_negative_times_are_rejected(section, entry, named):
     data = {**MINIMAL, section: entry if section == "config" else [entry]}
-    problems = [str(v) for v in validate_scenario(parse_scenario(data))]
+    problems = build_problems(data)
     assert any(named in p for p in problems), problems
 
 
@@ -448,8 +457,7 @@ def test_cristian_needs_exactly_two_participants():
                                           "distance_m": 1000.0}],
             "sync_schedule": [{"time_s": 1.0, "algorithm": "cristian",
                                "participants": ["c1", "s1", "c2"]}]}
-    problems = [str(v) for v in validate_scenario(parse_scenario(data))]
-    assert problems == ["sync@1.0s: cristian needs exactly 2 participants"]
+    assert build_problems(data) == ["sync@1.0s: cristian needs exactly 2 participants"]
 
 
 @pytest.mark.parametrize("path", sorted(SCENARIO_DIR.glob("*.json")), ids=lambda p: p.stem)
@@ -475,11 +483,24 @@ def test_bundled_scenarios_are_valid():
     paths = sorted(SCENARIO_DIR.glob("*.json"))
     assert len(paths) >= 3
     for path in paths:
-        scenario = load_scenario(path)
-        assert validate_scenario(scenario) == []
+        build_engine(load_scenario(path))
 
 
 MINIMAL_PAIR = json.loads((SCENARIO_DIR / "minimal_pair.json").read_text())
+
+
+def test_a_workload_size_does_not_bound_the_sync_timeout():
+    # a 10^301-bit data message crosses the link in 10^295 s; the validator
+    # took its size into the bound on a sync exchange's timeout, which then
+    # overflowed, and rejected a scenario whose round completes
+    data = {**MINIMAL_PAIR, "sync_options": {"timeout_factor": 10},
+            "message_workload": [{"time_s": 0.5, "source": "c1", "destination": "s1",
+                                  "size_bits": 10**301}]}
+    scenario = parse_scenario(data)
+    assert validate_scenario(scenario) == []
+    engine, _, _ = run_scenario(scenario)
+    (sync_round,) = engine.sync_reports
+    assert not sync_round.failed and sync_round.residuals_ps
 
 
 @pytest.mark.parametrize("data", [

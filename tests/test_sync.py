@@ -137,6 +137,19 @@ def test_a_participant_without_a_clock_is_rejected_when_the_round_is_built(run):
     assert engine.next_event_time_ps() is None and engine.records == []
 
 
+@pytest.mark.parametrize("build", [
+    lambda engine: CristianExchange(engine, ("c1", "zz")),
+    lambda engine: CristianExchange(engine, ("zz", "s1")),
+    lambda engine: BerkeleyRound(engine, ("s1", "c1", "zz")),
+], ids=["cristian_server", "cristian_client", "berkeley_member"])
+def test_an_unknown_participant_is_named_unknown_when_the_round_is_built(build):
+    # named "participant 'zz' has no clock" before, as if 'zz' were a router
+    engine = Engine(line_graph([50e-6]), seed=0)
+    with pytest.raises(ValueError, match="^unknown participant 'zz'$"):
+        build(engine)
+    assert engine.next_event_time_ps() is None and engine.records == []
+
+
 # -- Berkeley -----------------------------------------------------------------
 
 def star_engine(member_offsets, coordinator_offset=0.0, router_models=None):
