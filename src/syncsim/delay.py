@@ -11,8 +11,11 @@ The link terms do not depend on time.  `topology.link_terms_ps` is the
 one place both link formulas are written and quantized; `CompiledTopology`
 calls it once per link (transmission once per link and message size) and
 is what `total_path_delay` and the route search both read.  The router
-term is `NetworkView.hop_router_ps` at the path's send time, the rule the
-route search reads too.
+term is `NetworkView.hop_router_ps` at the path's send time, on the terms
+of the routing epoch holding it, which `total_path_delay` looks up once
+per path.  The route search reads the same epoch terms, and
+`NetworkView.router_flag` for a router a failure model can take down,
+itself.
 
 An inactive router never contributes a numeric infinity: the walk is simply
 unroutable and `PathBlocked` names the failed router.
@@ -108,14 +111,16 @@ def total_path_delay(view: "NetworkView", path: list[str], size_bits: int,
     """
     topology = view.topology
     transmission, propagation = topology.size_terms(size_bits)[0], topology.propagation_ps
+    link_between, index, hop_router_ps = topology.link_between, topology.index, view.hop_router_ps
+    terms = view.epoch_at(t_ps).terms
     arrivals_ps: list[int] = []
     router_total = transmission_total = propagation_total = 0
     for a, b in zip(path, path[1:]):
         try:
-            link = topology.link_between[a, b]
+            link = link_between[a, b]
         except KeyError:
             raise ValueError(f"no link between {a!r} and {b!r}") from None
-        router = view.hop_router_ps(topology.index[b], t_ps)
+        router = hop_router_ps(index[b], t_ps, terms)
         if router is None:
             raise PathBlocked(b)
         transmission_total += transmission[link]

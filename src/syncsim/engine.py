@@ -22,19 +22,21 @@ executes, the loop calls `action()`, which takes no arguments, and adds
 the fields it returns to the record.  `cancel` clears the entry's
 record, and the loop skips entries without one; only `_queue` entries
 are handed out, so only they are cancelled.  An `_arrivals` entry is
-`[time_ps, seq, message, leg, hops, times]`, the message arriving at
-`hops[leg]`; `times[k]`, the send time plus `arrivals_ps[k]`, is summed
-once per message.  The loop builds its record, with the keys in
-`schedule_ps`'s order, when the entry is the head.  At the message's last
-node, or where a drop roll drops it, the loop pops the entry; elsewhere
-the message moves on in the same entry: the loop writes the next node's
-time, a new `seq` and `leg + 1` into it and re-sifts it with
-`heapreplace`, one heap operation and no new list per hop.  Both heaps
-take `seq` from one counter, so `(time_ps, seq)` is unique, no comparison
-reaches past `seq`, and executing whichever head compares smaller runs
-events in exactly the order one heap would.  `now_ps` is set before the
-code that reads it, a queued action or a delivery; a hop that only moves
-the message on leaves it, and `run_until_ps` ends at its target.
+`[time_ps, seq, message, leg, hops, arrivals_ps, send_ps, message_id,
+last]`, the message arriving at `hops[leg]`: the route's hops and its
+breakdown's relative `arrivals_ps`, the send time, the message's id and
+its last leg, `len(hops) - 1`.  The loop builds its record, with the keys
+in `schedule_ps`'s order, when the entry is the head.  At the last leg,
+or where a drop roll drops it, the loop pops the entry; elsewhere the
+message moves on in the same entry: the loop writes the next node's
+time, `send_ps + arrivals_ps[leg]`, a new `seq` and `leg + 1` into it and
+re-sifts it with `heapreplace`, one heap operation and no new list per
+hop.  Both heaps take `seq` from one counter, so `(time_ps, seq)` is
+unique, no comparison reaches past `seq`, and executing whichever head
+compares smaller runs events in exactly the order one heap would.
+`now_ps` is set before the code that reads it, a queued action or a
+delivery; a hop that only moves the message on leaves it, and
+`run_until_ps` ends at its target.
 
 An arrival is queued without `schedule_ps`'s checks, which cannot fail
 for it: `send_ps` passed them when the send was queued, and `arrivals_ps`
@@ -73,7 +75,7 @@ from typing import Callable
 from . import attacks as attacks_mod
 from .clocks import SoftwareClock
 from .netview import NetworkView
-from .routing import NoRoute, Route, RouteQuery, shortest_path
+from .routing import NoRoute, Route, RouteQuery, require_size_bits, shortest_path
 from .timebase import require_ps, seconds_to_ps
 from .topology import NetworkGraph
 from .trace import RECORD_KINDS
@@ -111,8 +113,8 @@ class Engine:
         self._seq = itertools.count()
         # [time_ps, seq, record, action]: sends, sync steps and timeouts
         self._queue: list[list] = []
-        # [time_ps, seq, message, leg, hops, times]: in-flight messages' next
-        # hop_arrival or delivery
+        # [time_ps, seq, message, leg, hops, arrivals_ps, send_ps, message_id,
+        # last leg]: in-flight messages' next hop_arrival or delivery
         self._arrivals: list[list] = []
         # t_ps -> {(epoch, source, destination, size_bits): Route or None}
         self._answers: dict[int, dict[tuple, Route | None]] = {}
@@ -172,35 +174,37 @@ class Engine:
         if t_end_ps < self.now_ps:
             raise SchedulingError("run_until target is in the past")
         queue, arrivals, records = self._queue, self._arrivals, self.records
-        view, seq = self.view, self._seq
+        append, next_seq = records.append, self._seq.__next__
+        view = self.view
         drop_targets = view.drop_targets
         emitted_from = len(records)
         while True:
             # the smaller head is the next event; it decides when to stop
             if arrivals and not (queue and queue[0] < arrivals[0]):
                 entry = arrivals[0]
-                time_ps, n, message, leg, hops, times = entry
+                time_ps, n, message, leg, hops, offsets, send_ps, message_id, last = entry
                 if time_ps > t_end_ps:
                     break
-                node, last = hops[leg], leg + 1 == len(hops)
+                node = hops[leg]
                 record = {"sim_time_ps": time_ps, "sequence": n,
-                          "kind": "delivery" if last else "hop_arrival",
-                          "message_id": message.message_id, "node": node}
-                if last:
+                          "kind": "delivery" if leg == last else "hop_arrival",
+                          "message_id": message_id, "node": node}
+                if leg == last:
                     heappop(arrivals)
                     self.now_ps = time_ps
                     self._deliver(message, record)
                 elif node in drop_targets and (drop := attacks_mod.drop_roll(
-                        view.attacks, view.drop_stream, node, time_ps,
-                        message.message_id)) is not None:
+                        view.attacks, view.drop_stream, node, time_ps, message_id)) is not None:
                     heappop(arrivals)
                     message.status = record["status"] = "dropped"
                     record["attack"] = {"kind": drop.kind, "target": drop.target}
                 else:
-                    entry[0] = times[leg]
-                    entry[1] = next(seq)
+                    entry[0] = send_ps + offsets[leg]
+                    entry[1] = next_seq()
                     entry[3] = leg + 1
                     heapreplace(arrivals, entry)
+                    append(record)
+                    continue
             else:
                 if not queue or queue[0][0] > t_end_ps:
                     break
@@ -212,7 +216,7 @@ class Engine:
                     extra = action()
                     if extra:
                         record.update(extra)
-            records.append(record)
+            append(record)
         self.now_ps = t_end_ps
         self._drop_past_answers()
         return self.records[emitted_from:]
@@ -228,8 +232,7 @@ class Engine:
         The route is chosen when the send event executes; a NoRoute outcome
         leaves the message blocked (the sender only learns via timeout).
         """
-        if type(size_bits) is not int or size_bits < 0:
-            raise ValueError(f"size_bits must be >= 0 and an int, got {size_bits!r}")
+        require_size_bits(size_bits)
         nodes = self.view.graph.nodes
         if source not in nodes or destination not in nodes:
             raise ValueError(f"unknown node {source if source not in nodes else destination!r}")
@@ -260,8 +263,9 @@ class Engine:
         message.route = route
         message.status = "in_flight"
         bd, hops, send_ps = route.breakdown, route.hops, message.send_ps
-        times = [send_ps + offset_ps for offset_ps in bd.arrivals_ps]
-        heappush(self._arrivals, [times[0], next(self._seq), message, 1, hops, times])
+        heappush(self._arrivals, [send_ps + bd.arrivals_ps[0], next(self._seq), message, 1,
+                                  hops, bd.arrivals_ps, send_ps, message.message_id,
+                                  len(hops) - 1])
         return {"status": "in_flight", "route": list(hops),
                 "router_ps": bd.router_ps, "transmission_ps": bd.transmission_ps,
                 "propagation_ps": bd.propagation_ps, "total_ps": bd.total_ps}

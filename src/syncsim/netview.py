@@ -2,8 +2,10 @@
 
 Bundles the graph with the global seed and the attack list, and answers
 the time-dependent question routing and delay computation ask: the router
-term of a hop into a node at t, None when the node is down
-(`hop_router_ps`, the one rule both read).  Everything that depends only
+term of a hop into a node at t, None when the node is down.
+`hop_router_ps` is that rule on the terms of t's routing epoch, which
+`delay.total_path_delay` looks up once per path; the route search reads
+the same epoch terms and `router_flag` itself.  Everything that depends only
 on those inputs is built with the view, so a query only indexes: the
 compiled topology with its time-independent terms, the routing epochs,
 and the router_flag stream state of every router a failure model can take
@@ -142,11 +144,13 @@ class NetworkView:
         return attacks_mod.effective_router_delay(self.attacks, node_id, t_ps,
                                                   node.router_delay)
 
-    def hop_router_ps(self, node: int, t_ps: int) -> int | None:
-        """The router term of a hop into node index `node` at t_ps: its term
-        in the routing epoch holding t_ps while its failure model has it up,
-        else None."""
-        term = self.epoch_at(t_ps).terms[node]
+    def hop_router_ps(self, node: int, t_ps: int, terms: tuple[int | None, ...]) -> int | None:
+        """The router term of a hop into node index `node` at t_ps, where
+        `terms` are the terms of the routing epoch holding t_ps
+        (`epoch_at(t_ps).terms`, read once per path): its term while its
+        failure model has it up, else None.  The flag is read only for a
+        router a failure model can take down."""
+        term = terms[node]
         if (term is None or self.topology.failure_models[node] is None
                 or self.router_flag(node, t_ps)):
             return term

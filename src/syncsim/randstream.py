@@ -10,7 +10,9 @@ byte-stable.
 Draws are derived from BLAKE2b digests of a canonical key encoding, so they
 are identical across platforms and Python versions.  `_encode` writes one
 chunk per key part, so a stream's prefix (seed, stream tag, entity) is
-hashed once into a state that `draw` copies and extends with the tail.
+hashed once into a state that `draw` copies and extends with the tail;
+an exact int in the tail takes its chunk header from a table built at
+import (`_INT_HEADERS`), so a draw encodes only the int's own bytes.
 Every stream on the run path is held by its owner, built once from
 `stream`: each `SoftwareClock` holds its clock_noise and clock_jitter
 states, and each `NetworkView` the router_flag state of every router a
@@ -49,6 +51,11 @@ def _encode(parts: tuple) -> bytes:
 
 _GAUSSIAN_TAILS = (_encode((0,)), _encode((1,)))  # the two draws of a Gaussian
 
+# _encode's chunk header of an int whose bytes number `size`, for every
+# size up to that of a 256-bit int; `_extend` reads it from here
+_INT_HEADERS = tuple(b"i" + size.to_bytes(2, "big") for size in range(34))
+_INT_SIZES = len(_INT_HEADERS)
+
 
 def stream(seed: int, *key):
     """BLAKE2b state after hashing _encode((seed,) + key): the prefix state
@@ -57,12 +64,12 @@ def stream(seed: int, *key):
 
 
 def _extend(prefix, tail: tuple):
-    """A copy of `prefix` updated with _encode(tail), exact ints encoded inline."""
+    """A copy of `prefix` updated with _encode(tail), exact ints of up to
+    256 bits encoded inline under their header from `_INT_HEADERS`."""
     state = prefix.copy()
     for part in tail:
-        if type(part) is int:
-            size = (part.bit_length() + 8) // 8 + 1
-            state.update(b"i" + size.to_bytes(2, "big") + part.to_bytes(size, "big", signed=True))
+        if type(part) is int and (size := (part.bit_length() + 8) // 8 + 1) < _INT_SIZES:
+            state.update(_INT_HEADERS[size] + part.to_bytes(size, "big", signed=True))
         else:
             state.update(_encode((part,)))
     return state
@@ -91,7 +98,7 @@ def draw_bernoulli(prefix, probability: float, *tail) -> bool:
         return False
     if probability >= 1.0:
         return True
-    return unit(draw(prefix, *tail)) < probability
+    return (int.from_bytes(_extend(prefix, tail).digest(), "big") >> 11) / _TWO53 < probability
 
 
 def draw_gaussian(prefix, sigma: float, *tail) -> float:

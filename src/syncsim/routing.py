@@ -2,13 +2,14 @@
 
 An edge's weight is its hop's delay in integer picoseconds: the link's
 term for the message size (transmission plus propagation, from the
-compiled topology) plus the downstream router's term at t
-(`NetworkView.hop_router_ps`), the same terms `delay.total_path_delay`
-sums, so a route's weight equals its delay breakdown total exactly.  The
-search reads router terms from a sequence indexed by node, where None
-excludes every edge into that node rather than giving it infinite weight.
-Only routers forward traffic: clients and time servers appear solely as
-route endpoints.
+compiled topology) plus the downstream router's term at t (its term in
+t's routing epoch while its failure model has it up), the same terms
+`delay.total_path_delay` sums, so a route's weight equals its delay
+breakdown total exactly.  The search reads router terms from a sequence
+indexed by node, where None excludes every edge into that node rather
+than giving it infinite weight, and reads `NetworkView.router_flag`
+itself for a router a failure model can take down.  Only routers forward
+traffic: clients and time servers appear solely as route endpoints.
 
 Weights depend on message size (the transmission term), so routes are
 computed per message.  Ties break on fewer hops, then the lexicographically
@@ -51,6 +52,16 @@ route at t.  A cached route's breakdown is the same at every t it is
 returned (its routers are up, at the terms it was found with), so
 `total_path_delay` computes it once.
 
+An exhaustive fill pushes only routers, after its source: every other
+endpoint takes its label and predecessor by relaxation alone.  That is
+exact because an endpoint relaxes nothing, so popping it would only
+settle its label; and with non-negative weights no node popped after the
+point where Dijkstra would have popped the endpoint can offer it an
+equal or better (delay, hops) label, since that node's label is at least
+the endpoint's and its offer adds a weight >= 0 and one more hop.  Every
+offer the endpoint can take, ties included, reaches it before that
+point, as it would with the endpoint on the heap.
+
 The goal-directed searches (steps 2 and 4) are Dijkstra on reduced
 weights w(u, v) + h(v) - h(u), where h(v) is the attack-free delay from
 v to the destination d less d's own term.  A link's term is the same in
@@ -66,6 +77,7 @@ route through to d, and an endpoint other than d, which does not relay,
 are not pushed: no path to d at t passes them.
 """
 
+from collections import namedtuple
 from collections.abc import Sequence
 from dataclasses import dataclass
 from heapq import heappop, heappush
@@ -86,17 +98,25 @@ class NoRoute(Exception):
         self.destination = destination
 
 
-@dataclass(frozen=True)
-class RouteQuery:
-    source: str
-    destination: str
-    t_ps: int
-    size_bits: int
+def require_size_bits(size_bits) -> None:
+    """Raise ValueError unless size_bits, a message size, is an int >= 0:
+    a bool, although an int subclass, would trace as true/false."""
+    if type(size_bits) is not int or size_bits < 0:
+        raise ValueError(f"size_bits must be >= 0 and an int, got {size_bits!r}")
 
-    def __post_init__(self):
-        require_ps(self.t_ps, "t_ps")
-        if self.source == self.destination:
+
+class RouteQuery(namedtuple("RouteQuery", ("source", "destination", "t_ps", "size_bits"))):
+    """One route query: endpoints, time and message size.  An immutable
+    value, a tuple of its four fields, checked when built."""
+
+    __slots__ = ()
+
+    def __new__(cls, source: str, destination: str, t_ps: int, size_bits: int):
+        require_ps(t_ps, "t_ps")
+        require_size_bits(size_bits)
+        if source == destination:
             raise ValueError("source and destination must differ")
+        return tuple.__new__(cls, (source, destination, t_ps, size_bits))
 
     @property
     def query_time(self) -> float:
@@ -144,12 +164,13 @@ def shortest_path(view: NetworkView, query: RouteQuery) -> Route:
     if cached is None:
         raise NoRoute(query.source, query.destination)
     router_flag = view.router_flag
-    if all(router_flag(node, t_ps) for node in cached.failures):
-        if cached.route is None:
-            cached.route = Route(cached.hops, total_path_delay(
-                view, list(cached.hops), size_bits, t_ps))
-        return cached.route
-    return _route_at(view, source, destination, query)
+    for node in cached.failures:
+        if not router_flag(node, t_ps):
+            return _route_at(view, source, destination, query)
+    if cached.route is None:
+        cached.route = Route(cached.hops, total_path_delay(
+            view, list(cached.hops), size_bits, t_ps))
+    return cached.route
 
 
 def _cached_route(topology: CompiledTopology, epoch: Epoch, attack_free: Epoch, source: int,
@@ -235,6 +256,12 @@ def _search(topology: CompiledTopology, source: int, size_bits: int,
     and the smaller takes over as predecessor.  Ties therefore resolve as
     on full (delay, hops, path) labels.
 
+    After the source, only routers and `destination` are pushed: any other
+    endpoint relays nothing, so it takes its label and predecessor by
+    relaxation alone, and no node settled after the point where it would
+    have been settled can offer it an equal or better label (weights are
+    >= 0 and such an offer has one more hop; see the module docstring).
+
     `terms[v]` is the router term of a hop into node v, or None when the
     hop is excluded.  A node whose `remaining` is negative is excluded
     too, and so, when `view` is given, is a router a failure model can
@@ -263,9 +290,6 @@ def _search(topology: CompiledTopology, source: int, size_bits: int,
         settled[node] = True
         if node == destination:
             break
-        # only routers relay; endpoints do not forward traffic through themselves
-        if hops and not relays[node]:
-            continue
         dist = best_delay[node]
         hops += 1
         for neighbor, link in adjacency[node]:
@@ -290,8 +314,11 @@ def _search(topology: CompiledTopology, source: int, size_bits: int,
             best_delay[neighbor] = delay
             best_hops[neighbor] = hops
             predecessor[neighbor] = node
-            heappush(frontier, (delay if remaining is None else delay + remaining[neighbor],
-                                hops, neighbor))
+            # only routers relay: an endpoint other than the destination is
+            # labelled by relaxation alone, never pushed (see above)
+            if relays[neighbor] or neighbor == destination:
+                heappush(frontier, (delay if remaining is None else delay + remaining[neighbor],
+                                    hops, neighbor))
     return predecessor, best_delay
 
 
@@ -312,8 +339,8 @@ class _CachedRoute:
     __slots__ = ("hops", "routers", "failures", "route")
 
     def __init__(self, topology: CompiledTopology, path: list[int]):
-        self.hops = tuple(topology.ids[node] for node in path)
-        self.routers = frozenset(node for node in path[1:] if topology.relays[node])
-        self.failures = tuple(node for node in path[1:]
-                              if topology.failure_models[node] is not None)
+        ids, relays, failure_models = topology.ids, topology.relays, topology.failure_models
+        self.hops = tuple([ids[node] for node in path])
+        self.routers = frozenset([node for node in path[1:] if relays[node]])
+        self.failures = tuple([node for node in path[1:] if failure_models[node] is not None])
         self.route: Route | None = None

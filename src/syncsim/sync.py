@@ -23,11 +23,11 @@ see: the wall clock drives both the true delays and the reference readings.
 """
 
 import statistics
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .engine import Engine, Message
-from .timebase import half_ps, require_finite, seconds_to_ps
+from .timebase import field_ps, half_ps, require_finite, seconds_to_ps
 
 
 @dataclass(frozen=True)
@@ -40,6 +40,10 @@ class SyncOptions:
     slew_rate: float | None = None            # seconds per second, for slew
     timeout_factor: float = 5.0               # multiple of baseline RTT
     default_timeout: float = 1.0              # seconds, when no baseline exists
+    # the seconds fields the run reads, quantized once when built
+    server_service_ps: int = field(init=False, repr=False, compare=False)
+    default_timeout_ps: int = field(init=False, repr=False, compare=False)
+    outlier_threshold_ps: int | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         require_finite(self, "server_service_time", "timeout_factor", "default_timeout",
@@ -59,13 +63,16 @@ class SyncOptions:
             raise ValueError(f"unknown correction policy: {self.correction_policy!r}")
         if self.correction_policy == "slew" and (self.slew_rate is None or self.slew_rate <= 0):
             raise ValueError("slew policy requires a positive slew_rate")
+        object.__setattr__(self, "server_service_ps", field_ps(self, "server_service_time"))
+        object.__setattr__(self, "default_timeout_ps", field_ps(self, "default_timeout"))
+        object.__setattr__(self, "outlier_threshold_ps", None if self.outlier_threshold is None
+                           else field_ps(self, "outlier_threshold"))
 
     def timeout_ps(self, baseline_rtt_ps: int) -> int:
         """How long an exchange waits for its reply: timeout_factor times the
         attack-free round trip plus the server's service time.  Raises
         OverflowError when that is not a finite number of picoseconds."""
-        return round(self.timeout_factor *
-                     (baseline_rtt_ps + seconds_to_ps(self.server_service_time)))
+        return round(self.timeout_factor * (baseline_rtt_ps + self.server_service_ps))
 
 
 class SyncExchange:
@@ -102,15 +109,14 @@ class SyncExchange:
         self.messages_sent = 1
         baseline = engine.baseline_rtt_ps(self.client, self.server, at_ps,
                                           opts.request_size_bits, opts.reply_size_bits)
-        wait_ps = (seconds_to_ps(opts.default_timeout) if baseline is None
-                   else opts.timeout_ps(baseline))
+        wait_ps = opts.default_timeout_ps if baseline is None else opts.timeout_ps(baseline)
         self._timeout_event = engine.schedule_ps(
             at_ps + wait_ps, "timeout", {"message_id": request.message_id, "node": self.client},
             action=self._timed_out)
 
     def _request_arrived(self, request: Message) -> None:
         engine, opts = self.owner.engine, self.owner.options
-        reply_at_ps = request.delivery_ps + seconds_to_ps(opts.server_service_time)
+        reply_at_ps = request.delivery_ps + opts.server_service_ps
         self.t_server_ps = engine.clocks[self.server].reading_ps(reply_at_ps)
         self.forward_delay_ps = request.route.breakdown.total_ps
         engine.send_message(self.server, self.client, opts.reply_size_bits,
@@ -296,8 +302,8 @@ class BerkeleyRound(_Round):
         values = list(offsets.values())
         median = statistics.median(map(Fraction, values))
         surviving = values
-        if opts.outlier_threshold is not None:
-            threshold_ps = seconds_to_ps(opts.outlier_threshold)
+        threshold_ps = opts.outlier_threshold_ps
+        if threshold_ps is not None:
             # a degenerate threshold that keeps no one falls back to all
             surviving = [o for o in values if abs(o - median) <= threshold_ps] or values
         mean = Fraction(sum(surviving), len(surviving))
@@ -311,7 +317,7 @@ class BerkeleyRound(_Round):
                     now_ps, purpose="sync_correction", on_delivery=self._correction_arrived))
         # corrections that never arrive must not stall the round
         self._corrections_deadline_event = engine.schedule_ps(
-            now_ps + seconds_to_ps(opts.default_timeout), "timeout",
+            now_ps + opts.default_timeout_ps, "timeout",
             {"node": self.coordinator}, action=self._corrections_deadline)
 
     def _correction_arrived(self, message: Message) -> None:

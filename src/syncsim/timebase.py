@@ -29,6 +29,17 @@ def require_finite(owner, *names: str) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
+def field_ps(owner, name: str) -> int:
+    """The named field of `owner`, a finite number of seconds, quantized
+    with `seconds_to_ps`.  Raises ValueError naming the field when it is
+    not a finite number of picoseconds."""
+    value = getattr(owner, name)
+    try:
+        return seconds_to_ps(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be a finite number of picoseconds, got {value!r}") from None
+
+
 def seconds_to_ps(seconds: float) -> int:
     """Quantize a duration or offset in seconds to integer picoseconds."""
     return round(seconds * PS_PER_SECOND)

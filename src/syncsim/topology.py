@@ -19,14 +19,14 @@ two of the graph's nodes, at most one link to a pair.
 
 import sys
 from collections.abc import Container, Iterable, Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from types import MappingProxyType
 
 from . import attacks as attacks_mod
 from . import randstream
 from .attacks import AttackSpec
 from .clocks import ClockParameters
-from .timebase import ps_to_seconds, require_finite, seconds_to_ps
+from .timebase import field_ps, ps_to_seconds, require_finite, seconds_to_ps
 
 NODE_KINDS = ("client", "time_server", "router")
 FAILURE_MODES = ("always_active", "always_failed", "bernoulli", "alternating")
@@ -54,6 +54,10 @@ class FailureModel:
     failure_probability: float = 0.0
     up_duration: float = 0.0
     down_duration: float = 0.0
+    # in alternating mode, the up duration and the period (up plus down),
+    # quantized once when built; None in the other modes
+    up_ps: int | None = field(default=None, init=False, repr=False, compare=False)
+    period_ps: int | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.mode not in FAILURE_MODES:
@@ -61,9 +65,12 @@ class FailureModel:
         require_finite(self, "failure_probability", "up_duration", "down_duration")
         if not 0.0 <= self.failure_probability <= 1.0:
             raise ValueError("failure_probability must be in [0, 1]")
-        if self.mode == "alternating" and (seconds_to_ps(self.up_duration) <= 0
-                                           or seconds_to_ps(self.down_duration) <= 0):
-            raise ValueError("alternating mode needs positive up/down durations")
+        if self.mode == "alternating":
+            up_ps, down_ps = field_ps(self, "up_duration"), field_ps(self, "down_duration")
+            if up_ps <= 0 or down_ps <= 0:
+                raise ValueError("alternating mode needs positive up/down durations")
+            object.__setattr__(self, "up_ps", up_ps)
+            object.__setattr__(self, "period_ps", up_ps + down_ps)
 
     def flag_at_ps(self, node_id: str, t_ps: int, seed: int) -> int:
         """Activity indicator at t: 1 active, 0 failed.
@@ -83,8 +90,7 @@ class FailureModel:
             return 0
         if self.mode == "bernoulli":
             return 0 if randstream.draw_bernoulli(prefix, self.failure_probability, t_ps) else 1
-        period_ps = seconds_to_ps(self.up_duration) + seconds_to_ps(self.down_duration)
-        return 1 if t_ps % period_ps < seconds_to_ps(self.up_duration) else 0
+        return 1 if t_ps % self.period_ps < self.up_ps else 0
 
 
 @dataclass(frozen=True)

@@ -403,7 +403,7 @@ def test_a_bad_size_is_rejected_at_the_send(size_bits):
     # rejected before an id is taken or anything is queued, so the run
     # goes on and the next send is m00001
     engine = make_engine()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^size_bits must be >= 0 and an int, got "):
         engine.send_message("c1", "s1", size_bits, seconds_to_ps(0.5))
     assert engine.messages == {} and engine.next_event_time_ps() is None
     message = engine.send_message("c1", "s1", 0, seconds_to_ps(0.5))

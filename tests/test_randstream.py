@@ -156,7 +156,7 @@ def test_held_router_flags_equal_the_reference_bit_for_bit():
                     assert model.flag_from(held, t_ps) == expected, case
                     assert model.flag_from(view.flag_streams[index], t_ps) == expected, case
                     assert model.flag_at_ps(node_id, t_ps, seed) == expected, case
-                    term = view.hop_router_ps(index, t_ps)
+                    term = view.hop_router_ps(index, t_ps, view.epoch_at(t_ps).terms)
                     assert (term is not None) == (expected == 1), case
 
 
@@ -191,12 +191,16 @@ def test_held_drop_rolls_equal_the_reference_bit_for_bit():
 
 
 def test_int_tails_equal_the_full_key_digest():
+    # a held draw extends its prefix state with the tail, an int under the
+    # header `_INT_HEADERS` holds for it up to 256 bits and through _encode
+    # beyond: ints on both sides of that edge included
     for seed in HELD_SEEDS:
         for entity in HELD_CLOCK_IDS:
-            for t_ps in HELD_TIMES_PS:
+            for t_ps in HELD_TIMES_PS + (2**255 - 1, -2**255, 2**255, -2**256, 2**300):
                 for key in (("router_flag", entity, t_ps), ("clock_noise", entity, t_ps, 1),
                             ("ddos_drop", t_ps, entity), (entity, t_ps, t_ps)):
-                    expected = hashlib.blake2b(randstream._encode((seed, *key)),
-                                               digest_size=8).digest()
-                    assert randstream.u64(seed, *key) == int.from_bytes(expected, "big"), \
-                        (seed, key)
+                    expected = int.from_bytes(hashlib.blake2b(
+                        randstream._encode((seed, *key)), digest_size=8).digest(), "big")
+                    assert randstream.u64(seed, *key) == expected, (seed, key)
+                    held = randstream.stream(seed, key[0])
+                    assert randstream.draw(held, *key[1:]) == expected, (seed, key)

@@ -1,16 +1,20 @@
 import random
+import re
+from heapq import heappop
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from syncsim import routing
 from syncsim.attacks import AttackSpec
 from syncsim.netview import NetworkView
 from syncsim.routing import NoRoute, RouteQuery, _path, _search, edge_weight_ps, shortest_path
+from syncsim.scenario import parse_scenario
 from syncsim.timebase import seconds_to_ps
 from syncsim.topology import FailureModel, LinkSpec, NetworkGraph, NodeSpec
 
-from conftest import line_graph, make_node
+from conftest import benchmark_workloads, line_graph, make_node
 from oracles import enumerate_best_route, random_network
 
 
@@ -122,6 +126,17 @@ def test_clients_do_not_relay():
 def test_route_query_rejects_equal_endpoints():
     with pytest.raises(ValueError):
         RouteQuery("a", "a", 0, 100)
+
+
+@pytest.mark.parametrize("size_bits", [1.5, True, "12", -1],
+                         ids=["fraction", "bool", "str", "negative"])
+def test_route_query_rejects_a_bad_size_in_the_send_s_words(simple_view, size_bits):
+    # accepted before: 1.5 routed a 1.5-bit message, True routed as 1 bit,
+    # "12" raised a bare TypeError from inside link_terms_ps and -1 raised
+    # the link's size problem from inside the search
+    with pytest.raises(ValueError, match=f"^size_bits must be >= 0 and an int, got "
+                                         f"{re.escape(repr(size_bits))}$"):
+        shortest_path(simple_view, RouteQuery("c1", "s1", 0, size_bits))
 
 
 # -- oracle equivalence -------------------------------------------------------------
@@ -236,10 +251,13 @@ def test_cached_routes_match_brute_force_under_failures_and_attacks(seed):
         assert route.breakdown.total_ps == oracle[2].total_ps
 
 
-def _tied_grid(rows: int, cols: int, rng: random.Random) -> NetworkGraph:
+def _tied_grid(rows: int, cols: int, rng: random.Random, homed: bool) -> NetworkGraph:
     """A rows x cols grid of routers with identical links and router delays,
     about 40% of them Bernoulli p=0.3, c1 at one corner and s1 at the other:
-    many shortest paths share one (delay, hops) label."""
+    many shortest paths share one (delay, hops) label.  Homed on several
+    routers, as the mesh dual-homes its clients, c1 and s1 also link to two
+    more routers each, drawn at random, so the endpoints' own labels tie
+    between routers too."""
     flaky = FailureModel("bernoulli", failure_probability=0.3)
     names = [[f"r{row}{col}" for col in range(cols)] for row in range(rows)]
     nodes = [make_node("c1"), make_node("s1", "time_server")]
@@ -247,6 +265,9 @@ def _tied_grid(rows: int, cols: int, rng: random.Random) -> NetworkGraph:
                        failure_model=flaky if rng.random() < 0.4 else None)
               for row in names for name in row]
     pairs = [("c1", names[0][0]), (names[-1][-1], "s1")]
+    if homed:
+        pairs += [("c1", name) for name in rng.sample(sum(names, [])[1:], 2)]
+        pairs += [(name, "s1") for name in rng.sample(sum(names, [])[:-1], 2)]
     pairs += [(names[row][col], names[row][col + 1])
               for row in range(rows) for col in range(cols - 1)]
     pairs += [(names[row][col], names[row + 1][col])
@@ -255,13 +276,15 @@ def _tied_grid(rows: int, cols: int, rng: random.Random) -> NetworkGraph:
 
 
 @settings(max_examples=200, deadline=None)
-@given(st.integers(2, 3), st.integers(2, 4), st.integers(0, 2**32 - 1))
-def test_routes_on_tied_grids_match_brute_force(rows, cols, seed):
+@given(st.integers(2, 3), st.integers(2, 4), st.booleans(), st.integers(0, 2**32 - 1))
+def test_routes_on_tied_grids_match_brute_force(rows, cols, homed, seed):
     # equal (delay, hops) labels everywhere, so the path tie-break decides
     # nearly every route: the first query fills the cache, later ones hit
-    # it or, when a router on the cached route is down, miss
+    # it or, when a router on the cached route is down, miss; homed on
+    # several routers, an endpoint's label, set by relaxation alone in a
+    # fill, ties between the routers it is linked to
     rng = random.Random(seed)
-    view = NetworkView(_tied_grid(rows, cols, rng), seed=seed)
+    view = NetworkView(_tied_grid(rows, cols, rng, homed), seed=seed)
     for t_ps in sorted(rng.randrange(seconds_to_ps(10.0)) for _ in range(5)):
         for source, destination in (("c1", "s1"), ("s1", "c1")):
             q = RouteQuery(source, destination, t_ps, 12000)
@@ -293,7 +316,7 @@ def test_epoch_terms_equal_router_ps_at_window_edges(seed):
             direct = (0 if not node.is_router
                       else seconds_to_ps(view.router_delay_at(node_id, t_ps))
                       if view.router_active(node_id, t_ps) else None)
-            assert view.hop_router_ps(index, t_ps) == direct
+            assert view.hop_router_ps(index, t_ps, epoch.terms) == direct
             if not node.is_router or node.failure_model.flag_at_ps(node_id, t_ps, seed):
                 assert epoch.terms[index] == direct
             # the goal-directed searches' lower bounds: no epoch term is below
@@ -336,7 +359,8 @@ def _route_from_a_fill(view: NetworkView, q: RouteQuery) -> tuple[str, ...] | No
     """The route read from an exhaustive `_search` fill on t's terms, a
     router down at t (`hop_router_ps`) set to None; None when unreachable."""
     topology = view.topology
-    terms = [view.hop_router_ps(node, q.t_ps) for node in range(len(topology.ids))]
+    epoch_terms = view.epoch_at(q.t_ps).terms
+    terms = [view.hop_router_ps(node, q.t_ps, epoch_terms) for node in range(len(topology.ids))]
     predecessor = _search(topology, topology.index[q.source], q.size_bits, terms)[0]
     destination = topology.index[q.destination]
     if predecessor[destination] < 0:
@@ -475,3 +499,49 @@ def test_blocked_legs_raise_labeled_no_route():
         with pytest.raises(NoRoute) as excinfo:
             shortest_path(view, query(src, dst, t=t, size=100))
         assert (excinfo.value.source, excinfo.value.destination) == (src, dst)
+
+
+# -- work counts ------------------------------------------------------------------
+
+def test_an_exhaustive_fill_pops_no_endpoint_but_its_source(monkeypatch):
+    # an endpoint relays nothing, so a fill labels it by relaxation alone;
+    # before, the mesh's fills popped every client and server they reached
+    scenario = parse_scenario(benchmark_workloads().mesh(1))
+    view = NetworkView(scenario.graph, scenario.config.seed, scenario.attacks,
+                       scenario.medium_speeds)
+    topology = view.topology
+    popped = []
+
+    def recording_heappop(heap):
+        entry = heappop(heap)
+        popped.append(entry[2])
+        return entry
+    monkeypatch.setattr(routing, "heappop", recording_heappop)
+    endpoints = [node for node, relay in enumerate(topology.relays) if not relay]
+    source = endpoints[0]
+    predecessor, delays = _search(topology, source, 12000, view.attack_free_epoch.terms)
+    assert popped and popped[0] == source
+    assert [topology.ids[node] for node in popped[1:] if not topology.relays[node]] == []
+    # every other endpoint still has its label and predecessor
+    assert all(predecessor[node] >= 0 and delays[node] is not None for node in endpoints[1:])
+
+
+def test_a_breakdown_reads_its_routing_epoch_once_per_path(monkeypatch):
+    # before, every hop looked the epoch up again (k calls for k hops)
+    scenario = parse_scenario(benchmark_workloads().mesh(1))
+    view = NetworkView(scenario.graph, scenario.config.seed, scenario.attacks,
+                       scenario.medium_speeds)
+    clients = [node_id for node_id, node in scenario.graph.nodes.items() if node.kind == "client"]
+    route = max((shortest_path(view, RouteQuery("gps", client, seconds_to_ps(1.0), 12000))
+                 for client in clients), key=lambda route: len(route.hops))
+    assert len(route.hops) > 5
+    calls = []
+    epoch_at = NetworkView.epoch_at
+
+    def counting_epoch_at(self, t_ps):
+        calls.append(t_ps)
+        return epoch_at(self, t_ps)
+    monkeypatch.setattr(NetworkView, "epoch_at", counting_epoch_at)
+    breakdown = routing.total_path_delay(view, list(route.hops), 12000, seconds_to_ps(1.0))
+    assert breakdown == route.breakdown
+    assert calls == [seconds_to_ps(1.0)]

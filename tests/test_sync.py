@@ -115,6 +115,16 @@ def test_options_reject_a_non_finite_value(name, value):
         SyncOptions(**{name: value})
 
 
+@pytest.mark.parametrize("name", ["server_service_time", "default_timeout",
+                                  "outlier_threshold"])
+def test_options_reject_seconds_beyond_picoseconds_when_built(name):
+    # accepted before: the run then died with a bare OverflowError where
+    # it first converted the field (timeout_ps, or a round's deadline)
+    with pytest.raises(ValueError, match=f"^{name} must be a finite number of "
+                                         f"picoseconds, got 1e\\+300$"):
+        SyncOptions(**{name: 1e300})
+
+
 @pytest.mark.parametrize("name", ["request_size_bits", "reply_size_bits"])
 @pytest.mark.parametrize("value", [1.5, True, 12000.0], ids=["fraction", "bool", "float"])
 def test_options_reject_a_size_that_is_not_an_int(name, value):

@@ -62,6 +62,15 @@ def test_failure_model_rejects_a_non_finite_value(field, value):
         FailureModel("alternating", **fields)
 
 
+@pytest.mark.parametrize("field", ["up_duration", "down_duration"])
+def test_failure_model_rejects_a_duration_beyond_picoseconds(field):
+    # raised a bare OverflowError before
+    fields = {"up_duration": 1.0, "down_duration": 1.0, field: 1e300}
+    with pytest.raises(ValueError, match=f"^{field} must be a finite number of "
+                                         f"picoseconds, got 1e\\+300$"):
+        FailureModel("alternating", **fields)
+
+
 def test_alternating_duty_cycle_exact_over_whole_periods():
     model = FailureModel("alternating", up_duration=2.0, down_duration=3.0)
     # sample a grid that divides both phases exactly: 0.5 s steps, 4 periods
