@@ -16,9 +16,10 @@ draws are consumed and no trace annotations appear.
 """
 
 from dataclasses import dataclass, field
+from fractions import Fraction
 
 from . import randstream
-from .timebase import require_finite, seconds_to_ps
+from .timebase import field_ps, require_finite
 
 ATTACK_KINDS = ("ddos", "ip_spoof", "router_hijack")
 HIJACK_MODES = ("force_down", "added_delay")
@@ -38,13 +39,15 @@ class AttackSpec:
     # router_hijack
     mode: str = "force_down"
     added_delay: float = 0.0
-    # the window quantized once, so per-hop activity checks compare integers
+    # the window and the forged offset quantized once, so per-hop activity
+    # checks compare integers and a forged reply adds one
     start_ps: int = field(init=False, repr=False, compare=False)
     end_ps: int = field(init=False, repr=False, compare=False)
+    forged_offset_ps: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        require_finite(self, "delay_multiplier", "drop_probability", "forged_offset",
-                       "added_delay")
+        require_finite(self, "t_start", "t_end", "delay_multiplier", "drop_probability",
+                       "forged_offset", "added_delay")
         if self.kind not in ATTACK_KINDS:
             raise ValueError(f"unknown attack kind: {self.kind!r}")
         if self.t_start > self.t_end:
@@ -59,8 +62,9 @@ class AttackSpec:
                 raise ValueError(f"unknown hijack mode: {self.mode!r}")
             if self.mode == "added_delay" and self.added_delay < 0:
                 raise ValueError("hijack added_delay must be >= 0")
-        object.__setattr__(self, "start_ps", seconds_to_ps(self.t_start))
-        object.__setattr__(self, "end_ps", seconds_to_ps(self.t_end))
+        object.__setattr__(self, "start_ps", field_ps(self, "t_start"))
+        object.__setattr__(self, "end_ps", field_ps(self, "t_end"))
+        object.__setattr__(self, "forged_offset_ps", field_ps(self, "forged_offset"))
 
     def active_at_ps(self, t_ps: int) -> bool:
         return self.start_ps <= t_ps < self.end_ps
@@ -77,20 +81,21 @@ def effective_flag(attacks: tuple[AttackSpec, ...], node_id: str, t_ps: int,
 
 
 def effective_router_delay(attacks: tuple[AttackSpec, ...], node_id: str, t_ps: int,
-                           base_delay: float) -> float:
-    """Router processing delay in seconds after active attacks.
+                           base_delay: float) -> Fraction:
+    """Router processing delay in seconds after active attacks, exact.
 
     added_delay hijacks add to the base delay first; ddos multipliers then
-    scale the sum.
+    scale the sum.  Exact sums and products do not depend on the order of
+    the attacks.
     """
-    delay = base_delay
+    delay = Fraction(base_delay)
     for attack in attacks:
         if (attack.kind == "router_hijack" and attack.mode == "added_delay"
                 and attack.target == node_id and attack.active_at_ps(t_ps)):
-            delay += attack.added_delay
+            delay += Fraction(attack.added_delay)
     for attack in attacks:
         if attack.kind == "ddos" and attack.target == node_id and attack.active_at_ps(t_ps):
-            delay *= attack.delay_multiplier
+            delay *= Fraction(attack.delay_multiplier)
     return delay
 
 
@@ -117,6 +122,6 @@ def forge_reply_timestamp(attacks: tuple[AttackSpec, ...], victim: str, t_ps: in
     for attack in attacks:
         if (attack.kind == "ip_spoof" and attack.target == victim
                 and attack.active_at_ps(t_ps)):
-            timestamp_ps += seconds_to_ps(attack.forged_offset)
+            timestamp_ps += attack.forged_offset_ps
             applied.append(attack)
     return timestamp_ps, applied

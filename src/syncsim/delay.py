@@ -3,9 +3,9 @@
 A message walking a path pays, per hop: transmission delay (size over link
 bandwidth), propagation delay (link distance over medium speed), and the
 downstream router's processing delay when it enters a router.  Each term is
-computed in double precision seconds and quantized once to integer
-picoseconds, so a route's weight, its breakdown total and its last arrival
-offset are the same sum, and traces are platform independent.
+the exact ratio of its inputs, rounded once to integer picoseconds, so a
+route's weight, its breakdown total and its last arrival offset are the
+same sum, and traces are platform independent.
 
 The link terms do not depend on time.  `topology.link_terms_ps` is the
 one place both link formulas are written and quantized; `CompiledTopology`
@@ -90,8 +90,7 @@ class CompiledTopology:
 
     def size_terms(self, size_bits: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The transmission term and the link term of every link for a
-        message of size_bits.  Raises ValueError naming the first link whose
-        delay is not a finite number of picoseconds."""
+        message of size_bits, an int >= 0."""
         terms = self._size_terms.get(size_bits)
         if terms is None:
             pairs = [link_terms_ps(link, size_bits, self._medium_speeds) for link in self.links]

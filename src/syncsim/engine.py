@@ -238,8 +238,6 @@ class Engine:
             raise ValueError(f"unknown node {source if source not in nodes else destination!r}")
         if source == destination:
             raise ValueError(f"source and destination must differ, got {source!r} twice")
-        # a size whose term on some link is not finite picoseconds raises here
-        self.view.topology.size_terms(size_bits)
         message = Message(
             message_id=f"m{len(self.messages) + 1:05d}",
             source=source, destination=destination, size_bits=size_bits,

@@ -20,10 +20,9 @@ model has it up.  The view builds the attack-free epoch first, then one
 epoch per distinct set of active routing attacks, so a set that recurs
 shares one epoch: its terms and its routes.  Each term is
 `topology.up_router_ps`, the one router rule, which `NodeSpec` applies
-with no attacks, so a term under the attacks that is not a finite number
-of picoseconds fails the view's construction in the same words, naming
-the router and the attacks on it.  `epoch_at` looks the epoch of an instant up, and
-`attack_free_epoch` is the epoch with no routing attack.
+with no attacks: the exact delay under the attacks, rounded once, so it
+is an integer at any magnitude.  `epoch_at` looks the epoch of an instant
+up, and `attack_free_epoch` is the epoch with no routing attack.
 `without_attacks` is a copy of the view with no attacks and only the
 attack-free epoch, so the baseline shares the view's compiled topology,
 its attack-free route tables and its router flags, which both draw alike:
@@ -43,6 +42,7 @@ from . import attacks as attacks_mod
 from . import randstream
 from .attacks import AttackSpec
 from .delay import CompiledTopology
+from .timebase import float_ratio
 from .topology import NetworkGraph, up_router_ps
 
 
@@ -137,12 +137,14 @@ class NetworkView:
         return attacks_mod.effective_flag(self.attacks, node_id, t_ps, base) == 1
 
     def router_delay_at(self, node_id: str, t_ps: int) -> float:
-        """Traversal delay in seconds for an active router, with attack effects."""
+        """Traversal delay in seconds for an active router, with attack
+        effects, as the nearest float (inf beyond the float range)."""
         node = self.graph.nodes[node_id]
         if not node.is_router:
             return 0.0
-        return attacks_mod.effective_router_delay(self.attacks, node_id, t_ps,
-                                                  node.router_delay)
+        delay = attacks_mod.effective_router_delay(self.attacks, node_id, t_ps,
+                                                   node.router_delay)
+        return float_ratio(delay.numerator, delay.denominator)
 
     def hop_router_ps(self, node: int, t_ps: int, terms: tuple[int | None, ...]) -> int | None:
         """The router term of a hop into node index `node` at t_ps, where

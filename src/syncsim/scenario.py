@@ -22,11 +22,10 @@ from .attacks import AttackSpec
 from .clocks import CLOCK_PRESETS, ClockParameters, extremum_analysis, preset_parameters
 from .engine import Engine, SchedulingError
 from .metrics import metrics_report
-from .netview import epoch_edges, routing_epoch
 from .sync import ALGORITHMS, SyncOptions
 from .timebase import PS_PER_SECOND, ps_to_seconds, seconds_to_ps
 from .topology import (MEDIA, FailureModel, LinkSpec, NetworkGraph, NodeSpec, admit_link,
-                       is_medium_speed, link_terms_ps, up_router_ps)
+                       is_medium_speed)
 
 
 class ScenarioError(Exception):
@@ -302,16 +301,16 @@ def parse_scenario(data: dict) -> Scenario:
 _GAUSSIAN_BOUND = math.sqrt(-2.0 * math.log(2.0 ** -64))
 
 
-def _drift_is_finite_ps(params: ClockParameters, duration: float) -> bool:
+def _drift_is_finite_ps(params: ClockParameters, horizon: float) -> bool:
     """Whether the clock's offset, as `SoftwareClock.offset_ps` quantizes it,
-    is finite picoseconds over [0, duration]: the drift's magnitude plus the
+    is finite picoseconds over [0, horizon]: the drift's magnitude plus the
     largest noise and jitter, at both ends, the extremum and the offset_table
     points inside, which bound a quadratic and a piecewise-linear table."""
-    times = [0.0, duration]
+    times = [0.0, horizon]
     extremum = extremum_analysis(params)
-    if extremum.has_extremum and 0 < extremum.t_star < duration:
+    if extremum.has_extremum and 0 < extremum.t_star < horizon:
         times.append(extremum.t_star)
-    times += [t for t, _ in params.offset_table if 0 < t < duration]
+    times += [t for t, _ in params.offset_table if 0 < t < horizon]
     noise = _GAUSSIAN_BOUND * params.noise_sigma + params.jitter_bound_ns * 1e-9
     try:
         for t in times:
@@ -321,31 +320,11 @@ def _drift_is_finite_ps(params: ClockParameters, duration: float) -> bool:
     return True
 
 
-def _epoch_problems(scenario: Scenario) -> list[str]:
-    """Each routing epoch's router terms, computed as routing computes them
-    (`topology.up_router_ps`), must be finite picoseconds; a term that is
-    not names its router, the attacks on it and when the epoch starts."""
-    problems: list[str] = []
-    seen: set[tuple[AttackSpec, ...]] = set()
-    for t_ps in epoch_edges(scenario.attacks):
-        active = routing_epoch(scenario.attacks, t_ps)
-        for target in dict.fromkeys(a.target for a in active):
-            on_target = tuple(a for a in active if a.target == target)
-            if on_target in seen:
-                continue
-            seen.add(on_target)
-            try:
-                up_router_ps(scenario.graph.nodes[target], active, t_ps)
-            except ValueError as exc:
-                problems.append(str(exc))
-    return problems
-
-
 def validate_scenario(scenario: Scenario) -> list[str]:
     """The problems no constructor of the run can know, each as "entity:
     message": the duration, attack targets, disconnected sync participants,
-    `medium_speeds`, the drift bound, the epoch terms and the sync timeout
-    bound.  `build_engine` names the workload and sync entries' problems."""
+    `medium_speeds` and the drift bound.  `build_engine` names the workload
+    and sync entries' problems."""
     problems: list[str] = []
     graph = scenario.graph
     linked = {end for link in graph.links for end in (link.a, link.b)}
@@ -365,6 +344,10 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             problems.append(f"medium_speeds_m_per_s: {medium}: speed must be a finite "
                             f"number > 0, got {speed!r}")
     if scenario.config.duration >= 0:
+        # a time server reads its clock to stamp a reply up to the service
+        # time after a delivery, and a delivery is at most at duration_s
+        service = scenario.sync_options.server_service_time if scenario.sync_schedule else 0.0
+        horizon = "duration_s plus server_service_time_s" if service else "duration_s"
         # each clocks entry, then each other clock a node reads (a preset it
         # names directly), named after the first node that reads it
         clocks = {id(params): (f"clocks[{name!r}]", params)
@@ -373,30 +356,9 @@ def validate_scenario(scenario: Scenario) -> list[str]:
             if node.clock is not None:
                 clocks.setdefault(id(node.clock), (f"node {node.node_id!r} clock", node.clock))
         for label, params in clocks.values():
-            if not _drift_is_finite_ps(params, scenario.config.duration):
-                problems.append(f"{label}: drift offset within duration_s is not "
+            if not _drift_is_finite_ps(params, scenario.config.duration + service):
+                problems.append(f"{label}: drift offset within {horizon} is not "
                                 f"a finite number of picoseconds")
-    if not problems:
-        problems += _epoch_problems(scenario)
-    if scenario.sync_schedule and not problems:
-        # a run quantizes each link's terms for every sync message it sends
-        sync = scenario.sync_options
-        largest = max(sync.request_size_bits, sync.reply_size_bits)
-        # no route crosses a link or router twice each way, so this bounds
-        # every baseline round trip a sync exchange budgets its timeout on;
-        # a down router carries no route
-        longest_rtt_ps = 2 * sum(up_router_ps(node, (), 0) or 0 for node in graph.nodes.values())
-        for link in graph.links:
-            try:
-                longest_rtt_ps += 2 * sum(link_terms_ps(link, largest, scenario.medium_speeds))
-            except ValueError as exc:
-                problems.append(str(exc))
-        if not problems:
-            try:
-                sync.timeout_ps(longest_rtt_ps)
-            except OverflowError:
-                problems.append(f"sync_options: timeout_factor {sync.timeout_factor!r} times "
-                                f"a round trip is not a finite number of picoseconds")
     return problems
 
 

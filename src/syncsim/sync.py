@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .engine import Engine, Message
-from .timebase import field_ps, half_ps, require_finite, seconds_to_ps
+from .timebase import field_ps, require_finite, round_ratio, seconds_to_ps
 
 
 @dataclass(frozen=True)
@@ -40,10 +40,12 @@ class SyncOptions:
     slew_rate: float | None = None            # seconds per second, for slew
     timeout_factor: float = 5.0               # multiple of baseline RTT
     default_timeout: float = 1.0              # seconds, when no baseline exists
-    # the seconds fields the run reads, quantized once when built
+    # the seconds fields the run reads, quantized once when built, and
+    # timeout_factor's exact value as (numerator, denominator)
     server_service_ps: int = field(init=False, repr=False, compare=False)
     default_timeout_ps: int = field(init=False, repr=False, compare=False)
     outlier_threshold_ps: int | None = field(init=False, repr=False, compare=False)
+    timeout_ratio: tuple[int, int] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         require_finite(self, "server_service_time", "timeout_factor", "default_timeout",
@@ -67,12 +69,14 @@ class SyncOptions:
         object.__setattr__(self, "default_timeout_ps", field_ps(self, "default_timeout"))
         object.__setattr__(self, "outlier_threshold_ps", None if self.outlier_threshold is None
                            else field_ps(self, "outlier_threshold"))
+        object.__setattr__(self, "timeout_ratio", self.timeout_factor.as_integer_ratio())
 
     def timeout_ps(self, baseline_rtt_ps: int) -> int:
         """How long an exchange waits for its reply: timeout_factor times the
-        attack-free round trip plus the server's service time.  Raises
-        OverflowError when that is not a finite number of picoseconds."""
-        return round(self.timeout_factor * (baseline_rtt_ps + self.server_service_ps))
+        attack-free round trip plus the server's service time, exact and
+        rounded once."""
+        numerator, denominator = self.timeout_ratio
+        return round_ratio(numerator * (baseline_rtt_ps + self.server_service_ps), denominator)
 
 
 class SyncExchange:
@@ -133,7 +137,7 @@ class SyncExchange:
         self.t1_client_ps = engine.clocks[self.client].reading_ps(reply.delivery_ps)
         self.rtt_ps = self.t1_client_ps - self.t0_client_ps
         # the client believes the server's clock now reads stamp + rtt/2
-        self.offset_ps = reply.timestamp_ps + half_ps(self.rtt_ps) - self.t1_client_ps
+        self.offset_ps = reply.timestamp_ps + round_ratio(self.rtt_ps, 2) - self.t1_client_ps
         self.settled = True
         self.owner._exchange_settled()
 

@@ -2,9 +2,11 @@
 
 Simulated wall-clock time is carried everywhere as an integer count of
 picoseconds, so event ordering, delay sums and trace bytes are exact and
-platform independent.  Floating point appears only at the edges: small
-quantities (delays, clock offsets) are computed in double precision seconds
-and quantized once, rounding half to even.
+platform independent.  Floating point appears only at the edges: a seconds
+field or a clock offset is quantized once (`seconds_to_ps`), and a delay
+term (link, router, timeout) is the exact ratio of its inputs rounded once
+(`round_ratio`), both half to even.  Read back as float seconds or
+nanoseconds, a count beyond the float range saturates to +-inf.
 """
 
 import math
@@ -46,15 +48,26 @@ def seconds_to_ps(seconds: float) -> int:
 
 
 def ps_to_seconds(ps: int) -> float:
-    return ps / PS_PER_SECOND
+    return float_ratio(ps, PS_PER_SECOND)
 
 
 def ps_to_ns(ps: int) -> float:
-    return ps / PS_PER_NS
+    return float_ratio(ps, PS_PER_NS)
 
 
-def half_ps(ps: int) -> int:
-    """Half of a picosecond count, rounding halves to even: an odd count's
-    half is q + 1/2 with q = ps // 2, and it rounds up exactly when q is odd."""
-    q, r = divmod(ps, 2)
-    return q + (r & q)
+def float_ratio(numerator: int, denominator: int) -> float:
+    """numerator / denominator (denominator > 0) as the nearest float, +-inf
+    when it is beyond the float range."""
+    try:
+        return numerator / denominator
+    except OverflowError:
+        return math.inf if numerator > 0 else -math.inf
+
+
+def round_ratio(numerator: int, denominator: int) -> int:
+    """numerator / denominator (denominator > 0) rounded to the nearest int,
+    halves to even: with q, r = divmod, the ratio is q + r / denominator, and
+    it rounds up when 2r exceeds the denominator, or equals it and q is odd."""
+    q, r = divmod(numerator, denominator)
+    twice = 2 * r
+    return q + (twice > denominator or twice == denominator and q & 1)

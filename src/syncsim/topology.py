@@ -10,11 +10,11 @@ raises ValueError naming the first rule its input breaks.  Each input rule
 on a graph is one function here, which the constructors and the run both
 call, so an input that breaks it is named in the same words wherever it is
 found.  `link_terms_ps` writes a link's two delay formulas, size over
-bandwidth and distance over the medium's speed, each quantized once to
-integer picoseconds; `is_medium_speed` what a medium's speed may be;
-`up_router_ps` a router's term, its delay under the attacks, quantized,
-or None while it is down; and `admit_link` where a link may go: between
-two of the graph's nodes, at most one link to a pair.
+bandwidth and distance over the medium's speed, each an exact ratio rounded
+once to integer picoseconds; `is_medium_speed` what a medium's speed may
+be; `up_router_ps` a router's term, its exact delay under the attacks
+rounded once, or None while it is down; and `admit_link` where a link may
+go: between two of the graph's nodes, at most one link to a pair.
 """
 
 import sys
@@ -26,7 +26,7 @@ from . import attacks as attacks_mod
 from . import randstream
 from .attacks import AttackSpec
 from .clocks import ClockParameters
-from .timebase import field_ps, ps_to_seconds, require_finite, seconds_to_ps
+from .timebase import PS_PER_SECOND, field_ps, require_finite, round_ratio
 
 NODE_KINDS = ("client", "time_server", "router")
 FAILURE_MODES = ("always_active", "always_failed", "bernoulli", "alternating")
@@ -138,7 +138,7 @@ class NodeSpec:
 @dataclass(frozen=True)
 class LinkSpec:
     """Undirected link with symmetric bandwidth/distance/medium between two
-    distinct nodes; a 0-bit message crosses it in finite picoseconds."""
+    distinct nodes, a finite bandwidth > 0 and a finite distance >= 0."""
 
     a: str
     b: str
@@ -163,9 +163,10 @@ def link_terms_ps(link: LinkSpec, size_bits: int,
     """(transmission, propagation) picoseconds of one traversal of `link` by
     a message of size_bits: size over bandwidth, and distance over the speed
     of the link's medium (from `medium_speeds` when it names the medium,
-    else the default), each quantized once.  Raises ValueError for an unknown
-    medium, a size or distance < 0, a bandwidth that is not > 0, a speed
-    `is_medium_speed` rejects, and a term that is not finite picoseconds."""
+    else the default), each the exact ratio of the inputs' exact values,
+    rounded once.  Raises ValueError for an unknown medium, a size or
+    distance < 0, a bandwidth that is not > 0, a speed `is_medium_speed`
+    rejects, and a bandwidth or distance that is not finite."""
     speed = (medium_speeds or {}).get(link.medium, DEFAULT_MEDIUM_SPEEDS.get(link.medium))
     problem = (f"unknown medium {link.medium!r}" if link.medium not in DEFAULT_MEDIUM_SPEEDS
                else f"message size must be >= 0 bits, got {size_bits}" if not size_bits >= 0
@@ -174,12 +175,13 @@ def link_terms_ps(link: LinkSpec, size_bits: int,
                else f"{link.medium} speed must be > 0" if not is_medium_speed(speed) else None)
     if problem:
         raise ValueError(f"link {link.a}--{link.b}: {problem}")
-    try:
-        return (seconds_to_ps(size_bits / link.bandwidth_bps),
-                seconds_to_ps(link.distance_m / speed))
-    except (OverflowError, ValueError):  # beyond the float range, or NaN from inf / inf
-        raise ValueError(f"link {link.a}--{link.b}: delay of a {size_bits}-bit message is "
-                         f"not a finite number of picoseconds") from None
+    require_finite(link, "bandwidth_bps", "distance_m")
+    b_num, b_den = link.bandwidth_bps.as_integer_ratio()
+    d_num, d_den = link.distance_m.as_integer_ratio()
+    s_num, s_den = speed.as_integer_ratio()
+    # size / (b_num / b_den) and (d_num / d_den) / (s_num / s_den), in picoseconds
+    return (round_ratio(size_bits * PS_PER_SECOND * b_den, b_num),
+            round_ratio(d_num * s_den * PS_PER_SECOND, d_den * s_num))
 
 
 def is_medium_speed(speed) -> bool:
@@ -190,22 +192,16 @@ def is_medium_speed(speed) -> bool:
 def up_router_ps(node: NodeSpec, attacks: tuple[AttackSpec, ...], t_ps: int) -> int | None:
     """The router term of a hop into `node` at t_ps while its failure model
     has it up: 0 for a client or time server, None for an always_failed
-    router or one a force_down hijack holds down, else its delay under the
-    attacks, quantized.  Raises ValueError for a router_delay that is not
-    >= 0, and, naming the router and the attacks on it, for a delay under
-    the attacks that is not a finite number of picoseconds, down or not."""
+    router or one a force_down hijack holds down, else its exact delay under
+    the attacks, rounded once.  Raises ValueError for a router_delay that is
+    not >= 0 or not finite."""
     if not node.is_router:
         return 0
     if not node.router_delay >= 0:
         raise ValueError(f"{node.node_id}: router_delay must be >= 0")
-    try:
-        term = seconds_to_ps(attacks_mod.effective_router_delay(attacks, node.node_id, t_ps,
-                                                                node.router_delay))
-    except OverflowError:  # infinite; a NaN delay failed the range check
-        kinds = " and ".join(a.kind for a in attacks if a.target == node.node_id)
-        name = (f"attack {kinds} on {node.node_id!r}: router delay from "
-                f"{ps_to_seconds(t_ps)!r} s" if kinds else f"{node.node_id}: router_delay")
-        raise ValueError(f"{name} is not a finite number of picoseconds") from None
+    require_finite(node, "router_delay")
+    delay = attacks_mod.effective_router_delay(attacks, node.node_id, t_ps, node.router_delay)
+    term = round_ratio(delay.numerator * PS_PER_SECOND, delay.denominator)
     if (node.failure_model.mode == "always_failed"
             or attacks_mod.effective_flag(attacks, node.node_id, t_ps, 1) == 0):
         return None

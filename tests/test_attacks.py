@@ -35,13 +35,28 @@ def test_attack_spec_invariants():
 @pytest.mark.parametrize("field, value", [
     ("delay_multiplier", math.nan), ("delay_multiplier", math.inf),
     ("drop_probability", math.nan), ("forged_offset", math.inf),
-    ("added_delay", math.nan),
+    ("added_delay", math.nan), ("t_start", math.nan), ("t_end", math.inf),
 ])
 def test_attack_numbers_that_are_not_finite_are_rejected(field, value):
     # a NaN multiplier or added delay was accepted before, and building an
-    # engine with it raised "cannot convert float NaN to integer"
+    # engine with it raised "cannot convert float NaN to integer", as a NaN
+    # window start did when built; an infinite end raised OverflowError
+    spec = {"kind": "ddos", "target": "r1", "t_start": 0.0, "t_end": 1.0, field: value}
     with pytest.raises(ValueError, match=f"{field} must be finite, got {value!r}"):
-        window(0.0, 1.0, kind="ddos", target="r1", **{field: value})
+        AttackSpec(**spec)
+
+
+@pytest.mark.parametrize("kind, t_end, forged_offset, field", [
+    ("ddos", 1e300, 0.0, "t_end"),
+    ("ip_spoof", 10.0, 1e300, "forged_offset"),
+], ids=["window_end", "forged_offset"])
+def test_attack_seconds_beyond_picoseconds_are_rejected_when_built(kind, t_end, forged_offset,
+                                                                   field):
+    # the window end raised a bare OverflowError when built before, and the
+    # forged offset at the first forged reply
+    with pytest.raises(ValueError, match=f"^{field} must be a finite number of picoseconds, "
+                                         f"got 1e\\+300$"):
+        AttackSpec(kind, "c1", 0.0, t_end, forged_offset=forged_offset)
 
 
 def test_window_is_half_open():

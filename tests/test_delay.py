@@ -1,14 +1,18 @@
 import math
 import re
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from syncsim.attacks import AttackSpec
 from syncsim.delay import PathBlocked, total_path_delay
 from syncsim.netview import NetworkView
+from syncsim.sync import SyncOptions
 from syncsim.timebase import seconds_to_ps
-from syncsim.topology import FailureModel, LinkSpec, NetworkGraph, NodeSpec, link_terms_ps
+from syncsim.topology import (FailureModel, LinkSpec, NetworkGraph, NodeSpec, link_terms_ps,
+                              up_router_ps)
 
 from conftest import line_graph, make_node
 
@@ -39,9 +43,8 @@ def test_transmission_zero_size():
     (0.0, 100, "link a--b: bandwidth must be > 0"),
     (math.nan, 100, "link a--b: bandwidth must be > 0"),
     (1e6, -1, "link a--b: message size must be >= 0 bits, got -1"),
-    (1e-300, 100, "link a--b: delay of a 100-bit message is not a finite number of "
-                  "picoseconds"),
-], ids=["zero_bandwidth", "nan_bandwidth", "negative_size", "beyond_ps"])
+    (math.inf, 100, "bandwidth_bps must be finite, got inf"),
+], ids=["zero_bandwidth", "nan_bandwidth", "negative_size", "infinite_bandwidth"])
 def test_transmission_rejects_bad_inputs(bandwidth_bps, size_bits, problem):
     with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
         link_terms_ps(LinkSpec("a", "b", bandwidth_bps, 10.0), size_bits)
@@ -64,15 +67,42 @@ def test_propagation_zero_distance():
     (10.0, {"fiber": math.nan}, "link a--b: fiber speed must be > 0"),
     (-1.0, None, "link a--b: distance must be >= 0"),
     (math.nan, None, "link a--b: distance must be >= 0"),
-    (10.0, {"fiber": 1e-300}, "link a--b: delay of a 0-bit message is not a finite number "
-                              "of picoseconds"),
-    (math.inf, {"fiber": math.inf}, "link a--b: delay of a 0-bit message is not a finite "
-                                    "number of picoseconds"),
+    (math.inf, {"fiber": math.inf}, "distance_m must be finite, got inf"),
 ], ids=["zero_speed", "negative_speed", "nan_speed", "negative_distance", "nan_distance",
-        "beyond_ps", "inf_over_inf"])
+        "inf_over_inf"])
 def test_propagation_rejects_bad_speed(distance_m, speeds, problem):
     with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
         link_terms_ps(LinkSpec("a", "b", 1e6, distance_m), 0, speeds)
+
+
+# -- exact terms at any magnitude -----------------------------------------------
+
+# from the smallest subnormal up to 1e300
+MAGNITUDES = st.floats(min_value=5e-324, max_value=1e300)
+
+
+@settings(max_examples=300)
+@given(size_bits=st.integers(min_value=0, max_value=10**30), bandwidth=MAGNITUDES,
+       distance=st.just(0.0) | MAGNITUDES, speed=MAGNITUDES,
+       router_delay=st.just(0.0) | MAGNITUDES, added=st.just(0.0) | MAGNITUDES,
+       multipliers=st.lists(st.floats(min_value=1.0, max_value=1e300), max_size=3),
+       factor=MAGNITUDES | st.sampled_from([0.5, 1.5, 2.5]), rtt_ps=st.integers(0, 10**40))
+def test_link_router_and_timeout_terms_are_exact_ratios_rounded_half_even(
+        size_bits, bandwidth, distance, speed, router_delay, added, multipliers, factor,
+        rtt_ps):
+    # each overflowed a float product, or was rounded twice, before
+    link = LinkSpec("a", "b", bandwidth, distance)
+    assert link_terms_ps(link, size_bits, {"fiber": speed}) == (
+        round(Fraction(size_bits * 10**12) / Fraction(bandwidth)),
+        round(Fraction(distance) * 10**12 / Fraction(speed)))
+    attacks = (AttackSpec("router_hijack", "r1", 0.0, 1.0, mode="added_delay", added_delay=added),
+               *(AttackSpec("ddos", "r1", 0.0, 1.0, delay_multiplier=m) for m in multipliers))
+    delay = (Fraction(router_delay) + Fraction(added)) * math.prod(map(Fraction, multipliers))
+    node = NodeSpec("r1", "router", router_delay=router_delay)
+    assert up_router_ps(node, attacks, 0) == up_router_ps(node, attacks[::-1], 0) == round(
+        delay * 10**12)
+    timeout_ps = SyncOptions(timeout_factor=factor).timeout_ps(rtt_ps)
+    assert timeout_ps == round(Fraction(factor) * rtt_ps)
 
 
 # -- path sums ----------------------------------------------------------------

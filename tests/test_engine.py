@@ -2,6 +2,7 @@ import json
 import math
 import re
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -413,97 +414,78 @@ def test_a_bad_size_is_rejected_at_the_send(size_bits):
     assert [r["size_bits"] for r in engine.records if r["kind"] == "message_send"] == [0]
 
 
-def test_a_size_whose_link_term_overflows_is_rejected_at_the_send():
-    # the graph is valid, since a 0-bit message crosses the link in 0 ps; a
-    # 100-bit one raised "cannot convert float infinity to integer" from the
-    # run before
+def test_a_size_beyond_the_float_range_is_sent_with_its_exact_term():
+    # a 100-bit message over a 1e-300 bps link takes 1e302 s; the send was
+    # rejected before, as its term overflowed the float quotient
     engine = make_engine(line_graph([50e-6], bandwidth_bps=1e-300))
-    with pytest.raises(ValueError, match="^link c1--r1: delay of a 100-bit message "
-                                         "is not a finite number of picoseconds$"):
-        engine.send_message("c1", "s1", 100, seconds_to_ps(0.5))
-    assert engine.messages == {} and engine.next_event_time_ps() is None
-    message = engine.send_message("c1", "s1", 0, seconds_to_ps(0.5))
+    message = engine.send_message("c1", "s1", 100, seconds_to_ps(0.5))
     assert message.message_id == "m00001"
     engine.run_until(1.0)
-    assert message.status == "delivered"
+    transmission_ps = round(Fraction(100 * 10**12) / Fraction(1e-300))
+    assert message.route.breakdown.transmission_ps == 2 * transmission_ps
+    assert message.status != "delivered"
 
 
-@pytest.mark.parametrize("speed, problem", [
-    (1e-300, "link c1--r1: delay of a 0-bit message is not a finite number of picoseconds"),
-    (math.nan, "link c1--r1: fiber speed must be > 0"),
-], ids=["beyond_ps", "nan"])
-def test_a_speed_override_whose_link_term_is_not_finite_names_the_link(speed, problem):
-    # the graph is valid at the default speeds; the engine raised a bare
-    # OverflowError for 1e-300 and "cannot convert float NaN to integer" for
-    # NaN before
-    graph = line_graph([50e-6])
-    with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
-        make_engine(graph, medium_speeds={"fiber": speed})
+def test_a_speed_override_beyond_the_float_range_gives_the_exact_term():
+    # rejected before, as its propagation term overflowed the float quotient
+    engine = make_engine(line_graph([50e-6]), medium_speeds={"fiber": 1e-300})
+    assert engine.view.topology.propagation_ps == (
+        round(Fraction(100_000) * 10**12 / Fraction(1e-300)),) * 2
 
 
-@pytest.mark.parametrize("speed", ["fast", [1], None, True],
-                         ids=["string", "array", "null", "bool"])
+@pytest.mark.parametrize("speed", ["fast", [1], None, True, math.nan],
+                         ids=["string", "array", "null", "bool", "nan"])
 def test_a_speed_override_that_is_not_a_number_names_the_link(speed):
     # raised a bare TypeError for "fast" and [1], named None an unknown
-    # medium, and ran the link at True, read as 1 m/s
+    # medium, ran the link at True, read as 1 m/s, and raised "cannot
+    # convert float NaN to integer" for NaN
     with pytest.raises(ValueError, match="^link c1--r1: fiber speed must be > 0$"):
         make_engine(line_graph([50e-6]), medium_speeds={"fiber": speed})
 
 
-@pytest.mark.parametrize("router_delay, attacks, problem", [
-    (math.inf, (), "r1: router_delay is not a finite number of picoseconds"),
-    (math.nan, (), "r1: router_delay must be >= 0"),
-    (50e-6, (AttackSpec("ddos", "r1", 0.0, 10.0, delay_multiplier=1e305),),
-     "attack ddos on 'r1': router delay from 0.0 s is not a finite number of picoseconds"),
-    (50e-6, (AttackSpec("ddos", "r1", 2.5, 10.0, delay_multiplier=1e305),
-             AttackSpec("router_hijack", "r1", 2.0, 10.0, mode="added_delay",
-                        added_delay=1.0)),
-     "attack ddos and router_hijack on 'r1': router delay from 2.5 s is not a finite "
-     "number of picoseconds"),
-], ids=["router_delay_infinite", "router_delay_nan", "ddos", "ddos_and_hijack"])
-def test_a_router_term_that_is_not_finite_names_the_router(router_delay, attacks, problem):
-    # built through the API, with no scenario validation, the engine raised
-    # a bare OverflowError, or "cannot convert float NaN to integer", from
-    # netview.up_router_ps before
-    with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
-        make_engine(line_graph([router_delay]), attacks=attacks)
-
-
-@pytest.mark.parametrize("router_delay, failure_model, attacks, problem", [
-    (-1e-3, None, (), "r1: router_delay must be >= 0"),
-    (math.inf, FailureModel("always_failed"), (),
-     "r1: router_delay is not a finite number of picoseconds"),
-    (50e-6, None, (AttackSpec("ddos", "r1", 0.0, 10.0, delay_multiplier=1e305),
-                   AttackSpec("router_hijack", "r1", 0.0, 10.0)),
-     "attack ddos and router_hijack on 'r1': router delay from 0.0 s is not a finite "
-     "number of picoseconds"),
-], ids=["negative", "infinite_and_always_failed", "ddos_on_forced_down"])
+@pytest.mark.parametrize("router_delay, failure_model, problem", [
+    (math.inf, None, "router_delay must be finite, got inf"),
+    (math.nan, None, "r1: router_delay must be >= 0"),
+    (-1e-3, None, "r1: router_delay must be >= 0"),
+    (math.inf, FailureModel("always_failed"), "router_delay must be finite, got inf"),
+], ids=["router_delay_infinite", "router_delay_nan", "negative", "infinite_and_always_failed"])
 def test_a_router_delay_the_rule_rejects_fails_the_engine(router_delay, failure_model,
-                                                         attacks, problem):
+                                                         problem):
     # accepted before: the negative delay traced a hop_arrival before its own
-    # send, and a down router's delay was never quantized; the first two are
-    # now rejected when the router is built, the third by the engine
+    # send, and a down router's delay was never quantized; the engine raised
+    # a bare OverflowError, or "cannot convert float NaN to integer", before
     with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
-        make_engine(line_graph([router_delay], failure_models={"r1": failure_model}),
-                    attacks=attacks)
+        make_engine(line_graph([router_delay], failure_models={"r1": failure_model}))
+
+
+@pytest.mark.parametrize("attacks, delay_s", [
+    ((AttackSpec("ddos", "r1", 0.0, 10.0, delay_multiplier=1e305),),
+     Fraction(50e-6) * Fraction(1e305)),
+    ((AttackSpec("ddos", "r1", 0.0, 10.0, delay_multiplier=1e305),
+      AttackSpec("router_hijack", "r1", 0.0, 10.0, mode="added_delay", added_delay=1.0)),
+     (Fraction(50e-6) + 1) * Fraction(1e305)),
+    ((AttackSpec("ddos", "r1", 0.0, 10.0, delay_multiplier=1e305),
+      AttackSpec("router_hijack", "r1", 0.0, 10.0)), None),
+], ids=["ddos", "ddos_and_hijack", "ddos_on_forced_down"])
+def test_a_router_term_beyond_the_float_range_is_exact(attacks, delay_s):
+    # each failed the engine before, as "not a finite number of picoseconds"
+    engine = make_engine(line_graph([50e-6]), attacks=attacks)
+    index = engine.view.topology.index["r1"]
+    expected = None if delay_s is None else round(delay_s * 10**12)
+    assert engine.view.epoch_at(0).terms[index] == expected
 
 
 @pytest.mark.parametrize("router_delay, link, problem", [
     (-1.0, {}, "r1: router_delay must be >= 0"),
     (math.nan, {}, "r1: router_delay must be >= 0"),
-    (math.inf, {}, "r1: router_delay is not a finite number of picoseconds"),
-    (1e300, {}, "r1: router_delay is not a finite number of picoseconds"),
+    (math.inf, {}, "router_delay must be finite, got inf"),
     (50e-6, {"bandwidth_bps": 0.0}, "link c1--r1: bandwidth must be > 0"),
     (50e-6, {"bandwidth_bps": math.nan}, "link c1--r1: bandwidth must be > 0"),
     (50e-6, {"distance_m": math.nan}, "link c1--r1: distance must be >= 0"),
-    (50e-6, {"distance_m": math.inf},
-     "link c1--r1: delay of a 0-bit message is not a finite number of picoseconds"),
-    (50e-6, {"distance_m": 1e305},
-     "link c1--r1: delay of a 0-bit message is not a finite number of picoseconds"),
+    (50e-6, {"distance_m": math.inf}, "distance_m must be finite, got inf"),
     (50e-6, {"medium": "laser"}, "link c1--r1: unknown medium 'laser'"),
-], ids=["delay_negative", "delay_nan", "delay_infinite", "delay_beyond_ps",
-        "bandwidth_zero", "bandwidth_nan", "distance_nan", "distance_infinite",
-        "distance_beyond_ps", "medium_unknown"])
+], ids=["delay_negative", "delay_nan", "delay_infinite", "bandwidth_zero", "bandwidth_nan",
+        "distance_nan", "distance_infinite", "medium_unknown"])
 def test_a_graph_the_engine_rejected_is_not_built_in_its_words(router_delay, link, problem):
     # one rule, one message: the engine raised these words when it was
     # built on such a graph, and the node and link constructors now do

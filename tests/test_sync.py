@@ -125,6 +125,18 @@ def test_options_reject_seconds_beyond_picoseconds_when_built(name):
         SyncOptions(**{name: 1e300})
 
 
+def test_a_timeout_factor_beyond_the_float_range_completes_the_round():
+    # accepted when built, then timeout_ps raised a bare OverflowError after
+    # the request was queued: the float product of 1e300 and the round trip
+    options = SyncOptions(timeout_factor=1e300)
+    assert options.timeout_ps(3) == 3 * int(1e300)
+    engine = Engine(line_graph([50e-6], client_clock=offset_clock(2.0)), seed=1)
+    report = cristian_sync(engine, "c1", "s1", at=1.0, options=options)
+    assert not report.failed
+    assert report.residuals_ps == {"c1": 0}
+    assert report.messages_sent == 2
+
+
 @pytest.mark.parametrize("name", ["request_size_bits", "reply_size_bits"])
 @pytest.mark.parametrize("value", [1.5, True, 12000.0], ids=["fraction", "bool", "float"])
 def test_options_reject_a_size_that_is_not_an_int(name, value):

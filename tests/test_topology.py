@@ -1,11 +1,13 @@
 import math
 import re
+from fractions import Fraction
 
 import pytest
 
 from syncsim.clocks import preset_parameters
 from syncsim.timebase import seconds_to_ps
-from syncsim.topology import FailureModel, LinkSpec, NetworkGraph, NodeSpec, link_terms_ps
+from syncsim.topology import (FailureModel, LinkSpec, NetworkGraph, NodeSpec, link_terms_ps,
+                              up_router_ps)
 
 from conftest import make_node
 
@@ -149,22 +151,23 @@ def test_duplicate_link_rejected_at_construction():
     (lambda: LinkSpec("a", "r1", math.nan, 10.0), "link a--r1: bandwidth must be > 0"),
     (lambda: LinkSpec("a", "r1", 1e6, math.nan), "link a--r1: distance must be >= 0"),
     # the run raised "cannot convert float infinity to integer" before
-    (lambda: router("r1", delay=math.inf),
-     "r1: router_delay is not a finite number of picoseconds"),
-    (lambda: router("r1", delay=1e300),
-     "r1: router_delay is not a finite number of picoseconds"),
-    (lambda: LinkSpec("a", "r1", 1e6, math.inf),
-     "link a--r1: delay of a 0-bit message is not a finite number of picoseconds"),
-    (lambda: LinkSpec("a", "r1", 1e6, 1e305, "satellite"),
-     "link a--r1: delay of a 0-bit message is not a finite number of picoseconds"),
+    (lambda: router("r1", delay=math.inf), "router_delay must be finite, got inf"),
+    (lambda: LinkSpec("a", "r1", 1e6, math.inf), "distance_m must be finite, got inf"),
+    (lambda: LinkSpec("a", "r1", math.inf, 10.0), "bandwidth_bps must be finite, got inf"),
 ], ids=["router_kind_unknown", "client_without_clock", "client_with_router_delay",
         "self_loop", "node_kind_unknown", "quadratic_time_server", "router_delay_negative",
         "bandwidth_zero", "medium_unknown", "router_delay_nan", "bandwidth_nan",
-        "distance_nan", "router_delay_infinite", "router_delay_beyond_ps",
-        "distance_infinite", "distance_beyond_ps"])
+        "distance_nan", "router_delay_infinite", "distance_infinite", "bandwidth_infinite"])
 def test_a_spec_that_breaks_a_rule_is_not_built(build, problem):
     with pytest.raises(ValueError, match=f"^{re.escape(problem)}$"):
         build()
+
+
+def test_a_term_beyond_the_float_range_is_built_exact():
+    # both were rejected before: their terms overflowed the float product
+    assert up_router_ps(router("r1", delay=1e300), (), 0) == int(1e300) * 10**12
+    link = LinkSpec("a", "r1", 1e6, 1e305, "satellite")
+    assert link_terms_ps(link, 0) == (0, round(Fraction(1e305) * 10**12 / Fraction(2.998e8)))
 
 
 def test_alternating_flag_in_ps_domain():
