@@ -55,6 +55,16 @@ def _finite_or_none(value: float | None) -> float | None:
     return value if value is not None and math.isfinite(value) else None
 
 
+def _strict_json(value):
+    """value with each float JSON cannot hold (inf, NaN) as None, in every
+    dict and list it nests."""
+    if isinstance(value, dict):
+        return {key: _strict_json(item) for key, item in value.items()}
+    if isinstance(value, list):
+        return [_strict_json(item) for item in value]
+    return _finite_or_none(value) if isinstance(value, float) else value
+
+
 def _cmd_run(args) -> int:
     built = _build(args.scenario, args.seed)
     if built is None:
@@ -69,8 +79,10 @@ def _cmd_run(args) -> int:
     data = trace_bytes(records)
     if args.trace and not _write(args.trace, data):
         return EXIT_RUNTIME
+    # a delay past the float range writes as null, never as Infinity
     if args.metrics and not _write(args.metrics, (json.dumps(
-            metrics, indent=2, sort_keys=True) + "\n").encode("utf-8")):
+            _strict_json(metrics), indent=2, sort_keys=True, allow_nan=False)
+            + "\n").encode("utf-8")):
         return EXIT_RUNTIME
     summary = metrics["messages"]
     print(f"{len(records)} events; messages sent={summary['sent']} "

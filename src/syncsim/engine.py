@@ -49,16 +49,22 @@ out as scheduled events.  Drops are rolled only at the nodes a ddos with
 `drop_probability > 0` targets (`NetworkView.drop_targets`).  Blocked and
 dropped messages surface to waiting sync logic as timeouts.
 
-Reads at one instant often repeat, so three answers are kept per instant.
-Each holds only what its computation gave at that instant, so no memo
-changes an answer:
-  - `Engine._route` keeps each (routing epoch, endpoints, size) route query
-    of the instants from `now_ps` on, and drops older ones: the
-    attack-free route a timeout budget finds for a message is not searched
-    again when the message is sent at that instant;
+Reads often repeat, so three answers are kept, and no memo changes an
+answer:
+  - `Engine._route` keeps each route it took from a routing epoch's route
+    cache under (epoch, endpoints, size) for the whole run.  At any later
+    instant of that epoch it returns the route once `routing.route_holds`
+    finds every router on it that a failure model can take down up, the
+    rule `shortest_path`'s cache hit applies, and asks routing nothing.
+    A route the search finds at t around a down router, and a NoRoute,
+    hold for their instant only: they are kept for the instants from
+    `now_ps` on and older ones are dropped, so the answer a timeout budget
+    finds for a message is not searched again when the message is sent at
+    that instant;
   - `NetworkView.router_flag` keeps each router's flag of the last instant
-    it drew, shared with the baseline view, so a route query's hit check,
-    search and breakdown, and a baseline query at that instant, draw it once;
+    it drew, shared with the baseline view, so a kept route's check, a
+    route query's hit check, search and breakdown, and a baseline query at
+    that instant, draw it once;
   - `SoftwareClock.offset_ps` keeps the drift plus noise of the last
     instant it read, so a delivery, its callback and the sync logic draw
     the noise once; the corrections are added on every read, so a step
@@ -75,7 +81,8 @@ from typing import Callable
 from . import attacks as attacks_mod
 from .clocks import SoftwareClock
 from .netview import NetworkView
-from .routing import NoRoute, Route, RouteQuery, require_size_bits, shortest_path
+from .routing import (NoRoute, Route, RouteQuery, require_size_bits, route_holds,
+                      shortest_path)
 from .timebase import require_ps, seconds_to_ps
 from .topology import NetworkGraph
 from .trace import RECORD_KINDS
@@ -116,7 +123,11 @@ class Engine:
         # [time_ps, seq, message, leg, hops, arrivals_ps, send_ps, message_id,
         # last leg]: in-flight messages' next hop_arrival or delivery
         self._arrivals: list[list] = []
-        # t_ps -> {(epoch, source, destination, size_bits): Route or None}
+        # (epoch, source, destination, size_bits) -> a route of the epoch's
+        # route cache; never evicted, as the route caches are not
+        self._kept: dict[tuple, Route] = {}
+        # t_ps -> {(epoch, source, destination, size_bits): Route or None},
+        # the routes found at t and the NoRoutes
         self._answers: dict[int, dict[tuple, Route | None]] = {}
         self.messages: dict[str, Message] = {}
         self.records: list[dict] = []
@@ -291,19 +302,28 @@ class Engine:
                size_bits: int) -> Route | None:
         """`shortest_path` of the query on `view`, None for NoRoute.  Keyed
         on the epoch at t: a view and its baseline share the attack-free
-        epoch and draw the same router flags, so the epoch settles the answer."""
+        epoch and draw the same router flags, so the epoch settles the
+        answer.  A route of the epoch's route cache is kept for the epoch
+        and returned wherever `route_holds` at t; any other answer is kept
+        for its instant only."""
+        key = (view.epoch_at(t_ps), source, destination, size_bits)
+        route = self._kept.get(key)
+        if route is not None and route_holds(view, route, t_ps):
+            return route
         answers = self._answers.get(t_ps)
         if answers is None:
             self._drop_past_answers()
             answers = self._answers[t_ps] = {}
-        key = (view.epoch_at(t_ps), source, destination, size_bits)
         if key in answers:
             return answers[key]
         try:
             route = shortest_path(view, RouteQuery(source, destination, t_ps, size_bits))
         except NoRoute:
             route = None
-        answers[key] = route
+        if route is not None and route.failures is not None:
+            self._kept[key] = route
+        else:
+            answers[key] = route
         return route
 
     def _drop_past_answers(self) -> None:

@@ -28,14 +28,18 @@ below take as exact lower bounds.  A query at t:
      route of t's epoch instead, found by a goal-directed search on the
      epoch's terms that stops at the destination;
   3. returns that route when every router on it that a failure model can
-     take down is up at t (`NetworkView.router_flag`; no attack is read);
+     take down is up at t (`route_holds`, which reads
+     `NetworkView.router_flag`; no attack is read);
   4. otherwise runs a goal-directed search at t on the epoch's terms,
      entering a router a failure model can take down only if its flag
      at t, read when the search first reaches it, has it up (a router
      whose epoch term is None stays excluded undrawn).
 
-The engine asks each query once per instant, and `router_flag` draws a
-router's flag once per instant (see the engine module).
+The engine keeps each route that steps 1 to 3 return for the epoch and,
+at a later instant of it, checks step 3 itself (`route_holds`) before it
+asks again; a route of step 4 and a NoRoute it asks once per instant.
+`router_flag` draws a router's flag once per instant (see the engine
+module).
 
 Why that is exact.  Labels (delay, hops, node sequence) are totally
 ordered, so each graph has one optimum per destination.  Attacks only
@@ -127,8 +131,13 @@ class RouteQuery(namedtuple("RouteQuery", ("source", "destination", "t_ps", "siz
 
 @dataclass(frozen=True)
 class Route:
+    """A route and its delay breakdown.  `failures` holds, for a route of an
+    epoch's route cache, the indices of the routers on it that a failure
+    model can take down, whose flags decide where it holds (`route_holds`);
+    None for a route found by the search at its own instant."""
     hops: tuple[str, ...]
     breakdown: PathDelayBreakdown
+    failures: tuple[int, ...] | None = None
 
 
 def edge_weight_ps(view: NetworkView, link: LinkSpec, downstream: str,
@@ -163,14 +172,24 @@ def shortest_path(view: NetworkView, query: RouteQuery) -> Route:
         cached = _cached_route(topology, epoch, attack_free, source, size_bits, destination)
     if cached is None:
         raise NoRoute(query.source, query.destination)
-    router_flag = view.router_flag
-    for node in cached.failures:
-        if not router_flag(node, t_ps):
-            return _route_at(view, source, destination, query)
+    if not route_holds(view, cached, t_ps):
+        return _route_at(view, source, destination, query)
     if cached.route is None:
         cached.route = Route(cached.hops, total_path_delay(
-            view, list(cached.hops), size_bits, t_ps))
+            view, list(cached.hops), size_bits, t_ps), cached.failures)
     return cached.route
+
+
+def route_holds(view: NetworkView, route: "Route | _CachedRoute", t_ps: int) -> bool:
+    """Whether a route of the route cache of t_ps's routing epoch is the
+    route at t_ps: every router on it that a failure model can take down
+    is up (`view.router_flag`).  `shortest_path`'s cache hit and the
+    engine's routes kept per epoch both ask it."""
+    router_flag = view.router_flag
+    for node in route.failures:
+        if not router_flag(node, t_ps):
+            return False
+    return True
 
 
 def _cached_route(topology: CompiledTopology, epoch: Epoch, attack_free: Epoch, source: int,

@@ -24,6 +24,26 @@ def test_run_writes_trace_and_metrics(tmp_path):
     assert payload["aggregate"]["sync_rounds"] == 1
 
 
+def test_run_writes_a_delay_past_the_float_range_as_null(tmp_path):
+    """A 10**20-bit message over a 5e-324 bps link takes an exact count of
+    picoseconds past the float range: the metrics file stays strict JSON,
+    with null for each delay no float holds."""
+    data = json.loads(MINIMAL.read_text())
+    data["links"] = [{**data["links"][0], "bandwidth_bps": 5e-324}]
+    data["message_workload"] = [{"time_s": 0.5, "source": "c1", "destination": "s1",
+                                 "size_bits": 10**20}]
+    scenario, metrics = tmp_path / "slow.json", tmp_path / "out.json"
+    scenario.write_text(json.dumps(data))
+    result = cli("run", "--scenario", str(scenario), "--metrics", str(metrics))
+    assert result.returncode == 0, result.stderr
+
+    def reject(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+    delays = json.loads(metrics.read_text(), parse_constant=reject)["delays"]
+    assert delays == {"host_delay_s": 0.0, "max_path_delay_s": None,
+                      "mean_path_delay_s": None, "network_delay_s": None}
+
+
 def test_run_same_seed_reproduces_trace(tmp_path):
     a, b = tmp_path / "a.trace", tmp_path / "b.trace"
     out_a = cli("run", "--scenario", str(MINIMAL), "--trace", str(a))

@@ -1,6 +1,7 @@
-"""Answers kept per instant: the engine's route answers, a view's router
-flags and a clock's drift plus noise are computed once per instant and are
-equal to what a fresh engine, view or clock computes."""
+"""Answers kept: the engine's route answers, kept for their routing epoch
+when its route cache gave them and for their instant otherwise, a view's
+router flags and a clock's drift plus noise, each computed once per
+instant, are equal to what a fresh engine, view or clock computes."""
 
 from collections import Counter
 
@@ -61,6 +62,80 @@ def test_attack_free_cristian_round_computes_two_routes(monkeypatch, attacks):
     assert not report.failed
     assert len(computed) == 2
     assert [m.status for m in engine.messages.values()] == ["delivered", "delivered"]
+
+
+def test_line_routes_each_distinct_query_once(monkeypatch):
+    """line seed 1 has no router a failure model can take down and no
+    attack, so each route of its one epoch's route cache is kept and holds
+    at every instant: of the 3,400 route asks (3,000 data messages, and 100
+    Cristian rounds that each budget and send a request and a reply),
+    `shortest_path` runs once per (source, destination, size)."""
+    scenario = parse_scenario(benchmark_workloads().line(1))
+    engine = build_engine(scenario)
+    asked, computed = [], []
+    route = Engine._route
+
+    def counting_route(self, view, source, destination, t_ps, size_bits):
+        asked.append((source, destination, size_bits))
+        return route(self, view, source, destination, t_ps, size_bits)
+
+    def counting_shortest_path(view, query):
+        computed.append((query.source, query.destination, query.size_bits))
+        return shortest_path(view, query)
+    monkeypatch.setattr(Engine, "_route", counting_route)
+    monkeypatch.setattr(engine_mod, "shortest_path", counting_shortest_path)
+    engine.run_until_ps(seconds_to_ps(scenario.config.duration))
+    assert len(asked) == 3400
+    assert sorted(computed) == sorted(set(asked))
+    assert len(computed) == 104
+
+
+def diamond_instant(seed: int, up: set[str], start_ps: int = 1) -> int:
+    """The first instant from start_ps at which, of diamond_graph's flaky
+    routers at this seed, exactly those in `up` are up."""
+    models = {node_id: diamond_graph().nodes[node_id].failure_model
+              for node_id in ("r1", "r2", "r3")}
+    return next(t for t in range(start_ps, start_ps + 10**6)
+                if all(bool(model.flag_at_ps(node_id, t, seed)) == (node_id in up)
+                       for node_id, model in models.items()))
+
+
+def test_kept_route_is_not_returned_where_a_router_on_it_is_down(monkeypatch):
+    """The route through r1 kept at t1 is rechecked at t2, where r1 is down:
+    the engine searches at t2 and answers as a fresh engine does."""
+    seed = 5
+    t1 = diamond_instant(seed, {"r1", "r2", "r3"})
+    t2 = diamond_instant(seed, {"r2", "r3"}, t1 + 1)
+    engine = Engine(diamond_graph(), seed)
+    kept = engine._route(engine.view, "c1", "s1", t1, 12000)
+    assert kept.hops == ("c1", "r1", "s1") and kept.failures is not None
+    computed = []
+
+    def counting_shortest_path(view, query):
+        computed.append(query.t_ps)
+        return shortest_path(view, query)
+    monkeypatch.setattr(engine_mod, "shortest_path", counting_shortest_path)
+    route = engine._route(engine.view, "c1", "s1", t2, 12000)
+    assert computed == [t2]
+    assert route.hops == ("c1", "r2", "r3", "s1") and route.failures is None
+    fresh = Engine(diamond_graph(), seed)
+    assert route == fresh._route(fresh.view, "c1", "s1", t2, 12000)
+
+
+def test_route_found_at_an_instant_is_not_returned_at_a_later_one():
+    """The route around r1, found by the search at t2 where r1 is down, is
+    that instant's answer only: at t3, with every router up, the engine
+    answers with the cached route through r1."""
+    seed = 5
+    t2 = diamond_instant(seed, {"r2", "r3"})
+    t3 = diamond_instant(seed, {"r1", "r2", "r3"}, t2 + 1)
+    engine = Engine(diamond_graph(), seed)
+    around = engine._route(engine.view, "c1", "s1", t2, 12000)
+    assert around.hops == ("c1", "r2", "r3", "s1") and around.failures is None
+    route = engine._route(engine.view, "c1", "s1", t3, 12000)
+    assert route.hops == ("c1", "r1", "s1")
+    fresh = Engine(diamond_graph(), seed)
+    assert route == fresh._route(fresh.view, "c1", "s1", t3, 12000)
 
 
 def test_query_with_a_down_router_on_its_cached_route_draws_each_flag_once(monkeypatch):
@@ -171,7 +246,11 @@ def test_two_reads_at_one_instant_draw_noise_once_and_see_a_step_between(monkeyp
     assert second == fresh.reading_ps(t_ps)
 
 
-INSTANTS_PS = tuple(seconds_to_ps(t) for t in (0.0, 0.25, 1.0, 1.5, 1.75, 2.0, 3.0, 3.5))
+# with the instant one picosecond before each window edge, so a kept answer
+# is asked on both sides of every epoch boundary
+INSTANTS_PS = tuple(sorted(
+    {seconds_to_ps(t) for t in (0.0, 0.25, 1.0, 1.5, 1.75, 2.0, 3.0, 3.5)}
+    | {edge - 1 for attack in ATTACKS for edge in (attack.start_ps, attack.end_ps)}))
 OPERATIONS = st.tuples(st.sampled_from(("advance", "route", "baseline", "flag", "clock", "step")),
                        st.sampled_from(INSTANTS_PS), st.booleans())
 
@@ -228,18 +307,20 @@ def test_answers_kept_per_instant_equal_fresh_ones(seed, operations):
 
 def test_route_answers_hold_no_instant_before_now(monkeypatch):
     """mesh seed 1 in slices: each slice ends with no answers kept for an
-    instant before now, and the instants held at any query (the rounds in
-    flight; 43 at most, when a Berkeley round budgets all its polls) are a
-    small share of the 2,642 instants the run routes at."""
+    instant before now, and the instants held at any route ask (the rounds
+    in flight at most) are a small share of the 2,642 instants the run
+    routes at."""
     scenario = parse_scenario(benchmark_workloads().mesh(1))
     engine = build_engine(scenario)
     held, instants = [], set()
+    route = Engine._route
 
-    def recording_shortest_path(view, query):
-        held.append(len(engine._answers))
-        instants.add(query.t_ps)
-        return shortest_path(view, query)
-    monkeypatch.setattr(engine_mod, "shortest_path", recording_shortest_path)
+    def recording_route(self, view, source, destination, t_ps, size_bits):
+        answer = route(self, view, source, destination, t_ps, size_bits)
+        held.append(len(self._answers))
+        instants.add(t_ps)
+        return answer
+    monkeypatch.setattr(Engine, "_route", recording_route)
     horizon_ps = seconds_to_ps(scenario.config.duration)
     for k in range(1, 21):
         engine.run_until_ps(horizon_ps * k // 20)
