@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import randstream
-from .timebase import field_ps, require_finite
+from .timebase import require_finite, seconds_to_ps
 
 ATTACK_KINDS = ("ddos", "ip_spoof", "router_hijack")
 HIJACK_MODES = ("force_down", "added_delay")
@@ -62,9 +62,9 @@ class AttackSpec:
                 raise ValueError(f"unknown hijack mode: {self.mode!r}")
             if self.mode == "added_delay" and self.added_delay < 0:
                 raise ValueError("hijack added_delay must be >= 0")
-        object.__setattr__(self, "start_ps", field_ps(self, "t_start"))
-        object.__setattr__(self, "end_ps", field_ps(self, "t_end"))
-        object.__setattr__(self, "forged_offset_ps", field_ps(self, "forged_offset"))
+        object.__setattr__(self, "start_ps", seconds_to_ps(self.t_start))
+        object.__setattr__(self, "end_ps", seconds_to_ps(self.t_end))
+        object.__setattr__(self, "forged_offset_ps", seconds_to_ps(self.forged_offset))
 
     def active_at_ps(self, t_ps: int) -> bool:
         return self.start_ps <= t_ps < self.end_ps

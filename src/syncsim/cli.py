@@ -73,10 +73,10 @@ def _cmd_run(args) -> int:
     try:
         records = engine.run_until(scenario.config.duration)
         metrics = metrics_report(records)
-    except Exception as exc:  # NoRoute-fatal and other simulation failures
+        data = trace_bytes(records)
+    except Exception as exc:  # NoRoute-fatal, an int too long to write, and so on
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
-    data = trace_bytes(records)
     if args.trace and not _write(args.trace, data):
         return EXIT_RUNTIME
     # a delay past the float range writes as null, never as Infinity
@@ -117,7 +117,9 @@ def _cmd_analyze_clock(args) -> int:
         "concavity_per_s": _finite_or_none(report.concavity),
     }
     if report.has_extremum:
-        payload["offset_at_t_star_s"] = _finite_or_none(params.drift_offset(report.t_star))
+        t = report.t_star
+        payload["offset_at_t_star_s"] = _finite_or_none(args.alpha0 + args.beta * t
+                                                        + args.gamma * t * t)
     print(json.dumps(payload, sort_keys=True, allow_nan=False))
     return EXIT_OK
 
@@ -130,12 +132,11 @@ def _cmd_export_dot(args) -> int:
         print(f"error: --time {args.time!r}: the snapshot instant must be >= 0 s",
               file=sys.stderr)
         return EXIT_VALIDATION
-    try:
-        text = export_graph(built[1].view, args.time)
-    except (OverflowError, ValueError):  # the instant or a clock offset at it
-        print(f"error: --time {args.time!r}: the snapshot is not a finite number "
-              f"of picoseconds", file=sys.stderr)
+    if not math.isfinite(args.time):
+        print(f"error: --time {args.time!r}: the snapshot instant must be finite",
+              file=sys.stderr)
         return EXIT_VALIDATION
+    text = export_graph(built[1].view, args.time)
     if args.output:
         if not _write(args.output, text.encode("utf-8")):
             return EXIT_RUNTIME

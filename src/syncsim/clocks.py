@@ -12,6 +12,14 @@ Model kinds:
   user_defined offset from a piecewise-linear (time, offset) table,
                interpolated between points and held flat outside them
 
+Offsets are exact at any horizon: at t_ps, the drift (alpha0*10^12 +
+beta*t_ps + gamma*t_ps^2/10^12, or a user_defined table interpolated
+exactly), the noise (a unit normal draw times noise_sigma*10^12) and the
+jitter (a unit draw times jitter_bound_ns*1000) are summed at each float's
+exact value and rounded once to picoseconds, half to even.  A slew's part
+in progress is exact too: the rate's exact value times the elapsed
+picoseconds, rounded once.
+
 A correction, once wholly in effect, stays so at every later instant, so a
 clock folds the corrections that are complete into one sum as it is read.
 A reading at or after the instant of its latest fold costs the corrections
@@ -24,9 +32,10 @@ reading.
 import math
 from bisect import bisect_right
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import randstream
-from .timebase import ps_to_seconds, require_finite, require_ps, seconds_to_ps
+from .timebase import PS_PER_NS, PS_PER_SECOND, require_finite, require_ps, round_ratio
 
 MODEL_KINDS = ("linear", "quadratic", "user_defined")
 
@@ -73,30 +82,35 @@ class ClockParameters:
         """gamma as used in evaluation: exactly 0 unless the model is quadratic."""
         return self.gamma if self.model_kind == "quadratic" else 0.0
 
-    def drift_offset(self, t: float) -> float:
-        """Deterministic drift part of the offset at wall time t (seconds)."""
-        if self.model_kind == "user_defined":
-            return _interpolate(self.offset_table, t)
-        offset = self.alpha0 + self.beta * t
-        if self.model_kind == "quadratic":
-            offset += self.gamma * t * t
-        return offset
+
+def _drift_pieces(params: ClockParameters) -> tuple[list[int], list[tuple[int, int, int, int]]]:
+    """The drift in picoseconds at t_ps, piece by piece, as (edges, pieces):
+    the piece at t_ps is pieces[bisect_right(edges, t_ps)], and a piece
+    (a, b, g, d) is the exact drift (a + b*t_ps + g*t_ps^2) / d.  A linear or
+    quadratic model is one piece.  A user_defined table is flat before its
+    first point and after its last, and linear between each two points;
+    each edge is the first picosecond at or after a point, and neighbouring
+    pieces agree at their point, so the piece taken there does not matter."""
+    if params.model_kind != "user_defined":
+        return [], [_over_one_denominator(Fraction(params.alpha0) * PS_PER_SECOND,
+                                          Fraction(params.beta),
+                                          Fraction(params.effective_gamma) / PS_PER_SECOND)]
+    points = [(Fraction(t) * PS_PER_SECOND, Fraction(v) * PS_PER_SECOND)
+              for t, v in params.offset_table]
+    pieces = [(points[0][1], 0, 0)]
+    for (t0, v0), (t1, v1) in zip(points, points[1:]):
+        slope = (v1 - v0) / (t1 - t0)
+        pieces.append((v0 - slope * t0, slope, 0))
+    pieces.append((points[-1][1], 0, 0))
+    return [math.ceil(t) for t, _ in points], [_over_one_denominator(*p) for p in pieces]
 
 
-def _interpolate(table: tuple[tuple[float, float], ...], t: float) -> float:
-    times = [p[0] for p in table]
-    if t <= times[0]:
-        return table[0][1]
-    if t >= times[-1]:
-        return table[-1][1]
-    i = bisect_right(times, t)
-    t0, v0 = table[i - 1]
-    t1, v1 = table[i]
-    rise = (v1 - v0) * (t - t0)
-    if math.isfinite(rise):
-        return v0 + rise / (t1 - t0)
-    # the product can overflow where the offset itself is finite: divide first
-    return v0 + (v1 - v0) * ((t - t0) / (t1 - t0))
+def _over_one_denominator(*ratios) -> tuple[int, ...]:
+    """Exact ratios (Fractions or ints) as integer numerators over their
+    least common denominator, which comes last."""
+    denominator = math.lcm(*(ratio.denominator for ratio in ratios))
+    return (*(ratio.numerator * (denominator // ratio.denominator) for ratio in ratios),
+            denominator)
 
 
 @dataclass(frozen=True)
@@ -125,17 +139,18 @@ def extremum_analysis(params: ClockParameters) -> ExtremumReport:
     return ExtremumReport(True, t_star, kind, 2.0 * gamma)
 
 
-def _applied_ps(correction: tuple[int, int, float | None], t_ps: int) -> int:
-    """The part of one (start_ps, delta_ps, rate) correction in effect at t.
+def _applied_ps(correction: tuple[int, int, tuple[int, int] | None], t_ps: int) -> int:
+    """The part of one (start_ps, delta_ps, rate) correction in effect at t,
+    rate the slew rate's exact (numerator, denominator) or None for a step.
     It never moves away from delta_ps as t grows: a step is all of it from
-    its start on, and a slew's part only grows until it is all of it."""
+    its start on, and a slew's part, the rate times the elapsed picoseconds
+    rounded once, only grows until it is all of it."""
     start_ps, delta_ps, rate = correction
     if rate is None:
         return delta_ps if t_ps >= start_ps else 0
     if t_ps <= start_ps:
         return 0
-    slewed = rate * (t_ps - start_ps)  # min(|delta|, round(slewed)); never rounds inf
-    applied = abs(delta_ps) if slewed >= abs(delta_ps) else round(slewed)
+    applied = min(abs(delta_ps), round_ratio(rate[0] * (t_ps - start_ps), rate[1]))
     return applied if delta_ps >= 0 else -applied
 
 
@@ -158,32 +173,46 @@ class SoftwareClock:
 
     def __init__(self, clock_id: str, params: ClockParameters, seed: int = 0):
         self.params = params
+        # the drift's integer coefficients, and the noise's and jitter's
+        # scales in picoseconds as exact (numerator, denominator) pairs
+        self._edges, self._pieces = _drift_pieces(params)
+        self._sigma_ps = (Fraction(params.noise_sigma) * PS_PER_SECOND).as_integer_ratio()
+        self._jitter_ps = (Fraction(params.jitter_bound_ns) * PS_PER_NS).as_integer_ratio()
         # the prefix states of this clock's two keyed streams, hashed once
         self._noise_stream = randstream.stream(seed, "clock_noise", clock_id)
         self._jitter_stream = randstream.stream(seed, "clock_jitter", clock_id)
-        # (start_ps, delta_ps, rate) triples; rate None means instant step
-        self._corrections: list[tuple[int, int, float | None]] = []
+        # (start_ps, delta_ps, rate) triples, rate the slew rate's exact
+        # (numerator, denominator) or None for an instant step
+        self._corrections: list[tuple[int, int, tuple[int, int] | None]] = []
         # every correction in `_corrections` but those of `_live` is wholly in
         # effect at each t >= `_folded_from`, and they sum to `_folded_ps`
         self._folded_from = 0
         self._folded_ps = 0
-        self._live: list[tuple[int, int, float | None]] = []
+        self._live: list[tuple[int, int, tuple[int, int] | None]] = []
         # (t_ps, drift + noise in ps) of the last instant offset_ps computed
         self._last: tuple[int | None, int] = (None, 0)
 
     # -- noise ------------------------------------------------------------
 
-    def noise_at_ps(self, t_ps: int) -> float:
-        """Per-reading random term in seconds, keyed by the quantized time: a
-        normal draw of (seed, "clock_noise", clock_id, t_ps) with deviation
-        noise_sigma, plus jitter_bound_ns * 1e-9 times the uniform draw of
-        (seed, "clock_jitter", clock_id, t_ps)."""
-        params = self.params
-        noise = randstream.draw_gaussian(self._noise_stream, params.noise_sigma, t_ps)
-        if params.jitter_bound_ns > 0.0:
-            jitter = randstream.unit(randstream.draw(self._jitter_stream, t_ps))
-            noise += jitter * params.jitter_bound_ns * 1e-9
-        return noise
+    def noise_at_ps(self, t_ps: int) -> tuple[int, int]:
+        """Per-reading random term in picoseconds, exact, as (numerator,
+        denominator): the unit normal draw of (seed, "clock_noise",
+        clock_id, t_ps) times noise_sigma, plus the uniform draw of (seed,
+        "clock_jitter", clock_id, t_ps) times jitter_bound_ns.  A term whose
+        scale is 0 draws nothing."""
+        (sigma, sigma_den), (bound, bound_den) = self._sigma_ps, self._jitter_ps
+        numerator, denominator = 0, 1
+        if sigma:
+            normal, normal_den = randstream.draw_gaussian(
+                self._noise_stream, t_ps).as_integer_ratio()
+            numerator, denominator = normal * sigma, normal_den * sigma_den
+        if bound:
+            unit, unit_den = randstream.unit(
+                randstream.draw(self._jitter_stream, t_ps)).as_integer_ratio()
+            jitter_den = unit_den * bound_den
+            numerator, denominator = (numerator * jitter_den + unit * bound * denominator,
+                                      denominator * jitter_den)
+        return numerator, denominator
 
     # -- corrections ------------------------------------------------------
 
@@ -214,20 +243,23 @@ class SoftwareClock:
         require_ps(at_ps, "correction time")
         if not 0 < rate < math.inf:
             raise ValueError(f"slew rate must be finite and > 0, got {rate!r}")
-        self._take((at_ps, delta_ps, rate))
+        self._take((at_ps, delta_ps, rate.as_integer_ratio()))
 
-    def _take(self, correction: tuple[int, int, float | None]) -> None:
+    def _take(self, correction: tuple[int, int, tuple[int, int] | None]) -> None:
         self._corrections.append(correction)
         self._live.append(correction)
 
     # -- readings ---------------------------------------------------------
 
     def offset_ps(self, t_ps: int) -> int:
-        """alpha(t) = C(t) - t in integer picoseconds."""
+        """alpha(t) = C(t) - t in integer picoseconds: drift plus noise at t,
+        summed exactly and rounded once, plus the correction in effect."""
         last_ps, free_ps = self._last
         if last_ps != t_ps:
-            drift = self.params.drift_offset(ps_to_seconds(t_ps))
-            free_ps = seconds_to_ps(drift + self.noise_at_ps(t_ps))
+            a, b, g, drift_den = self._pieces[bisect_right(self._edges, t_ps)]
+            noise, noise_den = self.noise_at_ps(t_ps)
+            free_ps = round_ratio((a + (b + g * t_ps) * t_ps) * noise_den + noise * drift_den,
+                                  drift_den * noise_den)
             self._last = (t_ps, free_ps)
         return free_ps + self.correction_at_ps(t_ps)
 

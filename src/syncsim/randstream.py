@@ -101,17 +101,14 @@ def draw_bernoulli(prefix, probability: float, *tail) -> bool:
     return (int.from_bytes(_extend(prefix, tail).digest(), "big") >> 11) / _TWO53 < probability
 
 
-def draw_gaussian(prefix, sigma: float, *tail) -> float:
-    """Zero-mean normal draw with standard deviation sigma: Box-Muller of the
-    draws of the key `prefix` has hashed, extended by `tail` and then by 0
-    and by 1.  The tail is hashed once and the state copied for the two
-    constant last chunks."""
-    if sigma == 0.0:
-        return 0.0
+def draw_gaussian(prefix, *tail) -> float:
+    """Standard normal draw: Box-Muller of the draws of the key `prefix` has
+    hashed, extended by `tail` and then by 0 and by 1.  The tail is hashed
+    once and the state copied for the two constant last chunks."""
     state = _extend(prefix, tail)
     first = state.copy()
     first.update(_GAUSSIAN_TAILS[0])
     state.update(_GAUSSIAN_TAILS[1])
     u1 = (int.from_bytes(first.digest(), "big") + 1) / _TWO64  # (0, 1]
     u2 = int.from_bytes(state.digest(), "big") / _TWO64        # [0, 1)
-    return sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)

@@ -3,6 +3,9 @@
 Sections: config, clocks, nodes, links, sync_schedule, attacks,
 message_workload, medium_speeds_m_per_s, sync_options.  Times and durations
 carry an _s suffix (seconds); sizes are bits; bandwidths are bits/second.
+A number must be finite, and nothing more: a seconds field is quantized to
+exact picoseconds at any magnitude, and a clock's offset is exact at any
+instant, so no field has a horizon or magnitude rule.
 Parsing builds the graph, so a node or link that breaks a graph rule is a
 parse problem named after its entry.  `build_engine` names every other
 problem before anything runs: `validate_scenario`'s, then each workload
@@ -19,11 +22,11 @@ import math
 from dataclasses import dataclass, field, replace
 
 from .attacks import AttackSpec
-from .clocks import CLOCK_PRESETS, ClockParameters, extremum_analysis, preset_parameters
+from .clocks import CLOCK_PRESETS, ClockParameters, preset_parameters
 from .engine import Engine, SchedulingError
 from .metrics import metrics_report
 from .sync import ALGORITHMS, SyncOptions
-from .timebase import PS_PER_SECOND, ps_to_seconds, seconds_to_ps
+from .timebase import seconds_to_ps
 from .topology import (MEDIA, FailureModel, LinkSpec, NetworkGraph, NodeSpec, admit_link,
                        is_medium_speed)
 
@@ -117,20 +120,17 @@ def _not_bool(key: str, value):
     return value
 
 
-def _number(key: str, value, seconds: bool = False) -> float:
-    """float(value), rejecting a boolean, a string, a number that is not
-    finite and, for a value in seconds (a key with an _s suffix, or
-    `seconds`), one whose picosecond count is not finite."""
-    seconds = seconds or key.endswith("_s")
+def _number(key: str, value) -> float:
+    """float(value), rejecting a boolean, a string and a number that is not
+    finite."""
     if isinstance(value, str):
         raise ValueError(f"{key} must be a number, got {value!r}")
     try:
         number = float(_not_bool(key, value))
     except OverflowError:  # an integer beyond the float range
         number = math.inf
-    if not math.isfinite(number * (PS_PER_SECOND if seconds else 1)):
-        raise ValueError(f"{key} must be a finite number"
-                         f"{' of picoseconds' if seconds else ''}, got {value!r}")
+    if not math.isfinite(number):
+        raise ValueError(f"{key} must be a finite number, got {value!r}")
     return number
 
 
@@ -155,8 +155,7 @@ def _offset_table(key: str, value) -> tuple[tuple[float, float], ...]:
     if not isinstance(value, list) or not all(
             isinstance(point, list) and len(point) == 2 for point in value):
         raise ValueError(f"{key} must be an array of [time, offset] points, got {value!r}")
-    return tuple((_number(key, t, seconds=True), _number(key, v, seconds=True))
-                 for t, v in value)
+    return tuple((_number(key, t), _number(key, v)) for t, v in value)
 
 
 # One table per section of optional keys: JSON key -> (dataclass field, reader).
@@ -296,35 +295,11 @@ def parse_scenario(data: dict) -> Scenario:
                     sync_options=sync_options)
 
 
-# The largest magnitude `randstream.draw_gaussian` returns per unit sigma: its
-# uniform draw u1 is at least 2^-64, and |cos| <= 1.
-_GAUSSIAN_BOUND = math.sqrt(-2.0 * math.log(2.0 ** -64))
-
-
-def _drift_is_finite_ps(params: ClockParameters, horizon: float) -> bool:
-    """Whether the clock's offset, as `SoftwareClock.offset_ps` quantizes it,
-    is finite picoseconds over [0, horizon]: the drift's magnitude plus the
-    largest noise and jitter, at both ends, the extremum and the offset_table
-    points inside, which bound a quadratic and a piecewise-linear table."""
-    times = [0.0, horizon]
-    extremum = extremum_analysis(params)
-    if extremum.has_extremum and 0 < extremum.t_star < horizon:
-        times.append(extremum.t_star)
-    times += [t for t, _ in params.offset_table if 0 < t < horizon]
-    noise = _GAUSSIAN_BOUND * params.noise_sigma + params.jitter_bound_ns * 1e-9
-    try:
-        for t in times:
-            seconds_to_ps(abs(params.drift_offset(ps_to_seconds(seconds_to_ps(t)))) + noise)
-    except (OverflowError, ValueError):  # infinite, or NaN from inf - inf
-        return False
-    return True
-
-
 def validate_scenario(scenario: Scenario) -> list[str]:
     """The problems no constructor of the run can know, each as "entity:
-    message": the duration, attack targets, disconnected sync participants,
-    `medium_speeds` and the drift bound.  `build_engine` names the workload
-    and sync entries' problems."""
+    message": the duration, attack targets, disconnected sync participants
+    and `medium_speeds`.  `build_engine` names the workload and sync
+    entries' problems."""
     problems: list[str] = []
     graph = scenario.graph
     linked = {end for link in graph.links for end in (link.a, link.b)}
@@ -343,22 +318,6 @@ def validate_scenario(scenario: Scenario) -> list[str]:
         elif not is_medium_speed(speed):
             problems.append(f"medium_speeds_m_per_s: {medium}: speed must be a finite "
                             f"number > 0, got {speed!r}")
-    if scenario.config.duration >= 0:
-        # a time server reads its clock to stamp a reply up to the service
-        # time after a delivery, and a delivery is at most at duration_s
-        service = scenario.sync_options.server_service_time if scenario.sync_schedule else 0.0
-        horizon = "duration_s plus server_service_time_s" if service else "duration_s"
-        # each clocks entry, then each other clock a node reads (a preset it
-        # names directly), named after the first node that reads it
-        clocks = {id(params): (f"clocks[{name!r}]", params)
-                  for name, params in scenario.clock_params.items()}
-        for node in graph.nodes.values():
-            if node.clock is not None:
-                clocks.setdefault(id(node.clock), (f"node {node.node_id!r} clock", node.clock))
-        for label, params in clocks.values():
-            if not _drift_is_finite_ps(params, scenario.config.duration + service):
-                problems.append(f"{label}: drift offset within {horizon} is not "
-                                f"a finite number of picoseconds")
     return problems
 
 

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .engine import Engine, Message
-from .timebase import field_ps, require_finite, round_ratio, seconds_to_ps
+from .timebase import require_finite, round_ratio, seconds_to_ps
 
 
 @dataclass(frozen=True)
@@ -65,10 +65,10 @@ class SyncOptions:
             raise ValueError(f"unknown correction policy: {self.correction_policy!r}")
         if self.correction_policy == "slew" and (self.slew_rate is None or self.slew_rate <= 0):
             raise ValueError("slew policy requires a positive slew_rate")
-        object.__setattr__(self, "server_service_ps", field_ps(self, "server_service_time"))
-        object.__setattr__(self, "default_timeout_ps", field_ps(self, "default_timeout"))
+        object.__setattr__(self, "server_service_ps", seconds_to_ps(self.server_service_time))
+        object.__setattr__(self, "default_timeout_ps", seconds_to_ps(self.default_timeout))
         object.__setattr__(self, "outlier_threshold_ps", None if self.outlier_threshold is None
-                           else field_ps(self, "outlier_threshold"))
+                           else seconds_to_ps(self.outlier_threshold))
         object.__setattr__(self, "timeout_ratio", self.timeout_factor.as_integer_ratio())
 
     def timeout_ps(self, baseline_rtt_ps: int) -> int:

@@ -2,10 +2,12 @@
 
 Simulated wall-clock time is carried everywhere as an integer count of
 picoseconds, so event ordering, delay sums and trace bytes are exact and
-platform independent.  Floating point appears only at the edges: a seconds
-field or a clock offset is quantized once (`seconds_to_ps`), and a delay
-term (link, router, timeout) is the exact ratio of its inputs rounded once
-(`round_ratio`), both half to even.  Read back as float seconds or
+platform independent at any horizon.  Floating point appears only at the
+edges, and each float enters at its exact value: a seconds field is
+quantized once (`seconds_to_ps`), and a delay term (link, router, timeout)
+or a clock offset is the exact ratio of its inputs rounded once
+(`round_ratio`), both half to even.  Every finite input gives a finite
+count, since Python ints do not overflow.  Read back as float seconds or
 nanoseconds, a count beyond the float range saturates to +-inf.
 """
 
@@ -31,20 +33,11 @@ def require_finite(owner, *names: str) -> None:
             raise ValueError(f"{name} must be finite, got {value!r}")
 
 
-def field_ps(owner, name: str) -> int:
-    """The named field of `owner`, a finite number of seconds, quantized
-    with `seconds_to_ps`.  Raises ValueError naming the field when it is
-    not a finite number of picoseconds."""
-    value = getattr(owner, name)
-    try:
-        return seconds_to_ps(value)
-    except OverflowError:
-        raise ValueError(f"{name} must be a finite number of picoseconds, got {value!r}") from None
-
-
 def seconds_to_ps(seconds: float) -> int:
-    """Quantize a duration or offset in seconds to integer picoseconds."""
-    return round(seconds * PS_PER_SECOND)
+    """Quantize a finite duration or instant in seconds to integer
+    picoseconds: its exact value rounded once, half to even."""
+    numerator, denominator = seconds.as_integer_ratio()
+    return round_ratio(numerator * PS_PER_SECOND, denominator)
 
 
 def ps_to_seconds(ps: int) -> float:

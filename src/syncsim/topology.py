@@ -26,7 +26,7 @@ from . import attacks as attacks_mod
 from . import randstream
 from .attacks import AttackSpec
 from .clocks import ClockParameters
-from .timebase import PS_PER_SECOND, field_ps, require_finite, round_ratio
+from .timebase import PS_PER_SECOND, require_finite, round_ratio, seconds_to_ps
 
 NODE_KINDS = ("client", "time_server", "router")
 FAILURE_MODES = ("always_active", "always_failed", "bernoulli", "alternating")
@@ -66,7 +66,7 @@ class FailureModel:
         if not 0.0 <= self.failure_probability <= 1.0:
             raise ValueError("failure_probability must be in [0, 1]")
         if self.mode == "alternating":
-            up_ps, down_ps = field_ps(self, "up_duration"), field_ps(self, "down_duration")
+            up_ps, down_ps = seconds_to_ps(self.up_duration), seconds_to_ps(self.down_duration)
             if up_ps <= 0 or down_ps <= 0:
                 raise ValueError("alternating mode needs positive up/down durations")
             object.__setattr__(self, "up_ps", up_ps)

@@ -7,11 +7,17 @@ with the Dijkstra implementation beyond the per-hop delay primitives it is
 checking against.
 
 The correction oracle sums every correction a clock has taken, at any
-instant, with none of the clock's folding.
+instant, with none of the clock's folding.  The offset oracle evaluates a
+clock's drift, noise and jitter in `Fraction`s, with its own draws from
+`randstream.u64`, and rounds once.
 """
 
+import math
 import random
+from bisect import bisect_right
+from fractions import Fraction
 
+from syncsim import randstream
 from syncsim.clocks import ClockParameters
 from syncsim.delay import PathBlocked, total_path_delay
 from syncsim.netview import NetworkView
@@ -108,7 +114,9 @@ def random_network(rng: random.Random, max_nodes: int = 10, max_links: int = 20)
 
 def correction_sum_ps(corrections, t_ps: int) -> int:
     """The correction in effect at t: the sum, over every (start_ps,
-    delta_ps, rate) correction, of the part of it applied by t."""
+    delta_ps, rate) correction, of the part of it applied by t; a slew's
+    part is its rate's exact value times the elapsed picoseconds, rounded
+    half to even, up to all of it."""
     total = 0
     for start_ps, delta_ps, rate in corrections:
         if rate is None:
@@ -116,7 +124,40 @@ def correction_sum_ps(corrections, t_ps: int) -> int:
             continue
         if t_ps <= start_ps:
             continue
-        slewed = rate * (t_ps - start_ps)  # min(|delta|, round(slewed)); never rounds inf
-        applied = abs(delta_ps) if slewed >= abs(delta_ps) else round(slewed)
+        numerator, denominator = rate.as_integer_ratio()
+        slewed = numerator * (t_ps - start_ps)  # over denominator
+        applied = (abs(delta_ps) if slewed >= abs(delta_ps) * denominator
+                   else round(Fraction(slewed, denominator)))
         total += applied if delta_ps >= 0 else -applied
     return total
+
+
+def offset_reference_ps(params: ClockParameters, seed: int, clock_id: str, t_ps: int) -> int:
+    """A clock's offset at t_ps before any correction, rounded half to even
+    once: the drift at t_ps / 10^12 s (a user_defined table interpolated
+    between its points and flat outside them), plus the Box-Muller normal
+    of the u64 draws of (seed, "clock_noise", clock_id, t_ps, 0 and 1)
+    times noise_sigma, plus the top 53 bits of the u64 draw of (seed,
+    "clock_jitter", clock_id, t_ps) over 2^53 times jitter_bound_ns."""
+    t = Fraction(t_ps, 10**12)
+    if params.model_kind == "user_defined":
+        points = [(Fraction(time), Fraction(value)) for time, value in params.offset_table]
+        i = bisect_right([time for time, _ in points], t)
+        if i == 0 or i == len(points):
+            drift = points[max(i - 1, 0)][1]
+        else:
+            (t0, v0), (t1, v1) = points[i - 1], points[i]
+            drift = v0 + (v1 - v0) * (t - t0) / (t1 - t0)
+    else:
+        gamma = params.gamma if params.model_kind == "quadratic" else 0.0
+        drift = Fraction(params.alpha0) + Fraction(params.beta) * t + Fraction(gamma) * t * t
+    noise = jitter = Fraction(0)
+    if params.noise_sigma:
+        u1 = (randstream.u64(seed, "clock_noise", clock_id, t_ps, 0) + 1) / 2.0**64
+        u2 = randstream.u64(seed, "clock_noise", clock_id, t_ps, 1) / 2.0**64
+        normal = math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+        noise = Fraction(normal) * Fraction(params.noise_sigma)
+    if params.jitter_bound_ns:
+        unit = Fraction(randstream.u64(seed, "clock_jitter", clock_id, t_ps) >> 11, 2**53)
+        jitter = unit * Fraction(params.jitter_bound_ns) / 10**9
+    return round((drift + noise + jitter) * 10**12)

@@ -13,6 +13,7 @@ import subprocess
 import sys
 import time
 from contextlib import contextmanager
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -191,10 +192,10 @@ def test_criterion_8_gnss_presets():
         assert sorted(gnss) == ["beidou", "galileo", "glonass", "gps"]
         for name, params in gnss.items():
             clock = SoftwareClock(name, params, seed=8)
-            bound = params.jitter_bound_ns * 1e-9
+            bound, bound_den = (Fraction(params.jitter_bound_ns) * 1000).as_integer_ratio()
             for t_ps in range(1_000_000):
-                jitter = clock.noise_at_ps(t_ps)
-                assert 0.0 <= jitter < bound
+                jitter, denominator = clock.noise_at_ps(t_ps)  # exact, in ps
+                assert 0 <= jitter * bound_den < bound * denominator
 
 
 def test_criterion_9_determinism():

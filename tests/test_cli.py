@@ -44,6 +44,24 @@ def test_run_writes_a_delay_past_the_float_range_as_null(tmp_path):
                       "mean_path_delay_s": None, "network_delay_s": None}
 
 
+def test_a_trace_that_cannot_be_written_is_a_runtime_error(tmp_path):
+    """A 10**4200-bit message over a 5e-324 bps link validates, and its
+    delivery time is an int of more digits than Python writes as text: the
+    run exits 2 with a runtime error, where it printed a traceback before."""
+    data = json.loads(MINIMAL.read_text())
+    data["links"] = [{**data["links"][0], "bandwidth_bps": 5e-324}]
+    data["message_workload"] = [{"time_s": 0.5, "source": "c1", "destination": "s1",
+                                 "size_bits": 10**4200}]
+    scenario = tmp_path / "huge.json"
+    scenario.write_text(json.dumps(data))
+    assert cli("validate", "--scenario", str(scenario)).returncode == 0
+    result = cli("run", "--scenario", str(scenario))
+    assert result.returncode == 2, result.stderr
+    assert result.stderr.startswith("runtime error: Exceeds the limit"), result.stderr
+    assert "Traceback" not in result.stderr
+    assert result.stdout == ""
+
+
 def test_run_same_seed_reproduces_trace(tmp_path):
     a, b = tmp_path / "a.trace", tmp_path / "b.trace"
     out_a = cli("run", "--scenario", str(MINIMAL), "--trace", str(a))
@@ -157,16 +175,23 @@ def test_diff_trace_against_attacked_run(tmp_path):
     assert summary["identical"] is False
 
 
-def test_export_dot_time_beyond_picoseconds_is_a_named_error():
-    # inf, nan and 1e300 s do not quantize; at 1e290 s the mesh's drifting
-    # clocks have offsets that do not
-    mesh = SCENARIO_DIR / "mesh_attacks.json"
-    for scenario, time in ((MINIMAL, "inf"), (MINIMAL, "nan"), (MINIMAL, "1e300"),
-                           (mesh, "1e290")):
-        result = cli("export-dot", "--scenario", str(scenario), f"--time={time}")
+def test_export_dot_time_that_is_not_finite_is_a_named_error():
+    for time in ("inf", "nan"):
+        result = cli("export-dot", "--scenario", str(MINIMAL), f"--time={time}")
         assert result.returncode == 1, (time, result.stderr)
-        assert result.stderr == (f"error: --time {float(time)!r}: the snapshot is not a "
-                                 f"finite number of picoseconds\n"), result.stderr
+        assert result.stderr == (f"error: --time {float(time)!r}: the snapshot instant "
+                                 f"must be finite\n"), result.stderr
+        assert result.stdout == ""
+
+
+def test_export_dot_at_a_far_instant_draws():
+    # each was "not a finite number of picoseconds" before: 1e300 s did not
+    # quantize, and at 1e290 s the mesh's drifting clocks' offsets did not
+    mesh = SCENARIO_DIR / "mesh_attacks.json"
+    for scenario, time in ((MINIMAL, "1e300"), (mesh, "1e290")):
+        result = cli("export-dot", "--scenario", str(scenario), f"--time={time}")
+        assert result.returncode == 0, (time, result.stderr)
+        assert result.stdout.startswith("digraph"), result.stdout
 
 
 def test_export_dot_negative_time_is_a_named_error():

@@ -2,11 +2,13 @@ import json
 import math
 import random
 import statistics
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from syncsim import randstream
 from syncsim.clocks import (CLOCK_PRESETS, ClockParameters, SoftwareClock,
                             extremum_analysis, preset_parameters)
 from syncsim.engine import Engine
@@ -16,7 +18,7 @@ from syncsim.timebase import seconds_to_ps
 from syncsim.trace import trace_bytes
 
 from conftest import ROOT
-from oracles import correction_sum_ps
+from oracles import correction_sum_ps, offset_reference_ps
 
 QUARTZ = ClockParameters(beta=10e-6, gamma=-1e-10)
 
@@ -95,16 +97,6 @@ def test_identical_clocks_agree():
 
 # -- derivative and extremum ------------------------------------------------
 
-@given(st.floats(min_value=0.0, max_value=9e5))
-def test_drift_finite_difference_matches_rate(t):
-    h = 1e-3 * max(1.0, t)
-    lo = max(0.0, t - h)
-    rate = (QUARTZ.drift_offset(t + h) - QUARTZ.drift_offset(lo)) / (t + h - lo)
-    expected = QUARTZ.beta + 2 * QUARTZ.gamma * t
-    # abs floor covers float cancellation where the rate crosses zero
-    assert rate == pytest.approx(expected, rel=1e-6, abs=1e-12)
-
-
 @given(st.floats(min_value=1e3, max_value=9e5))
 def test_quantized_offset_finite_difference_matches_rate(t):
     # the picosecond-quantized reading path sustains the same derivative
@@ -114,6 +106,55 @@ def test_quantized_offset_finite_difference_matches_rate(t):
     rate = (clock.offset_ps(t_ps + h_ps) - clock.offset_ps(t_ps - h_ps)) / (2 * h_ps)
     expected = QUARTZ.beta + 2 * QUARTZ.gamma * t
     assert rate == pytest.approx(expected, rel=1e-6, abs=1e-12)
+
+
+@pytest.mark.parametrize("horizon_s", [1e7, 1e8, 1e9])
+def test_noise_free_presets_never_read_backwards_far_out(horizon_s):
+    """Each noise-free preset's reading, over consecutive picoseconds around
+    the first 50 instants past horizon_s where a float count of seconds
+    steps to its next value, is at least the reading one picosecond
+    earlier.  The drift evaluated at float seconds stepped there: quartz
+    read backwards by up to 5 ps near 1e7 s, 383 ps near 1e8 s and
+    32,767 ps near 1e9 s."""
+    presets = [name for name, params in CLOCK_PRESETS.items()
+               if params.noise_sigma == 0 and params.jitter_bound_ns == 0]
+    assert "quartz" in presets
+    steps_ps, t = [], horizon_s
+    for _ in range(50):
+        after = math.nextafter(t, math.inf)
+        steps_ps.append(round((Fraction(t) + Fraction(after)) / 2 * 10**12))
+        t = after
+    for name in presets:
+        clock = make_clock(CLOCK_PRESETS[name])
+        for step_ps in steps_ps:
+            readings = [clock.reading_ps(t_ps) for t_ps in range(step_ps - 3, step_ps + 4)]
+            assert readings == sorted(readings), (name, step_ps, readings)
+
+
+FINITE = st.floats(allow_nan=False, allow_infinity=False)
+SCALES = st.floats(min_value=0.0, allow_infinity=False)
+CLOCKS = st.one_of(
+    st.builds(ClockParameters, alpha0=FINITE, beta=FINITE, gamma=FINITE, noise_sigma=SCALES,
+              model_kind=st.sampled_from(["linear", "quadratic"]), jitter_bound_ns=SCALES),
+    st.builds(lambda points, sigma, bound: ClockParameters(
+        model_kind="user_defined", offset_table=tuple(sorted(points)), noise_sigma=sigma,
+        jitter_bound_ns=bound),
+        st.lists(st.tuples(FINITE, FINITE), min_size=1, max_size=5,
+                 unique_by=lambda point: point[0]), SCALES, SCALES))
+INSTANTS_PS = st.one_of(st.integers(-10**15, 10**15), st.integers(-10**40, 10**330))
+
+
+@settings(max_examples=300, deadline=None)
+@given(params=CLOCKS, seed=st.integers(0, 2**64), t_ps=INSTANTS_PS)
+def test_offset_equals_the_exact_reference(params, seed, t_ps):
+    # extreme coefficients, far instants and user_defined tables: the
+    # offset is the exact sum rounded once, wherever a float would overflow
+    clock = make_clock(params, seed, "c1")
+    assert clock.offset_ps(t_ps) == offset_reference_ps(params, seed, "c1", t_ps)
+    for point, _ in params.offset_table:
+        point_ps = round(Fraction(point) * 10**12)
+        for near_ps in (point_ps - 1, point_ps, point_ps + 1):
+            assert clock.offset_ps(near_ps) == offset_reference_ps(params, seed, "c1", near_ps)
 
 
 def test_extremum_of_quartz_parameters():
@@ -153,9 +194,13 @@ def test_linear_model_has_no_extremum_even_with_gamma_field():
 
 # -- noise ------------------------------------------------------------------
 
-def test_zero_sigma_noise_is_exact_zero():
+def test_zero_sigma_noise_is_exact_zero(monkeypatch):
+    def no_draw(*args):
+        raise AssertionError("drew for a term whose scale is 0")
+    monkeypatch.setattr(randstream, "draw_gaussian", no_draw)
+    monkeypatch.setattr(randstream, "draw", no_draw)
     clock = make_clock(ClockParameters())
-    assert clock.noise_at_ps(seconds_to_ps(123.0)) == 0.0
+    assert clock.noise_at_ps(seconds_to_ps(123.0)) == (0, 1)
 
 
 def test_noise_is_deterministic_per_query():
@@ -168,7 +213,8 @@ def test_noise_is_deterministic_per_query():
 def test_noise_moments():
     sigma = 1e-9
     clock = make_clock(ClockParameters(noise_sigma=sigma), seed=13)
-    samples = [clock.noise_at_ps(seconds_to_ps(i * 0.001)) for i in range(100_000)]
+    samples = [numerator / denominator / 1e12 for numerator, denominator in
+               map(clock.noise_at_ps, (seconds_to_ps(i * 0.001) for i in range(100_000)))]
     assert abs(statistics.fmean(samples)) < 3 * sigma / math.sqrt(len(samples))
     assert abs(statistics.stdev(samples) - sigma) < 0.05 * sigma
 
@@ -220,6 +266,19 @@ def test_fast_slew_applies_the_whole_delta():
     clock.apply_slew(seconds_to_ps(-0.25), 1e300, at_ps=seconds_to_ps(1.0))
     assert clock.correction_at_ps(seconds_to_ps(1.0)) == 0
     assert clock.correction_at_ps(seconds_to_ps(2.0)) == seconds_to_ps(-0.25)
+
+
+def test_a_slew_read_first_past_the_float_range_is_exact():
+    # rate * elapsed was a float product: a first reading at 10**309 ps
+    # raised "OverflowError: int too large to convert to float"
+    clock = make_clock(ClockParameters(model_kind="linear"))
+    clock.apply_slew(1000, 1e-6, at_ps=0)
+    assert clock.correction_at_ps(10**309) == 1000
+    # and a slew still in progress there is the rate's exact value times
+    # the elapsed picoseconds, rounded once
+    clock = make_clock(ClockParameters(model_kind="linear"))
+    clock.apply_slew(-10**400, 1e-6, at_ps=5)
+    assert clock.correction_at_ps(10**309) == -round(Fraction(1e-6) * (10**309 - 5))
 
 
 def test_slew_requires_positive_rate():
@@ -391,13 +450,13 @@ def test_user_table_interpolates_and_extrapolates_flat():
 
 
 def test_user_table_between_far_apart_points_stays_finite():
-    # (v1 - v0) * (t - t0) overflows here although every point, and the
-    # offset between them, is a finite number of picoseconds
+    # (v1 - v0) * (t - t0) overflowed a float here, and a divide-first
+    # fallback rounded the ratio before the sum
     params = ClockParameters(model_kind="user_defined",
                              offset_table=((0.0, -1e296), (1e30, 1e296)))
-    offset = params.drift_offset(1e12)
-    assert offset == -1e296 + 2e296 * (1e12 / 1e30)
-    assert make_clock(params).offset_ps(seconds_to_ps(1e12)) == seconds_to_ps(offset)
+    v0, v1 = Fraction(-1e296), Fraction(1e296)
+    exact = (v0 + (v1 - v0) * Fraction(1e12) / Fraction(1e30)) * 10**12
+    assert make_clock(params).offset_ps(seconds_to_ps(1e12)) == round(exact)
 
 
 @pytest.mark.parametrize("point", [(math.nan, 1.0), (20.0, math.inf)], ids=["time", "offset"])

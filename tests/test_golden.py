@@ -59,8 +59,8 @@ def test_trace_sha256_is_pinned(stem, seed, sha256):
 # run also pins its metrics report (METRICS) and accounts for every sequence
 # number its engine handed out
 WORKLOADS = {
-    ("mesh", 1): "8ff6aadc5cf18b9fe0c8154fbf491fcfca9906245ee44a3fb213ec80a750edd9",
-    ("mesh_attacked", 1): "65cfe07524d74f100860355adc71612754778fc5790c8817eb33f0b7c486bd6b",
+    ("mesh", 1): "7f14ebc528e5ef61ce9604a12c161cf3fb6ed3ab01df51c3a292e794106f32af",
+    ("mesh_attacked", 1): "870a8c3830c22a0dc1c537339c740af3a4ac13b7861ad80cb61d7c502701cfeb",
     ("line", 1): "b102cf44767bd93d403491f44d7ec56df668a93e91928e00e06b2e98414310c0",
     ("mesh", 21): "29da3b3cb666c667fd338e7831c7c705e1a8f7e17e1c8bdc2ede88c9e74d0278",
     ("mesh_attacked", 21): "061d5363d7b6470988066f0a0d22fecd2789c4c118f512cbc33b29bdcc5a4967",
@@ -70,8 +70,8 @@ WORKLOADS = {
 # (benchmark workload, seed) -> SHA-256 of
 # `json.dumps(metrics_report(records), sort_keys=True)` for the same runs
 METRICS = {
-    ("mesh", 1): "49b3e90c93c2b88aac1c519872e683e3e0995ca43ba4005bfd25c9fd26283bfb",
-    ("mesh_attacked", 1): "9585667e2739beacd8b88ad2e3e40a6a3c757de74986ecf95fa479192e307d33",
+    ("mesh", 1): "6bcd69dd74976a358b5f5a7cd973622631258d5f678e975909eeec989b283b87",
+    ("mesh_attacked", 1): "5ac727e18851186fcd967ca0dda58b037bf916c1562b0f5c807c57f7e8222124",
     ("line", 1): "3119a7dbeb3311624f13855ae38250f5596c95c4d00d16a55df95ba0423e56aa",
     ("mesh", 21): "8c20ea49627f6bc9a94db0e47ba291b26307230054ae1c7fb9c523cf6c14e5d3",
     ("mesh_attacked", 21): "0bc206c58b0703ee4cfa9ecf16114a398dfb6fc24784b9e3a86ee95d6de15312",

@@ -2,6 +2,7 @@ import hashlib
 import math
 import random
 import statistics
+from fractions import Fraction
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -33,14 +34,12 @@ def bernoulli(seed, probability, *key):
     return uniform(seed, *key) < probability
 
 
-def gaussian(seed, sigma, *key):
-    """The reference normal draw: Box-Muller of u64 of key + (0,) and of
-    key + (1,)."""
-    if sigma == 0.0:
-        return 0.0
+def gaussian(seed, *key):
+    """The reference standard normal draw: Box-Muller of u64 of key + (0,)
+    and of key + (1,)."""
     u1 = (randstream.u64(seed, *key, 0) + 1) / 2.0**64
     u2 = randstream.u64(seed, *key, 1) / 2.0**64
-    return sigma * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+    return math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
 
 
 @given(st.integers(0, 2**64 - 1), key_parts)
@@ -82,17 +81,12 @@ def test_bernoulli_frequency():
     assert abs(sum(flips) / 100_000 - 0.3) < 0.01
 
 
-def test_gaussian_zero_sigma_is_exactly_zero():
-    assert randstream.draw_gaussian(randstream.stream(5, "n"), 0.0, 1) == 0.0
-
-
 def test_gaussian_moments():
-    sigma = 1e-9
     prefix = randstream.stream(11, "noise")
-    samples = [randstream.draw_gaussian(prefix, sigma, i) for i in range(100_000)]
-    assert samples[:100] == [gaussian(11, sigma, "noise", i) for i in range(100)]
-    assert abs(statistics.fmean(samples)) < 3 * sigma / math.sqrt(len(samples))
-    assert abs(statistics.stdev(samples) - sigma) < 0.05 * sigma
+    samples = [randstream.draw_gaussian(prefix, i) for i in range(100_000)]
+    assert samples[:100] == [gaussian(11, "noise", i) for i in range(100)]
+    assert abs(statistics.fmean(samples)) < 3 / math.sqrt(len(samples))
+    assert abs(statistics.stdev(samples) - 1.0) < 0.05
 
 
 def test_prefix_cached_draws_equal_the_full_key_digest():
@@ -128,10 +122,11 @@ def test_held_clock_draws_equal_the_reference_bit_for_bit():
         for clock_id in HELD_CLOCK_IDS:
             clock = SoftwareClock(clock_id, params, seed)
             for t_ps in HELD_TIMES_PS:
-                expected = gaussian(seed, params.noise_sigma, "clock_noise", clock_id, t_ps)
-                expected += (uniform(seed, "clock_jitter", clock_id, t_ps)
-                             * params.jitter_bound_ns * 1e-9)
-                assert clock.noise_at_ps(t_ps) == expected, (seed, clock_id, t_ps)
+                expected = (Fraction(gaussian(seed, "clock_noise", clock_id, t_ps))
+                            * Fraction(params.noise_sigma) * 10**12
+                            + Fraction(uniform(seed, "clock_jitter", clock_id, t_ps))
+                            * Fraction(params.jitter_bound_ns) * 1000)
+                assert Fraction(*clock.noise_at_ps(t_ps)) == expected, (seed, clock_id, t_ps)
 
 
 HELD_ROUTER_IDS = ("", "é", "r01")
