@@ -16,9 +16,16 @@ Offsets are exact at any horizon: at t_ps, the drift (alpha0*10^12 +
 beta*t_ps + gamma*t_ps^2/10^12, or a user_defined table interpolated
 exactly), the noise (a unit normal draw times noise_sigma*10^12) and the
 jitter (a unit draw times jitter_bound_ns*1000) are summed at each float's
-exact value and rounded once to picoseconds, half to even.  A slew's part
-in progress is exact too: the rate's exact value times the elapsed
-picoseconds, rounded once.
+exact value and rounded once to picoseconds, half to even.  A clock puts
+each piece of its drift, with its noise sigma and jitter bound, over one
+integer denominator D when it is built: a polynomial model is one piece,
+a user_defined table one per segment, so D grows with a segment's values
+and not with the table's length.  A normal draw is an integer over 2^k
+and the jitter's unit draw its top 53 bits over 2^53, so a reading's sum
+is an integer over D * 2^k (k the larger exponent): its drift numerator
+shifted by k plus the noise numerator, with one division to round it.
+A slew's part in progress is exact too: the rate's exact value times the
+elapsed picoseconds, rounded once.
 
 A correction, once wholly in effect, stays so at every later instant, so a
 clock folds the corrections that are complete into one sum as it is read.
@@ -83,18 +90,23 @@ class ClockParameters:
         return self.gamma if self.model_kind == "quadratic" else 0.0
 
 
-def _drift_pieces(params: ClockParameters) -> tuple[list[int], list[tuple[int, int, int, int]]]:
+def _drift_pieces(params: ClockParameters) -> tuple[list[int], list[tuple[int, ...]]]:
     """The drift in picoseconds at t_ps, piece by piece, as (edges, pieces):
     the piece at t_ps is pieces[bisect_right(edges, t_ps)], and a piece
-    (a, b, g, d) is the exact drift (a + b*t_ps + g*t_ps^2) / d.  A linear or
-    quadratic model is one piece.  A user_defined table is flat before its
-    first point and after its last, and linear between each two points;
-    each edge is the first picosecond at or after a point, and neighbouring
-    pieces agree at their point, so the piece taken there does not matter."""
+    (a, b, g, sigma, jitter, d) is the exact drift (a + b*t_ps + g*t_ps^2) / d,
+    with the noise sigma and the jitter bound in picoseconds, sigma / d and
+    jitter / d, over the same d.  A linear or quadratic model is one piece,
+    with no edges.  A user_defined table is flat before its first point and
+    after its last, and linear between each two points; each edge is the
+    first picosecond at or after a point, and neighbouring pieces agree at
+    their point, so the piece taken there does not matter."""
+    scales = (Fraction(params.noise_sigma) * PS_PER_SECOND,
+              Fraction(params.jitter_bound_ns) * PS_PER_NS)
     if params.model_kind != "user_defined":
         return [], [_over_one_denominator(Fraction(params.alpha0) * PS_PER_SECOND,
                                           Fraction(params.beta),
-                                          Fraction(params.effective_gamma) / PS_PER_SECOND)]
+                                          Fraction(params.effective_gamma) / PS_PER_SECOND,
+                                          *scales)]
     points = [(Fraction(t) * PS_PER_SECOND, Fraction(v) * PS_PER_SECOND)
               for t, v in params.offset_table]
     pieces = [(points[0][1], 0, 0)]
@@ -102,7 +114,7 @@ def _drift_pieces(params: ClockParameters) -> tuple[list[int], list[tuple[int, i
         slope = (v1 - v0) / (t1 - t0)
         pieces.append((v0 - slope * t0, slope, 0))
     pieces.append((points[-1][1], 0, 0))
-    return [math.ceil(t) for t, _ in points], [_over_one_denominator(*p) for p in pieces]
+    return [math.ceil(t) for t, _ in points], [_over_one_denominator(*p, *scales) for p in pieces]
 
 
 def _over_one_denominator(*ratios) -> tuple[int, ...]:
@@ -166,18 +178,16 @@ class SoftwareClock:
     Every correction stays in `_corrections`.  A reading at t at or after
     `_folded_from` adds the live ones' parts to `_folded_ps`, so it visits
     only the live corrections, and folds those complete at t, raising
-    `_folded_from` to t when it folds any; a reading before `_folded_from`,
-    such as a Berkeley round's residuals at its last delivery, sums
-    `_corrections`.
+    `_folded_from` to t when it folds any; with none live it adds
+    `_folded_ps` alone.  A reading before `_folded_from`, such as a
+    Berkeley round's residuals at its last delivery, sums `_corrections`.
     """
 
     def __init__(self, clock_id: str, params: ClockParameters, seed: int = 0):
         self.params = params
-        # the drift's integer coefficients, and the noise's and jitter's
-        # scales in picoseconds as exact (numerator, denominator) pairs
+        # the drift's pieces, each with the noise's and jitter's scales in
+        # picoseconds, as integer numerators over one denominator
         self._edges, self._pieces = _drift_pieces(params)
-        self._sigma_ps = (Fraction(params.noise_sigma) * PS_PER_SECOND).as_integer_ratio()
-        self._jitter_ps = (Fraction(params.jitter_bound_ns) * PS_PER_NS).as_integer_ratio()
         # the prefix states of this clock's two keyed streams, hashed once
         self._noise_stream = randstream.stream(seed, "clock_noise", clock_id)
         self._jitter_stream = randstream.stream(seed, "clock_jitter", clock_id)
@@ -194,25 +204,39 @@ class SoftwareClock:
 
     # -- noise ------------------------------------------------------------
 
+    def _piece(self, t_ps: int) -> tuple[int, ...]:
+        """The drift piece (a, b, g, sigma, jitter, d) in effect at t_ps."""
+        return self._pieces[bisect_right(self._edges, t_ps)] if self._edges else self._pieces[0]
+
     def noise_at_ps(self, t_ps: int) -> tuple[int, int]:
         """Per-reading random term in picoseconds, exact, as (numerator,
-        denominator): the unit normal draw of (seed, "clock_noise",
-        clock_id, t_ps) times noise_sigma, plus the uniform draw of (seed,
-        "clock_jitter", clock_id, t_ps) times jitter_bound_ns.  A term whose
-        scale is 0 draws nothing."""
-        (sigma, sigma_den), (bound, bound_den) = self._sigma_ps, self._jitter_ps
-        numerator, denominator = 0, 1
+        D * 2^k), D the denominator of the drift piece at t_ps: the unit
+        normal draw of (seed, "clock_noise", clock_id, t_ps), a float whose
+        exact value is an integer over 2^k, times noise_sigma, plus the top
+        53 bits of the draw of (seed, "clock_jitter", clock_id, t_ps), an
+        integer over 2^53, times jitter_bound_ns; k is the larger exponent
+        of the terms drawn, 0 when none is.  A term whose scale is 0 draws
+        nothing."""
+        piece = self._piece(t_ps)
+        numerator, shift = self._noise(piece, t_ps)
+        return numerator, piece[-1] << shift
+
+    def _noise(self, piece: tuple[int, ...], t_ps: int) -> tuple[int, int]:
+        """`noise_at_ps` at t_ps over the drift piece in effect there, as
+        (numerator, k): the term is numerator / (d * 2^k)."""
+        _, _, _, sigma, jitter, _ = piece
+        numerator = shift = 0
         if sigma:
             normal, normal_den = randstream.draw_gaussian(
                 self._noise_stream, t_ps).as_integer_ratio()
-            numerator, denominator = normal * sigma, normal_den * sigma_den
-        if bound:
-            unit, unit_den = randstream.unit(
-                randstream.draw(self._jitter_stream, t_ps)).as_integer_ratio()
-            jitter_den = unit_den * bound_den
-            numerator, denominator = (numerator * jitter_den + unit * bound * denominator,
-                                      denominator * jitter_den)
-        return numerator, denominator
+            numerator, shift = normal * sigma, normal_den.bit_length() - 1
+        if jitter:
+            jitter *= randstream.draw(self._jitter_stream, t_ps) >> 11
+            if shift < 53:
+                numerator, shift = (numerator << 53 - shift) + jitter, 53
+            else:
+                numerator += jitter << shift - 53
+        return numerator, shift
 
     # -- corrections ------------------------------------------------------
 
@@ -220,6 +244,8 @@ class SoftwareClock:
         """Correction actually in effect at t, honoring in-progress slews."""
         if t_ps < self._folded_from:
             return sum(_applied_ps(correction, t_ps) for correction in self._corrections)
+        if not self._live:
+            return self._folded_ps
         folded_ps, pending_ps, live = self._folded_ps, 0, []
         for correction in self._live:
             applied_ps = _applied_ps(correction, t_ps)
@@ -253,13 +279,15 @@ class SoftwareClock:
 
     def offset_ps(self, t_ps: int) -> int:
         """alpha(t) = C(t) - t in integer picoseconds: drift plus noise at t,
-        summed exactly and rounded once, plus the correction in effect."""
+        summed exactly over the noise's denominator and rounded once, plus
+        the correction in effect."""
         last_ps, free_ps = self._last
         if last_ps != t_ps:
-            a, b, g, drift_den = self._pieces[bisect_right(self._edges, t_ps)]
-            noise, noise_den = self.noise_at_ps(t_ps)
-            free_ps = round_ratio((a + (b + g * t_ps) * t_ps) * noise_den + noise * drift_den,
-                                  drift_den * noise_den)
+            piece = self._piece(t_ps)
+            a, b, g, _, _, denominator = piece
+            noise, shift = self._noise(piece, t_ps)
+            free_ps = round_ratio(((a + (b + g * t_ps) * t_ps) << shift) + noise,
+                                  denominator << shift)
             self._last = (t_ps, free_ps)
         return free_ps + self.correction_at_ps(t_ps)
 

@@ -9,8 +9,9 @@ the same epoch terms and `router_flag` itself.  Everything that depends only
 on those inputs is built with the view, so a query only indexes: the
 compiled topology with its time-independent terms, the routing epochs,
 and the router_flag stream state of every router a failure model can take
-down.  All answers are pure functions of (view, t); `router_flag` draws
-each router's flag once per instant (see the engine module).
+down.  All answers are pure functions of (view, t); `router_flag` keeps
+each router's flags of the last two instants it drew (see the engine
+module).
 
 Attacks are piecewise constant in time.  Between two consecutive edges of
 the windows of the routing attacks (router_hijack of either mode, and ddos
@@ -26,7 +27,7 @@ up, and `attack_free_epoch` is the epoch with no routing attack.
 `without_attacks` is a copy of the view with no attacks and only the
 attack-free epoch, so the baseline shares the view's compiled topology,
 its attack-free route tables and its router flags, which both draw alike:
-each router's flag is drawn once per instant, not once per view.
+a flag kept for an instant is drawn once, not once per view.
 
 `router_active` and `router_delay_at` are the direct definition of the
 same terms, scanning the attack list at t; the DOT export draws from
@@ -110,8 +111,9 @@ class NetworkView:
         self.flag_streams = tuple(
             None if model is None else randstream.stream(seed, "router_flag", node_id)
             for node_id, model in zip(topology.ids, topology.failure_models))
-        # per router index, (t_ps, flag) of the last instant `router_flag` drew
-        self._flags = [(None, 1)] * len(topology.ids)
+        # per router index, (t_ps, flag, t_ps, flag) of the last two instants
+        # `router_flag` drew, the latest first
+        self._flags = [(None, 1, None, 1)] * len(topology.ids)
         # epoch k covers [edges[k - 1], edges[k]); the first one, before any
         # window opens, is the attack-free epoch
         self._epoch_edges = epoch_edges(attacks)
@@ -161,11 +163,17 @@ class NetworkView:
     def router_flag(self, node: int, t_ps: int) -> int:
         """The failure flag at t_ps (1 up, 0 down) of router index `node`,
         which a failure model can take down: `FailureModel.flag_from` on the
-        router's held stream, drawn once per instant in a row."""
-        last_ps, flag = self._flags[node]
-        if last_ps != t_ps:
-            flag = self.topology.failure_models[node].flag_from(self.flag_streams[node], t_ps)
-            self._flags[node] = (t_ps, flag)
+        router's held stream.  The flags of the last two instants it drew
+        are kept, so asks that alternate between two instants, such as a
+        timeout budget's legs and the request and reply sent at their
+        instants, draw each flag once."""
+        last_ps, last, before_ps, before = self._flags[node]
+        if t_ps == last_ps:
+            return last
+        if t_ps == before_ps:
+            return before
+        flag = self.topology.failure_models[node].flag_from(self.flag_streams[node], t_ps)
+        self._flags[node] = (t_ps, flag, last_ps, last)
         return flag
 
     def epoch_at(self, t_ps: int) -> Epoch:

@@ -13,6 +13,9 @@ chunk per key part, so a stream's prefix (seed, stream tag, entity) is
 hashed once into a state that `draw` copies and extends with the tail;
 an exact int in the tail takes its chunk header from a table built at
 import (`_INT_HEADERS`), so a draw encodes only the int's own bytes.
+Every clock and flag draw has a tail of one exact int of at most 256
+bits, the instant, so it costs one copy, one update and one digest (two
+digests for a Gaussian).
 Every stream on the run path is held by its owner, built once from
 `stream`: each `SoftwareClock` holds its clock_noise and clock_jitter
 states, and each `NetworkView` the router_flag state of every router a
@@ -86,14 +89,10 @@ def u64(seed: int, *key) -> int:
     return draw(stream(seed, *key))
 
 
-def unit(value: int) -> float:
-    """A 64-bit draw as a uniform float in [0, 1)."""
-    return (value >> 11) / _TWO53
-
-
 def draw_bernoulli(prefix, probability: float, *tail) -> bool:
     """True with the given probability, drawn from the key `prefix` has
-    hashed, extended by `tail`; p=0 never and p=1 always, without a draw."""
+    hashed, extended by `tail`: the draw's top 53 bits over 2^53 fall below
+    it.  p=0 never and p=1 always, without a draw."""
     if probability <= 0.0:
         return False
     if probability >= 1.0:

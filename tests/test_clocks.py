@@ -157,6 +157,47 @@ def test_offset_equals_the_exact_reference(params, seed, t_ps):
             assert clock.offset_ps(near_ps) == offset_reference_ps(params, seed, "c1", near_ps)
 
 
+NOISY_GNSS = ClockParameters(alpha0=1e-3, beta=3e-6, gamma=-2e-11, noise_sigma=7e-9,
+                             jitter_bound_ns=30.0)
+
+
+@pytest.mark.parametrize("low, high", [(1.0, 4.0), (0.0, 0.5)],
+                         ids=["normal_in_1_4", "normal_in_0_half"])
+def test_noise_and_jitter_sum_on_both_sides_of_53(low, high):
+    """The jitter is its draw's top 53 bits over 2^53 and the noise a float
+    normal over 2^k: their sum is taken over 2^max(k, 53).  A normal in
+    [1, 4) has k < 53, so the noise is shifted up to the jitter's 2^53; one
+    in (0, 0.5) whose last bit is below 2^-53 has k > 53, so the jitter is
+    shifted up.  The first instant of each kind reads the exact reference."""
+    seed = 3
+    noise = randstream.stream(seed, "clock_noise", "c1")
+    above_53 = high < 1.0
+
+    def exponent(normal):
+        return normal.as_integer_ratio()[1].bit_length() - 1
+    t_ps, k = next((t, exponent(normal)) for t in range(10**6)
+                   if low <= (normal := randstream.draw_gaussian(noise, t)) < high
+                   and (exponent(normal) > 53) is above_53)
+    clock = make_clock(NOISY_GNSS, seed, "c1")
+    assert clock.noise_at_ps(t_ps)[1] == clock._pieces[0][-1] << max(k, 53)
+    assert clock.offset_ps(t_ps) == offset_reference_ps(NOISY_GNSS, seed, "c1", t_ps)
+
+
+def test_a_long_user_defined_table_keeps_each_segment_over_its_own_denominator():
+    """Each segment's drift, noise sigma and jitter bound share the
+    segment's denominator, not one over the whole table, which would grow
+    with every point: a 400-point table reads the reference with each
+    denominator the size of a short table's."""
+    rng = random.Random(8)
+    points = sorted((rng.uniform(0.0, 1e3), rng.uniform(-1e-3, 1e-3)) for _ in range(400))
+    params = ClockParameters(model_kind="user_defined", offset_table=tuple(points),
+                             noise_sigma=3e-9, jitter_bound_ns=40.0)
+    clock = make_clock(params, 4, "c1")
+    assert max(piece[-1].bit_length() for piece in clock._pieces) < 400
+    for t_ps in [seconds_to_ps(t) for t, _ in points[::40]] + [-1, 10**15]:
+        assert clock.offset_ps(t_ps) == offset_reference_ps(params, 4, "c1", t_ps)
+
+
 def test_extremum_of_quartz_parameters():
     report = extremum_analysis(QUARTZ)
     assert report.has_extremum
