@@ -74,7 +74,7 @@ def _cmd_run(args) -> int:
         records = engine.run_until(scenario.config.duration)
         metrics = metrics_report(records)
         data = trace_bytes(records)
-    except Exception as exc:  # NoRoute-fatal, an int too long to write, and so on
+    except Exception as exc:  # a failure of the run itself
         print(f"runtime error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
     if args.trace and not _write(args.trace, data):

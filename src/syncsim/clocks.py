@@ -206,7 +206,7 @@ class SoftwareClock:
 
     def _piece(self, t_ps: int) -> tuple[int, ...]:
         """The drift piece (a, b, g, sigma, jitter, d) in effect at t_ps."""
-        return self._pieces[bisect_right(self._edges, t_ps)] if self._edges else self._pieces[0]
+        return self._pieces[bisect_right(self._edges, t_ps)]
 
     def noise_at_ps(self, t_ps: int) -> tuple[int, int]:
         """Per-reading random term in picoseconds, exact, as (numerator,

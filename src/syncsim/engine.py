@@ -61,12 +61,10 @@ answer:
     `now_ps` on and older ones are dropped, so the answer a timeout budget
     finds for a message is not searched again when the message is sent at
     that instant;
-  - `NetworkView.router_flag` keeps each router's flags of the last two
-    instants it drew, shared with the baseline view, so a kept route's
+  - `NetworkView.router_flag` keeps each router's flag of the last
+    instant it drew, shared with the baseline view, so a kept route's
     check, a route query's hit check, search and breakdown, and a baseline
-    query at either instant draw it once: a timeout budget asks at the
-    send instant and at the reply's, and the request and the reply sent
-    at those instants draw no flag again;
+    query at that instant draw it once;
   - `SoftwareClock.offset_ps` keeps the drift plus noise of the last
     instant it read, so a delivery, its callback and the sync logic draw
     the noise once; the corrections are added on every read, so a step

@@ -38,8 +38,8 @@ below take as exact lower bounds.  A query at t:
 The engine keeps each route that steps 1 to 3 return for the epoch and,
 at a later instant of it, checks step 3 itself (`route_holds`) before it
 asks again; a route of step 4 and a NoRoute it asks once per instant.
-`router_flag` keeps each router's flags of the last two instants it drew
-(see the engine module).
+`router_flag` keeps each router's flag of the last instant it drew (see
+the engine module).
 
 Why that is exact.  Labels (delay, hops, node sequence) are totally
 ordered, so each graph has one optimum per destination.  Attacks only

@@ -29,6 +29,7 @@ from .sync import ALGORITHMS, SyncOptions
 from .timebase import seconds_to_ps
 from .topology import (MEDIA, FailureModel, LinkSpec, NetworkGraph, NodeSpec, admit_link,
                        is_medium_speed)
+from .trace import unique_keys
 
 
 class ScenarioError(Exception):
@@ -332,12 +333,12 @@ def load_scenario(path) -> Scenario:
         raise ScenarioError([f"{path}: not UTF-8 text ({exc.reason} at byte "
                              f"{exc.start})"]) from None
     try:
-        data = json.loads(text)
+        data = json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ScenarioError(
             [f"{path}: parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}"]
         ) from None
-    except ValueError as exc:  # a number literal beyond the integer conversion limit
+    except ValueError as exc:  # a repeated key, or an int beyond the conversion limit
         raise ScenarioError([f"{path}: parse error: {exc}"]) from None
     return parse_scenario(data)
 

@@ -4,15 +4,17 @@ All times and delays in a trace are integer picoseconds and keys are
 sorted, so the byte stream for a (scenario, seed) pair is identical across
 runs and platforms and can be compared by hash.
 
-The canonical line of a record is exactly
-`json.dumps(record, sort_keys=True, separators=(",", ":"))` (ASCII escapes)
-followed by a newline.  Those bytes come from one formatter per key shape
-(the record's keys in insertion order), generated as source the way
-`namedtuple` builds its methods and cached.  A formatter unpacks the
-record's values and returns one f-string: the escaped `{"key":` /
-`,"key":` prefixes in sorted key order as `repr()` literals, each followed
-by its value's piece.  The type of each value in the first record of a
-shape makes its slot one of these kinds:
+The canonical line of a record is `json.dumps`, with ints of any length
+written in full: `json.dumps(record, sort_keys=True, separators=(",",
+":"))` (ASCII escapes) followed by a newline, where an int past Python's
+int-to-str limit (4,300 digits by default), which `json.dumps` refuses,
+is written in all its digits (`_full`).  Those bytes come from one
+formatter per key shape (the record's keys in insertion order), generated
+as source the way `namedtuple` builds its methods and cached.  A
+formatter unpacks the record's values and returns one f-string: the
+escaped `{"key":` / `,"key":` prefixes in sorted key order as `repr()`
+literals, each followed by its value's piece.  The type of each value in
+the first record of a shape makes its slot one of these kinds:
 
 - int (exact, `type(v) is int`): the digits;
 - str: the escaped string;
@@ -28,14 +30,19 @@ dict, ...) is written by `json.dumps` of that value alone.  The int slots
 are checked before the f-string runs (a bool, float or int subclass would
 print wrongly through `f'{v}'`), and the string escaper raises `TypeError`
 for a value that is not a str (it encodes a str subclass as `json.dumps`
-does).  A failed int check or a `TypeError`, from the escaper or from
-`json.dumps` of a value it cannot encode, sends the record through
-`json.dumps` whole, which writes it or raises its own error.  The engine's
-records never take that path.  Keys enter the source only as `repr()`
-literals, never inside f-string braces, and values never enter it.  A
-record with no keys or a non-str key also goes through `json.dumps` whole.
-`trace_bytes` writes the lines chunk by chunk into one buffer, so no str
-of the whole trace is built.
+does).  A failed int check, a `TypeError`, from the escaper or from
+`json.dumps` of a value it cannot encode, or a `ValueError`, from an int
+past the limit, sends the record through `json.dumps` whole, which writes
+it or raises its own error; its `ValueError` sends it on to `_full`.  The
+engine's records take that path only for such an int.  Keys enter the
+source only as `repr()` literals, never inside f-string braces, and
+values never enter it.  A record with no keys or a non-str key also goes
+through `json.dumps` whole.  `trace_bytes` writes the lines chunk by
+chunk into one buffer, so no str of the whole trace is built.
+
+`parse_record` reads an int of any length back, and names a key that an
+object repeats (`unique_keys`, which `scenario.load_scenario` applies
+too), where `json.loads` alone would keep its last value.
 """
 
 import hashlib
@@ -58,8 +65,75 @@ _CHUNK_RECORDS = 4096
 _formatters: dict = {}
 
 
+# an int of at most this many bits has at most 600 decimal digits, under
+# 640, the least limit `sys.set_int_max_str_digits` takes for Python's
+# int-to-str and str-to-int conversions (4,300 by default)
+_SHORT_INT_BITS = 1_993
+_SHORT_INT_DIGITS = 600
+
+
 def _line(record: dict) -> str:
-    return _dumps(record) + "\n"
+    try:
+        return _dumps(record) + "\n"
+    except ValueError:  # an int past the conversion limit
+        return _full(record) + "\n"
+
+
+def _full(value, within: frozenset = frozenset()) -> str:
+    """`_dumps(value)` with ints of any length written in full: containers
+    are walked here, keys sorted and written as `json.dumps` writes them,
+    and every other value is left to `_dumps`.  A container that holds
+    itself raises `json.dumps`'s ValueError."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return _digits(value)
+    if not isinstance(value, (list, tuple, dict)):
+        return _dumps(value)
+    if id(value) in within:
+        raise ValueError("Circular reference detected")
+    within = within | {id(value)}
+    if isinstance(value, dict):
+        return "{" + ",".join(_dumps({key: 0})[1:-3] + ":" + _full(item, within)
+                              for key, item in sorted(value.items())) + "}"
+    return "[" + ",".join(_full(item, within) for item in value) + "]"
+
+
+def _digits(number: int) -> str:
+    """The decimal digits of an int at any length, as `json.dumps` writes
+    a short one: a long one is split at a power of ten into halves, each
+    written the same way."""
+    if number.bit_length() <= _SHORT_INT_BITS:
+        return int.__repr__(number)
+    if number < 0:
+        return "-" + _digits(-number)
+    half = number.bit_length() * 3 // 20  # about half its decimal digits
+    high, low = divmod(number, 10 ** half)
+    return _digits(high) + _digits(low).zfill(half)
+
+
+def _int(text: str) -> int:
+    """The int a JSON int literal of any length stands for, read by halves
+    as `_digits` writes it."""
+    if len(text) <= _SHORT_INT_DIGITS:
+        return int(text)
+    if text[0] == "-":
+        return -_int(text[1:])
+    half = len(text) // 2
+    return _int(text[:-half]) * 10 ** half + _int(text[-half:])
+
+
+class RepeatedKeyError(ValueError):
+    pass
+
+
+def unique_keys(pairs: list) -> dict:
+    """`object_pairs_hook` for `json.loads`: the object's dict, or
+    RepeatedKeyError naming a key the object holds twice, which `json.loads`
+    alone would resolve to its last value."""
+    value = dict(pairs)
+    if len(value) < len(pairs):
+        keys = [key for key, _ in pairs]
+        raise RepeatedKeyError(f"repeated key {next(k for k in keys if keys.count(k) > 1)!r}")
+    return value
 
 
 def _bool(value) -> str:
@@ -117,7 +191,7 @@ def _generate(shape: tuple, values) -> Callable[[dict], str]:
               f"    if {' and '.join(checks) or 'True'}:\n"
               "        try:\n"
               f"            return {line}\n"
-              "        except TypeError:\n"
+              "        except (TypeError, ValueError):\n"
               "            pass\n"
               "    return _line(record)\n")
     namespace = {"_esc": _esc, "_dumps": _dumps, "_line": _line,
@@ -162,9 +236,16 @@ class TraceFormatError(ValueError):
 
 def parse_record(line: str, lineno: int = 0) -> dict:
     try:
-        record = json.loads(line)
+        try:
+            record = json.loads(line, object_pairs_hook=unique_keys)
+        except (json.JSONDecodeError, RepeatedKeyError):
+            raise
+        except ValueError:  # an int literal past the conversion limit
+            record = json.loads(line, object_pairs_hook=unique_keys, parse_int=_int)
     except json.JSONDecodeError as exc:
         raise TraceFormatError(f"line {lineno}: not valid JSON ({exc})") from None
+    except RepeatedKeyError as exc:
+        raise TraceFormatError(f"line {lineno}: {exc}") from None
     if not isinstance(record, dict):
         raise TraceFormatError(f"line {lineno}: record must be an object")
     for key in REQUIRED_FIELDS:

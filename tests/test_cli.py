@@ -3,6 +3,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+from syncsim import load_trace, trace_bytes
+
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "demos" / "scenarios"
 MINIMAL = SCENARIO_DIR / "minimal_pair.json"
 
@@ -44,22 +46,25 @@ def test_run_writes_a_delay_past_the_float_range_as_null(tmp_path):
                       "mean_path_delay_s": None, "network_delay_s": None}
 
 
-def test_a_trace_that_cannot_be_written_is_a_runtime_error(tmp_path):
+def test_a_trace_with_an_int_past_the_digit_limit_is_written_and_read_back(tmp_path):
     """A 10**4200-bit message over a 5e-324 bps link validates, and its
-    delivery time is an int of more digits than Python writes as text: the
-    run exits 2 with a runtime error, where it printed a traceback before."""
+    transmission time is an int of more digits than Python writes as text
+    by default: the run exits 0, where it exited 2 before, and the trace
+    reads back to records that write the same bytes."""
     data = json.loads(MINIMAL.read_text())
     data["links"] = [{**data["links"][0], "bandwidth_bps": 5e-324}]
     data["message_workload"] = [{"time_s": 0.5, "source": "c1", "destination": "s1",
                                  "size_bits": 10**4200}]
-    scenario = tmp_path / "huge.json"
+    scenario, trace = tmp_path / "huge.json", tmp_path / "huge.trace"
     scenario.write_text(json.dumps(data))
     assert cli("validate", "--scenario", str(scenario)).returncode == 0
-    result = cli("run", "--scenario", str(scenario))
-    assert result.returncode == 2, result.stderr
-    assert result.stderr.startswith("runtime error: Exceeds the limit"), result.stderr
-    assert "Traceback" not in result.stderr
-    assert result.stdout == ""
+    result = cli("run", "--scenario", str(scenario), "--trace", str(trace))
+    assert result.returncode == 0, result.stderr
+    assert result.stderr == ""
+    records = load_trace(trace)
+    assert trace_bytes(records) == trace.read_bytes()
+    assert records[0]["size_bits"] == 10**4200
+    assert records[0]["transmission_ps"].bit_length() > 14_300
 
 
 def test_run_same_seed_reproduces_trace(tmp_path):

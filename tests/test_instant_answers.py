@@ -226,34 +226,11 @@ def test_baseline_and_attacked_queries_at_one_instant_draw_each_flag_once(monkey
     assert draws == drawn and set(drawn.values()) == {1}
 
 
-def test_router_keeps_its_flags_of_its_last_two_instants(monkeypatch):
-    """Asks at t, t' and t again draw r1's flag twice, as a timeout budget's
-    backward leg and the reply sent at that instant do; with one instant
-    kept they drew it three times.  A third instant drawn drops the older
-    of the two, so t after t'' draws again."""
-    view = NetworkView(diamond_graph(), 5)
-    r1 = view.topology.index["r1"]
-    t, t2, t3 = 1_000, 2_000, 3_000
-    model = view.topology.failure_models[r1]
-    expected = {at_ps: model.flag_at_ps("r1", at_ps, 5) for at_ps in (t, t2, t3)}
-    drawn = []
-    flag_from = FailureModel.flag_from
-
-    def counting_flag_from(model, prefix, at_ps):
-        drawn.append(at_ps)
-        return flag_from(model, prefix, at_ps)
-    monkeypatch.setattr(FailureModel, "flag_from", counting_flag_from)
-    for asks, draws in (((t, t2, t), [t, t2]), ((t2, t3, t), [t, t2, t3, t])):
-        assert [view.router_flag(r1, at_ps) for at_ps in asks] == [expected[a] for a in asks]
-        assert drawn == draws
-
-
-@pytest.mark.parametrize("workload, drawn", [("mesh", 2_569), ("mesh_attacked", 3_001)])
+@pytest.mark.parametrize("workload, drawn", [("mesh", 3_458), ("mesh_attacked", 3_663)])
 def test_every_flag_a_run_reads_is_the_reference_flag(monkeypatch, workload, drawn):
     """Seed 1: each flag the run reads, from its view or its baseline view,
     is `FailureModel.flag_at_ps` of the router at that instant, and keeping
-    each router's last two instants draws `flag_from` this many times
-    (3,458 on mesh and 3,663 on mesh_attacked with one instant kept)."""
+    each router's last instant draws `flag_from` this many times."""
     scenario = parse_scenario(getattr(benchmark_workloads(), workload)(1))
     engine = build_engine(scenario)
     read, calls = [], []

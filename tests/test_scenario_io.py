@@ -114,6 +114,19 @@ def test_parse_error_carries_line_info(tmp_path):
     assert "line" in excinfo.value.problems[0]
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"config": {"seed": 1, "seed": 7}}', "seed"),
+    ('{"nodes": [], "nodes": []}', "nodes"),
+], ids=["in_config", "top_level"])
+def test_a_repeated_key_is_a_named_parse_problem(tmp_path, text, key):
+    # json.loads alone keeps the last value: the first file ran as seed 7
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    with pytest.raises(ScenarioError) as excinfo:
+        load_scenario(path)
+    assert excinfo.value.problems == [f"{path}: parse error: repeated key {key!r}"]
+
+
 def test_unknown_clock_reference_rejected():
     data = dict(MINIMAL)
     data["nodes"] = [{"id": "c1", "kind": "client", "clock": "nope"},

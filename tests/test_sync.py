@@ -242,6 +242,25 @@ def test_outlier_excluded_from_mean_but_still_corrected():
     assert abs(post - 2_000_000_000) <= 1000
 
 
+@pytest.mark.parametrize("member_offsets, threshold, mean_ps", [
+    # median 0.25 s: the 1.25 s clock is exactly the threshold from it and
+    # is kept, so the mean is (0 + 0.25 + 1.25) / 3 = 0.5 s, not 0.125 s
+    ([0.25, 1.25], 1.0, 500_000_000_000),
+    # four offsets 0, 0, 1.5, 4.5: the median 0.75 s keeps 1.5 s, the low
+    # median 0 would drop it, so the mean is 1.5 / 3 = 0.5 s, not 0
+    ([0.0, 1.5, 4.5], 1.0, 500_000_000_000),
+], ids=["offset_at_threshold", "even_count_median"])
+def test_outlier_filter_keeps_offsets_within_the_threshold_of_the_median(
+        member_offsets, threshold, mean_ps):
+    engine = star_engine(member_offsets)
+    members = [f"m{i}" for i in range(1, len(member_offsets) + 1)]
+    report = berkeley_round(engine, "co", members, at=0.0,
+                            options=SyncOptions(outlier_threshold=threshold))
+    assert report.corrections_ps == {
+        "co": mean_ps, **{m: mean_ps - seconds_to_ps(offset)
+                          for m, offset in zip(members, member_offsets)}}
+
+
 def test_unreachable_member_is_flagged_and_excluded():
     engine = star_engine([0.010, -0.004],
                          router_models={"m2": FailureModel("always_failed")})

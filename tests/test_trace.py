@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings
@@ -169,6 +170,9 @@ def test_engine_records_are_written_without_json_dumps(source, tmp_path, monkeyp
         path = tmp_path / f"{source}.json"
         path.write_bytes(benchmark_workloads().scenario_bytes(source, 1))
     records = run_scenario(load_scenario(path))[1]
+    # the trace reads back to records that write the same bytes
+    data = trace_bytes(records)
+    assert trace_bytes(parse_trace(data.decode("utf-8"))) == data
     dumped, lined = [], []
     dumps, line = trace._dumps, trace._line
     monkeypatch.setattr(trace, "_formatters", {})
@@ -210,6 +214,63 @@ def test_raw_line_separators_inside_strings_do_not_split_records(tmp_path):
     with pytest.raises(TraceFormatError, match="line 2: missing field"):
         load_trace(path)
     assert parse_trace(json.dumps(record, ensure_ascii=False) + "\n") == [record]
+
+
+# ints past Python's default 4,300-digit int-to-str limit, with the digits
+# json.dumps would write without that limit
+LONG_INTS = [(10**5000, "1" + "0" * 5000), (-(10**4400 - 1), "-" + "9" * 4400),
+             (7 * 10**4500 + 3, "7" + "0" * 4499 + "3")]
+
+
+@pytest.mark.parametrize("number, digits", LONG_INTS, ids=["power", "negative", "ends"])
+def test_an_int_of_any_length_is_written_in_full_and_read_back(number, digits, tmp_path):
+    # in an int slot of its shape's formatter, in a list and in a dict, and
+    # in a slot the first record of its shape typed as a str
+    records = [{"sim_time_ps": number, "sequence": 0, "kind": "delivery"},
+               {"sim_time_ps": 0, "sequence": [1, number], "kind": {"b": number, "a": "x"}},
+               {"sim_time_ps": 1, "sequence": 1, "kind": number}]
+    expected = [f'{{"kind":"delivery","sequence":0,"sim_time_ps":{digits}}}',
+                f'{{"kind":{{"a":"x","b":{digits}}},"sequence":[1,{digits}],"sim_time_ps":0}}',
+                f'{{"kind":{digits},"sequence":1,"sim_time_ps":1}}']
+    data = trace_bytes(records)
+    assert data == "".join(line + "\n" for line in expected).encode("ascii")
+    assert parse_record(expected[0]) == records[0]
+    path = tmp_path / "long.trace"
+    path.write_bytes(data[:data.index(b"\n") + 1])
+    assert load_trace(path) == records[:1]
+
+
+def test_a_record_that_holds_itself_raises_what_json_dumps_raises():
+    # with and without an int past the limit beside the cycle
+    for tail in ([], [10**5000]):
+        record = {"sim_time_ps": 0, "sequence": 0, "kind": "delivery", "route": list(tail)}
+        record["route"].append(record)
+        assert outcome(trace_bytes, [record]) == ValueError
+        assert outcome(canonical_lines, [record]) == ValueError
+
+
+def test_an_int_past_a_lowered_digit_limit_is_written_and_read_back():
+    # 640 digits is the least limit Python takes; the parts the writer and
+    # the reader convert stay under it
+    record = {"sim_time_ps": 10**700, "sequence": -(10**5000), "kind": "delivery"}
+    line = f'{{"kind":"delivery","sequence":-1{"0" * 5000},"sim_time_ps":1{"0" * 700}}}'
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        assert trace_bytes([record]) == (line + "\n").encode("ascii")
+        assert parse_record(line) == record
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@pytest.mark.parametrize("line, key", [
+    ('{"sim_time_ps": 0, "sequence": 0, "kind": "delivery", "sequence": 1}', "sequence"),
+    ('{"sim_time_ps": 0, "sequence": 0, "kind": "delivery", "bd": {"a": 1, "a": 2}}', "a"),
+], ids=["top_level", "nested"])
+def test_a_repeated_key_in_a_trace_line_is_named(line, key):
+    # json.loads alone keeps the last value of a repeated key
+    with pytest.raises(TraceFormatError, match=f"line 3: repeated key '{key}'"):
+        parse_record(line, 3)
 
 
 def test_attack_edge_is_not_a_record_kind():
